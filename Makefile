@@ -18,7 +18,7 @@ FAULT_PKGS := . ./internal/faultfs/... ./internal/checkpoint/... ./internal/stra
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race vet fmt lint generate generate-check profile scheduler-suite blob-suite lineage-suite bench-smoke bench bench-gate serve-smoke fleet-suite chaos-suite fold-suite fault-matrix ci
+.PHONY: all build test race vet fmt lint generate generate-check profile scheduler-suite blob-suite lineage-suite bench-smoke bench bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix ci
 
 all: build
 
@@ -85,8 +85,8 @@ profile:
 
 # The DAG scheduler suites under the race detector, twice: DAG-vs-serial
 # schedule equivalence (engine plans and all 22 TPC-H queries),
-# multi-pipeline mid-DAG suspend/resume, v1 checkpoint-format loading,
-# and the server preemption that quiesces a whole DAG.
+# multi-pipeline mid-DAG suspend/resume, the clean rejection of the v1
+# checkpoint format, and the server preemption that quiesces a whole DAG.
 scheduler-suite:
 	$(GO) test -race -count=2 \
 		-run 'DAG|Scheduler|MaxConcurrentPipelines|InFlight|StateFormatV1|MultipleSuspensions|QueriesDAGMatchesSerial' \
@@ -134,6 +134,14 @@ bench-gate:
 	sh scripts/bench_compare.sh BENCH_baseline.json BENCH_engine.json; \
 		status=$$?; rm -f BENCH_baseline.json; exit $$status
 
+# benchmark/ is a module of its own (replace => ../), so `go build ./...`
+# and `go test ./...` at the root never compile it: an API change that
+# breaks it would be invisible to every target above. This vets it and runs
+# its smoke test (every workload once, results checked against the golden
+# digests) against the root module as it stands.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # End-to-end check of riveter-serve: boot on a tiny TPC-H dataset, submit
 # concurrent HTTP queries, verify responses and serving metrics, then
 # SIGTERM mid-load and verify the restarted server resumes the work.
@@ -175,11 +183,12 @@ fold-suite:
 		. ./internal/server/...
 
 # The fault matrix under the race detector, twice — crash points, torn
-# writes, ENOSPC, quarantine, retry/fallback/abandon ladders. -count=2
-# also shakes out order dependence between injected faults.
+# writes, ENOSPC, quarantine, retry/fallback/abandon ladders, and the
+# persistence-seam contract over all three targets. -count=2 also shakes
+# out order dependence between injected faults.
 fault-matrix:
 	$(GO) test -race -count=2 \
-		-run 'Fault|Crash|Verify|Quarantine|Retry|Sweep|Abandon|Degraded|ResumeInPlace|Injector|Budget|Torn|ENOSPC' \
+		-run 'Fault|Crash|Verify|Quarantine|Retry|Sweep|Abandon|Degraded|ResumeInPlace|Injector|Budget|Torn|ENOSPC|Seam' \
 		$(FAULT_PKGS)
 
-ci: build vet fmt lint test race scheduler-suite blob-suite lineage-suite bench-smoke bench-gate serve-smoke fleet-suite chaos-suite fold-suite fault-matrix
+ci: build vet fmt lint test race scheduler-suite blob-suite lineage-suite bench-smoke bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix

@@ -54,6 +54,7 @@ type Adaptive struct {
 func (q *Query) NewAdaptive() (*Adaptive, error) {
 	ctrl := riveter.NewController(q.db.cat, q.db.workers, q.db.checkpointDir)
 	ctrl.IO = q.db.io
+	ctrl.FS = q.db.fsys
 	ctrl.Rng = rand.New(rand.NewSource(1))
 	ctrl.Metrics = q.db.metrics
 	ctrl.Tracing = q.db.tracing

@@ -147,23 +147,31 @@ func runWithSuspension(ctx context.Context, db *riveter.DB, q *riveter.Query, ki
 		return
 	}
 
-	path := db.NewCheckpointPath("run")
-	info, err := exec.Checkpoint(path)
+	ckpt := riveter.ResumePoint{Target: "file", Ref: db.NewCheckpointPath("run")}
+	info, err := exec.Persist(ctx, ckpt, riveter.PersistOptions{})
 	if err != nil {
 		fatal("checkpoint: %v", err)
 	}
 	fmt.Printf("suspended (%s): persisted %d bytes (state %d) to %s\n",
 		info.Kind, info.TotalBytes, info.StateBytes, info.Path)
+	finishFrom(ctx, q, exec, ckpt, "", maxRows)
+}
 
+// finishFrom resumes the suspended exec from at and runs it to completion.
+// Handing exec to StartFrom continues its trace, so a -metrics dump covers
+// the whole suspend→persist→resume round trip.
+func finishFrom(ctx context.Context, q *riveter.Query, exec *riveter.Execution, at riveter.ResumePoint, from string, maxRows int64) {
 	resumeStart := time.Now()
-	// Execution.Resume continues the execution's trace, so a -metrics dump
-	// covers the whole suspend→checkpoint→resume round trip.
-	res, err := exec.Resume(ctx, path)
+	resumed, err := q.StartFrom(ctx, at, exec)
 	if err != nil {
 		fatal("resume: %v", err)
 	}
-	fmt.Printf("resumed and completed in %v, %d rows\n%s",
-		time.Since(resumeStart).Round(time.Millisecond), res.NumRows(), res.Format(maxRows))
+	res, err := resumed.Result()
+	if err != nil {
+		fatal("resume: %v", err)
+	}
+	fmt.Printf("resumed%s and completed in %v, %d rows\n%s",
+		from, time.Since(resumeStart).Round(time.Millisecond), res.NumRows(), res.Format(maxRows))
 	dumpTrace(exec.Trace())
 }
 
@@ -171,30 +179,21 @@ func runWithSuspension(ctx context.Context, db *riveter.DB, q *riveter.Query, ki
 // twice, to demonstrate delta suspension: the second write deduplicates
 // every unchanged chunk — then resumes from the store to completion.
 func runStoreRoundTrip(ctx context.Context, db *riveter.DB, q *riveter.Query, exec *riveter.Execution, maxRows int64) {
-	info, err := exec.CheckpointToStore("run-demo")
+	first := riveter.ResumePoint{Target: "store", Ref: "run-demo"}
+	second := riveter.ResumePoint{Target: "store", Ref: "run-demo-2"}
+	info, err := exec.Persist(ctx, first, riveter.PersistOptions{})
 	if err != nil {
 		fatal("store checkpoint: %v", err)
 	}
 	fmt.Printf("suspended (%s): %d state bytes in %d chunks, %d deduplicated, %d bytes uploaded\n",
 		info.Kind, info.StateBytes, info.Chunks, info.DedupHits, info.UploadedBytes)
-	if again, err := exec.CheckpointToStore("run-demo-2"); err == nil {
+	if again, err := exec.Persist(ctx, second, riveter.PersistOptions{}); err == nil {
 		fmt.Printf("re-suspension delta: %d/%d chunks deduplicated, %d bytes uploaded\n",
 			again.DedupHits, again.Chunks, again.UploadedBytes)
 	}
-
-	resumeStart := time.Now()
-	res, err := q.ResumeFromStore(ctx, "run-demo")
-	if err != nil {
-		fatal("store resume: %v", err)
-	}
-	fmt.Printf("resumed from store and completed in %v, %d rows\n%s",
-		time.Since(resumeStart).Round(time.Millisecond), res.NumRows(), res.Format(maxRows))
-	dumpTrace(exec.Trace())
-	st, _ := db.BlobStore()
-	if st != nil {
-		_ = st.DeleteCheckpoint("run-demo")
-		_ = st.DeleteCheckpoint("run-demo-2")
-	}
+	finishFrom(ctx, q, exec, first, " from store", maxRows)
+	_ = db.Discard(first)
+	_ = db.Discard(second)
 }
 
 func runAdaptive(q *riveter.Query, prob float64, window string) {

@@ -85,21 +85,17 @@ func TestCrashMatrixEndToEnd(t *testing.T) {
 		inj.Reset() // the "restarted process" sees a healthy disk again
 
 		if _, statErr := os.Stat(path); statErr == nil {
-			if _, verr := VerifyCheckpoint(path); verr != nil {
+			if _, verr := db.Verify(filePoint(path)); verr != nil {
 				t.Fatalf("crash@%d: published checkpoint fails verify: %v", crashAt, verr)
 			}
-			res, rerr := q.Resume(context.Background(), path)
-			if rerr != nil {
-				t.Fatalf("crash@%d: resume: %v", crashAt, rerr)
-			}
-			if res.SortedKey() != want.SortedKey() {
+			if res := finishFrom(t, q, filePoint(path)); res.SortedKey() != want.SortedKey() {
 				t.Fatalf("crash@%d: resumed result differs from clean run", crashAt)
 			}
 		} else {
 			if cerr == nil {
 				t.Fatalf("crash@%d: Checkpoint claimed success but published nothing", crashAt)
 			}
-			if _, verr := VerifyCheckpoint(path); verr == nil {
+			if _, verr := db.Verify(filePoint(path)); verr == nil {
 				t.Fatalf("crash@%d: verify passed on a missing checkpoint", crashAt)
 			}
 		}
@@ -119,18 +115,14 @@ func TestCrashMatrixEndToEnd(t *testing.T) {
 	}
 
 	// The clean checkpoint still resumes byte-identically after all rounds.
-	res, err := q.Resume(context.Background(), cleanPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
+	if res := finishFrom(t, q, filePoint(cleanPath)); res.SortedKey() != want.SortedKey() {
 		t.Error("clean-checkpoint resume differs from uninterrupted run")
 	}
 }
 
-// TestCheckpointWithRetryPublicAPI: the public retry entry point absorbs
-// transient faults and the checkpoint resumes correctly.
-func TestCheckpointWithRetryPublicAPI(t *testing.T) {
+// TestPersistRetryPolicy: Persist's retry policy absorbs transient faults and
+// the checkpoint resumes correctly.
+func TestPersistRetryPolicy(t *testing.T) {
 	db, inj := openTPCHFS(t, 0.02)
 	q, err := db.PrepareTPCH(3)
 	if err != nil {
@@ -143,9 +135,9 @@ func TestCheckpointWithRetryPublicAPI(t *testing.T) {
 	exec := suspendedExec(t, q, PipelineLevel)
 
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpWrite, PathSubstr: ".rvck", Nth: 1, Count: 2})
-	path := db.NewCheckpointPath("retry")
-	info, err := exec.CheckpointWithRetry(context.Background(), path,
-		RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	at := filePoint(db.NewCheckpointPath("retry"))
+	info, err := exec.Persist(context.Background(), at, PersistOptions{
+		Retry: RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +147,17 @@ func TestCheckpointWithRetryPublicAPI(t *testing.T) {
 	if got := db.Metrics().Snapshot().Counters["checkpoint.retry"]; got != 2 {
 		t.Errorf("checkpoint.retry = %d, want 2", got)
 	}
-	res, err := q.Resume(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
+	if res := finishFrom(t, q, at); res.SortedKey() != want.SortedKey() {
 		t.Error("retried checkpoint resumed to a different result")
 	}
 }
 
-// TestCheckpointDegradedPublicAPI: a process-level suspension persisted
-// degraded carries no padding, records kind "pipeline", and still resumes
-// to an identical result.
-func TestCheckpointDegradedPublicAPI(t *testing.T) {
-	db, _ := openTPCHFS(t, 0.02)
+// TestPersistDegradedUnpadded: a process-level image that will not write
+// fails Persist unless the caller allows the unpadded rung; allowed, the
+// same Persist lands a pipeline-kind image without padding (counted as a
+// fallback) that still resumes to an identical result.
+func TestPersistDegradedUnpadded(t *testing.T) {
+	db, inj := openTPCHFS(t, 0.02)
 	q, err := db.PrepareTPCH(1)
 	if err != nil {
 		t.Fatal(err)
@@ -178,17 +167,24 @@ func TestCheckpointDegradedPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := suspendedExec(t, q, ProcessLevel)
+	ctx := context.Background()
 
-	full := db.NewCheckpointPath("full")
-	fullInfo, err := exec.Checkpoint(full)
+	fullInfo, err := exec.Persist(ctx, filePoint(db.NewCheckpointPath("full")), PersistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fullInfo.Kind != "process" || fullInfo.TotalBytes <= fullInfo.StateBytes {
 		t.Fatalf("full checkpoint: %+v", fullInfo)
 	}
-	degraded := db.NewCheckpointPath("degraded")
-	degInfo, err := exec.CheckpointDegraded(context.Background(), degraded, RetryPolicy{})
+
+	// Each image's first sync fails once: without the rung that is fatal.
+	inj.AddFault(faultfs.Fault{Op: faultfs.OpSync, PathSubstr: "strict", Count: 1})
+	if _, err := exec.Persist(ctx, filePoint(db.NewCheckpointPath("strict")), PersistOptions{}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("persist without the rung: %v, want the injected fault", err)
+	}
+	inj.AddFault(faultfs.Fault{Op: faultfs.OpSync, PathSubstr: "degraded", Count: 1})
+	degraded := filePoint(db.NewCheckpointPath("degraded"))
+	degInfo, err := exec.Persist(ctx, degraded, PersistOptions{AllowUnpadded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +195,10 @@ func TestCheckpointDegradedPublicAPI(t *testing.T) {
 		t.Errorf("degraded image (%d bytes) not smaller than full image (%d bytes)",
 			degInfo.TotalBytes, fullInfo.TotalBytes)
 	}
-	res, err := q.Resume(context.Background(), degraded)
-	if err != nil {
-		t.Fatal(err)
+	if got := db.Metrics().Snapshot().Counters["checkpoint.fallback"]; got != 1 {
+		t.Errorf("checkpoint.fallback = %d, want 1", got)
 	}
-	if res.SortedKey() != want.SortedKey() {
+	if res := finishFrom(t, q, degraded); res.SortedKey() != want.SortedKey() {
 		t.Error("degraded checkpoint resumed to a different result")
 	}
 }

@@ -31,9 +31,9 @@ func ExampleDB_Query() {
 	// ASIA
 }
 
-// ExampleQuery_Resume suspends a running query, checkpoints it, and resumes
+// ExampleQuery_StartFrom suspends a running query, persists it, and resumes
 // it — the core Riveter workflow.
-func ExampleQuery_Resume() {
+func ExampleQuery_StartFrom() {
 	db := riveter.Open(riveter.WithWorkers(2))
 	if err := db.GenerateTPCH(0.002); err != nil {
 		log.Fatal(err)
@@ -53,12 +53,16 @@ func ExampleQuery_Resume() {
 	case err == nil:
 		fmt.Println("completed")
 	case errors.Is(err, riveter.ErrSuspended):
-		path := filepath.Join(os.TempDir(), "example-q1.rvck")
-		defer os.Remove(path)
-		if _, err := exec.Checkpoint(path); err != nil {
+		at := riveter.ResumePoint{Target: "file", Ref: filepath.Join(os.TempDir(), "example-q1.rvck")}
+		defer db.Discard(at)
+		if _, err := exec.Persist(context.Background(), at, riveter.PersistOptions{}); err != nil {
 			log.Fatal(err)
 		}
-		res, err := q.Resume(context.Background(), path)
+		resumed, err := q.StartFrom(context.Background(), at, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := resumed.Result()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -61,13 +61,13 @@ func main() {
 	if !errors.Is(err, riveter.ErrSuspended) {
 		log.Fatal(err)
 	}
-	ckpt := source.NewCheckpointPath("q9-migrate")
-	info, err := exec.Checkpoint(ckpt)
+	ckpt := riveter.ResumePoint{Target: "file", Ref: source.NewCheckpointPath("q9-migrate")}
+	info, err := exec.Persist(ctx, ckpt, riveter.PersistOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(ckpt)
-	fmt.Printf("source node: suspended Q9, checkpoint %d bytes -> %s\n", info.TotalBytes, ckpt)
+	defer source.Discard(ckpt)
+	fmt.Printf("source node: suspended Q9, checkpoint %d bytes -> %s\n", info.TotalBytes, ckpt.Ref)
 	fmt.Println("  (migrating a query costs the intermediate state, not the database)")
 
 	// Destination node: different worker count, same data, resumes.
@@ -81,7 +81,11 @@ func main() {
 	}
 	fmt.Println("destination node (4 workers): resuming from checkpoint ...")
 	start := time.Now()
-	res, err := destQuery.Resume(ctx, ckpt)
+	resumed, err := destQuery.StartFrom(ctx, ckpt, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := resumed.Result()
 	if err != nil {
 		log.Fatal(err)
 	}

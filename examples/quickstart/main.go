@@ -58,15 +58,19 @@ func main() {
 		r, _ := exec.Result()
 		fmt.Printf("completed before the suspension landed: %d rows\n", r.NumRows())
 	case errors.Is(err, riveter.ErrSuspended):
-		path := db.NewCheckpointPath("q21")
-		info, err := exec.Checkpoint(path)
+		at := riveter.ResumePoint{Target: "file", Ref: db.NewCheckpointPath("q21")}
+		info, err := exec.Persist(ctx, at, riveter.PersistOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("suspended at a pipeline breaker; checkpoint: %d bytes (%s)\n", info.TotalBytes, info.Kind)
 
 		// ... the spot instance is reclaimed here; later, on fresh capacity:
-		r, err := q.Resume(ctx, path)
+		resumed, err := q.StartFrom(ctx, at, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := resumed.Result()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -140,11 +140,7 @@ func TestFoldSuspendOneRider(t *testing.T) {
 	// Resume path A — rejoin: same fold database, the restored pipelines
 	// ride the hubs again (reads below the window privatize until the
 	// rider converges on the stream head).
-	got, err := q1.Resume(ctx, path)
-	if err != nil {
-		t.Fatalf("rejoin resume: %v", err)
-	}
-	if got.SortedKey() != want1.SortedKey() {
+	if got := finishFrom(t, q1, filePoint(path)); got.SortedKey() != want1.SortedKey() {
 		t.Fatal("rejoin resume differs from clean run")
 	}
 
@@ -155,11 +151,7 @@ func TestFoldSuspendOneRider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = q1iso.Resume(ctx, path)
-	if err != nil {
-		t.Fatalf("privatize resume: %v", err)
-	}
-	if got.SortedKey() != want1.SortedKey() {
+	if got := finishFrom(t, q1iso, filePoint(path)); got.SortedKey() != want1.SortedKey() {
 		t.Fatal("privatize resume differs from clean run")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -34,7 +35,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("b-%d.rvck", i))
-				if _, err := Write(path, m, save, 0); err != nil {
+				if _, err := WriteFS(faultfs.OS, path, m, save, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,7 +51,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "b.rvck")
 			m := Manifest{Kind: "pipeline", Query: "bench"}
-			if _, err := Write(path, m, func(enc *vector.Encoder) error {
+			if _, err := WriteFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
 				enc.Bytes(state)
 				return enc.Err()
 			}, 0); err != nil {
@@ -59,7 +60,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Read(path, func(dec *vector.Decoder) error {
+				if _, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 					dec.Bytes()
 					return dec.Err()
 				}); err != nil {
@@ -74,7 +75,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 func BenchmarkCheckpointVerify(b *testing.B) {
 	state := benchState(1 << 20)
 	path := filepath.Join(b.TempDir(), "b.rvck")
-	if _, err := Write(path, Manifest{Kind: "pipeline", Query: "bench"}, func(enc *vector.Encoder) error {
+	if _, err := WriteFS(faultfs.OS, path, Manifest{Kind: "pipeline", Query: "bench"}, func(enc *vector.Encoder) error {
 		enc.Bytes(state)
 		return enc.Err()
 	}, 0); err != nil {
@@ -83,7 +84,7 @@ func BenchmarkCheckpointVerify(b *testing.B) {
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Verify(path); err != nil {
+		if _, err := VerifyFS(faultfs.OS, path); err != nil {
 			b.Fatal(err)
 		}
 	}

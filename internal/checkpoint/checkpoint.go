@@ -81,14 +81,9 @@ type WriteResult struct {
 	Attempts int
 }
 
-// Write persists a checkpoint: save serializes the executor state; padding
-// zero bytes are appended afterwards (process-level image model).
-func Write(path string, m Manifest, save func(*vector.Encoder) error, padding int64) (*WriteResult, error) {
-	return WriteFS(faultfs.OS, path, m, save, padding)
-}
-
-// WriteFS is Write over an injectable filesystem. The write is atomic:
-// the payload lands in <path>.tmp (fsynced), then renames into place and
+// WriteFS persists a checkpoint: save serializes the executor state;
+// padding zero bytes are appended afterwards (process-level image model).
+// The write is atomic: the payload lands in <path>.tmp (fsynced), then renames into place and
 // the parent directory is fsynced. On any failure the temp file is removed
 // (best-effort — a crashed process cannot), and the final path is never
 // left holding a torn image.
@@ -292,13 +287,8 @@ type ReadResult struct {
 	Duration time.Duration
 }
 
-// Read opens a checkpoint, verifies it, and invokes load with a decoder
+// ReadFS opens a checkpoint, verifies it, and invokes load with a decoder
 // positioned at the state payload.
-func Read(path string, load func(*vector.Decoder) error) (*ReadResult, error) {
-	return ReadFS(faultfs.OS, path, load)
-}
-
-// ReadFS is Read over an injectable filesystem.
 func ReadFS(fsys faultfs.FS, path string, load func(*vector.Decoder) error) (*ReadResult, error) {
 	start := time.Now()
 	f, err := fsys.Open(path)
@@ -401,16 +391,11 @@ func checkTrailer(r *bufio.Reader, sum uint32, padding int64) error {
 	return nil
 }
 
-// Verify walks a checkpoint's structure — magic, manifest, state CRC,
+// VerifyFS walks a checkpoint's structure — magic, manifest, state CRC,
 // padding length — without deserializing the state, and returns its
 // manifest. A nil error means a restore will at least find a structurally
 // intact image; any torn write, truncation, or bit flip in a covered
 // section returns an error without panicking.
-func Verify(path string) (Manifest, error) {
-	return VerifyFS(faultfs.OS, path)
-}
-
-// VerifyFS is Verify over an injectable filesystem.
 func VerifyFS(fsys faultfs.FS, path string) (Manifest, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -476,43 +461,4 @@ func SweepTemp(fsys faultfs.FS, dir string) (removed []string, failed []SweepFai
 		removed = append(removed, p)
 	}
 	return removed, failed, nil
-}
-
-// ReadManifest reads only the manifest of a checkpoint file.
-func ReadManifest(path string) (Manifest, error) {
-	return ReadManifestFS(faultfs.OS, path)
-}
-
-// ReadManifestFS is ReadManifest over an injectable filesystem.
-func ReadManifestFS(fsys faultfs.FS, path string) (Manifest, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return Manifest{}, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return Manifest{}, err
-	}
-	if string(head) != magic {
-		return Manifest{}, fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Manifest{}, err
-	}
-	mlen := binary.LittleEndian.Uint64(lenBuf[:])
-	if mlen > 1<<20 {
-		return Manifest{}, fmt.Errorf("checkpoint: implausible manifest size %d", mlen)
-	}
-	mj := make([]byte, mlen)
-	if _, err := io.ReadFull(r, mj); err != nil {
-		return Manifest{}, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(mj, &m); err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
 }

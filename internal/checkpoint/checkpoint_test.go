@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -17,7 +18,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		PlanFingerprint: "deadbeefcafef00d",
 		Workers:         4,
 	}
-	res, err := Write(path, m, func(enc *vector.Encoder) error {
+	res, err := WriteFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
 		enc.String("state-payload")
 		enc.Uvarint(12345)
 		enc.Float64(3.5)
@@ -33,7 +34,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	var gotS string
 	var gotU uint64
 	var gotF float64
-	rres, err := Read(path, func(dec *vector.Decoder) error {
+	rres, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 		gotS = dec.String()
 		gotU = dec.Uvarint()
 		gotF = dec.Float64()
@@ -49,9 +50,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Errorf("manifest mismatch: %+v", rres.Manifest)
 	}
 
-	mf, err := ReadManifest(path)
+	mf, err := VerifyFS(faultfs.OS, path)
 	if err != nil || mf.PlanFingerprint != "deadbeefcafef00d" {
-		t.Errorf("ReadManifest: %+v, %v", mf, err)
+		t.Errorf("VerifyFS: %+v, %v", mf, err)
 	}
 }
 
@@ -59,7 +60,7 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.rvck")
 	const padding = 100000
-	res, err := Write(path, Manifest{Kind: "process", Query: "Q1"}, func(enc *vector.Encoder) error {
+	res, err := WriteFS(faultfs.OS, path, Manifest{Kind: "process", Query: "Q1"}, func(enc *vector.Encoder) error {
 		enc.String("small")
 		return enc.Err()
 	}, padding)
@@ -75,7 +76,7 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 	if res.Manifest.TotalBytes() != res.Manifest.StateBytes+padding {
 		t.Error("TotalBytes wrong")
 	}
-	if _, err := Read(path, func(dec *vector.Decoder) error {
+	if _, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 		_ = dec.String()
 		return dec.Err()
 	}); err != nil {
@@ -87,7 +88,7 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-1000], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(path, func(dec *vector.Decoder) error {
+	if _, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 		_ = dec.String()
 		return dec.Err()
 	}); err == nil {
@@ -98,7 +99,7 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 func TestCorruptStateDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.rvck")
-	if _, err := Write(path, Manifest{Kind: "pipeline"}, func(enc *vector.Encoder) error {
+	if _, err := WriteFS(faultfs.OS, path, Manifest{Kind: "pipeline"}, func(enc *vector.Encoder) error {
 		for i := 0; i < 100; i++ {
 			enc.String("block of state data that will be corrupted")
 		}
@@ -111,7 +112,7 @@ func TestCorruptStateDetected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Read(path, func(dec *vector.Decoder) error {
+	_, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 		for i := 0; i < 100; i++ {
 			_ = dec.String()
 		}
@@ -128,13 +129,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(path, func(*vector.Decoder) error { return nil }); err == nil {
+	if _, err := ReadFS(faultfs.OS, path, func(*vector.Decoder) error { return nil }); err == nil {
 		t.Error("garbage must be rejected")
 	}
-	if _, err := ReadManifest(path); err == nil {
+	if _, err := VerifyFS(faultfs.OS, path); err == nil {
 		t.Error("garbage manifest must be rejected")
 	}
-	if _, err := Read(filepath.Join(dir, "missing"), func(*vector.Decoder) error { return nil }); err == nil {
+	if _, err := ReadFS(faultfs.OS, filepath.Join(dir, "missing"), func(*vector.Decoder) error { return nil }); err == nil {
 		t.Error("missing file must fail")
 	}
 }

@@ -54,7 +54,7 @@ func TestWriteRetryAbsorbsTransient(t *testing.T) {
 	if res.Attempts != 3 || retries != 2 {
 		t.Errorf("attempts=%d retries=%d, want 3 and 2", res.Attempts, retries)
 	}
-	if _, err := Verify(path); err != nil {
+	if _, err := VerifyFS(faultfs.OS, path); err != nil {
 		t.Errorf("retried checkpoint must verify: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestWriteENOSPCTornThenSmallerFits(t *testing.T) {
 	if _, err := WriteFS(inj, small, Manifest{Kind: "pipeline"}, sampleSave, 0); err != nil {
 		t.Fatalf("padding-free fallback must fit the freed space: %v", err)
 	}
-	if _, err := Verify(small); err != nil {
+	if _, err := VerifyFS(faultfs.OS, small); err != nil {
 		t.Errorf("fallback checkpoint must verify: %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestCrashMatrix(t *testing.T) {
 
 	// Reference image: one clean write.
 	refPath := filepath.Join(dir, "ref.rvck")
-	refRes, err := Write(refPath, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
+	refRes, err := WriteFS(faultfs.OS, refPath, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestCrashMatrix(t *testing.T) {
 			if werr != nil {
 				// A crash after the data landed (during dir sync) may still
 				// report an error; the file must nevertheless verify.
-				if _, verr := Verify(path); verr != nil {
+				if _, verr := VerifyFS(faultfs.OS, path); verr != nil {
 					t.Fatalf("crash@%d: published file fails Verify: %v", crashAt, verr)
 				}
 			}
-			m, verr := Verify(path)
+			m, verr := VerifyFS(faultfs.OS, path)
 			if verr != nil {
 				t.Fatalf("crash@%d: published file fails Verify: %v", crashAt, verr)
 			}
@@ -187,7 +187,7 @@ func TestCrashMatrix(t *testing.T) {
 			if werr == nil {
 				t.Fatalf("crash@%d: write claimed success but published nothing", crashAt)
 			}
-			if _, verr := Verify(path); verr == nil {
+			if _, verr := VerifyFS(faultfs.OS, path); verr == nil {
 				t.Fatalf("crash@%d: Verify passed on a missing file", crashAt)
 			}
 		}
@@ -208,7 +208,7 @@ func TestCrashMatrix(t *testing.T) {
 func TestCrashTornAtFinalPathQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.rvck")
-	if _, err := Write(refPath, Manifest{Kind: "pipeline", Query: "QY"}, sampleSave, 64); err != nil {
+	if _, err := WriteFS(faultfs.OS, refPath, Manifest{Kind: "pipeline", Query: "QY"}, sampleSave, 64); err != nil {
 		t.Fatal(err)
 	}
 	refData, _ := os.ReadFile(refPath)
@@ -217,7 +217,7 @@ func TestCrashTornAtFinalPathQuarantines(t *testing.T) {
 		if err := os.WriteFile(p, refData[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Verify(p); err == nil {
+		if _, err := VerifyFS(faultfs.OS, p); err == nil {
 			t.Fatalf("torn image at %d/%d bytes passed Verify", cut, len(refData))
 		}
 		qp, err := Quarantine(faultfs.OS, p)

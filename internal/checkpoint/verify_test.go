@@ -16,7 +16,7 @@ import (
 func writeSample(t *testing.T, dir string, padding int64) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(dir, "sample.rvck")
-	_, err := Write(path, Manifest{
+	_, err := WriteFS(faultfs.OS, path, Manifest{
 		Kind:            "process",
 		Query:           "Q9",
 		PlanFingerprint: "feedfacecafebeef",
@@ -71,7 +71,7 @@ func sections(t *testing.T, data []byte) map[string]int64 {
 // verifies and its manifest round-trips.
 func TestVerifyAccepts(t *testing.T) {
 	path, _ := writeSample(t, t.TempDir(), 4096)
-	m, err := Verify(path)
+	m, err := VerifyFS(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestVerifyTruncationAtEveryBoundary(t *testing.T) {
 			if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Verify(p); err == nil {
+			if _, err := VerifyFS(faultfs.OS, p); err == nil {
 				t.Errorf("truncation at %s boundary (offset %d of %d) must fail Verify", name, cut, total)
 			}
 		}
@@ -107,7 +107,7 @@ func TestVerifyTruncationAtEveryBoundary(t *testing.T) {
 	if err := os.WriteFile(p, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(p); err == nil {
+	if _, err := VerifyFS(faultfs.OS, p); err == nil {
 		t.Error("empty file must fail Verify")
 	}
 }
@@ -134,7 +134,7 @@ func TestVerifyBitFlips(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Verify(p); err == nil {
+		if _, err := VerifyFS(faultfs.OS, p); err == nil {
 			t.Errorf("bit flip in %s section (offset %d) must fail Verify", name, off)
 		}
 	}
@@ -143,7 +143,7 @@ func TestVerifyBitFlips(t *testing.T) {
 // TestVerifyMissingFile checks Verify reports absence as an error, not a
 // panic.
 func TestVerifyMissingFile(t *testing.T) {
-	if _, err := Verify(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, err := VerifyFS(faultfs.OS, filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("missing file must fail Verify")
 	}
 }

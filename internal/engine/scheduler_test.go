@@ -5,8 +5,8 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/expr"
@@ -236,161 +236,38 @@ func TestPipelineSuspendMidDAGDiscardsSiblings(t *testing.T) {
 	}
 }
 
-// encodeStateV1 hand-writes the pre-DAG v1 state layout from a suspended
-// executor, standing in for a checkpoint produced by an older build.
-func encodeStateV1(t *testing.T, ex *Executor) []byte {
-	t.Helper()
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	var buf writerBuffer
-	enc := vector.NewEncoder(&buf)
-	kind := ex.suspended.Kind
-	enc.String(stateMagic)
-	enc.Uvarint(stateVersionV1)
-	enc.Uvarint(uint64(kind))
-	enc.Uvarint(ex.pp.Fingerprint)
+// TestStateFormatV1Rejected: version 1 of the state format (pre-DAG) is no
+// longer loadable. Its bytes must yield a clean "unsupported state version"
+// error — no panic — and leave the executor untouched, so it still runs
+// from scratch to the right result.
+func TestStateFormatV1Rejected(t *testing.T) {
+	cat := testDB(t)
+	node := complexQuery(cat)
+	ref := runPlan(t, cat, node, 2).SortedKey()
 
-	var fl *inflightPipe
-	var pipeElapsed time.Duration
-	next := len(ex.pp.Pipelines)
-	var cursor int64
-	workers := ex.opts.Workers
-	if kind == KindProcess {
-		if len(ex.inflight) != 1 {
-			t.Fatalf("v1 encoding needs exactly one in-flight pipeline, have %d", len(ex.inflight))
-		}
-		fl = ex.inflight[0]
-		pipeElapsed = fl.elapsed
-		next = fl.pi
-		cursor = fl.cursor
-		workers = len(fl.locals) // v1 wrote one local per worker
-	} else {
-		for i, d := range ex.done {
-			if !d {
-				next = i
-				break
-			}
-		}
-	}
-	enc.Uvarint(uint64(workers))
-	enc.Varint(int64(ex.elapsed))
-	enc.Varint(int64(pipeElapsed))
-	enc.Varint(ex.acct.ProcessedBytes())
-	enc.Uvarint(uint64(len(ex.pp.Pipelines)))
-	for i := range ex.pp.Pipelines {
-		enc.Bool(ex.done[i])
-		if ex.done[i] {
-			enc.Varint(int64(ex.pipeTimes[i]))
-		}
-	}
-	enc.Uvarint(uint64(next))
-	enc.Uvarint(uint64(cursor))
-	live := ex.livePipes()
-	enc.Uvarint(uint64(len(live)))
-	for _, pi := range live {
-		enc.Uvarint(uint64(pi))
-		if err := ex.pp.Pipelines[pi].Sink.SaveGlobal(enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if kind == KindProcess {
-		enc.Uvarint(uint64(len(fl.locals)))
-		sink := ex.pp.Pipelines[fl.pi].Sink
-		for _, ls := range fl.locals {
-			if err := sink.SaveLocal(ls, enc); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	var buf bytes.Buffer
+	enc := vector.NewEncoder(&buf)
+	enc.String(stateMagic)
+	enc.Uvarint(1)
+	// What followed in v1: kind, fingerprint, workers, elapsed ...
+	enc.Uvarint(uint64(KindPipeline))
+	enc.Uvarint(mustCompile(t, node, cat).Fingerprint)
+	enc.Uvarint(2)
+	enc.Varint(12345)
 	if err := enc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.b
-}
 
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// TestStateFormatV1PipelineLoads: a hand-written v1 pipeline-level state
-// (what a pre-DAG build persisted) loads into the current executor and
-// resumes to the correct result.
-func TestStateFormatV1PipelineLoads(t *testing.T) {
-	cat := testDB(t)
-	node := complexQuery(cat)
-	ref := runPlan(t, cat, node, 2).SortedKey()
-
-	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers: 2,
-		OnBreaker: func(ev *BreakerEvent) BreakerAction {
-			if ev.PipelineIdx == 0 {
-				return ActionSuspend
-			}
-			return ActionContinue
-		},
-	})
-	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
-		t.Fatal(err)
+	ex := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+	err := ex.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes())))
+	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
+		t.Fatalf("LoadState(v1) = %v, want an unsupported-version error", err)
 	}
-	v1 := encodeStateV1(t, ex)
-
-	pp2 := mustCompile(t, node, cat)
-	ex2 := NewExecutor(pp2, Options{Workers: 3}) // pipeline resumes are worker-flexible
-	loadState(t, ex2, v1)
-	res, err := ex2.Run(context.Background())
+	res, err := ex.Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("executor unusable after a rejected load: %v", err)
 	}
 	if res.SortedKey() != ref {
-		t.Error("result after v1 pipeline-state load differs")
-	}
-}
-
-// TestStateFormatV1ProcessLoads: a hand-written v1 process-level state with
-// its single in-flight pipeline loads and resumes. The serial schedule
-// (MaxConcurrentPipelines=1) keeps the capture to one pipeline, matching
-// what the pre-DAG executor could produce.
-func TestStateFormatV1ProcessLoads(t *testing.T) {
-	cat := testDB(t)
-	node := complexQuery(cat)
-	ref := runPlan(t, cat, node, 2).SortedKey()
-
-	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers:                2,
-		MaxConcurrentPipelines: 1,
-		AutoSuspend:            AutoSuspend{Kind: KindProcess, AtProcessedBytes: 200_000},
-	})
-	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
-		t.Fatal(err)
-	}
-	info := ex.Suspended()
-	if len(info.InFlight) != 1 {
-		t.Skipf("capture has %d in-flight pipelines; v1 can only express one", len(info.InFlight))
-	}
-	v1 := encodeStateV1(t, ex)
-
-	// v1 process resumes require the exact worker count that was captured.
-	nl := info.InFlight[0].Workers
-	pp2 := mustCompile(t, node, cat)
-	ex2 := NewExecutor(pp2, Options{Workers: nl})
-	loadState(t, ex2, v1)
-	res, err := ex2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != ref {
-		t.Error("result after v1 process-state load differs")
-	}
-
-	// A mismatched worker count must be rejected, as before.
-	pp3 := mustCompile(t, node, cat)
-	ex3 := NewExecutor(pp3, Options{Workers: nl + 1})
-	if err := ex3.LoadState(vector.NewDecoder(bytes.NewReader(v1))); err == nil {
-		t.Error("v1 process state must reject a different worker count")
+		t.Error("a rejected v1 load left partial state behind")
 	}
 }

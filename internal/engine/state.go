@@ -16,14 +16,12 @@ import (
 // scheduler had in flight, its morsel cursor and each of its workers' local
 // sink states — the full execution context, as a CRIU dump would.
 //
-// Format v1 (pre-DAG) assumed at most one pipeline in flight; v2 carries a
-// set. LoadState accepts both, so checkpoints written before the DAG
-// scheduler remain restorable.
+// The format is at version 2 (an in-flight set of pipelines); version 1,
+// the pre-DAG single-in-flight layout, is no longer loadable.
 
 const (
-	stateMagic     = "RVST"
-	stateVersionV1 = 1
-	stateVersion   = 2
+	stateMagic   = "RVST"
+	stateVersion = 2
 )
 
 // StateFormatVersion is the executor state format version written by
@@ -125,8 +123,7 @@ func (ex *Executor) livePipes() []int {
 }
 
 // LoadState restores a suspension state into a freshly built executor over
-// the same physical plan. After LoadState, Run continues the query. Both the
-// current v2 format and the pre-DAG v1 format are accepted.
+// the same physical plan. After LoadState, Run continues the query.
 func (ex *Executor) LoadState(dec *vector.Decoder) error {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -136,18 +133,14 @@ func (ex *Executor) LoadState(dec *vector.Decoder) error {
 	if m := dec.String(); m != stateMagic {
 		return fmt.Errorf("engine: bad state magic %q", m)
 	}
-	switch v := dec.Uvarint(); v {
-	case stateVersionV1:
-		return ex.loadStateV1Locked(dec)
-	case stateVersion:
-		return ex.loadStateV2Locked(dec)
-	default:
+	if v := dec.Uvarint(); v != stateVersion {
 		return fmt.Errorf("engine: unsupported state version %d", v)
 	}
+	return ex.loadStateV2Locked(dec)
 }
 
-// loadHeaderLocked reads and validates the fields shared by v1 and v2 after
-// the version: kind, fingerprint, workers. It returns the kind.
+// loadHeaderLocked reads and validates the fields after the version: kind,
+// fingerprint, workers. It returns the kind.
 func (ex *Executor) loadHeaderLocked(dec *vector.Decoder) (SuspendKind, error) {
 	kind := SuspendKind(dec.Uvarint())
 	fp := dec.Uvarint()
@@ -198,57 +191,6 @@ func (ex *Executor) loadGlobalsLocked(dec *vector.Decoder) error {
 		if err := ex.pp.Pipelines[pi].Sink.LoadGlobal(dec); err != nil {
 			return fmt.Errorf("engine: load global state of pipeline %d: %w", pi, err)
 		}
-	}
-	return dec.Err()
-}
-
-// loadStateV1Locked restores the pre-DAG single-in-flight format, translating
-// a process-level capture into a one-element in-flight set.
-func (ex *Executor) loadStateV1Locked(dec *vector.Decoder) error {
-	kind, err := ex.loadHeaderLocked(dec)
-	if err != nil {
-		return err
-	}
-	ex.elapsed = time.Duration(dec.Varint())
-	pipeElapsed := time.Duration(dec.Varint())
-	ex.acct.SetProcessed(dec.Varint())
-	if err := ex.loadDoneLocked(dec); err != nil {
-		return err
-	}
-	next := int(dec.Uvarint())
-	cursor := int64(dec.Uvarint())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	np := len(ex.pp.Pipelines)
-	if next < 0 || next > np {
-		return fmt.Errorf("engine: checkpoint next pipeline %d out of range", next)
-	}
-	if err := ex.loadGlobalsLocked(dec); err != nil {
-		return err
-	}
-	ex.inflight = nil
-	if kind == KindProcess {
-		nl := int(dec.Uvarint())
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if nl != ex.opts.Workers {
-			return fmt.Errorf("engine: checkpoint has %d worker locals, executor has %d workers", nl, ex.opts.Workers)
-		}
-		if next >= np {
-			return fmt.Errorf("engine: checkpoint in-flight pipeline %d out of range", next)
-		}
-		sink := ex.pp.Pipelines[next].Sink
-		locals := make([]LocalState, nl)
-		for w := 0; w < nl; w++ {
-			ls, err := sink.LoadLocal(dec)
-			if err != nil {
-				return fmt.Errorf("engine: load local state %d: %w", w, err)
-			}
-			locals[w] = ls
-		}
-		ex.inflight = []*inflightPipe{{pi: next, cursor: cursor, locals: locals, elapsed: pipeElapsed}}
 	}
 	return dec.Err()
 }

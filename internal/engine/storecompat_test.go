@@ -53,51 +53,6 @@ func restoreFromStore(t *testing.T, st *blobstore.Store, key string, ex2 *Execut
 	return res
 }
 
-// TestStoreRestoresV1Checkpoint: a hand-encoded v1 (pre-DAG) state — what
-// an older build would have persisted — pushed through the blob store's
-// chunk/manifest path restores into the current executor and resumes to
-// the correct result. The store layer must be format-agnostic: it moves
-// bytes, the engine's LoadState handles the version fork.
-func TestStoreRestoresV1Checkpoint(t *testing.T) {
-	cat := testDB(t)
-	node := complexQuery(cat)
-	ref := runPlan(t, cat, node, 2).SortedKey()
-
-	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers: 2,
-		OnBreaker: func(ev *BreakerEvent) BreakerAction {
-			if ev.PipelineIdx == 0 {
-				return ActionSuspend
-			}
-			return ActionContinue
-		},
-	})
-	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
-		t.Fatal(err)
-	}
-	v1 := encodeStateV1(t, ex)
-
-	st := compatStore(t)
-	m := storeCompatManifest("pipeline", ex, 1)
-	wres, err := st.WriteCheckpointBytes("compat-v1", m, v1, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Manifest.StateVersion != 1 {
-		t.Errorf("manifest state version = %d, want 1", wres.Manifest.StateVersion)
-	}
-	if _, err := st.VerifyCheckpoint("compat-v1"); err != nil {
-		t.Fatalf("verify v1 fixture: %v", err)
-	}
-
-	pp2 := mustCompile(t, node, cat)
-	ex2 := NewExecutor(pp2, Options{Workers: 3}) // pipeline resumes are worker-flexible
-	if got := restoreFromStore(t, st, "compat-v1", ex2).SortedKey(); got != ref {
-		t.Error("result after v1 store restore differs")
-	}
-}
-
 // TestStoreRestoresV2Checkpoint: the current (v2) format written as raw
 // bytes — the same path a foreign instance uses when it serialized state
 // itself — round-trips through the store, including a process-level

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"github.com/riveterdb/riveter/internal/cloud"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
+	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/strategy"
@@ -55,6 +55,8 @@ type Controller struct {
 	// Metrics, when set, receives suspend/resume/decision metrics from
 	// every scenario run.
 	Metrics *obs.Registry
+	// FS is the filesystem checkpoints and lineage logs go through.
+	FS faultfs.FS
 	// Tracing, when true, attaches a per-run decision Trace to each Report
 	// (strategy decisions with their cost-model inputs, suspension
 	// acknowledgements, checkpoint persists, restores, and outcomes).
@@ -70,6 +72,7 @@ func NewController(cat *catalog.Catalog, workers int, dir string) *Controller {
 		Workers:       workers,
 		IO:            costmodel.DefaultIOProfile(),
 		CheckpointDir: dir,
+		FS:            faultfs.OS,
 		Rng:           rand.New(rand.NewSource(1)),
 	}
 }
@@ -328,16 +331,13 @@ func (c *Controller) runForced(spec QuerySpec, sc Scenario, ev Event, k strategy
 	opts := engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: o}
 	var lin *strategy.LineageLog
 	if k == strategy.Lineage {
-		lin, err = strategy.CreateLineageLog(c.lineagePath(spec.Name), spec.Name, pp.Fingerprint, c.Workers,
-			strategy.LineageOptions{Obs: o})
+		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, "", &opts)
 		if err != nil {
 			return nil, err
 		}
-		opts.OnMorsel = lin.OnMorsel
-		opts.OnBreaker = lin.OnBreaker
 		defer func() {
 			lin.Close()
-			os.Remove(lin.Path())
+			c.FS.Remove(lin.Path())
 		}()
 	}
 	useProgress := k != strategy.Redo && progressFrac >= 0 && spec.TotalProcessed > 0
@@ -406,9 +406,10 @@ func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, star
 		rep.SuspendedPipeline = info.Pipeline
 	}
 	rep.SuspendedProcessed = ex.Accountant().ProcessedBytes()
-	path := c.ckptPath(spec.Name)
-	defer os.Remove(path)
-	wres, err := strategy.Persist(ex, path, spec.Name)
+	seam := strategy.Seam{FS: c.FS}
+	at := strategy.ResumePoint{Target: strategy.TargetFile, Ref: c.ckptPath(spec.Name)}
+	defer seam.Discard(at)
+	wres, err := seam.Persist(context.Background(), strategy.Run{Ex: ex}, spec.Name, at, strategy.PersistOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -421,19 +422,23 @@ func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, star
 	}
 	guard.disarm()
 	rep.Suspended = true
-	rep.PersistedBytes = wres.Manifest.TotalBytes()
+	rep.PersistedBytes = wres.TotalBytes
 	rep.SuspendLatency = wres.Duration
 
 	// Resource gap passes (not counted), then resume. The run's trace
 	// continues into the restored executor so suspend→checkpoint→resume
 	// forms one event stream.
-	ex2, rres, err := strategy.Restore(c.Cat, spec.Node, path, engine.Options{Workers: c.Workers, Obs: ex.Obs()})
+	pp2, err := engine.Compile(spec.Node, c.Cat)
+	if err != nil {
+		return nil, err
+	}
+	resumed, rres, err := seam.Restore(pp2, spec.Name, at, strategy.LineageConfig{}, engine.Options{Workers: c.Workers, Obs: ex.Obs()})
 	if err != nil {
 		return nil, err
 	}
 	rep.ResumeLatency = rres.Duration
 	resumeStart := time.Now()
-	if _, err := ex2.Run(context.Background()); err != nil {
+	if _, err := resumed.Ex.Run(context.Background()); err != nil {
 		return nil, fmt.Errorf("riveter: resumed run: %w", err)
 	}
 	rep.TotalTime = suspendOffset + wres.Duration + rres.Duration + time.Since(resumeStart)
@@ -482,7 +487,7 @@ func (c *Controller) finishSuspendedLineage(rep *Report, spec QuerySpec, ev Even
 		return nil, err
 	}
 	restoreStart := time.Now()
-	ex2, _, err := strategy.RestoreLineagePlan(nil, pp2, lin.Path(), nil,
+	ex2, _, err := strategy.RestoreLineagePlan(c.FS, pp2, lin.Path(), nil,
 		engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: ex.Obs()})
 	if err != nil {
 		return nil, err
@@ -548,16 +553,13 @@ func (c *Controller) RunAdaptive(spec QuerySpec, sc Scenario, ev Event) (*Report
 	opts := engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: o}
 	var lin *strategy.LineageLog
 	if c.UseLineage {
-		lin, err = strategy.CreateLineageLog(c.lineagePath(spec.Name), spec.Name, pp.Fingerprint, c.Workers,
-			strategy.LineageOptions{Obs: o})
+		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, "", &opts)
 		if err != nil {
 			return nil, err
 		}
-		opts.OnMorsel = lin.OnMorsel
-		opts.OnBreaker = lin.OnBreaker
 		defer func() {
 			lin.Close()
-			os.Remove(lin.Path())
+			c.FS.Remove(lin.Path())
 		}()
 	}
 	ex := engine.NewExecutor(pp, opts)

@@ -51,7 +51,7 @@ func TestPreemptionQuiescesDAG(t *testing.T) {
 		}
 		if in.State == StateSuspended && in.Checkpoint != "" {
 			var err error
-			if m, err = checkpoint.ReadManifest(in.Checkpoint); err != nil {
+			if m, err = checkpoint.VerifyFS(db.FS(), in.Checkpoint); err != nil {
 				t.Fatalf("read preemption checkpoint manifest: %v", err)
 			}
 			sawCheckpoint = true

@@ -320,3 +320,34 @@ func cleanRun(t *testing.T, db *riveter.DB) *riveter.Result {
 	}
 	return res
 }
+
+// TestRestoreManifestReadFault: the state manifest is read
+// through the DB's filesystem, like it is written — a fault plan on the
+// read is observed by startup instead of being bypassed on the OS, and
+// with the fault gone the same manifest restores its session.
+func TestRestoreManifestReadFault(t *testing.T) {
+	db, inj := openTPCHFS(t, 0.005)
+	statePath := filepath.Join(db.CheckpointDir(), "riveter-serve.state.json")
+	manifest := `{"sessions": [{"id": "s-7", "sql": "SELECT count(*) AS n FROM region", "priority": 10}]}`
+	if err := os.WriteFile(statePath, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	inj.AddFault(faultfs.Fault{Op: faultfs.OpOpen, PathSubstr: "state.json"})
+	if _, err := New(Config{DB: db}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("New with a failing manifest read = %v, want the injected fault", err)
+	}
+	inj.Reset()
+
+	s := newServer(t, db, Config{})
+	res, err := s.Wait(context.Background(), "s-7")
+	if err != nil {
+		t.Fatalf("restored session: %v", err)
+	}
+	if res.NumRows() != 1 {
+		t.Errorf("restored session rows = %d", res.NumRows())
+	}
+	if _, err := os.Stat(statePath); !os.IsNotExist(err) {
+		t.Error("consumed manifest still on disk")
+	}
+}

@@ -3,13 +3,17 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/riveterdb/riveter"
+	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/faultfs"
+	"github.com/riveterdb/riveter/internal/obs"
+	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // The serving layer under lineage-level preemption: a preemption seals the
@@ -170,7 +174,7 @@ func TestLineageShutdownResume(t *testing.T) {
 	if in.Checkpoint != "" || in.StoreKey != "" {
 		t.Errorf("lineage suspension must not also checkpoint: ckpt=%q store=%q", in.Checkpoint, in.StoreKey)
 	}
-	if _, err := db.VerifyLineage(in.Lineage); err != nil {
+	if _, err := db.Verify(riveter.ResumePoint{Target: "lineage", Ref: in.Lineage}); err != nil {
 		t.Fatalf("sealed log does not verify: %v", err)
 	}
 
@@ -241,5 +245,41 @@ func TestLineageQuarantineOnRestore(t *testing.T) {
 	}
 	if _, err := os.Stat(in.Lineage); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("corrupt log must be renamed aside, still at %s", in.Lineage)
+	}
+}
+
+// TestLineageRerunAfterQuarantineKeepsLog: a resume point that passes the
+// restore-time verify but cannot be started from (here a structurally
+// sound file checkpoint whose state payload no executor accepts) is
+// quarantined at dispatch, and the rerun from scratch goes through the
+// same start as any fresh session — so under lineage-level preemption it
+// carries a lineage log, whatever target the bad point had.
+func TestLineageRerunAfterQuarantineKeepsLog(t *testing.T) {
+	db := openTPCH(t, 0.005)
+	bad := db.NewCheckpointPath("session-s-3")
+	_, err := checkpoint.WriteFS(db.FS(), bad, checkpoint.Manifest{Kind: "pipeline", Query: "sql"},
+		func(enc *vector.Encoder) error { enc.String("not executor state"); return enc.Err() }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(db.CheckpointDir(), "riveter-serve.state.json")
+	manifest := fmt.Sprintf(`{"sessions": [{"id": "s-3", "sql": "SELECT count(*) AS n FROM lineitem", "priority": 10, "checkpoint": %q}]}`, bad)
+	if err := os.WriteFile(statePath, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, db, Config{PreemptLevel: riveter.LineageLevel})
+	if _, err := s.Wait(context.Background(), "s-3"); err != nil {
+		t.Fatalf("session after quarantine: %v", err)
+	}
+	snap := db.Metrics().Snapshot()
+	if got := snap.Counters["checkpoint.quarantined"]; got != 1 {
+		t.Errorf("checkpoint.quarantined = %d, want 1", got)
+	}
+	if _, err := os.Stat(bad + checkpoint.CorruptSuffix); err != nil {
+		t.Errorf("quarantined evidence missing: %v", err)
+	}
+	if got := snap.Counters[obs.MetricLineageAppends]; got == 0 {
+		t.Error("rerun after quarantine ran without a lineage log")
 	}
 }

@@ -1,0 +1,221 @@
+package server
+
+// What the server persists: a suspended session's resume point, written by
+// walking the degradation ladder, and the state manifest a graceful
+// shutdown leaves behind. Every resume point goes through the DB's
+// persistence seam (riveter.ResumePoint and its five verbs); this file
+// holds the one place that knows the three targets by name — the ladder's
+// order — and the manifest's wire form of a point.
+
+import (
+	"encoding/json"
+	"path/filepath"
+
+	"github.com/riveterdb/riveter"
+	"github.com/riveterdb/riveter/internal/checkpoint"
+	"github.com/riveterdb/riveter/internal/faultfs"
+	"github.com/riveterdb/riveter/internal/obs"
+	"github.com/riveterdb/riveter/internal/strategy"
+)
+
+// rung is one step of the preemption ladder: a resume point to try, and
+// the strategy the ladder degrades to when it fails ("" when the next rung
+// persists the same kind of image, which is not a degradation).
+type rung struct {
+	at         riveter.ResumePoint
+	fallbackTo string
+}
+
+// ladder chooses the targets a suspension of exec is persisted to, in
+// order. A lineage preemption seals first: the log already holds the
+// state, so the suspension costs only a tail flush, and a seal failure
+// (sticky log-write error, crashed device) degrades to the checkpoint
+// rungs — the executor is still quiesced with its state in memory. The
+// shared store comes before the local directory; re-suspensions reuse the
+// session's store key, so unchanged chunks deduplicate and each round trip
+// uploads only the state delta.
+func (s *Server) ladder(sess *Session, exec *riveter.Execution) []rung {
+	var rungs []rung
+	if lp := exec.LineagePath(); lp != "" && s.cfg.PreemptLevel == riveter.LineageLevel {
+		rungs = append(rungs, rung{riveter.ResumePoint{Target: strategy.TargetLineage, Ref: lp}, "checkpoint"})
+	}
+	if s.store != nil {
+		rungs = append(rungs, rung{at: riveter.ResumePoint{Target: strategy.TargetStore, Ref: sessionStoreKey(s.instanceID, sess.id)}})
+	}
+	return append(rungs, rung{at: riveter.ResumePoint{Target: strategy.TargetFile, Ref: s.db.NewCheckpointPath("session-" + sess.id)}})
+}
+
+// persistSuspension walks the ladder until a rung holds the suspended
+// execution's state and returns that resume point. Each rung retries under
+// the configured policy and may drop a process-level image's padding
+// (Persist counts that in checkpoint.fallback). When every rung fails the
+// first error comes back and the caller resumes the victim in place.
+func (s *Server) persistSuspension(sess *Session, exec *riveter.Execution) (riveter.ResumePoint, error) {
+	opts := riveter.PersistOptions{Retry: s.cfg.CheckpointRetry, AllowUnpadded: true}
+	var first error
+	for _, r := range s.ladder(sess, exec) {
+		_, err := exec.Persist(s.ctx, r.at, opts)
+		if err == nil {
+			return r.at, nil
+		}
+		if first == nil {
+			first = err
+		}
+		if r.fallbackTo != "" {
+			s.met.fallback.Inc()
+			if tr := exec.Trace(); tr != nil {
+				tr.Event(obs.EvCheckpointFallback,
+					obs.A("from", string(r.at.Target)),
+					obs.A("to", r.fallbackTo),
+					obs.A("error", err.Error()))
+			}
+		}
+	}
+	return riveter.ResumePoint{}, first
+}
+
+// discard drops a resume point nothing will start from any more. Errors
+// are dropped with it: a leftover file or manifest is swept or collected
+// later, and must not fail the session that no longer needs it.
+func (s *Server) discard(at riveter.ResumePoint) {
+	_ = s.db.Discard(at)
+}
+
+// quarantine takes an unusable resume point out of circulation and records
+// it; the session reruns from scratch, losing progress but not the query.
+// The caller clears the session's reference to the point.
+func (s *Server) quarantine(sess *Session, at riveter.ResumePoint, cause error) {
+	s.met.quarantined.Inc()
+	moved, qerr := s.db.Quarantine(at)
+	if qerr != nil {
+		moved = at // could not even move it aside; leave it, still rerun
+	}
+	if tr := sess.trace; tr != nil {
+		tr.Event(obs.EvCheckpointQuarantined, moved.Attr(), obs.A("error", cause.Error()))
+	}
+}
+
+// resumeWire is the flat form a resume point has always had in session
+// JSON and state manifests: one field per target, at most one set.
+type resumeWire struct {
+	Checkpoint string `json:"checkpoint,omitempty"`
+	StoreKey   string `json:"store_key,omitempty"`
+	Lineage    string `json:"lineage,omitempty"`
+}
+
+func wireOf(at riveter.ResumePoint) resumeWire {
+	switch at.Target {
+	case strategy.TargetFile:
+		return resumeWire{Checkpoint: at.Ref}
+	case strategy.TargetStore:
+		return resumeWire{StoreKey: at.Ref}
+	case strategy.TargetLineage:
+		return resumeWire{Lineage: at.Ref}
+	}
+	return resumeWire{}
+}
+
+// point is wireOf's inverse. A manifest naming several targets resumes
+// from the one the last suspension would have written first.
+func (w resumeWire) point() riveter.ResumePoint {
+	switch {
+	case w.Lineage != "":
+		return riveter.ResumePoint{Target: strategy.TargetLineage, Ref: w.Lineage}
+	case w.StoreKey != "":
+		return riveter.ResumePoint{Target: strategy.TargetStore, Ref: w.StoreKey}
+	case w.Checkpoint != "":
+		return riveter.ResumePoint{Target: strategy.TargetFile, Ref: w.Checkpoint}
+	}
+	return riveter.ResumePoint{}
+}
+
+// persistedSession is one state-manifest entry.
+type persistedSession struct {
+	ID       string `json:"id"`
+	Key      string `json:"key,omitempty"`
+	SQL      string `json:"sql,omitempty"`
+	TPCH     int    `json:"tpch,omitempty"`
+	Priority int    `json:"priority"`
+	resumeWire
+}
+
+// stateManifest is the JSON document graceful shutdown leaves behind.
+type stateManifest struct {
+	Sessions []persistedSession `json:"sessions"`
+}
+
+// stateFile is the local state manifest addressed as a resume point, so
+// removing it and setting a torn one aside go through the seam like every
+// other file the server leaves in the checkpoint directory.
+func (s *Server) stateFile() riveter.ResumePoint {
+	return riveter.ResumePoint{Target: strategy.TargetFile, Ref: s.cfg.StatePath}
+}
+
+// persistState writes the resume manifest (or removes a stale one when
+// nothing is pending). Runs after the scheduler and all runners exited.
+// In store mode the manifest is a state document in the shared store —
+// visible to every instance, so a peer can adopt the sessions if this
+// instance never comes back.
+func (s *Server) persistState() error {
+	s.mu.Lock()
+	var m stateManifest
+	for _, sess := range s.sessions {
+		if sess.state != StateQueued && sess.state != StateSuspended {
+			continue
+		}
+		m.Sessions = append(m.Sessions, persistedSession{
+			ID:         sess.id,
+			Key:        sess.key,
+			SQL:        sess.sql,
+			TPCH:       sess.tpch,
+			Priority:   int(sess.priority),
+			resumeWire: wireOf(sess.resume),
+		})
+	}
+	s.mu.Unlock()
+	if s.store != nil {
+		if len(m.Sessions) == 0 {
+			return s.store.DeleteDoc(s.stateDocName())
+		}
+		return s.store.PutDoc(s.stateDocName(), m)
+	}
+	if len(m.Sessions) == 0 {
+		s.discard(s.stateFile())
+		return nil
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(s.db.FS(), s.cfg.StatePath, data)
+}
+
+// writeFileAtomic writes data via the tmp+fsync+rename protocol, so the
+// state manifest — like the checkpoints it points at — is never torn at
+// its final path.
+func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
+	tmp := path + checkpoint.TempSuffix
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}

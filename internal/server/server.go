@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -16,8 +15,6 @@ import (
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/blobstore"
-	"github.com/riveterdb/riveter/internal/checkpoint"
-	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 )
 
@@ -77,10 +74,6 @@ type Config struct {
 	// and where startup looks for one (default
 	// <DB.CheckpointDir()>/riveter-serve.state.json).
 	StatePath string
-	// FS routes the server's own file I/O (state manifest, checkpoint
-	// removal and quarantine, startup sweep). Defaults to the DB's
-	// filesystem, so one fault plan covers both layers.
-	FS faultfs.FS
 	// CheckpointRetry bounds preemption-checkpoint write attempts (default
 	// 3 attempts, 10ms base backoff capped at 200ms).
 	CheckpointRetry riveter.RetryPolicy
@@ -170,12 +163,11 @@ func resolveServerMetrics(r *obs.Registry) serverMetrics {
 // Server is the query-serving subsystem. Create with New, submit with
 // Submit (or serve Handler over HTTP), stop with Shutdown.
 type Server struct {
-	cfg  Config
-	db   *riveter.DB
-	fsys faultfs.FS
-	adm  admission
-	met  serverMetrics
-	wg   sync.WaitGroup
+	cfg Config
+	db  *riveter.DB
+	adm admission
+	met serverMetrics
+	wg  sync.WaitGroup
 
 	// store is non-nil when the DB carries a blob store; the server then
 	// runs in store mode: preemption checkpoints and the shutdown state
@@ -232,9 +224,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StatePath == "" {
 		cfg.StatePath = filepath.Join(cfg.DB.CheckpointDir(), "riveter-serve.state.json")
 	}
-	if cfg.FS == nil {
-		cfg.FS = cfg.DB.FS()
-	}
 	if cfg.CheckpointRetry.Attempts == 0 {
 		cfg.CheckpointRetry = riveter.RetryPolicy{
 			Attempts:  3,
@@ -251,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		db:         cfg.DB,
-		fsys:       cfg.FS,
 		adm:        admission{MemoryBudget: cfg.MemoryBudget, QueueLimit: cfg.QueueLimit},
 		met:        resolveServerMetrics(cfg.DB.Metrics()),
 		sessions:   map[string]*Session{},
@@ -298,23 +286,7 @@ func (s *Session) ID() string { return s.id }
 // may be running or queued); rejections wrap ErrRejected, and compile
 // errors come back verbatim.
 func (s *Server) Submit(req Request) (*Session, error) {
-	var (
-		q       *riveter.Query
-		display string
-		err     error
-	)
-	switch {
-	case req.SQL != "" && req.TPCH != 0:
-		return nil, fmt.Errorf("server: set exactly one of SQL or TPCH")
-	case req.SQL != "":
-		q, err = s.prepareSQL(req.SQL)
-		display = req.SQL
-	case req.TPCH != 0:
-		q, err = s.db.PrepareTPCH(req.TPCH)
-		display = fmt.Sprintf("tpch:%d", req.TPCH)
-	default:
-		return nil, fmt.Errorf("server: empty request")
-	}
+	q, display, err := s.prepare(req)
 	if err != nil {
 		return nil, err
 	}
@@ -344,16 +316,49 @@ func (s *Server) Submit(req Request) (*Session, error) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	s.seq++
+	sess := s.addSessionLocked("", req, q, display, est)
+	if s.cfg.Fold {
+		// This session becomes the fold leader for its fingerprint: later
+		// identical submissions ride it until it reaches a terminal state.
+		s.folds[q.Fingerprint()] = sess
+	}
+	s.enqueueLocked(sess)
+	return sess, nil
+}
+
+// prepare compiles a request's query and names it for display.
+func (s *Server) prepare(req Request) (*riveter.Query, string, error) {
+	switch {
+	case req.SQL != "" && req.TPCH != 0:
+		return nil, "", fmt.Errorf("server: set exactly one of SQL or TPCH")
+	case req.SQL != "":
+		q, err := s.prepareSQL(req.SQL)
+		return q, req.SQL, err
+	case req.TPCH != 0:
+		q, err := s.db.PrepareTPCH(req.TPCH)
+		return q, fmt.Sprintf("tpch:%d", req.TPCH), err
+	default:
+		return nil, "", fmt.Errorf("server: empty request")
+	}
+}
+
+// addSessionLocked registers a new queued session under id ("" takes the
+// next id in sequence). Every session — submitted, folded, or re-admitted
+// from a manifest — is created here. The caller enqueues it.
+func (s *Server) addSessionLocked(id string, req Request, q *riveter.Query, display string, est riveter.Estimate) *Session {
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("s-%d", s.seq)
+	}
 	now := time.Now()
 	sess := &Session{
-		id:         fmt.Sprintf("s-%d", s.seq),
+		id:         id,
 		key:        req.Key,
 		display:    display,
 		sql:        req.SQL,
 		tpch:       req.TPCH,
 		priority:   req.Priority,
-		seq:        s.seq,
+		seq:        sessionSeq(id),
 		q:          q,
 		est:        est,
 		state:      StateQueued,
@@ -362,17 +367,11 @@ func (s *Server) Submit(req Request) (*Session, error) {
 		lastTouch:  now,
 		done:       make(chan struct{}),
 	}
-	s.sessions[sess.id] = sess
+	s.sessions[id] = sess
 	if sess.key != "" {
 		s.byKey[sess.key] = sess
 	}
-	if s.cfg.Fold {
-		// This session becomes the fold leader for its fingerprint: later
-		// identical submissions ride it until it reaches a terminal state.
-		s.folds[q.Fingerprint()] = sess
-	}
-	s.enqueueLocked(sess)
-	return sess, nil
+	return sess
 }
 
 // prepareSQL compiles a statement through the prepared-plan cache.
@@ -406,30 +405,9 @@ func (s *Server) foldOntoLocked(q *riveter.Query, display string, req Request) *
 		delete(s.folds, fp)
 		return nil
 	}
-	s.seq++
-	now := time.Now()
-	sess := &Session{
-		id:         fmt.Sprintf("s-%d", s.seq),
-		key:        req.Key,
-		display:    display,
-		sql:        req.SQL,
-		tpch:       req.TPCH,
-		priority:   req.Priority,
-		seq:        s.seq,
-		q:          q,
-		est:        lead.est,
-		state:      StateQueued,
-		submitted:  now,
-		lastQueued: now,
-		lastTouch:  now,
-		foldedInto: lead,
-		done:       make(chan struct{}),
-	}
+	sess := s.addSessionLocked("", req, q, display, lead.est)
+	sess.foldedInto = lead
 	lead.riders = append(lead.riders, sess)
-	s.sessions[sess.id] = sess
-	if sess.key != "" {
-		s.byKey[sess.key] = sess
-	}
 	s.met.folded.Inc()
 	s.met.foldRiders.Add(1)
 	return sess
@@ -492,13 +470,7 @@ func (s *Server) Sessions() []Info {
 		out = append(out, sess.infoLocked())
 	}
 	// Newest first by numeric id suffix.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if sessionSeq(out[j].ID) > sessionSeq(out[i].ID) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return sessionSeq(out[i].ID) > sessionSeq(out[j].ID) })
 	return out
 }
 
@@ -543,528 +515,6 @@ func (s *Server) Traces() []*obs.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*obs.Trace(nil), s.traces...)
-}
-
-// schedule is the scheduler loop: dispatch queued sessions into free
-// slots, and when none are free ask the policy for a preemption victim.
-func (s *Server) schedule() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopping {
-			return
-		}
-		progressed := false
-		for s.free > 0 {
-			sess := s.queue.Dequeue()
-			if sess == nil {
-				break
-			}
-			s.dispatchLocked(sess)
-			progressed = true
-		}
-		if s.free == 0 {
-			// Suspend at most one running query per waiting session: a lone
-			// short query never needs two slots cleared for it.
-			if head := s.queue.Peek(); head != nil && s.pendingSuspendsLocked() < s.queue.Len() {
-				if victim := s.preemptCandidateLocked(head); victim != nil {
-					victim.suspendRequested = true
-					// Suspend is a single atomic store on the executor;
-					// safe (and cheap) under the server mutex.
-					s.requestSuspend(victim.exec)
-					progressed = true
-				} else {
-					s.scheduleGraceRetryLocked(head)
-				}
-			}
-		}
-		if !progressed {
-			s.cond.Wait()
-		}
-	}
-}
-
-// idleReaper is the scale-to-zero loop: every quarter window it scans the
-// running set for sessions nobody is watching — no Wait in flight, no
-// touch for at least IdleSuspend — and requests their suspension with the
-// idle-park flag set, so the landing suspension parks the session instead
-// of re-queueing it. Parked sessions hold no slot and run no workers; an
-// instance whose sessions are all parked is at zero live executions.
-func (s *Server) idleReaper() {
-	defer s.wg.Done()
-	tick := s.cfg.IdleSuspend / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if s.stopping {
-			s.mu.Unlock()
-			return
-		}
-		now := time.Now()
-		for _, r := range s.running {
-			if r.exec == nil || r.suspendRequested || r.waiters > 0 {
-				continue
-			}
-			// The idle clock starts at the later of dispatch and last touch:
-			// a freshly dispatched (or just-woken) query always gets a full
-			// window of progress before it can park again.
-			idleSince := r.lastTouch
-			if r.started.After(idleSince) {
-				idleSince = r.started
-			}
-			if now.Sub(idleSince) < s.cfg.IdleSuspend {
-				continue
-			}
-			r.idlePark = true
-			r.suspendRequested = true
-			s.requestSuspend(r.exec)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// requestSuspend asks an execution to quiesce at the configured preemption
-// level. A lineage-level request needs a lineage log attached; executions
-// without one (resumed in place after an abandoned preemption, or resumed
-// from a fallback checkpoint) quiesce process-kind instead, so the
-// checkpoint ladder can still persist them.
-func (s *Server) requestSuspend(exec *riveter.Execution) {
-	if err := exec.Suspend(s.cfg.PreemptLevel); err != nil && s.cfg.PreemptLevel == riveter.LineageLevel {
-		_ = exec.Suspend(riveter.ProcessLevel)
-	}
-}
-
-// pendingSuspendsLocked counts issued, not-yet-acknowledged preemptions.
-func (s *Server) pendingSuspendsLocked() int {
-	n := 0
-	for _, r := range s.running {
-		if r.suspendRequested {
-			n++
-		}
-	}
-	return n
-}
-
-// preemptCandidateLocked filters the running set down to preemptable
-// executions and asks the policy to choose.
-func (s *Server) preemptCandidateLocked(head *Session) *Session {
-	now := time.Now()
-	cands := make([]*Session, 0, len(s.running))
-	for _, r := range s.running {
-		if r.exec == nil || r.suspendRequested || now.Before(r.noPreemptUntil) {
-			continue
-		}
-		cands = append(cands, r)
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	return s.cfg.Policy.Preempt(cands, head, now)
-}
-
-// graceHinter lets a policy ask for a delayed re-evaluation when Preempt
-// declined only because its grace period has not elapsed yet.
-type graceHinter interface{ graceRetry() time.Duration }
-
-func (p SuspensionAware) graceRetry() time.Duration { return p.Grace }
-
-// scheduleGraceRetryLocked re-wakes the scheduler after the policy's grace
-// period so a victim that was merely too young gets reconsidered.
-func (s *Server) scheduleGraceRetryLocked(head *Session) {
-	h, ok := s.cfg.Policy.(graceHinter)
-	if !ok || h.graceRetry() <= 0 {
-		return
-	}
-	// One timer per declined evaluation; the scheduler only re-evaluates on
-	// wakeups, so this cannot accumulate unboundedly.
-	time.AfterFunc(h.graceRetry(), func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-}
-
-// dispatchLocked moves a session from the queue into a slot and launches
-// its runner.
-func (s *Server) dispatchLocked(sess *Session) {
-	now := time.Now()
-	wait := now.Sub(sess.lastQueued)
-	sess.waited += wait
-	s.met.wait.ObserveDuration(wait)
-	s.met.queueDepth.Set(int64(s.queue.Len()))
-	sess.state = StateRunning
-	sess.started = now
-	sess.suspendRequested = false
-	sess.exec = nil
-	s.running[sess.id] = sess
-	s.free--
-	s.wg.Add(1)
-	go s.run(sess, sess.checkpoint, sess.storeKey, sess.lineage)
-}
-
-// startFresh launches a session from scratch. Under lineage-level
-// preemption the execution gets a write-ahead lineage log attached, so a
-// later preemption only seals the log's tail; otherwise it is a plain
-// start.
-func (s *Server) startFresh(ctx context.Context, sess *Session) (*riveter.Execution, error) {
-	if s.cfg.PreemptLevel == riveter.LineageLevel {
-		exec, err := sess.q.StartWithLineage(ctx, riveter.LineageConfig{})
-		if err == nil {
-			return exec, nil
-		}
-		// A log that cannot even be created (dead device) must not fail
-		// the query: run without one. Preemptions of this execution
-		// quiesce process-kind and take the checkpoint ladder.
-		s.met.fallback.Inc()
-	}
-	return sess.q.Start(ctx)
-}
-
-// run executes one dispatch of a session: start (or resume from a sealed
-// lineage log, a file checkpoint, or a store key), wait, and route the
-// outcome — completion, preemption (seal or checkpoint, then re-queue), or
-// failure. A suspension that cannot be persisted walks the degradation
-// ladder (lineage seal → store → store degraded → local retry →
-// pipeline-level fallback → resume in place) instead of failing the
-// session: the victim's work is never the casualty of a broken device.
-func (s *Server) run(sess *Session, ckpt, storeKey, lineage string) {
-	defer s.wg.Done()
-	ctx := s.ctx
-	var (
-		exec *riveter.Execution
-		err  error
-	)
-	switch {
-	case lineage != "":
-		// The replayed execution gets a fresh lineage log, so it remains
-		// first-class: it can be lineage-preempted again, repeatedly.
-		exec, err = sess.q.StartFromLineage(ctx, lineage, riveter.LineageConfig{})
-		if err != nil {
-			// An unusable lineage log is quarantined, not fatal: the
-			// session reruns from scratch, losing progress but not the query.
-			s.quarantineLineage(sess, lineage, err)
-			lineage = ""
-			exec, err = s.startFresh(ctx, sess)
-		}
-	case storeKey != "":
-		exec, err = sess.q.StartFromStore(ctx, storeKey)
-		if err != nil {
-			// An unusable store checkpoint is dropped (its chunks are
-			// reclaimed by the next GC pass), not fatal: the session reruns
-			// from scratch, losing progress but not the query.
-			s.quarantineStore(sess, storeKey, err)
-			storeKey = ""
-			exec, err = sess.q.Start(ctx)
-		}
-	case ckpt != "":
-		exec, err = sess.q.StartFromCheckpoint(ctx, ckpt)
-		if err != nil {
-			// A torn or unreadable checkpoint is quarantined, not fatal: the
-			// session reruns from scratch, losing progress but not the query.
-			s.quarantine(sess, ckpt, err)
-			ckpt = ""
-			exec, err = sess.q.Start(ctx)
-		}
-	default:
-		exec, err = s.startFresh(ctx, sess)
-	}
-	if err != nil {
-		s.finish(sess, nil, err)
-		return
-	}
-	s.mu.Lock()
-	sess.exec = exec
-	// A preemption decision may already be waiting on this execution.
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	for {
-		werr := exec.Wait()
-		switch {
-		case werr == nil:
-			res, rerr := exec.Result()
-			if ckpt != "" {
-				s.fsys.Remove(ckpt)
-			}
-			s.releaseStoreCheckpoint(storeKey)
-			// Finished work needs no recovery state: the consumed lineage
-			// log and the fresh one the execution wrote both go.
-			if lineage != "" {
-				_ = s.db.RemoveLineage(lineage)
-			}
-			if lp := exec.LineagePath(); lp != "" && lp != lineage {
-				_ = s.db.RemoveLineage(lp)
-			}
-			s.mu.Lock()
-			sess.lineage = ""
-			s.mu.Unlock()
-			s.finish(sess, res, rerr)
-			return
-		case errors.Is(werr, riveter.ErrSuspended):
-			// Lineage preemptions seal first: the log already holds the
-			// state, so the suspension costs only a tail flush. A seal
-			// failure (sticky log-write error, crashed device) degrades to
-			// the checkpoint ladder below — the executor is still quiesced
-			// with its state in memory.
-			if s.cfg.PreemptLevel == riveter.LineageLevel && exec.LineagePath() != "" {
-				if info, serr := exec.SealLineage(); serr == nil {
-					s.requeueSealed(sess, exec, ckpt, storeKey, lineage, info.Path)
-					return
-				} else {
-					s.met.fallback.Inc()
-					if tr := exec.Trace(); tr != nil {
-						tr.Event(obs.EvCheckpointFallback,
-							obs.A("from", "lineage"),
-							obs.A("to", "checkpoint"),
-							obs.A("error", serr.Error()))
-					}
-					// The broken log identifies nothing recoverable; drop it.
-					_ = s.db.RemoveLineage(exec.LineagePath())
-				}
-			}
-			var (
-				path, key string
-				cerr      error
-			)
-			if s.store != nil {
-				key, cerr = s.persistPreemptionStore(sess, exec)
-			}
-			if s.store == nil || cerr != nil {
-				path, cerr = s.persistPreemption(sess, exec)
-			}
-			if cerr != nil {
-				// The whole ladder failed on disk; resume the victim in place.
-				// Its work is preserved and the preemption is abandoned.
-				fresh, rerr := exec.ResumeInPlace(ctx)
-				if rerr != nil {
-					s.finish(sess, nil, fmt.Errorf("server: abandon preemption: %w", rerr))
-					return
-				}
-				s.met.abandoned.Inc()
-				if tr := exec.Trace(); tr != nil {
-					tr.Event(obs.EvPreemptAbandoned,
-						obs.A("query", sess.display),
-						obs.A("error", cerr.Error()))
-				}
-				exec = fresh
-				s.mu.Lock()
-				sess.exec = fresh
-				sess.abandoned++
-				sess.suspendRequested = false
-				sess.noPreemptUntil = time.Now().Add(s.cfg.AbandonCooldown)
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				continue
-			}
-			if ckpt != "" {
-				s.fsys.Remove(ckpt)
-			}
-			// An adopted session re-suspends under this instance's key; the
-			// foreign original is no longer the resume point.
-			if storeKey != "" && storeKey != key {
-				s.releaseStoreCheckpoint(storeKey)
-			}
-			// A checkpoint supersedes whatever lineage log the session
-			// resumed from.
-			if lineage != "" {
-				_ = s.db.RemoveLineage(lineage)
-			}
-			s.mu.Lock()
-			sess.ran += time.Since(sess.started)
-			sess.trace = exec.Trace()
-			sess.checkpoint = path
-			sess.storeKey = key
-			sess.lineage = ""
-			sess.state = StateSuspended
-			sess.lastQueued = time.Now()
-			delete(s.running, sess.id)
-			s.free++
-			s.parkOrEnqueueLocked(sess)
-			s.mu.Unlock()
-			return
-		default:
-			s.finish(sess, nil, werr)
-			return
-		}
-	}
-}
-
-// requeueSealed finishes a lineage preemption: the fresh log just sealed is
-// the session's new resume point, and the resume points this dispatch
-// consumed — the previous log, a file checkpoint, a store key — are
-// released.
-func (s *Server) requeueSealed(sess *Session, exec *riveter.Execution, ckpt, storeKey, oldLineage, sealed string) {
-	if ckpt != "" {
-		s.fsys.Remove(ckpt)
-	}
-	s.releaseStoreCheckpoint(storeKey)
-	if oldLineage != "" && oldLineage != sealed {
-		_ = s.db.RemoveLineage(oldLineage)
-	}
-	s.mu.Lock()
-	sess.ran += time.Since(sess.started)
-	sess.trace = exec.Trace()
-	sess.checkpoint = ""
-	sess.storeKey = ""
-	sess.lineage = sealed
-	sess.state = StateSuspended
-	sess.lastQueued = time.Now()
-	delete(s.running, sess.id)
-	s.free++
-	s.parkOrEnqueueLocked(sess)
-	s.mu.Unlock()
-}
-
-// parkOrEnqueueLocked routes a just-suspended session: an idle-park
-// suspension parks it (counted as server.idle_suspended, woken by the
-// next touch), anything else is a preemption round trip that re-enters
-// the dispatch queue.
-func (s *Server) parkOrEnqueueLocked(sess *Session) {
-	if sess.idlePark {
-		sess.idlePark = false
-		sess.parked = true
-		s.met.idleSuspended.Inc()
-		// A park freed a slot; queued work (if any) can dispatch into it.
-		s.cond.Broadcast()
-		return
-	}
-	sess.preemptions++
-	s.met.preemptions.Inc()
-	s.enqueueLocked(sess)
-}
-
-// persistPreemption walks the first two rungs of the degradation ladder:
-// a retrying write at the requested level, then — for process-level
-// suspensions — a retrying pipeline-kind write without the image padding.
-// Returns the path that succeeded, or the first rung's error if every rung
-// failed.
-func (s *Server) persistPreemption(sess *Session, exec *riveter.Execution) (string, error) {
-	path := s.db.NewCheckpointPath("session-" + sess.id)
-	_, cerr := exec.CheckpointWithRetry(s.ctx, path, s.cfg.CheckpointRetry)
-	if cerr == nil {
-		return path, nil
-	}
-	// Process-level suspensions — including lineage ones, whose quiesce is
-	// process-kind — have a cheaper pipeline-kind rung below them.
-	if s.cfg.PreemptLevel == riveter.ProcessLevel || s.cfg.PreemptLevel == riveter.LineageLevel {
-		fbPath := s.db.NewCheckpointPath("session-" + sess.id + "-pl")
-		if _, fberr := exec.CheckpointDegraded(s.ctx, fbPath, s.cfg.CheckpointRetry); fberr == nil {
-			s.met.fallback.Inc()
-			if tr := exec.Trace(); tr != nil {
-				tr.Event(obs.EvCheckpointFallback,
-					obs.A("from", "process"),
-					obs.A("to", "pipeline"),
-					obs.A("error", cerr.Error()))
-			}
-			return fbPath, nil
-		}
-	}
-	return "", cerr
-}
-
-// persistPreemptionStore walks the store rungs of the degradation
-// ladder: a checkpoint write into the shared store under this instance's
-// session key, then — for process-level suspensions — a degraded
-// pipeline-kind write without the image padding. Re-suspensions reuse
-// the same key, so unchanged chunks deduplicate and each preemption
-// round trip uploads only the state delta. No retry rung exists: store
-// writes are idempotent, and the failure path falls through to the local
-// file ladder, which retries.
-func (s *Server) persistPreemptionStore(sess *Session, exec *riveter.Execution) (string, error) {
-	key := sessionStoreKey(s.instanceID, sess.id)
-	_, cerr := exec.CheckpointToStore(key)
-	if cerr == nil {
-		return key, nil
-	}
-	if s.cfg.PreemptLevel == riveter.ProcessLevel || s.cfg.PreemptLevel == riveter.LineageLevel {
-		if _, fberr := exec.CheckpointToStoreDegraded(key); fberr == nil {
-			s.met.fallback.Inc()
-			if tr := exec.Trace(); tr != nil {
-				tr.Event(obs.EvCheckpointFallback,
-					obs.A("from", "process"),
-					obs.A("to", "pipeline"),
-					obs.A("error", cerr.Error()))
-			}
-			return key, nil
-		}
-	}
-	return "", cerr
-}
-
-// releaseStoreCheckpoint drops a consumed store checkpoint: the manifest
-// goes now, the claim token with it, and the chunks are reclaimed by the
-// next GC pass (they may be shared with live checkpoints).
-func (s *Server) releaseStoreCheckpoint(key string) {
-	if key == "" || s.store == nil {
-		return
-	}
-	_ = s.store.DeleteCheckpoint(key)
-	_ = s.store.ReleaseClaim(key)
-}
-
-// quarantineStore records an unusable store checkpoint and drops it so
-// no instance dispatches into it again.
-func (s *Server) quarantineStore(sess *Session, key string, cause error) {
-	s.met.quarantined.Inc()
-	s.releaseStoreCheckpoint(key)
-	if tr := sess.trace; tr != nil {
-		tr.Event(obs.EvCheckpointQuarantined,
-			obs.A("store_key", key),
-			obs.A("error", cause.Error()))
-	}
-	s.mu.Lock()
-	if sess.storeKey == key {
-		sess.storeKey = ""
-	}
-	s.mu.Unlock()
-}
-
-// quarantine renames an unusable checkpoint aside and records it.
-func (s *Server) quarantine(sess *Session, ckpt string, cause error) {
-	s.met.quarantined.Inc()
-	qp, qerr := checkpoint.Quarantine(s.fsys, ckpt)
-	if qerr != nil {
-		qp = ckpt // could not even rename; leave it, still rerun from scratch
-	}
-	if tr := sess.trace; tr != nil {
-		tr.Event(obs.EvCheckpointQuarantined,
-			obs.A("path", qp),
-			obs.A("error", cause.Error()))
-	}
-	s.mu.Lock()
-	if sess.checkpoint == ckpt {
-		sess.checkpoint = ""
-	}
-	s.mu.Unlock()
-}
-
-// quarantineLineage renames an unusable lineage log aside and records it.
-func (s *Server) quarantineLineage(sess *Session, path string, cause error) {
-	s.met.quarantined.Inc()
-	qp, qerr := checkpoint.Quarantine(s.fsys, path)
-	if qerr != nil {
-		qp = path // could not even rename; leave it, still rerun from scratch
-	}
-	if tr := sess.trace; tr != nil {
-		tr.Event(obs.EvCheckpointQuarantined,
-			obs.A("path", qp),
-			obs.A("error", cause.Error()))
-	}
-	s.mu.Lock()
-	if sess.lineage == path {
-		sess.lineage = ""
-	}
-	s.mu.Unlock()
 }
 
 // finish moves a session to its terminal state and releases its slot.
@@ -1249,419 +699,4 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
-}
-
-// persistedSession is one state-manifest entry.
-type persistedSession struct {
-	ID         string `json:"id"`
-	Key        string `json:"key,omitempty"`
-	SQL        string `json:"sql,omitempty"`
-	TPCH       int    `json:"tpch,omitempty"`
-	Priority   int    `json:"priority"`
-	Checkpoint string `json:"checkpoint,omitempty"`
-	// StoreKey is the session's blob-store checkpoint key (store mode).
-	StoreKey string `json:"store_key,omitempty"`
-	// Lineage is the session's sealed lineage-log path (lineage mode).
-	Lineage string `json:"lineage,omitempty"`
-}
-
-// stateManifest is the JSON document graceful shutdown leaves behind.
-type stateManifest struct {
-	Sessions []persistedSession `json:"sessions"`
-}
-
-// persistState writes the resume manifest (or removes a stale one when
-// nothing is pending). Runs after the scheduler and all runners exited.
-// In store mode the manifest is a state document in the shared store —
-// visible to every instance, so a peer can adopt the sessions if this
-// instance never comes back.
-func (s *Server) persistState() error {
-	s.mu.Lock()
-	var m stateManifest
-	for _, sess := range s.sessions {
-		if sess.state != StateQueued && sess.state != StateSuspended {
-			continue
-		}
-		m.Sessions = append(m.Sessions, persistedSession{
-			ID:         sess.id,
-			Key:        sess.key,
-			SQL:        sess.sql,
-			TPCH:       sess.tpch,
-			Priority:   int(sess.priority),
-			Checkpoint: sess.checkpoint,
-			StoreKey:   sess.storeKey,
-			Lineage:    sess.lineage,
-		})
-	}
-	s.mu.Unlock()
-	if s.store != nil {
-		if len(m.Sessions) == 0 {
-			return s.store.DeleteDoc(s.stateDocName())
-		}
-		return s.store.PutDoc(s.stateDocName(), m)
-	}
-	if len(m.Sessions) == 0 {
-		s.fsys.Remove(s.cfg.StatePath)
-		return nil
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(s.fsys, s.cfg.StatePath, data)
-}
-
-// writeFileAtomic writes data via the tmp+fsync+rename protocol, so the
-// state manifest — like the checkpoints it points at — is never torn at
-// its final path.
-func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
-	tmp := path + checkpoint.TempSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
-}
-
-// restoreState re-admits the sessions a previous shutdown persisted and
-// consumes the manifest. Called from New before the scheduler starts. A
-// crashed predecessor's leftovers never abort startup: orphaned .tmp files
-// are swept, a torn manifest is quarantined, and each listed checkpoint is
-// verified — failing ones are quarantined and their sessions rerun from
-// scratch.
-func (s *Server) restoreState() error {
-	s.sweepTempDirs()
-	if s.store != nil {
-		return s.restoreStoreState()
-	}
-	data, err := os.ReadFile(s.cfg.StatePath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var m stateManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		s.met.quarantined.Inc()
-		if _, qerr := checkpoint.Quarantine(s.fsys, s.cfg.StatePath); qerr != nil {
-			s.fsys.Remove(s.cfg.StatePath)
-		}
-		return nil
-	}
-	s.fsys.Remove(s.cfg.StatePath)
-	now := time.Now()
-	for _, p := range m.Sessions {
-		var (
-			q       *riveter.Query
-			display string
-			qerr    error
-		)
-		if p.TPCH != 0 {
-			q, qerr = s.db.PrepareTPCH(p.TPCH)
-			display = fmt.Sprintf("tpch:%d", p.TPCH)
-		} else {
-			q, qerr = s.prepareSQL(p.SQL)
-			display = p.SQL
-		}
-		if n := sessionSeq(p.ID); n > s.seq {
-			s.seq = n
-		}
-		sess := &Session{
-			id:         p.ID,
-			key:        p.Key,
-			display:    display,
-			sql:        p.SQL,
-			tpch:       p.TPCH,
-			priority:   Priority(p.Priority),
-			seq:        sessionSeq(p.ID),
-			q:          q,
-			state:      StateQueued,
-			submitted:  now,
-			lastQueued: now,
-			lastTouch:  now,
-			checkpoint: p.Checkpoint,
-			lineage:    p.Lineage,
-			done:       make(chan struct{}),
-		}
-		if sess.key != "" {
-			s.byKey[sess.key] = sess
-		}
-		if p.Checkpoint != "" {
-			// A torn checkpoint is quarantined here, before the session can
-			// dispatch into it; the query reruns from scratch instead.
-			if _, verr := checkpoint.VerifyFS(s.fsys, p.Checkpoint); verr != nil {
-				s.quarantine(sess, p.Checkpoint, verr)
-				sess.checkpoint = ""
-			} else {
-				sess.state = StateSuspended
-			}
-		}
-		if p.Lineage != "" {
-			// Same contract for a lineage log: scan the whole frame chain
-			// before the session can dispatch into it. A torn tail alone is
-			// fine — the replay truncates it — but a log without a usable
-			// header or record prefix is quarantined.
-			if _, verr := s.db.VerifyLineage(p.Lineage); verr != nil {
-				s.quarantineLineage(sess, p.Lineage, verr)
-				sess.lineage = ""
-			} else {
-				sess.state = StateSuspended
-			}
-		}
-		if qerr != nil {
-			sess.state = StateFailed
-			sess.err = qerr
-			close(sess.done)
-			s.sessions[sess.id] = sess
-			continue
-		}
-		sess.est = q.Estimate()
-		s.sessions[sess.id] = sess
-		s.queue.Enqueue(sess)
-	}
-	s.met.queueDepth.Set(int64(s.queue.Len()))
-	return nil
-}
-
-// restoreStoreState is restoreState in store mode: a garbage-collection
-// pass over the shared store (startup is the quiet window — this
-// instance serves no traffic yet), then adoption of every claimable
-// session from every instance's state document. The claim token makes
-// adoption exclusive: two instances starting against the same store
-// split the sessions between them, never double-resuming one. Sessions
-// adopted from a foreign instance's document count as migrations.
-func (s *Server) restoreStoreState() error {
-	// GC failures are counted in blobstore.gc.failed, not fatal: a store
-	// that cannot even be listed will fail the document scan below.
-	_, _ = s.store.GC()
-	_, err := s.adoptStoreDocs()
-	return err
-}
-
-// AdoptFromStore adopts claimable sessions peers left in the shared
-// store while this server is live — the control plane calls it (via
-// POST /admin/adopt) after detecting an instance death, so the victim's
-// suspended sessions resume on a survivor without waiting for anyone to
-// restart. Unlike the startup path it runs no GC pass: runtime is not
-// the quiet window, and a GC could race a peer's in-flight upload.
-// Returns the number of sessions adopted.
-func (s *Server) AdoptFromStore() (int, error) {
-	if s.store == nil {
-		return 0, fmt.Errorf("server: no blob store configured")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
-		return 0, ErrClosed
-	}
-	n, err := s.adoptStoreDocs()
-	if n > 0 {
-		s.cond.Broadcast()
-	}
-	return n, err
-}
-
-// adoptStoreDocs scans every state document in the shared store and
-// adopts each claimable session, returning how many were enqueued.
-// Called lock-free from New (the scheduler is not running yet) and under
-// s.mu from AdoptFromStore.
-func (s *Server) adoptStoreDocs() (int, error) {
-	docs, err := s.store.ListDocs()
-	if err != nil {
-		return 0, err
-	}
-	// Own document first — an instance restarting reclaims its own
-	// sessions before looking at anyone else's leftovers.
-	sort.Slice(docs, func(i, j int) bool {
-		if own := docs[i] == s.stateDocName(); own != (docs[j] == s.stateDocName()) {
-			return own
-		}
-		return docs[i] < docs[j]
-	})
-	now := time.Now()
-	adopted := 0
-	for _, doc := range docs {
-		if !strings.HasPrefix(doc, stateDocPrefix) {
-			continue
-		}
-		own := doc == s.stateDocName()
-		var m stateManifest
-		if err := s.store.GetDoc(doc, &m); err != nil {
-			// A torn document is consumed (own) or left for its writer;
-			// either way its sessions cannot be recovered from here.
-			s.met.quarantined.Inc()
-			if own {
-				_ = s.store.DeleteDoc(doc)
-			}
-			continue
-		}
-		docInstance := strings.TrimPrefix(doc, stateDocPrefix)
-		allClaimed := true
-		for _, p := range m.Sessions {
-			claimKey := p.StoreKey
-			if claimKey == "" {
-				// Queued sessions carry no checkpoint; claim under the key
-				// a suspension would have used, so the adoption lock still
-				// has a well-known name.
-				claimKey = sessionStoreKey(docInstance, p.ID)
-			}
-			ok, cerr := s.store.Claim(claimKey, s.instanceID, doc)
-			if cerr != nil {
-				allClaimed = false
-				continue
-			}
-			if !ok {
-				continue // a peer instance owns this session now
-			}
-			if s.adoptPersistedSession(p, own, now) {
-				adopted++
-			}
-		}
-		// The document is consumed once every session found a home: ours
-		// unconditionally (unclaimable entries were processed above), a
-		// foreign one only when all its entries are claimed by someone.
-		if own || allClaimed {
-			_ = s.store.DeleteDoc(doc)
-		}
-	}
-	s.met.queueDepth.Set(int64(s.queue.Len()))
-	return adopted, nil
-}
-
-// adoptPersistedSession re-admits one claimed state-document entry,
-// reporting whether it was enqueued. The original session id is kept
-// when free (so clients polling a session of a dead instance find it on
-// the survivor); colliding ids get a fresh one — but the client session
-// key, when present, is kept verbatim: it is the fleet-wide identity a
-// routing proxy addresses, and it must survive migration even when the
-// local id cannot. Called from New (before the scheduler starts) and
-// from AdoptFromStore (under s.mu).
-func (s *Server) adoptPersistedSession(p persistedSession, own bool, now time.Time) bool {
-	if p.Key != "" {
-		if _, dup := s.byKey[p.Key]; dup {
-			// The key already lives here — the proxy resubmitted it, or an
-			// earlier adoption round won. The persisted copy is stale state
-			// of the same logical session; drop its checkpoint and claim so
-			// it cannot resurface anywhere.
-			s.releaseStoreCheckpoint(p.StoreKey)
-			return false
-		}
-	}
-	var (
-		q       *riveter.Query
-		display string
-		qerr    error
-	)
-	if p.TPCH != 0 {
-		q, qerr = s.db.PrepareTPCH(p.TPCH)
-		display = fmt.Sprintf("tpch:%d", p.TPCH)
-	} else {
-		q, qerr = s.prepareSQL(p.SQL)
-		display = p.SQL
-	}
-	id := p.ID
-	if _, taken := s.sessions[id]; taken || sessionSeq(id) == 0 {
-		s.seq++
-		id = fmt.Sprintf("s-%d", s.seq)
-	} else if n := sessionSeq(id); n > s.seq {
-		s.seq = n
-	}
-	sess := &Session{
-		id:         id,
-		key:        p.Key,
-		display:    display,
-		sql:        p.SQL,
-		tpch:       p.TPCH,
-		priority:   Priority(p.Priority),
-		seq:        sessionSeq(id),
-		q:          q,
-		state:      StateQueued,
-		submitted:  now,
-		lastQueued: now,
-		lastTouch:  now,
-		checkpoint: p.Checkpoint,
-		storeKey:   p.StoreKey,
-		lineage:    p.Lineage,
-		done:       make(chan struct{}),
-	}
-	if p.Lineage != "" {
-		// A lineage log is a local file; it only survives adoption when the
-		// instances share a filesystem (as the store-mode tests do). Verify
-		// it like any other resume point.
-		if _, verr := s.db.VerifyLineage(p.Lineage); verr != nil {
-			s.quarantineLineage(sess, p.Lineage, verr)
-			sess.lineage = ""
-		} else {
-			sess.state = StateSuspended
-		}
-	}
-	if p.StoreKey != "" {
-		// A checkpoint another instance wrote is verified chunk by chunk
-		// before this one dispatches into it.
-		if _, verr := s.store.VerifyCheckpoint(p.StoreKey); verr != nil {
-			s.quarantineStore(sess, p.StoreKey, verr)
-			sess.storeKey = ""
-		} else {
-			sess.state = StateSuspended
-		}
-	} else if p.Checkpoint != "" {
-		if _, verr := checkpoint.VerifyFS(s.fsys, p.Checkpoint); verr != nil {
-			s.quarantine(sess, p.Checkpoint, verr)
-			sess.checkpoint = ""
-		} else {
-			sess.state = StateSuspended
-		}
-	}
-	if sess.key != "" {
-		s.byKey[sess.key] = sess
-	}
-	if qerr != nil {
-		sess.state = StateFailed
-		sess.err = qerr
-		close(sess.done)
-		s.sessions[sess.id] = sess
-		return false
-	}
-	sess.est = q.Estimate()
-	s.sessions[sess.id] = sess
-	s.queue.Enqueue(sess)
-	if !own {
-		s.met.migrated.Inc()
-	}
-	return true
-}
-
-// sweepTempDirs removes orphaned in-flight .tmp files a crashed
-// predecessor left behind — the atomic-write protocol guarantees anything
-// still named *.tmp was abandoned mid-write. Entries the sweep cannot
-// remove are counted (checkpoint.sweep_failed) rather than silently
-// skipped: a stuck orphan is leaked disk an operator should hear about.
-func (s *Server) sweepTempDirs() {
-	dirs := map[string]struct{}{
-		s.db.CheckpointDir():          {},
-		filepath.Dir(s.cfg.StatePath): {},
-	}
-	for dir := range dirs {
-		_, failed, _ := checkpoint.SweepTemp(s.fsys, dir)
-		s.met.sweepFailed.Add(int64(len(failed)))
-	}
 }

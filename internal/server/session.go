@@ -131,10 +131,8 @@ type Session struct {
 	waited      time.Duration // accumulated queue time
 	ran         time.Duration // accumulated slot time
 	preemptions int
-	abandoned   int    // preemptions given up because no checkpoint would persist
-	checkpoint  string // file resume point while StateSuspended
-	storeKey    string // blob-store resume point while StateSuspended (store mode)
-	lineage     string // sealed lineage-log resume point while StateSuspended (lineage mode)
+	abandoned   int                 // preemptions given up because no checkpoint would persist
+	resume      riveter.ResumePoint // where the next dispatch starts from (zero = from scratch)
 	exec        *riveter.Execution
 	res         *riveter.Result
 	err         error
@@ -182,9 +180,7 @@ type Info struct {
 	Abandoned   int           `json:"abandoned,omitempty"`
 	Waited      time.Duration `json:"waited_ns"`
 	Ran         time.Duration `json:"ran_ns"`
-	Checkpoint  string        `json:"checkpoint,omitempty"`
-	StoreKey    string        `json:"store_key,omitempty"`
-	Lineage     string        `json:"lineage,omitempty"`
+	resumeWire
 	// FoldedInto names the leader session this rider is folded onto;
 	// Riders counts the riders folded onto this session.
 	FoldedInto string `json:"folded_into,omitempty"`
@@ -209,9 +205,7 @@ func (s *Session) infoLocked() Info {
 		Abandoned:     s.abandoned,
 		Waited:        s.waited,
 		Ran:           s.ran,
-		Checkpoint:    s.checkpoint,
-		StoreKey:      s.storeKey,
-		Lineage:       s.lineage,
+		resumeWire:    wireOf(s.resume),
 		EstInputBytes: s.est.InputBytes,
 		EstStateBytes: s.est.StateBytes,
 		Riders:        len(s.riders),

@@ -37,12 +37,10 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/blobstore"
-	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
-	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -199,8 +197,13 @@ func CreateLineageLog(path, query string, fingerprint uint64, workers int, lo Li
 	return l, nil
 }
 
-// Path returns the log file's path.
-func (l *LineageLog) Path() string { return l.path }
+// Path returns the log file's path ("" for a nil log: a run without one).
+func (l *LineageLog) Path() string {
+	if l == nil {
+		return ""
+	}
+	return l.path
+}
 
 // Err returns the sticky first log-write failure (nil while healthy). The
 // cost model gates the lineage strategy on this: a dead log makes lineage
@@ -369,24 +372,13 @@ func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 	return engine.ActionContinue
 }
 
-// SealResult reports a completed lineage seal — the whole cost of a
-// lineage suspension.
-type SealResult struct {
-	Path string
-	// Records / States / Seals total the log's contents.
-	Records, States, Seals int
-	// LogBytes is the log's total size; TailBytes is what this seal
-	// actually had to flush (the suspension's marginal I/O).
-	LogBytes, TailBytes int64
-	// Duration is the seal's wall time — the lineage L_s.
-	Duration time.Duration
-}
-
 // Seal finishes the log under a suspension: the final seal record (with
 // the quiesced in-flight cursors) is appended and the tail flushed and
 // fsynced. info may be nil (sealing a completed or abandoned run). The
-// lineage suspend latency is recorded as suspend.latency.lineage.
-func (l *LineageLog) Seal(info *engine.SuspendInfo) (*SealResult, error) {
+// result is the whole cost of a lineage suspension: TailBytes is what this
+// seal had to flush, Duration the lineage L_s (recorded as
+// suspend.latency.lineage).
+func (l *LineageLog) Seal(info *engine.SuspendInfo) (*PointInfo, error) {
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -412,14 +404,17 @@ func (l *LineageLog) Seal(info *engine.SuspendInfo) (*SealResult, error) {
 	if err := l.flushSyncLocked(); err != nil {
 		return nil, fmt.Errorf("strategy: seal lineage log: %w", err)
 	}
-	res := &SealResult{
-		Path:      l.path,
-		Records:   l.records,
-		States:    l.states,
-		Seals:     l.seals,
-		LogBytes:  l.logBytes,
-		TailBytes: tailBytes,
-		Duration:  time.Since(start),
+	res := &PointInfo{
+		Path:       l.path,
+		Query:      l.query,
+		Kind:       "lineage",
+		StateBytes: l.lastStateBytes,
+		Records:    l.records,
+		States:     l.states,
+		Seals:      l.seals,
+		LogBytes:   l.logBytes,
+		TailBytes:  tailBytes,
+		Duration:   time.Since(start),
 	}
 	if r := l.o.Metrics; r != nil {
 		r.DurationHistogram(obs.Kinded(obs.MetricSuspendLatency, "lineage")).ObserveDuration(res.Duration)
@@ -601,30 +596,10 @@ func readLineageRecord(data []byte, off int64) (typ byte, payload []byte, next i
 	return typ, data[off+5 : off+5+ln], end, ""
 }
 
-// VerifyLineage scans a lineage log end to end without touching an
-// executor: a nil error means the log has an intact header and a usable
-// (possibly truncated) record prefix.
-func VerifyLineage(fsys faultfs.FS, path string) (*LineageScan, error) {
-	return ScanLineage(fsys, path)
-}
-
-// RestoreLineage compiles the plan and replays the log into a fresh
-// executor: the last sealed breaker-state record is loaded (pipeline-kind,
-// so any worker count can resume) and Run then re-executes exactly the
-// pipelines that had not finalized by that record — the bounded replay.
-func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
-	pp, err := engine.CompileWith(node, cat, opts.Compile)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex, scan, err := RestoreLineagePlan(fsys, pp, path, store, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex, scan, nil
-}
-
-// RestoreLineagePlan is RestoreLineage over an already-compiled plan.
+// RestoreLineagePlan replays the log into a fresh executor over pp: the
+// last sealed breaker-state record is loaded (pipeline-kind, so any worker
+// count can resume) and Run then re-executes exactly the pipelines that
+// had not finalized by that record — the bounded replay.
 func RestoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
 	start := time.Now()
 	scan, err := ScanLineage(fsys, path)

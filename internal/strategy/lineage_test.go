@@ -10,6 +10,7 @@ import (
 	"github.com/riveterdb/riveter/internal/blobstore"
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/engine"
+	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/tpch"
 )
@@ -39,9 +40,19 @@ func lineageFixture(t *testing.T) (*catalog.Catalog, plan.Node, string) {
 	return cat, node, want.SortedKey()
 }
 
+// RestoreLineage compiles the plan and replays the log — the form the
+// lineage tests drive RestoreLineagePlan through.
+func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
+	pp, err := engine.CompileWith(node, cat, opts.Compile)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RestoreLineagePlan(fsys, pp, path, store, opts)
+}
+
 // runWithLineage starts the plan with a lineage log attached and suspends
 // it via the lineage strategy, returning the sealed log's path.
-func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) *SealResult {
+func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) *PointInfo {
 	t.Helper()
 	pp, err := engine.Compile(node, cat)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package strategy implements the mechanics of the suspension and
 // resumption strategies (§III-A, §III-B): triggering a suspension on a
-// running executor, persisting the captured state as a checkpoint file
-// (with the CRIU-style image padding for the process-level strategy),
-// restoring a checkpoint into a fresh executor, and — for the write-ahead
-// lineage strategy — maintaining the morsel-granular log that makes a
-// suspension a near-free tail flush (lineage.go).
+// running executor, persisting the captured state to a resume point and
+// restoring it into a fresh executor (seam.go: one lifecycle over a
+// checkpoint file, a blob-store key, or a sealed lineage log, with the
+// CRIU-style image padding for the process-level strategy), and — for the
+// write-ahead lineage strategy — maintaining the morsel-granular log that
+// makes a suspension a near-free tail flush (lineage.go).
 //
 // Policy — deciding if/when/how to suspend — lives in internal/riveter,
 // which drives this package with the cost model's decisions.
@@ -17,10 +18,8 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/catalog"
-	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
-	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
@@ -74,134 +73,6 @@ func Request(ex *engine.Executor, k Kind, cancel context.CancelFunc) time.Time {
 		ex.RequestSuspend(engine.KindProcess)
 	}
 	return now
-}
-
-// Persist writes the suspended executor's state to path. For process-level
-// suspensions the file is padded up to the modeled process-image size. The
-// checkpoint write is fsynced; its Duration is the measured L_s. The
-// persist is recorded into the executor's observability context: per-kind
-// suspend-latency and checkpoint-size metrics, plus serialize/write trace
-// events.
-func Persist(ex *engine.Executor, path, query string) (*checkpoint.WriteResult, error) {
-	return PersistWith(context.Background(), ex, path, query, PersistOptions{})
-}
-
-// PersistOptions tunes a checkpoint persist's I/O behavior.
-type PersistOptions struct {
-	// FS is the filesystem to write through (faultfs.OS when nil).
-	FS faultfs.FS
-	// Retry bounds write attempts; the zero policy is a single attempt.
-	Retry checkpoint.RetryPolicy
-	// Degraded drops the process-image padding and records the checkpoint
-	// as pipeline-kind even for a process-level suspension — the graceful-
-	// degradation rung for when the full image will not fit or write. The
-	// serialized state is identical (it embeds its own kind), so a restore
-	// still resumes exactly where the suspension stopped.
-	Degraded bool
-}
-
-// PersistWith is Persist with fault-injectable I/O, bounded retries, and
-// optional degradation. Each failed attempt bumps checkpoint.retry and
-// emits a checkpoint.retry trace event; ctx cancellation aborts the backoff
-// so shutdown is never blocked behind a failing disk.
-func PersistWith(ctx context.Context, ex *engine.Executor, path, query string, po PersistOptions) (*checkpoint.WriteResult, error) {
-	info := ex.Suspended()
-	if info == nil {
-		return nil, fmt.Errorf("strategy: executor is not suspended")
-	}
-	if po.FS == nil {
-		po.FS = faultfs.OS
-	}
-	kind := "pipeline"
-	var padding int64
-	if info.Kind == engine.KindProcess && !po.Degraded {
-		kind = "process"
-		padding = ex.ProcessImagePadding(ex.MeasureSuspendedStateBytes())
-	}
-	m := checkpoint.Manifest{
-		Kind:            kind,
-		Query:           query,
-		PlanFingerprint: fmt.Sprintf("%016x", ex.Plan().Fingerprint),
-		Workers:         ex.Workers(),
-		StateVersion:    engine.StateFormatVersion,
-	}
-	for _, ip := range info.InFlight {
-		m.InFlightPipelines = append(m.InFlightPipelines, ip.Pipeline)
-	}
-	o := ex.Obs()
-	onRetry := func(attempt int, err error) {
-		if r := o.Metrics; r != nil {
-			r.Counter(obs.MetricCheckpointRetry).Inc()
-		}
-		if t := o.Trace; t != nil {
-			t.Event(obs.EvCheckpointRetry,
-				obs.A("attempt", attempt),
-				obs.A("error", err.Error()))
-		}
-	}
-	wres, err := checkpoint.WriteRetry(ctx, po.FS, path, m, ex.SaveState, padding, po.Retry, onRetry)
-	if err != nil {
-		return nil, err
-	}
-	recordPersist(o, kind, wres)
-	return wres, nil
-}
-
-// recordPersist emits the metrics and trace events of one checkpoint write.
-func recordPersist(o obs.Context, kind string, wres *checkpoint.WriteResult) {
-	if r := o.Metrics; r != nil {
-		r.DurationHistogram(obs.Kinded(obs.MetricSuspendLatency, kind)).ObserveDuration(wres.Duration)
-		r.SizeHistogram(obs.Kinded(obs.MetricCheckpointBytes, kind)).Observe(wres.Manifest.TotalBytes())
-		r.SizeHistogram(obs.MetricCheckpointStateBytes).Observe(wres.Manifest.StateBytes)
-		r.DurationHistogram(obs.MetricCheckpointSerialize).ObserveDuration(wres.SerializeDuration)
-		r.DurationHistogram(obs.MetricCheckpointWrite).ObserveDuration(wres.WriteDuration)
-	}
-	if t := o.Trace; t != nil {
-		t.Event(obs.EvCheckpointSerialize,
-			obs.A("state_bytes", wres.Manifest.StateBytes),
-			obs.A("duration", wres.SerializeDuration))
-		t.Event(obs.EvCheckpointWrite,
-			obs.A("total_bytes", wres.Manifest.TotalBytes()),
-			obs.A("duration", wres.WriteDuration))
-		t.Event(obs.EvCheckpointPersisted,
-			obs.A("kind", kind),
-			obs.A("state_bytes", wres.Manifest.StateBytes),
-			obs.A("padding_bytes", wres.Manifest.PaddingBytes),
-			obs.A("total_bytes", wres.Manifest.TotalBytes()),
-			obs.A("duration", wres.Duration))
-	}
-}
-
-// Restore compiles the plan, loads the checkpoint into a fresh executor,
-// and returns it ready to Run. The read result's Duration is the measured
-// L_r (it includes consuming the padded image, as a CRIU restore would).
-// The restore is recorded into opts.Obs: a per-kind resume-latency metric
-// and a resume.restore trace event.
-func Restore(cat *catalog.Catalog, node plan.Node, path string, opts engine.Options) (*engine.Executor, *checkpoint.ReadResult, error) {
-	return RestoreFS(faultfs.OS, cat, node, path, opts)
-}
-
-// RestoreFS is Restore over an injectable filesystem.
-func RestoreFS(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, opts engine.Options) (*engine.Executor, *checkpoint.ReadResult, error) {
-	pp, err := engine.CompileWith(node, cat, opts.Compile)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := engine.NewExecutor(pp, opts)
-	res, err := checkpoint.ReadFS(fsys, path, ex.LoadState)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r := opts.Obs.Metrics; r != nil {
-		r.DurationHistogram(obs.Kinded(obs.MetricResumeLatency, res.Manifest.Kind)).ObserveDuration(res.Duration)
-	}
-	if t := opts.Obs.Trace; t != nil {
-		t.Event(obs.EvResumeRestore,
-			obs.A("kind", res.Manifest.Kind),
-			obs.A("total_bytes", res.Manifest.TotalBytes()),
-			obs.A("duration", res.Duration))
-	}
-	return ex, res, nil
 }
 
 // Relaunch resumes a suspended executor in place: its captured state round-

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/tpch"
@@ -52,7 +51,7 @@ func TestPersistRequiresSuspension(t *testing.T) {
 	if _, err := ex.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Persist(ex, filepath.Join(t.TempDir(), "x.rvck"), "Q3"); err == nil {
+	if _, err := persistFile(ex, filepath.Join(t.TempDir(), "x.rvck")); err == nil {
 		t.Fatal("Persist on a completed executor must fail")
 	}
 }
@@ -80,28 +79,29 @@ func TestPersistAndRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%v: err = %v", kind, err)
 		}
 		path := filepath.Join(t.TempDir(), "ck.rvck")
-		wres, err := Persist(ex, path, "Q3")
+		wres, err := persistFile(ex, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wres.Manifest.Kind != KindName(kind) {
-			t.Errorf("manifest kind = %s, want %s", wres.Manifest.Kind, KindName(kind))
+		if wres.Kind != KindName(kind) {
+			t.Errorf("manifest kind = %s, want %s", wres.Kind, KindName(kind))
 		}
-		if kind == Process && wres.Manifest.PaddingBytes == 0 {
+		if kind == Process && wres.TotalBytes == wres.StateBytes {
 			t.Error("process checkpoint must carry image padding")
 		}
-		if kind == Pipeline && wres.Manifest.PaddingBytes != 0 {
+		if kind == Pipeline && wres.TotalBytes != wres.StateBytes {
 			t.Error("pipeline checkpoint must not carry padding")
 		}
 
-		ex2, rres, err := Restore(cat, node, path, engine.Options{Workers: 2})
+		pp2, _ := engine.Compile(node, cat)
+		run, rres, err := Seam{}.Restore(pp2, "Q3", ResumePoint{TargetFile, path}, LineageConfig{}, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v restore: %v", kind, err)
 		}
 		if rres.Duration <= 0 {
 			t.Error("restore duration missing")
 		}
-		got, err := ex2.Run(context.Background())
+		got, err := run.Ex.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,16 +125,21 @@ func TestRestoreRejectsWrongPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ck.rvck")
-	if _, err := Persist(ex, path, "Q3"); err != nil {
+	if _, err := persistFile(ex, path); err != nil {
 		t.Fatal(err)
 	}
 	q6, _ := tpch.Get(6)
 	node6 := q6.Build(plan.NewBuilder(cat), 0.01)
-	if _, _, err := Restore(cat, node6, path, engine.Options{Workers: 2}); err == nil {
+	pp6, _ := engine.Compile(node6, cat)
+	if _, _, err := (Seam{}).Restore(pp6, "Q6", ResumePoint{TargetFile, path}, LineageConfig{}, engine.Options{Workers: 2}); err == nil {
 		t.Fatal("restoring into a different plan must fail")
 	}
-	m, err := checkpoint.ReadManifest(path)
+	m, err := Seam{}.Verify(ResumePoint{TargetFile, path})
 	if err != nil || m.Query != "Q3" {
 		t.Errorf("manifest = %+v, %v", m, err)
 	}
+}
+
+func persistFile(ex *engine.Executor, path string) (*PointInfo, error) {
+	return Seam{}.Persist(context.Background(), Run{Ex: ex}, "Q3", ResumePoint{TargetFile, path}, PersistOptions{})
 }

@@ -1,265 +1,40 @@
 package riveter
 
 // Public surface of the write-ahead lineage suspension strategy: start a
-// query with a lineage log attached, suspend it by sealing the log
-// (near-free — only the unsealed tail is flushed), and resume it by
-// replaying from the last sealed record. See internal/strategy/lineage.go
-// for the log format and DESIGN.md §14 for the design.
+// query with a lineage log attached. Suspending it (Suspend(LineageLevel),
+// then Persist to the log's lineage ResumePoint) only seals the log — only
+// the unsealed tail is flushed — and StartFrom replays from the last
+// sealed record. See internal/strategy/lineage.go for the log format.
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"time"
 
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/strategy"
 )
 
-// LineageConfig tunes a lineage-logged execution. The zero value is valid:
-// a fresh log path under the DB's checkpoint directory, sealing at every
-// pipeline breaker, state inline in the log.
-type LineageConfig struct {
-	// Path is the log file's location; empty allocates one via
-	// DB.NewLineagePath.
-	Path string
-	// SealEvery flushes+fsyncs the log every N breaker-state records
-	// (default 1: every breaker is immediately durable). Larger values
-	// trade replay window for fewer fsyncs.
-	SealEvery int
-	// ToStore makes breaker-state snapshots ride the DB's blob store as
-	// content-addressed checkpoints, so consecutive snapshots dedup
-	// chunk-by-chunk and the log itself stays tiny. Requires WithBlobStore.
-	ToStore bool
-}
-
-// LineageInfo describes a sealed lineage log — the complete cost of a
-// lineage suspension.
-type LineageInfo struct {
-	// Path is the log file.
-	Path string
-	// Records, States, and Seals total the log's contents.
-	Records, States, Seals int
-	// LogBytes is the log's total size; TailBytes is what the seal itself
-	// had to flush — the suspension's marginal I/O.
-	LogBytes, TailBytes int64
-	// SealDuration is the seal's wall time: the lineage strategy's L_s.
-	SealDuration time.Duration
-}
-
 // StartWithLineage launches the query asynchronously with a write-ahead
 // lineage log attached: every morsel boundary appends a progress record
 // and every pipeline breaker appends the serialized pipeline-kind state.
-// A later Suspend(LineageLevel) + SealLineage then costs only a tail
-// flush, regardless of how much state the query built up.
+// A later Suspend(LineageLevel) + Persist to the lineage point then costs
+// only a tail flush, regardless of how much state the query built up.
 //
-// Log-write failures never fail the query — they surface at SealLineage,
-// where the caller degrades to a checkpoint strategy (the returned
-// Execution still supports Checkpoint and CheckpointDegraded).
+// Log-write failures never fail the query — they surface at Persist, where
+// the caller degrades to a file or store point (the executor is still
+// quiesced with its state in memory).
 func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execution, error) {
 	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(false))
 	if err != nil {
 		return nil, err
 	}
-	path := cfg.Path
-	if path == "" {
-		path = q.db.NewLineagePath(q.name)
-	}
-	o := q.db.obsFor(q.db.newTrace(q.name))
-	lo := strategy.LineageOptions{
-		FS:        q.db.fsys,
-		SealEvery: cfg.SealEvery,
-		Obs:       o,
-	}
-	if cfg.ToStore {
-		st, err := q.db.BlobStore()
-		if err != nil {
-			return nil, err
-		}
-		lo.Store = st
-		lo.StoreKey = fmt.Sprintf("lineage-%s-%016x", q.name, pp.Fingerprint)
-	}
-	lin, err := strategy.CreateLineageLog(path, q.name, pp.Fingerprint, q.db.workers, lo)
+	opts := q.db.execOpts(q.db.obsFor(q.db.newTrace(q.name)))
+	lin, err := q.db.seam.OpenLineage(pp, q.name, cfg, "", &opts)
 	if err != nil {
 		return nil, err
 	}
-	ex := engine.NewExecutor(pp, engine.Options{
-		Workers:   q.db.workers,
-		Live:      &q.db.live,
-		Obs:       o,
-		OnMorsel:  lin.OnMorsel,
-		OnBreaker: lin.OnBreaker,
-	})
-	e := &Execution{q: q, ex: ex, lin: lin, done: make(chan struct{})}
-	go func() {
-		defer close(e.done)
-		e.res, e.err = e.ex.Run(ctx)
-		if e.err == nil {
-			// Clean completion: the log is history, not recovery state.
-			// Close it without a seal; the caller removes it (or the DB's
-			// RemoveLineage does) when done inspecting.
-			lin.Close()
-		}
-	}()
-	return e, nil
+	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, opts), Log: lin}, false), nil
 }
 
 // LineagePath returns the execution's lineage-log path ("" when the
 // execution has no lineage log).
-func (e *Execution) LineagePath() string {
-	if e.lin == nil {
-		return ""
-	}
-	return e.lin.Path()
-}
-
-// LineageErr returns the lineage log's sticky write error (nil while the
-// log is healthy, or when the execution has no log). A non-nil error means
-// a lineage suspension is off the table and the caller should fall back to
-// Checkpoint/CheckpointDegraded — the degradation ladder's next rungs.
-func (e *Execution) LineageErr() error {
-	if e.lin == nil {
-		return nil
-	}
-	return e.lin.Err()
-}
-
-// SealLineage completes a lineage suspension: after Wait returned
-// ErrSuspended (from Suspend(LineageLevel)), it appends the final seal
-// record — carrying the quiesced in-flight cursors — and flushes the log's
-// unsealed tail. That tail flush is the entire suspension I/O; the state
-// itself was persisted incrementally while the query ran.
-func (e *Execution) SealLineage() (*LineageInfo, error) {
-	if e.lin == nil {
-		return nil, fmt.Errorf("riveter: execution has no lineage log (use Query.StartWithLineage)")
-	}
-	<-e.done
-	if !errors.Is(e.err, ErrSuspended) {
-		return nil, fmt.Errorf("riveter: execution is not suspended (err=%v)", e.err)
-	}
-	res, err := e.lin.Seal(e.ex.Suspended())
-	if err != nil {
-		return nil, err
-	}
-	e.lin.Close()
-	return &LineageInfo{
-		Path:         res.Path,
-		Records:      res.Records,
-		States:       res.States,
-		Seals:        res.Seals,
-		LogBytes:     res.LogBytes,
-		TailBytes:    res.TailBytes,
-		SealDuration: res.Duration,
-	}, nil
-}
-
-// StartFromLineage replays a sealed lineage log and continues the query
-// asynchronously — with a fresh lineage log attached (under cfg, as in
-// StartWithLineage), so the resumed execution is first-class: it can be
-// lineage-suspended again, repeatedly. The replay loads the last sealed
-// breaker state (pipeline-kind, so any worker count works) and re-executes
-// only the pipelines that had not finalized by that record; a torn tail
-// left by a crash is detected, truncated, and never replayed.
-func (q *Query) StartFromLineage(ctx context.Context, path string, cfg LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(false))
-	if err != nil {
-		return nil, err
-	}
-	o := q.db.obsFor(q.db.newTrace(q.name))
-	freshPath := cfg.Path
-	if freshPath == "" {
-		freshPath = q.db.NewLineagePath(q.name)
-	}
-	lo := strategy.LineageOptions{
-		FS:        q.db.fsys,
-		SealEvery: cfg.SealEvery,
-		Obs:       o,
-	}
-	if cfg.ToStore {
-		st, err := q.db.BlobStore()
-		if err != nil {
-			return nil, err
-		}
-		lo.Store = st
-		lo.StoreKey = fmt.Sprintf("lineage-%s-%016x-r", q.name, pp.Fingerprint)
-	}
-	lin, err := strategy.CreateLineageLog(freshPath, q.name, pp.Fingerprint, q.db.workers, lo)
-	if err != nil {
-		return nil, err
-	}
-	ex, _, err := strategy.RestoreLineagePlan(q.db.fsys, pp, path, q.db.store, engine.Options{
-		Workers:   q.db.workers,
-		Live:      &q.db.live,
-		Obs:       o,
-		OnMorsel:  lin.OnMorsel,
-		OnBreaker: lin.OnBreaker,
-	})
-	if err != nil {
-		lin.Close()
-		q.db.fsys.Remove(freshPath)
-		return nil, err
-	}
-	e := &Execution{q: q, ex: ex, lin: lin, done: make(chan struct{})}
-	go func() {
-		defer close(e.done)
-		e.res, e.err = e.ex.Run(ctx)
-		if e.err == nil {
-			lin.Close()
-		}
-	}()
-	return e, nil
-}
-
-// ResumeFromLineage replays a sealed lineage log and runs the query to
-// completion — the lineage counterpart of Query.Resume. No new log is
-// attached; use StartFromLineage when the resumed run must itself remain
-// suspendable.
-func (q *Query) ResumeFromLineage(ctx context.Context, path string) (*Result, error) {
-	ex, _, err := strategy.RestoreLineage(q.db.fsys, q.db.cat, q.node, path, q.db.store,
-		engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: q.db.obsFor(nil), Compile: q.db.compileOpts(false)})
-	if err != nil {
-		return nil, err
-	}
-	return ex.Run(ctx)
-}
-
-// VerifyLineage scans a lineage log end to end — header, every record's
-// frame and checksum — without touching an executor. A nil error means the
-// log has an intact header and a usable record prefix; Torn reports
-// whether a crash left a truncated tail (which a replay will ignore).
-func (db *DB) VerifyLineage(path string) (*LineageScanInfo, error) {
-	scan, err := strategy.VerifyLineage(db.fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	return &LineageScanInfo{
-		Path:       path,
-		Query:      scan.Meta.Query,
-		Records:    scan.Records,
-		States:     scan.States,
-		Seals:      scan.Seals,
-		ValidBytes: scan.ValidBytes,
-		Torn:       scan.Torn(),
-		TornErr:    scan.TornErr,
-	}, nil
-}
-
-// LineageScanInfo summarizes a scanned lineage log.
-type LineageScanInfo struct {
-	Path    string
-	Query   string
-	Records int
-	States  int
-	Seals   int
-	// ValidBytes is the intact prefix length; Torn reports whether bytes
-	// beyond it were logically truncated (TornErr says why).
-	ValidBytes int64
-	Torn       bool
-	TornErr    string
-}
-
-// RemoveLineage deletes a lineage log and any blob-store checkpoints its
-// breaker-state records reference.
-func (db *DB) RemoveLineage(path string) error {
-	return strategy.RemoveLineage(db.fsys, db.store, path)
-}
+func (e *Execution) LineagePath() string { return e.lin.Path() }

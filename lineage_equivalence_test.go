@@ -73,11 +73,7 @@ func checkpointEquivalence(t *testing.T, db *DB, q *Query, level Strategy, want 
 		t.Fatal(err)
 	}
 	defer db.FS().Remove(path)
-	res, err := q.Resume(ctx, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want {
+	if res := finishFrom(t, q, filePoint(path)); res.SortedKey() != want {
 		t.Errorf("%s checkpoint resume differs from clean run", strategy.KindName(level))
 	}
 }
@@ -115,11 +111,7 @@ func TestLineageEquivalenceAllTPCH(t *testing.T) {
 					// Sealed mid-replay: the second log alone must carry the
 					// query to the correct result.
 					defer db.RemoveLineage(log2)
-					res, err := q.ResumeFromLineage(ctx, log2)
-					if err != nil {
-						t.Fatalf("second replay: %v", err)
-					}
-					if res.SortedKey() != want {
+					if res := finishFrom(t, q, ResumePoint{Target: "lineage", Ref: log2}); res.SortedKey() != want {
 						t.Error("twice-suspended lineage result differs from clean run")
 					}
 				}

@@ -11,8 +11,8 @@ import (
 
 // TestTraceSuspendResumeRoundTrip verifies event ordering across a full
 // suspend→checkpoint→resume round trip through the public API: the trace
-// started by Query.Start continues through Execution.Checkpoint and
-// Execution.Resume, so request, acknowledgement, persist, restore, and the
+// started by Query.Start continues through Execution.Checkpoint and a
+// Query.StartFrom handed the suspended execution, so request, acknowledgement, persist, restore, and the
 // resumed pipelines appear in causal order in one event stream.
 func TestTraceSuspendResumeRoundTrip(t *testing.T) {
 	db := Open(WithWorkers(2), WithCheckpointDir(t.TempDir()), WithTracing())
@@ -43,7 +43,11 @@ func TestTraceSuspendResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Resume(context.Background(), path); err != nil {
+	resumed, err := q.StartFrom(context.Background(), filePoint(path), exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.Result(); err != nil {
 		t.Fatal(err)
 	}
 

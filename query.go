@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
@@ -140,13 +138,42 @@ type Execution struct {
 	ex *engine.Executor
 
 	// lin is the execution's write-ahead lineage log (nil unless started
-	// via Query.StartWithLineage or Query.StartFromLineage).
+	// via Query.StartWithLineage or resumed from a lineage ResumePoint).
 	lin *strategy.LineageLog
 
-	once sync.Once
 	done chan struct{}
 	res  *Result
 	err  error
+}
+
+// execOpts assembles the executor options every start and resume path of
+// this DB shares.
+func (db *DB) execOpts(o obs.Context) engine.Options {
+	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o, Compile: db.compileOpts(false)}
+}
+
+// launch runs an executor (with its lineage log, if any) asynchronously.
+// publish makes a clean completion record the plan's materialized subplans
+// for later sessions to fold onto.
+func (q *Query) launch(ctx context.Context, run strategy.Run, publish bool) *Execution {
+	e := &Execution{q: q, ex: run.Ex, lin: run.Log, done: make(chan struct{})}
+	go func() {
+		defer close(e.done)
+		e.res, e.err = e.ex.Run(ctx)
+		if e.err != nil {
+			return
+		}
+		if e.lin != nil {
+			// Clean completion: the log is history, not recovery state.
+			// Close it without a seal; the caller discards it when done
+			// inspecting.
+			e.lin.Close()
+		}
+		if publish {
+			q.db.publishShared(e.ex.Plan())
+		}
+	}()
+	return e
 }
 
 // Start launches the query asynchronously. With folding enabled the
@@ -163,40 +190,7 @@ func (q *Query) Start(ctx context.Context) (*Execution, error) {
 	if q.db.foldM != nil && o.Trace != nil {
 		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", pp.Fingerprint))
 	}
-	e := &Execution{
-		q:    q,
-		ex:   engine.NewExecutor(pp, engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: o}),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(e.done)
-		e.res, e.err = e.ex.Run(ctx)
-		if e.err == nil {
-			q.db.publishShared(pp)
-		}
-	}()
-	return e, nil
-}
-
-// StartFromCheckpoint loads a checkpoint of this query and continues it
-// asynchronously. Unlike Resume, the returned Execution is a first-class
-// in-flight query: it can be suspended and checkpointed again, so a
-// scheduler can preempt the same long query repeatedly, each round trip
-// picking up where the last checkpoint left off.
-func (q *Query) StartFromCheckpoint(ctx context.Context, path string) (*Execution, error) {
-	o := q.db.obsFor(q.db.newTrace(q.name))
-	ex, _, err := strategy.RestoreFS(q.db.fsys, q.db.cat, q.node, path,
-		engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: o, Compile: q.db.compileOpts(false)})
-	if err != nil {
-		return nil, err
-	}
-	q.foldRejoinEvent(o)
-	e := &Execution{q: q, ex: ex, done: make(chan struct{})}
-	go func() {
-		defer close(e.done)
-		e.res, e.err = e.ex.Run(ctx)
-	}()
-	return e, nil
+	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, q.db.execOpts(o))}, true), nil
 }
 
 // Suspend requests a suspension: PipelineLevel takes effect at the next
@@ -210,8 +204,9 @@ func (e *Execution) Suspend(k Strategy) error {
 		e.ex.RequestSuspend(engine.KindProcess)
 	case LineageLevel:
 		// A lineage suspension quiesces at the next morsel boundary (the
-		// log already holds the state); the caller then seals the log via
-		// SealLineage instead of writing a checkpoint.
+		// log already holds the state); the caller then seals the log by
+		// persisting to its lineage ResumePoint instead of writing a
+		// checkpoint.
 		if e.lin == nil {
 			return fmt.Errorf("riveter: execution has no lineage log (use Query.StartWithLineage)")
 		}
@@ -241,281 +236,34 @@ func (e *Execution) Result() (*Result, error) {
 }
 
 // Trace returns the execution's event trace (nil unless the DB was opened
-// WithTracing). The trace spans a suspend→checkpoint→resume round trip
-// when the query is resumed via Execution.Resume.
+// WithTracing). Passing the suspended execution to Query.StartFrom makes
+// the resumed execution continue this trace, so it spans the whole
+// suspend→persist→resume round trip.
 func (e *Execution) Trace() *obs.Trace { return e.ex.Obs().Trace }
 
-// CheckpointInfo describes a persisted checkpoint.
-type CheckpointInfo struct {
-	Path string
-	// Kind is "pipeline" or "process".
-	Kind string
-	// StateBytes is the serialized operator state; TotalBytes additionally
-	// counts the process-image padding.
-	StateBytes, TotalBytes int64
-}
-
-// RetryPolicy bounds a retrying checkpoint write: up to Attempts tries
-// with capped exponential backoff between them. The zero policy means one
-// attempt, no backoff.
-type RetryPolicy struct {
-	Attempts  int
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-func (p RetryPolicy) internal() checkpoint.RetryPolicy {
-	return checkpoint.RetryPolicy{Attempts: p.Attempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay}
-}
-
-// Checkpoint persists the suspended execution's state to path. Valid only
-// after Wait returned ErrSuspended. The write is atomic: path either holds
-// a complete verified image or nothing.
-func (e *Execution) Checkpoint(path string) (*CheckpointInfo, error) {
-	return e.CheckpointWithRetry(context.Background(), path, RetryPolicy{})
-}
-
-// CheckpointWithRetry is Checkpoint under a retry policy: transient write
-// failures are absorbed with capped exponential backoff, each retry counted
-// in the checkpoint.retry metric. Cancelling ctx aborts the backoff.
-func (e *Execution) CheckpointWithRetry(ctx context.Context, path string, pol RetryPolicy) (*CheckpointInfo, error) {
-	return e.persist(ctx, path, pol, false)
-}
-
-// CheckpointDegraded persists a process-level suspension as a pipeline-kind
-// checkpoint: same serialized state, no process-image padding. This is the
-// degradation rung for a full image that will not fit or write; the restore
-// resumes exactly where the suspension stopped.
-func (e *Execution) CheckpointDegraded(ctx context.Context, path string, pol RetryPolicy) (*CheckpointInfo, error) {
-	return e.persist(ctx, path, pol, true)
-}
-
-func (e *Execution) persist(ctx context.Context, path string, pol RetryPolicy, degraded bool) (*CheckpointInfo, error) {
+// suspended blocks until the execution stops and returns an error unless
+// it stopped by suspending.
+func (e *Execution) suspended() error {
 	<-e.done
 	if !errors.Is(e.err, ErrSuspended) {
-		return nil, fmt.Errorf("riveter: execution is not suspended (err=%v)", e.err)
+		return fmt.Errorf("riveter: execution is not suspended (err=%v)", e.err)
 	}
-	wres, err := strategy.PersistWith(ctx, e.ex, path, e.q.name, strategy.PersistOptions{
-		FS:       e.q.db.fsys,
-		Retry:    pol.internal(),
-		Degraded: degraded,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointInfo{
-		Path:       path,
-		Kind:       wres.Manifest.Kind,
-		StateBytes: wres.Manifest.StateBytes,
-		TotalBytes: wres.Manifest.TotalBytes(),
-	}, nil
+	return nil
 }
 
 // ResumeInPlace relaunches a suspended execution from its in-memory state,
 // touching no disk — the last rung of the degradation ladder, used when no
-// checkpoint can be persisted anywhere. The returned Execution continues
+// resume point can be persisted anywhere. The returned Execution continues
 // from exactly where the suspension stopped (and keeps this execution's
 // trace); the suspension itself is effectively abandoned.
 func (e *Execution) ResumeInPlace(ctx context.Context) (*Execution, error) {
-	<-e.done
-	if !errors.Is(e.err, ErrSuspended) {
-		return nil, fmt.Errorf("riveter: execution is not suspended (err=%v)", e.err)
+	if err := e.suspended(); err != nil {
+		return nil, err
 	}
 	q := e.q
-	ex, err := strategy.Relaunch(q.db.cat, q.node, e.ex,
-		engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: e.ex.Obs(), Compile: q.db.compileOpts(false)})
+	ex, err := strategy.Relaunch(q.db.cat, q.node, e.ex, q.db.execOpts(e.ex.Obs()))
 	if err != nil {
 		return nil, err
 	}
-	fresh := &Execution{q: q, ex: ex, done: make(chan struct{})}
-	go func() {
-		defer close(fresh.done)
-		fresh.res, fresh.err = fresh.ex.Run(ctx)
-	}()
-	return fresh, nil
-}
-
-// Resume loads a checkpoint of this query and runs it to completion. The
-// checkpoint's plan fingerprint must match; process-level checkpoints also
-// require the same worker count.
-func (q *Query) Resume(ctx context.Context, path string) (*Result, error) {
-	return q.resume(ctx, path, q.db.obsFor(nil))
-}
-
-func (q *Query) resume(ctx context.Context, path string, o obs.Context) (*Result, error) {
-	ex, _, err := strategy.RestoreFS(q.db.fsys, q.db.cat, q.node, path,
-		engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: o, Compile: q.db.compileOpts(false)})
-	if err != nil {
-		return nil, err
-	}
-	q.foldRejoinEvent(o)
-	return ex.Run(ctx)
-}
-
-// foldRejoinEvent records a restored rider re-attaching to its scan hubs.
-func (q *Query) foldRejoinEvent(o obs.Context) {
-	if q.db.foldM != nil && o.Trace != nil {
-		o.Trace.Event(obs.EvFoldRejoin, obs.A("fingerprint", plan.Fingerprint(q.node)))
-	}
-}
-
-// Resume loads a checkpoint of this (suspended) execution's query and runs
-// it to completion, continuing the execution's trace — the resulting event
-// stream covers the full suspend→checkpoint→resume round trip.
-func (e *Execution) Resume(ctx context.Context, path string) (*Result, error) {
-	return e.q.resume(ctx, path, e.ex.Obs())
-}
-
-// StoreCheckpointInfo describes a checkpoint persisted into the blob
-// store, including what the content-addressed write actually cost: how
-// many chunks the state split into, how many deduplicated against chunks
-// already stored, and how many bytes crossed the wire. A re-suspension
-// whose state barely moved shows DedupHits near Chunks and UploadedBytes
-// near zero.
-type StoreCheckpointInfo struct {
-	Key string
-	// Kind is "pipeline" or "process".
-	Kind string
-	// StateBytes is the serialized operator state; TotalBytes additionally
-	// counts the process-image padding.
-	StateBytes, TotalBytes int64
-	// Chunks is the checkpoint's chunk count; DedupHits of them were
-	// already stored and skipped the upload.
-	Chunks    int
-	DedupHits int
-	// UploadedBytes is the compressed bytes actually sent to the backend
-	// (new chunks plus the manifest).
-	UploadedBytes int64
-}
-
-// CheckpointToStore persists the suspended execution's state into the
-// DB's blob store under key. Valid only after Wait returned ErrSuspended
-// and only on a DB opened WithBlobStore. The manifest is published last,
-// so the key becomes visible only once every chunk is durable; no retry
-// policy exists or is needed — chunks that landed before a failure dedup
-// on the next call, so retrying is just calling again.
-func (e *Execution) CheckpointToStore(key string) (*StoreCheckpointInfo, error) {
-	return e.persistStore(key, false)
-}
-
-// CheckpointToStoreDegraded persists a process-level suspension into the
-// store as a pipeline-kind checkpoint (no process-image padding) — the
-// same degradation rung as CheckpointDegraded, for store targets.
-func (e *Execution) CheckpointToStoreDegraded(key string) (*StoreCheckpointInfo, error) {
-	return e.persistStore(key, true)
-}
-
-func (e *Execution) persistStore(key string, degraded bool) (*StoreCheckpointInfo, error) {
-	st, err := e.q.db.BlobStore()
-	if err != nil {
-		return nil, err
-	}
-	<-e.done
-	if !errors.Is(e.err, ErrSuspended) {
-		return nil, fmt.Errorf("riveter: execution is not suspended (err=%v)", e.err)
-	}
-	wres, err := strategy.PersistStore(e.ex, st, key, e.q.name, degraded)
-	if err != nil {
-		return nil, err
-	}
-	return &StoreCheckpointInfo{
-		Key:           key,
-		Kind:          wres.Manifest.Kind,
-		StateBytes:    wres.Manifest.StateBytes,
-		TotalBytes:    wres.Manifest.TotalBytes(),
-		Chunks:        wres.Chunks,
-		DedupHits:     wres.DedupHits,
-		UploadedBytes: wres.UploadedBytes,
-	}, nil
-}
-
-// StartFromStore loads checkpoint key from the DB's blob store and
-// continues the query asynchronously — the store-backed counterpart of
-// StartFromCheckpoint. The returned Execution is first-class: it can be
-// suspended and checkpointed (to file or store) again.
-func (q *Query) StartFromStore(ctx context.Context, key string) (*Execution, error) {
-	st, err := q.db.BlobStore()
-	if err != nil {
-		return nil, err
-	}
-	o := q.db.obsFor(q.db.newTrace(q.name))
-	ex, _, err := strategy.RestoreStore(q.db.cat, q.node, st, key,
-		engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: o, Compile: q.db.compileOpts(false)})
-	if err != nil {
-		return nil, err
-	}
-	q.foldRejoinEvent(o)
-	e := &Execution{q: q, ex: ex, done: make(chan struct{})}
-	go func() {
-		defer close(e.done)
-		e.res, e.err = e.ex.Run(ctx)
-	}()
-	return e, nil
-}
-
-// ResumeFromStore loads checkpoint key from the DB's blob store and runs
-// the query to completion. The key may have been written by a different
-// instance sharing the same store — this is the resumption half of
-// cross-instance migration.
-func (q *Query) ResumeFromStore(ctx context.Context, key string) (*Result, error) {
-	e, err := q.StartFromStore(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Wait(); err != nil {
-		return nil, err
-	}
-	return e.Result()
-}
-
-// VerifyStoreCheckpoint walks a store checkpoint end to end — manifest,
-// every chunk's size and digest, the payload checksum — without
-// deserializing its state.
-func (db *DB) VerifyStoreCheckpoint(key string) (*StoreCheckpointInfo, error) {
-	st, err := db.BlobStore()
-	if err != nil {
-		return nil, err
-	}
-	sm, err := st.VerifyCheckpoint(key)
-	if err != nil {
-		return nil, err
-	}
-	return &StoreCheckpointInfo{
-		Key:        key,
-		Kind:       sm.Kind,
-		StateBytes: sm.StateBytes,
-		TotalBytes: sm.TotalBytes(),
-		Chunks:     len(sm.Chunks),
-	}, nil
-}
-
-// ReadCheckpointInfo inspects a checkpoint file without loading its state.
-func ReadCheckpointInfo(path string) (*CheckpointInfo, error) {
-	m, err := checkpoint.ReadManifest(path)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointInfo{
-		Path:       path,
-		Kind:       m.Kind,
-		StateBytes: m.StateBytes,
-		TotalBytes: m.TotalBytes(),
-	}, nil
-}
-
-// VerifyCheckpoint walks a checkpoint file's structure — magic, manifest,
-// checksum, padding — without deserializing its state. A nil error means a
-// restore will find a structurally intact image; torn writes, truncations,
-// and bit flips all report as errors, never panics.
-func VerifyCheckpoint(path string) (*CheckpointInfo, error) {
-	m, err := checkpoint.Verify(path)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointInfo{
-		Path:       path,
-		Kind:       m.Kind,
-		StateBytes: m.StateBytes,
-		TotalBytes: m.TotalBytes(),
-	}, nil
+	return q.launch(ctx, strategy.Run{Ex: ex}, false), nil
 }

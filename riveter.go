@@ -24,9 +24,11 @@
 //	exec := q.Start(ctx)
 //	exec.Suspend(riveter.PipelineLevel)      // suspends at the next breaker
 //	if exec.Wait() == riveter.ErrSuspended {
-//	    info, _ := exec.Checkpoint("q21.rvck")
+//	    at := riveter.ResumePoint{Target: "file", Ref: "q21.rvck"}
+//	    info, _ := exec.Persist(ctx, at, riveter.PersistOptions{})
 //	    ...
-//	    res, _ := q.Resume(ctx, "q21.rvck")  // possibly on another node
+//	    resumed, _ := q.StartFrom(ctx, at, nil)  // possibly on another node
+//	    res, _ := resumed.Result()
 //	}
 package riveter
 
@@ -93,6 +95,9 @@ type DB struct {
 	storeCfg      *StoreConfig
 	store         *blobstore.Store
 	storeErr      error
+	// seam is the persistence backing every resume-point verb operates
+	// over: fsys, store, and the lineage-path allocator (resume.go).
+	seam strategy.Seam
 
 	// Shared-execution state (WithFold): foldM registers one scan hub per
 	// (table, column-set) and rides every base-table scan on it; subplans
@@ -216,6 +221,7 @@ func Open(opts ...Option) *DB {
 	if db.storeCfg != nil {
 		db.initStore()
 	}
+	db.seam = strategy.Seam{FS: db.fsys, Store: db.store, LineagePath: db.NewLineagePath}
 	if db.foldProf.Enabled() {
 		db.foldM = fold.NewManager(db.metrics, &db.live)
 		db.subplans = fold.NewSubplanCache(0, db.metrics)
@@ -342,29 +348,17 @@ func (db *DB) CheckpointDir() string { return db.checkpointDir }
 // under CheckpointDir. Concurrent suspensions from many sessions each get a
 // distinct name (a per-DB sequence number plus the process id, so two
 // processes sharing one directory cannot clobber each other either). The
-// file is not created; the path is meant to be handed straight to
-// Execution.Checkpoint.
-func (db *DB) NewCheckpointPath(prefix string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '-'
-		}
-	}, prefix)
-	if clean == "" {
-		clean = "ckpt"
-	}
-	seq := db.ckptSeq.Add(1)
-	return filepath.Join(db.checkpointDir, fmt.Sprintf("%s-%d-%06d.rvck", clean, os.Getpid(), seq))
-}
+// file is not created; the path is meant to be the Ref of a file
+// ResumePoint.
+func (db *DB) NewCheckpointPath(prefix string) string { return db.newPath(prefix, "ckpt", ".rvck") }
 
 // NewLineagePath allocates a fresh, collision-free lineage-log file path
 // under CheckpointDir, following the same naming discipline as
 // NewCheckpointPath (.rvlg extension). The file is not created; the path
 // is meant to be handed to Query.StartWithLineage.
-func (db *DB) NewLineagePath(prefix string) string {
+func (db *DB) NewLineagePath(prefix string) string { return db.newPath(prefix, "lineage", ".rvlg") }
+
+func (db *DB) newPath(prefix, fallback, ext string) string {
 	clean := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
@@ -374,10 +368,10 @@ func (db *DB) NewLineagePath(prefix string) string {
 		}
 	}, prefix)
 	if clean == "" {
-		clean = "lineage"
+		clean = fallback
 	}
 	seq := db.ckptSeq.Add(1)
-	return filepath.Join(db.checkpointDir, fmt.Sprintf("%s-%d-%06d.rvlg", clean, os.Getpid(), seq))
+	return filepath.Join(db.checkpointDir, fmt.Sprintf("%s-%d-%06d%s", clean, os.Getpid(), seq, ext))
 }
 
 // GenerateTPCH populates the catalog with a TPC-H-style dataset at the

@@ -2,7 +2,6 @@ package riveter
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"testing"
 )
@@ -77,88 +76,6 @@ func TestPrepareTPCHAndRun(t *testing.T) {
 	empty := Open(WithCheckpointDir(t.TempDir()))
 	if _, err := empty.PrepareTPCH(1); err == nil {
 		t.Error("PrepareTPCH without data must error")
-	}
-}
-
-func TestSuspendCheckpointResume(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q, err := db.PrepareTPCH(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exec, err := q.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Suspend(PipelineLevel); err != nil {
-		t.Fatal(err)
-	}
-	err = exec.Wait()
-	if err == nil {
-		t.Skip("query finished before the suspension landed")
-	}
-	if !errors.Is(err, ErrSuspended) {
-		t.Fatalf("Wait = %v", err)
-	}
-	path := filepath.Join(db.CheckpointDir(), "q3.rvck")
-	info, err := exec.Checkpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "pipeline" || info.TotalBytes <= 0 {
-		t.Errorf("checkpoint info = %+v", info)
-	}
-	read, err := ReadCheckpointInfo(path)
-	if err != nil || read.StateBytes != info.StateBytes {
-		t.Errorf("manifest roundtrip: %+v, %v", read, err)
-	}
-
-	res, err := q.Resume(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("resumed result differs from clean run")
-	}
-}
-
-func TestProcessSuspendResume(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q, err := db.PrepareTPCH(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := q.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = exec.Suspend(ProcessLevel)
-	if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
-		t.Skipf("no suspension landed: %v", err)
-	}
-	path := filepath.Join(db.CheckpointDir(), "q1.rvck")
-	info, err := exec.Checkpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "process" {
-		t.Errorf("kind = %s", info.Kind)
-	}
-	res, err := q.Resume(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("resumed result differs")
 	}
 }
 

@@ -89,66 +89,12 @@ func TestStoreCheckpointDedupAcrossSuspensions(t *testing.T) {
 
 	// Both keys restore to the same completed result as a clean run.
 	for _, key := range []string{"q3-sus-1", "q3-sus-2"} {
-		if _, err := db.VerifyStoreCheckpoint(key); err != nil {
+		if _, err := db.Verify(storePoint(key)); err != nil {
 			t.Fatalf("verify %s: %v", key, err)
 		}
-		res, err := q.ResumeFromStore(context.Background(), key)
-		if err != nil {
-			t.Fatalf("resume %s: %v", key, err)
-		}
-		if res.SortedKey() != want.SortedKey() {
+		if res := finishFrom(t, q, storePoint(key)); res.SortedKey() != want.SortedKey() {
 			t.Errorf("resume %s differs from clean run", key)
 		}
-	}
-}
-
-// TestStoreReSuspensionUploadsDelta drives a suspend → resume → suspend
-// round trip through the store: the second suspension's state has moved
-// (more pipelines finished), yet chunking still finds shared content, so
-// the re-suspension uploads less than a from-scratch upload of its state
-// would. This is the delta-suspension property on live engine state.
-func TestStoreReSuspensionUploadsDelta(t *testing.T) {
-	db := openTPCHStore(t, 0.02, t.TempDir())
-	q, exec := suspendTPCH(t, db, 1, ProcessLevel)
-	want, err := q.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	first, err := exec.CheckpointToStore("q1-round-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume from the store into a fresh first-class execution, suspend it
-	// again, and persist the new state.
-	exec2, err := q.StartFromStore(context.Background(), "q1-round-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec2.Suspend(ProcessLevel); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec2.Wait(); !errors.Is(err, ErrSuspended) {
-		// The resumed run finished before suspending; nothing left to test.
-		t.Skipf("re-suspension did not land: %v", err)
-	}
-	second, err := exec2.CheckpointToStore("q1-round-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Chunks == 0 {
-		t.Fatalf("second checkpoint = %+v", second)
-	}
-	t.Logf("round 1: %d chunks, %d bytes uploaded; round 2: %d chunks, %d dedup hits, %d bytes uploaded",
-		first.Chunks, first.UploadedBytes, second.Chunks, second.DedupHits, second.UploadedBytes)
-
-	res, err := q.ResumeFromStore(context.Background(), "q1-round-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("result after two suspension round trips differs from clean run")
 	}
 }
 
@@ -193,11 +139,7 @@ func TestCrossInstanceMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := qB.ResumeFromStore(context.Background(), "migrate-q3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
+	if res := finishFrom(t, qB, storePoint("migrate-q3")); res.SortedKey() != want.SortedKey() {
 		t.Error("migrated result differs from instance A's clean run")
 	}
 	if err := stB.ReleaseClaim("migrate-q3"); err != nil {
@@ -260,8 +202,8 @@ func TestBlobStoreUnconfigured(t *testing.T) {
 	if _, err := db.BlobStore(); err == nil {
 		t.Error("BlobStore on storeless DB must error")
 	}
-	if _, err := db.VerifyStoreCheckpoint("x"); err == nil {
-		t.Error("VerifyStoreCheckpoint on storeless DB must error")
+	if _, err := db.Verify(storePoint("x")); err == nil {
+		t.Error("Verify of a store point on storeless DB must error")
 	}
 	q, err := db.PrepareTPCH(6)
 	if err != nil {

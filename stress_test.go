@@ -118,9 +118,14 @@ func TestConcurrentSuspendResumeStress(t *testing.T) {
 						t.Errorf("worker %d: checkpoint: %v", w, err)
 						return
 					}
-					res, err := q.Resume(ctx, path)
+					resumed, err := q.StartFrom(ctx, filePoint(path), nil)
 					if err != nil {
 						t.Errorf("worker %d: resume: %v", w, err)
+						return
+					}
+					res, err := resumed.Result()
+					if err != nil {
+						t.Errorf("worker %d: resumed run: %v", w, err)
 						return
 					}
 					key = res.SortedKey()
@@ -187,11 +192,7 @@ func TestStartFromCheckpoint(t *testing.T) {
 		if _, err := cont.Checkpoint(ck2); err != nil {
 			t.Fatal(err)
 		}
-		res, err := q.Resume(ctx, ck2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SortedKey() != want.SortedKey() {
+		if res := finishFrom(t, q, filePoint(ck2)); res.SortedKey() != want.SortedKey() {
 			t.Error("twice-suspended result differs from clean run")
 		}
 	default:
