@@ -122,10 +122,10 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/engine/...
 
 # Regression gate: diff the fresh bench-smoke JSON against the committed
-# baseline. >25% ns/op or allocs/op regression on any engine or TPC-H
-# benchmark fails; 10-25% (and regressions in the other sections) warn —
-# allocation counts are deterministic, so an allocs/op jump is always a
-# real code change, never noise. Also enforces the
+# baseline. >25% ns/op or allocs/op regression on any engine, TPC-H or
+# blobstore benchmark fails; 10-25% (and regressions in the other
+# sections) warn — allocation counts are deterministic, so an allocs/op
+# jump is always a real code change, never noise. Also enforces the
 # lineage acceptance ratio (LineageSuspend <= 10% of ProcessSuspendResume).
 # Runs after bench-smoke, which leaves BENCH_engine.json in the work tree.
 bench-gate:

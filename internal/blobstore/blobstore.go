@@ -22,14 +22,9 @@
 package blobstore
 
 import (
-	"bytes"
-	"compress/flate"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -56,7 +51,8 @@ func Namespaces() []string {
 // whole objects — a Put that returns nil has durably stored the complete
 // value, and a torn or failed Put leaves the name absent, never truncated.
 type Backend interface {
-	// Put stores data under name, replacing any existing object.
+	// Put stores data under name, replacing any existing object. It must
+	// not keep data past its return: the caller reuses the buffer.
 	Put(name string, data []byte) error
 	// PutExcl stores data only if name does not exist; a pre-existing
 	// object fails with an error satisfying errors.Is(err, os.ErrExist).
@@ -138,113 +134,12 @@ type ChunkRef struct {
 // chunkName maps a digest to its object name.
 func chunkName(digest string) string { return nsChunks + "/" + digest }
 
-// digestOf returns the hex sha256 of data.
-func digestOf(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // shortDigest truncates a digest for trace attributes.
 func shortDigest(d string) string {
 	if len(d) > 12 {
 		return d[:12]
 	}
 	return d
-}
-
-// compress flate-compresses data (BestSpeed: the store optimizes upload
-// bytes, and checkpoint state is short-lived — dedup, not ratio, is the
-// main saving).
-func compress(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(data); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decompress inflates a stored chunk, bounding the output at max bytes so
-// a corrupt length cannot balloon memory.
-func decompress(data []byte, max int) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(data))
-	defer zr.Close()
-	out := make([]byte, 0, max)
-	buf := bytes.NewBuffer(out)
-	if _, err := io.Copy(buf, io.LimitReader(zr, int64(max)+1)); err != nil {
-		return nil, err
-	}
-	if buf.Len() > max {
-		return nil, fmt.Errorf("blobstore: chunk inflates past declared size %d", max)
-	}
-	return buf.Bytes(), nil
-}
-
-// putChunk stores one chunk, skipping the upload when the store already
-// holds the digest (the dedup path). Returns the chunk's ref and whether
-// bytes were actually uploaded.
-func (s *Store) putChunk(data []byte, tr *obs.Trace) (ChunkRef, bool, int64, error) {
-	ref := ChunkRef{Digest: digestOf(data), Size: len(data)}
-	name := chunkName(ref.Digest)
-	has, err := s.backend.Has(name)
-	if err != nil {
-		return ref, false, 0, fmt.Errorf("blobstore: probe chunk %s: %w", shortDigest(ref.Digest), err)
-	}
-	if has {
-		s.m.dedupHits.Inc()
-		tr.Event(obs.EvChunkPut,
-			obs.A("digest", shortDigest(ref.Digest)), obs.A("size", ref.Size),
-			obs.A("compressed", 0), obs.A("deduped", true))
-		return ref, false, 0, nil
-	}
-	packed, err := compress(data)
-	if err != nil {
-		return ref, false, 0, fmt.Errorf("blobstore: compress chunk: %w", err)
-	}
-	if err := s.backend.Put(name, packed); err != nil {
-		return ref, false, 0, fmt.Errorf("blobstore: put chunk %s: %w", shortDigest(ref.Digest), err)
-	}
-	s.m.puts.Inc()
-	s.m.bytesUp.Add(int64(len(packed)))
-	tr.Event(obs.EvChunkPut,
-		obs.A("digest", shortDigest(ref.Digest)), obs.A("size", ref.Size),
-		obs.A("compressed", len(packed)), obs.A("deduped", false))
-	return ref, true, int64(len(packed)), nil
-}
-
-// getChunk fetches and verifies one chunk: the stored bytes must inflate
-// to exactly ref.Size bytes hashing to ref.Digest. Any mismatch — bit
-// flip, truncation, wrong object — is an error, never silent corruption.
-func (s *Store) getChunk(ref ChunkRef, tr *obs.Trace) ([]byte, int64, error) {
-	name := chunkName(ref.Digest)
-	packed, err := s.backend.Get(name)
-	if err != nil {
-		return nil, 0, fmt.Errorf("blobstore: get chunk %s: %w", shortDigest(ref.Digest), err)
-	}
-	data, err := decompress(packed, ref.Size)
-	if err != nil {
-		return nil, 0, fmt.Errorf("blobstore: chunk %s: %w", shortDigest(ref.Digest), err)
-	}
-	if len(data) != ref.Size {
-		return nil, 0, fmt.Errorf("blobstore: chunk %s: %d bytes, manifest says %d",
-			shortDigest(ref.Digest), len(data), ref.Size)
-	}
-	if got := digestOf(data); got != ref.Digest {
-		return nil, 0, fmt.Errorf("blobstore: chunk %s: content digest mismatch (%s)",
-			shortDigest(ref.Digest), shortDigest(got))
-	}
-	s.m.gets.Inc()
-	s.m.bytesDown.Add(int64(len(packed)))
-	tr.Event(obs.EvChunkGet,
-		obs.A("digest", shortDigest(ref.Digest)), obs.A("size", ref.Size),
-		obs.A("compressed", len(packed)))
-	return data, int64(len(packed)), nil
 }
 
 // ValidateKey rejects checkpoint keys that cannot safely name objects.

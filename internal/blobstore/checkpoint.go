@@ -2,9 +2,13 @@ package blobstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/riveterdb/riveter/internal/checkpoint"
@@ -30,8 +34,9 @@ type StoreManifest struct {
 // WriteResult reports a completed store checkpoint write.
 type WriteResult struct {
 	Manifest StoreManifest
-	// Chunks is the payload's chunk count; DedupHits of those were already
-	// in the store and not uploaded.
+	// Chunks is the payload's chunk count; DedupHits of those were not
+	// uploaded, because the store already held the digest or an earlier
+	// chunk of this image had it.
 	Chunks    int
 	DedupHits int
 	// UploadedBytes is what actually crossed the wire: compressed new
@@ -63,8 +68,11 @@ func (s *Store) WriteCheckpoint(key string, m checkpoint.Manifest, save func(*ve
 		return nil, err
 	}
 	start := time.Now()
-	var stateBuf bytes.Buffer
-	enc := vector.NewEncoder(&stateBuf)
+	// The state is serialized into a recycled payload buffer and the
+	// padding appended in place: after the first call of a given size the
+	// image is neither allocated nor copied.
+	stateBuf := bytes.NewBuffer(getPayload(0))
+	enc := vector.NewEncoder(stateBuf)
 	if err := save(enc); err != nil {
 		return nil, fmt.Errorf("blobstore: serialize state: %w", err)
 	}
@@ -72,7 +80,13 @@ func (s *Store) WriteCheckpoint(key string, m checkpoint.Manifest, save func(*ve
 		return nil, fmt.Errorf("blobstore: serialize state: %w", enc.Err())
 	}
 	serDur := time.Since(start)
-	res, err := s.writePayload(key, m, stateBuf.Bytes(), padding, tr)
+	state := stateBuf.Bytes()
+	payload, err := zeroExtend(state, padding)
+	if err != nil {
+		return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
+	}
+	defer putPayload(payload)
+	res, err := s.writePayload(key, m, payload, int64(len(state)), tr)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +103,15 @@ func (s *Store) WriteCheckpointBytes(key string, m checkpoint.Manifest, state []
 		return nil, err
 	}
 	start := time.Now()
-	res, err := s.writePayload(key, m, state, padding, tr)
+	payload := state
+	if padding != 0 {
+		var err error
+		if payload, err = zeroExtend(append(getPayload(0), state...), padding); err != nil {
+			return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
+		}
+		defer putPayload(payload)
+	}
+	res, err := s.writePayload(key, m, payload, int64(len(state)), tr)
 	if err != nil {
 		return nil, err
 	}
@@ -97,46 +119,193 @@ func (s *Store) WriteCheckpointBytes(key string, m checkpoint.Manifest, state []
 	return res, nil
 }
 
-// writePayload chunks state||padding, uploads the missing chunks, and
-// publishes the manifest last — a checkpoint becomes visible only once
-// every chunk it references is durably stored.
-func (s *Store) writePayload(key string, m checkpoint.Manifest, state []byte, padding int64, tr *obs.Trace) (*WriteResult, error) {
+// payloadPool recycles payload buffers between checkpoint calls. A process
+// image is megabytes allocated and zeroed per suspension and again per
+// restore; reused, the write side clears only the padding and the read
+// side nothing, since every byte is overwritten by a verified chunk.
+var payloadPool sync.Pool // of *[]byte
+
+// getPayload returns a buffer of length n whose contents are undefined.
+func getPayload(n int) []byte {
+	if p, _ := payloadPool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
+func putPayload(b []byte) { payloadPool.Put(&b) }
+
+// zeroExtend returns state followed by padding zero bytes, in state's own
+// backing array when its capacity allows — the caller must own it.
+func zeroExtend(state []byte, padding int64) ([]byte, error) {
+	total := int64(len(state)) + padding
+	if padding < 0 || padding > maxPayloadBytes || total > maxPayloadBytes || total != int64(int(total)) {
+		return nil, fmt.Errorf("payload of %d+%d bytes outside the %d-byte limit", len(state), padding, int64(maxPayloadBytes))
+	}
+	if int64(cap(state)) < total {
+		return append(make([]byte, 0, total), state...)[:total], nil
+	}
+	payload := state[:total]
+	clear(payload[len(state):])
+	return payload, nil
+}
+
+// Bounds a manifest's sizes must respect before anything is allocated
+// from them. A chunk is at most maxChunkBytes (the chunker is clamped to
+// the same bound, so no writer can produce what a reader refuses) and a
+// payload at most maxPayloadBytes; a decoded manifest is at most
+// maxManifestBytes (≈ half a million chunk refs).
+const (
+	maxChunkBytes    = 64 << 20
+	maxPayloadBytes  = 16 << 30
+	maxManifestBytes = 64 << 20
+)
+
+// validate rejects a manifest whose sizes cannot be trusted as allocation
+// sizes or whose digests cannot name chunk objects: sizes non-negative and
+// bounded, every chunk between 1 and maxChunkBytes, the chunk sizes
+// summing to exactly TotalBytes, every digest 64 lower-case hex digits.
+func (sm StoreManifest) validate() error {
+	if sm.StateBytes < 0 || sm.PaddingBytes < 0 {
+		return fmt.Errorf("negative sizes (state %d, padding %d)", sm.StateBytes, sm.PaddingBytes)
+	}
+	if sm.StateBytes > maxPayloadBytes || sm.PaddingBytes > maxPayloadBytes || sm.TotalBytes() > maxPayloadBytes {
+		return fmt.Errorf("payload of %d+%d bytes exceeds the %d-byte limit", sm.StateBytes, sm.PaddingBytes, int64(maxPayloadBytes))
+	}
+	if sm.TotalBytes() != int64(int(sm.TotalBytes())) {
+		return fmt.Errorf("payload of %d bytes does not fit this platform", sm.TotalBytes())
+	}
+	var sum int64
+	for i, ref := range sm.Chunks {
+		if ref.Size <= 0 || ref.Size > maxChunkBytes {
+			return fmt.Errorf("chunk %d has size %d, outside 1..%d", i, ref.Size, maxChunkBytes)
+		}
+		if len(ref.Digest) != 2*sha256.Size || strings.Trim(ref.Digest, "0123456789abcdef") != "" {
+			return fmt.Errorf("chunk %d has a malformed digest %q", i, shortDigest(ref.Digest))
+		}
+		sum += int64(ref.Size)
+	}
+	if sum != sm.TotalBytes() {
+		return fmt.Errorf("chunks sum to %d bytes, manifest says %d", sum, sm.TotalBytes())
+	}
+	return nil
+}
+
+// writePayload chunks the payload (state||padding), uploads the missing
+// chunks, and publishes the manifest last — a checkpoint becomes visible
+// only once every chunk it references is durably stored.
+//
+// Two runOrdered stages: the cutter feeds the workers chunks to digest,
+// and the consumer folds the payload CRC, records the ref and probes the
+// store for each digest it has not met in this call; then the chunks found
+// missing are compressed by the workers and put by the consumer. A digest
+// met before in the call (a process image's zero padding is one chunk
+// repeated) is a dedup hit with no probe, compress or put of its own.
+func (s *Store) writePayload(key string, m checkpoint.Manifest, payload []byte, stateBytes int64, tr *obs.Trace) (*WriteResult, error) {
 	upStart := time.Now()
-	m.StateBytes = int64(len(state))
-	m.PaddingBytes = padding
+	m.StateBytes = stateBytes
+	m.PaddingBytes = int64(len(payload)) - stateBytes
 	m.CreatedUnixNano = nowUnixNano()
 
-	payload := state
-	if padding > 0 {
-		payload = make([]byte, 0, int64(len(state))+padding)
-		payload = append(payload, state...)
-		payload = append(payload, make([]byte, padding)...)
-	}
-
-	sm := StoreManifest{Manifest: m, PayloadCRC32: crc32.ChecksumIEEE(payload)}
+	sm := StoreManifest{Manifest: m}
 	res := &WriteResult{}
-	var chunkErr error
-	s.params.Chunks(payload, func(chunk []byte) {
-		if chunkErr != nil {
-			return
+	// Trace attributes are boxed before Event can see a nil trace; with
+	// hundreds of chunks per image that is worth a check.
+	put := func(ref ChunkRef, compressed int) {
+		if tr != nil {
+			tr.Event(obs.EvChunkPut,
+				obs.A("digest", shortDigest(ref.Digest)), obs.A("size", ref.Size),
+				obs.A("compressed", compressed), obs.A("deduped", compressed == 0))
 		}
-		ref, uploaded, n, err := s.putChunk(chunk, tr)
-		if err != nil {
-			chunkErr = err
-			return
-		}
-		sm.Chunks = append(sm.Chunks, ref)
-		res.Chunks++
-		if uploaded {
-			res.UploadedBytes += n
-		} else {
-			res.DedupHits++
-		}
-	})
-	if chunkErr != nil {
-		return nil, chunkErr
+	}
+	hit := func(ref ChunkRef) {
+		s.m.dedupHits.Inc()
+		res.DedupHits++
+		put(ref, 0)
 	}
 
+	// Stage 1: cut, digest, probe.
+	type missingChunk struct {
+		ref   ChunkRef
+		chunk []byte
+	}
+	var missing []missingChunk
+	seen := map[string]bool{}
+	rest, mask := payload, uint64(s.params.Avg-1)
+	err := runOrdered(
+		func(j *chunkJob) (bool, error) {
+			if len(rest) == 0 {
+				return false, nil
+			}
+			n := s.params.cut(rest, mask)
+			j.chunk, rest = rest[:n], rest[n:]
+			return true, nil
+		},
+		func(j *chunkJob) { j.sum = sha256.Sum256(j.chunk) },
+		func(j *chunkJob) error {
+			ref := ChunkRef{Digest: hex.EncodeToString(j.sum[:]), Size: len(j.chunk)}
+			sm.Chunks = append(sm.Chunks, ref)
+			sm.PayloadCRC32 = crc32.Update(sm.PayloadCRC32, crc32.IEEETable, j.chunk)
+			if seen[ref.Digest] {
+				hit(ref)
+				return nil
+			}
+			seen[ref.Digest] = true
+			has, err := s.backend.Has(chunkName(ref.Digest))
+			if err != nil {
+				return fmt.Errorf("blobstore: probe chunk %s: %w", shortDigest(ref.Digest), err)
+			}
+			if has {
+				hit(ref)
+			} else {
+				missing = append(missing, missingChunk{ref, j.chunk})
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res.Chunks = len(sm.Chunks)
+
+	// Stage 2: compress and put what the store lacks.
+	err = runOrdered(
+		func(j *chunkJob) (bool, error) {
+			if len(missing) == 0 {
+				return false, nil
+			}
+			j.ref, j.chunk = missing[0].ref, missing[0].chunk
+			missing = missing[1:]
+			return true, nil
+		},
+		func(j *chunkJob) {
+			j.buf = bufPool.Get().(*bytes.Buffer)
+			j.buf.Reset()
+			if err := compress(j.buf, j.chunk); err != nil {
+				j.err = fmt.Errorf("blobstore: compress chunk: %w", err)
+			}
+			j.packed = j.buf.Bytes()
+		},
+		func(j *chunkJob) error {
+			err := s.backend.Put(chunkName(j.ref.Digest), j.packed)
+			bufPool.Put(j.buf)
+			if err != nil {
+				return fmt.Errorf("blobstore: put chunk %s: %w", shortDigest(j.ref.Digest), err)
+			}
+			s.m.puts.Inc()
+			s.m.bytesUp.Add(int64(len(j.packed)))
+			res.UploadedBytes += int64(len(j.packed))
+			put(j.ref, len(j.packed))
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	// The reader's rule, applied by the writer: nothing is published that
+	// no reader would accept.
+	if err := sm.validate(); err != nil {
+		return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
+	}
 	mj, err := json.Marshal(sm)
 	if err != nil {
 		return nil, fmt.Errorf("blobstore: encode manifest: %w", err)
@@ -144,15 +313,15 @@ func (s *Store) writePayload(key string, m checkpoint.Manifest, state []byte, pa
 	// Manifests are stored compressed: a chunk list is mostly repeated
 	// hex digests, which flate collapses — without this, fine-grained
 	// chunking would pay more manifest bytes than it saves in dedup.
-	packed, err := compress(mj)
-	if err != nil {
+	var packed bytes.Buffer
+	if err := compress(&packed, mj); err != nil {
 		return nil, fmt.Errorf("blobstore: compress manifest: %w", err)
 	}
-	if err := s.backend.Put(manifestName(key), packed); err != nil {
+	if err := s.backend.Put(manifestName(key), packed.Bytes()); err != nil {
 		return nil, fmt.Errorf("blobstore: put manifest %s: %w", key, err)
 	}
-	s.m.bytesUp.Add(int64(len(packed)))
-	res.UploadedBytes += int64(len(packed))
+	s.m.bytesUp.Add(int64(packed.Len()))
+	res.UploadedBytes += int64(packed.Len())
 	res.Manifest = sm
 	res.UploadDuration = time.Since(upStart)
 	tr.Event(obs.EvStorePersisted,
@@ -163,7 +332,8 @@ func (s *Store) writePayload(key string, m checkpoint.Manifest, state []byte, pa
 	return res, nil
 }
 
-// ReadStoreManifest fetches and decodes a checkpoint's manifest alone.
+// ReadStoreManifest fetches, decodes and validates a checkpoint's
+// manifest alone.
 func (s *Store) ReadStoreManifest(key string) (StoreManifest, error) {
 	var sm StoreManifest
 	if err := ValidateKey(key); err != nil {
@@ -173,39 +343,90 @@ func (s *Store) ReadStoreManifest(key string) (StoreManifest, error) {
 	if err != nil {
 		return sm, fmt.Errorf("blobstore: get manifest %s: %w", key, err)
 	}
-	// Manifests are flate-compressed; bound decode at 64 MiB (≈ half a
-	// million chunk refs) so a corrupt object cannot balloon memory.
-	mj, err := decompress(packed, 1<<26)
+	mj, err := decompress(packed, maxManifestBytes)
 	if err != nil {
 		return sm, fmt.Errorf("blobstore: manifest %s: %w", key, err)
 	}
 	if err := json.Unmarshal(mj, &sm); err != nil {
 		return sm, fmt.Errorf("blobstore: manifest %s: %w", key, err)
 	}
-	if sm.StateBytes < 0 || sm.PaddingBytes < 0 {
-		return sm, fmt.Errorf("blobstore: manifest %s has negative sizes", key)
+	if err := sm.validate(); err != nil {
+		return sm, fmt.Errorf("blobstore: manifest %s: %w", key, err)
 	}
 	return sm, nil
 }
 
-// readPayload walks a manifest's chunk list, verifying every chunk and
-// the payload CRC and length, and returns the reassembled payload.
+// readPayload walks the chunk list of a manifest ReadStoreManifest has
+// validated — the payload buffer is sized from it — and returns the
+// reassembled payload, every chunk verified against its digest and size
+// and the whole against the manifest's CRC.
+//
+// One runOrdered stage: the producer fetches each distinct chunk, the
+// workers inflate it straight into its offset of the payload buffer and
+// check the digest, and the consumer folds the CRC in chunk order. A
+// digest met before in the call is copied from its first, already
+// verified occurrence instead of being fetched and inflated again.
 func (s *Store) readPayload(key string, sm StoreManifest, tr *obs.Trace) ([]byte, int64, error) {
-	payload := make([]byte, 0, sm.TotalBytes())
-	var downloaded int64
-	for _, ref := range sm.Chunks {
-		data, n, err := s.getChunk(ref, tr)
-		if err != nil {
-			return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
-		}
-		payload = append(payload, data...)
-		downloaded += n
+	payload := getPayload(int(sm.TotalBytes()))
+	var (
+		downloaded int64
+		crc        uint32
+		refs, rest = sm.Chunks, payload
+		first      = make(map[string][]byte, len(refs)) // digest → its first occurrence in payload
+	)
+	err := runOrdered(
+		func(j *chunkJob) (bool, error) {
+			if len(refs) == 0 {
+				return false, nil
+			}
+			j.ref, refs = refs[0], refs[1:]
+			j.chunk, rest = rest[:j.ref.Size], rest[j.ref.Size:]
+			if prev, ok := first[j.ref.Digest]; ok {
+				if len(prev) != j.ref.Size {
+					return false, fmt.Errorf("chunk %s listed with sizes %d and %d", shortDigest(j.ref.Digest), len(prev), j.ref.Size)
+				}
+				j.repeat = prev
+				return true, nil
+			}
+			first[j.ref.Digest] = j.chunk
+			if _, err := hex.Decode(j.sum[:], []byte(j.ref.Digest)); err != nil {
+				return false, fmt.Errorf("chunk digest %q: %w", shortDigest(j.ref.Digest), err)
+			}
+			packed, err := s.backend.Get(chunkName(j.ref.Digest))
+			if err != nil {
+				return false, fmt.Errorf("get chunk %s: %w", shortDigest(j.ref.Digest), err)
+			}
+			j.packed = packed
+			return true, nil
+		},
+		func(j *chunkJob) {
+			if err := inflateInto(j.chunk, j.packed); err != nil {
+				j.err = fmt.Errorf("chunk %s: %w", shortDigest(j.ref.Digest), err)
+			} else if got := sha256.Sum256(j.chunk); got != j.sum {
+				j.err = fmt.Errorf("chunk %s: content digest mismatch (%s)",
+					shortDigest(j.ref.Digest), shortDigest(hex.EncodeToString(got[:])))
+			}
+		},
+		func(j *chunkJob) error {
+			if j.repeat != nil {
+				copy(j.chunk, j.repeat)
+			} else {
+				s.m.gets.Inc()
+				s.m.bytesDown.Add(int64(len(j.packed)))
+				downloaded += int64(len(j.packed))
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, j.chunk)
+			if tr != nil {
+				tr.Event(obs.EvChunkGet,
+					obs.A("digest", shortDigest(j.ref.Digest)), obs.A("size", j.ref.Size),
+					obs.A("compressed", len(j.packed)))
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
 	}
-	if int64(len(payload)) != sm.TotalBytes() {
-		return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: payload %d bytes, manifest says %d",
-			key, len(payload), sm.TotalBytes())
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != sm.PayloadCRC32 {
+	if crc != sm.PayloadCRC32 {
 		return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: payload checksum mismatch", key)
 	}
 	return payload, downloaded, nil
@@ -224,6 +445,8 @@ func (s *Store) ReadCheckpoint(key string, load func(*vector.Decoder) error, tr 
 	if err != nil {
 		return nil, err
 	}
+	// The decoder copies what it keeps, so the buffer can be recycled.
+	defer putPayload(payload)
 	dec := vector.NewDecoder(bytes.NewReader(payload[:sm.StateBytes]))
 	if err := load(dec); err != nil {
 		return nil, fmt.Errorf("blobstore: load state: %w", err)
@@ -244,9 +467,11 @@ func (s *Store) VerifyCheckpoint(key string) (StoreManifest, error) {
 	if err != nil {
 		return sm, err
 	}
-	if _, _, err := s.readPayload(key, sm, nil); err != nil {
+	payload, _, err := s.readPayload(key, sm, nil)
+	if err != nil {
 		return sm, err
 	}
+	putPayload(payload)
 	return sm, nil
 }
 

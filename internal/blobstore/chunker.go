@@ -8,7 +8,10 @@
 // the same bytes, the same boundaries, and therefore the same chunk digests.
 package blobstore
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // ChunkParams bounds the content-defined chunker. The zero value means
 // DefaultChunkParams.
@@ -47,6 +50,11 @@ func (p ChunkParams) normalized() ChunkParams {
 	if p.Max < p.Min {
 		p.Max = p.Min
 	}
+	// Readers refuse larger chunks (checkpoint.go), so no writer cuts one.
+	if p.Max > maxChunkBytes {
+		p.Max = maxChunkBytes
+		p.Min = min(p.Min, p.Max)
+	}
 	return p
 }
 
@@ -84,6 +92,15 @@ func (p ChunkParams) Chunks(data []byte, emit func(chunk []byte)) {
 // cut returns the length of the next chunk: the first position past Min
 // where the rolling hash hits the boundary mask, clamped at Max (and at the
 // end of the input).
+//
+// Only the hash's low bits (h&mask) ever decide a boundary, and a left
+// shift never carries high bits into them, so they depend on the last
+// bits.Len(mask) bytes alone. Under zero bytes they settle on the fixed
+// point -gear[0]&mask and stay there: once the low bits sit on it and the
+// next eight bytes are zero, those eight positions hold no boundary and
+// leave the low bits where they were, so the loop steps over them with one
+// word load. A process image's padding is megabytes of zeros; everything
+// else pays one extra compare per byte.
 func (p ChunkParams) cut(data []byte, mask uint64) int {
 	n := len(data)
 	if n <= p.Min {
@@ -103,10 +120,18 @@ func (p ChunkParams) cut(data []byte, mask uint64) int {
 	for i := start; i < p.Min; i++ {
 		h = (h << 1) + gearTable[data[i]]
 	}
+	// A fixed point of zero never reaches its case: every position in a
+	// zero run is then a boundary, and the first one returns.
+	zero := -gearTable[0] & mask
 	for i := p.Min; i < limit; i++ {
 		h = (h << 1) + gearTable[data[i]]
-		if h&mask == 0 {
+		switch h & mask {
+		case 0:
 			return i + 1
+		case zero:
+			for i+9 <= limit && binary.LittleEndian.Uint64(data[i+1:]) == 0 {
+				i += 8
+			}
 		}
 	}
 	return limit

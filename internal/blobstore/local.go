@@ -1,8 +1,8 @@
 package blobstore
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,7 +126,10 @@ func (l *Local) writeFile(p string, data []byte, excl bool) error {
 	return f.Close()
 }
 
-// Get implements Backend.
+// Get implements Backend. The buffer is sized from the file's length
+// (plus the spare room ReadFrom wants before the read that finds EOF):
+// objects are small and many, and io.ReadAll's growth from 512 bytes
+// allocated several times their size.
 func (l *Local) Get(name string) ([]byte, error) {
 	p, err := l.path(name)
 	if err != nil {
@@ -137,7 +140,15 @@ func (l *Local) Get(name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	size := 0
+	if fi, err := f.Stat(); err == nil && fi.Size() < 1<<30 {
+		size = int(fi.Size())
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Has implements Backend. It stats through Open rather than ReadDir so

@@ -122,7 +122,8 @@ const (
 	// MetricBlobGet counts chunks downloaded from the blob store.
 	MetricBlobGet = "blobstore.get"
 	// MetricBlobDedupHit counts chunks a checkpoint write skipped because an
-	// identical chunk (same content digest) was already stored.
+	// identical chunk (same content digest) was already stored, or occurred
+	// earlier in the same image.
 	MetricBlobDedupHit = "blobstore.dedup_hit"
 	// MetricBlobBytesUploaded counts compressed bytes actually uploaded;
 	// with dedup this is the delta, not the full state size.

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_compare.sh — diff two BENCH_engine.json files (see bench_json.sh)
 # and gate performance regressions. For every benchmark in a gated section
-# (default: engine and tpch) a ns/op or allocs/op regression above FAIL_PCT
-# (default 25%) fails the run; regressions between WARN_PCT (default 10%)
+# (default: engine, tpch and blobstore) a ns/op or allocs/op regression
+# above FAIL_PCT (default 25%) fails the run; regressions between WARN_PCT (default 10%)
 # and FAIL_PCT only warn, as do regressions in the non-gated sections.
 # Allocation counts are gated with the same thresholds as wall time because
 # they are deterministic — an allocs/op jump is always a real code change,
@@ -41,7 +41,7 @@ BASE=${1:?usage: bench_compare.sh baseline.json fresh.json}
 FRESH=${2:?usage: bench_compare.sh baseline.json fresh.json}
 FAIL_PCT=${FAIL_PCT:-25}
 WARN_PCT=${WARN_PCT:-10}
-GATED_SECTIONS=${GATED_SECTIONS:-engine tpch}
+GATED_SECTIONS=${GATED_SECTIONS:-engine tpch blobstore}
 LINEAGE_RATIO_PCT=${LINEAGE_RATIO_PCT:-10}
 PROXY_OVERHEAD_PCT=${PROXY_OVERHEAD_PCT:-5}
 FOLD_SPEEDUP_MIN=${FOLD_SPEEDUP_MIN:-1.5}

@@ -20,7 +20,11 @@ WORK="$(mktemp -d)"
 SERVE="$WORK/riveter-serve"
 PROXY="$WORK/riveter-proxy"
 STORE="$WORK/store"
-SF=0.02
+# Q21 on one worker must outlive the kills of the first leg and the 30 ms
+# idle window of the second: at 0.2 it runs ~150-250 ms (at 0.02 it
+# finished in ~20 ms once the generated kernels landed, before any session
+# could park).
+SF="${SF:-0.2}"
 
 # Instance PIDs by slot; cleanup kills whatever is still up.
 PIDS=""
@@ -166,6 +170,13 @@ echo "== instance e parks both sessions (zero live executions)"
 i=0
 until curl -fsS "$EBASE/healthz" |
     tr -d '\n ' | grep -q '"running":0,"queued":0,"suspended":0,"parked":2'; do
+    # Nobody touches z1/z2 in this phase, so a session that is done on
+    # this fresh instance finished before the idle reaper could park it.
+    if curl -fsS "$EBASE/metrics" | grep -q '"server.sessions.done": [1-9]'; then
+        echo "precondition failed (scale-to-zero): Q21 at SF $SF finished inside the 30ms idle window;" \
+            "raise SF until the long query is reliably mid-run" >&2
+        exit 1
+    fi
     i=$((i + 1))
     if [ "$i" -gt 300 ]; then
         echo "instance e never scaled to zero:" >&2

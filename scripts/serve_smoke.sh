@@ -15,6 +15,11 @@ set -eu
 
 PORT="${PORT:-18091}"
 BASE="http://127.0.0.1:$PORT"
+# Scale factor of the mid-load legs. Q21 on one worker must still be
+# running when the SIGTERM lands a few tens of milliseconds after the
+# burst: at 0.2 it runs ~150-250 ms (0.02 finished in ~20 ms once the
+# generated kernels landed, and the legs went red three steps later).
+LOAD_SF="${LOAD_SF:-0.2}"
 WORK="$(mktemp -d)"
 BIN="$WORK/riveter-serve"
 
@@ -100,6 +105,16 @@ stop_server() { # $1 = signal
     PID=""
 }
 
+# The mid-load legs are only meaningful if the SIGTERM finds work in
+# flight; say so here rather than as a 404 on a finished session later.
+require_in_flight() { # $1 = leg
+    if curl -fsS "$BASE/healthz" | tr -d '\n ' | grep -q '"running":0,"queued":0'; then
+        echo "precondition failed ($1): the burst of Q21 at SF $LOAD_SF finished before the SIGTERM;" \
+            "raise LOAD_SF until the long query is reliably mid-run" >&2
+        exit 1
+    fi
+}
+
 wait_healthy() { # $1 = label
     i=0
     until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
@@ -112,10 +127,10 @@ wait_healthy() { # $1 = label
     done
 }
 
-echo "== restart mid-load: booting a slower instance (SF 0.02, 1 worker)"
+echo "== restart mid-load: booting a slower instance (SF $LOAD_SF, 1 worker)"
 stop_server TERM
 CKDIR2="$WORK/ckpt2"
-"$BIN" -addr "127.0.0.1:$PORT" -sf 0.02 -workers 1 -slots 1 -ckdir "$CKDIR2" &
+"$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 -ckdir "$CKDIR2" &
 PID=$!
 wait_healthy "mid-load"
 
@@ -131,12 +146,13 @@ while [ "$n" -lt 4 ]; do
 done
 
 echo "== SIGTERM with the burst in flight"
+require_in_flight "restart mid-load"
 stop_server TERM
 [ -f "$CKDIR2/riveter-serve.state.json" ] ||
     { echo "graceful shutdown left no state manifest" >&2; exit 1; }
 
 echo "== restarting on the same checkpoint dir"
-"$BIN" -addr "127.0.0.1:$PORT" -sf 0.02 -workers 1 -slots 1 -ckdir "$CKDIR2" &
+"$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 -ckdir "$CKDIR2" &
 PID=$!
 wait_healthy "restarted"
 
@@ -157,7 +173,7 @@ done
 echo "== cross-instance migration: instance A with a shared blob store"
 stop_server TERM
 STORE="$WORK/store"
-"$BIN" -addr "127.0.0.1:$PORT" -sf 0.02 -workers 1 -slots 1 \
+"$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 \
     -ckdir "$WORK/ckpt-a" -store "$STORE" -instance a &
 PID=$!
 wait_healthy "instance A"
@@ -174,12 +190,13 @@ while [ "$n" -lt 3 ]; do
 done
 
 echo "== SIGTERM instance A mid-load: suspend into the shared store"
+require_in_flight "cross-instance migration"
 stop_server TERM
 [ -n "$(ls -A "$STORE/chunks" 2>/dev/null)" ] ||
     { echo "instance A uploaded nothing to the shared store" >&2; exit 1; }
 
 echo "== booting instance B on the same store (different instance id)"
-"$BIN" -addr "127.0.0.1:$PORT" -sf 0.02 -workers 1 -slots 1 \
+"$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 \
     -ckdir "$WORK/ckpt-b" -store "$STORE" -instance b &
 PID=$!
 wait_healthy "instance B"
