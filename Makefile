@@ -18,7 +18,7 @@ FAULT_PKGS := . ./internal/faultfs/... ./internal/checkpoint/... ./internal/stra
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race vet fmt lint generate generate-check profile scheduler-suite blob-suite lineage-suite bench-smoke bench bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix ci
+.PHONY: all build test race vet fmt lint generate generate-check profile scheduler-suite blob-suite lineage-suite fuzz-smoke bench-smoke bench bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix ci
 
 all: build
 
@@ -110,10 +110,22 @@ lineage-suite:
 	$(GO) test -race -count=2 -run 'Lineage' \
 		. ./internal/strategy/... ./internal/costmodel/... ./internal/riveter/... ./internal/server/...
 
-# One iteration of every engine benchmark plus the TPC-H per-query suite:
-# keeps benchmark code compiling and running without paying for a real
-# measurement, and emits BENCH_engine.json (ns/op, allocs/op, per-query
-# wall times) for the CI artifact. BENCHTIME=5x for a real measurement.
+# Ten seconds of native fuzzing per byte-level decoder that has a target:
+# the checkpoint file (FuzzReadImage) and the store's manifest and chunks
+# (FuzzReadCheckpoint, whose worker goroutines make coverage vary between
+# runs — without -fuzzminimizetime 1x the engine sits in minimization). The
+# committed corpora run as plain tests in `make test`; this catches what
+# only mutation finds. A crasher is written under the package's
+# testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
+	$(GO) test ./internal/blobstore -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
+
+# Every engine benchmark plus the TPC-H per-query suite, at the benchtime
+# the committed BENCH_engine.json records (BENCHTIME=... overrides): keeps
+# benchmark code compiling and running, and emits BENCH_engine.json (ns/op,
+# allocs/op, per-query wall times) for the CI artifact and for bench-gate,
+# which can only compare samples taken the same way.
 bench-smoke:
 	GO="$(GO)" sh scripts/bench_json.sh BENCH_engine.json
 
@@ -191,4 +203,4 @@ fault-matrix:
 		-run 'Fault|Crash|Verify|Quarantine|Retry|Sweep|Abandon|Degraded|ResumeInPlace|Injector|Budget|Torn|ENOSPC|Seam' \
 		$(FAULT_PKGS)
 
-ci: build vet fmt lint test race scheduler-suite blob-suite lineage-suite bench-smoke bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix
+ci: build vet fmt lint test race scheduler-suite blob-suite lineage-suite fuzz-smoke bench-smoke bench-gate bench-e2e-smoke serve-smoke fleet-suite chaos-suite fold-suite fault-matrix

@@ -110,7 +110,7 @@ func BenchmarkStoreWriteCold(b *testing.B) {
 				// measured by BenchmarkStoreWriteDedup below, so delete the
 				// chunks too.
 				key := fmt.Sprintf("bench-%d", i)
-				if _, err := st.WriteCheckpoint(key, m, save, c.padding, nil); err != nil {
+				if _, err := writeSaved(st, key, m, save, c.padding, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -137,14 +137,14 @@ func BenchmarkStoreWriteDedup(b *testing.B) {
 				enc.Bytes(c.state)
 				return enc.Err()
 			}
-			if _, err := st.WriteCheckpoint("warm", m, save, c.padding, nil); err != nil {
+			if _, err := writeSaved(st, "warm", m, save, c.padding, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(c.state)) + c.padding)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := st.WriteCheckpoint("warm", m, save, c.padding, nil)
+				res, err := writeSaved(st, "warm", m, save, c.padding, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func BenchmarkStoreRead(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			st := benchStore(b)
 			m := checkpoint.Manifest{Kind: "pipeline", Query: "bench"}
-			if _, err := st.WriteCheckpoint("r", m, func(enc *vector.Encoder) error {
+			if _, err := writeSaved(st, "r", m, func(enc *vector.Encoder) error {
 				enc.Bytes(c.state)
 				return enc.Err()
 			}, c.padding, nil); err != nil {

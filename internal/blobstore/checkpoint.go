@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/riveterdb/riveter/internal/checkpoint"
@@ -43,11 +42,9 @@ type WriteResult struct {
 	// chunks plus the manifest. With dedup this is the delta, far below
 	// TotalBytes for a re-suspension.
 	UploadedBytes int64
-	// Duration is serialize + upload wall time (the store-backed L_s);
-	// SerializeDuration and UploadDuration are its halves.
-	Duration          time.Duration
-	SerializeDuration time.Duration
-	UploadDuration    time.Duration
+	// Duration is the upload wall time: chunking, hashing, probing,
+	// compressing and putting an image that was already encoded.
+	Duration time.Duration
 }
 
 // ReadResult reports a completed store checkpoint read.
@@ -59,121 +56,23 @@ type ReadResult struct {
 	Duration time.Duration
 }
 
-// WriteCheckpoint persists a checkpoint into the store: save serializes
-// the executor state, padding zero bytes model the process-image residue
-// (they chunk and compress to almost nothing, and dedup across
-// suspensions). Only chunks the store does not already hold are uploaded.
-func (s *Store) WriteCheckpoint(key string, m checkpoint.Manifest, save func(*vector.Encoder) error, padding int64, tr *obs.Trace) (*WriteResult, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	// The state is serialized into a recycled payload buffer and the
-	// padding appended in place: after the first call of a given size the
-	// image is neither allocated nor copied.
-	stateBuf := bytes.NewBuffer(getPayload(0))
-	enc := vector.NewEncoder(stateBuf)
-	if err := save(enc); err != nil {
-		return nil, fmt.Errorf("blobstore: serialize state: %w", err)
-	}
-	if enc.Err() != nil {
-		return nil, fmt.Errorf("blobstore: serialize state: %w", enc.Err())
-	}
-	serDur := time.Since(start)
-	state := stateBuf.Bytes()
-	payload, err := zeroExtend(state, padding)
-	if err != nil {
-		return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
-	}
-	defer putPayload(payload)
-	res, err := s.writePayload(key, m, payload, int64(len(state)), tr)
-	if err != nil {
-		return nil, err
-	}
-	res.SerializeDuration = serDur
-	res.Duration = time.Since(start)
-	return res, nil
-}
-
-// WriteCheckpointBytes is WriteCheckpoint with the state already
-// serialized — the entry point for hand-encoded fixtures and for relaying
-// a file checkpoint's payload into the store unchanged.
-func (s *Store) WriteCheckpointBytes(key string, m checkpoint.Manifest, state []byte, padding int64, tr *obs.Trace) (*WriteResult, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	payload := state
-	if padding != 0 {
-		var err error
-		if payload, err = zeroExtend(append(getPayload(0), state...), padding); err != nil {
-			return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
-		}
-		defer putPayload(payload)
-	}
-	res, err := s.writePayload(key, m, payload, int64(len(state)), tr)
-	if err != nil {
-		return nil, err
-	}
-	res.Duration = time.Since(start)
-	return res, nil
-}
-
-// payloadPool recycles payload buffers between checkpoint calls. A process
-// image is megabytes allocated and zeroed per suspension and again per
-// restore; reused, the write side clears only the padding and the read
-// side nothing, since every byte is overwritten by a verified chunk.
-var payloadPool sync.Pool // of *[]byte
-
-// getPayload returns a buffer of length n whose contents are undefined.
-func getPayload(n int) []byte {
-	if p, _ := payloadPool.Get().(*[]byte); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]byte, n)
-}
-
-func putPayload(b []byte) { payloadPool.Put(&b) }
-
-// zeroExtend returns state followed by padding zero bytes, in state's own
-// backing array when its capacity allows — the caller must own it.
-func zeroExtend(state []byte, padding int64) ([]byte, error) {
-	total := int64(len(state)) + padding
-	if padding < 0 || padding > maxPayloadBytes || total > maxPayloadBytes || total != int64(int(total)) {
-		return nil, fmt.Errorf("payload of %d+%d bytes outside the %d-byte limit", len(state), padding, int64(maxPayloadBytes))
-	}
-	if int64(cap(state)) < total {
-		return append(make([]byte, 0, total), state...)[:total], nil
-	}
-	payload := state[:total]
-	clear(payload[len(state):])
-	return payload, nil
-}
-
 // Bounds a manifest's sizes must respect before anything is allocated
 // from them. A chunk is at most maxChunkBytes (the chunker is clamped to
 // the same bound, so no writer can produce what a reader refuses) and a
-// payload at most maxPayloadBytes; a decoded manifest is at most
-// maxManifestBytes (≈ half a million chunk refs).
+// decoded manifest at most maxManifestBytes (≈ half a million chunk refs);
+// the payload as a whole is bounded by checkpoint.Encode and Decode.
 const (
 	maxChunkBytes    = 64 << 20
-	maxPayloadBytes  = 16 << 30
 	maxManifestBytes = 64 << 20
 )
 
-// validate rejects a manifest whose sizes cannot be trusted as allocation
-// sizes or whose digests cannot name chunk objects: sizes non-negative and
-// bounded, every chunk between 1 and maxChunkBytes, the chunk sizes
-// summing to exactly TotalBytes, every digest 64 lower-case hex digits.
+// validate rejects a manifest whose chunk list cannot be trusted: sizes
+// non-negative, every chunk between 1 and maxChunkBytes, the chunk sizes
+// summing to exactly TotalBytes, every digest 64 lower-case hex digits —
+// a chunk name, never a path.
 func (sm StoreManifest) validate() error {
 	if sm.StateBytes < 0 || sm.PaddingBytes < 0 {
 		return fmt.Errorf("negative sizes (state %d, padding %d)", sm.StateBytes, sm.PaddingBytes)
-	}
-	if sm.StateBytes > maxPayloadBytes || sm.PaddingBytes > maxPayloadBytes || sm.TotalBytes() > maxPayloadBytes {
-		return fmt.Errorf("payload of %d+%d bytes exceeds the %d-byte limit", sm.StateBytes, sm.PaddingBytes, int64(maxPayloadBytes))
-	}
-	if sm.TotalBytes() != int64(int(sm.TotalBytes())) {
-		return fmt.Errorf("payload of %d bytes does not fit this platform", sm.TotalBytes())
 	}
 	var sum int64
 	for i, ref := range sm.Chunks {
@@ -191,9 +90,12 @@ func (sm StoreManifest) validate() error {
 	return nil
 }
 
-// writePayload chunks the payload (state||padding), uploads the missing
-// chunks, and publishes the manifest last — a checkpoint becomes visible
-// only once every chunk it references is durably stored.
+// WriteCheckpoint persists an encoded image into the store: its payload
+// (state||padding — the zero padding chunks and compresses to almost
+// nothing, and dedups across suspensions) is chunked, only the chunks the
+// store does not already hold are uploaded, and the manifest is published
+// last — a checkpoint becomes visible only once every chunk it references
+// is durably stored. The image stays the caller's.
 //
 // Two runOrdered stages: the cutter feeds the workers chunks to digest,
 // and the consumer folds the payload CRC, records the ref and probes the
@@ -201,10 +103,12 @@ func (sm StoreManifest) validate() error {
 // missing are compressed by the workers and put by the consumer. A digest
 // met before in the call (a process image's zero padding is one chunk
 // repeated) is a dedup hit with no probe, compress or put of its own.
-func (s *Store) writePayload(key string, m checkpoint.Manifest, payload []byte, stateBytes int64, tr *obs.Trace) (*WriteResult, error) {
-	upStart := time.Now()
-	m.StateBytes = stateBytes
-	m.PaddingBytes = int64(len(payload)) - stateBytes
+func (s *Store) WriteCheckpoint(key string, img *checkpoint.Image, tr *obs.Trace) (*WriteResult, error) {
+	if err := ValidateKey(key); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	m, payload := img.Manifest, img.Payload
 	m.CreatedUnixNano = nowUnixNano()
 
 	sm := StoreManifest{Manifest: m}
@@ -323,12 +227,12 @@ func (s *Store) writePayload(key string, m checkpoint.Manifest, payload []byte, 
 	s.m.bytesUp.Add(int64(packed.Len()))
 	res.UploadedBytes += int64(packed.Len())
 	res.Manifest = sm
-	res.UploadDuration = time.Since(upStart)
+	res.Duration = time.Since(start)
 	tr.Event(obs.EvStorePersisted,
 		obs.A("key", key), obs.A("kind", m.Kind),
 		obs.A("chunks", res.Chunks), obs.A("dedup_hits", res.DedupHits),
 		obs.A("state_bytes", m.StateBytes), obs.A("uploaded_bytes", res.UploadedBytes),
-		obs.A("duration", res.UploadDuration))
+		obs.A("duration", res.Duration))
 	return res, nil
 }
 
@@ -357,17 +261,16 @@ func (s *Store) ReadStoreManifest(key string) (StoreManifest, error) {
 }
 
 // readPayload walks the chunk list of a manifest ReadStoreManifest has
-// validated — the payload buffer is sized from it — and returns the
-// reassembled payload, every chunk verified against its digest and size
-// and the whole against the manifest's CRC.
+// validated and reassembles it into payload (sm.TotalBytes() long), every
+// chunk verified against its digest and size and the whole against the
+// manifest's CRC. It returns the compressed bytes fetched.
 //
 // One runOrdered stage: the producer fetches each distinct chunk, the
 // workers inflate it straight into its offset of the payload buffer and
 // check the digest, and the consumer folds the CRC in chunk order. A
 // digest met before in the call is copied from its first, already
 // verified occurrence instead of being fetched and inflated again.
-func (s *Store) readPayload(key string, sm StoreManifest, tr *obs.Trace) ([]byte, int64, error) {
-	payload := getPayload(int(sm.TotalBytes()))
+func (s *Store) readPayload(sm StoreManifest, payload []byte, tr *obs.Trace) (int64, error) {
 	var (
 		downloaded int64
 		crc        uint32
@@ -424,37 +327,36 @@ func (s *Store) readPayload(key string, sm StoreManifest, tr *obs.Trace) ([]byte
 			return nil
 		})
 	if err != nil {
-		return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
+		return downloaded, err
 	}
 	if crc != sm.PayloadCRC32 {
-		return nil, downloaded, fmt.Errorf("blobstore: checkpoint %s: payload checksum mismatch", key)
+		return downloaded, fmt.Errorf("payload checksum mismatch")
 	}
-	return payload, downloaded, nil
+	return downloaded, nil
 }
 
 // ReadCheckpoint restores a checkpoint: the manifest is walked, every
-// chunk fetched and verified, and load is invoked with a decoder over the
-// reassembled state.
+// chunk fetched and verified into one pooled payload (checkpoint.Decode,
+// which bounds the payload before allocating it), and load — nil to only
+// verify — is invoked with a decoder over the reassembled state.
 func (s *Store) ReadCheckpoint(key string, load func(*vector.Decoder) error, tr *obs.Trace) (*ReadResult, error) {
 	start := time.Now()
 	sm, err := s.ReadStoreManifest(key)
 	if err != nil {
 		return nil, err
 	}
-	payload, downloaded, err := s.readPayload(key, sm, tr)
+	res := &ReadResult{Manifest: sm}
+	err = checkpoint.Decode(sm.Manifest, func(payload []byte) (err error) {
+		res.DownloadedBytes, err = s.readPayload(sm, payload, tr)
+		return err
+	}, load)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("blobstore: checkpoint %s: %w", key, err)
 	}
-	// The decoder copies what it keeps, so the buffer can be recycled.
-	defer putPayload(payload)
-	dec := vector.NewDecoder(bytes.NewReader(payload[:sm.StateBytes]))
-	if err := load(dec); err != nil {
-		return nil, fmt.Errorf("blobstore: load state: %w", err)
-	}
-	res := &ReadResult{Manifest: sm, DownloadedBytes: downloaded, Duration: time.Since(start)}
+	res.Duration = time.Since(start)
 	tr.Event(obs.EvStoreRestore,
 		obs.A("key", key), obs.A("kind", sm.Kind), obs.A("chunks", len(sm.Chunks)),
-		obs.A("state_bytes", sm.StateBytes), obs.A("downloaded_bytes", downloaded),
+		obs.A("state_bytes", sm.StateBytes), obs.A("downloaded_bytes", res.DownloadedBytes),
 		obs.A("duration", res.Duration))
 	return res, nil
 }
@@ -463,16 +365,11 @@ func (s *Store) ReadCheckpoint(key string, load func(*vector.Decoder) error, tr 
 // digest and size, payload length and CRC — without deserializing the
 // state. A nil error means a restore will find a complete, intact image.
 func (s *Store) VerifyCheckpoint(key string) (StoreManifest, error) {
-	sm, err := s.ReadStoreManifest(key)
+	res, err := s.ReadCheckpoint(key, nil, nil)
 	if err != nil {
-		return sm, err
+		return StoreManifest{}, err
 	}
-	payload, _, err := s.readPayload(key, sm, nil)
-	if err != nil {
-		return sm, err
-	}
-	putPayload(payload)
-	return sm, nil
+	return res.Manifest, nil
 }
 
 // HasCheckpoint reports whether a checkpoint with this key exists.

@@ -171,7 +171,7 @@ func TestParentWrittenStoreRestores(t *testing.T) {
 	if sm.Query != "parent-written" || sm.StateBytes != 6_000 || sm.PaddingBytes != 9_000 {
 		t.Fatalf("manifest %+v", sm.Manifest)
 	}
-	payload, _, err := st.readPayload("old", sm, nil)
+	payload, err := payloadOf(st, sm)
 	if err != nil {
 		t.Fatal(err)
 	}

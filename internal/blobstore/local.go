@@ -68,16 +68,8 @@ func (l *Local) Put(name string, data []byte) error {
 		return err
 	}
 	tmp := fmt.Sprintf("%s.%d.tmp", p, tmpSeq.Add(1))
-	if err := l.writeFile(tmp, data, false); err != nil {
-		_ = l.fsys.Remove(tmp)
-		return err
-	}
-	if err := l.fsys.Rename(tmp, p); err != nil {
-		_ = l.fsys.Remove(tmp)
-		return fmt.Errorf("blobstore: publish %s: %w", name, err)
-	}
-	if err := l.fsys.SyncDir(filepath.Dir(p)); err != nil {
-		return fmt.Errorf("blobstore: sync dir for %s: %w", name, err)
+	if err := faultfs.WriteAtomic(l.fsys, tmp, p, data); err != nil {
+		return fmt.Errorf("blobstore: put %s: %w", name, err)
 	}
 	return nil
 }
@@ -91,39 +83,25 @@ func (l *Local) PutExcl(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := l.writeFile(p, data, true); err != nil {
-		if !IsExist(err) {
-			_ = l.fsys.Remove(p)
-		}
-		return err
+	f, err := l.fsys.CreateExcl(p)
+	if err != nil {
+		return fmt.Errorf("blobstore: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = l.fsys.Remove(p)
+		return fmt.Errorf("blobstore: put %s exclusively: %w", name, err)
 	}
 	if err := l.fsys.SyncDir(filepath.Dir(p)); err != nil {
 		return fmt.Errorf("blobstore: sync dir for %s: %w", name, err)
 	}
 	return nil
-}
-
-// writeFile creates (exclusively if excl), writes, and fsyncs one file.
-func (l *Local) writeFile(p string, data []byte, excl bool) error {
-	var f faultfs.File
-	var err error
-	if excl {
-		f, err = l.fsys.CreateExcl(p)
-	} else {
-		f, err = l.fsys.Create(p)
-	}
-	if err != nil {
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	if _, werr := f.Write(data); werr != nil {
-		f.Close()
-		return fmt.Errorf("blobstore: write %s: %w", filepath.Base(p), werr)
-	}
-	if serr := f.Sync(); serr != nil {
-		f.Close()
-		return fmt.Errorf("blobstore: sync %s: %w", filepath.Base(p), serr)
-	}
-	return f.Close()
 }
 
 // Get implements Backend. The buffer is sized from the file's length

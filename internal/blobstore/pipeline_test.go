@@ -177,14 +177,19 @@ func TestHostileManifestsRejected(t *testing.T) {
 	}
 }
 
-// TestWriteRejectsImpossiblePadding proves the writer applies the bound
-// the reader does, so it cannot publish what no reader would accept.
-func TestWriteRejectsImpossiblePadding(t *testing.T) {
+// TestWriteRejectsInconsistentImage proves the writer applies the reader's
+// rule, so it cannot publish what no reader would accept: a hand-made image
+// whose manifest disagrees with its payload is refused. (The payload bound
+// itself is checkpoint.Encode's, tested there.)
+func TestWriteRejectsInconsistentImage(t *testing.T) {
 	st, _ := newTestStore(t, nil, nil)
-	m := checkpoint.Manifest{Kind: "process"}
-	for _, padding := range []int64{-1, maxPayloadBytes + 1, 1 << 62} {
-		if _, err := st.WriteCheckpointBytes("k", m, []byte("state"), padding, nil); err == nil {
-			t.Errorf("padding %d accepted", padding)
+	for _, m := range []checkpoint.Manifest{
+		{Kind: "process", StateBytes: 5, PaddingBytes: 7},
+		{Kind: "process", StateBytes: -1, PaddingBytes: 6},
+		{Kind: "process", StateBytes: 4},
+	} {
+		if _, err := st.WriteCheckpoint("k", &checkpoint.Image{Manifest: m, Payload: []byte("state")}, nil); err == nil {
+			t.Errorf("image with manifest sizes %d+%d over a 5-byte payload accepted", m.StateBytes, m.PaddingBytes)
 		}
 	}
 	if ok, _ := st.HasCheckpoint("k"); ok {
@@ -208,7 +213,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := st.WriteCheckpoint("k", checkpoint.Manifest{Kind: "process"}, func(enc *vector.Encoder) error {
+		res, err := writeSaved(st, "k", checkpoint.Manifest{Kind: "process"}, func(enc *vector.Encoder) error {
 			enc.Bytes(state)
 			return enc.Err()
 		}, 9_000, nil)
@@ -319,7 +324,7 @@ func TestConcurrentOverlappingCheckpoints(t *testing.T) {
 					t.Errorf("%s: verify: %v", key, err)
 					return
 				}
-				payload, _, err := st.readPayload(key, sm, nil)
+				payload, err := payloadOf(st, sm)
 				if err != nil {
 					t.Errorf("%s: read: %v", key, err)
 					return

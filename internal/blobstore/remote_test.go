@@ -40,7 +40,7 @@ func TestRemoteChargesBandwidthAndLatency(t *testing.T) {
 	}
 	st, total := newRemoteStore(t, net)
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "remote"}
-	res, err := st.WriteCheckpoint("q", m, func(enc *vector.Encoder) error {
+	res, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
 		enc.Bytes(randBytes(42, 100_000))
 		return enc.Err()
 	}, 0, nil)
@@ -68,12 +68,12 @@ func TestRemoteDedupSkipsTransfer(t *testing.T) {
 		enc.Bytes(data)
 		return enc.Err()
 	}
-	if _, err := st.WriteCheckpoint("v1", m, save, 0, nil); err != nil {
+	if _, err := writeSaved(st, "v1", m, save, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	firstCharge := *total
 	*total = 0
-	if _, err := st.WriteCheckpoint("v2", m, save, 0, nil); err != nil {
+	if _, err := writeSaved(st, "v2", m, save, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The dedup write still pays the compressed manifest upload, so
@@ -129,7 +129,7 @@ func TestRemoteRestoreChargesDownload(t *testing.T) {
 	st, total := newRemoteStore(t, net)
 	data := randBytes(44, 100_000)
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "remote"}
-	if _, err := st.WriteCheckpoint("q", m, func(enc *vector.Encoder) error {
+	if _, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
 		enc.Bytes(data)
 		return enc.Err()
 	}, 0, nil); err != nil {

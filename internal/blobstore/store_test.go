@@ -33,11 +33,38 @@ func newTestStore(t *testing.T, fsys faultfs.FS, reg *obs.Registry) (*Store, str
 	return st, dir
 }
 
+// writeSaved encodes one image — save's state, padding zero bytes — and
+// persists it under key.
+func writeSaved(st *Store, key string, m checkpoint.Manifest, save func(*vector.Encoder) error, padding int64, tr *obs.Trace) (*WriteResult, error) {
+	img, err := checkpoint.Encode(m, save, func(int64) int64 { return padding })
+	if err != nil {
+		return nil, err
+	}
+	defer img.Release()
+	return st.WriteCheckpoint(key, img, tr)
+}
+
+// WriteCheckpointBytes persists state that is already serialized — a
+// hand-encoded fixture — followed by padding zero bytes. Test-only: every
+// production image comes from checkpoint.Encode.
+func (s *Store) WriteCheckpointBytes(key string, m checkpoint.Manifest, state []byte, padding int64, tr *obs.Trace) (*WriteResult, error) {
+	m.StateBytes, m.PaddingBytes = int64(len(state)), padding
+	payload := append(append(make([]byte, 0, len(state)+int(padding)), state...), make([]byte, padding)...)
+	return s.WriteCheckpoint(key, &checkpoint.Image{Manifest: m, Payload: payload}, tr)
+}
+
+// payloadOf reassembles the payload sm describes.
+func payloadOf(st *Store, sm StoreManifest) ([]byte, error) {
+	payload := make([]byte, sm.TotalBytes())
+	_, err := st.readPayload(sm, payload, nil)
+	return payload, err
+}
+
 // writeBlob persists data as a checkpoint under key via the save callback.
 func writeBlob(t *testing.T, st *Store, key string, data []byte, padding int64) *WriteResult {
 	t.Helper()
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "test", Workers: 2}
-	res, err := st.WriteCheckpoint(key, m, func(enc *vector.Encoder) error {
+	res, err := writeSaved(st, key, m, func(enc *vector.Encoder) error {
 		enc.Bytes(data)
 		return enc.Err()
 	}, padding, nil)
@@ -196,7 +223,7 @@ func TestFaultedUploadLeavesNoCheckpoint(t *testing.T) {
 	st, _ := newTestStore(t, inj, nil)
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "chunks", Nth: 3})
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "faulted"}
-	_, err := st.WriteCheckpoint("q", m, func(enc *vector.Encoder) error {
+	_, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
 		enc.Bytes(randBytes(8, 50_000))
 		return enc.Err()
 	}, 0, nil)
@@ -217,7 +244,7 @@ func TestTornChunkUploadInvisible(t *testing.T) {
 	st, _ := newTestStore(t, inj, nil)
 	inj.CrashAfterBytes(600)
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "torn"}
-	_, err := st.WriteCheckpoint("q", m, func(enc *vector.Encoder) error {
+	_, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
 		enc.Bytes(randBytes(9, 50_000))
 		return enc.Err()
 	}, 0, nil)
@@ -470,7 +497,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 					key, sm.StateBytes, sm.PaddingBytes, len(data), padding)
 				return
 			}
-			payload, _, err := st.readPayload(key, sm, nil)
+			payload, err := payloadOf(st, sm)
 			if err != nil {
 				t.Errorf("%s: read: %v", key, err)
 				return

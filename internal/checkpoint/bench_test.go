@@ -35,7 +35,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("b-%d.rvck", i))
-				if _, err := WriteFS(faultfs.OS, path, m, save, 0); err != nil {
+				if _, err := writeFS(faultfs.OS, path, m, save, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "b.rvck")
 			m := Manifest{Kind: "pipeline", Query: "bench"}
-			if _, err := WriteFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
+			if _, err := writeFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
 				enc.Bytes(state)
 				return enc.Err()
 			}, 0); err != nil {
@@ -75,7 +75,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 func BenchmarkCheckpointVerify(b *testing.B) {
 	state := benchState(1 << 20)
 	path := filepath.Join(b.TempDir(), "b.rvck")
-	if _, err := WriteFS(faultfs.OS, path, Manifest{Kind: "pipeline", Query: "bench"}, func(enc *vector.Encoder) error {
+	if _, err := writeFS(faultfs.OS, path, Manifest{Kind: "pipeline", Query: "bench"}, func(enc *vector.Encoder) error {
 		enc.Bytes(state)
 		return enc.Err()
 	}, 0); err != nil {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,17 @@ import (
 	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/vector"
 )
+
+// writeFS encodes one image — save's state, padding zero bytes — and writes
+// it to path in a single attempt, returning the image's manifest.
+func writeFS(fsys faultfs.FS, path string, m Manifest, save func(*vector.Encoder) error, padding int64) (Manifest, error) {
+	img, err := Encode(m, save, func(int64) int64 { return padding })
+	if err != nil {
+		return Manifest{}, err
+	}
+	defer img.Release()
+	return img.Manifest, img.Write(context.Background(), fsys, path, RetryPolicy{}, nil)
+}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -18,7 +30,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		PlanFingerprint: "deadbeefcafef00d",
 		Workers:         4,
 	}
-	res, err := WriteFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
+	wm, err := writeFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
 		enc.String("state-payload")
 		enc.Uvarint(12345)
 		enc.Float64(3.5)
@@ -27,14 +39,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifest.StateBytes <= 0 || res.Duration <= 0 {
-		t.Errorf("bad write result %+v", res)
+	if wm.StateBytes <= 0 {
+		t.Errorf("bad written manifest %+v", wm)
 	}
 
 	var gotS string
 	var gotU uint64
 	var gotF float64
-	rres, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
+	rm, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
 		gotS = dec.String()
 		gotU = dec.Uvarint()
 		gotF = dec.Float64()
@@ -46,8 +58,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if gotS != "state-payload" || gotU != 12345 || gotF != 3.5 {
 		t.Errorf("payload mismatch: %q %d %v", gotS, gotU, gotF)
 	}
-	if rres.Manifest.Query != "Q3" || rres.Manifest.Workers != 4 {
-		t.Errorf("manifest mismatch: %+v", rres.Manifest)
+	if rm.Query != "Q3" || rm.Workers != 4 {
+		t.Errorf("manifest mismatch: %+v", rm)
 	}
 
 	mf, err := VerifyFS(faultfs.OS, path)
@@ -60,20 +72,20 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.rvck")
 	const padding = 100000
-	res, err := WriteFS(faultfs.OS, path, Manifest{Kind: "process", Query: "Q1"}, func(enc *vector.Encoder) error {
+	wm, err := writeFS(faultfs.OS, path, Manifest{Kind: "process", Query: "Q1"}, func(enc *vector.Encoder) error {
 		enc.String("small")
 		return enc.Err()
 	}, padding)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifest.PaddingBytes != padding {
-		t.Errorf("padding = %d", res.Manifest.PaddingBytes)
+	if wm.PaddingBytes != padding {
+		t.Errorf("padding = %d", wm.PaddingBytes)
 	}
-	if res.FileBytes < padding {
-		t.Errorf("file size %d < padding %d", res.FileBytes, padding)
+	if st, err := os.Stat(path); err != nil || st.Size() < padding {
+		t.Errorf("file size %v < padding %d (%v)", st, padding, err)
 	}
-	if res.Manifest.TotalBytes() != res.Manifest.StateBytes+padding {
+	if wm.TotalBytes() != wm.StateBytes+padding {
 		t.Error("TotalBytes wrong")
 	}
 	if _, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
@@ -99,7 +111,7 @@ func TestPaddingWrittenAndVerified(t *testing.T) {
 func TestCorruptStateDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.rvck")
-	if _, err := WriteFS(faultfs.OS, path, Manifest{Kind: "pipeline"}, func(enc *vector.Encoder) error {
+	if _, err := writeFS(faultfs.OS, path, Manifest{Kind: "pipeline"}, func(enc *vector.Encoder) error {
 		for i := 0; i < 100; i++ {
 			enc.String("block of state data that will be corrupted")
 		}

@@ -12,6 +12,16 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
+// writeRetry is writeFS under a retry policy.
+func writeRetry(ctx context.Context, fsys faultfs.FS, path string, m Manifest, save func(*vector.Encoder) error, pol RetryPolicy, onRetry func(int, error)) error {
+	img, err := Encode(m, save, nil)
+	if err != nil {
+		return err
+	}
+	defer img.Release()
+	return img.Write(ctx, fsys, path, pol, onRetry)
+}
+
 func sampleSave(enc *vector.Encoder) error {
 	for i := 0; i < 32; i++ {
 		enc.String("fault-injected checkpoint state block")
@@ -27,7 +37,7 @@ func TestWriteFSFailureLeavesNothing(t *testing.T) {
 	path := filepath.Join(dir, "ck.rvck")
 	for _, op := range []faultfs.Op{faultfs.OpCreate, faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename} {
 		inj := faultfs.New(nil).FailNth(op, 1, nil)
-		if _, err := WriteFS(inj, path, Manifest{Kind: "pipeline"}, sampleSave, 0); !errors.Is(err, faultfs.ErrInjected) {
+		if _, err := writeFS(inj, path, Manifest{Kind: "pipeline"}, sampleSave, 0); !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("op %s: want injected error, got %v", op, err)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -46,13 +56,14 @@ func TestWriteRetryAbsorbsTransient(t *testing.T) {
 	path := filepath.Join(dir, "ck.rvck")
 	inj := faultfs.New(nil).FailTransient(faultfs.OpWrite, 1, 2, nil)
 	var retries int
-	res, err := WriteRetry(context.Background(), inj, path, Manifest{Kind: "pipeline"}, sampleSave, 0,
-		RetryPolicy{Attempts: 5}, func(attempt int, err error) { retries++ })
+	var lastFailed int
+	err := writeRetry(context.Background(), inj, path, Manifest{Kind: "pipeline"}, sampleSave,
+		RetryPolicy{Attempts: 5}, func(attempt int, err error) { retries, lastFailed = retries+1, attempt })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 3 || retries != 2 {
-		t.Errorf("attempts=%d retries=%d, want 3 and 2", res.Attempts, retries)
+	if lastFailed != 2 || retries != 2 {
+		t.Errorf("last failed attempt=%d retries=%d, want 2 and 2 (the third attempt lands)", lastFailed, retries)
 	}
 	if _, err := VerifyFS(faultfs.OS, path); err != nil {
 		t.Errorf("retried checkpoint must verify: %v", err)
@@ -65,8 +76,8 @@ func TestWriteRetryExhausts(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil).FailNth(faultfs.OpWrite, 1, nil)
 	var retries int
-	_, err := WriteRetry(context.Background(), inj, filepath.Join(dir, "ck.rvck"),
-		Manifest{Kind: "pipeline"}, sampleSave, 0, RetryPolicy{Attempts: 3},
+	err := writeRetry(context.Background(), inj, filepath.Join(dir, "ck.rvck"),
+		Manifest{Kind: "pipeline"}, sampleSave, RetryPolicy{Attempts: 3},
 		func(attempt int, err error) { retries++ })
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
@@ -87,8 +98,8 @@ func TestWriteRetryHonorsContext(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := WriteRetry(ctx, inj, filepath.Join(dir, "ck.rvck"), Manifest{Kind: "pipeline"},
-		sampleSave, 0, RetryPolicy{Attempts: 100, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}, nil)
+	err := writeRetry(ctx, inj, filepath.Join(dir, "ck.rvck"), Manifest{Kind: "pipeline"},
+		sampleSave, RetryPolicy{Attempts: 100, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -103,8 +114,8 @@ func TestWriteRetryCancelledBeforeFirstAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inj := faultfs.New(nil)
-	_, err := WriteRetry(ctx, inj, filepath.Join(t.TempDir(), "ck.rvck"),
-		Manifest{Kind: "pipeline"}, sampleSave, 0, RetryPolicy{Attempts: 3}, nil)
+	err := writeRetry(ctx, inj, filepath.Join(t.TempDir(), "ck.rvck"),
+		Manifest{Kind: "pipeline"}, sampleSave, RetryPolicy{Attempts: 3}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -120,14 +131,14 @@ func TestWriteENOSPCTornThenSmallerFits(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(nil).WriteBudget(64 << 10)
 	big := filepath.Join(dir, "process.rvck")
-	if _, err := WriteFS(inj, big, Manifest{Kind: "process"}, sampleSave, 1<<20); !errors.Is(err, faultfs.ErrNoSpace) {
+	if _, err := writeFS(inj, big, Manifest{Kind: "process"}, sampleSave, 1<<20); !errors.Is(err, faultfs.ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
 	if _, err := os.Stat(big + TempSuffix); !os.IsNotExist(err) {
 		t.Error("torn temp file not cleaned up")
 	}
 	small := filepath.Join(dir, "pipeline.rvck")
-	if _, err := WriteFS(inj, small, Manifest{Kind: "pipeline"}, sampleSave, 0); err != nil {
+	if _, err := writeFS(inj, small, Manifest{Kind: "pipeline"}, sampleSave, 0); err != nil {
 		t.Fatalf("padding-free fallback must fit the freed space: %v", err)
 	}
 	if _, err := VerifyFS(faultfs.OS, small); err != nil {
@@ -146,7 +157,7 @@ func TestCrashMatrix(t *testing.T) {
 
 	// Reference image: one clean write.
 	refPath := filepath.Join(dir, "ref.rvck")
-	refRes, err := WriteFS(faultfs.OS, refPath, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
+	refManifest, err := writeFS(faultfs.OS, refPath, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +166,12 @@ func TestCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := int64(len(refData))
-	if size != refRes.FileBytes {
-		t.Fatalf("reference size mismatch: %d vs %d", size, refRes.FileBytes)
-	}
+	sections(t, refData) // fails unless the layout walk ends at the file's size
 
 	for crashAt := int64(0); crashAt <= size; crashAt++ {
 		inj := faultfs.New(nil).CrashAfterBytes(crashAt)
 		path := filepath.Join(dir, "crash.rvck")
-		_, werr := WriteFS(inj, path, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
+		_, werr := writeFS(inj, path, Manifest{Kind: "process", Query: "QX"}, sampleSave, padding)
 
 		if _, err := os.Stat(path); err == nil {
 			// The image made it through the rename: it must be complete.
@@ -177,7 +186,7 @@ func TestCrashMatrix(t *testing.T) {
 			if verr != nil {
 				t.Fatalf("crash@%d: published file fails Verify: %v", crashAt, verr)
 			}
-			if m.TotalBytes() != refRes.Manifest.TotalBytes() {
+			if m.TotalBytes() != refManifest.TotalBytes() {
 				t.Fatalf("crash@%d: published file has wrong payload size", crashAt)
 			}
 			os.Remove(path)
@@ -208,7 +217,7 @@ func TestCrashMatrix(t *testing.T) {
 func TestCrashTornAtFinalPathQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.rvck")
-	if _, err := WriteFS(faultfs.OS, refPath, Manifest{Kind: "pipeline", Query: "QY"}, sampleSave, 64); err != nil {
+	if _, err := writeFS(faultfs.OS, refPath, Manifest{Kind: "pipeline", Query: "QY"}, sampleSave, 64); err != nil {
 		t.Fatal(err)
 	}
 	refData, _ := os.ReadFile(refPath)

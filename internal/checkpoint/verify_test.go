@@ -16,7 +16,7 @@ import (
 func writeSample(t *testing.T, dir string, padding int64) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(dir, "sample.rvck")
-	_, err := WriteFS(faultfs.OS, path, Manifest{
+	_, err := writeFS(faultfs.OS, path, Manifest{
 		Kind:            "process",
 		Query:           "Q9",
 		PlanFingerprint: "feedfacecafebeef",
@@ -41,7 +41,7 @@ func writeSample(t *testing.T, dir string, padding int64) (string, []byte) {
 // sections returns the byte offset of every section boundary in a
 // checkpoint image: magic | manifestLen | manifest | stateLen | state |
 // crc | padding.
-func sections(t *testing.T, data []byte) map[string]int64 {
+func sections(t testing.TB, data []byte) map[string]int64 {
 	t.Helper()
 	mlen := int64(binary.LittleEndian.Uint64(data[4:12]))
 	var m Manifest

@@ -22,6 +22,17 @@ type Pipeline struct {
 	// Deps are pipeline IDs that must be finalized before this pipeline can
 	// run (its source scans their sinks, or its probes address them).
 	Deps []int
+
+	// Ordered marks a pipeline whose source rows carry an order its sink hands
+	// on: it scans a sort's (or top-N's) finalized buffer into a collector —
+	// the result, a limit, a union input. Morsels are claimed by whichever
+	// worker is free but worker-locals are combined in assignment order, so
+	// with two workers morsels {0,2} and {1} would come out 0,2,1. The
+	// scheduler therefore never gives such a pipeline a second worker; it
+	// copies finished rows, so there is nothing to win by it. A pipeline that
+	// feeds sorted rows to an aggregate, a sort or a join build is not
+	// Ordered: those sinks do not care what order they are fed in.
+	Ordered bool
 }
 
 // PhysicalPlan is the compiled, executable form of a logical plan: pipelines
@@ -122,10 +133,24 @@ type compiler struct {
 
 // memoEntry records one materialized breaker available for reuse.
 type memoEntry struct {
-	id    int
-	sink  BufferedSink
-	types []vector.Type
-	label string
+	id      int
+	sink    BufferedSink
+	types   []vector.Type
+	label   string
+	ordered bool // carriesOrder of the node it materializes
+}
+
+// carriesOrder reports whether the rows breaker node n materializes are in
+// an order its consumers must preserve: a sort's output, and whatever a
+// limit, filter or projection passes through from one.
+func carriesOrder(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.Sort:
+		return true
+	case *plan.Limit, *plan.Filter, *plan.Project, *plan.Rename:
+		return carriesOrder(n.Children()[0])
+	}
+	return false
 }
 
 // Compile lowers a logical plan into pipelines with the default options
@@ -161,6 +186,9 @@ func CompileWith(root plan.Node, cat *catalog.Catalog, opts CompileOptions) (*Ph
 }
 
 func (c *compiler) register(p *Pipeline) {
+	if _, keepsOrder := p.Sink.(*CollectorSink); !keepsOrder {
+		p.Ordered = false
+	}
 	p.ID = len(c.pipes)
 	c.pipes = append(c.pipes, p)
 }
@@ -359,6 +387,7 @@ func (c *compiler) foldBreaker(n plan.Node, p *Pipeline, fp uint64) ([]vector.Ty
 	if c.opts.Subplans != nil {
 		if buf, types, ok := c.opts.Subplans.Lookup(fp); ok {
 			p.Source = NewBufferSource(buf, types)
+			p.Ordered = carriesOrder(n)
 			p.Label = appendLabel(p.Label, "scan(folded)")
 			return types, true
 		}
@@ -369,7 +398,7 @@ func (c *compiler) foldBreaker(n plan.Node, p *Pipeline, fp uint64) ([]vector.Ty
 // remember memoizes a freshly registered breaker for reuse and records it
 // as a publish candidate.
 func (c *compiler) remember(n plan.Node, fp uint64, id int, sink BufferedSink, types []vector.Type, label string) *memoEntry {
-	e := &memoEntry{id: id, sink: sink, types: types, label: label}
+	e := &memoEntry{id: id, sink: sink, types: types, label: label, ordered: carriesOrder(n)}
 	c.memo[n] = e
 	if fp != 0 {
 		c.fpMemo[fp] = e
@@ -381,6 +410,7 @@ func (c *compiler) remember(n plan.Node, fp uint64, id int, sink BufferedSink, t
 // scanShared points pipeline p at a materialized breaker's finalized buffer.
 func (c *compiler) scanShared(p *Pipeline, e *memoEntry) []vector.Type {
 	p.Source = NewSinkSource(e.sink, e.types)
+	p.Ordered = e.ordered
 	p.Deps = append(p.Deps, e.id)
 	p.Label = appendLabel(p.Label, e.label)
 	return e.types

@@ -226,8 +226,9 @@ func (s *schedule) nextReady() (int, bool) {
 
 // topUpTarget picks the running pipeline that benefits most from one more
 // worker: the one with the most unclaimed morsels per assigned worker.
-// Pipelines quiescing, finalizing, or without enough remaining morsels to
-// feed another worker are skipped.
+// Pipelines quiescing, finalizing, order-carrying (one worker delivers
+// morsels in order; see Pipeline.Ordered), or without enough remaining
+// morsels to feed another worker are skipped.
 func (s *schedule) topUpTarget() *runningPipe {
 	var best *runningPipe
 	var bestShare float64
@@ -238,7 +239,7 @@ func (s *schedule) topUpTarget() *runningPipe {
 	sort.Ints(pis)
 	for _, pi := range pis {
 		rp := s.running[pi]
-		if rp.finalizing || rp.stopped || rp.outstanding >= s.ex.opts.Workers {
+		if rp.finalizing || rp.stopped || rp.p.Ordered || rp.outstanding >= s.ex.opts.Workers {
 			continue
 		}
 		remaining := rp.morsels - rp.cursor.Load()

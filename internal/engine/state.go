@@ -285,18 +285,6 @@ func (ex *Executor) measureState(kind SuspendKind) int64 {
 	return cw.n
 }
 
-// MeasureSuspendedStateBytes returns the serialized size of the actual
-// suspension capture (after Run returned ErrSuspended).
-func (ex *Executor) MeasureSuspendedStateBytes() int64 {
-	ex.mu.Lock()
-	s := ex.suspended
-	ex.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return ex.measureState(s.Kind)
-}
-
 // ProcessImagePadding returns the number of padding bytes a process-level
 // checkpoint must append so the persisted image matches the modeled resident
 // process size (the CRIU dump includes non-deallocated memory that our

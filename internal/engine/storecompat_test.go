@@ -81,7 +81,8 @@ func TestStoreRestoresV2Checkpoint(t *testing.T) {
 	for _, ip := range info.InFlight {
 		m.InFlightPipelines = append(m.InFlightPipelines, ip.Pipeline)
 	}
-	if _, err := st.WriteCheckpointBytes("compat-v2", m, v2, 0, nil); err != nil {
+	m.StateBytes = int64(len(v2))
+	if _, err := st.WriteCheckpoint("compat-v2", &checkpoint.Image{Manifest: m, Payload: v2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sm, err := st.ReadStoreManifest("compat-v2")

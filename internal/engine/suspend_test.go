@@ -280,9 +280,6 @@ func TestSuspendedExecutorRefusesRerun(t *testing.T) {
 	if _, err := ex.Run(context.Background()); err == nil {
 		t.Fatal("re-running a suspended executor must fail")
 	}
-	if n := ex.MeasureSuspendedStateBytes(); n <= 0 {
-		t.Errorf("MeasureSuspendedStateBytes = %d", n)
-	}
 }
 
 func TestLoadStateOnUsedExecutorFails(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 )
@@ -73,6 +74,49 @@ func (osFS) SyncDir(dir string) error {
 		return err
 	}
 	return nil
+}
+
+// WriteAtomic is the durability protocol every file the checkpoint stack
+// leaves behind is published with: parts are written in order to tmp and
+// fsynced, tmp is renamed to path, and path's directory is fsynced — so
+// path holds the complete content or is untouched, and a crash leaves at
+// most tmp for a sweep to find. On a failure before the rename landed tmp is
+// removed (best-effort: a crashed process cannot). A directory-sync failure
+// leaves the renamed file in place; writing again is idempotent.
+func WriteAtomic(fsys FS, tmp, path string, parts ...[]byte) error {
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = writeSync(f, parts)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if err = fsys.Rename(tmp, path); err != nil {
+			err = fmt.Errorf("publish: %w", err)
+		}
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
+}
+
+func writeSync(f File, parts [][]byte) error {
+	for _, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := f.Write(p); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // Sentinel errors the injector returns. ErrInjected models a transient or

@@ -384,10 +384,7 @@ func (c *Controller) runForced(spec QuerySpec, sc Scenario, ev Event, k strategy
 			reqAt = ex.AutoSuspendFiredAt()
 		}
 		rep.SuspendLag = time.Since(reqAt)
-		if k == strategy.Lineage {
-			return c.finishSuspendedLineage(rep, spec, ev, start, ex, guard, lin)
-		}
-		return c.finishSuspended(rep, spec, ev, start, ex, guard)
+		return c.finishSuspended(rep, spec, ev, start, strategy.Run{Ex: ex, Log: lin}, guard)
 
 	case ctx.Err() != nil && guard.hasFired():
 		// Terminated before suspension: redo from scratch.
@@ -398,18 +395,39 @@ func (c *Controller) runForced(spec QuerySpec, sc Scenario, ev Event, k strategy
 	}
 }
 
-// finishSuspended persists the checkpoint, checks the termination race, and
-// resumes to completion.
-func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, start time.Time, ex *engine.Executor, guard *terminationGuard) (*Report, error) {
+// finishSuspended persists the suspended run through the seam, checks the
+// termination race, and resumes to completion. A lineage suspension seals
+// the log's tail (the whole suspension I/O) and replays from the last sealed
+// breaker state; every other strategy writes a checkpoint file. A seal
+// failure — the log's filesystem died — degrades to the process image: the
+// executor is still quiesced with its full state in memory.
+func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, start time.Time, run strategy.Run, guard *terminationGuard) (*Report, error) {
+	ex := run.Ex
 	suspendOffset := time.Since(start)
 	if info := ex.Suspended(); info != nil {
 		rep.SuspendedPipeline = info.Pipeline
 	}
 	rep.SuspendedProcessed = ex.Accountant().ProcessedBytes()
-	seam := strategy.Seam{FS: c.FS}
-	at := strategy.ResumePoint{Target: strategy.TargetFile, Ref: c.ckptPath(spec.Name)}
+	seam := strategy.Seam{FS: c.FS, LineagePath: c.lineagePath}
+	file := strategy.ResumePoint{Target: strategy.TargetFile, Ref: c.ckptPath(spec.Name)}
+	at := file
+	if rep.Strategy == strategy.Lineage {
+		at = strategy.ResumePoint{Target: strategy.TargetLineage, Ref: run.Log.Path()}
+	}
+	wres, err := seam.Persist(context.Background(), run, spec.Name, at, strategy.PersistOptions{})
+	if err != nil && at != file {
+		if c.Metrics != nil {
+			c.Metrics.Counter(obs.MetricCheckpointFallback).Inc()
+		}
+		if rep.Trace != nil {
+			rep.Trace.Event(obs.EvCheckpointFallback,
+				obs.A("from", "lineage"),
+				obs.A("error", err.Error()))
+		}
+		rep.Strategy, at = strategy.Process, file
+		wres, err = seam.Persist(context.Background(), run, spec.Name, at, strategy.PersistOptions{})
+	}
 	defer seam.Discard(at)
-	wres, err := seam.Persist(context.Background(), strategy.Run{Ex: ex}, spec.Name, at, strategy.PersistOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -423,6 +441,9 @@ func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, star
 	guard.disarm()
 	rep.Suspended = true
 	rep.PersistedBytes = wres.TotalBytes
+	if at.Target == strategy.TargetLineage {
+		rep.PersistedBytes = wres.LogBytes
+	}
 	rep.SuspendLatency = wres.Duration
 
 	// Resource gap passes (not counted), then resume. The run's trace
@@ -432,9 +453,17 @@ func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, star
 	if err != nil {
 		return nil, err
 	}
-	resumed, rres, err := seam.Restore(pp2, spec.Name, at, strategy.LineageConfig{}, engine.Options{Workers: c.Workers, Obs: ex.Obs()})
+	resumed, rres, err := seam.Restore(pp2, spec.Name, at, strategy.LineageConfig{},
+		engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: ex.Obs()})
 	if err != nil {
 		return nil, err
+	}
+	if resumed.Log != nil {
+		// A lineage replay carries a fresh log, as a deployed resume does.
+		defer func() {
+			resumed.Log.Close()
+			c.FS.Remove(resumed.Log.Path())
+		}()
 	}
 	rep.ResumeLatency = rres.Duration
 	resumeStart := time.Now()
@@ -442,62 +471,6 @@ func (c *Controller) finishSuspended(rep *Report, spec QuerySpec, ev Event, star
 		return nil, fmt.Errorf("riveter: resumed run: %w", err)
 	}
 	rep.TotalTime = suspendOffset + wres.Duration + rres.Duration + time.Since(resumeStart)
-	recordOutcome(rep)
-	return rep, nil
-}
-
-// finishSuspendedLineage completes a lineage suspension: seal the log's
-// tail (the whole suspension I/O), check the termination race, then replay
-// from the last sealed breaker state. A seal failure — the log's
-// filesystem died — degrades to the checkpoint path: the executor is still
-// quiesced with its full state in memory, so the process-level persist
-// ladder takes over.
-func (c *Controller) finishSuspendedLineage(rep *Report, spec QuerySpec, ev Event, start time.Time, ex *engine.Executor, guard *terminationGuard, lin *strategy.LineageLog) (*Report, error) {
-	suspendOffset := time.Since(start)
-	if info := ex.Suspended(); info != nil {
-		rep.SuspendedPipeline = info.Pipeline
-	}
-	rep.SuspendedProcessed = ex.Accountant().ProcessedBytes()
-	sres, err := lin.Seal(ex.Suspended())
-	if err != nil {
-		if c.Metrics != nil {
-			c.Metrics.Counter(obs.MetricCheckpointFallback).Inc()
-		}
-		if rep.Trace != nil {
-			rep.Trace.Event(obs.EvCheckpointFallback,
-				obs.A("from", "lineage"),
-				obs.A("error", err.Error()))
-		}
-		rep.Strategy = strategy.Process
-		return c.finishSuspended(rep, spec, ev, start, ex, guard)
-	}
-	lin.Close()
-	persistDone := time.Since(start)
-	if ev.Terminates && persistDone > ev.At {
-		rep.SuspendLatency = sres.Duration
-		return c.finishTerminated(rep, spec, ev)
-	}
-	guard.disarm()
-	rep.Suspended = true
-	rep.PersistedBytes = sres.LogBytes
-	rep.SuspendLatency = sres.Duration
-
-	pp2, err := engine.Compile(spec.Node, c.Cat)
-	if err != nil {
-		return nil, err
-	}
-	restoreStart := time.Now()
-	ex2, _, err := strategy.RestoreLineagePlan(c.FS, pp2, lin.Path(), nil,
-		engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: ex.Obs()})
-	if err != nil {
-		return nil, err
-	}
-	rep.ResumeLatency = time.Since(restoreStart)
-	resumeStart := time.Now()
-	if _, err := ex2.Run(context.Background()); err != nil {
-		return nil, fmt.Errorf("riveter: lineage replay: %w", err)
-	}
-	rep.TotalTime = suspendOffset + sres.Duration + rep.ResumeLatency + time.Since(resumeStart)
 	recordOutcome(rep)
 	return rep, nil
 }
@@ -563,6 +536,7 @@ func (c *Controller) RunAdaptive(spec QuerySpec, sc Scenario, ev Event) (*Report
 		}()
 	}
 	ex := engine.NewExecutor(pp, opts)
+	run := strategy.Run{Ex: ex, Log: lin}
 
 	// The alert quiesces the executor at a morsel boundary.
 	alertDelay := time.Until(start.Add(model.Start))
@@ -650,22 +624,14 @@ func (c *Controller) RunAdaptive(spec QuerySpec, sc Scenario, ev Event) (*Report
 	}
 
 	switch d.Strategy {
-	case strategy.Process:
-		// Already suspended at a morsel boundary: persist right here.
+	case strategy.Process, strategy.Lineage:
+		// Already suspended at a morsel boundary: persist right here — a
+		// process image, or for lineage just the log's tail flush.
 		rep.SuspendLag = time.Since(start.Add(model.Start))
 		if rep.SuspendLag < 0 {
 			rep.SuspendLag = 0
 		}
-		return c.finishSuspended(rep, spec, ev, start, ex, guard)
-
-	case strategy.Lineage:
-		// Already quiesced at a morsel boundary — exactly the state a
-		// lineage seal needs; the suspension is just the tail flush.
-		rep.SuspendLag = time.Since(start.Add(model.Start))
-		if rep.SuspendLag < 0 {
-			rep.SuspendLag = 0
-		}
-		return c.finishSuspendedLineage(rep, spec, ev, start, ex, guard, lin)
+		return c.finishSuspended(rep, spec, ev, start, run, guard)
 
 	case strategy.Pipeline:
 		// Resume in place; the suspension lands at the next breaker.
@@ -676,7 +642,7 @@ func (c *Controller) RunAdaptive(spec QuerySpec, sc Scenario, ev Event) (*Report
 		switch {
 		case errors.Is(err, engine.ErrSuspended):
 			rep.SuspendLag = time.Since(requestedAt)
-			return c.finishSuspended(rep, spec, ev, start, ex, guard)
+			return c.finishSuspended(rep, spec, ev, start, run, guard)
 		case err == nil:
 			// Reached completion before another breaker existed.
 			guard.disarm()

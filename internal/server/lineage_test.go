@@ -257,11 +257,15 @@ func TestLineageQuarantineOnRestore(t *testing.T) {
 func TestLineageRerunAfterQuarantineKeepsLog(t *testing.T) {
 	db := openTPCH(t, 0.005)
 	bad := db.NewCheckpointPath("session-s-3")
-	_, err := checkpoint.WriteFS(db.FS(), bad, checkpoint.Manifest{Kind: "pipeline", Query: "sql"},
-		func(enc *vector.Encoder) error { enc.String("not executor state"); return enc.Err() }, 0)
+	img, err := checkpoint.Encode(checkpoint.Manifest{Kind: "pipeline", Query: "sql"},
+		func(enc *vector.Encoder) error { enc.String("not executor state"); return enc.Err() }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := img.Write(context.Background(), db.FS(), bad, checkpoint.RetryPolicy{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	img.Release()
 	statePath := filepath.Join(db.CheckpointDir(), "riveter-serve.state.json")
 	manifest := fmt.Sprintf(`{"sessions": [{"id": "s-3", "sql": "SELECT count(*) AS n FROM lineitem", "priority": 10, "checkpoint": %q}]}`, bad)
 	if err := os.WriteFile(statePath, []byte(manifest), 0o644); err != nil {

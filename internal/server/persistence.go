@@ -9,7 +9,6 @@ package server
 
 import (
 	"encoding/json"
-	"path/filepath"
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/checkpoint"
@@ -187,35 +186,6 @@ func (s *Server) persistState() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.db.FS(), s.cfg.StatePath, data)
-}
-
-// writeFileAtomic writes data via the tmp+fsync+rename protocol, so the
-// state manifest — like the checkpoints it points at — is never torn at
-// its final path.
-func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
-	tmp := path + checkpoint.TempSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	// Published like the checkpoints it points at: never torn at its path.
+	return faultfs.WriteAtomic(s.db.FS(), s.cfg.StatePath+checkpoint.TempSuffix, s.cfg.StatePath, data)
 }

@@ -323,31 +323,26 @@ func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 	if l.writeErr != nil || l.closed {
 		return engine.ActionContinue
 	}
-	var buf bytes.Buffer
-	enc := vector.NewEncoder(&buf)
-	if err := ev.SavePipelineState(enc); err != nil {
+	img, err := checkpoint.Encode(checkpoint.Manifest{
+		Kind:            "lineage",
+		Query:           l.query,
+		PlanFingerprint: l.fp,
+		Workers:         l.workers,
+		StateVersion:    engine.StateFormatVersion,
+	}, ev.SavePipelineState, nil)
+	if err != nil {
 		l.writeErr = err
 		return engine.ActionContinue
 	}
-	if enc.Err() != nil {
-		l.writeErr = enc.Err()
-		return engine.ActionContinue
-	}
-	payload := buf.Bytes()
+	defer img.Release()
+	stateBytes, payload := img.Manifest.StateBytes, img.Payload
 	if l.store != nil {
 		key := fmt.Sprintf("%s-s%d", l.storeKey, l.states)
-		m := checkpoint.Manifest{
-			Kind:            "lineage",
-			Query:           l.query,
-			PlanFingerprint: l.fp,
-			Workers:         l.workers,
-			StateVersion:    engine.StateFormatVersion,
-		}
-		if _, err := l.store.WriteCheckpointBytes(key, m, payload, 0, l.o.Trace); err != nil {
+		if _, err := l.store.WriteCheckpoint(key, img, l.o.Trace); err != nil {
 			l.writeErr = err
 			return engine.ActionContinue
 		}
-		ref, err := json.Marshal(lineageStateRef{Key: key, StateBytes: int64(len(payload)), Seq: l.states})
+		ref, err := json.Marshal(lineageStateRef{Key: key, StateBytes: stateBytes, Seq: l.states})
 		if err != nil {
 			l.writeErr = err
 			return engine.ActionContinue
@@ -356,7 +351,7 @@ func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 	}
 	l.appendRecordLocked(recLineageState, payload)
 	l.states++
-	l.lastStateBytes = int64(buf.Len())
+	l.lastStateBytes = stateBytes
 	sealed := l.states%l.sealEvery == 0
 	if sealed {
 		if err := l.flushSyncLocked(); err != nil {
@@ -366,7 +361,7 @@ func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 	if t := l.o.Trace; t != nil {
 		t.Event(obs.EvLineageAppend,
 			obs.A("pipeline", ev.PipelineIdx),
-			obs.A("state_bytes", int64(buf.Len())),
+			obs.A("state_bytes", stateBytes),
 			obs.A("sealed", sealed))
 	}
 	return engine.ActionContinue
@@ -596,11 +591,11 @@ func readLineageRecord(data []byte, off int64) (typ byte, payload []byte, next i
 	return typ, data[off+5 : off+5+ln], end, ""
 }
 
-// RestoreLineagePlan replays the log into a fresh executor over pp: the
+// restoreLineagePlan replays the log into a fresh executor over pp: the
 // last sealed breaker-state record is loaded (pipeline-kind, so any worker
 // count can resume) and Run then re-executes exactly the pipelines that
 // had not finalized by that record — the bounded replay.
-func RestoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
+func restoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
 	start := time.Now()
 	scan, err := ScanLineage(fsys, path)
 	if err != nil {

@@ -41,13 +41,13 @@ func lineageFixture(t *testing.T) (*catalog.Catalog, plan.Node, string) {
 }
 
 // RestoreLineage compiles the plan and replays the log — the form the
-// lineage tests drive RestoreLineagePlan through.
+// lineage tests drive restoreLineagePlan through.
 func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
 	pp, err := engine.CompileWith(node, cat, opts.Compile)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RestoreLineagePlan(fsys, pp, path, store, opts)
+	return restoreLineagePlan(fsys, pp, path, store, opts)
 }
 
 // runWithLineage starts the plan with a lineage log attached and suspends
@@ -362,7 +362,7 @@ func TestLineageSecondSuspension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _, err := RestoreLineagePlan(nil, pp, first, nil, engine.Options{
+	ex, _, err := restoreLineagePlan(nil, pp, first, nil, engine.Options{
 		Workers:   2,
 		OnMorsel:  lin2.OnMorsel,
 		OnBreaker: lin2.OnBreaker,

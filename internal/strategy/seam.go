@@ -260,13 +260,13 @@ func (sm Seam) OpenLineage(pp *engine.PhysicalPlan, query string, cfg LineageCon
 	return lin, nil
 }
 
-// persistImage is the shared persist of the image targets: it describes
-// the suspended executor's checkpoint image — manifest plus process-image
-// padding — and hands it to write. It holds the ladder's full→unpadded
-// rung, once: when the full process-level image fails and the caller
-// allows it, the same state is written again as a pipeline-kind image
-// without padding.
-func persistImage(run Run, query string, po PersistOptions, write func(m checkpoint.Manifest, padding int64) (*PointInfo, error)) (*PointInfo, error) {
+// persistImage is the shared persist of the image targets: it encodes the
+// suspended executor's checkpoint image — manifest, state, process-image
+// padding — once, and hands it to write together with what the encoding
+// cost. It holds the ladder's full→unpadded rung, once: when the full
+// process-level image fails and the caller allows it, the same encoded
+// state is written again as a pipeline-kind image without padding.
+func persistImage(run Run, query string, po PersistOptions, write func(img *checkpoint.Image, serialize time.Duration) (*PointInfo, error)) (*PointInfo, error) {
 	ex := run.Ex
 	susp := ex.Suspended()
 	m := checkpoint.Manifest{
@@ -279,16 +279,24 @@ func persistImage(run Run, query string, po PersistOptions, write func(m checkpo
 	for _, ip := range susp.InFlight {
 		m.InFlightPipelines = append(m.InFlightPipelines, ip.Pipeline)
 	}
-	if susp.Kind != engine.KindProcess {
-		return write(m, 0)
+	var padding func(int64) int64
+	if susp.Kind == engine.KindProcess {
+		m.Kind, padding = "process", ex.ProcessImagePadding
 	}
-	full := m
-	full.Kind = "process"
-	info, err := write(full, ex.ProcessImagePadding(ex.MeasureSuspendedStateBytes()))
-	if err == nil || !po.AllowUnpadded {
+	start := time.Now()
+	img, err := checkpoint.Encode(m, ex.SaveState, padding)
+	if err != nil {
+		return nil, err
+	}
+	defer img.Release()
+	serialize := time.Since(start)
+	info, err := write(img, serialize)
+	if err == nil || susp.Kind != engine.KindProcess || !po.AllowUnpadded {
 		return info, err
 	}
-	info, ferr := write(m, 0)
+	bare := checkpoint.Image{Manifest: img.Manifest, Payload: img.Payload[:img.Manifest.StateBytes]}
+	bare.Manifest.Kind, bare.Manifest.PaddingBytes = "pipeline", 0
+	info, ferr := write(&bare, serialize)
 	if ferr != nil {
 		return nil, err
 	}
@@ -354,39 +362,42 @@ func (fileTarget) persist(ctx context.Context, sm Seam, run Run, query, path str
 				obs.A("error", err.Error()))
 		}
 	}
-	return persistImage(run, query, po, func(img checkpoint.Manifest, padding int64) (*PointInfo, error) {
-		wres, err := checkpoint.WriteRetry(ctx, sm.fs(), path, img, run.Ex.SaveState, padding, po.Retry, onRetry)
-		if err != nil {
+	return persistImage(run, query, po, func(img *checkpoint.Image, serialize time.Duration) (*PointInfo, error) {
+		start := time.Now()
+		if err := img.Write(ctx, sm.fs(), path, po.Retry, onRetry); err != nil {
 			return nil, err
 		}
-		m := wres.Manifest
-		recordPersist(o, m, wres.Duration, wres.SerializeDuration, wres.WriteDuration)
+		m, write := img.Manifest, time.Since(start)
+		total := serialize + write
+		recordPersist(o, m, total, serialize, write)
 		if t := o.Trace; t != nil {
 			t.Event(obs.EvCheckpointSerialize,
 				obs.A("state_bytes", m.StateBytes),
-				obs.A("duration", wres.SerializeDuration))
+				obs.A("duration", serialize))
 			t.Event(obs.EvCheckpointWrite,
 				obs.A("total_bytes", m.TotalBytes()),
-				obs.A("duration", wres.WriteDuration))
+				obs.A("duration", write))
 			t.Event(obs.EvCheckpointPersisted,
 				obs.A("kind", m.Kind),
 				obs.A("state_bytes", m.StateBytes),
 				obs.A("padding_bytes", m.PaddingBytes),
 				obs.A("total_bytes", m.TotalBytes()),
-				obs.A("duration", wres.Duration))
+				obs.A("duration", total))
 		}
-		return imageInfo(path, m, wres.Duration), nil
+		return imageInfo(path, m, total), nil
 	})
 }
 
 func (fileTarget) restore(sm Seam, pp *engine.PhysicalPlan, _, path string, _ LineageConfig, opts engine.Options) (Run, *PointInfo, error) {
 	ex := engine.NewExecutor(pp, opts)
-	res, err := checkpoint.ReadFS(sm.fs(), path, ex.LoadState)
+	start := time.Now()
+	m, err := checkpoint.ReadFS(sm.fs(), path, ex.LoadState)
 	if err != nil {
 		return Run{}, nil, err
 	}
-	recordRestore(opts.Obs, res.Manifest, res.Duration)
-	return Run{Ex: ex}, imageInfo(path, res.Manifest, res.Duration), nil
+	d := time.Since(start)
+	recordRestore(opts.Obs, m, d)
+	return Run{Ex: ex}, imageInfo(path, m, d), nil
 }
 
 func (fileTarget) verify(sm Seam, path string) (*PointInfo, error) {
@@ -416,13 +427,14 @@ func (storeTarget) refName() string { return "store_key" }
 
 func (storeTarget) persist(_ context.Context, sm Seam, run Run, query, key string, po PersistOptions) (*PointInfo, error) {
 	st, o := sm.Store, run.Ex.Obs()
-	return persistImage(run, query, po, func(img checkpoint.Manifest, padding int64) (*PointInfo, error) {
-		wres, err := st.WriteCheckpoint(key, img, run.Ex.SaveState, padding, o.Trace)
+	return persistImage(run, query, po, func(img *checkpoint.Image, serialize time.Duration) (*PointInfo, error) {
+		wres, err := st.WriteCheckpoint(key, img, o.Trace)
 		if err != nil {
 			return nil, err
 		}
-		recordPersist(o, wres.Manifest.Manifest, wres.Duration, wres.SerializeDuration, wres.UploadDuration)
-		info := imageInfo("", wres.Manifest.Manifest, wres.Duration)
+		total := serialize + wres.Duration
+		recordPersist(o, wres.Manifest.Manifest, total, serialize, wres.Duration)
+		info := imageInfo("", wres.Manifest.Manifest, total)
 		info.Chunks, info.DedupHits, info.UploadedBytes = wres.Chunks, wres.DedupHits, wres.UploadedBytes
 		return info, nil
 	})
@@ -496,7 +508,7 @@ func (lineageTarget) restore(sm Seam, pp *engine.PhysicalPlan, query, path strin
 		return Run{}, nil, err
 	}
 	start := time.Now()
-	ex, scan, err := RestoreLineagePlan(sm.fs(), pp, path, sm.Store, opts)
+	ex, scan, err := restoreLineagePlan(sm.fs(), pp, path, sm.Store, opts)
 	if err != nil {
 		lin.Close()
 		sm.fs().Remove(lin.Path())

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/catalog"
+	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
@@ -85,20 +86,17 @@ func Relaunch(cat *catalog.Catalog, node plan.Node, ex *engine.Executor, opts en
 	if info == nil {
 		return nil, fmt.Errorf("strategy: executor is not suspended")
 	}
-	var buf bytes.Buffer
-	enc := vector.NewEncoder(&buf)
-	if err := ex.SaveState(enc); err != nil {
+	img, err := checkpoint.Encode(checkpoint.Manifest{}, ex.SaveState, nil)
+	if err != nil {
 		return nil, fmt.Errorf("strategy: relaunch save: %w", err)
 	}
-	if enc.Err() != nil {
-		return nil, fmt.Errorf("strategy: relaunch save: %w", enc.Err())
-	}
+	defer img.Release()
 	pp, err := engine.CompileWith(node, cat, opts.Compile)
 	if err != nil {
 		return nil, err
 	}
 	fresh := engine.NewExecutor(pp, opts)
-	if err := fresh.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
+	if err := fresh.LoadState(vector.NewDecoder(bytes.NewReader(img.Payload))); err != nil {
 		return nil, fmt.Errorf("strategy: relaunch load: %w", err)
 	}
 	kind := "pipeline"
@@ -108,7 +106,7 @@ func Relaunch(cat *catalog.Catalog, node plan.Node, ex *engine.Executor, opts en
 	if t := opts.Obs.Trace; t != nil {
 		t.Event(obs.EvResumeInPlace,
 			obs.A("kind", kind),
-			obs.A("state_bytes", int64(buf.Len())))
+			obs.A("state_bytes", img.Manifest.StateBytes))
 	}
 	return fresh, nil
 }

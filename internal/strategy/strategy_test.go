@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/engine"
+	"github.com/riveterdb/riveter/internal/faultfs"
+	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/tpch"
+	"github.com/riveterdb/riveter/internal/vector"
 )
 
 func setup(t *testing.T) *engine.PhysicalPlan {
@@ -142,4 +147,76 @@ func TestRestoreRejectsWrongPlan(t *testing.T) {
 
 func persistFile(ex *engine.Executor, path string) (*PointInfo, error) {
 	return Seam{}.Persist(context.Background(), Run{Ex: ex}, "Q3", ResumePoint{TargetFile, path}, PersistOptions{})
+}
+
+// countingSink counts the serializations of one pipeline's sink state.
+type countingSink struct {
+	engine.Sink
+	saves *atomic.Int64
+}
+
+func (c countingSink) SaveGlobal(enc *vector.Encoder) error {
+	c.saves.Add(1)
+	return c.Sink.SaveGlobal(enc)
+}
+
+// TestPersistSerializesOnce pins the one-encode rule: a process-level
+// Persist that retries through two transient write faults, runs out of
+// space on the padded image's third attempt and lands on the unpadded rung
+// has written five times and serialized the executor state exactly once —
+// every attempt and rung re-writes the bytes the first encode produced.
+func TestPersistSerializesOnce(t *testing.T) {
+	pp := setup(t)
+	// Every breaker's sink but the result's: whichever finalized states the
+	// suspension finds live, each is saved once per SaveState.
+	counts := make([]atomic.Int64, pp.NumPipelines()-1)
+	for i := range counts {
+		pp.Pipelines[i].Sink = countingSink{pp.Pipelines[i].Sink, &counts[i]}
+	}
+	reg := obs.NewRegistry()
+	ex := engine.NewExecutor(pp, engine.Options{
+		Workers:     2,
+		Obs:         obs.Context{Metrics: reg},
+		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 20},
+	})
+	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
+		t.Fatalf("Run = %v, want a process-level suspension", err)
+	}
+	for i := range counts {
+		counts[i].Store(0) // breaker-time size estimates serialize too; only Persist counts
+	}
+
+	inj := faultfs.New(nil).
+		FailTransient(faultfs.OpWrite, 1, 2, nil).
+		WriteBudget(64 << 10) // room for the state, not for the padding
+	path := filepath.Join(t.TempDir(), "once.rvck")
+	info, err := Seam{FS: inj}.Persist(context.Background(), Run{Ex: ex}, "Q3", ResumePoint{TargetFile, path},
+		PersistOptions{Retry: checkpoint.RetryPolicy{Attempts: 3}, AllowUnpadded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Kind != "pipeline" || info.TotalBytes != info.StateBytes {
+		t.Fatalf("persist landed %+v, want the unpadded rung", info)
+	}
+	snap := reg.Snapshot().Counters
+	if snap[obs.MetricCheckpointRetry] != 2 || snap[obs.MetricCheckpointFallback] != 1 {
+		t.Fatalf("retries=%d fallbacks=%d, want 2 and 1: the faults did not drive the ladder",
+			snap[obs.MetricCheckpointRetry], snap[obs.MetricCheckpointFallback])
+	}
+	var live int
+	for i := range counts {
+		switch n := counts[i].Load(); n {
+		case 0:
+		case 1:
+			live++
+		default:
+			t.Errorf("pipeline %d's sink state was serialized %d times by one Persist", i, n)
+		}
+	}
+	if live == 0 {
+		t.Fatal("the suspension captured no finalized sink state; nothing was counted")
+	}
+	if _, err := (Seam{}).Verify(ResumePoint{TargetFile, path}); err != nil {
+		t.Errorf("the image that landed does not verify: %v", err)
+	}
 }

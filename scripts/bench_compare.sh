@@ -5,9 +5,11 @@
 # above FAIL_PCT (default 25%) fails the run; regressions between WARN_PCT (default 10%)
 # and FAIL_PCT only warn, as do regressions in the non-gated sections.
 # Allocation counts are gated with the same thresholds as wall time because
-# they are deterministic — an allocs/op jump is always a real code change,
-# never machine noise, and the fused kernel layer exists precisely to keep
-# the hot paths allocation-free. Benchmarks present
+# they are deterministic for a given benchtime and CPU count (bench_json.sh
+# samples at the baseline's benchtime, the engine and TPC-H sections on one
+# CPU) — there an allocs/op jump is always a real code change, never machine
+# noise, and the fused kernel layer exists precisely to keep the hot paths
+# allocation-free. Benchmarks present
 # in one file but not the other are reported, and a duplicate benchmark name
 # within a section is an error — two benchmarks whose names collapse to the
 # same JSON key would silently gate each other's numbers.
