@@ -110,16 +110,18 @@ lineage-suite:
 	$(GO) test -race -count=2 -run 'Lineage' \
 		. ./internal/strategy/... ./internal/costmodel/... ./internal/riveter/... ./internal/server/...
 
-# Ten seconds of native fuzzing per byte-level decoder that has a target:
-# the checkpoint file (FuzzReadImage) and the store's manifest and chunks
+# Ten seconds of native fuzzing per target: the byte-level decoders — the
+# checkpoint file (FuzzReadImage) and the store's manifest and chunks
 # (FuzzReadCheckpoint, whose worker goroutines make coverage vary between
-# runs — without -fuzzminimizetime 1x the engine sits in minimization). The
-# committed corpora run as plain tests in `make test`; this catches what
-# only mutation finds. A crasher is written under the package's
-# testdata/fuzz and fails the target.
+# runs — without -fuzzminimizetime 1x the engine sits in minimization) — and
+# the expression evaluator against its scalar oracle on random trees
+# (FuzzProgramMatchesScalar). The committed corpora run as plain tests in
+# `make test`; this catches what only mutation finds. A crasher is written
+# under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
 	$(GO) test ./internal/blobstore -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzProgramMatchesScalar$$' -fuzztime 10s
 
 # Every engine benchmark plus the TPC-H per-query suite, at the benchtime
 # the committed BENCH_engine.json records (BENCHTIME=... overrides): keeps

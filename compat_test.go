@@ -9,16 +9,29 @@ import (
 	"time"
 )
 
-// The parent-written resume points under testdata/parent: TPC-H Q3 at
-// SF 0.01 with two workers, suspended and persisted by the commit before
-// the one-image rewrite — a pipeline-level checkpoint file, a process-level
-// image in a blob store (key "q3"), and a sealed lineage log. To regenerate,
-// copy this file into a checkout of the commit whose bytes are the reference
-// and run there (it overwrites that checkout's testdata/parent)
+// The parent-written resume points under testdata/parent, all at SF 0.01
+// with two workers. TPC-H Q3, suspended and persisted by the commit before
+// the one-image rewrite: a pipeline-level checkpoint file, a process-level
+// image in a blob store (key "q3"), and a sealed lineage log. And compatAggSQL
+// (store key "agg"), suspended process-level in the middle of its aggregation
+// by the last commit that had the map-based aggregate sink, with that
+// commit's DB.compileOpts forced onto it (its option to switch the generated
+// kernel layer off): the worker-local aggregate tables in the image are the
+// bytes of the implementation FlatAggSink replaced. To
+// regenerate, copy this file into a checkout of the commit whose bytes are
+// the reference and run there (it overwrites that checkout's testdata/parent)
 // RIVETER_GOLDEN=parent go test -run TestParentWrittenPointsStartFrom .
+// for the Q3 points, RIVETER_GOLDEN=parent-agg for the aggregation point.
 const (
 	compatSF    = 0.01
 	compatQuery = 3
+	// compatAggSQL folds every aggregate function, DISTINCT included, over
+	// doubles, integers, dates and strings into four groups, one of them the
+	// NULL an ELSE-less CASE yields.
+	compatAggSQL = `SELECT CASE WHEN l_quantity < 25 THEN l_returnflag END AS band,
+		sum(l_extendedprice), sum(l_linenumber), avg(l_discount), min(l_shipdate),
+		max(l_shipmode), count(l_comment), count(*), count(DISTINCT l_suppkey)
+		FROM lineitem GROUP BY band`
 )
 
 func openCompatDB(t *testing.T, storeDir string) *DB {
@@ -37,14 +50,28 @@ func openCompatDB(t *testing.T, storeDir string) *DB {
 // process-level and lineage suspensions are retried with a growing head
 // start until they land mid-scan, so the store image carries worker-local
 // state and a cursor and the log carries morsel records to replay past.
-func writeCompatFixtures(t *testing.T, dir string) {
+func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 	db := openCompatDB(t, filepath.Join(dir, "store"))
-	q, err := db.PrepareTPCH(compatQuery)
+	q3, err := db.PrepareTPCH(compatQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg, err := db.Prepare(compatAggSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the chunks of the attempts that were not kept.
+	defer func() {
+		st, err := db.BlobStore()
+		if err == nil {
+			_, err = st.GC()
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}()
 	ctx := context.Background()
-	persist := func(level Strategy, point func(*Execution) ResumePoint, midScan func(*PointInfo) bool) {
+	persist := func(q *Query, level Strategy, point func(*Execution) ResumePoint, midScan func(*PointInfo) bool) {
 		for try := 0; try < 200; try++ {
 			var exec *Execution
 			if level == LineageLevel {
@@ -73,13 +100,21 @@ func writeCompatFixtures(t *testing.T, dir string) {
 		}
 		t.Fatalf("no mid-scan %v suspension landed", level)
 	}
-	persist(PipelineLevel,
+	// The finalized aggregate is four rows; a state this large is the two
+	// workers' local tables with their DISTINCT sets, i.e. mid-aggregation.
+	if aggOnly {
+		persist(agg, ProcessLevel,
+			func(*Execution) ResumePoint { return storePoint("agg") },
+			func(info *PointInfo) bool { return info.StateBytes > 3<<10 })
+		return
+	}
+	persist(q3, PipelineLevel,
 		func(*Execution) ResumePoint { return filePoint(filepath.Join(dir, "q3.rvck")) },
 		func(*PointInfo) bool { return true })
-	persist(ProcessLevel,
+	persist(q3, ProcessLevel,
 		func(*Execution) ResumePoint { return storePoint("q3") },
 		func(info *PointInfo) bool { return info.TotalBytes > 1<<20 })
-	persist(LineageLevel,
+	persist(q3, LineageLevel,
 		func(exec *Execution) ResumePoint { return ResumePoint{Target: "lineage", Ref: exec.LineagePath()} },
 		func(info *PointInfo) bool { return info.States > 0 && info.Records > 10 })
 }
@@ -110,35 +145,43 @@ func copyTree(t *testing.T, src, dst string) {
 // checkpoint file, a store key and a lineage log written by the parent each
 // verify and StartFrom here, to the result of an uninterrupted run.
 func TestParentWrittenPointsStartFrom(t *testing.T) {
-	if os.Getenv("RIVETER_GOLDEN") == "parent" {
-		writeCompatFixtures(t, filepath.Join("testdata", "parent"))
+	if golden := os.Getenv("RIVETER_GOLDEN"); golden == "parent" || golden == "parent-agg" {
+		writeCompatFixtures(t, filepath.Join("testdata", "parent"), golden == "parent-agg")
 		return
 	}
 	dir := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "parent"), dir)
 	db := openCompatDB(t, filepath.Join(dir, "store"))
-	q, err := db.PrepareTPCH(compatQuery)
+	q3, err := db.PrepareTPCH(compatQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := q.Run(context.Background())
+	agg, err := db.Prepare(compatAggSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, at := range []ResumePoint{
-		filePoint(filepath.Join(dir, "q3.rvck")),
-		storePoint("q3"),
-		{Target: "lineage", Ref: filepath.Join(dir, "q3.rvlg")},
+	for _, c := range []struct {
+		q  *Query
+		at ResumePoint
+	}{
+		{q3, filePoint(filepath.Join(dir, "q3.rvck"))},
+		{q3, storePoint("q3")},
+		{q3, ResumePoint{Target: "lineage", Ref: filepath.Join(dir, "q3.rvlg")}},
+		{agg, storePoint("agg")},
 	} {
-		info, err := db.Verify(at)
+		clean, err := c.q.Run(context.Background())
 		if err != nil {
-			t.Fatalf("verify %v: %v", at, err)
+			t.Fatal(err)
 		}
-		if info.Query != q.Name() {
-			t.Errorf("%v: verify names query %q, want %q", at, info.Query, q.Name())
+		info, err := db.Verify(c.at)
+		if err != nil {
+			t.Fatalf("verify %v: %v", c.at, err)
 		}
-		if got := finishFrom(t, q, at); got.SortedKey() != clean.SortedKey() {
-			t.Errorf("%v: resumed result differs from an uninterrupted run", at)
+		if info.Query != c.q.Name() {
+			t.Errorf("%v: verify names query %q, want %q", c.at, info.Query, c.q.Name())
+		}
+		if got := finishFrom(t, c.q, c.at); got.SortedKey() != clean.SortedKey() {
+			t.Errorf("%v: resumed result differs from an uninterrupted run", c.at)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/catalog"
@@ -419,6 +420,36 @@ func TestCompileRejectsUnknownTable(t *testing.T) {
 	sc := plan.NewScan("ghost", catalog.NewSchema(catalog.Col("x", vector.TypeInt64)), []int{0}, nil)
 	if _, err := Compile(sc, cat); err == nil {
 		t.Fatal("compiling a scan of a missing table must fail")
+	}
+}
+
+// TestCompileRejectsIllTypedExpressions: every expression of a plan is
+// compiled to its program by Compile, so one that has no program — wherever
+// in the plan it sits — fails there, before a morsel is read. The nodes are
+// assembled by hand: the builders and constructors refuse these themselves.
+func TestCompileRejectsIllTypedExpressions(t *testing.T) {
+	cat := testDB(t)
+	e := plan.NewBuilder(cat).Scan("emp", "id", "salary", "name")
+	child := e.Node()
+	notOverDouble := &expr.NotExpr{In: e.Col("salary")}
+	for name, tc := range map[string]struct {
+		node plan.Node
+		want string
+	}{
+		"filter not boolean": {&plan.Filter{Child: child, Cond: e.Col("salary")}, "filter condition of type DOUBLE"},
+		"filter":             {&plan.Filter{Child: child, Cond: notOverDouble}, "NOT over DOUBLE"},
+		"project":            {plan.NewProject(child, []expr.Expr{notOverDouble}, []string{"x"}), "NOT over DOUBLE"},
+		"group key":          {plan.NewAggregate(child, []expr.Expr{notOverDouble}, []string{"g"}, nil), "NOT over DOUBLE"},
+		"aggregate argument": {plan.NewAggregate(child, nil, nil, []plan.AggSpec{plan.Count(notOverDouble, "n")}), "NOT over DOUBLE"},
+		"sort key":           {&plan.Sort{Child: child, Keys: []plan.SortKey{{Expr: notOverDouble}}}, "NOT over DOUBLE"},
+		"top-n key":          {&plan.Limit{Child: &plan.Sort{Child: child, Keys: []plan.SortKey{{Expr: notOverDouble}}}, N: 3}, "NOT over DOUBLE"},
+		"join build key":     {plan.NewJoin(plan.InnerJoin, child, child, []expr.Expr{e.Col("id")}, []expr.Expr{notOverDouble}, nil), "NOT over DOUBLE"},
+		"join probe key":     {plan.NewJoin(plan.InnerJoin, child, child, []expr.Expr{notOverDouble}, []expr.Expr{e.Col("id")}, nil), "NOT over DOUBLE"},
+		"join residual":      {plan.NewJoin(plan.InnerJoin, child, child, []expr.Expr{e.Col("id")}, []expr.Expr{e.Col("id")}, e.Col("salary")), "filter condition of type DOUBLE"},
+	} {
+		if _, err := Compile(tc.node, cat); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Compile = %v, want an error containing %q", name, err, tc.want)
+		}
 	}
 }
 

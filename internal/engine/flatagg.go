@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 
 	"github.com/riveterdb/riveter/internal/engine/kernel"
@@ -11,15 +10,13 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// flatAggTable is the open-addressing replacement for aggHashTable. Encoded
-// group keys live back-to-back in one byte arena addressed by offset, the
+// flatAggTable is the aggregate hash table, open-addressed. Encoded group
+// keys live back-to-back in one byte arena addressed by offset, the
 // per-group accumulators live in struct-of-arrays columns (one aggCol per
 // aggregate spec), and the probe path is FNV hash + linear scan over a
-// power-of-two slot array. A probe therefore costs zero allocations — the
-// generic table pays a map-key string conversion, a *aggGroup, a []*aggState
-// and one *aggState per spec for every new group, plus a closure allocation
-// per row. Group indices are dense and assigned in first-seen order, which is
-// also the output order, matching the generic table's order slice exactly.
+// power-of-two slot array, so a probe allocates nothing. Group indices are
+// dense and assigned in first-seen order, which is also the output and the
+// checkpoint order.
 type flatAggTable struct {
 	specs    []plan.AggSpec
 	nGroupBy int
@@ -35,9 +32,9 @@ type flatAggTable struct {
 }
 
 // aggCol is the struct-of-arrays accumulator for one aggregate spec across
-// all groups. sumF/sumI/count are maintained for every spec so the saved
-// state is field-for-field identical to the generic aggState format; minmax
-// and distinct are allocated only for the specs that use them.
+// all groups. sumF/sumI/count are maintained for every spec because the v2
+// state format writes all three per spec; minmax and distinct are allocated
+// only for the specs that use them.
 type aggCol struct {
 	sumF     []float64
 	sumI     []int64
@@ -47,6 +44,10 @@ type aggCol struct {
 }
 
 const flatAggInitSlots = 64
+
+// distinctMapSizeHint pre-sizes per-group DISTINCT sets so the first few
+// inserts don't each trigger an incremental map growth allocation.
+const distinctMapSizeHint = 8
 
 func newFlatAggTable(specs []plan.AggSpec, nGroupBy int) *flatAggTable {
 	return &flatAggTable{
@@ -151,9 +152,9 @@ func (t *flatAggTable) groupKeys(g int32) []vector.Value {
 	return t.keys[int(g)*t.nGroupBy : (int(g)+1)*t.nGroupBy]
 }
 
-// updateBoxed folds one boxed value into group g for spec i, mirroring
-// aggState.update exactly (the slow path for DISTINCT, MIN/MAX, and types
-// without a fold kernel).
+// updateBoxed folds one boxed value into group g for spec i: the one path for
+// DISTINCT, MIN and MAX, which compare or hash whole values; SUM, AVG and
+// COUNT reach it only over a type without a grouped-update kernel.
 func (t *flatAggTable) updateBoxed(i int, sp plan.AggSpec, g int32, v vector.Value) {
 	c := &t.cols[i]
 	if sp.Func == plan.AggCountStar {
@@ -191,7 +192,7 @@ func (t *flatAggTable) updateBoxed(i int, sp plan.AggSpec, g int32, v vector.Val
 	}
 }
 
-// mergeFrom folds group sg of src into group dg, mirroring aggState.merge.
+// mergeFrom folds group sg of src into group dg.
 func (t *flatAggTable) mergeFrom(src *flatAggTable, dg, sg int32) {
 	for i, sp := range t.specs {
 		dc, sc := &t.cols[i], &src.cols[i]
@@ -224,8 +225,7 @@ func (t *flatAggTable) mergeFrom(src *flatAggTable, dg, sg int32) {
 	}
 }
 
-// result produces the final value of spec i for group g, mirroring
-// aggState.result.
+// result produces the final value of spec i for group g.
 func (t *flatAggTable) result(i int, sp plan.AggSpec, g int32) vector.Value {
 	c := &t.cols[i]
 	if sp.Distinct {
@@ -255,9 +255,8 @@ func (t *flatAggTable) result(i int, sp plan.AggSpec, g int32) vector.Value {
 	}
 }
 
-// memBytes mirrors the generic table's estimate: 64 bytes per group plus 64
-// per state plus 64 per distinct value, so the executor's memory-based
-// checkpoint cost model sees the same numbers on either sink.
+// memBytes estimates 64 bytes per group plus 64 per state plus 64 per
+// distinct value, for the executor's memory-based checkpoint cost model.
 func (t *flatAggTable) memBytes() int64 {
 	b := int64(t.n) * int64(64+64*len(t.specs))
 	for i := range t.cols {
@@ -268,19 +267,19 @@ func (t *flatAggTable) memBytes() int64 {
 	return b
 }
 
-// FlatAggSink is the kernel-backed drop-in replacement for HashAggSink built
-// on flatAggTable: group-by and argument expressions run as compiled columnar
-// programs when possible, group probes allocate nothing, and SUM/COUNT folds
-// run as generated grouped-update kernels over raw slices. Checkpoint bytes
-// (SaveLocal/SaveGlobal) are bit-identical to HashAggSink's, so either sink
-// can resume the other's state and the suspension formats stay at v1/v2.
+// FlatAggSink is the pipeline breaker for hash aggregation. Worker-local
+// flatAggTables are merged into the global table at Combine; Finalize
+// materializes the groups into a row buffer scannable by the next pipeline —
+// the "global state" of the paper's Fig. 3. Group-by and argument
+// expressions run as compiled programs, group probes allocate nothing, and
+// SUM/COUNT folds run as generated grouped-update kernels over raw slices.
+// SaveLocal writes the v2 aggregate state format (saveTable).
 type FlatAggSink struct {
-	groupBy  []expr.Expr
 	specs    []plan.AggSpec
 	outTypes []vector.Type
 
-	groupProgs []*expr.Program // nil entries fall back to Expr.Eval
-	argProgs   []*expr.Program
+	groupProgs []*expr.Program
+	argProgs   []*expr.Program // nil where the spec takes no argument: COUNT(*)
 
 	global *flatAggTable
 	buf    *RowBuffer
@@ -290,28 +289,27 @@ type FlatAggSink struct {
 }
 
 // NewFlatAggSink builds the sink. outTypes is groupTypes ++ aggregate result
-// types, exactly as for NewHashAggSink.
-func NewFlatAggSink(groupBy []expr.Expr, specs []plan.AggSpec, outTypes []vector.Type) *FlatAggSink {
-	if len(groupBy) > len(groupKey{}) {
-		panic(fmt.Sprintf("aggregate with %d group columns (max %d)", len(groupBy), len(groupKey{})))
+// types (matching plan.Aggregate's schema).
+func NewFlatAggSink(groupBy []expr.Expr, specs []plan.AggSpec, outTypes []vector.Type) (*FlatAggSink, error) {
+	groupProgs, err := compilePrograms(groupBy)
+	if err != nil {
+		return nil, err
 	}
-	s := &FlatAggSink{
-		groupBy:  groupBy,
-		specs:    specs,
-		outTypes: outTypes,
-		global:   newFlatAggTable(specs, len(groupBy)),
-	}
-	s.groupProgs = make([]*expr.Program, len(groupBy))
-	for i, g := range groupBy {
-		s.groupProgs[i] = expr.CompileProgram(g)
-	}
-	s.argProgs = make([]*expr.Program, len(specs))
+	args := make([]expr.Expr, len(specs))
 	for i, sp := range specs {
-		if sp.Arg != nil {
-			s.argProgs[i] = expr.CompileProgram(sp.Arg)
-		}
+		args[i] = sp.Arg
 	}
-	return s
+	argProgs, err := compilePrograms(args)
+	if err != nil {
+		return nil, err
+	}
+	return &FlatAggSink{
+		specs:      specs,
+		outTypes:   outTypes,
+		groupProgs: groupProgs,
+		argProgs:   argProgs,
+		global:     newFlatAggTable(specs, len(groupBy)),
+	}, nil
 }
 
 type flatAggLocal struct {
@@ -320,25 +318,18 @@ type flatAggLocal struct {
 	rowGroups  []int32
 	groupVecs  []*vector.Vector
 	argVecs    []*vector.Vector
-	groupInsts []*expr.Instance // nil entries use groupBy[i].Eval
-	argInsts   []*expr.Instance
+	groupInsts []*expr.Instance
+	argInsts   []*expr.Instance // nil where argProgs is
 }
 
 func (s *FlatAggSink) newLocal(t *flatAggTable) *flatAggLocal {
-	l := &flatAggLocal{table: t}
-	l.groupInsts = make([]*expr.Instance, len(s.groupProgs))
-	for i, p := range s.groupProgs {
-		if p != nil {
-			l.groupInsts[i] = p.NewInstance()
-		}
+	return &flatAggLocal{
+		table:      t,
+		groupVecs:  make([]*vector.Vector, len(s.groupProgs)),
+		argVecs:    make([]*vector.Vector, len(s.argProgs)),
+		groupInsts: newInstances(s.groupProgs),
+		argInsts:   newInstances(s.argProgs),
 	}
-	l.argInsts = make([]*expr.Instance, len(s.argProgs))
-	for i, p := range s.argProgs {
-		if p != nil {
-			l.argInsts[i] = p.NewInstance()
-		}
-	}
-	return l
 }
 
 // MakeLocal implements Sink. Locals are recycled through a pool: Combine is
@@ -349,7 +340,7 @@ func (s *FlatAggSink) MakeLocal() LocalState {
 		l.table.reset()
 		return l
 	}
-	return s.newLocal(newFlatAggTable(s.specs, len(s.groupBy)))
+	return s.newLocal(newFlatAggTable(s.specs, len(s.groupProgs)))
 }
 
 // Consume implements Sink.
@@ -359,45 +350,12 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 	if n == 0 {
 		return nil
 	}
-	if cap(l.groupVecs) < len(s.groupBy) {
-		l.groupVecs = make([]*vector.Vector, len(s.groupBy))
+	groupVecs, argVecs := l.groupVecs, l.argVecs
+	if err := evalInstances(l.groupInsts, c, groupVecs); err != nil {
+		return err
 	}
-	groupVecs := l.groupVecs[:len(s.groupBy)]
-	for i := range s.groupBy {
-		var v *vector.Vector
-		var err error
-		if l.groupInsts[i] != nil {
-			v, err = l.groupInsts[i].Eval(c)
-		} else {
-			v, err = s.groupBy[i].Eval(c)
-		}
-		if err != nil {
-			return err
-		}
-		groupVecs[i] = v
-	}
-	if cap(l.argVecs) < len(s.specs) {
-		l.argVecs = make([]*vector.Vector, len(s.specs))
-	}
-	argVecs := l.argVecs[:len(s.specs)]
-	for i := range argVecs {
-		argVecs[i] = nil
-	}
-	for i, sp := range s.specs {
-		if sp.Arg == nil {
-			continue
-		}
-		var v *vector.Vector
-		var err error
-		if l.argInsts[i] != nil {
-			v, err = l.argInsts[i].Eval(c)
-		} else {
-			v, err = sp.Arg.Eval(c)
-		}
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
+	if err := evalInstances(l.argInsts, c, argVecs); err != nil {
+		return err
 	}
 
 	// Locate (or create) each row's group: no closures, no boxing except for
@@ -481,7 +439,7 @@ func (s *FlatAggSink) Combine(ls LocalState) error {
 // Finalize implements Sink.
 func (s *FlatAggSink) Finalize() error {
 	s.buf = NewRowBuffer(s.outTypes)
-	if len(s.groupBy) == 0 && s.global.n == 0 {
+	if len(s.groupProgs) == 0 && s.global.n == 0 {
 		// Global aggregation over zero rows still yields one row.
 		s.global.get(nil)
 	}
@@ -504,10 +462,10 @@ func (s *FlatAggSink) Buffer() *RowBuffer { return s.buf }
 // NumGroups returns the current number of global groups.
 func (s *FlatAggSink) NumGroups() int { return s.global.n }
 
-// saveTable writes a table in the exact byte format of HashAggSink.saveTable:
-// boxed key values then, per spec, the four scalar state fields and the
-// distinct set. Fields a spec never touches are written as their zero values,
-// which is precisely what the generic aggState holds for them.
+// saveTable writes a table in the v2 aggregate state format: per group, in
+// first-seen order, the boxed key values then, per spec, the four scalar
+// state fields and the distinct set. Fields a spec never touches are written
+// as their zero values.
 func (s *FlatAggSink) saveTable(enc *vector.Encoder, t *flatAggTable) {
 	enc.Uvarint(uint64(t.n))
 	for g := int32(0); int(g) < t.n; g++ {
@@ -538,23 +496,21 @@ func (s *FlatAggSink) saveTable(enc *vector.Encoder, t *flatAggTable) {
 }
 
 func (s *FlatAggSink) loadTable(dec *vector.Decoder) (*flatAggTable, error) {
-	t := newFlatAggTable(s.specs, len(s.groupBy))
+	t := newFlatAggTable(s.specs, len(s.groupProgs))
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	var keyBuf []byte
-	var key groupKey
+	key := make([]vector.Value, t.nGroupBy)
 	for r := 0; r < n; r++ {
-		for i := 0; i < t.nGroupBy; i++ {
+		for i := range key {
 			key[i] = dec.Value()
 		}
-		keyBuf = encodeKeyFromValues(keyBuf[:0], key, t.nGroupBy)
+		keyBuf = encodeKeyFromValues(keyBuf[:0], key)
 		g, isNew := t.get(keyBuf)
 		if isNew {
-			for i := 0; i < t.nGroupBy; i++ {
-				t.keys = append(t.keys, key[i])
-			}
+			t.keys = append(t.keys, key...)
 		}
 		for i, sp := range s.specs {
 			c := &t.cols[i]
@@ -580,7 +536,8 @@ func (s *FlatAggSink) loadTable(dec *vector.Decoder) (*flatAggTable, error) {
 	return t, dec.Err()
 }
 
-// SaveGlobal implements Sink; format-identical to HashAggSink.SaveGlobal.
+// SaveGlobal implements Sink. After finalize the scannable buffer is the
+// state.
 func (s *FlatAggSink) SaveGlobal(enc *vector.Encoder) error {
 	s.buf.Save(enc)
 	return enc.Err()
@@ -597,7 +554,7 @@ func (s *FlatAggSink) LoadGlobal(dec *vector.Decoder) error {
 	return nil
 }
 
-// SaveLocal implements Sink; format-identical to HashAggSink.SaveLocal.
+// SaveLocal implements Sink.
 func (s *FlatAggSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
 	s.saveTable(enc, ls.(*flatAggLocal).table)
 	return enc.Err()

@@ -8,15 +8,15 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// FusedOp is the kernel-backed replacement for a FilterOp, a ProjectOp, or a
-// FilterOp immediately followed by a ProjectOp. The predicate and projection
-// expressions are compiled columnar programs (internal/expr.Program), so one
-// morsel flows through the whole filter+project stage as typed slices: the
-// predicate evaluates into a reusable register, kernel.SelectTrue builds a
-// selection vector, surviving rows are gathered once, and each projection
-// evaluates into its own register that the output chunk aliases without
-// copying. The planner only builds a FusedOp when every expression compiled;
-// anything a program cannot express stays on the generic operator path.
+// FusedOp is the streaming filter, projection, or filter followed by
+// projection (fusePipelineOps merges the pair): rows where the predicate is
+// true pass (NULL counts as false), and each projection computes one output
+// column. The predicate and projection expressions are compiled columnar
+// programs (internal/expr.Program), so one morsel flows through the whole
+// stage as typed slices: the predicate evaluates into a reusable register,
+// kernel.SelectTrue builds a selection vector, surviving rows are gathered
+// once, and each projection evaluates into its own register that the output
+// chunk aliases without copying.
 //
 // Emitted chunks alias program registers and, for passthrough columns, input
 // columns. That is safe under the engine-wide contract that emitted chunks
@@ -59,10 +59,7 @@ func NewFusedOp(pred *expr.Program, projs []*expr.Program, inTypes []vector.Type
 			s.gathered = vector.NewChunk(inTypes)
 		}
 		if projs != nil {
-			s.projs = make([]*expr.Instance, len(projs))
-			for i, p := range projs {
-				s.projs[i] = p.NewInstance()
-			}
+			s.projs = newInstances(projs)
 			s.out = vector.NewChunk(outTypes)
 		}
 		return s

@@ -16,7 +16,7 @@ import (
 // persist only the rows — exactly the "entire hash table for the join" the
 // paper measures for join-ending pipelines (Fig. 8).
 type HashJoinBuildSink struct {
-	keyExprs []expr.Expr // over the build input schema
+	keyProgs []*expr.Program // over the build input schema
 	keyTypes []vector.Type
 	payTypes []vector.Type
 	rowTypes []vector.Type // keyTypes ++ payTypes
@@ -40,23 +40,28 @@ type joinIndex struct {
 
 // NewHashJoinBuildSink builds the sink for the given key expressions and
 // build-side input types.
-func NewHashJoinBuildSink(keys []expr.Expr, inTypes []vector.Type) *HashJoinBuildSink {
+func NewHashJoinBuildSink(keys []expr.Expr, inTypes []vector.Type) (*HashJoinBuildSink, error) {
+	progs, err := compilePrograms(keys)
+	if err != nil {
+		return nil, err
+	}
 	kt := make([]vector.Type, len(keys))
 	for i, k := range keys {
 		kt[i] = k.Type()
 	}
 	rt := append(append([]vector.Type{}, kt...), inTypes...)
 	return &HashJoinBuildSink{
-		keyExprs: keys,
+		keyProgs: progs,
 		keyTypes: kt,
 		payTypes: inTypes,
 		rowTypes: rt,
 		buf:      NewRowBuffer(rt),
-	}
+	}, nil
 }
 
 type joinBuildLocal struct {
-	buf *RowBuffer
+	buf      *RowBuffer
+	keyInsts []*expr.Instance
 	// keyVecs and rowCols are per-chunk scratch for evaluated key vectors
 	// and the key++payload column layout; worker-local, so plain reuse is
 	// race-free.
@@ -64,30 +69,24 @@ type joinBuildLocal struct {
 	rowCols []*vector.Vector
 }
 
-// MakeLocal implements Sink.
-func (s *HashJoinBuildSink) MakeLocal() LocalState {
-	return &joinBuildLocal{buf: NewRowBuffer(s.rowTypes)}
+func (s *HashJoinBuildSink) newLocal(buf *RowBuffer) *joinBuildLocal {
+	return &joinBuildLocal{buf: buf, keyInsts: newInstances(s.keyProgs), keyVecs: make([]*vector.Vector, len(s.keyProgs))}
 }
+
+// MakeLocal implements Sink.
+func (s *HashJoinBuildSink) MakeLocal() LocalState { return s.newLocal(NewRowBuffer(s.rowTypes)) }
 
 // Consume implements Sink.
 func (s *HashJoinBuildSink) Consume(ls LocalState, c *vector.Chunk) error {
 	l := ls.(*joinBuildLocal)
-	if cap(l.keyVecs) < len(s.keyExprs) {
-		l.keyVecs = make([]*vector.Vector, len(s.keyExprs))
-	}
-	keyVecs := l.keyVecs[:len(s.keyExprs)]
-	for i, k := range s.keyExprs {
-		v, err := k.Eval(c)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	if err := evalInstances(l.keyInsts, c, l.keyVecs); err != nil {
+		return err
 	}
 	// Lay out key columns then payload columns and bulk-append the whole
 	// chunk; AppendRange copies, so aliasing key vectors to input columns
 	// (a bare column-reference key) is fine.
 	l.rowCols = l.rowCols[:0]
-	l.rowCols = append(l.rowCols, keyVecs...)
+	l.rowCols = append(l.rowCols, l.keyVecs...)
 	l.rowCols = append(l.rowCols, c.Cols()...)
 	l.buf.appendVectors(l.rowCols, c.Len())
 	return nil
@@ -214,7 +213,7 @@ func (s *HashJoinBuildSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &joinBuildLocal{buf: buf}, nil
+	return s.newLocal(buf), nil
 }
 
 // MemBytes implements Sink.
@@ -235,21 +234,23 @@ func (s *HashJoinBuildSink) LocalMemBytes(ls LocalState) int64 {
 type HashJoinProbeOp struct {
 	Type     plan.JoinType
 	build    *HashJoinBuildSink
-	keyExprs []expr.Expr // over the probe input schema
-	extra    expr.Expr   // over probe ++ build payload; may be nil
+	keyProgs []*expr.Program // over the probe input schema
+	extra    *expr.Program   // over probe ++ build payload; may be nil
 
 	probeTypes []vector.Type
 	outTypes   []vector.Type
 	pairTypes  []vector.Type // probeTypes ++ build payload types
 
 	// scratch pools per-worker probe state (the operator instance is shared
-	// by all workers of the pipeline). See chunkPool for why reusing emitted
+	// by all workers of the pipeline). See StreamOp for why reusing emitted
 	// chunks is sound.
 	scratch sync.Pool
 }
 
 // probeScratch is the reusable per-Process working set of a probe.
 type probeScratch struct {
+	keyInsts []*expr.Instance
+	extra    *expr.Instance // nil without a residual predicate
 	keyVecs  []*vector.Vector
 	hashes   []uint64
 	matched  []bool
@@ -265,10 +266,12 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 	s, _ := p.scratch.Get().(*probeScratch)
 	if s == nil {
 		s = &probeScratch{
-			keyVecs: make([]*vector.Vector, len(p.keyExprs)),
-			pair:    vector.NewChunk(p.pairTypes),
+			keyInsts: newInstances(p.keyProgs),
+			keyVecs:  make([]*vector.Vector, len(p.keyProgs)),
+			pair:     vector.NewChunk(p.pairTypes),
 		}
 		if p.extra != nil {
+			s.extra = p.extra.NewInstance()
 			s.filtered = vector.NewChunk(p.pairTypes)
 		}
 		switch p.Type {
@@ -295,8 +298,19 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 	return s
 }
 
-// NewHashJoinProbeOp builds the probe operator.
-func NewHashJoinProbeOp(jt plan.JoinType, build *HashJoinBuildSink, keys []expr.Expr, extra expr.Expr, probeTypes []vector.Type) *HashJoinProbeOp {
+// NewHashJoinProbeOp builds the probe operator. extra, the residual
+// predicate over probe ++ build payload columns, may be nil.
+func NewHashJoinProbeOp(jt plan.JoinType, build *HashJoinBuildSink, keys []expr.Expr, extra expr.Expr, probeTypes []vector.Type) (*HashJoinProbeOp, error) {
+	keyProgs, err := compilePrograms(keys)
+	if err != nil {
+		return nil, err
+	}
+	var extraProg *expr.Program
+	if extra != nil {
+		if extraProg, err = compilePredicate(extra); err != nil {
+			return nil, err
+		}
+	}
 	pair := append(append([]vector.Type{}, probeTypes...), build.payTypes...)
 	out := pair
 	if jt == plan.SemiJoin || jt == plan.AntiJoin {
@@ -305,12 +319,12 @@ func NewHashJoinProbeOp(jt plan.JoinType, build *HashJoinBuildSink, keys []expr.
 	return &HashJoinProbeOp{
 		Type:       jt,
 		build:      build,
-		keyExprs:   keys,
-		extra:      extra,
+		keyProgs:   keyProgs,
+		extra:      extraProg,
 		probeTypes: probeTypes,
 		outTypes:   out,
 		pairTypes:  pair,
-	}
+	}, nil
 }
 
 // OutTypes implements StreamOp.
@@ -329,12 +343,8 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 	s := p.getScratch(n)
 	defer p.scratch.Put(s)
 	keyVecs := s.keyVecs
-	for i, k := range p.keyExprs {
-		v, err := k.Eval(in)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	if err := evalInstances(s.keyInsts, in, keyVecs); err != nil {
+		return err
 	}
 	hashes := s.hashes
 	for _, kv := range keyVecs {
@@ -351,8 +361,8 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		}
 		keepChunk := pairOut
 		keepRows := s.pairRows
-		if p.extra != nil {
-			sel, err := p.extra.Eval(pairOut)
+		if s.extra != nil {
+			sel, err := s.extra.Eval(pairOut)
 			if err != nil {
 				return err
 			}
@@ -399,7 +409,7 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		return nil
 	}
 
-	if len(p.keyExprs) == 0 {
+	if len(p.keyProgs) == 0 {
 		// Cross join: every build row pairs with every probe row.
 		for i := 0; i < n; i++ {
 			for r := int64(0); r < p.build.buf.Rows(); r++ {

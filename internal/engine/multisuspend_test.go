@@ -3,9 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -178,30 +179,21 @@ func TestWorkerErrorPropagation(t *testing.T) {
 	cat := testDB(t)
 	b := plan.NewBuilder(cat)
 	e := b.Scan("emp", "id", "name")
-	// LIKE over BIGINT fails at evaluation time (constructed manually to
-	// bypass builder checks).
+	// Column 0 is BIGINT; a reference bound as VARCHAR type-checks and
+	// compiles, and fails the program's bound-type check on the first morsel.
 	bad := &plan.Filter{
 		Child: e.Node(),
-		Cond:  badLike{},
+		Cond:  expr.Eq(expr.Col(0, vector.TypeString), expr.Str("e0001")),
 	}
 	pp, err := Compile(bad, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(pp, Options{Workers: 4})
-	if _, err := ex.Run(context.Background()); err == nil {
-		t.Fatal("worker error must propagate")
+	if _, err := ex.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "bound type VARCHAR but chunk has BIGINT") {
+		t.Fatalf("run = %v, want the worker's bound-type error", err)
 	}
 }
-
-// badLike is an expression that always fails to evaluate.
-type badLike struct{}
-
-func (badLike) Type() vector.Type { return vector.TypeBool }
-func (badLike) Eval(*vector.Chunk) (*vector.Vector, error) {
-	return nil, fmt.Errorf("injected failure")
-}
-func (badLike) String() string { return "bad" }
 
 // TestAutoSuspendFiresOnce verifies the one-shot semantics across resumes.
 func TestAutoSuspendFiresOnce(t *testing.T) {

@@ -2,129 +2,78 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/vector"
 )
-
-// chunkPool amortizes output-chunk allocations across Process calls. Operator
-// instances are shared by every worker of a pipeline, so the scratch lives in
-// a sync.Pool rather than on the operator. Pooling is sound because emitted
-// chunks are never retained downstream: sinks copy rows out on Consume (the
-// source chunk in runWorker is itself reused every morsel, which forces that
-// discipline on the whole chain).
-type chunkPool struct {
-	types []vector.Type
-	pool  sync.Pool
-}
-
-// get returns an empty chunk of the pool's types.
-func (p *chunkPool) get() *vector.Chunk {
-	if c, ok := p.pool.Get().(*vector.Chunk); ok {
-		c.Reset()
-		return c
-	}
-	return vector.NewChunk(p.types)
-}
-
-func (p *chunkPool) put(c *vector.Chunk) { p.pool.Put(c) }
 
 // StreamOp is a non-blocking operator inside a pipeline. Process may emit
 // zero or more output chunks per input chunk via the emit callback.
 // Implementations must be stateless across chunks (probe operators read the
 // immutable global state of their build pipeline), which is what makes
 // morsel-boundary suspension state-free above the sinks.
+//
+// Operator instances are shared by every worker of a pipeline, so per-call
+// scratch (program instances, output chunks) lives in a sync.Pool on the
+// operator. Reusing an emitted chunk on the next Process call is sound
+// because emitted chunks are never retained downstream: sinks copy rows out
+// on Consume (the source chunk in runWorker is itself reused every morsel,
+// which forces that discipline on the whole chain).
 type StreamOp interface {
 	Process(in *vector.Chunk, emit func(*vector.Chunk) error) error
 	// OutTypes returns the operator's output column types.
 	OutTypes() []vector.Type
 }
 
-// FilterOp keeps rows where the condition is true (NULL counts as false).
-type FilterOp struct {
-	Cond  expr.Expr
-	types []vector.Type
-	out   chunkPool
-}
-
-// NewFilterOp builds a filter operator over inputs of the given types.
-func NewFilterOp(cond expr.Expr, inTypes []vector.Type) *FilterOp {
-	return &FilterOp{Cond: cond, types: inTypes, out: chunkPool{types: inTypes}}
-}
-
-// OutTypes implements StreamOp.
-func (f *FilterOp) OutTypes() []vector.Type { return f.types }
-
-// Process implements StreamOp.
-func (f *FilterOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) error {
-	if in.Len() == 0 {
-		return nil
-	}
-	sel, err := f.Cond.Eval(in)
-	if err != nil {
-		return err
-	}
-	if sel.Type() != vector.TypeBool {
-		return fmt.Errorf("filter condition of type %v", sel.Type())
-	}
-	out := f.out.get()
-	defer f.out.put(out)
-	bs := sel.Bools()
-	for i := 0; i < in.Len(); i++ {
-		if sel.IsNull(i) || !bs[i] {
+// compilePrograms compiles each expression; operators and sinks evaluate
+// nothing else. A nil expression (an aggregate without an argument) keeps a
+// nil program, and from there a nil instance and a nil vector.
+func compilePrograms(exprs []expr.Expr) ([]*expr.Program, error) {
+	progs := make([]*expr.Program, len(exprs))
+	for i, e := range exprs {
+		if e == nil {
 			continue
 		}
-		out.AppendRowFrom(in, i)
+		p, err := expr.CompileProgram(e)
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
 	}
-	if out.Len() == 0 {
-		return nil
-	}
-	return emit(out)
+	return progs, nil
 }
 
-// ProjectOp computes one output column per expression.
-type ProjectOp struct {
-	Exprs []expr.Expr
-	types []vector.Type
-	out   chunkPool
+// compilePredicate compiles a condition rows are kept by: it must be BOOLEAN.
+func compilePredicate(cond expr.Expr) (*expr.Program, error) {
+	if t := cond.Type(); t != vector.TypeBool {
+		return nil, fmt.Errorf("filter condition of type %v", t)
+	}
+	return expr.CompileProgram(cond)
 }
 
-// NewProjectOp builds a projection operator.
-func NewProjectOp(exprs []expr.Expr) *ProjectOp {
-	types := make([]vector.Type, len(exprs))
-	for i, e := range exprs {
-		types[i] = e.Type()
+// newInstances builds one worker's register sets for progs.
+func newInstances(progs []*expr.Program) []*expr.Instance {
+	insts := make([]*expr.Instance, len(progs))
+	for i, p := range progs {
+		if p != nil {
+			insts[i] = p.NewInstance()
+		}
 	}
-	return &ProjectOp{Exprs: exprs, types: types, out: chunkPool{types: types}}
+	return insts
 }
 
-// OutTypes implements StreamOp.
-func (p *ProjectOp) OutTypes() []vector.Type { return p.types }
-
-// Process implements StreamOp.
-func (p *ProjectOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) error {
-	if in.Len() == 0 {
-		return nil
-	}
-	out := p.out.get()
-	defer p.out.put(out)
-	for j, e := range p.Exprs {
-		v, err := e.Eval(in)
+// evalInstances evaluates every instance over c into out. The vectors are
+// valid until the instances' next evaluation.
+func evalInstances(insts []*expr.Instance, c *vector.Chunk, out []*vector.Vector) error {
+	for i, in := range insts {
+		if in == nil {
+			continue
+		}
+		v, err := in.Eval(c)
 		if err != nil {
 			return err
 		}
-		// Column references may return the input vector itself; chunks must
-		// own their columns, so copy into the pooled column in that case.
-		if _, shared := e.(*expr.Column); shared {
-			cp := out.Col(j)
-			for i := 0; i < v.Len(); i++ {
-				cp.AppendFrom(v, i)
-			}
-			continue
-		}
-		*out.Col(j) = *v
+		out[i] = v
 	}
-	out.SetLen(in.Len())
-	return emit(out)
+	return nil
 }

@@ -95,12 +95,6 @@ type SubplanProvider interface {
 
 // CompileOptions tune physical plan lowering.
 type CompileOptions struct {
-	// NoFusedKernels disables the generated kernel layer: filters and
-	// projections stay on the generic interface-dispatched FilterOp/ProjectOp
-	// and aggregation uses the map-based HashAggSink. Results and checkpoint
-	// bytes are identical either way; the flag exists for equivalence testing
-	// and as an escape hatch.
-	NoFusedKernels bool
 	// ScanShare, when non-nil, routes base-table scans through shared
 	// morsel streams. Shape-neutral: safe on every compile, including
 	// checkpoint restores (a restored rider rejoins its hub mid-stream).
@@ -153,9 +147,11 @@ func carriesOrder(n plan.Node) bool {
 	return false
 }
 
-// Compile lowers a logical plan into pipelines with the default options
-// (fused kernels enabled). Pipelines are emitted bottom-up, so the slice
-// order is already a valid sequential schedule.
+// Compile lowers a logical plan into pipelines with the default options.
+// Pipelines are emitted bottom-up, so the slice order is already a valid
+// sequential schedule. Every expression in the plan is compiled to its
+// program here, so an ill-typed one fails the compile, before a morsel is
+// read.
 func Compile(root plan.Node, cat *catalog.Catalog) (*PhysicalPlan, error) {
 	return CompileWith(root, cat, CompileOptions{})
 }
@@ -214,7 +210,7 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		p.Label = appendLabel(p.Label, "scan("+t.Table+")")
 		types := src.OutTypes()
 		if t.Filter != nil {
-			p.Ops = append(p.Ops, c.filterOp(t.Filter, types))
+			return types, c.filter(p, t.Filter, types)
 		}
 		return types, nil
 
@@ -223,15 +219,18 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Ops = append(p.Ops, c.filterOp(t.Cond, types))
-		return types, nil
+		return types, c.filter(p, t.Cond, types)
 
 	case *plan.Project:
 		inTypes, err := c.compile(t.Child, p)
 		if err != nil {
 			return nil, err
 		}
-		op := c.projectOp(t.Exprs, inTypes)
+		progs, err := compilePrograms(t.Exprs)
+		if err != nil {
+			return nil, err
+		}
+		op := NewFusedOp(nil, progs, inTypes)
 		p.Ops = append(p.Ops, op)
 		return op.OutTypes(), nil
 
@@ -245,7 +244,10 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		build := NewHashJoinBuildSink(t.RightKeys, rtypes)
+		build, err := NewHashJoinBuildSink(t.RightKeys, rtypes)
+		if err != nil {
+			return nil, err
+		}
 		bp.Sink = build
 		bp.Label = appendLabel(bp.Label, fmt.Sprintf("build(%s)", t.Type))
 		c.register(bp)
@@ -255,7 +257,10 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		probe := NewHashJoinProbeOp(t.Type, build, t.LeftKeys, t.Extra, ltypes)
+		probe, err := NewHashJoinProbeOp(t.Type, build, t.LeftKeys, t.Extra, ltypes)
+		if err != nil {
+			return nil, err
+		}
 		p.Ops = append(p.Ops, probe)
 		p.Deps = append(p.Deps, bp.ID)
 		p.Label = appendLabel(p.Label, fmt.Sprintf("probe(%s)", t.Type))
@@ -271,11 +276,9 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 			return nil, err
 		}
 		outTypes := t.Schema().Types()
-		var sink BufferedSink
-		if c.opts.NoFusedKernels {
-			sink = NewHashAggSink(t.GroupBy, t.Aggs, outTypes)
-		} else {
-			sink = NewFlatAggSink(t.GroupBy, t.Aggs, outTypes)
+		sink, err := NewFlatAggSink(t.GroupBy, t.Aggs, outTypes)
+		if err != nil {
+			return nil, err
 		}
 		cp.Sink = sink
 		cp.Label = appendLabel(cp.Label, "aggregate")
@@ -292,7 +295,10 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		sink := NewSortSink(t.Keys, inTypes)
+		sink, err := NewSortSink(t.Keys, inTypes)
+		if err != nil {
+			return nil, err
+		}
 		cp.Sink = sink
 		cp.Label = appendLabel(cp.Label, "sort")
 		c.register(cp)
@@ -310,7 +316,10 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			sink := NewTopNSink(srt.Keys, inTypes, t.N, t.Offset)
+			sink, err := NewTopNSink(srt.Keys, inTypes, t.N, t.Offset)
+			if err != nil {
+				return nil, err
+			}
 			cp.Sink = sink
 			cp.Label = appendLabel(cp.Label, fmt.Sprintf("topn(%d)", t.N))
 			c.register(cp)
@@ -416,35 +425,14 @@ func (c *compiler) scanShared(p *Pipeline, e *memoEntry) []vector.Type {
 	return e.types
 }
 
-// filterOp lowers a predicate to a fused kernel operator when the expression
-// compiles to a columnar program, else to the generic FilterOp.
-func (c *compiler) filterOp(cond expr.Expr, types []vector.Type) StreamOp {
-	if !c.opts.NoFusedKernels {
-		if prog := expr.CompileProgram(cond); prog != nil && prog.OutType() == vector.TypeBool {
-			return NewFusedOp(prog, nil, types)
-		}
+// filter appends the operator keeping the rows where cond is true.
+func (c *compiler) filter(p *Pipeline, cond expr.Expr, types []vector.Type) error {
+	prog, err := compilePredicate(cond)
+	if err != nil {
+		return err
 	}
-	return NewFilterOp(cond, types)
-}
-
-// projectOp lowers a projection to a fused kernel operator when every
-// expression compiles, else to the generic ProjectOp. Mixing would buy
-// nothing: one generic expression forces the per-row result copy anyway.
-func (c *compiler) projectOp(exprs []expr.Expr, inTypes []vector.Type) StreamOp {
-	if !c.opts.NoFusedKernels {
-		progs := make([]*expr.Program, len(exprs))
-		ok := true
-		for i, e := range exprs {
-			if progs[i] = expr.CompileProgram(e); progs[i] == nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return NewFusedOp(nil, progs, inTypes)
-		}
-	}
-	return NewProjectOp(exprs)
+	p.Ops = append(p.Ops, NewFusedOp(prog, nil, types))
+	return nil
 }
 
 // fusePipelineOps merges a filter-only FusedOp immediately followed by a

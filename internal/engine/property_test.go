@@ -126,54 +126,118 @@ func TestTopNMatchesFullSortPrefix(t *testing.T) {
 	}
 }
 
-// TestAggregationMatchesMapOracle verifies grouped sums against a plain map.
+// aggOracle is one group's aggregates computed the plain way: a struct of
+// running values per group in a Go map, sharing nothing with the engine.
+type aggOracle struct {
+	rows, nV, nS int64 // COUNT(*), COUNT(v), COUNT(s)
+	sumV         float64
+	sumI         int64
+	minS, maxS   string
+	minD, maxD   int64
+	distinctI    map[int64]bool
+	distinctS    map[string]bool
+}
+
+// TestAggregationMatchesMapOracle verifies every aggregate function — SUM
+// over doubles and integers, AVG, COUNT, COUNT(*), MIN and MAX over strings
+// and dates, COUNT DISTINCT over integers and strings — against plain maps,
+// over random tables with NULL keys, NULL arguments, and one group (key 0)
+// whose nullable arguments are all NULL.
 func TestAggregationMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		cat := catalog.New()
-		tbl := randomTable(t, cat, "t", 500+rng.Intn(4000), 1+rng.Intn(50), rng)
-
-		sums := map[int64]float64{}
-		counts := map[int64]int64{}
-		nullCount := int64(0)
-		var nullSum float64
-		for i := int64(0); i < tbl.NumRows(); i++ {
-			k := tbl.Value(i, 0)
-			v := tbl.Value(i, 1).F
-			if k.Null {
-				nullCount++
-				nullSum += v
-				continue
+		tbl, err := cat.Create("t", catalog.NewSchema(
+			catalog.Col("k", vector.TypeInt64),
+			catalog.Col("v", vector.TypeFloat64),
+			catalog.Col("i", vector.TypeInt64),
+			catalog.Col("s", vector.TypeString),
+			catalog.Col("d", vector.TypeDate),
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[vector.Value]*aggOracle{} // keyed by the boxed group key, NULL included
+		keyRange := 1 + rng.Intn(50)
+		for r, rows := 0, 500+rng.Intn(4000); r < rows; r++ {
+			k := vector.NewInt64(int64(rng.Intn(keyRange)))
+			if rng.Intn(20) == 0 {
+				k = vector.NewNull(vector.TypeInt64)
 			}
-			sums[k.I] += v
-			counts[k.I]++
-		}
-
-		b := plan.NewBuilder(cat)
-		tb := b.Scan("t")
-		res := runPlan(t, cat, tb.Agg([]string{"t_k"},
-			plan.Sum(tb.Col("t_v"), "s"), plan.CountStar("n")).Node(), 4)
-
-		wantGroups := int64(len(sums))
-		if nullCount > 0 {
-			wantGroups++ // NULL is its own group
-		}
-		if res.NumRows() != wantGroups {
-			t.Fatalf("trial %d: groups = %d, want %d", trial, res.NumRows(), wantGroups)
-		}
-		for i := int64(0); i < res.NumRows(); i++ {
-			row := res.Row(i)
-			if row[0].Null {
-				if row[1].F != nullSum || row[2].I != nullCount {
-					t.Errorf("trial %d: NULL group = %v, want sum=%v n=%d", trial, row, nullSum, nullCount)
+			v := vector.NewFloat64(float64(rng.Intn(1000)))
+			s := vector.NewString(fmt.Sprintf("s%03d", rng.Intn(40)))
+			if rng.Intn(10) == 0 || (!k.Null && k.I == 0) {
+				v, s = vector.NewNull(vector.TypeFloat64), vector.NewNull(vector.TypeString)
+			}
+			i, d := int64(rng.Intn(30)-15), int64(rng.Intn(10000))
+			if err := tbl.AppendRow(k, v, vector.NewInt64(i), s, vector.NewDate(d)); err != nil {
+				t.Fatal(err)
+			}
+			g := want[k]
+			if g == nil {
+				g = &aggOracle{minD: d, maxD: d, distinctI: map[int64]bool{}, distinctS: map[string]bool{}}
+				want[k] = g
+			}
+			g.rows++
+			g.sumI += i
+			g.distinctI[i] = true
+			g.minD, g.maxD = min(g.minD, d), max(g.maxD, d)
+			if !v.Null {
+				g.nV++
+				g.sumV += v.F
+			}
+			if !s.Null {
+				if g.nS == 0 {
+					g.minS, g.maxS = s.S, s.S
 				}
-				continue
+				g.nS++
+				g.minS, g.maxS = min(g.minS, s.S), max(g.maxS, s.S)
+				g.distinctS[s.S] = true
 			}
-			if got, want := row[1].F, sums[row[0].I]; !floatsClose(got, want) {
-				t.Errorf("trial %d: group %d sum = %v, want %v", trial, row[0].I, got, want)
+		}
+
+		tb := plan.NewBuilder(cat).Scan("t")
+		res := runPlan(t, cat, tb.Agg([]string{"k"},
+			plan.Sum(tb.Col("v"), "sum_v"), plan.Avg(tb.Col("v"), "avg_v"), plan.Sum(tb.Col("i"), "sum_i"),
+			plan.Count(tb.Col("v"), "n_v"), plan.Count(tb.Col("s"), "n_s"), plan.CountStar("n"),
+			plan.Min(tb.Col("s"), "min_s"), plan.Max(tb.Col("s"), "max_s"),
+			plan.Min(tb.Col("d"), "min_d"), plan.Max(tb.Col("d"), "max_d"),
+			plan.CountDistinct(tb.Col("i"), "d_i"), plan.CountDistinct(tb.Col("s"), "d_s"),
+		).Node(), 4)
+
+		if res.NumRows() != int64(len(want)) {
+			t.Fatalf("trial %d: groups = %d, want %d", trial, res.NumRows(), len(want))
+		}
+		for r := int64(0); r < res.NumRows(); r++ {
+			row := res.Row(r)
+			g := want[row[0]]
+			if g == nil {
+				t.Fatalf("trial %d: group %v is not in the input", trial, row[0])
 			}
-			if row[2].I != counts[row[0].I] {
-				t.Errorf("trial %d: group %d count = %v, want %v", trial, row[0].I, row[2], counts[row[0].I])
+			// SUM, AVG, MIN and MAX over no non-NULL value are NULL.
+			orNull := func(n int64, v vector.Value) vector.Value {
+				if n == 0 {
+					return vector.NewNull(v.Type)
+				}
+				return v
+			}
+			wantRow := []vector.Value{
+				row[0],
+				orNull(g.nV, vector.NewFloat64(g.sumV)), orNull(g.nV, vector.NewFloat64(g.sumV/float64(g.nV))), vector.NewInt64(g.sumI),
+				vector.NewInt64(g.nV), vector.NewInt64(g.nS), vector.NewInt64(g.rows),
+				orNull(g.nS, vector.NewString(g.minS)), orNull(g.nS, vector.NewString(g.maxS)),
+				vector.NewDate(g.minD), vector.NewDate(g.maxD),
+				vector.NewInt64(int64(len(g.distinctI))), vector.NewInt64(int64(len(g.distinctS))),
+			}
+			for c, w := range wantRow {
+				got := row[c]
+				same := got.Type == w.Type && got.Null == w.Null && (got.Null || got.Equal(w))
+				if w.Type == vector.TypeFloat64 && !w.Null && !got.Null {
+					same = floatsClose(got.F, w.F) // combine order varies across workers
+				}
+				if !same {
+					t.Errorf("trial %d: group %v %s = %v, want %v", trial, row[0], res.Schema.Columns[c].Name, got, w)
+				}
 			}
 		}
 	}
@@ -264,8 +328,9 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
-// TestExprVectorizedMatchesScalarOracle drives random expressions through
-// both the vectorized evaluator and the one-row scalar path.
+// TestExprVectorizedMatchesScalarOracle drives expressions through their
+// compiled programs over a 512-row chunk and through the row-at-a-time
+// scalar oracle, and compares every row.
 func TestExprVectorizedMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	types := []vector.Type{vector.TypeInt64, vector.TypeFloat64}
@@ -284,11 +349,15 @@ func TestExprVectorizedMatchesScalarOracle(t *testing.T) {
 		),
 	}
 	for ei, e := range exprs {
-		vec, err := e.Eval(c)
+		prog, err := expr.CompileProgram(e)
 		if err != nil {
 			t.Fatalf("expr %d: %v", ei, err)
 		}
-		for i := 0; i < c.Len(); i += 17 {
+		vec, err := prog.NewInstance().Eval(c)
+		if err != nil {
+			t.Fatalf("expr %d: %v", ei, err)
+		}
+		for i := 0; i < c.Len(); i++ {
 			want, err := expr.EvalScalar(e, types, c.Row(i))
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"sort"
 
+	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -16,7 +17,7 @@ import (
 // keep at most a bounded number of candidate rows.
 type SortSink struct {
 	keys     []plan.SortKey
-	keyTypes []vector.Type
+	keyProgs []*expr.Program
 	payTypes []vector.Type
 	rowTypes []vector.Type
 
@@ -26,32 +27,39 @@ type SortSink struct {
 }
 
 // NewSortSink builds a sort sink for the given keys over input types.
-func NewSortSink(keys []plan.SortKey, inTypes []vector.Type) *SortSink {
+func NewSortSink(keys []plan.SortKey, inTypes []vector.Type) (*SortSink, error) {
 	kt := make([]vector.Type, len(keys))
+	exprs := make([]expr.Expr, len(keys))
 	for i, k := range keys {
-		kt[i] = k.Expr.Type()
+		kt[i], exprs[i] = k.Expr.Type(), k.Expr
+	}
+	progs, err := compilePrograms(exprs)
+	if err != nil {
+		return nil, err
 	}
 	rt := append(append([]vector.Type{}, kt...), inTypes...)
-	return &SortSink{keys: keys, keyTypes: kt, payTypes: inTypes, rowTypes: rt, buf: NewRowBuffer(rt)}
+	return &SortSink{keys: keys, keyProgs: progs, payTypes: inTypes, rowTypes: rt, buf: NewRowBuffer(rt)}, nil
 }
 
 type sortLocal struct {
-	buf *RowBuffer
+	buf      *RowBuffer
+	keyInsts []*expr.Instance
+	keyVecs  []*vector.Vector // per-chunk evaluated keys
+}
+
+func (s *SortSink) newLocal(buf *RowBuffer) *sortLocal {
+	return &sortLocal{buf: buf, keyInsts: newInstances(s.keyProgs), keyVecs: make([]*vector.Vector, len(s.keyProgs))}
 }
 
 // MakeLocal implements Sink.
-func (s *SortSink) MakeLocal() LocalState { return &sortLocal{buf: NewRowBuffer(s.rowTypes)} }
+func (s *SortSink) MakeLocal() LocalState { return s.newLocal(NewRowBuffer(s.rowTypes)) }
 
-// appendKeyed appends chunk rows with evaluated key prefix into dst.
-func appendKeyed(dst *RowBuffer, keys []plan.SortKey, c *vector.Chunk) error {
-	keyVecs := make([]*vector.Vector, len(keys))
-	for i, k := range keys {
-		v, err := k.Expr.Eval(c)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+// appendKeyed appends chunk rows with evaluated key prefix into l's buffer.
+func (l *sortLocal) appendKeyed(c *vector.Chunk) error {
+	if err := evalInstances(l.keyInsts, c, l.keyVecs); err != nil {
+		return err
 	}
+	dst, keyVecs := l.buf, l.keyVecs
 	for i := 0; i < c.Len(); i++ {
 		t := dst.tail()
 		for k, kv := range keyVecs {
@@ -68,7 +76,7 @@ func appendKeyed(dst *RowBuffer, keys []plan.SortKey, c *vector.Chunk) error {
 
 // Consume implements Sink.
 func (s *SortSink) Consume(ls LocalState, c *vector.Chunk) error {
-	return appendKeyed(ls.(*sortLocal).buf, s.keys, c)
+	return ls.(*sortLocal).appendKeyed(c)
 }
 
 // Combine implements Sink.
@@ -266,7 +274,7 @@ func (s *SortSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sortLocal{buf: buf}, nil
+	return s.newLocal(buf), nil
 }
 
 // MemBytes implements Sink.
@@ -296,15 +304,19 @@ type TopNSink struct {
 }
 
 // NewTopNSink builds a top-N sink.
-func NewTopNSink(keys []plan.SortKey, inTypes []vector.Type, limit, offset int64) *TopNSink {
-	return &TopNSink{SortSink: NewSortSink(keys, inTypes), Limit: limit, Offset: offset}
+func NewTopNSink(keys []plan.SortKey, inTypes []vector.Type, limit, offset int64) (*TopNSink, error) {
+	ss, err := NewSortSink(keys, inTypes)
+	if err != nil {
+		return nil, err
+	}
+	return &TopNSink{SortSink: ss, Limit: limit, Offset: offset}, nil
 }
 
 // Consume implements Sink; it trims the local buffer when it grows past 4x
 // the limit to bound memory.
 func (s *TopNSink) Consume(ls LocalState, c *vector.Chunk) error {
 	l := ls.(*sortLocal)
-	if err := appendKeyed(l.buf, s.keys, c); err != nil {
+	if err := l.appendKeyed(c); err != nil {
 		return err
 	}
 	keep := s.Offset + s.Limit

@@ -59,63 +59,3 @@ func (a *Arith) Type() vector.Type { return a.typ }
 
 // String implements Expr.
 func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
-
-// Eval implements Expr.
-func (a *Arith) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	lv, err := a.L.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := a.R.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	n := lv.Len()
-	out := vector.New(a.typ, n)
-	anyNull := lv.HasNulls() || rv.HasNulls()
-	switch a.typ {
-	case vector.TypeInt64, vector.TypeDate:
-		ls, rs := lv.Int64s(), rv.Int64s()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			switch a.Op {
-			case OpAdd:
-				out.AppendInt64(ls[i] + rs[i])
-			case OpSub:
-				out.AppendInt64(ls[i] - rs[i])
-			case OpMul:
-				out.AppendInt64(ls[i] * rs[i])
-			default:
-				return nil, fmt.Errorf("integer division must have been promoted")
-			}
-		}
-	case vector.TypeFloat64:
-		ls, rs := lv.Float64s(), rv.Float64s()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			switch a.Op {
-			case OpAdd:
-				out.AppendFloat64(ls[i] + rs[i])
-			case OpSub:
-				out.AppendFloat64(ls[i] - rs[i])
-			case OpMul:
-				out.AppendFloat64(ls[i] * rs[i])
-			case OpDiv:
-				if rs[i] == 0 {
-					out.AppendNull() // SQL: division by zero -> NULL in our engine
-				} else {
-					out.AppendFloat64(ls[i] / rs[i])
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("arith over non-numeric type %v", a.typ)
-	}
-	return out, nil
-}

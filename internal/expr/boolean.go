@@ -22,6 +22,7 @@ func And(args ...Expr) Expr {
 		}
 		flat = append(flat, a)
 	}
+	mustBools(flat)
 	if len(flat) == 1 {
 		return flat[0]
 	}
@@ -40,11 +41,6 @@ func (a *AndExpr) String() string {
 	return "(" + strings.Join(parts, " AND ") + ")"
 }
 
-// Eval implements Expr.
-func (a *AndExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	return evalConnective(a.Args, c, true)
-}
-
 // OrExpr is an n-ary disjunction with SQL three-valued logic.
 type OrExpr struct {
 	Args []Expr
@@ -60,6 +56,7 @@ func Or(args ...Expr) Expr {
 		}
 		flat = append(flat, a)
 	}
+	mustBools(flat)
 	if len(flat) == 1 {
 		return flat[0]
 	}
@@ -78,63 +75,15 @@ func (o *OrExpr) String() string {
 	return "(" + strings.Join(parts, " OR ") + ")"
 }
 
-// Eval implements Expr.
-func (o *OrExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	return evalConnective(o.Args, c, false)
-}
+const (
+	connectiveOver = "boolean connective over %v"
+	notOver        = "NOT over %v"
+)
 
-// evalConnective implements three-valued AND (isAnd) / OR (!isAnd):
-// state per row is true/false/null, folded across arguments.
-func evalConnective(args []Expr, c *vector.Chunk, isAnd bool) (*vector.Vector, error) {
-	n := c.Len()
-	vals := make([]bool, n)
-	nulls := make([]bool, n)
-	for i := range vals {
-		vals[i] = isAnd // identity element: AND starts true, OR starts false
+func mustBools(args []Expr) {
+	for _, a := range args {
+		must(operandErr(connectiveOver, a, vector.TypeBool))
 	}
-	for _, arg := range args {
-		if arg.Type() != vector.TypeBool {
-			return nil, fmt.Errorf("boolean connective over %v", arg.Type())
-		}
-		av, err := arg.Eval(c)
-		if err != nil {
-			return nil, err
-		}
-		bs := av.Bools()
-		for i := 0; i < n; i++ {
-			argNull := av.IsNull(i)
-			argVal := !argNull && bs[i]
-			if isAnd {
-				// false AND x = false; null AND true = null
-				switch {
-				case !nulls[i] && !vals[i]:
-					// already false; stays false
-				case argNull:
-					nulls[i] = true
-				case !argVal:
-					vals[i], nulls[i] = false, false
-				}
-			} else {
-				switch {
-				case !nulls[i] && vals[i]:
-					// already true; stays true
-				case argNull:
-					nulls[i] = true
-				case argVal:
-					vals[i], nulls[i] = true, false
-				}
-			}
-		}
-	}
-	out := vector.New(vector.TypeBool, n)
-	for i := 0; i < n; i++ {
-		if nulls[i] {
-			out.AppendNull()
-		} else {
-			out.AppendBool(vals[i])
-		}
-	}
-	return out, nil
 }
 
 // NotExpr negates a boolean expression (NULL stays NULL).
@@ -143,32 +92,13 @@ type NotExpr struct {
 }
 
 // Not returns NOT e.
-func Not(e Expr) Expr { return &NotExpr{In: e} }
+func Not(e Expr) Expr {
+	must(operandErr(notOver, e, vector.TypeBool))
+	return &NotExpr{In: e}
+}
 
 // Type implements Expr.
 func (nx *NotExpr) Type() vector.Type { return vector.TypeBool }
 
 // String implements Expr.
 func (nx *NotExpr) String() string { return fmt.Sprintf("NOT %s", nx.In) }
-
-// Eval implements Expr.
-func (nx *NotExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := nx.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	if av.Type() != vector.TypeBool {
-		return nil, fmt.Errorf("NOT over %v", av.Type())
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeBool, n)
-	bs := av.Bools()
-	for i := 0; i < n; i++ {
-		if av.IsNull(i) {
-			out.AppendNull()
-		} else {
-			out.AppendBool(!bs[i])
-		}
-	}
-	return out, nil
-}

@@ -83,107 +83,6 @@ func (cmp *Compare) Type() vector.Type { return vector.TypeBool }
 // String implements Expr.
 func (cmp *Compare) String() string { return fmt.Sprintf("(%s %s %s)", cmp.L, cmp.Op, cmp.R) }
 
-// Eval implements Expr.
-func (cmp *Compare) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	lv, err := cmp.L.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := cmp.R.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	if lv.Type() != rv.Type() {
-		// DATE vs BIGINT share int64 representation; anything else is a bug.
-		lOK := lv.Type() == vector.TypeInt64 || lv.Type() == vector.TypeDate
-		rOK := rv.Type() == vector.TypeInt64 || rv.Type() == vector.TypeDate
-		if !lOK || !rOK {
-			return nil, fmt.Errorf("compare type mismatch: %v vs %v", lv.Type(), rv.Type())
-		}
-	}
-	n := lv.Len()
-	out := vector.New(vector.TypeBool, n)
-	anyNull := lv.HasNulls() || rv.HasNulls()
-	appendCmp := func(i, c3 int) {
-		_ = i
-		out.AppendBool(cmp.Op.matches(c3))
-	}
-	switch lv.Type() {
-	case vector.TypeInt64, vector.TypeDate:
-		ls, rs := lv.Int64s(), rv.Int64s()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			appendCmp(i, cmp3Int(ls[i], rs[i]))
-		}
-	case vector.TypeFloat64:
-		ls, rs := lv.Float64s(), rv.Float64s()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			appendCmp(i, cmp3Float(ls[i], rs[i]))
-		}
-	case vector.TypeString:
-		ls, rs := lv.Strings(), rv.Strings()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			appendCmp(i, cmp3Str(ls[i], rs[i]))
-		}
-	case vector.TypeBool:
-		ls, rs := lv.Bools(), rv.Bools()
-		for i := 0; i < n; i++ {
-			if anyNull && (lv.IsNull(i) || rv.IsNull(i)) {
-				out.AppendNull()
-				continue
-			}
-			appendCmp(i, cmp3Bool(ls[i], rs[i]))
-		}
-	default:
-		return nil, fmt.Errorf("compare over unsupported type %v", lv.Type())
-	}
-	return out, nil
-}
-
-func cmp3Int(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmp3Float(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmp3Str(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func cmp3Bool(a, b bool) int {
 	switch {
 	case a == b:

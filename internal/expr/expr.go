@@ -1,7 +1,11 @@
 // Package expr implements typed scalar expression trees and their vectorized
 // evaluation over data chunks. Expressions are bound at construction time:
-// every node knows its result type, and numeric type promotion (BIGINT ->
-// DOUBLE) is inserted eagerly by the constructor helpers.
+// every node knows its result type, numeric type promotion (BIGINT ->
+// DOUBLE) is inserted eagerly by the constructor helpers, and a constructor
+// handed an operand of the wrong type panics (sql.Compile recovers that into
+// a Prepare error). A tree is description only; CompileProgram turns it into
+// the one evaluator, and EvalScalar is the row-at-a-time oracle tests hold
+// that evaluator to.
 //
 // NULL semantics follow SQL: comparisons and arithmetic over NULL yield NULL,
 // and filters treat NULL as false. Expression String() forms are
@@ -14,14 +18,30 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// Expr is a scalar expression evaluable over a chunk.
+// Expr is a typed scalar expression node.
 type Expr interface {
 	// Type returns the statically known result type.
 	Type() vector.Type
-	// Eval evaluates the expression over every row of the chunk.
-	Eval(c *vector.Chunk) (*vector.Vector, error)
 	// String renders a deterministic form used for plan fingerprints.
 	String() string
+}
+
+// operandErr reports an operand whose static type is not the one the node
+// named by format (which takes the offending type) requires. The
+// constructors panic with it and CompileProgram returns it, so a statement
+// and a hand-assembled node fail with the same words.
+func operandErr(format string, e Expr, want vector.Type) error {
+	if e.Type() != want {
+		return fmt.Errorf(format, e.Type())
+	}
+	return nil
+}
+
+// must panics with the text of a constructor's type error.
+func must(err error) {
+	if err != nil {
+		panic(err.Error())
+	}
 }
 
 // Column references an input column by position.
@@ -41,18 +61,6 @@ func NamedCol(index int, t vector.Type, name string) *Column {
 
 // Type implements Expr.
 func (c *Column) Type() vector.Type { return c.Typ }
-
-// Eval implements Expr.
-func (c *Column) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	if c.Index < 0 || c.Index >= in.NumCols() {
-		return nil, fmt.Errorf("column index %d out of range (%d cols)", c.Index, in.NumCols())
-	}
-	v := in.Col(c.Index)
-	if v.Type() != c.Typ {
-		return nil, fmt.Errorf("column %d: bound type %v but chunk has %v", c.Index, c.Typ, v.Type())
-	}
-	return v, nil
-}
 
 // String implements Expr.
 func (c *Column) String() string { return fmt.Sprintf("#%d:%v", c.Index, c.Typ) }
@@ -80,16 +88,6 @@ func Date(s string) *Const { return Lit(vector.NewDate(vector.MustParseDate(s)))
 // Type implements Expr.
 func (l *Const) Type() vector.Type { return l.Val.Type }
 
-// Eval implements Expr.
-func (l *Const) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	n := in.Len()
-	v := vector.New(l.Val.Type, n)
-	for i := 0; i < n; i++ {
-		v.AppendValue(l.Val)
-	}
-	return v, nil
-}
-
 // String implements Expr.
 func (l *Const) String() string { return fmt.Sprintf("%v[%v]", l.Val, l.Val.Type) }
 
@@ -110,42 +108,6 @@ func ToFloat(e Expr) Expr {
 
 // Type implements Expr.
 func (c *Cast) Type() vector.Type { return c.To }
-
-// Eval implements Expr.
-func (c *Cast) Eval(in *vector.Chunk) (*vector.Vector, error) {
-	src, err := c.In.Eval(in)
-	if err != nil {
-		return nil, err
-	}
-	if src.Type() == c.To {
-		return src, nil
-	}
-	n := src.Len()
-	out := vector.New(c.To, n)
-	switch {
-	case c.To == vector.TypeFloat64 && (src.Type() == vector.TypeInt64 || src.Type() == vector.TypeDate):
-		ints := src.Int64s()
-		for i := 0; i < n; i++ {
-			if src.IsNull(i) {
-				out.AppendNull()
-			} else {
-				out.AppendFloat64(float64(ints[i]))
-			}
-		}
-	case c.To == vector.TypeInt64 && src.Type() == vector.TypeFloat64:
-		fs := src.Float64s()
-		for i := 0; i < n; i++ {
-			if src.IsNull(i) {
-				out.AppendNull()
-			} else {
-				out.AppendInt64(int64(fs[i]))
-			}
-		}
-	default:
-		return nil, fmt.Errorf("unsupported cast %v -> %v", src.Type(), c.To)
-	}
-	return out, nil
-}
 
 // String implements Expr.
 func (c *Cast) String() string { return fmt.Sprintf("cast(%s as %v)", c.In, c.To) }

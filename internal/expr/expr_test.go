@@ -18,9 +18,18 @@ func testChunk() *vector.Chunk {
 	return c
 }
 
+// evalProgram compiles e and evaluates it over c on a fresh instance.
+func evalProgram(e Expr, c *vector.Chunk) (*vector.Vector, error) {
+	p, err := CompileProgram(e)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewInstance().Eval(c)
+}
+
 func mustEval(t *testing.T, e Expr, c *vector.Chunk) *vector.Vector {
 	t.Helper()
-	v, err := e.Eval(c)
+	v, err := evalProgram(e, c)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
@@ -42,10 +51,10 @@ func TestColumnAndConst(t *testing.T) {
 			t.Error("const eval wrong")
 		}
 	}
-	if _, err := Col(9, vector.TypeInt64).Eval(c); err == nil {
+	if _, err := evalProgram(Col(9, vector.TypeInt64), c); err == nil {
 		t.Error("out of range column must fail")
 	}
-	if _, err := Col(0, vector.TypeString).Eval(c); err == nil {
+	if _, err := evalProgram(Col(0, vector.TypeString), c); err == nil {
 		t.Error("type-mismatched column must fail")
 	}
 }
@@ -222,7 +231,7 @@ func TestCast(t *testing.T) {
 	if v.Int64s()[0] != 1 || !v.IsNull(2) {
 		t.Error("cast float->int wrong")
 	}
-	if _, err := (&Cast{In: Col(2, vector.TypeString), To: vector.TypeInt64}).Eval(c); err == nil {
+	if _, err := CompileProgram(&Cast{In: Col(2, vector.TypeString), To: vector.TypeInt64}); err == nil {
 		t.Error("string->int cast must fail")
 	}
 }
@@ -261,11 +270,34 @@ func TestEvalScalar(t *testing.T) {
 	}
 }
 
-func TestPromoteErrors(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("string+int must panic at construction")
-		}
-	}()
-	Add(Str("a"), Int(1))
+// TestConstructorsRejectIllTypedOperands: every constructor panics on an
+// operand of the wrong type, with the words sql.Compile turns into the
+// Prepare error.
+func TestConstructorsRejectIllTypedOperands(t *testing.T) {
+	f, s, b := Col(1, vector.TypeFloat64), Col(2, vector.TypeString), Col(4, vector.TypeBool)
+	for _, tc := range []struct {
+		want  string
+		build func()
+	}{
+		{"incompatible types VARCHAR and BIGINT", func() { Add(Str("a"), Int(1)) }},
+		{"NOT over DOUBLE", func() { Not(f) }},
+		{"boolean connective over DOUBLE", func() { And(b, f) }},
+		{"boolean connective over VARCHAR", func() { Or(s, b) }},
+		{"boolean connective over DOUBLE", func() { And(f) }},
+		{"LIKE over DOUBLE", func() { Like(f, "a%") }},
+		{"LIKE over BOOLEAN", func() { NotLike(b, "a%") }},
+		{"EXTRACT over DOUBLE", func() { ExtractYear(f) }},
+		{"EXTRACT over VARCHAR", func() { ExtractMonth(s) }},
+		{"SUBSTRING over DOUBLE", func() { Substr(f, 1, 2) }},
+		{"CASE condition of type DOUBLE", func() { When(f, Int(1), Int(2)) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), tc.want) {
+					t.Errorf("panic = %v, want one containing %q", r, tc.want)
+				}
+			}()
+			tc.build()
+		}()
+	}
 }

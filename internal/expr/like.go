@@ -15,11 +15,16 @@ type LikeExpr struct {
 }
 
 // Like returns in LIKE pattern.
-func Like(in Expr, pattern string) Expr { return &LikeExpr{In: in, Pattern: pattern} }
+func Like(in Expr, pattern string) Expr { return newLike(in, pattern, false) }
 
 // NotLike returns in NOT LIKE pattern.
-func NotLike(in Expr, pattern string) Expr {
-	return &LikeExpr{In: in, Pattern: pattern, Negate: true}
+func NotLike(in Expr, pattern string) Expr { return newLike(in, pattern, true) }
+
+const likeOver = "LIKE over %v"
+
+func newLike(in Expr, pattern string, negate bool) Expr {
+	must(operandErr(likeOver, in, vector.TypeString))
+	return &LikeExpr{In: in, Pattern: pattern, Negate: negate}
 }
 
 // Type implements Expr.
@@ -32,32 +37,6 @@ func (l *LikeExpr) String() string {
 		op = "NOT LIKE"
 	}
 	return fmt.Sprintf("(%s %s %q)", l.In, op, l.Pattern)
-}
-
-// Eval implements Expr.
-func (l *LikeExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := l.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	if av.Type() != vector.TypeString {
-		return nil, fmt.Errorf("LIKE over %v", av.Type())
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeBool, n)
-	ss := av.Strings()
-	for i := 0; i < n; i++ {
-		if av.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		m := LikeMatch(ss[i], l.Pattern)
-		if l.Negate {
-			m = !m
-		}
-		out.AppendBool(m)
-	}
-	return out, nil
 }
 
 // LikeMatch reports whether s matches the SQL LIKE pattern. It uses the

@@ -94,24 +94,22 @@ func TestLikeExprEval(t *testing.T) {
 	c.AppendRowValues(vector.NewString("SMALL ANODIZED"))
 	c.AppendRowValues(vector.NewNull(vector.TypeString))
 
-	v, err := Like(Col(0, vector.TypeString), "PROMO%").Eval(c)
+	v, err := evalProgram(Like(Col(0, vector.TypeString), "PROMO%"), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Bools()[0] || v.Bools()[1] || !v.IsNull(2) {
 		t.Error("LIKE eval wrong")
 	}
-	v, err = NotLike(Col(0, vector.TypeString), "PROMO%").Eval(c)
+	v, err = evalProgram(NotLike(Col(0, vector.TypeString), "PROMO%"), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Bools()[0] || !v.Bools()[1] || !v.IsNull(2) {
 		t.Error("NOT LIKE eval wrong")
 	}
-	// LIKE over a non-string column must fail.
-	ci := vector.NewChunk([]vector.Type{vector.TypeInt64})
-	ci.AppendRowValues(vector.NewInt64(1))
-	if _, err := Like(Col(0, vector.TypeInt64), "%").Eval(ci); err == nil {
+	// LIKE over a non-string column must fail, hand-assembled too.
+	if _, err := CompileProgram(&LikeExpr{In: Col(0, vector.TypeInt64), Pattern: "%"}); err == nil {
 		t.Error("LIKE over BIGINT must fail")
 	}
 }

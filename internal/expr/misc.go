@@ -45,35 +45,6 @@ func (ix *InExpr) String() string {
 	return fmt.Sprintf("(%s %s [%s])", ix.In, op, strings.Join(parts, ","))
 }
 
-// Eval implements Expr.
-func (ix *InExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := ix.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeBool, n)
-	for i := 0; i < n; i++ {
-		if av.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		v := av.Value(i)
-		found := false
-		for _, cand := range ix.List {
-			if !cand.Null && cand.Equal(v) {
-				found = true
-				break
-			}
-		}
-		if ix.Negate {
-			found = !found
-		}
-		out.AppendBool(found)
-	}
-	return out, nil
-}
-
 // IsNullExpr tests for SQL NULL.
 type IsNullExpr struct {
 	In     Expr
@@ -97,24 +68,6 @@ func (nx *IsNullExpr) String() string {
 	return fmt.Sprintf("(%s IS NULL)", nx.In)
 }
 
-// Eval implements Expr.
-func (nx *IsNullExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := nx.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeBool, n)
-	for i := 0; i < n; i++ {
-		isNull := av.IsNull(i)
-		if nx.Negate {
-			isNull = !isNull
-		}
-		out.AppendBool(isNull)
-	}
-	return out, nil
-}
-
 // CaseExpr is CASE WHEN cond THEN val ... ELSE else END. Conditions are
 // evaluated in order; NULL conditions count as false.
 type CaseExpr struct {
@@ -129,6 +82,9 @@ func Case(whens []Expr, thens []Expr, elseExpr Expr) Expr {
 	if len(whens) == 0 || len(whens) != len(thens) {
 		panic("Case: whens and thens must be non-empty and equal length")
 	}
+	for _, w := range whens {
+		must(operandErr(caseCondition, w, vector.TypeBool))
+	}
 	t := thens[0].Type()
 	for _, th := range thens[1:] {
 		if th.Type() != t {
@@ -140,6 +96,13 @@ func Case(whens []Expr, thens []Expr, elseExpr Expr) Expr {
 	}
 	return &CaseExpr{Whens: whens, Thens: thens, Else: elseExpr, typ: t}
 }
+
+const (
+	caseCondition = "CASE condition of type %v"
+	caseBranch    = "CASE branch of type %v"
+	extractOver   = "EXTRACT over %v"
+	substringOver = "SUBSTRING over %v"
+)
 
 // When is a convenience for a single-branch CASE: CASE WHEN cond THEN a ELSE b END.
 func When(cond, then, els Expr) Expr { return Case([]Expr{cond}, []Expr{then}, els) }
@@ -161,58 +124,6 @@ func (cx *CaseExpr) String() string {
 	return b.String()
 }
 
-// Eval implements Expr.
-func (cx *CaseExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	n := c.Len()
-	conds := make([]*vector.Vector, len(cx.Whens))
-	for i, w := range cx.Whens {
-		v, err := w.Eval(c)
-		if err != nil {
-			return nil, err
-		}
-		if v.Type() != vector.TypeBool {
-			return nil, fmt.Errorf("CASE condition of type %v", v.Type())
-		}
-		conds[i] = v
-	}
-	thens := make([]*vector.Vector, len(cx.Thens))
-	for i, th := range cx.Thens {
-		v, err := th.Eval(c)
-		if err != nil {
-			return nil, err
-		}
-		thens[i] = v
-	}
-	var elseV *vector.Vector
-	if cx.Else != nil {
-		v, err := cx.Else.Eval(c)
-		if err != nil {
-			return nil, err
-		}
-		elseV = v
-	}
-	out := vector.New(cx.typ, n)
-	for i := 0; i < n; i++ {
-		matched := false
-		for bi, cond := range conds {
-			if !cond.IsNull(i) && cond.Bools()[i] {
-				out.AppendFrom(thens[bi], i)
-				matched = true
-				break
-			}
-		}
-		if matched {
-			continue
-		}
-		if elseV != nil {
-			out.AppendFrom(elseV, i)
-		} else {
-			out.AppendNull()
-		}
-	}
-	return out, nil
-}
-
 // ExtractField selects the component Extract pulls from a date.
 type ExtractField uint8
 
@@ -229,10 +140,15 @@ type ExtractExpr struct {
 }
 
 // ExtractYear returns EXTRACT(YEAR FROM e).
-func ExtractYear(e Expr) Expr { return &ExtractExpr{Field: FieldYear, In: e} }
+func ExtractYear(e Expr) Expr { return newExtract(FieldYear, e) }
 
 // ExtractMonth returns EXTRACT(MONTH FROM e).
-func ExtractMonth(e Expr) Expr { return &ExtractExpr{Field: FieldMonth, In: e} }
+func ExtractMonth(e Expr) Expr { return newExtract(FieldMonth, e) }
+
+func newExtract(f ExtractField, e Expr) Expr {
+	must(operandErr(extractOver, e, vector.TypeDate))
+	return &ExtractExpr{Field: f, In: e}
+}
 
 // Type implements Expr.
 func (ex *ExtractExpr) Type() vector.Type { return vector.TypeInt64 }
@@ -246,33 +162,6 @@ func (ex *ExtractExpr) String() string {
 	return fmt.Sprintf("EXTRACT(%s FROM %s)", f, ex.In)
 }
 
-// Eval implements Expr.
-func (ex *ExtractExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := ex.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	if av.Type() != vector.TypeDate {
-		return nil, fmt.Errorf("EXTRACT over %v", av.Type())
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeInt64, n)
-	ds := av.Int64s()
-	for i := 0; i < n; i++ {
-		if av.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		switch ex.Field {
-		case FieldYear:
-			out.AppendInt64(int64(vector.DateYear(ds[i])))
-		default:
-			out.AppendInt64(int64(vector.DateMonth(ds[i])))
-		}
-	}
-	return out, nil
-}
-
 // SubstrExpr is SUBSTRING(e FROM start FOR length), 1-based as in SQL.
 type SubstrExpr struct {
 	In            Expr
@@ -281,6 +170,7 @@ type SubstrExpr struct {
 
 // Substr returns the 1-based substring expression.
 func Substr(e Expr, start, length int) Expr {
+	must(operandErr(substringOver, e, vector.TypeString))
 	return &SubstrExpr{In: e, Start: start, Length: length}
 }
 
@@ -290,53 +180,4 @@ func (sx *SubstrExpr) Type() vector.Type { return vector.TypeString }
 // String implements Expr.
 func (sx *SubstrExpr) String() string {
 	return fmt.Sprintf("SUBSTRING(%s FROM %d FOR %d)", sx.In, sx.Start, sx.Length)
-}
-
-// Eval implements Expr.
-func (sx *SubstrExpr) Eval(c *vector.Chunk) (*vector.Vector, error) {
-	av, err := sx.In.Eval(c)
-	if err != nil {
-		return nil, err
-	}
-	if av.Type() != vector.TypeString {
-		return nil, fmt.Errorf("SUBSTRING over %v", av.Type())
-	}
-	n := av.Len()
-	out := vector.New(vector.TypeString, n)
-	ss := av.Strings()
-	for i := 0; i < n; i++ {
-		if av.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		s := ss[i]
-		lo := sx.Start - 1
-		if lo < 0 {
-			lo = 0
-		}
-		if lo > len(s) {
-			lo = len(s)
-		}
-		hi := lo + sx.Length
-		if hi > len(s) {
-			hi = len(s)
-		}
-		out.AppendString(s[lo:hi])
-	}
-	return out, nil
-}
-
-// EvalScalar evaluates an expression over a single row of boxed values; used
-// by tests as an oracle and by scalar contexts (e.g. HAVING over one group).
-func EvalScalar(e Expr, types []vector.Type, row []vector.Value) (vector.Value, error) {
-	c := vector.NewChunk(types)
-	c.AppendRowValues(row...)
-	v, err := e.Eval(c)
-	if err != nil {
-		return vector.Value{}, err
-	}
-	if v.Len() != 1 {
-		return vector.Value{}, fmt.Errorf("scalar eval produced %d rows", v.Len())
-	}
-	return v.Value(0), nil
 }

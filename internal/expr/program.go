@@ -7,16 +7,17 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// Program is a compiled columnar evaluation plan for an expression tree.
-// Where the generic Expr.Eval path allocates a fresh *vector.Vector at every
-// tree node on every chunk, a program instance owns one reusable register
-// vector per node and dispatches its inner loops to the type-specialized
-// kernels in internal/engine/kernel.
+// Program is the compiled columnar form of an expression tree and the only
+// way one is evaluated: filters, projections, aggregate arguments and group
+// keys, sort keys, join keys and join residuals all run as programs. A
+// program instance owns one reusable register vector per node and dispatches
+// its inner loops to the type-specialized kernels in internal/engine/kernel.
 //
-// Semantics are bit-for-bit those of Expr.Eval: the same IEEE operations in
-// the same per-row order, the same three-valued NULL rules, and the same
-// zero-backing-under-null storage invariant (null rows hold the zero value,
-// which the chunk hash and the checkpoint codec both observe).
+// Its semantics are pinned from outside: EvalScalar is an independent boxed
+// evaluator tests compare it with row by row, and the recorded TPC-H result
+// digests fix its bytes. Registers uphold the zero-backing-under-null storage
+// invariant (null rows hold the zero value, which the chunk hash and the
+// checkpoint codec both observe).
 //
 // A Program is immutable and shareable across workers; all mutable state
 // lives in Instances (one per worker or pooled scratch).
@@ -25,16 +26,17 @@ type Program struct {
 	typ  vector.Type
 }
 
-// CompileProgram compiles e into a columnar program, or returns nil if the
-// tree contains a node (or a statically detectable type error) the program
-// compiler does not support. Callers must fall back to the generic
-// Expr.Eval path on nil — the fallback contract: programs are an
-// optimization, never a semantic fork.
-func CompileProgram(e Expr) *Program {
-	if !compilable(e) {
-		return nil
+// CompileProgram compiles e into a columnar program. It returns an error,
+// never a nil program, for a node type it has no evaluator for and for a
+// statically ill-typed node. The constructors reject ill-typed operands
+// themselves, so the type checks here only guard struct literals assembled
+// by hand. One check is left to run time: a column's bound type against the
+// chunk it is handed.
+func CompileProgram(e Expr) (*Program, error) {
+	if err := check(e); err != nil {
+		return nil, fmt.Errorf("expr: %w", err)
 	}
-	return &Program{root: e, typ: e.Type()}
+	return &Program{root: e, typ: e.Type()}, nil
 }
 
 // OutType returns the program's statically known result type.
@@ -43,75 +45,97 @@ func (p *Program) OutType() vector.Type { return p.typ }
 // String renders the underlying expression (plan-fingerprint form).
 func (p *Program) String() string { return p.root.String() }
 
-// compilable reports whether every node under e has a columnar
-// implementation. Statically detectable type errors (NOT over a non-bool,
-// LIKE over a non-string, …) also return false so the generic path gets to
-// produce its usual runtime error.
-func compilable(e Expr) bool {
+// intRepr reports whether t is stored as int64 (DATE arithmetic and
+// comparisons against BIGINT stay in that domain).
+func intRepr(t vector.Type) bool { return t == vector.TypeInt64 || t == vector.TypeDate }
+
+// check vets every node under e: a known node type, operands of the type
+// the node's evaluator reads, and a valid type at every leaf — so that an
+// Instance can only fail on a chunk that does not match its column bindings.
+func check(e Expr) error {
 	switch x := e.(type) {
 	case *Column:
-		return true
+		if !x.Typ.Valid() {
+			return fmt.Errorf("column %d of type %v", x.Index, x.Typ)
+		}
+		return nil
 	case *Const:
-		switch x.Val.Type {
-		case vector.TypeInt64, vector.TypeDate, vector.TypeFloat64, vector.TypeString, vector.TypeBool:
-			return true
+		if !x.Val.Type.Valid() {
+			return fmt.Errorf("literal of type %v", x.Val.Type)
 		}
-		return false
+		return nil
 	case *Cast:
-		if !compilable(x.In) {
-			return false
-		}
 		from := x.In.Type()
-		if from == x.To {
-			return true
-		}
-		toF := x.To == vector.TypeFloat64 && (from == vector.TypeInt64 || from == vector.TypeDate)
+		toF := x.To == vector.TypeFloat64 && intRepr(from)
 		toI := x.To == vector.TypeInt64 && from == vector.TypeFloat64
-		return toF || toI
+		if from != x.To && !toF && !toI {
+			return fmt.Errorf("unsupported cast %v -> %v", from, x.To)
+		}
+		return check(x.In)
 	case *Arith:
-		return compilable(x.L) && compilable(x.R)
+		lt, rt := x.L.Type(), x.R.Type()
+		ints := intRepr(x.typ) && x.Op != OpDiv && intRepr(lt) && intRepr(rt)
+		floats := x.typ == vector.TypeFloat64 && lt == x.typ && rt == x.typ
+		if !ints && !floats {
+			return fmt.Errorf("arith %v yielding %v over %v and %v", x.Op, x.typ, lt, rt)
+		}
+		return checkAll(x.L, x.R)
 	case *Compare:
-		return compilable(x.L) && compilable(x.R)
+		if lt, rt := x.L.Type(), x.R.Type(); lt != rt && !(intRepr(lt) && intRepr(rt)) {
+			return fmt.Errorf("compare type mismatch: %v vs %v", lt, rt)
+		}
+		return checkAll(x.L, x.R)
 	case *AndExpr:
-		return boolArgs(x.Args)
+		return checkOperands(connectiveOver, vector.TypeBool, x.Args...)
 	case *OrExpr:
-		return boolArgs(x.Args)
+		return checkOperands(connectiveOver, vector.TypeBool, x.Args...)
 	case *NotExpr:
-		return x.In.Type() == vector.TypeBool && compilable(x.In)
+		return checkOperands(notOver, vector.TypeBool, x.In)
 	case *IsNullExpr:
-		return compilable(x.In)
+		return check(x.In)
 	case *InExpr:
-		return compilable(x.In)
+		return check(x.In)
 	case *LikeExpr:
-		return x.In.Type() == vector.TypeString && compilable(x.In)
+		return checkOperands(likeOver, vector.TypeString, x.In)
 	case *ExtractExpr:
-		return x.In.Type() == vector.TypeDate && compilable(x.In)
+		return checkOperands(extractOver, vector.TypeDate, x.In)
 	case *SubstrExpr:
-		return x.In.Type() == vector.TypeString && compilable(x.In)
+		return checkOperands(substringOver, vector.TypeString, x.In)
 	case *CaseExpr:
-		for _, w := range x.Whens {
-			if w.Type() != vector.TypeBool || !compilable(w) {
-				return false
-			}
+		if len(x.Whens) == 0 || len(x.Whens) != len(x.Thens) || !x.typ.Valid() {
+			return fmt.Errorf("malformed CASE of type %v: %d conditions, %d branches", x.typ, len(x.Whens), len(x.Thens))
 		}
-		for _, t := range x.Thens {
-			if !compilable(t) {
-				return false
-			}
+		if err := checkOperands(caseCondition, vector.TypeBool, x.Whens...); err != nil {
+			return err
 		}
-		return x.Else == nil || compilable(x.Else)
+		branches := x.Thens
+		if x.Else != nil {
+			branches = append(branches[:len(branches):len(branches)], x.Else)
+		}
+		return checkOperands(caseBranch, x.typ, branches...)
 	default:
-		return false
+		return fmt.Errorf("no program for node %T (%s)", e, e)
 	}
 }
 
-func boolArgs(args []Expr) bool {
-	for _, a := range args {
-		if a.Type() != vector.TypeBool || !compilable(a) {
-			return false
+func checkAll(es ...Expr) error {
+	for _, e := range es {
+		if err := check(e); err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
+}
+
+// checkOperands vets operands that must all have type want; format is the
+// operandErr wording for one that does not.
+func checkOperands(format string, want vector.Type, es ...Expr) error {
+	for _, e := range es {
+		if err := operandErr(format, e, want); err != nil {
+			return err
+		}
+	}
+	return checkAll(es...)
 }
 
 // Instance is the mutable evaluation state of one Program: one register
@@ -138,7 +162,7 @@ func (in *Instance) OutType() vector.Type { return in.typ }
 func (in *Instance) Eval(c *vector.Chunk) (*vector.Vector, error) { return in.eval(c) }
 
 // buildNode compiles one node into its evaluator closure. CompileProgram
-// vetted the tree, so an unknown node here is a bug, not a fallback.
+// vetted the tree, so an unknown node here is a bug.
 func buildNode(e Expr) evalFn {
 	switch x := e.(type) {
 	case *Column:
@@ -170,7 +194,7 @@ func buildNode(e Expr) evalFn {
 	case *CaseExpr:
 		return buildCase(x)
 	default:
-		panic(fmt.Sprintf("program: uncompilable node %T escaped CompileProgram", e))
+		panic(fmt.Sprintf("program: unchecked node %T escaped CompileProgram", e))
 	}
 }
 
@@ -268,8 +292,7 @@ func buildConst(x *Const) evalFn {
 
 func buildCast(x *Cast) evalFn {
 	inf := buildNode(x.In)
-	from := x.In.Type()
-	if from == x.To {
+	if x.In.Type() == x.To {
 		return inf
 	}
 	reg := vector.New(x.To, 0)
@@ -323,24 +346,7 @@ func buildArith(x *Arith) evalFn {
 			return nil, err
 		}
 		n := lv.Len()
-		switch typ {
-		case vector.TypeInt64, vector.TypeDate:
-			dst := reg.ResizeInt64(n)
-			ls, rs := lv.Int64s(), rv.Int64s()
-			switch op {
-			case OpAdd:
-				kernel.AddInt64(dst, ls, rs)
-			case OpSub:
-				kernel.SubInt64(dst, ls, rs)
-			case OpMul:
-				kernel.MulInt64(dst, ls, rs)
-			default:
-				return nil, fmt.Errorf("integer division must have been promoted")
-			}
-			if mergeNulls2(reg, lv, rv, n) {
-				kernel.ZeroNullsInt64(dst, reg.NullWords())
-			}
-		case vector.TypeFloat64:
+		if typ == vector.TypeFloat64 {
 			dst := reg.ResizeFloat64(n)
 			ls, rs := lv.Float64s(), rv.Float64s()
 			if op == OpDiv {
@@ -364,8 +370,20 @@ func buildArith(x *Arith) evalFn {
 			if mergeNulls2(reg, lv, rv, n) {
 				kernel.ZeroNullsFloat64(dst, reg.NullWords())
 			}
-		default:
-			return nil, fmt.Errorf("arith over non-numeric type %v", typ)
+			return reg, nil
+		}
+		dst := reg.ResizeInt64(n)
+		ls, rs := lv.Int64s(), rv.Int64s()
+		switch op {
+		case OpAdd:
+			kernel.AddInt64(dst, ls, rs)
+		case OpSub:
+			kernel.SubInt64(dst, ls, rs)
+		case OpMul:
+			kernel.MulInt64(dst, ls, rs)
+		}
+		if mergeNulls2(reg, lv, rv, n) {
+			kernel.ZeroNullsInt64(dst, reg.NullWords())
 		}
 		return reg, nil
 	}
@@ -381,37 +399,7 @@ func arithScalar(op ArithOp, typ vector.Type, vf evalFn, s vector.Value, scalarL
 			return nil, err
 		}
 		n := av.Len()
-		switch typ {
-		case vector.TypeInt64, vector.TypeDate:
-			dst := reg.ResizeInt64(n)
-			vs := av.Int64s()
-			x := s.I
-			switch op {
-			case OpAdd:
-				if scalarLeft {
-					kernel.AddInt64ScalarL(dst, x, vs)
-				} else {
-					kernel.AddInt64Scalar(dst, vs, x)
-				}
-			case OpSub:
-				if scalarLeft {
-					kernel.SubInt64ScalarL(dst, x, vs)
-				} else {
-					kernel.SubInt64Scalar(dst, vs, x)
-				}
-			case OpMul:
-				if scalarLeft {
-					kernel.MulInt64ScalarL(dst, x, vs)
-				} else {
-					kernel.MulInt64Scalar(dst, vs, x)
-				}
-			default:
-				return nil, fmt.Errorf("integer division must have been promoted")
-			}
-			if copyNulls(reg, av, n) {
-				kernel.ZeroNullsInt64(dst, reg.NullWords())
-			}
-		case vector.TypeFloat64:
+		if typ == vector.TypeFloat64 {
 			dst := reg.ResizeFloat64(n)
 			vs := av.Float64s()
 			x := s.F
@@ -451,8 +439,33 @@ func arithScalar(op ArithOp, typ vector.Type, vf evalFn, s vector.Value, scalarL
 			if copyNulls(reg, av, n) {
 				kernel.ZeroNullsFloat64(dst, reg.NullWords())
 			}
-		default:
-			return nil, fmt.Errorf("arith over non-numeric type %v", typ)
+			return reg, nil
+		}
+		dst := reg.ResizeInt64(n)
+		vs := av.Int64s()
+		x := s.I
+		switch op {
+		case OpAdd:
+			if scalarLeft {
+				kernel.AddInt64ScalarL(dst, x, vs)
+			} else {
+				kernel.AddInt64Scalar(dst, vs, x)
+			}
+		case OpSub:
+			if scalarLeft {
+				kernel.SubInt64ScalarL(dst, x, vs)
+			} else {
+				kernel.SubInt64Scalar(dst, vs, x)
+			}
+		case OpMul:
+			if scalarLeft {
+				kernel.MulInt64ScalarL(dst, x, vs)
+			} else {
+				kernel.MulInt64Scalar(dst, vs, x)
+			}
+		}
+		if copyNulls(reg, av, n) {
+			kernel.ZeroNullsInt64(dst, reg.NullWords())
 		}
 		return reg, nil
 	}
@@ -496,13 +509,6 @@ func buildCompare(x *Compare) evalFn {
 		rv, err := rf(c)
 		if err != nil {
 			return nil, err
-		}
-		if lv.Type() != rv.Type() {
-			lOK := lv.Type() == vector.TypeInt64 || lv.Type() == vector.TypeDate
-			rOK := rv.Type() == vector.TypeInt64 || rv.Type() == vector.TypeDate
-			if !lOK || !rOK {
-				return nil, fmt.Errorf("compare type mismatch: %v vs %v", lv.Type(), rv.Type())
-			}
 		}
 		n := lv.Len()
 		dst := reg.ResizeBool(n)
@@ -560,8 +566,6 @@ func buildCompare(x *Compare) evalFn {
 			for i := 0; i < n; i++ {
 				dst[i] = op.matches(cmp3Bool(ls[i], rs[i]))
 			}
-		default:
-			return nil, fmt.Errorf("compare over unsupported type %v", lv.Type())
 		}
 		if mergeNulls2(reg, lv, rv, n) {
 			kernel.ZeroNullsBool(dst, reg.NullWords())
@@ -633,8 +637,6 @@ func compareScalar(op CmpOp, vf evalFn, s vector.Value) evalFn {
 			default:
 				kernel.GeStringScalar(dst, vs, x)
 			}
-		default:
-			return nil, fmt.Errorf("compare over unsupported type %v", av.Type())
 		}
 		if copyNulls(reg, av, n) {
 			kernel.ZeroNullsBool(dst, reg.NullWords())
@@ -677,7 +679,7 @@ func buildConnective(args []Expr, isAnd bool) evalFn {
 			}
 			return reg, nil
 		}
-		// Three-valued fold, mirroring the generic evalConnective exactly.
+		// Three-valued fold: per row true/false/null, folded across arguments.
 		if cap(vals) < n {
 			vals = make([]bool, n)
 			nulls = make([]bool, n)
@@ -993,8 +995,6 @@ func buildCase(x *CaseExpr) evalFn {
 					setNull(i)
 				}
 			}
-		default:
-			return nil, fmt.Errorf("CASE over unsupported type %v", typ)
 		}
 		return reg, nil
 	}

@@ -3,15 +3,16 @@ package expr
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// programChunk builds an adversarial chunk for program-vs-Eval equivalence:
-// nulls in every column, NaN and signed zeros, empty and escape-y strings.
-// Columns: 0 int64, 1 float64, 2 string, 3 date, 4 bool, 5 float64 (divisors
-// incl. zero), 6 int64 (no nulls).
+// programChunk builds an adversarial chunk for program-vs-oracle equivalence:
+// nulls in every column but the last, NaN and signed zeros, int64 extremes,
+// empty and escape-y strings. Columns: 0 int64, 1 float64, 2 string, 3 date,
+// 4 bool, 5 float64 (divisors incl. zero), 6 int64 (no nulls).
 func programChunk() *vector.Chunk {
 	c := vector.NewChunk([]vector.Type{
 		vector.TypeInt64, vector.TypeFloat64, vector.TypeString,
@@ -25,6 +26,8 @@ func programChunk() *vector.Chunk {
 		{vector.NewInt64(42), vector.NewNull(vector.TypeFloat64), vector.NewNull(vector.TypeString), d("1997-01-02"), vector.NewBool(true), vector.NewNull(vector.TypeFloat64), vector.NewInt64(7)},
 		{vector.NewInt64(3), vector.NewFloat64(1e300), vector.NewString("a_b"), d("1993-11-30"), vector.NewBool(false), vector.NewFloat64(-0.5), vector.NewInt64(1)},
 		{vector.NewNull(vector.TypeInt64), vector.NewFloat64(-1e300), vector.NewString("apple pie"), d("1998-06-15"), vector.NewNull(vector.TypeBool), vector.NewFloat64(3), vector.NewInt64(2)},
+		{vector.NewInt64(math.MaxInt64), vector.NewFloat64(math.Inf(1)), vector.NewString("%_"), vector.NewNull(vector.TypeDate), vector.NewBool(true), vector.NewFloat64(math.Copysign(0, -1)), vector.NewInt64(math.MinInt64)},
+		{vector.NewInt64(math.MinInt64), vector.NewFloat64(0), vector.NewString("apple"), d("1970-01-01"), vector.NewBool(false), vector.NewFloat64(math.NaN()), vector.NewInt64(-1)},
 	}
 	for _, r := range rows {
 		c.AppendRowValues(r...)
@@ -33,9 +36,7 @@ func programChunk() *vector.Chunk {
 }
 
 // vectorBytes canonically serializes a vector: type, length, padded null
-// bitmap, and backing for every row (null rows included). Byte equality means
-// the two vectors agree on values, null bits, float bit patterns, and the
-// zero-backing-under-null invariant.
+// bitmap, and backing for every row (null rows included).
 func vectorBytes(t *testing.T, v *vector.Vector) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -47,31 +48,85 @@ func vectorBytes(t *testing.T, v *vector.Vector) []byte {
 	return buf.Bytes()
 }
 
-// assertProgramMatchesEval compiles e, runs the program twice (instances are
-// reusable), and demands byte-identical output to the generic Eval.
-func assertProgramMatchesEval(t *testing.T, e Expr, c *vector.Chunk) {
-	t.Helper()
-	want, err := e.Eval(c)
-	if err != nil {
-		t.Fatalf("Eval(%s): %v", e, err)
+// sameValue is value identity as the checkpoint codec sees it: null flag,
+// type, and for doubles the bit pattern (so −0 ≠ 0), any NaN equal to any
+// other.
+func sameValue(a, b vector.Value) bool {
+	if a.Null || b.Null || a.Type != b.Type {
+		return a.Null == b.Null && a.Type == b.Type
 	}
-	wantB := vectorBytes(t, want)
-	p := CompileProgram(e)
-	if p == nil {
-		t.Fatalf("CompileProgram(%s) = nil, want a program", e)
+	if a.Type == vector.TypeFloat64 {
+		return math.Float64bits(a.F) == math.Float64bits(b.F) || (math.IsNaN(a.F) && math.IsNaN(b.F))
+	}
+	return a.Equal(b)
+}
+
+// backingValue boxes what row i's storage holds, null bit aside.
+func backingValue(v *vector.Vector, i int) vector.Value {
+	out := vector.Value{Type: v.Type()}
+	switch v.Type() {
+	case vector.TypeInt64, vector.TypeDate:
+		out.I = v.Int64s()[i]
+	case vector.TypeFloat64:
+		out.F = v.Float64s()[i]
+	case vector.TypeString:
+		out.S = v.Strings()[i]
+	case vector.TypeBool:
+		out.B = v.Bools()[i]
+	}
+	return out
+}
+
+// checkProgramAgainstOracle holds the compiled program to EvalScalar over
+// every row of c: the same value, or both fail — the program at compile time
+// or on the chunk, the oracle on each row. Null rows of the program's output
+// must hold the zero value (the storage invariant the chunk hash and the
+// checkpoint codec observe), and a second evaluation on the same instance
+// must reproduce the first.
+func checkProgramAgainstOracle(t *testing.T, e Expr, c *vector.Chunk) {
+	t.Helper()
+	oracleFails := func(progErr error) {
+		t.Helper()
+		for i := 0; i < c.Len(); i++ {
+			if v, err := EvalScalar(e, c.Types(), c.Row(i)); err == nil {
+				t.Fatalf("%s: program fails (%v) but the oracle yields %v for row %d", e, progErr, v, i)
+			}
+		}
+	}
+	p, err := CompileProgram(e)
+	if err != nil {
+		oracleFails(err)
+		return
 	}
 	if p.OutType() != e.Type() {
 		t.Fatalf("program type %v != expr type %v", p.OutType(), e.Type())
 	}
 	inst := p.NewInstance()
-	for pass := 0; pass < 2; pass++ {
-		got, err := inst.Eval(c)
+	got, err := inst.Eval(c)
+	if err != nil {
+		oracleFails(err)
+		return
+	}
+	if got.Len() != c.Len() || got.Type() != e.Type() {
+		t.Fatalf("%s: %d rows of %v for %d rows of %v", e, got.Len(), got.Type(), c.Len(), e.Type())
+	}
+	zero := vector.Value{Type: got.Type()}
+	for i := 0; i < c.Len(); i++ {
+		want, err := EvalScalar(e, c.Types(), c.Row(i))
 		if err != nil {
-			t.Fatalf("program Eval(%s) pass %d: %v", e, pass, err)
+			t.Fatalf("%s row %d: oracle fails (%v) but the program yields %v", e, i, err, got.Value(i))
 		}
-		if !bytes.Equal(vectorBytes(t, got), wantB) {
-			t.Fatalf("program output differs from Eval for %s (pass %d)\n got: %v\nwant: %v", e, pass, got, want)
+		if !sameValue(got.Value(i), want) {
+			t.Fatalf("%s row %d: program %v (%v), oracle %v (%v)", e, i, got.Value(i), got.Value(i).Type, want, want.Type)
 		}
+		if got.IsNull(i) && !sameValue(backingValue(got, i), zero) {
+			t.Fatalf("%s row %d: null row holds %v, want the zero value", e, i, backingValue(got, i))
+		}
+	}
+	first := vectorBytes(t, got)
+	again, err := inst.Eval(c)
+	if err != nil || !bytes.Equal(vectorBytes(t, again), first) {
+		t.Fatalf("%s: second evaluation on one instance differs (err %v)", e, err)
 	}
 }
 
@@ -83,7 +138,7 @@ func bl() Expr   { return Col(4, vector.TypeBool) }
 func div() Expr  { return Col(5, vector.TypeFloat64) }
 func i2() Expr   { return Col(6, vector.TypeInt64) }
 
-func TestProgramMatchesEval(t *testing.T) {
+func TestProgramMatchesScalarOracle(t *testing.T) {
 	c := programChunk()
 	cases := []struct {
 		name string
@@ -134,47 +189,68 @@ func TestProgramMatchesEval(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertProgramMatchesEval(t, tc.e, c)
+			checkProgramAgainstOracle(t, tc.e, c)
 		})
 	}
 }
 
 // TestProgramLikePatterns covers LIKE's edge patterns — empty pattern, bare
-// wildcards, escaped _ and %, trailing escape — against the generic path.
+// wildcards, escaped _ and %, trailing escape.
 func TestProgramLikePatterns(t *testing.T) {
 	c := programChunk()
 	patterns := []string{
 		"", "%", "_", "%%", "a%", "%e", "a__le", "50\\%", "a\\_b", "%\\%%", "\\", "apple",
 	}
 	for _, pat := range patterns {
-		assertProgramMatchesEval(t, Like(str(), pat), c)
-		assertProgramMatchesEval(t, NotLike(str(), pat), c)
+		checkProgramAgainstOracle(t, Like(str(), pat), c)
+		checkProgramAgainstOracle(t, NotLike(str(), pat), c)
 	}
 }
 
-// TestProgramCastOverflow pins float->int cast behavior on values outside the
-// int64 range and NaN: whatever the generic path produces, the program must
-// reproduce bit-for-bit.
+// TestProgramCastOverflow covers float->int casts of values outside the
+// int64 range and NaN, alone and through arithmetic on the result.
 func TestProgramCastOverflow(t *testing.T) {
-	c := programChunk() // column 1 holds 1e300, -1e300, NaN
-	e := &Cast{In: f64(), To: vector.TypeInt64}
-	assertProgramMatchesEval(t, e, c)
-	// And through arithmetic on the cast result.
-	assertProgramMatchesEval(t, Add(&Cast{In: f64(), To: vector.TypeInt64}, Int(1)), c)
+	c := programChunk() // column 1 holds 1e300, -1e300, +Inf, NaN
+	checkProgramAgainstOracle(t, &Cast{In: f64(), To: vector.TypeInt64}, c)
+	checkProgramAgainstOracle(t, Add(&Cast{In: f64(), To: vector.TypeInt64}, Int(1)), c)
 }
 
-// TestProgramFallbacks pins the generic-fallback contract: expressions the
-// program layer does not support compile to nil rather than to a wrong
-// program.
+// foreignExpr is a node type the program compiler has never heard of.
+type foreignExpr struct{}
+
+func (foreignExpr) Type() vector.Type { return vector.TypeBool }
+func (foreignExpr) String() string    { return "foreign()" }
+
+// TestProgramFallbacks: there is no fallback. An expression the compiler
+// cannot turn into a program — an unknown node, an ill-typed literal
+// assembled past the constructors — is an error naming the node, wherever in
+// the tree it sits, and the oracle refuses it too.
 func TestProgramFallbacks(t *testing.T) {
-	bad := []Expr{
-		&Cast{In: str(), To: vector.TypeInt64},                                  // unsupported cast
-		Add(Col(0, vector.TypeInt64), &Cast{In: str(), To: vector.TypeFloat64}), // poisoned subtree
-	}
-	for _, e := range bad {
-		if p := CompileProgram(e); p != nil {
-			t.Errorf("CompileProgram(%s) compiled, want nil fallback", e)
+	c := programChunk()
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{&Cast{In: str(), To: vector.TypeInt64}, "unsupported cast VARCHAR -> BIGINT"},
+		{Add(i64(), &Cast{In: str(), To: vector.TypeFloat64}), "unsupported cast VARCHAR -> DOUBLE"},
+		{And(bl(), foreignExpr{}), "expr.foreignExpr (foreign())"},
+		{&NotExpr{In: f64()}, "NOT over DOUBLE"},
+		{&AndExpr{Args: []Expr{bl(), i64()}}, "boolean connective over BIGINT"},
+		{&LikeExpr{In: i64(), Pattern: "%"}, "LIKE over BIGINT"},
+		{&ExtractExpr{In: str()}, "EXTRACT over VARCHAR"},
+		{&SubstrExpr{In: date(), Length: 1}, "SUBSTRING over DATE"},
+		{&CaseExpr{Whens: []Expr{i64()}, Thens: []Expr{i64()}, typ: vector.TypeInt64}, "CASE condition of type BIGINT"},
+		{&CaseExpr{Whens: []Expr{bl()}, Thens: []Expr{str()}, typ: vector.TypeInt64}, "CASE branch of type VARCHAR"},
+		{&Arith{Op: OpAdd, L: i64(), R: f64(), typ: vector.TypeFloat64}, "arith + yielding DOUBLE over BIGINT and DOUBLE"},
+		{&Arith{Op: OpDiv, L: i64(), R: i2(), typ: vector.TypeInt64}, "arith / yielding BIGINT over BIGINT and BIGINT"},
+		{&Compare{Op: OpEq, L: i64(), R: str()}, "compare type mismatch: BIGINT vs VARCHAR"},
+		{Col(0, vector.TypeInvalid), "column 0 of type INVALID"},
+	} {
+		p, err := CompileProgram(tc.e)
+		if err == nil || p != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CompileProgram(%s) = %v, %v; want an error containing %q", tc.e, p, err, tc.want)
 		}
+		checkProgramAgainstOracle(t, tc.e, c)
 	}
 }
 
@@ -182,9 +258,9 @@ func TestProgramFallbacks(t *testing.T) {
 // different chunks and checks they do not share register state.
 func TestProgramInstanceIndependence(t *testing.T) {
 	e := Add(Mul(f64(), Float(2)), div())
-	p := CompileProgram(e)
-	if p == nil {
-		t.Fatal("program did not compile")
+	p, err := CompileProgram(e)
+	if err != nil {
+		t.Fatal(err)
 	}
 	c1 := programChunk()
 	c2 := vector.NewChunk(c1.Types())

@@ -5,6 +5,7 @@ import (
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/expr"
+	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // Builder constructs logical plans with name-based column resolution against
@@ -69,6 +70,7 @@ func (r *Rel) Col(name string) *expr.Column {
 // Filter keeps rows satisfying cond. A filter directly above a scan is
 // pushed into the scan node so the physical source applies it per morsel.
 func (r *Rel) Filter(cond expr.Expr) *Rel {
+	mustBeCondition("filter", cond)
 	if sc, ok := r.node.(*Scan); ok {
 		merged := cond
 		if sc.Filter != nil {
@@ -77,6 +79,14 @@ func (r *Rel) Filter(cond expr.Expr) *Rel {
 		return &Rel{b: r.b, node: NewScan(sc.Table, sc.TableSchema, sc.Projection, merged)}
 	}
 	return &Rel{b: r.b, node: &Filter{Child: r.node, Cond: cond}}
+}
+
+// mustBeCondition panics, like the expression constructors do on an operand
+// of the wrong type, unless cond is BOOLEAN.
+func mustBeCondition(what string, cond expr.Expr) {
+	if t := cond.Type(); t != vector.TypeBool {
+		panic(fmt.Sprintf("%s condition of type %v", what, t))
+	}
 }
 
 // Project computes the given named expressions.
@@ -138,6 +148,7 @@ func (r *Rel) JoinExtra(other *Rel, jt JoinType, leftKeys, rightKeys []string, e
 		cols := append([]catalog.Column{}, r.Schema().Columns...)
 		cols = append(cols, other.Schema().Columns...)
 		extraExpr = extra(ColResolver{schema: catalog.NewSchema(cols...)})
+		mustBeCondition("join", extraExpr)
 	}
 	return &Rel{b: r.b, node: NewJoin(jt, r.node, other.node, lk, rk, extraExpr)}
 }

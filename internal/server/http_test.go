@@ -101,6 +101,51 @@ func TestHTTPAPI(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPIllTypedSQLIsRefusedAtSubmit: a statement with an operand of the
+// wrong type is a 400 at POST /query and creates no session — it used to be
+// admitted, queued, scheduled and failed on its first morsel — and a GROUP BY
+// over nine columns, which used to panic the run goroutine, runs.
+func TestHTTPIllTypedSQLIsRefusedAtSubmit(t *testing.T) {
+	db := openTPCH(t, 0.005)
+	s := newServer(t, db, Config{Slots: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(sql string) (int, sessionResponse) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"sql": sql, "wait": true})
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr sessionResponse
+		_ = json.NewDecoder(resp.Body).Decode(&sr)
+		return resp.StatusCode, sr
+	}
+	for _, sql := range []string{
+		"SELECT count(*) FROM lineitem WHERE NOT l_quantity",
+		"SELECT count(*) FROM lineitem WHERE l_quantity LIKE 'a%'",
+		"SELECT count(*) FROM lineitem WHERE l_quantity AND l_tax",
+		"SELECT extract(year FROM l_quantity) FROM lineitem",
+		"SELECT CASE WHEN l_quantity THEN 1 ELSE 2 END FROM lineitem",
+		"SELECT count(*) FROM lineitem WHERE l_quantity",
+	} {
+		if status, sr := post(sql); status != http.StatusBadRequest || sr.ID != "" {
+			t.Errorf("%q: status %d, session %q; want 400 and no session", sql, status, sr.ID)
+		}
+	}
+	if n := len(s.Sessions()); n != 0 {
+		t.Errorf("%d sessions were created for statements that cannot run", n)
+	}
+	status, sr := post(`SELECT l_returnflag, l_linestatus, l_shipmode, l_shipinstruct, l_linenumber,
+		l_quantity, l_discount, l_tax, l_suppkey, count(*) AS n FROM lineitem WHERE l_orderkey < 100
+		GROUP BY l_returnflag, l_linestatus, l_shipmode, l_shipinstruct, l_linenumber,
+		l_quantity, l_discount, l_tax, l_suppkey`)
+	if status != http.StatusOK || sr.State != StateDone || sr.Result == nil || sr.Result.NumRows == 0 {
+		t.Errorf("nine-column GROUP BY: status %d, session %+v", status, sr)
+	}
+}
+
 // TestHTTPHealthzDraining proves a draining instance answers /healthz
 // with 503 *and* its full health document — "refusing new work" must be
 // distinguishable from "dead" by any prober.

@@ -320,6 +320,49 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestIllTypedStatementsFailCompile: a statement whose operands have the
+// wrong type is refused by Compile, with the constructor's words, instead of
+// being planned and failing on its first morsel.
+func TestIllTypedStatementsFailCompile(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct{ query, want string }{
+		{"SELECT id FROM emp WHERE NOT salary", "NOT over DOUBLE"},
+		{"SELECT id FROM emp WHERE salary LIKE 'a%'", "LIKE over DOUBLE"},
+		{"SELECT id FROM emp WHERE salary NOT LIKE 'a%'", "LIKE over DOUBLE"},
+		{"SELECT id FROM emp WHERE salary AND dept", "boolean connective over DOUBLE"},
+		{"SELECT id FROM emp WHERE id < 3 OR name", "boolean connective over VARCHAR"},
+		{"SELECT extract(year FROM salary) FROM emp", "EXTRACT over DOUBLE"},
+		{"SELECT extract(month FROM name) FROM emp", "EXTRACT over VARCHAR"},
+		{"SELECT substring(salary FROM 1 FOR 2) FROM emp", "SUBSTRING over DOUBLE"},
+		{"SELECT CASE WHEN salary THEN 1 ELSE 2 END FROM emp", "CASE condition of type DOUBLE"},
+		{"SELECT id FROM emp WHERE salary", "filter condition of type DOUBLE"},
+		{"SELECT id FROM emp WHERE id < 3 AND salary", "boolean connective over DOUBLE"},
+		{"SELECT dept, sum(salary) FROM emp GROUP BY dept HAVING dept", "filter condition of type BIGINT"},
+		{"SELECT id FROM emp JOIN dept ON dept = did AND salary", "join condition of type DOUBLE"},
+		{"SELECT id + name FROM emp", "incompatible types BIGINT and VARCHAR"},
+	} {
+		if _, err := Compile(tc.query, cat); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Compile(%q) = %v, want an error containing %q", tc.query, err, tc.want)
+		}
+	}
+}
+
+// TestGroupByNineColumns: the aggregate table has no cap on key columns (its
+// predecessor panicked in engine.Compile past eight).
+func TestGroupByNineColumns(t *testing.T) {
+	cat := testCatalog(t)
+	res := run(t, cat, `SELECT dept, name, id + 1, id + 2, id + 3, id + 4, id + 5, id + 6, id + 7, count(*) AS n
+		FROM emp WHERE id < 10 GROUP BY dept, name, id + 1, id + 2, id + 3, id + 4, id + 5, id + 6, id + 7`)
+	if res.NumRows() != 10 || res.Schema.Arity() != 10 {
+		t.Fatalf("rows=%d cols=%d, want 10 groups of 9 keys and a count", res.NumRows(), res.Schema.Arity())
+	}
+	for i := int64(0); i < res.NumRows(); i++ {
+		if row := res.Row(i); row[9].I != 1 || row[8].I != row[2].I+6 {
+			t.Errorf("group %v: want count 1 and key columns id+1 … id+7", row)
+		}
+	}
+}
+
 func TestLexer(t *testing.T) {
 	toks, err := lex("SELECT a, 'it''s' FROM t -- comment\nWHERE x <= 1.5")
 	if err != nil {
