@@ -96,6 +96,40 @@ func TestTableAppendChunk(t *testing.T) {
 	}
 }
 
+// TestTableMemBytesFollowsAppends: MemBytes is cached between appends and
+// must never be stale after one, by either append path.
+func TestTableMemBytesFollowsAppends(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	uncached := func() int64 {
+		var b int64
+		for i := 0; i < tbl.Schema().Arity(); i++ {
+			b += tbl.Column(i).MemBytes()
+		}
+		return b
+	}
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // the computing call and the cached one
+			if got, want := tbl.MemBytes(), uncached(); got != want {
+				t.Fatalf("%s: MemBytes = %d, columns hold %d", when, got, want)
+			}
+		}
+	}
+	check("empty")
+	if err := tbl.AppendRow(vector.NewInt64(1), vector.NewString("a long enough string"), vector.NewFloat64(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("after AppendRow")
+	c := vector.NewChunk(testSchema().Types())
+	for i := 0; i < 100; i++ {
+		c.AppendRowValues(vector.NewInt64(int64(i)), vector.NewString("another string"), vector.NewFloat64(2))
+	}
+	if err := tbl.AppendChunk(c); err != nil {
+		t.Fatal(err)
+	}
+	check("after AppendChunk")
+}
+
 func TestTableStats(t *testing.T) {
 	tbl := NewTable("t", testSchema())
 	for i := 0; i < 1000; i++ {

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -16,6 +17,10 @@ type Table struct {
 	rows   int64
 
 	stats *TableStats // lazily computed; invalidated on append
+	// memBytes caches MemBytes, which reads every string of the table and
+	// is asked for on every submission; 0 = not computed. Invalidated on
+	// append like stats, atomic because submissions race each other.
+	memBytes atomic.Int64
 }
 
 // NewTable creates an empty table with the given schema.
@@ -59,6 +64,7 @@ func (t *Table) AppendChunk(c *vector.Chunk) error {
 	}
 	t.rows += int64(c.Len())
 	t.stats = nil
+	t.memBytes.Store(0)
 	return nil
 }
 
@@ -73,6 +79,7 @@ func (t *Table) AppendRow(vals ...vector.Value) error {
 	}
 	t.rows++
 	t.stats = nil
+	t.memBytes.Store(0)
 	return nil
 }
 
@@ -98,10 +105,14 @@ func (t *Table) ScanInto(dst *vector.Chunk, start, count int64, proj []int) int 
 
 // MemBytes estimates the resident size of the table.
 func (t *Table) MemBytes() int64 {
+	if b := t.memBytes.Load(); b != 0 {
+		return b
+	}
 	var b int64
 	for _, c := range t.cols {
 		b += c.MemBytes()
 	}
+	t.memBytes.Store(b)
 	return b
 }
 

@@ -293,6 +293,7 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint) {
 			s.mu.Lock()
 			sess.ran += time.Since(sess.started)
 			sess.trace = exec.Trace()
+			sess.exec = nil // persisted: the resume point is the session now
 			sess.resume = at
 			sess.state = StateSuspended
 			sess.lastQueued = time.Now()

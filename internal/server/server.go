@@ -527,6 +527,9 @@ func (s *Server) finish(sess *Session, res *riveter.Result, err error) {
 	}
 	if sess.exec != nil {
 		sess.trace = sess.exec.Trace()
+		// The executor and every sink's state go with the dispatch; the
+		// session keeps the result, not the run that produced it.
+		sess.exec = nil
 	}
 	sess.res, sess.err = res, err
 	sess.finished = time.Now()

@@ -19,6 +19,15 @@ func openTPCH(t testing.TB, sf float64) *riveter.DB {
 	return db
 }
 
+// holdsExecution reports whether the session still references an execution:
+// only a running session may, or every finished or suspended one pins its
+// executor, hash tables and all.
+func holdsExecution(s *Server, sess *Session) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sess.exec != nil
+}
+
 func newServer(t testing.TB, db *riveter.DB, cfg Config) *Server {
 	t.Helper()
 	cfg.DB = db
@@ -170,6 +179,9 @@ func TestPreemption(t *testing.T) {
 	if res.SortedKey() != want.SortedKey() {
 		t.Error("preempted+resumed result differs from clean run")
 	}
+	if holdsExecution(s, short) || holdsExecution(s, long) {
+		t.Error("a finished session still holds its execution")
+	}
 	in, _ := s.Info(long.ID())
 	if in.Preemptions == 0 {
 		t.Skip("timing: long query finished before the preemption landed")
@@ -281,6 +293,9 @@ func TestShutdownResume(t *testing.T) {
 	}
 	if in.State != StateSuspended || in.Checkpoint == "" {
 		t.Fatalf("after shutdown: state=%s checkpoint=%q", in.State, in.Checkpoint)
+	}
+	if holdsExecution(s1, long) {
+		t.Error("a suspended session still holds the execution its checkpoint replaced")
 	}
 	if _, err := s1.Submit(Request{TPCH: 6}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after shutdown = %v", err)

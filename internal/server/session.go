@@ -133,7 +133,7 @@ type Session struct {
 	preemptions int
 	abandoned   int                 // preemptions given up because no checkpoint would persist
 	resume      riveter.ResumePoint // where the next dispatch starts from (zero = from scratch)
-	exec        *riveter.Execution
+	exec        *riveter.Execution  // the current dispatch's; nil while queued, suspended or terminal
 	res         *riveter.Result
 	err         error
 	trace       *obs.Trace
