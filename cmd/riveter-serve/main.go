@@ -12,6 +12,7 @@
 //	curl -s localhost:8080/query -d '{"sql":"SELECT count(*) FROM orders","wait":true}'
 //	curl -s localhost:8080/query -d '{"tpch":21,"priority":"batch"}'
 //	curl -s localhost:8080/sessions
+//	curl -s 'localhost:8080/sessions/s-2?wait=10s'   # held until done (or 10s)
 //	curl -s localhost:8080/metrics?format=text
 //
 // SIGINT/SIGTERM shut down gracefully: running queries are suspended at
@@ -191,6 +192,10 @@ func main() {
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// httpSrv.Shutdown waits for in-flight requests without cancelling
+	// them: release held session reads first, or each would run out its
+	// hold before shutdown could proceed.
+	httpSrv.RegisterOnShutdown(srv.ReleaseHolds)
 	go func() {
 		log.Printf("riveter-serve listening on %s (policy=%s slots=%d, checkpoints in %s)",
 			*addr, policy.Name(), *slots, db.CheckpointDir())

@@ -26,14 +26,14 @@ func (s breakerState) String() string {
 
 // breaker is the three-state circuit breaker the Registry keeps per
 // instance. It is fed by *request-path* outcomes (the proxy's retry
-// layer reports every attempt), not by health probes: a flapping
-// instance answers /healthz happily while eating queries, and the
-// breaker is exactly the hysteresis that stops the picker from
-// re-routing onto it every probe interval. Health probes interact with
-// the breaker in one place only: once the cooldown has elapsed, a
-// successful probe counts as the half-open trial and re-closes it, so a
-// recovered instance returns to service even when no client request
-// happens to be willing to gamble on it.
+// layer reports every attempt its caller did not abandon), not by health
+// probes: a flapping instance answers /healthz happily while eating
+// queries, and the breaker is exactly the hysteresis that stops the
+// picker from re-routing onto it every probe interval. Health probes
+// interact with the breaker in one place only: once the cooldown has
+// elapsed, a successful probe counts as the half-open trial and
+// re-closes it, so a recovered instance returns to service even when no
+// client request happens to be willing to gamble on it.
 //
 // Transitions (threshold T, cooldown C):
 //
@@ -132,6 +132,18 @@ func (r *Registry) ReportOutcome(id string, ok bool) {
 		}
 	case breakerOpen:
 		// A stale outcome from before the trip; the cooldown governs now.
+	}
+}
+
+// ReportAbandoned settles an attempt its caller abandoned (the caller's
+// context ended mid-request) without a verdict: a closed breaker's
+// failure count is untouched, and a half-open trial is freed for the
+// next request instead of blocking the instance until a probe lands.
+func (r *Registry) ReportAbandoned(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.members[id]; m != nil && m.brk.state == breakerHalfOpen {
+		m.brk.trial = false
 	}
 }
 

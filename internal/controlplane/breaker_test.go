@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -317,5 +318,89 @@ func TestRetryBreakerShortCircuit(t *testing.T) {
 	}
 	if got := hits.Load() - probeHits; got != 0 {
 		t.Errorf("quarantined instance saw %d requests, want 0", got)
+	}
+}
+
+// TestBreakerIgnoresAbandonedHeldReads: a caller that hangs up mid-attempt
+// — a client abandoning its held session read — says nothing about the
+// instance. However many do, the breaker stays closed, and an abandoned
+// half-open trial frees the trial slot instead of holding it; a real
+// transport failure still counts.
+func TestBreakerIgnoresAbandonedHeldReads(t *testing.T) {
+	arrived := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			fmt.Fprint(w, `{"status":"accepting"}`)
+			return
+		case !strings.HasPrefix(r.URL.Path, "/sessions/"):
+			fmt.Fprint(w, `{}`)
+			return
+		}
+		arrived <- struct{}{}
+		<-r.Context().Done() // a hold that outlives its caller
+	}))
+	defer ts.Close()
+	const threshold = 2
+	met := obs.NewRegistry()
+	reg := NewRegistry(RegistryConfig{
+		HealthInterval: time.Hour, DeadAfter: 1 << 20,
+		BreakerThreshold: threshold, BreakerCooldown: time.Minute, Metrics: met,
+	})
+	defer reg.Close()
+	base := time.Unix(1_700_000_000, 0)
+	var offset atomic.Int64
+	reg.setNow(func() time.Time { return base.Add(time.Duration(offset.Load())) })
+	p := NewProxy(ProxyConfig{Registry: reg, Metrics: met,
+		Retry: RetryPolicy{Budget: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond, Seed: 5}})
+	const id = "held"
+	reg.Register(id, ts.URL)
+
+	abandon := func() {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := p.do(ctx, call{target: id, method: http.MethodGet,
+				url: ts.URL + "/sessions/key/k?wait=1s", idempotent: true})
+			errc <- err
+		}()
+		defer cancel()
+		select {
+		case <-arrived:
+		case err := <-errc: // e.g. rejected locally by an open breaker
+			t.Fatalf("held read never reached the instance: %v", err)
+		}
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned held read = %v, want context.Canceled", err)
+		}
+	}
+	for i := 0; i < 3*threshold; i++ {
+		abandon()
+	}
+	if v, _ := reg.View(id); v.Breaker != "" {
+		t.Fatalf("breaker after %d abandoned reads = %q, want closed", 3*threshold, v.Breaker)
+	}
+	if got := met.Counter(obs.MetricCPRetries).Value(); got != 0 {
+		t.Errorf("abandoned reads were retried %d times", got)
+	}
+
+	// A real transport failure still counts: the listener is gone.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	if _, _, err := p.do(context.Background(), call{target: id, method: http.MethodGet,
+		url: dead.URL + "/sessions/key/k", idempotent: true}); err == nil {
+		t.Fatal("request to a closed listener succeeded")
+	}
+	if v, _ := reg.View(id); v.Breaker != "open" {
+		t.Fatalf("breaker after transport failures = %q, want open", v.Breaker)
+	}
+
+	// Half-open: the one trial is abandoned, and the next request may try.
+	offset.Add(int64(2 * time.Minute))
+	abandon()
+	if !reg.BreakerAllow(id) {
+		t.Error("an abandoned half-open trial kept the trial slot")
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,25 +126,27 @@ func (f *fleet) submit(key string, tpch int, sql string) {
 	}
 }
 
-// awaitDone polls a session key through the proxy until it completes,
-// returning its final envelope.
+// awaitDone waits for a session key through the proxy with a held read
+// (GET /sessions/{key}?wait=…), returning its final envelope. The proxy
+// answers when the session finishes or the wait expires; only waits past
+// server.MaxHold take more than one request.
 func (f *fleet) awaitDone(key string, timeout time.Duration) map[string]any {
 	f.t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		env, status := f.getJSON("/sessions/" + key)
-		if status == http.StatusOK {
-			switch env["state"] {
-			case "done":
-				return env
-			case "failed":
-				f.t.Fatalf("session %s failed: %v", key, env["error"])
-			}
+		wait := min(time.Until(deadline), server.MaxHold).Round(time.Millisecond)
+		env, status := f.getJSON("/sessions/" + key + "?wait=" + url.QueryEscape(wait.String()))
+		switch {
+		case status == http.StatusOK && env["state"] == "done":
+			return env
+		case status == http.StatusOK && env["state"] == "failed":
+			f.t.Fatalf("session %s failed: %v", key, env["error"])
+		case status == http.StatusNotFound:
+			f.t.Fatalf("session %s unknown to the proxy: %v", key, env["error"])
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			f.t.Fatalf("session %s not done (last status %d, state %v)", key, status, env["state"])
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -390,10 +395,11 @@ func TestFleetRollingKillFailover(t *testing.T) {
 // the session and completes it correctly.
 func TestFleetScaleToZeroThroughProxy(t *testing.T) {
 	// Both sessions must outlive the idle window or they legitimately
-	// finish before they can park: the slow query at a scale factor
-	// where it runs a few hundred ms, against a 30ms window. The wake
-	// phase holds the inverse margin — awaitDone polls every 20ms, and
-	// each poll is a touch, so a woken session stays awake.
+	// finish before they can park: the slow query (20-50 ms at this scale
+	// factor) against a 10ms window, which the reaper checks every 5ms.
+	// The window no longer has to outlast a poll interval for the wake
+	// phase: awaitDone's held read counts as a waiter on the instance, so
+	// a woken session cannot park again while it runs.
 	const sf = 0.05
 	work := []workItem{{tpch: 21}, {tpch: 21}}
 	want := expectedResults(t, sf, work)
@@ -402,7 +408,7 @@ func TestFleetScaleToZeroThroughProxy(t *testing.T) {
 	f := newFleet(t, RegistryConfig{HealthInterval: 20 * time.Millisecond, DeadAfter: 3})
 	in := newInstance(t, storeDir, "zero-a", sf, server.Config{
 		Slots:       1,
-		IdleSuspend: 30 * time.Millisecond,
+		IdleSuspend: 10 * time.Millisecond,
 	})
 	f.reg.Register(in.id, in.hs.URL)
 
@@ -438,8 +444,8 @@ func TestFleetScaleToZeroThroughProxy(t *testing.T) {
 		t.Error("scale-to-zero wrote nothing to the store")
 	}
 
-	// Wake through the proxy: the first poll per key reports the parked
-	// state it woke the session out of.
+	// Wake through the proxy: the first held read per key reports the
+	// parked state it woke the session out of.
 	for i, q := range work {
 		key := fmt.Sprintf("z-%d", i)
 		env := f.awaitDone(key, 120*time.Second)
@@ -531,7 +537,10 @@ func TestSpotDrainRebalance(t *testing.T) {
 }
 
 // TestProxyWaitMode: a wait=true submission through the proxy blocks
-// until completion and inlines the result.
+// until completion and inlines the result, and costs the instance exactly
+// one session read — one held read, not a poll per tick. Counted the way
+// the benchmark counts them: GET /sessions/… requests reaching the
+// instance.
 func TestProxyWaitMode(t *testing.T) {
 	const sf = 0.005
 	work := []workItem{{tpch: 6}}
@@ -539,19 +548,125 @@ func TestProxyWaitMode(t *testing.T) {
 
 	f := newFleet(t, RegistryConfig{HealthInterval: 20 * time.Millisecond})
 	in := newInstance(t, t.TempDir(), "wait-a", sf, server.Config{Slots: 1})
-	f.reg.Register(in.id, in.hs.URL)
+	var reads atomic.Int64
+	inner := in.srv.Handler()
+	counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/sessions/") {
+			reads.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(counted.Close)
+	f.reg.Register(in.id, counted.URL)
 
-	env, status := f.postJSON("/query", map[string]any{"tpch": 6, "wait": true})
-	if status != http.StatusOK || env["state"] != "done" {
-		t.Fatalf("wait submit: status %d env %v", status, env)
+	// Q6 at this scale runs in milliseconds, far inside the 500ms hold
+	// newFleet's 1s RequestTimeout derives.
+	const queries = 3
+	var key any
+	for i := 1; i <= queries; i++ {
+		env, status := f.postJSON("/query", map[string]any{"tpch": 6, "wait": true})
+		if status != http.StatusOK || env["state"] != "done" {
+			t.Fatalf("wait submit: status %d env %v", status, env)
+		}
+		if env["session_key"] == "" || env["instance"] != "wait-a" {
+			t.Fatalf("missing routing fields: %v", env)
+		}
+		if got := resultKey(t, env); got != want[work[0].queryKey()] {
+			t.Error("wait-mode result diverged")
+		}
+		if got := reads.Load(); got != int64(i) {
+			t.Fatalf("after %d waited queries the instance saw %d session reads, want %d", i, got, i)
+		}
+		key = env["session_key"]
 	}
-	if env["session_key"] == "" || env["instance"] != "wait-a" {
-		t.Fatalf("missing routing fields: %v", env)
+	if got := f.met.Counter(obs.MetricCPWaitRounds).Value(); got != queries {
+		t.Errorf("wait_rounds = %d, want %d", got, queries)
 	}
-	if got := resultKey(t, env); got != want[work[0].queryKey()] {
-		t.Error("wait-mode result diverged")
+	if got := f.met.Histogram(obs.MetricCPProxyWaitLatency, obs.DurationBuckets).Count(); got != queries {
+		t.Errorf("wait latency observed %d times, want %d", got, queries)
 	}
-	if f.met.Histogram(obs.MetricCPProxyWaitLatency, obs.DurationBuckets).Count() < 1 {
-		t.Error("wait latency not observed")
+	env, _ := f.getJSON("/fleet/metrics")
+	if proxy, _ := env["proxy"].(map[string]any); !strings.Contains(fmt.Sprint(proxy), obs.MetricCPWaitRounds) {
+		t.Errorf("/fleet/metrics does not show %s: %v", obs.MetricCPWaitRounds, proxy)
+	}
+
+	// The client-facing held read: a finished key answers at once, one
+	// more instance read; a malformed wait is refused before routing.
+	env, status := f.getJSON(fmt.Sprintf("/sessions/%v?wait=10s", key))
+	if status != http.StatusOK || env["state"] != "done" || reads.Load() != queries+1 {
+		t.Errorf("held GET of a done key: status %d state %v, %d instance reads", status, env["state"], reads.Load())
+	}
+	for _, bad := range []string{"soon", "-1s"} {
+		if _, status := f.getJSON(fmt.Sprintf("/sessions/%v?wait=%s", key, bad)); status != http.StatusBadRequest {
+			t.Errorf("wait=%s: status %d, want 400", bad, status)
+		}
+	}
+	if _, status := f.getJSON("/sessions/never-submitted?wait=10s"); status != http.StatusNotFound {
+		t.Errorf("held GET of an unknown key: status %d, want 404 at once", status)
+	}
+}
+
+// TestProxyWaitAcrossDrain: a wait-mode client blocked on a session of an
+// instance the proxy drains keeps its one request open through the
+// evacuation — the instance releases the held read when it starts
+// draining, the adopter takes the session over from the store, the next
+// held read lands there — and gets the control run's result.
+func TestProxyWaitAcrossDrain(t *testing.T) {
+	const sf = 0.02
+	work := []workItem{{tpch: 21}}
+	want := expectedResults(t, sf, work)
+
+	storeDir := t.TempDir()
+	f := newFleet(t, RegistryConfig{HealthInterval: 20 * time.Millisecond})
+	cfg := server.Config{Slots: 1, Policy: server.FIFO{}}
+	a := newInstance(t, storeDir, "drain-a", sf, cfg)
+	b := newInstance(t, storeDir, "drain-b", sf, cfg)
+	f.reg.Register(a.id, a.hs.URL)
+
+	// A FIFO queue of blockers on a's single slot keeps the waited session
+	// queued there for far longer than the drain handshake takes.
+	for i := 0; i < 8; i++ {
+		if env, status := directJSON(t, http.MethodPost, a.hs.URL+"/query", map[string]any{"tpch": 21, "priority": "batch"}); status != http.StatusOK {
+			t.Fatalf("blocker %d: status %d %v", i, status, env["error"])
+		}
+	}
+	type reply struct {
+		env    map[string]any
+		status int
+	}
+	done := make(chan reply, 1)
+	go func() {
+		env, status := f.postJSON("/query", map[string]any{"tpch": 21, "session": "drained", "priority": "batch", "wait": true})
+		done <- reply{env, status}
+	}()
+	waitHeld := time.Now().Add(30 * time.Second)
+	for f.met.Counter(obs.MetricCPWaitRounds).Value() == 0 {
+		if time.Now().After(waitHeld) {
+			t.Fatal("the wait-mode submit never reached its held read")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.reg.Register(b.id, b.hs.URL)
+	waitAccepting(t, f, b.id)
+	if err := f.proxy.DrainAndRebalance(a.id); err != nil {
+		t.Fatal(err)
+	}
+	env, _ := directJSON(t, http.MethodGet, a.hs.URL+"/sessions/key/drained", nil)
+	if env["state"] == "done" {
+		t.Fatal("precondition: the waited session finished on drain-a before the drain; lengthen the blocker queue")
+	}
+
+	r := <-done
+	if r.status != http.StatusOK || r.env["state"] != "done" {
+		t.Fatalf("wait across drain: status %d env %v", r.status, r.env)
+	}
+	if r.env["instance"] != b.id {
+		t.Errorf("waited session finished on %v, want the adopter %s", r.env["instance"], b.id)
+	}
+	if got := resultKey(t, r.env); got != want[work[0].queryKey()] {
+		t.Error("result diverged from the control run across the drain")
+	}
+	if got := f.met.Counter(obs.MetricCPDrains).Value(); got != 1 {
+		t.Errorf("drains = %d, want 1", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/obs"
+	"github.com/riveterdb/riveter/internal/server"
 )
 
 // ProxyConfig configures the session-routing proxy.
@@ -22,14 +23,13 @@ type ProxyConfig struct {
 	// Metrics receives the controlplane.* counters and latency histograms.
 	Metrics *obs.Registry
 	// RequestTimeout bounds one forwarded instance request (default 2s).
+	// A wait-mode session read asks the instance to hold it for half of
+	// that (at most server.MaxHold), so the attempt deadline still catches
+	// a dead or partitioned instance within one RequestTimeout.
 	// Drains get DrainTimeout (default 30s) — evacuating a running query
 	// legitimately takes until its next pipeline breaker.
 	RequestTimeout time.Duration
 	DrainTimeout   time.Duration
-	// PollInterval paces wait-mode session polling (default 20ms). Each
-	// poll is a client touch on the instance, so a parked session being
-	// waited on wakes and stays awake.
-	PollInterval time.Duration
 	// Retry bounds the per-request retry budget and backoff schedule.
 	Retry RetryPolicy
 	// Transport, when set, replaces the proxy's instance-facing
@@ -61,6 +61,7 @@ type proxyMetrics struct {
 	retryExhausted *obs.Counter
 	latency        *obs.Histogram
 	waitLatency    *obs.Histogram
+	waitRounds     *obs.Counter
 }
 
 // Proxy is the fleet's single client endpoint: it owns the session-key →
@@ -78,7 +79,7 @@ type Proxy struct {
 	client       *http.Client
 	reqTimeout   time.Duration
 	drainTimeout time.Duration
-	poll         time.Duration
+	hold         time.Duration // one held session read: reqTimeout/2
 	retry        RetryPolicy
 
 	// rng drives the full-jitter backoff; seeded so chaos runs replay.
@@ -108,9 +109,6 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 20 * time.Millisecond
-	}
 	retry := cfg.Retry.withDefaults()
 	transport := cfg.Transport
 	if transport == nil {
@@ -122,7 +120,7 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 		client:       &http.Client{Transport: transport},
 		reqTimeout:   cfg.RequestTimeout,
 		drainTimeout: cfg.DrainTimeout,
-		poll:         cfg.PollInterval,
+		hold:         min(cfg.RequestTimeout/2, server.MaxHold),
 		retry:        retry,
 		rng:          rand.New(rand.NewSource(retry.Seed)),
 		onRegister:   cfg.OnRegister,
@@ -140,6 +138,7 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 			retryExhausted: cfg.Metrics.Counter(obs.MetricCPRetryExhausted),
 			latency:        cfg.Metrics.DurationHistogram(obs.MetricCPProxyLatency),
 			waitLatency:    cfg.Metrics.DurationHistogram(obs.MetricCPProxyWaitLatency),
+			waitRounds:     cfg.Metrics.Counter(obs.MetricCPWaitRounds),
 		},
 	}
 	if cfg.Registry.cfg.OnDeath == nil {
@@ -179,7 +178,10 @@ func (e sessionEnvelope) flag(k string) bool {
 //	GET  /healthz           proxy liveness + routable instance count
 //	POST /query             submit through the fleet (body as the instance API,
 //	                        plus routing; "session" names the fleet-wide key)
-//	GET  /sessions/{key}    session by key, re-routed transparently
+//	GET  /sessions/{key}    session by key, re-routed transparently;
+//	                        ?wait=<dur> holds until the session finishes or
+//	                        the wait (at most server.MaxHold) expires, then
+//	                        answers the current snapshot
 //	GET  /fleet/instances   instance views + proxy latency quantiles
 //	GET  /fleet/metrics     proxy + per-instance metric snapshots
 //	POST /fleet/register    {"id","url"} add an instance
@@ -241,7 +243,7 @@ func (p *Proxy) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait {
-		env, inst, err = p.waitForKey(r.Context(), key)
+		env, inst, _, err = p.waitForKey(r.Context(), key, time.Time{})
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
 			return
@@ -259,14 +261,32 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	p.met.requests.Inc()
 	key := r.PathValue("key")
-	env, inst, status, err := p.fetchSession(r.Context(), key)
+	hold, err := server.ParseHold(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	var (
+		env    sessionEnvelope
+		inst   string
+		status int
+	)
+	if hold > 0 {
+		env, inst, status, err = p.waitForKey(r.Context(), key, start.Add(hold))
+	} else {
+		env, inst, status, err = p.fetchSession(r.Context(), key, 0)
+	}
 	if err != nil {
 		writeError(w, status, err)
 		return
 	}
 	env["session_key"] = key
 	env["instance"] = inst
-	p.met.latency.ObserveDuration(time.Since(start))
+	if hold > 0 {
+		p.met.waitLatency.ObserveDuration(time.Since(start))
+	} else {
+		p.met.latency.ObserveDuration(time.Since(start))
+	}
 	writeJSON(w, status, env)
 }
 
@@ -329,8 +349,14 @@ func (p *Proxy) submitRoute(ctx context.Context, key string, body []byte) (sessi
 // recovering the route when the instance is dead or has forgotten the
 // key. A successful read is a client touch instance-side: it wakes a
 // parked session, which the pre-touch "parked" flag in the response
-// records (counted as a wake request).
-func (p *Proxy) fetchSession(ctx context.Context, key string) (sessionEnvelope, string, int, error) {
+// records (counted as a wake request). A positive hold makes it a held
+// read (?wait=): the instance answers when the session finishes or the
+// hold expires.
+func (p *Proxy) fetchSession(ctx context.Context, key string, hold time.Duration) (sessionEnvelope, string, int, error) {
+	path := "/sessions/key/" + url.PathEscape(key)
+	if hold > 0 {
+		path += "?wait=" + url.QueryEscape(hold.String())
+	}
 	for attempt := 0; attempt < 6; attempt++ {
 		target, pinned := p.routeInstance(key)
 		if !pinned {
@@ -343,7 +369,7 @@ func (p *Proxy) fetchSession(ctx context.Context, key string) (sessionEnvelope, 
 		env, status, err := p.do(ctx, call{
 			target:     target,
 			method:     http.MethodGet,
-			url:        view.URL + "/sessions/key/" + url.PathEscape(key),
+			url:        view.URL + path,
 			idempotent: true,
 		})
 		switch {
@@ -376,26 +402,47 @@ func (p *Proxy) fetchSession(ctx context.Context, key string) (sessionEnvelope, 
 	return nil, "", http.StatusServiceUnavailable, fmt.Errorf("controlplane: session %s unreachable", key)
 }
 
-// waitForKey polls a session until it reaches a terminal state. Each
-// poll goes through fetchSession, so the wait survives any number of
-// failovers; each poll also touches the session instance-side, keeping
-// it from idle-parking while someone blocks on it.
-func (p *Proxy) waitForKey(ctx context.Context, key string) (sessionEnvelope, string, error) {
-	t := time.NewTicker(p.poll)
-	defer t.Stop()
-	for {
-		env, inst, _, err := p.fetchSession(ctx, key)
+// waitForKey waits for a session to reach a terminal state with held
+// reads, one per round, each through fetchSession — so the wait survives
+// any number of failovers, and instance-side each round is a waiter and a
+// touch that keeps the session from idle-parking. A non-terminal answer
+// after a full hold re-issues at once. A failed round backs off first,
+// and so does a hold the instance cut short: an instance releases every
+// hold when it starts stopping, and re-issuing at once would spin on it
+// until its drain has moved the route.
+//
+// With a non-zero deadline (a client's GET ?wait=) it gives up there and
+// returns the last answer as it stands, and a key the proxy does not know
+// is answered at once. A submit's own wait (zero deadline) retries even
+// that: a concurrent keyed submit may briefly unpin the key it re-routes.
+func (p *Proxy) waitForKey(ctx context.Context, key string, deadline time.Time) (sessionEnvelope, string, int, error) {
+	for backoff := 0; ; {
+		hold := p.hold
+		if !deadline.IsZero() {
+			hold = min(hold, time.Until(deadline))
+		}
+		p.met.waitRounds.Inc()
+		sent := time.Now()
+		env, inst, status, err := p.fetchSession(ctx, key, hold)
 		if err == nil {
 			switch env.str("state") {
 			case "done", "failed":
-				return env, inst, nil
+				return env, inst, status, nil
 			}
 		}
-		select {
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		case <-t.C:
+		switch {
+		case !deadline.IsZero() && (status == http.StatusNotFound || !time.Now().Before(deadline)):
+			return env, inst, status, err
+		case ctx.Err() != nil:
+			return nil, "", http.StatusServiceUnavailable, ctx.Err()
+		case err == nil && time.Since(sent) >= hold:
+			backoff = 0
+			continue
 		}
+		if err := p.sleepBackoff(ctx, backoff); err != nil {
+			return nil, "", http.StatusServiceUnavailable, err
+		}
+		backoff++
 	}
 }
 

@@ -102,7 +102,8 @@ func transientStatus(status int) bool {
 }
 
 // do runs one logical fleet request under the retry budget, reporting
-// every attempt's outcome to the target's circuit breaker. It returns
+// every attempt's outcome to the target's circuit breaker — except an
+// attempt that failed because ctx (the caller) ended. It returns
 // the first conclusive answer (any status outside transientStatus), or
 // errBreakerOpen when the breaker rejects the request locally, or a
 // budget-exhausted error wrapping the last failure.
@@ -126,6 +127,15 @@ func (p *Proxy) do(ctx context.Context, c call) (sessionEnvelope, int, error) {
 			return nil, 0, fmt.Errorf("%w: %s", errBreakerOpen, c.target)
 		}
 		env, status, err := p.once(ctx, c)
+		if err != nil && ctx.Err() != nil {
+			// The caller hung up or ran out of time mid-attempt. That says
+			// nothing about the instance, so the breaker is not charged —
+			// or clients abandoning held reads would quarantine it.
+			if c.target != "" {
+				p.reg.ReportAbandoned(c.target)
+			}
+			return nil, 0, ctx.Err()
+		}
 		ok := err == nil && !transientStatus(status)
 		if c.target != "" {
 			p.reg.ReportOutcome(c.target, ok)

@@ -201,6 +201,10 @@ const (
 	// last the query's runtime).
 	MetricCPProxyLatency     = "controlplane.proxy.latency"
 	MetricCPProxyWaitLatency = "controlplane.proxy.wait_latency"
+	// MetricCPWaitRounds counts the held session reads wait-mode requests
+	// issued; over MetricCPProxyWaitLatency's count it is held reads per
+	// waited query — 1 when a query finishes inside one hold.
+	MetricCPWaitRounds = "controlplane.wait_rounds"
 
 	// Fleet resilience metrics. Retries counts backed-off re-attempts of a
 	// transiently failed instance request; RetryExhausted counts logical

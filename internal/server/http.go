@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,12 +10,36 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // maxHTTPRows caps the rows a single HTTP response materializes.
 const maxHTTPRows = 1000
+
+// MaxHold caps a held session read (?wait=<dur>): a longer hold is
+// clamped, and a client that wants to wait longer re-issues the read. A
+// constant, not a knob.
+const MaxHold = 30 * time.Second
+
+// untilDone is the hold of POST /query {"wait":true}: no expiry.
+const untilDone time.Duration = -1
+
+// ParseHold reads a session read's ?wait=<dur> hold: absent or zero is no
+// hold, an unparseable or negative duration is an error, and anything
+// above MaxHold is clamped to it.
+func ParseHold(r *http.Request) (time.Duration, error) {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a non-negative duration such as 500ms", v)
+	}
+	return min(d, MaxHold), nil
+}
 
 // queryRequest is the POST /query body.
 type queryRequest struct {
@@ -49,8 +74,12 @@ type sessionResponse struct {
 //	POST /query               submit {"sql"|"tpch", "priority", "wait", "session"},
 //	                          or a raw SQL statement as a non-JSON body
 //	GET  /sessions            all session snapshots, newest first
-//	GET  /sessions/{id}       one session (result inlined when done)
-//	GET  /sessions/key/{key}  one session addressed by client session key
+//	GET  /sessions/{id}       one session (result inlined when done);
+//	                          ?wait=<dur> holds the read until the session
+//	                          finishes, the hold (at most MaxHold) expires,
+//	                          or the server starts stopping
+//	GET  /sessions/key/{key}  one session addressed by client session key,
+//	                          ?wait=<dur> as above
 //	POST /admin/adopt         adopt claimable peer sessions from the shared store
 //	POST /admin/drain         evacuate: suspend everything to the store, stop accepting
 //	GET  /metrics             registry snapshot (?format=text for human-readable)
@@ -126,13 +155,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	hold := time.Duration(0)
 	if req.Wait {
-		if _, err := s.Wait(r.Context(), sess.ID()); err != nil {
-			// The session snapshot below carries the error detail.
-			_ = err
-		}
+		hold = untilDone
 	}
-	s.writeSession(w, http.StatusOK, sess.ID())
+	s.writeSession(r.Context(), w, sess, hold)
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -140,19 +167,32 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	s.writeSession(w, http.StatusOK, r.PathValue("id"))
+	id := r.PathValue("id")
+	s.readSession(w, r, "session "+id, func() *Session { return s.sessions[id] })
 }
 
 func (s *Server) handleSessionByKey(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.mu.Lock()
-	sess, ok := s.byKey[key]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown session key %s", key))
+	s.readSession(w, r, "session key "+key, func() *Session { return s.byKey[key] })
+}
+
+// readSession serves one session read: the ?wait= hold is validated
+// before the lookup (find runs under s.mu), so a bad hold is a 400 even
+// for an unknown session.
+func (s *Server) readSession(w http.ResponseWriter, r *http.Request, what string, find func() *Session) {
+	hold, err := ParseHold(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeSession(w, http.StatusOK, sess.id)
+	s.mu.Lock()
+	sess := find()
+	s.mu.Unlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s", what))
+		return
+	}
+	s.writeSession(r.Context(), w, sess, hold)
 }
 
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
@@ -174,20 +214,25 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 
 // writeSession renders one session, inlining the result when it is done.
 // A session read over HTTP is a client touch: it restarts the idle clock
-// and wakes a parked session.
-func (s *Server) writeSession(w http.ResponseWriter, status int, id string) {
+// and wakes a parked session. A non-zero hold first holds the read (see
+// holdRead); the held read counts as a waiter, as Wait does, so the idle
+// reaper cannot park a session someone is waiting on, and it touches the
+// session again when the hold ends.
+func (s *Server) writeSession(ctx context.Context, w http.ResponseWriter, sess *Session, hold time.Duration) {
 	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %s", id))
-		return
-	}
-	wasParked := sess.parked
-	s.touchLocked(sess)
-	resp := sessionResponse{Info: sess.infoLocked()}
 	// Report the pre-touch parked state: the request that wakes a parked
 	// session is the one that should see (and count) the wake-up.
+	wasParked := sess.parked
+	s.touchLocked(sess)
+	if hold != 0 {
+		sess.waiters++
+		s.mu.Unlock()
+		s.holdRead(ctx, sess, hold)
+		s.mu.Lock()
+		sess.waiters--
+		s.touchLocked(sess)
+	}
+	resp := sessionResponse{Info: sess.infoLocked()}
 	resp.Parked = wasParked
 	res := sess.res
 	s.mu.Unlock()
@@ -208,7 +253,25 @@ func (s *Server) writeSession(w http.ResponseWriter, status int, id string) {
 		}
 		resp.Result = rj
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// holdRead blocks until the session reaches a terminal state, the hold
+// expires (untilDone: never), the client goes away, or the server
+// releases every hold because it started stopping (ReleaseHolds).
+func (s *Server) holdRead(ctx context.Context, sess *Session, hold time.Duration) {
+	var expired <-chan time.Time
+	if hold > 0 {
+		t := time.NewTimer(hold)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-sess.done:
+	case <-expired:
+	case <-ctx.Done():
+	case <-s.released:
+	}
 }
 
 // renderCell matches ResultSet.Format's float formatting so HTTP and CLI

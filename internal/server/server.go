@@ -189,6 +189,11 @@ type Server struct {
 	// plans caches prepared plans for SQL submissions (nil = disabled).
 	plans *planCache
 
+	// released closes (once, via ReleaseHolds) when the server starts
+	// stopping: every held HTTP session read returns its snapshot then.
+	released    chan struct{}
+	releaseOnce sync.Once
+
 	mu       sync.Mutex
 	cond     *sync.Cond
 	sessions map[string]*Session
@@ -248,6 +253,7 @@ func New(cfg Config) (*Server, error) {
 		running:    map[string]*Session{},
 		free:       cfg.Slots,
 		instanceID: sanitizeInstanceID(cfg.InstanceID),
+		released:   make(chan struct{}),
 	}
 	if cfg.PlanCacheSize >= 0 {
 		s.plans = newPlanCache(cfg.PlanCacheSize, cfg.DB.Metrics())
@@ -599,6 +605,7 @@ func (s *Server) settleRidersLocked(sess *Session, res *riveter.Result, err erro
 // state manifest so a future Server resumes them. Blocks until in-flight
 // work has quiesced or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.ReleaseHolds()
 	s.mu.Lock()
 	if s.stopping {
 		s.mu.Unlock()
@@ -696,10 +703,23 @@ func (s *Server) Drain(ctx context.Context) error {
 // shared store are the only state that survives, exactly as after a real
 // instance death.
 func (s *Server) Kill() {
+	s.ReleaseHolds()
 	s.mu.Lock()
 	s.stopping = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
+}
+
+// ReleaseHolds ends every held HTTP session read — GET /sessions/…?wait=
+// and POST /query {"wait":true} — with the session's current snapshot,
+// now and for every read that arrives later. Shutdown, Drain and Kill
+// call it first. A process serving Handler through an http.Server must
+// also register it with RegisterOnShutdown: http.Server.Shutdown waits
+// for in-flight requests but never cancels their contexts, so a held
+// read would otherwise stall it for its whole hold. Server.Wait is not
+// affected.
+func (s *Server) ReleaseHolds() {
+	s.releaseOnce.Do(func() { close(s.released) })
 }

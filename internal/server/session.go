@@ -156,10 +156,10 @@ type Session struct {
 
 	// Scale-to-zero bookkeeping. lastTouch is the last client interaction
 	// (submit, Info, Wait, HTTP snapshot); waiters counts in-flight Wait
-	// calls, which keep a session from counting as idle. idlePark marks a
-	// suspension requested by the idle reaper: when it lands, the session
-	// parks (suspended, NOT re-queued) instead of re-entering the dispatch
-	// queue, and the next touch wakes it.
+	// calls and held HTTP reads, which keep a session from counting as
+	// idle. idlePark marks a suspension requested by the idle reaper: when
+	// it lands, the session parks (suspended, NOT re-queued) instead of
+	// re-entering the dispatch queue, and the next touch wakes it.
 	lastTouch time.Time
 	waiters   int
 	idlePark  bool

@@ -101,18 +101,15 @@ kill -9 "$PID_b"
 wait_alive 2
 
 echo "== every session completes through the proxy despite two dead instances"
+# One held read per key: the proxy answers when the session finishes,
+# re-routing across the deaths behind the one request.
 n=1
 while [ "$n" -le 6 ]; do
-    i=0
-    until curl -fsS "$PBASE/sessions/k$n" | grep -q '"state": "done"'; do
-        i=$((i + 1))
-        if [ "$i" -gt 300 ]; then
-            echo "session k$n never finished:" >&2
-            curl -fsS "$PBASE/sessions/k$n" >&2 || true
-            exit 1
-        fi
-        sleep 0.2
-    done
+    curl -fsS "$PBASE/sessions/k$n?wait=30s" | grep -q '"state": "done"' || {
+        echo "session k$n never finished:" >&2
+        curl -fsS "$PBASE/sessions/k$n" >&2 || true
+        exit 1
+    }
     n=$((n + 1))
 done
 
@@ -191,17 +188,14 @@ curl -fsS "$EBASE/metrics" | grep -q '"server.idle_suspended": [1-9]' || {
 }
 
 echo "== the next proxy request wakes each session to completion"
+# The held read both wakes the parked session and, as a waiter, keeps it
+# from parking again until it finishes.
 for k in z1 z2; do
-    i=0
-    until curl -fsS "$PBASE/sessions/$k" | grep -q '"state": "done"'; do
-        i=$((i + 1))
-        if [ "$i" -gt 300 ]; then
-            echo "parked session $k never woke:" >&2
-            curl -fsS "$PBASE/sessions/$k" >&2 || true
-            exit 1
-        fi
-        sleep 0.2
-    done
+    curl -fsS "$PBASE/sessions/$k?wait=30s" | grep -q '"state": "done"' || {
+        echo "parked session $k never woke:" >&2
+        curl -fsS "$PBASE/sessions/$k" >&2 || true
+        exit 1
+    }
 done
 curl -fsS "$EBASE/metrics" | grep -q '"server.idle_woken": [1-9]' || {
     echo "no idle wakes recorded on instance e" >&2
@@ -290,16 +284,11 @@ until [ "$(curl -s -o /dev/null -w '%{http_code}' --max-time 20 \
     fi
     sleep 1
 done
-i=0
-until curl -fsS "$P2BASE/sessions/pz" | grep -q '"state": "done"'; do
-    i=$((i + 1))
-    if [ "$i" -gt 300 ]; then
-        echo "session pz never finished after heal:" >&2
-        curl -fsS "$P2BASE/sessions/pz" >&2 || true
-        exit 1
-    fi
-    sleep 0.2
-done
+curl -fsS "$P2BASE/sessions/pz?wait=30s" | grep -q '"state": "done"' || {
+    echo "session pz never finished after heal:" >&2
+    curl -fsS "$P2BASE/sessions/pz" >&2 || true
+    exit 1
+}
 curl -fsS "$P2BASE/fleet/metrics" | grep -q '"controlplane.breaker.closed": [1-9]' || {
     echo "breaker never re-closed after the heal" >&2
     exit 1
