@@ -59,7 +59,6 @@ func main() {
 		memBudget    = flag.Int64("mem", 0, "admission memory budget in bytes (0 = unlimited)")
 		policyName   = flag.String("policy", "suspend", "scheduling policy: suspend or fifo")
 		preemptLevel = flag.String("preempt", "pipeline", "preemption suspension strategy: pipeline, process, or lineage")
-		grace        = flag.Duration("grace", 0, "minimum runtime before a query is preemptable")
 		ckdir        = flag.String("ckdir", "", "checkpoint directory (default: a fresh temp dir)")
 		drainTimeout = flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 		storeDir     = flag.String("store", "", "checkpoint blob-store directory; instances sharing it migrate suspended queries between each other")
@@ -115,7 +114,7 @@ func main() {
 	case "fifo":
 		policy = server.FIFO{}
 	case "suspend":
-		policy = server.SuspensionAware{Grace: *grace}
+		policy = server.SuspensionAware{}
 	default:
 		log.Fatalf("unknown -policy %q (want suspend or fifo)", *policyName)
 	}

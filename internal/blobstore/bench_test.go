@@ -52,10 +52,9 @@ var storeBenchCases = []struct {
 	{"image", mixedBytes(106, 212_337), 5_500_768},
 }
 
-// noSyncFS is the OS filesystem with fsync turned off. The store
-// benchmarks are gated at one iteration in CI, and a device flush per
-// chunk made them measure the sandbox's disk (a cold 1 MiB write swung
-// 56–101 ms between runs) instead of the program's work: chunk, hash,
+// noSyncFS is the OS filesystem with fsync turned off. A device flush per
+// chunk made the store benchmarks measure the disk (a cold 1 MiB write
+// swung 56–101 ms between runs) instead of the program's work: chunk, hash,
 // compress, and the system calls that create and rename each object.
 type noSyncFS struct{ faultfs.FS }
 

@@ -5,19 +5,24 @@ package controlplane
 // guarantee holds under them: whatever the network does — asymmetric
 // partitions, flapping instances, slow links, concurrent client storms —
 // every client session key yields exactly one result, byte-identical to
-// an unfaulted control run. Run via `make chaos-suite` (-race -count=2).
+// an unfaulted control run. `make race` runs them under -race -count=2.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/riveterdb/riveter"
+	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/faultnet"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/server"
@@ -250,10 +255,7 @@ func TestChaosDoubleAdoptFencing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-instance chaos test")
 	}
-	// Big enough that the first query far outlives the submit handshakes:
-	// tpch 21 here runs ~10x longer than the three POSTs take, so the
-	// drain below deterministically catches it mid-execution.
-	const sf = 0.2
+	const sf = 0.02
 	work := []workItem{
 		{tpch: 21},
 		{tpch: 6},
@@ -263,27 +265,60 @@ func TestChaosDoubleAdoptFencing(t *testing.T) {
 
 	storeDir := t.TempDir()
 	cfg := server.Config{Slots: 1, Policy: server.SuspensionAware{}}
-	a := newInstance(t, storeDir, "fence-a", sf, cfg)
+	// fence-a runs its queries with a lineage log on a filesystem that
+	// stalls the log's first breaker seal: the first query is mid-execution
+	// when the drain lands, and the other two are queued behind it.
+	stall := newStallFS()
+	aCfg := cfg
+	aCfg.PreemptLevel = riveter.LineageLevel
+	a := newInstance(t, storeDir, "fence-a", sf, aCfg, riveter.WithFS(stall))
 	// The adopters exist before a's state document does, so their
 	// startup adoption pass finds nothing and the explicit concurrent
 	// adoption below is the only contest.
 	b := newInstance(t, storeDir, "fence-b", sf, cfg)
 	c := newInstance(t, storeDir, "fence-c", sf, cfg)
 
-	for i, q := range work {
-		env, status := directJSON(t, http.MethodPost, a.hs.URL+"/query", map[string]any{
-			"tpch": q.tpch, "sql": q.sql, "session": fmt.Sprintf("f-%d", i), "priority": "batch",
+	seed := func(i int) (map[string]any, int) {
+		return directJSON(t, http.MethodPost, a.hs.URL+"/query", map[string]any{
+			"tpch": work[i].tpch, "sql": work[i].sql, "session": fmt.Sprintf("f-%d", i), "priority": "batch",
 		})
-		if status != http.StatusOK {
+	}
+	for i := range work {
+		if env, status := seed(i); status != http.StatusOK {
 			t.Fatalf("seed submit %d: status %d %v", i, status, env["error"])
 		}
 	}
-	// Drain a immediately: the first query is mid-execution (tpch 21 at
-	// this scale runs well past the drain handshake) and suspends to the
-	// shared store; the still-queued ones persist alongside it, and the
-	// state document appears with all three sessions.
-	if _, status := directJSON(t, http.MethodPost, a.hs.URL+"/admin/drain", map[string]any{}); status != http.StatusOK {
-		t.Fatalf("drain status %d", status)
+	select {
+	case <-stall.stalled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("first query never reached its first breaker on fence-a")
+	}
+	// Drain a: the first query suspends to the shared store (its failed
+	// log sends the ladder past the lineage rung), the queued ones persist
+	// alongside it, and the state document appears with all three. The
+	// drain refuses submissions in the same critical section that asks the
+	// running query to suspend, so once a keyed re-submit — otherwise a
+	// dedup onto the existing session — is refused, the stalled seal can
+	// give way.
+	drained := make(chan error, 1)
+	go func() { drained <- a.srv.Drain(context.Background()) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, status := seed(1)
+		if status == http.StatusServiceUnavailable {
+			break
+		}
+		if status != http.StatusOK || time.Now().After(deadline) {
+			t.Fatalf("re-submit during the drain: status %d", status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stall.release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if in, _ := a.srv.InfoByKey("f-0"); in.State != server.StateSuspended || in.StoreKey == "" {
+		t.Fatalf("drained first query: state %s store key %q, want suspended to the store", in.State, in.StoreKey)
 	}
 	a.hs.Close()
 
@@ -517,6 +552,48 @@ func TestChaosSlowLinkNoStall(t *testing.T) {
 	}
 }
 
+// stallFS passes everything through to the real filesystem except the
+// second fsync of each lineage log (.rvlg): the seal of the query's first
+// pipeline breaker, the first thing its log makes durable after creation.
+// That fsync blocks until release is closed and then fails, so a query
+// started with a lineage log on this filesystem cannot finish while the
+// gate is shut — it is mid-execution by construction, not by timing.
+type stallFS struct {
+	faultfs.FS
+	stalled chan struct{} // closed when the first seal blocks
+	release chan struct{}
+	once    sync.Once
+}
+
+func newStallFS() *stallFS {
+	return &stallFS{FS: faultfs.OS, stalled: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stallFS) Create(path string) (faultfs.File, error) {
+	f, err := s.FS.Create(path)
+	if err != nil || !strings.HasSuffix(path, ".rvlg") {
+		return f, err
+	}
+	return &stallFile{File: f, fs: s}, nil
+}
+
+// stallFile counts a lineage log's fsyncs; the log calls Sync under its own
+// mutex, so the count needs no lock of its own.
+type stallFile struct {
+	faultfs.File
+	fs    *stallFS
+	syncs int
+}
+
+func (f *stallFile) Sync() error {
+	if f.syncs++; f.syncs < 2 {
+		return f.File.Sync()
+	}
+	f.fs.once.Do(func() { close(f.fs.stalled) })
+	<-f.fs.release
+	return errors.New("stallFS: seal released")
+}
+
 // TestChaosConcurrentKeyedSubmitFailover: eight clients hammer the same
 // session key in wait mode while the pinned instance is hard-killed
 // mid-query. Keyed dedup plus failover must yield exactly one execution
@@ -526,11 +603,7 @@ func TestChaosConcurrentKeyedSubmitFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-instance chaos test")
 	}
-	// Big enough that the hot query runs long past the moment the gate
-	// below observes it mid-execution — the kill must land mid-query even
-	// on a warm cache and a fast engine: admission plus the failover
-	// target's health-probe round eat several hundred milliseconds.
-	const sf = 0.5
+	const sf = 0.02
 	work := []workItem{{tpch: 21}}
 	want := expectedResults(t, sf, work)
 
@@ -545,7 +618,13 @@ func TestChaosConcurrentKeyedSubmitFailover(t *testing.T) {
 		ProbeTimeout:   500 * time.Millisecond,
 	}, faultnet.NewPlan(19), 5*time.Second)
 	cfg := server.Config{Slots: 1, Policy: server.SuspensionAware{}}
-	a := newInstance(t, storeDir, "ck-a", sf, cfg)
+	// ck-a runs every query with a lineage log on a filesystem that stalls
+	// the log's first breaker seal: the hot query on ck-a stays running,
+	// and is never done, until the kill.
+	stall := newStallFS()
+	aCfg := cfg
+	aCfg.PreemptLevel = riveter.LineageLevel
+	a := newInstance(t, storeDir, "ck-a", sf, aCfg, riveter.WithFS(stall))
 	b := newInstance(t, storeDir, "ck-b", sf, cfg)
 	// Only ck-a is registered while the storm lands, so the hot key pins
 	// there deterministically; ck-b joins as the failover target.
@@ -566,52 +645,29 @@ func TestChaosConcurrentKeyedSubmitFailover(t *testing.T) {
 		}(i)
 	}
 
-	// The hot key pins to ck-a at the first accepted submit, so the
-	// failover target can join as soon as the pin exists without stealing
-	// it. Registering ck-b here — before the running gate — keeps the
-	// kill window below free of the health-probe wait, which a fast query
-	// could otherwise finish inside.
-	deadline := time.Now().Add(10 * time.Second)
-	for pinned := false; !pinned; {
-		for _, sess := range directSessions(t, a.hs.URL) {
-			if k, _ := sess["key"].(string); k == "hot" {
-				pinned = true
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hot key never arrived on ck-a")
-		}
-		if !pinned {
-			time.Sleep(2 * time.Millisecond)
-		}
+	// The stall means the hot query is executing on ck-a, so the key is
+	// pinned there: the failover target can join without stealing it.
+	select {
+	case <-stall.stalled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("hot query never reached its first breaker on ck-a")
 	}
 	f.reg.Register(b.id, b.hs.URL)
 	waitAccepting(t, f, b.id) // the survivor must be routable before the kill
 
-	// Kill the pin only once the hot query is observably mid-execution on
-	// ck-a — no sleep-and-hope; the clean direct client sees through any
-	// proxy-side queueing.
-	for running := false; !running; {
-		for _, sess := range directSessions(t, a.hs.URL) {
-			if k, _ := sess["key"].(string); k == "hot" && sess["state"] == "running" {
-				running = true
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hot key never started running on ck-a")
-		}
-		if !running {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	// Tear down HTTP before aborting executions: Server.Kill blocks until
-	// the running query goroutine exits, and a short query can finish
-	// inside that window — with the listener still up, a waiter could
-	// snatch the done result off the dying instance and dodge the
-	// failover this test exists to exercise.
+	// Tear down HTTP before aborting executions, so no waiter can read
+	// anything off the dying instance. Kill waits for the stalled query's
+	// goroutine, so the seal is released beside it; whether the query then
+	// aborts or runs on, it does so where nobody can reach it.
 	a.hs.CloseClientConnections()
 	a.hs.Close()
-	a.srv.Kill()
+	killed := make(chan struct{})
+	go func() {
+		a.srv.Kill()
+		close(killed)
+	}()
+	close(stall.release)
+	<-killed
 	wg.Wait()
 
 	for i := 0; i < clients; i++ {
@@ -640,6 +696,12 @@ func TestChaosConcurrentKeyedSubmitFailover(t *testing.T) {
 	}
 	if hot != 1 {
 		t.Errorf("survivor holds %d sessions for the hot key, want exactly 1", hot)
+	}
+	// The waiters fail over on transport errors; death detection lags the
+	// kill by a few health intervals and the survivor can finish first.
+	deadline := time.Now().Add(5 * time.Second)
+	for f.met.Counter(obs.MetricCPDeaths).Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(25 * time.Millisecond)
 	}
 	if got := f.met.Counter(obs.MetricCPDeaths).Value(); got != 1 {
 		t.Errorf("deaths = %d, want 1", got)

@@ -39,14 +39,14 @@ func (in *instance) kill() {
 
 // newInstance starts a store-backed instance. Every instance sharing
 // storeDir generates the same TPC-H data, so results are comparable
-// across the fleet.
-func newInstance(t *testing.T, storeDir, id string, sf float64, cfg server.Config) *instance {
+// across the fleet. opts are added to the database's options.
+func newInstance(t *testing.T, storeDir, id string, sf float64, cfg server.Config, opts ...riveter.Option) *instance {
 	t.Helper()
-	db := riveter.Open(
+	db := riveter.Open(append([]riveter.Option{
 		riveter.WithWorkers(2),
 		riveter.WithCheckpointDir(t.TempDir()),
 		riveter.WithBlobStore(riveter.StoreConfig{Dir: storeDir}),
-	)
+	}, opts...)...)
 	if _, err := db.BlobStore(); err != nil {
 		t.Fatal(err)
 	}

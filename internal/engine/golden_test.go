@@ -15,7 +15,7 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-var update = flag.Bool("update", false, "re-record testdata/equiv_results.json from this build")
+var update = flag.Bool("update", false, "re-record testdata/equiv_results.json and testdata/allocs.txt from this build")
 
 // equivPlans is the plan matrix whose result bytes are pinned: filter,
 // project, fused filter+project and every aggregate fold, over columns with

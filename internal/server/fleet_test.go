@@ -2,10 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/riveterdb/riveter"
+	"github.com/riveterdb/riveter/internal/faultfs"
 )
 
 // waitCond polls f until it reports true or the deadline passes.
@@ -174,20 +178,45 @@ func TestAdoptFromStoreRuntime(t *testing.T) {
 	b := newServer(t, dbB, Config{Slots: 1, InstanceID: "adopt-b"})
 
 	// Victim: submit keyed, shut down so the session suspends into the
-	// shared store with its state document.
-	dbA := openTPCHStore(t, 0.02, storeDir)
-	a, err := New(Config{DB: dbA, Slots: 1, InstanceID: "adopt-a"})
+	// shared store with its state document. The victim logs lineage onto a
+	// filesystem that stalls the query's first breaker seal, so the query
+	// is mid-execution when the shutdown asks it to suspend.
+	stall := newStallFS()
+	dbA := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
+	a, err := New(Config{DB: dbA, Slots: 1, InstanceID: "adopt-a", PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Submit(Request{TPCH: 21, Key: "k-adopt", Priority: Batch}); err != nil {
+	req := Request{TPCH: 21, Key: "k-adopt", Priority: Batch}
+	if _, err := a.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-stall.stalled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("query never reached its first breaker on the victim")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := a.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- a.Shutdown(ctx) }()
+	// Shutdown refuses submissions in the critical section that asks the
+	// query to suspend; until then a keyed re-submit dedups onto the
+	// existing session. Once refused, the stalled seal can give way.
+	for {
+		if _, err := a.Submit(req); errors.Is(err, ErrClosed) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stall.release)
+	if err := <-shut; err != nil {
 		t.Fatal(err)
+	}
+	if in, _ := a.InfoByKey("k-adopt"); in.State != StateSuspended || in.StoreKey == "" {
+		t.Fatalf("victim after shutdown: state %s store key %q, want suspended to the store", in.State, in.StoreKey)
 	}
 
 	n, err := b.AdoptFromStore()
@@ -215,4 +244,45 @@ func TestAdoptFromStoreRuntime(t *testing.T) {
 	if n, err := b.AdoptFromStore(); err != nil || n != 0 {
 		t.Fatalf("second adopt = %d, %v", n, err)
 	}
+}
+
+// stallFS passes everything through to the real filesystem except the
+// second fsync of each lineage log (.rvlg): the seal of the query's first
+// pipeline breaker. That fsync blocks until release is closed and then
+// fails, so a query started with a lineage log on this filesystem is
+// mid-execution until the test lets go — by construction, not by timing.
+type stallFS struct {
+	faultfs.FS
+	stalled chan struct{} // closed when the first seal blocks
+	release chan struct{}
+	once    sync.Once
+}
+
+func newStallFS() *stallFS {
+	return &stallFS{FS: faultfs.OS, stalled: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stallFS) Create(path string) (faultfs.File, error) {
+	f, err := s.FS.Create(path)
+	if err != nil || !strings.HasSuffix(path, ".rvlg") {
+		return f, err
+	}
+	return &stallFile{File: f, fs: s}, nil
+}
+
+// stallFile counts a lineage log's fsyncs; the log calls Sync under its own
+// mutex, so the count needs no lock of its own.
+type stallFile struct {
+	faultfs.File
+	fs    *stallFS
+	syncs int
+}
+
+func (f *stallFile) Sync() error {
+	if f.syncs++; f.syncs < 2 {
+		return f.File.Sync()
+	}
+	f.fs.once.Do(func() { close(f.fs.stalled) })
+	<-f.fs.release
+	return errors.New("stallFS: seal released")
 }

@@ -49,8 +49,7 @@ func burst(b *testing.B, db *riveter.DB, fold bool) time.Duration {
 // BenchmarkFoldBurst32 pairs the same 32-session mixed TPC-H burst with
 // folding off and on — each iteration serves both, against the same
 // generated data, so machine-load drift cancels — and reports the
-// aggregate-throughput ratio as fold-speedup. bench_compare.sh gates this
-// at FOLD_SPEEDUP_MIN (default 1.5).
+// aggregate-throughput ratio as fold-speedup.
 func BenchmarkFoldBurst32(b *testing.B) {
 	const sf = 0.01
 	plain := riveter.Open(riveter.WithWorkers(2))
@@ -76,8 +75,8 @@ func BenchmarkFoldBurst32(b *testing.B) {
 // between a plain database and a fold-enabled one, and reports the lone
 // session's slowdown from the folding machinery (hub indirection, one
 // shared-window copy per morsel, fingerprint bookkeeping) as
-// single-overhead-pct. bench_compare.sh gates this at FOLD_OVERHEAD_PCT
-// (default 10): shared execution must cost a lone session next to nothing.
+// single-overhead-pct: shared execution must cost a lone session next to
+// nothing.
 func BenchmarkFoldSingleOverhead(b *testing.B) {
 	const sf = 0.01
 	plain := riveter.Open(riveter.WithWorkers(2))

@@ -171,27 +171,3 @@ func TestHTTPRawSQLBody(t *testing.T) {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
 }
-
-// TestFoldPreemptPrefersRiderFree: with a rider-free victim available, the
-// suspension-aware policy leaves fold leaders alone.
-func TestFoldPreemptPrefersRiderFree(t *testing.T) {
-	now := time.Now()
-	mk := func(prio Priority, riders int, started time.Time) *Session {
-		s := &Session{priority: prio, started: started}
-		for i := 0; i < riders; i++ {
-			s.riders = append(s.riders, &Session{})
-		}
-		return s
-	}
-	leader := mk(Batch, 2, now.Add(-time.Hour)) // oldest, normally the pick
-	solo := mk(Batch, 0, now.Add(-time.Minute))
-	head := mk(Interactive, 0, now)
-	p := SuspensionAware{}
-	if v := p.Preempt([]*Session{leader, solo}, head, now); v != solo {
-		t.Fatalf("picked %p, want the rider-free session", v)
-	}
-	// With only leaders to choose from, one still gets preempted.
-	if v := p.Preempt([]*Session{leader}, head, now); v != leader {
-		t.Fatal("no victim with only fold leaders running")
-	}
-}

@@ -10,14 +10,15 @@ import (
 )
 
 // openTPCHStore opens a TPC-H database whose checkpoints target a blob
-// store at dir. Instances sharing dir share a durability tier.
-func openTPCHStore(t testing.TB, sf float64, dir string) *riveter.DB {
+// store at dir. Instances sharing dir share a durability tier. opts are
+// added to the database's options.
+func openTPCHStore(t testing.TB, sf float64, dir string, opts ...riveter.Option) *riveter.DB {
 	t.Helper()
-	db := riveter.Open(
+	db := riveter.Open(append([]riveter.Option{
 		riveter.WithWorkers(2),
 		riveter.WithCheckpointDir(t.TempDir()),
 		riveter.WithBlobStore(riveter.StoreConfig{Dir: dir}),
-	)
+	}, opts...)...)
 	if _, err := db.BlobStore(); err != nil {
 		t.Fatal(err)
 	}

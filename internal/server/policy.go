@@ -1,7 +1,5 @@
 package server
 
-import "time"
-
 // Policy decides dispatch order and preemption. Implementations are
 // stateless; the scheduler calls them under the server mutex.
 type Policy interface {
@@ -13,7 +11,7 @@ type Policy interface {
 	// run sooner, or nil to wait for a slot to free naturally. Candidates
 	// with no live execution yet or with a suspension already in flight are
 	// pre-filtered by the scheduler.
-	Preempt(running []*Session, head *Session, now time.Time) *Session
+	Preempt(running []*Session, head *Session) *Session
 }
 
 // FIFO is the baseline: strict arrival order, no preemption. A long
@@ -28,19 +26,14 @@ func (FIFO) Name() string { return "fifo" }
 func (FIFO) Less(a, b *Session) bool { return a.seq < b.seq }
 
 // Preempt implements Policy: never.
-func (FIFO) Preempt([]*Session, *Session, time.Time) *Session { return nil }
+func (FIFO) Preempt([]*Session, *Session) *Session { return nil }
 
 // SuspensionAware dispatches by priority class and preempts: when a
 // higher-priority session waits and every slot is busy, the lowest-priority
 // running session (longest-running on ties) is suspended at its next
 // pipeline breaker, checkpointed, and re-queued to resume once the
 // high-priority work has drained.
-type SuspensionAware struct {
-	// Grace is how long a query must have been running before it becomes
-	// preemptable; it keeps near-completion work from paying a pointless
-	// checkpoint+resume round trip. Zero preempts immediately.
-	Grace time.Duration
-}
+type SuspensionAware struct{}
 
 // Name implements Policy.
 func (SuspensionAware) Name() string { return "suspend" }
@@ -57,14 +50,11 @@ func (SuspensionAware) Less(a, b *Session) bool {
 // with no folded riders: suspending a fold leader stalls every rider
 // attached to it, so a rider-free victim of the same class frees the slot
 // at a fraction of the collateral cost.
-func (p SuspensionAware) Preempt(running []*Session, head *Session, now time.Time) *Session {
+func (SuspensionAware) Preempt(running []*Session, head *Session) *Session {
 	pick := func(skipLeaders bool) *Session {
 		var victim *Session
 		for _, r := range running {
 			if r.priority >= head.priority {
-				continue
-			}
-			if now.Sub(r.started) < p.Grace {
 				continue
 			}
 			if skipLeaders && len(r.riders) > 0 {

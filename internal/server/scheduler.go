@@ -43,8 +43,6 @@ func (s *Server) schedule() {
 					// safe (and cheap) under the server mutex.
 					s.requestSuspend(victim.exec)
 					progressed = true
-				} else {
-					s.scheduleGraceRetryLocked(head)
 				}
 			}
 		}
@@ -138,29 +136,7 @@ func (s *Server) preemptCandidateLocked(head *Session) *Session {
 	if len(cands) == 0 {
 		return nil
 	}
-	return s.cfg.Policy.Preempt(cands, head, now)
-}
-
-// graceHinter lets a policy ask for a delayed re-evaluation when Preempt
-// declined only because its grace period has not elapsed yet.
-type graceHinter interface{ graceRetry() time.Duration }
-
-func (p SuspensionAware) graceRetry() time.Duration { return p.Grace }
-
-// scheduleGraceRetryLocked re-wakes the scheduler after the policy's grace
-// period so a victim that was merely too young gets reconsidered.
-func (s *Server) scheduleGraceRetryLocked(head *Session) {
-	h, ok := s.cfg.Policy.(graceHinter)
-	if !ok || h.graceRetry() <= 0 {
-		return
-	}
-	// One timer per declined evaluation; the scheduler only re-evaluates on
-	// wakeups, so this cannot accumulate unboundedly.
-	time.AfterFunc(h.graceRetry(), func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
+	return s.cfg.Policy.Preempt(cands, head)
 }
 
 // dispatchLocked moves a session from the queue into a slot and launches

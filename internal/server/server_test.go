@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -191,68 +190,6 @@ func TestPreemption(t *testing.T) {
 	}
 	if len(s.Traces()) == 0 {
 		t.Error("finished sessions must leave traces (DB opened WithTracing)")
-	}
-}
-
-// measureShortLatencies runs the Case 1 workload — one long batch query,
-// then short interactive queries arriving just after — and returns the
-// shorts' arrival-to-completion latencies plus the long session's info.
-func measureShortLatencies(t *testing.T, db *riveter.DB, policy Policy) ([]time.Duration, Info) {
-	t.Helper()
-	s := newServer(t, db, Config{Slots: 1, Policy: policy})
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	shorts := []string{
-		"SELECT count(*) FROM orders WHERE o_orderstatus = 'O'",
-		"SELECT count(*) FROM customer",
-		"SELECT max(l_shipdate) AS latest FROM lineitem",
-	}
-	ctx := context.Background()
-	var lats []time.Duration
-	arrival := time.Now()
-	sessions := make([]*Session, len(shorts))
-	for i, q := range shorts {
-		if sessions[i], err = s.Submit(Request{SQL: q, Priority: Interactive}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sess := range sessions {
-		if _, err := s.Wait(ctx, sess.ID()); err != nil {
-			t.Fatal(err)
-		}
-		lats = append(lats, time.Since(arrival))
-	}
-	if _, err := s.Wait(ctx, long.ID()); err != nil {
-		t.Fatal(err)
-	}
-	in, _ := s.Info(long.ID())
-	return lats, in
-}
-
-func p50(d []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-// TestPreemptionBeatsFIFO is the acceptance integration test: under a
-// concurrent long query, short-query p50 latency with the suspension-aware
-// policy is measurably lower than the FIFO baseline.
-func TestPreemptionBeatsFIFO(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	fifoLats, fifoLong := measureShortLatencies(t, db, FIFO{})
-	preLats, preLong := measureShortLatencies(t, db, SuspensionAware{})
-	fifoP50, preP50 := p50(fifoLats), p50(preLats)
-	t.Logf("short p50: fifo=%v suspend=%v (long ran fifo=%v suspend=%v, %d preemptions)",
-		fifoP50, preP50, fifoLong.Ran, preLong.Ran, preLong.Preemptions)
-	if preLong.Preemptions == 0 {
-		t.Skip("timing: long query finished before any preemption landed")
-	}
-	if preP50 >= fifoP50 {
-		t.Errorf("suspension-aware p50 %v is not below FIFO p50 %v", preP50, fifoP50)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 
 // BenchmarkLineageSuspend times ONLY the seal — the marginal cost of a
 // lineage suspension once the query has quiesced. The state was persisted
-// incrementally while the query ran, so this is a tail flush + fsync,
-// orders of magnitude below BenchmarkProcessSuspendResume's full
-// save+restore round trip (the acceptance ratio the bench gate watches).
+// incrementally while the query ran, so this is a tail flush + fsync;
+// TestLineageSealWritesTenthOfProcessImage holds its bytes to a tenth of
+// the process image's.
 func BenchmarkLineageSuspend(b *testing.B) {
 	cat, err := tpch.Generate(tpch.Config{SF: 0.01})
 	if err != nil {

@@ -50,9 +50,10 @@ func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path 
 	return restoreLineagePlan(fsys, pp, path, store, opts)
 }
 
-// runWithLineage starts the plan with a lineage log attached and suspends
-// it via the lineage strategy, returning the sealed log's path.
-func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) *PointInfo {
+// suspendWithLineage starts the plan with a lineage log attached and runs
+// it to a process-kind suspension (what Request(ex, Lineage) arms) partway
+// through, so morsel and breaker records accumulate before any seal.
+func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) (*engine.Executor, *LineageLog) {
 	t.Helper()
 	pp, err := engine.Compile(node, cat)
 	if err != nil {
@@ -62,8 +63,6 @@ func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path str
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Auto-suspend mid-run (process-kind quiesce: what Request(ex, Lineage)
-	// arms) so morsel and breaker records accumulate before the seal.
 	ex := engine.NewExecutor(pp, engine.Options{
 		Workers:     2,
 		OnMorsel:    lin.OnMorsel,
@@ -76,6 +75,14 @@ func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path str
 	if err := lin.Err(); err != nil {
 		t.Fatalf("lineage log unhealthy: %v", err)
 	}
+	return ex, lin
+}
+
+// runWithLineage suspends the plan via the lineage strategy and returns
+// what the seal reported.
+func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) *PointInfo {
+	t.Helper()
+	ex, lin := suspendWithLineage(t, cat, node, path, lo)
 	res, err := lin.Seal(ex.Suspended())
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +91,60 @@ func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path str
 		t.Fatal(err)
 	}
 	return res
+}
+
+// newStore opens a blob store over a fresh local directory.
+func newStore(t *testing.T) *blobstore.Store {
+	t.Helper()
+	be, err := blobstore.NewLocal(nil, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := blobstore.New(blobstore.Config{Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestLineageSealWritesTenthOfProcessImage is lineage's acceptance ratio
+// in bytes: suspending by sealing the write-ahead log writes at most 10 %
+// of what persisting the process image of the same suspension writes —
+// the image's bytes on the file target, its upload on the store target
+// (beside a log whose breaker states ride the same store).
+func TestLineageSealWritesTenthOfProcessImage(t *testing.T) {
+	cat, node, _ := lineageFixture(t)
+	for _, target := range []Target{TargetFile, TargetStore} {
+		t.Run(string(target), func(t *testing.T) {
+			dir := t.TempDir()
+			var sm Seam
+			lo := LineageOptions{}
+			ref := filepath.Join(dir, "q3.rvck")
+			if target == TargetStore {
+				sm.Store = newStore(t)
+				lo = LineageOptions{Store: sm.Store, StoreKey: "lin-q3"}
+				ref = "q3"
+			}
+			ex, lin := suspendWithLineage(t, cat, node, filepath.Join(dir, "q3.rvlg"), lo)
+			defer lin.Close()
+			img, err := sm.Persist(context.Background(), Run{Ex: ex}, "Q3", ResumePoint{Target: target, Ref: ref}, PersistOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			imgBytes := img.TotalBytes
+			if target == TargetStore {
+				imgBytes = img.UploadedBytes
+			}
+			seal, err := lin.Seal(ex.Suspended())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("seal %d bytes, process image %d bytes (%.2f %%)", seal.TailBytes, imgBytes, 100*float64(seal.TailBytes)/float64(imgBytes))
+			if seal.TailBytes <= 0 || 10*seal.TailBytes > imgBytes {
+				t.Errorf("seal wrote %d bytes, above 10 %% of the process image's %d", seal.TailBytes, imgBytes)
+			}
+		})
+	}
 }
 
 func TestLineageKindName(t *testing.T) {
@@ -268,14 +329,7 @@ func TestLineageSealEvery(t *testing.T) {
 // content-addressed checkpoints and the log holds only references.
 func TestLineageStoreBacked(t *testing.T) {
 	cat, node, want := lineageFixture(t)
-	be, err := blobstore.NewLocal(nil, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := blobstore.New(blobstore.Config{Backend: be})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStore(t)
 	path := filepath.Join(t.TempDir(), "q3.rvlg")
 	res := runWithLineage(t, cat, node, path, LineageOptions{Store: st, StoreKey: "lin-q3"})
 	if res.States == 0 {

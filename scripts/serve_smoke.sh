@@ -1,5 +1,5 @@
 #!/bin/sh
-# serve-smoke: boot riveter-serve on a tiny TPC-H dataset, submit
+# serve_smoke.sh: boot riveter-serve on a tiny TPC-H dataset, submit
 # concurrent queries over HTTP (a long batch query plus interactive
 # shorts), and check the responses and serving metrics. Then restart the
 # server mid-load: SIGTERM with batch work in flight, boot a fresh
@@ -220,4 +220,4 @@ curl -fsS "$BASE/metrics" | grep -q '"server.migrated": [1-9]' || {
     exit 1
 }
 
-echo "serve-smoke OK"
+echo "serve_smoke.sh OK"
