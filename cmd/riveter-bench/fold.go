@@ -27,8 +27,7 @@ const foldDups = 4
 // runFoldExperiment serves the same 32-session mixed TPC-H burst twice,
 // once by a plain server (every session executes privately) and once by a
 // fold-enabled one (identical plans ride one execution, non-identical plans
-// share table scans and common subplans underneath), and tabulates
-// aggregate throughput.
+// share table scans underneath), and tabulates aggregate throughput.
 func runFoldExperiment(sf float64, workers int) (*bench.Table, error) {
 	t := &bench.Table{
 		Title:  fmt.Sprintf("Shared execution: 32-session mixed burst at SF%g", sf*1000),
@@ -67,7 +66,6 @@ func foldBurst(sf float64, workers int, fold bool) (time.Duration, error) {
 		DB:     db,
 		Slots:  workers,
 		Policy: server.FIFO{},
-		Fold:   fold,
 	})
 	if err != nil {
 		return 0, err

@@ -140,7 +140,6 @@ func main() {
 		PreemptLevel: level,
 		InstanceID:   *instanceID,
 		IdleSuspend:  *idleSuspend,
-		Fold:         *foldFlag,
 	})
 	if err != nil {
 		log.Fatal(err)

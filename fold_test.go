@@ -21,11 +21,9 @@ func openFoldTPCH(t testing.TB, sf float64) *DB {
 }
 
 // TestFoldEquivalenceTPCH is the shared-execution correctness property: for
-// every TPC-H query, a fold-enabled database — scans riding shared hubs,
-// repeated runs folding onto cached subplans — returns results
-// byte-identical to an isolated database over the same data. Each query
-// runs twice on the fold side so the second run exercises the subplan
-// cache, not just the scan hubs.
+// every TPC-H query, a fold-enabled database — scans riding shared hubs —
+// returns results byte-identical to an isolated database over the same
+// data.
 func TestFoldEquivalenceTPCH(t *testing.T) {
 	const sf = 0.005
 	plain := openTPCH(t, sf)
@@ -44,14 +42,12 @@ func TestFoldEquivalenceTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pass := 1; pass <= 2; pass++ {
-			got, err := qf.Run(ctx)
-			if err != nil {
-				t.Fatalf("Q%d folded pass %d: %v", id, pass, err)
-			}
-			if got.SortedKey() != want.SortedKey() {
-				t.Fatalf("Q%d folded pass %d differs from isolated run", id, pass)
-			}
+		got, err := qf.Run(ctx)
+		if err != nil {
+			t.Fatalf("Q%d folded: %v", id, err)
+		}
+		if got.SortedKey() != want.SortedKey() {
+			t.Fatalf("Q%d folded differs from isolated run", id)
 		}
 	}
 	snap := folded.Metrics().Snapshot()
@@ -59,9 +55,6 @@ func TestFoldEquivalenceTPCH(t *testing.T) {
 	// single-rider fast path: direct base reads, no window maintenance.
 	if snap.Counters[obs.MetricFoldDirectReads] == 0 {
 		t.Error("no hub reads: scans did not ride shared hubs")
-	}
-	if snap.Counters[obs.MetricFoldSubplanHits] == 0 {
-		t.Error("no subplan hits: second passes did not fold onto cached subplans")
 	}
 	if snap.Gauges[obs.MetricFoldHubs] == 0 {
 		t.Error("no hubs registered")

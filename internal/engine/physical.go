@@ -43,23 +43,6 @@ type PhysicalPlan struct {
 	OutSchema   *catalog.Schema
 	Fingerprint uint64
 	Root        plan.Node
-
-	// Shared lists the plan's materialized breakers by subplan fingerprint.
-	// After a successful run their finalized buffers are publishable into a
-	// cross-session subplan cache, where a later compile with an equal
-	// fingerprint folds onto them (CompileOptions.Subplans). Candidates are
-	// collected only when sharing is on (ScanShare or Subplans set) —
-	// fingerprinting every subtree would tax plain compiles for a cache
-	// nothing reads; publishing remains the caller's decision.
-	Shared []SharedSubplan
-}
-
-// SharedSubplan is one publish candidate: a materialized breaker addressed
-// by the fingerprint of the plan subtree it computes.
-type SharedSubplan struct {
-	Fingerprint uint64
-	Sink        BufferedSink
-	Types       []vector.Type
 }
 
 // NumPipelines returns the pipeline count.
@@ -81,27 +64,12 @@ type ScanSharer interface {
 	Share(table string, proj []int, src Source) Source
 }
 
-// SubplanProvider resolves subplan fingerprints to finalized results
-// published by earlier executions (the cross-session common-subplan
-// cache). A hit replaces the whole subtree's pipelines with a BufferSource
-// over the cached rows. Because a hit changes the pipeline shape, lookups
-// must only be enabled on compiles whose executions cannot be checkpointed
-// (the riveter layer enforces this): checkpoint restores revalidate
-// pipeline counts, so a shape that depended on cache state would fail the
-// restore and force a rerun.
-type SubplanProvider interface {
-	Lookup(fp uint64) (*RowBuffer, []vector.Type, bool)
-}
-
 // CompileOptions tune physical plan lowering.
 type CompileOptions struct {
 	// ScanShare, when non-nil, routes base-table scans through shared
 	// morsel streams. Shape-neutral: safe on every compile, including
 	// checkpoint restores (a restored rider rejoins its hub mid-stream).
 	ScanShare ScanSharer
-	// Subplans, when non-nil, folds subtrees onto cached results from
-	// earlier executions. Shape-changing: only for non-suspendable runs.
-	Subplans SubplanProvider
 }
 
 type compiler struct {
@@ -113,16 +81,10 @@ type compiler struct {
 	// executes once, and every consumer scans the one finalized sink. Beyond
 	// the saved work, sharing makes repeated references bit-identical — two
 	// independent executions of a float aggregation may differ in the last
-	// ulp depending on how morsels were partitioned across workers.
+	// ulp depending on how morsels were partitioned across workers. The key
+	// is the node pointer alone, so the pipeline shape never depends on
+	// ScanShare.
 	memo map[plan.Node]*memoEntry
-	// fpMemo extends the pointer memo across structurally identical
-	// subtrees: builders that instantiate a common view twice (distinct
-	// nodes, equal plan.Fingerprint) still fold onto one breaker. The
-	// fingerprint hashes the rendered subtree — tables, projections,
-	// predicates, literals — so equal keys mean equal semantics.
-	fpMemo map[uint64]*memoEntry
-	// shared accumulates the publish candidates for PhysicalPlan.Shared.
-	shared []SharedSubplan
 }
 
 // memoEntry records one materialized breaker available for reuse.
@@ -159,9 +121,6 @@ func Compile(root plan.Node, cat *catalog.Catalog) (*PhysicalPlan, error) {
 // CompileWith is Compile with explicit options.
 func CompileWith(root plan.Node, cat *catalog.Catalog, opts CompileOptions) (*PhysicalPlan, error) {
 	c := &compiler{cat: cat, opts: opts, memo: make(map[plan.Node]*memoEntry)}
-	if opts.ScanShare != nil || opts.Subplans != nil {
-		c.fpMemo = make(map[uint64]*memoEntry)
-	}
 	final := &Pipeline{Label: "result"}
 	types, err := c.compile(root, final)
 	if err != nil {
@@ -177,7 +136,6 @@ func CompileWith(root plan.Node, cat *catalog.Catalog, opts CompileOptions) (*Ph
 		OutSchema:   root.Schema(),
 		Fingerprint: plan.Fingerprint(root),
 		Root:        root,
-		Shared:      c.shared,
 	}, nil
 }
 
@@ -267,9 +225,8 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		return probe.OutTypes(), nil
 
 	case *plan.Aggregate:
-		fp := c.subplanFP(n)
-		if types, ok := c.foldBreaker(n, p, fp); ok {
-			return types, nil
+		if e := c.memo[n]; e != nil {
+			return c.scanShared(p, e), nil
 		}
 		cp := &Pipeline{}
 		if _, err := c.compile(t.Child, cp); err != nil {
@@ -283,12 +240,11 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		cp.Sink = sink
 		cp.Label = appendLabel(cp.Label, "aggregate")
 		c.register(cp)
-		return c.scanShared(p, c.remember(n, fp, cp.ID, sink, outTypes, "scan(agg)")), nil
+		return c.scanShared(p, c.remember(n, cp.ID, sink, outTypes, "scan(agg)")), nil
 
 	case *plan.Sort:
-		fp := c.subplanFP(n)
-		if types, ok := c.foldBreaker(n, p, fp); ok {
-			return types, nil
+		if e := c.memo[n]; e != nil {
+			return c.scanShared(p, e), nil
 		}
 		cp := &Pipeline{}
 		inTypes, err := c.compile(t.Child, cp)
@@ -302,12 +258,11 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		cp.Sink = sink
 		cp.Label = appendLabel(cp.Label, "sort")
 		c.register(cp)
-		return c.scanShared(p, c.remember(n, fp, cp.ID, sink, inTypes, "scan(sorted)")), nil
+		return c.scanShared(p, c.remember(n, cp.ID, sink, inTypes, "scan(sorted)")), nil
 
 	case *plan.Limit:
-		fp := c.subplanFP(n)
-		if types, ok := c.foldBreaker(n, p, fp); ok {
-			return types, nil
+		if e := c.memo[n]; e != nil {
+			return c.scanShared(p, e), nil
 		}
 		if srt, ok := t.Child.(*plan.Sort); ok {
 			// Fuse ORDER BY + LIMIT into a top-N breaker.
@@ -323,7 +278,7 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 			cp.Sink = sink
 			cp.Label = appendLabel(cp.Label, fmt.Sprintf("topn(%d)", t.N))
 			c.register(cp)
-			return c.scanShared(p, c.remember(n, fp, cp.ID, sink, inTypes, "scan(topn)")), nil
+			return c.scanShared(p, c.remember(n, cp.ID, sink, inTypes, "scan(topn)")), nil
 		}
 		// Standalone limit: materialize the child with a row cap.
 		cp := &Pipeline{}
@@ -336,7 +291,7 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		cp.Sink = sink
 		cp.Label = appendLabel(cp.Label, fmt.Sprintf("limit(%d)", t.N))
 		c.register(cp)
-		return c.scanShared(p, c.remember(n, fp, cp.ID, sink, inTypes, "scan(limit)")), nil
+		return c.scanShared(p, c.remember(n, cp.ID, sink, inTypes, "scan(limit)")), nil
 
 	case *plan.UnionAll:
 		var sinks []BufferedSink
@@ -366,53 +321,10 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 	}
 }
 
-// subplanFP fingerprints a breaker-producing subtree for cross-subtree
-// and cross-session folding. With sharing off (no ScanShare, no Subplans)
-// it returns 0 and the compiler falls back to pointer-identity
-// memoization alone — rendering and hashing every subtree would tax plain
-// compiles for a cache nothing reads. A genuine fingerprint of 0 (one
-// hash value in 2^64) merely forfeits a fold opportunity.
-func (c *compiler) subplanFP(n plan.Node) uint64 {
-	if c.opts.ScanShare == nil && c.opts.Subplans == nil {
-		return 0
-	}
-	return plan.Fingerprint(n)
-}
-
-// foldBreaker resolves a breaker-producing subtree against the intra-plan
-// memos (pointer first, then fingerprint) and the cross-session subplan
-// cache, wiring pipeline p when it folds. It returns the output types and
-// whether the subtree was folded away.
-func (c *compiler) foldBreaker(n plan.Node, p *Pipeline, fp uint64) ([]vector.Type, bool) {
-	if e := c.memo[n]; e != nil {
-		return c.scanShared(p, e), true
-	}
-	if fp == 0 {
-		return nil, false
-	}
-	if e := c.fpMemo[fp]; e != nil {
-		return c.scanShared(p, e), true
-	}
-	if c.opts.Subplans != nil {
-		if buf, types, ok := c.opts.Subplans.Lookup(fp); ok {
-			p.Source = NewBufferSource(buf, types)
-			p.Ordered = carriesOrder(n)
-			p.Label = appendLabel(p.Label, "scan(folded)")
-			return types, true
-		}
-	}
-	return nil, false
-}
-
-// remember memoizes a freshly registered breaker for reuse and records it
-// as a publish candidate.
-func (c *compiler) remember(n plan.Node, fp uint64, id int, sink BufferedSink, types []vector.Type, label string) *memoEntry {
+// remember memoizes a freshly registered breaker for reuse.
+func (c *compiler) remember(n plan.Node, id int, sink BufferedSink, types []vector.Type, label string) *memoEntry {
 	e := &memoEntry{id: id, sink: sink, types: types, label: label, ordered: carriesOrder(n)}
 	c.memo[n] = e
-	if fp != 0 {
-		c.fpMemo[fp] = e
-		c.shared = append(c.shared, SharedSubplan{Fingerprint: fp, Sink: sink, Types: types})
-	}
 	return e
 }
 

@@ -93,36 +93,6 @@ func (s *SinkSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 // OutTypes implements Source.
 func (s *SinkSource) OutTypes() []vector.Type { return s.types }
 
-// BufferSource scans a detached, finalized row buffer — a materialized
-// subplan result shared across compilations (the common-subplan cache).
-// Reads copy rows out, so many concurrent executors can scan one buffer.
-type BufferSource struct {
-	buf   *RowBuffer
-	types []vector.Type
-}
-
-// NewBufferSource builds a source over a finalized buffer.
-func NewBufferSource(buf *RowBuffer, types []vector.Type) *BufferSource {
-	return &BufferSource{buf: buf, types: types}
-}
-
-// MorselCount implements Source.
-func (s *BufferSource) MorselCount() int64 { return int64(s.buf.NumChunks()) }
-
-// ReadMorsel implements Source.
-func (s *BufferSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
-	if idx >= int64(s.buf.NumChunks()) {
-		return 0, nil
-	}
-	src := s.buf.Chunk(int(idx))
-	dst.Reset()
-	dst.AppendChunk(src)
-	return src.Len(), nil
-}
-
-// OutTypes implements Source.
-func (s *BufferSource) OutTypes() []vector.Type { return s.types }
-
 // UnionSource concatenates the finalized buffers of several upstream sinks.
 type UnionSource struct {
 	sinks []BufferedSink

@@ -1,7 +1,9 @@
-// Package fold is Riveter's shared-execution subsystem: scan hubs that run
-// one morsel stream per (table, column-set) group and fan chunks out to
-// every subscribed pipeline, plus a cross-session cache of materialized
-// common subplans keyed by plan fingerprint.
+// Package fold is Riveter's scan-sharing half of shared execution: scan
+// hubs that run one morsel stream per (table, column-set) group and fan
+// chunks out to every subscribed pipeline. (The other half, whole-plan
+// folding at admission, lives in internal/server.) Sharing is live only —
+// hubs share reads between executions running at the same time, and
+// nothing outlives them across sessions.
 //
 // The hub is demand-driven rather than push-based, which is what makes it
 // suspension-safe. A hub keeps a ring of recently materialized morsels (the

@@ -229,15 +229,12 @@ const (
 	// counts morsels served from a hub's shared window; Fills counts
 	// morsels a rider materialized into the window for everyone behind it;
 	// DirectReads counts below-window (catch-up / privatized) reads that
-	// went straight to the base table; SubplanHits / SubplanMisses count
-	// cross-session common-subplan cache lookups.
-	MetricFoldHubs          = "fold.hubs"
-	MetricFoldAttached      = "fold.attached"
-	MetricFoldHits          = "fold.hits"
-	MetricFoldFills         = "fold.fills"
-	MetricFoldDirectReads   = "fold.direct_reads"
-	MetricFoldSubplanHits   = "fold.subplan.hits"
-	MetricFoldSubplanMisses = "fold.subplan.misses"
+	// went straight to the base table.
+	MetricFoldHubs        = "fold.hubs"
+	MetricFoldAttached    = "fold.attached"
+	MetricFoldHits        = "fold.hits"
+	MetricFoldFills       = "fold.fills"
+	MetricFoldDirectReads = "fold.direct_reads"
 
 	// MetricServerFolded counts sessions the server folded onto a live
 	// leader at admission (whole-plan folding: the rider holds no slot and

@@ -133,21 +133,52 @@ func TestIdleParkAndWake(t *testing.T) {
 }
 
 // TestWaiterBlocksIdlePark: a session someone is blocked on never counts
-// as idle, no matter how long it runs.
+// as idle, no matter how long it runs — whether the client waits on the
+// session itself or on a fold rider whose result is that session's.
 func TestWaiterBlocksIdlePark(t *testing.T) {
-	db := openTPCHStore(t, 0.02, t.TempDir())
-	s := newServer(t, db, Config{Slots: 1, InstanceID: "idle-b", IdleSuspend: 30 * time.Millisecond})
-	sess, err := s.Submit(Request{TPCH: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if _, err := s.Wait(ctx, sess.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Metrics().Snapshot().Counters["server.idle_suspended"]; got != 0 {
-		t.Fatalf("waited-on session was idle-parked %d times", got)
+	for _, tc := range []struct {
+		name  string
+		opts  []riveter.Option
+		rider bool // wait on a rider folded onto the running session
+	}{
+		{name: "own"},
+		{name: "rider", opts: []riveter.Option{riveter.WithFold()}, rider: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openTPCHStore(t, 0.02, t.TempDir(), tc.opts...)
+			s := newServer(t, db, Config{Slots: 1, InstanceID: "idle-b", IdleSuspend: 5 * time.Millisecond})
+			// Hold the slot until the waiter is in place, so the session is
+			// watched from the moment it is dispatched.
+			release := holdSlots(s)
+			sess, err := s.Submit(Request{TPCH: 21})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waited := sess
+			if tc.rider {
+				if waited, err = s.Submit(Request{TPCH: 21}); err != nil {
+					t.Fatal(err)
+				}
+				if in, _ := s.Info(waited.ID()); in.FoldedInto != sess.ID() {
+					t.Fatalf("second Q21 folded_into = %q, want %q", in.FoldedInto, sess.ID())
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Wait(ctx, waited.ID())
+				done <- err
+			}()
+			waitCond(t, 10*time.Second, "the wait to be in place", func() bool { return waiters(s, waited) == 1 })
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Metrics().Snapshot().Counters["server.idle_suspended"]; got != 0 {
+				t.Fatalf("waited-on session was idle-parked %d times", got)
+			}
+		})
 	}
 }
 

@@ -17,10 +17,11 @@ var foldBenchQueries = []int{1, 3, 5, 6, 10, 12, 14, 19}
 const foldBenchDups = 4
 
 // burst serves the 32-session workload on a fresh server over db and
-// returns the wall-clock time to drain it.
-func burst(b *testing.B, db *riveter.DB, fold bool) time.Duration {
+// returns the wall-clock time to drain it. The server folds at admission
+// exactly when db was opened riveter.WithFold().
+func burst(b *testing.B, db *riveter.DB) time.Duration {
 	b.Helper()
-	srv, err := New(Config{DB: db, Slots: 4, Policy: FIFO{}, Fold: fold})
+	srv, err := New(Config{DB: db, Slots: 4, Policy: FIFO{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,8 +64,8 @@ func BenchmarkFoldBurst32(b *testing.B) {
 	var iso, fol time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iso += burst(b, plain, false)
-		fol += burst(b, folded, true)
+		iso += burst(b, plain)
+		fol += burst(b, folded)
 	}
 	if fol > 0 {
 		b.ReportMetric(iso.Seconds()/fol.Seconds(), "fold-speedup")
@@ -74,8 +75,7 @@ func BenchmarkFoldBurst32(b *testing.B) {
 // BenchmarkFoldSingleOverhead runs one session at a time, alternating
 // between a plain database and a fold-enabled one, and reports the lone
 // session's slowdown from the folding machinery (hub indirection, one
-// shared-window copy per morsel, fingerprint bookkeeping) as
-// single-overhead-pct: shared execution must cost a lone session next to
+// shared-window copy per morsel) as single-overhead-pct: shared execution must cost a lone session next to
 // nothing.
 func BenchmarkFoldSingleOverhead(b *testing.B) {
 	const sf = 0.01
@@ -94,9 +94,6 @@ func BenchmarkFoldSingleOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		// Start (not Run) keeps the subplan cache out of the measurement:
-		// this benchmark isolates the hub tax on a cold execution, and the
-		// suspendable path compiles shape-neutral, scans-only.
 		e, err := q.Start(ctx)
 		if err != nil {
 			b.Fatal(err)

@@ -12,8 +12,8 @@ import (
 	"github.com/riveterdb/riveter"
 )
 
-// openFoldTPCH opens a fold-enabled database (shared scans + subplan cache
-// underneath whole-plan folding).
+// openFoldTPCH opens a fold-enabled database: shared scans underneath, and
+// whole-plan folding at admission for any server over it.
 func openFoldTPCH(t testing.TB, sf float64) *riveter.DB {
 	t.Helper()
 	db := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(t.TempDir()),
@@ -46,7 +46,7 @@ func holdSlots(s *Server) (release func()) {
 // leader's result.
 func TestFoldDuplicateSubmissions(t *testing.T) {
 	db := openFoldTPCH(t, 0.005)
-	s := newServer(t, db, Config{Slots: 1, Policy: FIFO{}, Fold: true})
+	s := newServer(t, db, Config{Slots: 1, Policy: FIFO{}})
 
 	// Hold the only slot so the fold group forms while the leader is queued.
 	release := holdSlots(s)
@@ -141,7 +141,8 @@ func TestPlanCacheHitMiss(t *testing.T) {
 }
 
 // TestHTTPRawSQLBody: POST /query accepts a bare SQL statement as the
-// request body, not just the JSON envelope.
+// request body, not just the JSON envelope — and refuses a body over the
+// cap whole, rather than running whatever statement its first MiB spells.
 func TestHTTPRawSQLBody(t *testing.T) {
 	db := openTPCH(t, 0.005)
 	s := newServer(t, db, Config{Slots: 1, Policy: FIFO{}})
@@ -169,5 +170,21 @@ func TestHTTPRawSQLBody(t *testing.T) {
 	}
 	if res.NumRows() != 1 {
 		t.Fatalf("rows = %d", res.NumRows())
+	}
+
+	// The WHERE clause sits past the first MiB: truncating the body would
+	// submit the WHERE-less prefix, a valid statement with a different
+	// answer.
+	oversize := "SELECT count(*) AS n FROM region" + strings.Repeat(" ", 1<<20) + " WHERE r_regionkey < 0"
+	resp2, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(oversize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: status %d, want %d", resp2.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := len(s.Sessions()); n != 1 {
+		t.Errorf("%d sessions after the oversize body, want only the first", n)
 	}
 }

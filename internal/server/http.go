@@ -18,6 +18,10 @@ import (
 // maxHTTPRows caps the rows a single HTTP response materializes.
 const maxHTTPRows = 1000
 
+// maxQueryBody caps a POST /query body; a longer one is refused whole
+// (413), since a cut-short statement may still parse as a different one.
+const maxQueryBody = 1 << 20
+
 // MaxHold caps a held session read (?wait=<dur>): a longer hold is
 // clamped, and a client that wants to wait longer re-issues the read. A
 // constant, not a knob.
@@ -122,9 +126,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == "application/json" ||

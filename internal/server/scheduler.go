@@ -53,10 +53,10 @@ func (s *Server) schedule() {
 }
 
 // idleReaper is the scale-to-zero loop: every quarter window it scans the
-// running set for sessions nobody is watching — no Wait in flight, no
-// touch for at least IdleSuspend — and requests their suspension with the
-// idle-park flag set, so the landing suspension parks the session instead
-// of re-queueing it. Parked sessions hold no slot and run no workers; an
+// running set for sessions nobody is watching — no Wait in flight on them
+// or their fold riders, no touch for at least IdleSuspend — and requests
+// their suspension with the idle-park flag set, so the landing suspension
+// parks the session instead of re-queueing it. Parked sessions hold no slot and run no workers; an
 // instance whose sessions are all parked is at zero live executions.
 func (s *Server) idleReaper() {
 	defer s.wg.Done()
@@ -79,7 +79,7 @@ func (s *Server) idleReaper() {
 		}
 		now := time.Now()
 		for _, r := range s.running {
-			if r.exec == nil || r.suspendRequested || r.waiters > 0 {
+			if r.exec == nil || r.suspendRequested || r.watchedLocked() {
 				continue
 			}
 			// The idle clock starts at the later of dispatch and last touch:

@@ -56,7 +56,10 @@ var ErrClosed = errors.New("server: closed")
 // Config configures a Server.
 type Config struct {
 	// DB is the database the server serves. Required. Open it
-	// riveter.WithTracing() to get per-session traces on /traces.
+	// riveter.WithTracing() to get per-session traces on /traces, and
+	// riveter.WithFold() to fold at admission: a submission whose plan
+	// fingerprint matches a live session's rides it (no slot, no queue
+	// entry) and gets its result; if the leader fails, riders re-enqueue.
 	DB *riveter.DB
 	// Slots is the number of queries executing concurrently (default 1;
 	// each query additionally parallelizes over the DB's worker count).
@@ -94,14 +97,6 @@ type Config struct {
 	// riveter.WithBlobStore; defaults to a process-unique id. Instances
 	// sharing one store must use distinct ids.
 	InstanceID string
-	// Fold enables whole-plan folding at admission: a submission whose
-	// plan fingerprint matches a live session (queued, running, or
-	// suspended) attaches to it as a rider instead of executing — no slot,
-	// no queue entry — and receives the leader's result when it completes.
-	// If the leader fails, riders privatize: each re-enqueues as a
-	// standalone session. Combine with a DB opened riveter.WithFold() so
-	// non-identical plans still share scans and subplans underneath.
-	Fold bool
 	// PlanCacheSize bounds the prepared-plan LRU for SQL submissions
 	// (default 64 entries; negative disables caching).
 	PlanCacheSize int
@@ -199,7 +194,7 @@ type Server struct {
 	sessions map[string]*Session
 	byKey    map[string]*Session // client session keys -> sessions
 	// folds maps plan fingerprints to the live session new identical
-	// submissions fold onto (Config.Fold). Entries are removed when the
+	// submissions fold onto (DB.FoldEnabled). Entries are removed when the
 	// leader reaches a terminal state.
 	folds    map[uint64]*Session
 	queue    *sessionQueue
@@ -312,7 +307,8 @@ func (s *Server) Submit(req Request) (*Session, error) {
 			return prev, nil
 		}
 	}
-	if s.cfg.Fold {
+	fold := s.db.FoldEnabled()
+	if fold {
 		if sess := s.foldOntoLocked(q, display, req); sess != nil {
 			return sess, nil
 		}
@@ -323,7 +319,7 @@ func (s *Server) Submit(req Request) (*Session, error) {
 		return nil, aerr
 	}
 	sess := s.addSessionLocked("", req, q, display, est)
-	if s.cfg.Fold {
+	if fold {
 		// This session becomes the fold leader for its fingerprint: later
 		// identical submissions ride it until it reaches a terminal state.
 		s.folds[q.Fingerprint()] = sess
@@ -421,7 +417,8 @@ func (s *Server) foldOntoLocked(q *riveter.Query, display string, req Request) *
 
 // touchLocked records a client interaction with a session: the idle clock
 // restarts, a pending idle-park is converted back into a normal requeue,
-// and a parked session wakes into the dispatch queue.
+// and a parked session wakes into the dispatch queue. Touching a fold
+// rider touches its leader too: the leader's run is the rider's.
 func (s *Server) touchLocked(sess *Session) {
 	sess.lastTouch = time.Now()
 	sess.idlePark = false
@@ -431,6 +428,19 @@ func (s *Server) touchLocked(sess *Session) {
 		s.met.idleWoken.Inc()
 		s.enqueueLocked(sess)
 	}
+	if sess.foldedInto != nil {
+		s.touchLocked(sess.foldedInto)
+	}
+}
+
+// watchedLocked reports whether a client is blocked on the session or on
+// a rider folded onto it, so the idle reaper must leave it running.
+func (sess *Session) watchedLocked() bool {
+	n := sess.waiters
+	for _, r := range sess.riders {
+		n += r.waiters
+	}
+	return n > 0
 }
 
 // enqueueLocked adds a session to the dispatch queue and wakes the

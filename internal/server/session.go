@@ -147,7 +147,7 @@ type Session struct {
 	// the scheduler never double-suspends one execution.
 	suspendRequested bool
 
-	// Whole-plan folding linkage (Config.Fold). foldedInto points a rider
+	// Whole-plan folding linkage (DB.FoldEnabled). foldedInto points a rider
 	// at the leader whose result it receives; riders lists a leader's
 	// attached riders. A rider holds no slot and no queue entry; if its
 	// leader fails, the rider privatizes (foldedInto cleared, re-enqueued).

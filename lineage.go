@@ -23,7 +23,7 @@ import (
 // the caller degrades to a file or store point (the executor is still
 // quiesced with its state in memory).
 func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(false))
+	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +32,7 @@ func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execu
 	if err != nil {
 		return nil, err
 	}
-	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, opts), Log: lin}, false), nil
+	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, opts), Log: lin}), nil
 }
 
 // LineagePath returns the execution's lineage-log path ("" when the

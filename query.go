@@ -115,21 +115,15 @@ func (db *DB) Query(ctx context.Context, query string) (*Result, error) {
 	return q.Run(ctx)
 }
 
-// Run executes the query to completion. Run is the one non-suspendable
-// execution path, so it is also the one allowed to fold whole subtrees
-// onto the cross-session subplan cache (a cache hit changes the pipeline
-// shape, which a checkpointable execution must never let happen).
+// Run executes the query to completion on the calling goroutine. It
+// compiles exactly as Start does — with folding on, its scans ride the
+// shared hubs — but cannot be suspended.
 func (q *Query) Run(ctx context.Context) (*Result, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(true))
+	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
 	if err != nil {
 		return nil, err
 	}
-	ex := engine.NewExecutor(pp, engine.Options{Workers: q.db.workers, Live: &q.db.live, Obs: q.db.obsFor(nil)})
-	res, err := ex.Run(ctx)
-	if err == nil {
-		q.db.publishShared(pp)
-	}
-	return res, err
+	return engine.NewExecutor(pp, q.db.execOpts(q.db.obsFor(nil))).Run(ctx)
 }
 
 // Execution is an in-flight query that can be suspended.
@@ -149,28 +143,20 @@ type Execution struct {
 // execOpts assembles the executor options every start and resume path of
 // this DB shares.
 func (db *DB) execOpts(o obs.Context) engine.Options {
-	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o, Compile: db.compileOpts(false)}
+	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o, Compile: db.compile}
 }
 
 // launch runs an executor (with its lineage log, if any) asynchronously.
-// publish makes a clean completion record the plan's materialized subplans
-// for later sessions to fold onto.
-func (q *Query) launch(ctx context.Context, run strategy.Run, publish bool) *Execution {
+func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
 	e := &Execution{q: q, ex: run.Ex, lin: run.Log, done: make(chan struct{})}
 	go func() {
 		defer close(e.done)
 		e.res, e.err = e.ex.Run(ctx)
-		if e.err != nil {
-			return
-		}
-		if e.lin != nil {
+		if e.err == nil && e.lin != nil {
 			// Clean completion: the log is history, not recovery state.
 			// Close it without a seal; the caller discards it when done
 			// inspecting.
 			e.lin.Close()
-		}
-		if publish {
-			q.db.publishShared(e.ex.Plan())
 		}
 	}()
 	return e
@@ -178,11 +164,9 @@ func (q *Query) launch(ctx context.Context, run strategy.Run, publish bool) *Exe
 
 // Start launches the query asynchronously. With folding enabled the
 // compile attaches every base-table scan to its shared hub (scan sharing
-// is shape-neutral, so the execution stays fully checkpointable), and a
-// clean completion publishes the plan's materialized subplans for later
-// sessions to fold onto.
+// is shape-neutral, so the execution stays fully checkpointable).
 func (q *Query) Start(ctx context.Context) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(false))
+	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +174,7 @@ func (q *Query) Start(ctx context.Context) (*Execution, error) {
 	if q.db.foldM != nil && o.Trace != nil {
 		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", pp.Fingerprint))
 	}
-	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, q.db.execOpts(o))}, true), nil
+	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, q.db.execOpts(o))}), nil
 }
 
 // Suspend requests a suspension: PipelineLevel takes effect at the next
@@ -265,5 +249,5 @@ func (e *Execution) ResumeInPlace(ctx context.Context) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.launch(ctx, strategy.Run{Ex: ex}, false), nil
+	return q.launch(ctx, strategy.Run{Ex: ex}), nil
 }

@@ -75,7 +75,7 @@ func (q *Query) StartFrom(ctx context.Context, rp ResumePoint, after *Execution)
 }
 
 func (q *Query) startFrom(ctx context.Context, rp ResumePoint, after *Execution, cfg LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compileOpts(false))
+	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func (q *Query) startFrom(ctx context.Context, rp ResumePoint, after *Execution,
 		// A restored rider re-attaches to its scan hubs.
 		o.Trace.Event(obs.EvFoldRejoin, obs.A("fingerprint", plan.Fingerprint(q.node)))
 	}
-	return q.launch(ctx, run, false), nil
+	return q.launch(ctx, run), nil
 }
 
 // Verify walks rp end to end — framing, checksums, every store chunk —

@@ -100,12 +100,13 @@ type DB struct {
 	seam strategy.Seam
 
 	// Shared-execution state (WithFold): foldM registers one scan hub per
-	// (table, column-set) and rides every base-table scan on it; subplans
-	// caches materialized subplan results across sessions; foldProf is the
-	// cost model's view of detach/rejoin pricing.
+	// (table, column-set) and rides every base-table scan on it; foldProf
+	// is the cost model's view of detach/rejoin pricing. compile carries
+	// foldM as ScanShare into every compile — run, start and restore alike
+	// — which is shape-neutral, so all lower a plan to the same pipelines.
 	foldM    *fold.Manager
-	subplans *fold.SubplanCache
 	foldProf costmodel.FoldProfile
+	compile  engine.CompileOptions
 
 	// live counts in-flight executions across every start/resume path; the
 	// fold manager's hubs consult it to skip shared-window maintenance
@@ -168,15 +169,14 @@ func WithBlobStore(cfg StoreConfig) Option {
 	return func(db *DB) { db.storeCfg = &cfg }
 }
 
-// WithFold enables shared execution: every base-table scan rides a shared
-// per-(table, column-set) morsel stream (one hub per group, any number of
-// concurrent sessions), and completed executions publish their
-// materialized subplan results into a fingerprint-keyed cache that later
-// identical subplans fold onto. Results are byte-identical with and
-// without folding; suspension keeps working unchanged (a suspended rider's
-// cursor is already in the checkpoint — on resume it rejoins its hub
-// mid-stream, catching up the morsels it missed with direct reads, or
-// falls back to a private scan when resumed on a non-folding instance).
+// WithFold enables shared execution, the one switch for both of its forms:
+// every base-table scan rides a shared per-(table, column-set) morsel
+// stream, and a server over this DB folds a submission onto a live
+// session with an equal plan at admission. Only live executions share;
+// nothing is cached across sessions. Results and pipeline shapes are
+// identical with and without folding; a suspended rider's cursor is
+// already in the checkpoint, so on resume it rejoins its hub mid-stream
+// or, on a non-folding instance, falls back to a private scan.
 func WithFold() Option {
 	return func(db *DB) { db.foldProf = costmodel.DefaultFoldProfile() }
 }
@@ -224,7 +224,7 @@ func Open(opts ...Option) *DB {
 	db.seam = strategy.Seam{FS: db.fsys, Store: db.store, LineagePath: db.NewLineagePath}
 	if db.foldProf.Enabled() {
 		db.foldM = fold.NewManager(db.metrics, &db.live)
-		db.subplans = fold.NewSubplanCache(0, db.metrics)
+		db.compile.ScanShare = db.foldM
 		db.foldProf.Publish(db.metrics)
 	}
 	db.io.Publish(db.metrics)
@@ -287,33 +287,6 @@ func (db *DB) FoldEnabled() bool { return db.foldM != nil }
 // FoldProfile returns the fold cost terms Algorithm 1 prices detached
 // riders with (the zero profile when folding is off).
 func (db *DB) FoldProfile() costmodel.FoldProfile { return db.foldProf }
-
-// compileOpts assembles the plan-lowering options for one compile.
-// Shape-neutral scan sharing applies everywhere folding is on; the
-// shape-changing subplan-cache lookup only where the caller says the
-// execution can never be checkpointed (restores revalidate pipeline
-// counts, so checkpoint shape must not depend on cache state).
-func (db *DB) compileOpts(subplanLookup bool) engine.CompileOptions {
-	opts := engine.CompileOptions{}
-	if db.foldM != nil {
-		opts.ScanShare = db.foldM
-		if subplanLookup {
-			opts.Subplans = db.subplans
-		}
-	}
-	return opts
-}
-
-// publishShared records a completed plan's materialized subplan results
-// into the cross-session cache.
-func (db *DB) publishShared(pp *engine.PhysicalPlan) {
-	if db.subplans == nil {
-		return
-	}
-	for _, sh := range pp.Shared {
-		db.subplans.Publish(sh.Fingerprint, sh.Sink.Buffer(), sh.Types)
-	}
-}
 
 // FS returns the filesystem checkpoint I/O goes through.
 func (db *DB) FS() faultfs.FS { return db.fsys }

@@ -7,9 +7,12 @@
 # resume to completion. Finally, migrate across instances: instance A
 # suspends a burst into a shared blob store on SIGTERM, and instance B
 # (a different -instance id sharing only -store) claims and finishes the
-# same sessions. Exercises the whole serving stack — admission, priority
-# scheduling, preemption, graceful shutdown, crash-safe state restore,
-# cross-instance migration, and the HTTP API — in a few seconds.
+# same sessions. Last, shared execution: on a -fold instance, four
+# identical queries queued behind a long one fold onto one execution and
+# return identical rows. Exercises the whole serving stack — admission,
+# priority scheduling, preemption, graceful shutdown, crash-safe state
+# restore, cross-instance migration, folding, and the HTTP API — in a few
+# seconds.
 # Requires curl.
 set -eu
 
@@ -219,5 +222,38 @@ curl -fsS "$BASE/metrics" | grep -q '"server.migrated": [1-9]' || {
     curl -fsS "$BASE/metrics?format=text" >&2 || true
     exit 1
 }
+
+echo "== shared execution: booting a -fold instance (FIFO, one slot)"
+stop_server TERM
+"$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 -policy fifo -fold \
+    -ckdir "$WORK/ckpt-fold" &
+PID=$!
+wait_healthy "fold"
+
+echo "== Q21 holds the slot; four identical Q6 (wait=true, concurrent) fold onto one"
+curl -fsS "$BASE/query" -d '{"tpch":21}' >/dev/null
+CURL_PIDS=""
+n=0
+while [ "$n" -lt 4 ]; do
+    curl -fsS "$BASE/query" -d '{"tpch":6,"wait":true}' >"$WORK/fold-$n.json" &
+    CURL_PIDS="$CURL_PIDS $!"
+    n=$((n + 1))
+done
+for p in $CURL_PIDS; do
+    wait "$p" || { echo "folded query request failed" >&2; exit 1; }
+done
+curl -fsS "$BASE/metrics" | grep -q '"server.folded": 3' || {
+    echo "precondition failed (shared execution): fewer than 3 of the four Q6 folded — the Q21 at" \
+        "SF $LOAD_SF finished before they all arrived; raise LOAD_SF until the long query is reliably mid-run" >&2
+    curl -fsS "$BASE/metrics?format=text" | grep 'server.folded' >&2 || true
+    exit 1
+}
+FIRST=""
+for f in "$WORK"/fold-*.json; do
+    ROWS=$(tr -d '\n ' <"$f" | sed -n 's/.*"rows":\(\[\[.*\]\]\),"num_rows".*/\1/p')
+    [ -n "$ROWS" ] || { echo "folded query returned no rows: $(cat "$f")" >&2; exit 1; }
+    [ -z "$FIRST" ] && FIRST="$ROWS"
+    [ "$ROWS" = "$FIRST" ] || { echo "folded results differ: $ROWS vs $FIRST" >&2; exit 1; }
+done
 
 echo "serve_smoke.sh OK"
