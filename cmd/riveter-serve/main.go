@@ -7,7 +7,7 @@
 //	riveter-serve -sf 0.01                       # generate data, listen on :8080
 //	riveter-serve -data ./snapshot -addr :9000   # serve a tpchgen snapshot
 //	riveter-serve -policy fifo                   # baseline scheduling, no preemption
-//	riveter-serve -preempt lineage               # write-ahead-lineage preemption
+//	riveter-serve -preempt lineage               # persist suspensions as write-ahead-lineage seals
 //
 //	curl -s localhost:8080/query -d '{"sql":"SELECT count(*) FROM orders","wait":true}'
 //	curl -s localhost:8080/query -d '{"tpch":21,"priority":"batch"}'
@@ -16,9 +16,9 @@
 //	curl -s localhost:8080/metrics?format=text
 //
 // SIGINT/SIGTERM shut down gracefully: running queries are suspended at
-// their next pipeline breaker and checkpointed, and a state manifest is
-// written so the next riveter-serve on the same checkpoint directory
-// resumes them.
+// their next pipeline breaker and checkpointed, so are preempted ones held
+// in memory, and a state manifest is written so the next riveter-serve on
+// the same checkpoint directory resumes them.
 //
 // With -store, checkpoints go to a content-addressed blob store instead
 // of local files, and the shutdown state document lands in the store
@@ -58,7 +58,7 @@ func main() {
 		queueLimit   = flag.Int("queue", 64, "max queued sessions (0 = unbounded)")
 		memBudget    = flag.Int64("mem", 0, "admission memory budget in bytes (0 = unlimited)")
 		policyName   = flag.String("policy", "suspend", "scheduling policy: suspend or fifo")
-		preemptLevel = flag.String("preempt", "pipeline", "preemption suspension strategy: pipeline, process, or lineage")
+		preemptLevel = flag.String("preempt", "pipeline", "what a persisted suspension (idle park, shutdown, drain) writes: pipeline, process, or lineage; a preemption is held in memory and writes nothing")
 		ckdir        = flag.String("ckdir", "", "checkpoint directory (default: a fresh temp dir)")
 		drainTimeout = flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 		storeDir     = flag.String("store", "", "checkpoint blob-store directory; instances sharing it migrate suspended queries between each other")

@@ -4,10 +4,10 @@
 // A long-running analytic query saturates the node while short dashboard
 // queries queue behind it. Under the FIFO baseline the shorts wait for the
 // long query to finish; under the suspension-aware policy the scheduler
-// preempts the long query at a pipeline breaker (checkpointing it), drains
-// the shorts, and resumes the long query from its checkpoint — turning one
-// long-running query into a sequence of short-running pieces, with no
-// hand-rolled suspend/drain/resume loop in sight.
+// preempts the long query at its next morsel boundary (holding it in
+// memory), drains the shorts, and continues the long query in place —
+// turning one long-running query into a sequence of short-running pieces,
+// with no hand-rolled suspend/drain/resume loop in sight.
 package main
 
 import (
@@ -78,7 +78,7 @@ func main() {
 		fmt.Printf("  short query %d completes %v after arrival\n", i+1, d.Round(time.Millisecond))
 	}
 
-	fmt.Println("\nsuspension-aware policy (long query preempted at a breaker):")
+	fmt.Println("\nsuspension-aware policy (long query preempted and held in memory):")
 	pre, longInfo, err := runWorkload(db, server.SuspensionAware{})
 	if err != nil {
 		log.Fatal(err)
@@ -91,5 +91,5 @@ func main() {
 
 	fmt.Printf("\nshort-query latency drops from the long query's full runtime to the\n")
 	fmt.Printf("suspension lag plus their own execution — the long query only pays\n")
-	fmt.Printf("checkpoint+resume cycles.\n")
+	fmt.Printf("quiesce+continue cycles.\n")
 }

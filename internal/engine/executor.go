@@ -311,12 +311,14 @@ func (ex *Executor) AutoSuspendFiredAt() time.Time {
 	return time.Unix(0, n)
 }
 
-// ClearSuspension discards a process-level suspension capture and lets Run
-// continue the query in place (the in-flight pipelines' locals and morsel
-// cursors are retained). It turns a suspension barrier into a quiesce point:
-// Riveter uses it to run the cost model against a consistent executor state
-// and then keep going when the chosen strategy is not an immediate
-// process-level suspension.
+// ClearSuspension discards a suspension capture and lets Run continue the
+// query in place. After a process-level capture the in-flight pipelines'
+// locals and morsel cursors are retained and relaunch where they stopped;
+// after a pipeline-level one the finalized pipelines stay done and the
+// unfinished ones start over (their discarded locals were never combined
+// into a sink). It turns a suspension barrier into a quiesce point: Riveter
+// uses it to run the cost model against a consistent executor state and
+// then keep going, and a server to hold a preempted victim in memory.
 func (ex *Executor) ClearSuspension() {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()

@@ -106,9 +106,10 @@ const (
 	// MetricServerSessionDuration histograms submission-to-completion
 	// latency of successful sessions.
 	MetricServerSessionDuration = "server.session.duration"
-	// MetricServerPreemptAbandoned counts preemptions abandoned because no
-	// checkpoint could be persisted at any level; the victim resumed in
-	// place with its work preserved.
+	// MetricServerPreemptAbandoned counts persisted suspensions (idle parks,
+	// suspensions landing at shutdown) abandoned because no resume point
+	// could be persisted at any level; the victim resumed in place with its
+	// work preserved. A preemption is held in memory and never abandoned.
 	MetricServerPreemptAbandoned = "server.preempt_abandoned"
 
 	// MetricCheckpointSweepFailed counts startup-sweep entries (orphaned

@@ -51,12 +51,12 @@ const (
 	// EvCheckpointQuarantined records a torn or corrupt checkpoint renamed
 	// aside at restore time. Attrs: path, error.
 	EvCheckpointQuarantined = "checkpoint.quarantined"
-	// EvResumeInPlace records a suspended executor relaunched from its
-	// in-memory state because no checkpoint could be persisted.
-	// Attrs: kind, state_bytes.
+	// EvResumeInPlace records a suspended executor continuing from its
+	// in-memory state: a held preemption dispatched again, or a suspension
+	// abandoned because no resume point could be persisted. Attrs: kind.
 	EvResumeInPlace = "resume.in_place"
-	// EvPreemptAbandoned records a preemption given up after the whole
-	// degradation ladder failed; the victim kept its slot.
+	// EvPreemptAbandoned records a persisted suspension given up after the
+	// whole degradation ladder failed; the victim kept its slot.
 	// Attrs: query, error.
 	EvPreemptAbandoned = "preempt.abandoned"
 	// EvChunkPut records one chunk of a store-backed checkpoint write.

@@ -29,71 +29,45 @@ func openTPCHFS(t testing.TB, sf float64) (*riveter.DB, *faultfs.Injector) {
 	return db, inj
 }
 
-// submitLongThenShort arms the classic preemption workload: a long batch
-// query holding the slot, then an interactive arrival that forces the
-// scheduler to preempt. Skips if the long query finished before holding
-// the slot.
-func submitLongThenShort(t *testing.T, s *Server) (long, short *Session) {
-	t.Helper()
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		in, _ := s.Info(long.ID())
-		if in.State == StateRunning {
-			break
-		}
-		if in.State == StateDone || time.Now().After(deadline) {
-			t.Skipf("timing: long query did not hold the slot (state=%s)", in.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	short, err = s.Submit(Request{SQL: "SELECT count(*) AS n FROM orders", Priority: Interactive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return long, short
-}
-
 // TestPreemptionRetriesTransientFault: two transient write failures on the
-// preemption checkpoint are absorbed by the retry policy; the preempted
-// query still resumes to a byte-identical result.
+// checkpoint a preempted victim is persisted to at shutdown are absorbed
+// by the retry policy; the victim still resumes on restart to a
+// byte-identical result.
 func TestPreemptionRetriesTransientFault(t *testing.T) {
-	db, inj := openTPCHFS(t, 0.02)
+	stall := newStallFS(false)
+	inj := faultfs.New(stall)
+	db := openStallTPCH(t, inj)
 	want := cleanRun(t, db)
 
 	// Fail the first two state-payload writes of any session checkpoint.
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpWrite, PathSubstr: "session-", Nth: 1, Count: 2})
-	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}})
-	long, short := submitLongThenShort(t, s)
-
-	ctx := context.Background()
-	if _, err := s.Wait(ctx, short.ID()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Wait(ctx, long.ID())
+	s, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("retried-checkpoint result differs from clean run")
+	long, _, _ := heldVictim(t, s, stall, riveter.PipelineLevel)
+	if err := shutdownWhile(t, s, stall, false); err != nil {
+		t.Fatal(err)
 	}
-	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
+	if in, _ := s.Info(long.ID()); in.Checkpoint == "" {
+		t.Fatalf("held victim not checkpointed at shutdown: %+v", in)
 	}
 	if got := db.Metrics().Snapshot().Counters["checkpoint.retry"]; got < 1 {
 		t.Errorf("checkpoint.retry = %d, want >= 1", got)
 	}
+	if res := restartAndWait(t, db, long.ID()); res.SortedKey() != want.SortedKey() {
+		t.Error("retried-checkpoint result differs from clean run")
+	}
 }
 
 // TestPreemptionFallsBackToPipeline: when every attempt at the process-
-// level image fails, the persist degrades to a pipeline-kind checkpoint
-// (no padding) and the query still resumes to an identical result.
+// level image of a preempted victim persisted at shutdown fails, the
+// persist degrades to a pipeline-kind checkpoint (no padding) and the
+// query still resumes on restart to an identical result.
 func TestPreemptionFallsBackToPipeline(t *testing.T) {
-	db, inj := openTPCHFS(t, 0.02)
+	stall := newStallFS(false)
+	inj := faultfs.New(stall)
+	db := openStallTPCH(t, inj)
 	want := cleanRun(t, db)
 
 	retry := riveter.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
@@ -101,39 +75,44 @@ func TestPreemptionFallsBackToPipeline(t *testing.T) {
 	// attempts: the process-level write exhausts its retries, the pipeline
 	// fallback's first sync succeeds.
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpSync, PathSubstr: "session-", Count: retry.Attempts})
-	s := newServer(t, db, Config{
+	s, err := New(Config{
+		DB:              db,
 		Slots:           1,
 		Policy:          SuspensionAware{},
-		PreemptLevel:    riveter.ProcessLevel,
+		PreemptLevel:    riveter.LineageLevel,
 		CheckpointRetry: retry,
 	})
-	long, short := submitLongThenShort(t, s)
-
-	ctx := context.Background()
-	if _, err := s.Wait(ctx, short.ID()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Wait(ctx, long.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("fallback-checkpoint result differs from clean run")
+	long, _, _ := heldVictim(t, s, stall, riveter.ProcessLevel)
+	if err := shutdownWhile(t, s, stall, false); err != nil {
+		t.Fatal(err)
 	}
 	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
+	m, err := checkpoint.VerifyFS(db.FS(), in.Checkpoint)
+	if err != nil {
+		t.Fatalf("held victim's checkpoint %q: %v", in.Checkpoint, err)
+	}
+	if m.Kind != "pipeline" || m.PaddingBytes != 0 {
+		t.Errorf("fallback checkpoint kind %q with %d padding bytes, want an unpadded pipeline image", m.Kind, m.PaddingBytes)
 	}
 	if got := db.Metrics().Snapshot().Counters["checkpoint.fallback"]; got < 1 {
 		t.Errorf("checkpoint.fallback = %d, want >= 1", got)
 	}
+	if res := restartAndWait(t, db, long.ID()); res.SortedKey() != want.SortedKey() {
+		t.Error("fallback-checkpoint result differs from clean run")
+	}
 }
 
 // TestPreemptionAbandonedOnTotalFailure: with the checkpoint device fully
-// broken, the preemption is abandoned and the victim resumes in place —
-// its work is preserved and both queries complete correctly.
+// broken, a suspension that has to be persisted — here an idle park — is
+// abandoned and the victim resumes in place: its work is preserved and it
+// completes correctly.
 func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
-	db, inj := openTPCHFS(t, 0.02)
+	stall := newStallFS(false)
+	inj := faultfs.New(stall)
+	db := openStallTPCH(t, inj)
 	want := cleanRun(t, db)
 
 	// Every create of a session checkpoint fails, persistently.
@@ -141,26 +120,28 @@ func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 	s := newServer(t, db, Config{
 		Slots:           1,
 		Policy:          SuspensionAware{},
+		PreemptLevel:    riveter.LineageLevel,
+		IdleSuspend:     5 * time.Millisecond,
 		CheckpointRetry: riveter.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		AbandonCooldown: 50 * time.Millisecond,
 	})
-	long, short := submitLongThenShort(t, s)
+	long := stalledVictim(t, s, stall, riveter.ProcessLevel)
+	waitCond(t, 30*time.Second, "the idle park", func() bool {
+		return peek(s, func() bool { return long.idlePark && long.suspendRequested })
+	})
+	stall.release()
+	waitCond(t, 30*time.Second, "the abandoned park", func() bool {
+		return peek(s, func() bool { return long.abandoned > 0 })
+	})
 
-	ctx := context.Background()
-	res, err := s.Wait(ctx, long.ID())
+	res, err := s.Wait(context.Background(), long.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SortedKey() != want.SortedKey() {
-		t.Error("abandoned-preemption result differs from clean run")
-	}
-	if _, err := s.Wait(ctx, short.ID()); err != nil {
-		t.Fatal(err)
+		t.Error("abandoned-park result differs from clean run")
 	}
 	in, _ := s.Info(long.ID())
-	if in.Abandoned == 0 {
-		t.Skip("timing: long query finished before any preemption was attempted")
-	}
 	if got := db.Metrics().Snapshot().Counters["server.preempt_abandoned"]; got < 1 {
 		t.Errorf("server.preempt_abandoned = %d, want >= 1", got)
 	}
@@ -169,30 +150,37 @@ func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 	}
 }
 
+// restartAndWait starts a fresh server over db — it restores what the last
+// one's shutdown left in the state manifest — and waits for session id.
+func restartAndWait(t *testing.T, db *riveter.DB, id string) *riveter.Result {
+	t.Helper()
+	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}})
+	res, err := s.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestRestartQuarantinesTornCheckpoint: a checkpoint torn between shutdown
 // and restart is quarantined (not fatal) and its session reruns from
 // scratch to the correct result.
 func TestRestartQuarantinesTornCheckpoint(t *testing.T) {
-	db := openTPCH(t, 0.02)
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
 	want := cleanRun(t, db)
 
-	s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}})
+	s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := s1.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
+	long := stalledVictim(t, s1, stall, riveter.PipelineLevel)
+	if err := shutdownWhile(t, s1, stall, false); err != nil {
 		t.Fatal(err)
 	}
 	in, _ := s1.Info(long.ID())
 	if in.State != StateSuspended || in.Checkpoint == "" {
-		t.Skipf("timing: no suspended checkpoint to tear (state=%s)", in.State)
+		t.Fatalf("after shutdown: state=%s checkpoint=%q", in.State, in.Checkpoint)
 	}
 
 	// Tear the checkpoint: keep the header, drop the tail.
@@ -263,11 +251,14 @@ func TestStartupSweepsAndQuarantines(t *testing.T) {
 // write cannot hold Shutdown past its context deadline — the server
 // context aborts the retry backoffs.
 func TestShutdownBoundedWithFailingDisk(t *testing.T) {
-	db, inj := openTPCHFS(t, 0.02)
+	stall := newStallFS(false)
+	inj := faultfs.New(stall)
+	db := openStallTPCH(t, inj)
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "session-"})
 	s, err := New(Config{
-		DB:    db,
-		Slots: 1,
+		DB:           db,
+		Slots:        1,
+		PreemptLevel: riveter.LineageLevel,
 		CheckpointRetry: riveter.RetryPolicy{
 			Attempts:  1000,
 			BaseDelay: time.Second,
@@ -277,26 +268,18 @@ func TestShutdownBoundedWithFailingDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		in, _ := s.Info(long.ID())
-		if in.State == StateRunning {
-			break
-		}
-		if in.State == StateDone || time.Now().After(deadline) {
-			t.Skipf("timing: long query did not hold the slot (state=%s)", in.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	stalledVictim(t, s, stall, riveter.ProcessLevel)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	serr := s.Shutdown(ctx)
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(ctx) }()
+	waitCond(t, 30*time.Second, "shutdown to begin", func() bool {
+		return peek(s, func() bool { return s.stopping })
+	})
+	stall.release()
+	serr := <-done
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("shutdown took %v with a failing disk; retry backoff not cancelled", elapsed)
 	}

@@ -3,13 +3,10 @@ package server
 import (
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/riveterdb/riveter"
-	"github.com/riveterdb/riveter/internal/faultfs"
 )
 
 // waitCond polls f until it reports true or the deadline passes.
@@ -84,20 +81,22 @@ func TestKeyedSubmitIdempotent(t *testing.T) {
 // client touch wakes it and the query completes correctly.
 func TestIdleParkAndWake(t *testing.T) {
 	storeDir := t.TempDir()
-	db := openTPCHStore(t, 0.02, storeDir)
+	stall := newStallFS(false)
+	db := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
 	want := runTPCH(t, db, 21)
 
-	// The idle window must be much shorter than the query's runtime
-	// (~200ms at this scale factor) or the query can legitimately finish
-	// before it is ever idle long enough to park.
-	s := newServer(t, db, Config{Slots: 1, InstanceID: "idle-a", IdleSuspend: 5 * time.Millisecond})
-	sess, err := s.Submit(Request{TPCH: 21, Key: "park-me"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The query is held mid-run in its first breaker seal until the reaper
+	// has asked it to park, so it cannot finish before it is ever idle long
+	// enough to park. The park itself persists at the default level.
+	s := newServer(t, db, Config{Slots: 1, InstanceID: "idle-a", IdleSuspend: 5 * time.Millisecond, PreemptLevel: riveter.LineageLevel})
+	sess := stalledVictim(t, s, stall, riveter.PipelineLevel)
 
 	// No Wait, no Info: the session is unwatched and must park. Health
 	// polling deliberately does not count as a touch.
+	waitCond(t, 30*time.Second, "the idle park request", func() bool {
+		return peek(s, func() bool { return sess.idlePark && sess.suspendRequested })
+	})
+	stall.release()
 	waitCond(t, 30*time.Second, "session to park", func() bool {
 		h := s.Health()
 		return h.Running == 0 && h.Queued == 0 && h.Suspended == 0 && h.Parked == 1
@@ -212,7 +211,8 @@ func TestAdoptFromStoreRuntime(t *testing.T) {
 	// shared store with its state document. The victim logs lineage onto a
 	// filesystem that stalls the query's first breaker seal, so the query
 	// is mid-execution when the shutdown asks it to suspend.
-	stall := newStallFS()
+	stall := newStallFS(true)
+	t.Cleanup(stall.release)
 	dbA := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
 	a, err := New(Config{DB: dbA, Slots: 1, InstanceID: "adopt-a", PreemptLevel: riveter.LineageLevel})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestAdoptFromStoreRuntime(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(stall.release)
+	stall.release()
 	if err := <-shut; err != nil {
 		t.Fatal(err)
 	}
@@ -275,45 +275,4 @@ func TestAdoptFromStoreRuntime(t *testing.T) {
 	if n, err := b.AdoptFromStore(); err != nil || n != 0 {
 		t.Fatalf("second adopt = %d, %v", n, err)
 	}
-}
-
-// stallFS passes everything through to the real filesystem except the
-// second fsync of each lineage log (.rvlg): the seal of the query's first
-// pipeline breaker. That fsync blocks until release is closed and then
-// fails, so a query started with a lineage log on this filesystem is
-// mid-execution until the test lets go — by construction, not by timing.
-type stallFS struct {
-	faultfs.FS
-	stalled chan struct{} // closed when the first seal blocks
-	release chan struct{}
-	once    sync.Once
-}
-
-func newStallFS() *stallFS {
-	return &stallFS{FS: faultfs.OS, stalled: make(chan struct{}), release: make(chan struct{})}
-}
-
-func (s *stallFS) Create(path string) (faultfs.File, error) {
-	f, err := s.FS.Create(path)
-	if err != nil || !strings.HasSuffix(path, ".rvlg") {
-		return f, err
-	}
-	return &stallFile{File: f, fs: s}, nil
-}
-
-// stallFile counts a lineage log's fsyncs; the log calls Sync under its own
-// mutex, so the count needs no lock of its own.
-type stallFile struct {
-	faultfs.File
-	fs    *stallFS
-	syncs int
-}
-
-func (f *stallFile) Sync() error {
-	if f.syncs++; f.syncs < 2 {
-		return f.File.Sync()
-	}
-	f.fs.once.Do(func() { close(f.fs.stalled) })
-	<-f.fs.release
-	return errors.New("stallFS: seal released")
 }

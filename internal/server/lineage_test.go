@@ -7,45 +7,34 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/checkpoint"
-	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// The serving layer under lineage-level preemption: a preemption seals the
-// victim's write-ahead lineage log instead of writing a checkpoint, the
-// resume replays the log, a failing log degrades to the checkpoint ladder,
-// and restart/restore treats a sealed log like any other resume point —
-// verified before dispatch, quarantined when unusable.
+// The serving layer under lineage-level preemption: a preempted victim is
+// held in memory with its write-ahead lineage log still attached; a
+// suspension that must be persisted seals the log instead of writing a
+// checkpoint, the resume replays it, a failing log degrades to the
+// checkpoint ladder, and restart/restore treats a sealed log like any
+// other resume point — verified before dispatch, quarantined when
+// unusable.
 
 // TestLineagePreemption is the lineage counterpart of TestPreemption: an
-// interactive arrival preempts a running batch query by sealing its lineage
-// log; the batch query replays the log to the correct result.
+// interactive arrival preempts a running lineage-logged batch query, which
+// is held with its log attached and continues in place to the correct
+// result, leaving no log behind once it is done.
 func TestLineagePreemption(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
 
 	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	short, err := s.Submit(Request{SQL: "SELECT count(*) AS n FROM orders", Priority: Interactive})
-	if err != nil {
-		t.Fatal(err)
-	}
+	long := stalledVictim(t, s, stall, riveter.LineageLevel)
+	short := preemptVictim(t, s, long)
+	stall.release()
 	ctx := context.Background()
 	if _, err := s.Wait(ctx, short.ID()); err != nil {
 		t.Fatal(err)
@@ -57,12 +46,11 @@ func TestLineagePreemption(t *testing.T) {
 	if res.SortedKey() != want.SortedKey() {
 		t.Error("lineage-preempted result differs from clean run")
 	}
-	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
+	if in, _ := s.Info(long.ID()); in.Preemptions == 0 {
+		t.Error("the long query was never preempted")
 	}
 	snap := db.Metrics().Snapshot()
-	// At least the preemption seal plus each log's creation seal.
+	// The log kept logging through the hold: its breaker seals count.
 	if got := snap.Counters["lineage.seals"]; got < 1 {
 		t.Errorf("lineage.seals = %d, want >= 1", got)
 	}
@@ -77,100 +65,71 @@ func TestLineagePreemption(t *testing.T) {
 }
 
 // TestLineagePreemptionFallback breaks the lineage log's device mid-run:
-// log writes fail (never the query), the preemption's seal fails, and the
-// server degrades to the checkpoint ladder — the session still finishes
-// with the correct result.
+// the log's seal fails (never the query), so when shutdown has to persist
+// the query the server degrades to the checkpoint ladder — and the session
+// still finishes on restart with the correct result.
 func TestLineagePreemptionFallback(t *testing.T) {
-	inj := faultfs.New(nil)
-	// Writes to lineage logs fail from the 5th on (creation survives);
-	// checkpoint and data paths are untouched.
-	inj.AddFault(faultfs.Fault{Op: faultfs.OpWrite, PathSubstr: ".rvlg", Nth: 5})
-	db := riveter.Open(
-		riveter.WithWorkers(2),
-		riveter.WithCheckpointDir(t.TempDir()),
-		riveter.WithFS(inj),
-		riveter.WithTracing(),
-	)
-	if err := db.GenerateTPCH(0.02); err != nil {
-		t.Fatal(err)
-	}
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := newStallFS(true)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
 
-	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
+	s, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	short, err := s.Submit(Request{SQL: "SELECT count(*) AS n FROM orders", Priority: Interactive})
-	if err != nil {
+	long := stalledVictim(t, s, stall, riveter.LineageLevel)
+	if err := shutdownWhile(t, s, stall, false); err != nil {
 		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := s.Wait(ctx, short.ID()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Wait(ctx, long.ID())
-	if err != nil {
-		t.Fatalf("log faults must not fail the session: %v", err)
-	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("degraded-preemption result differs from clean run")
 	}
 	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
+	if in.State != StateSuspended || in.Checkpoint == "" || in.Lineage != "" {
+		t.Fatalf("after shutdown: state=%s resume point=%+v, want a checkpoint", in.State, in.resumeWire)
 	}
 	if got := db.Metrics().Snapshot().Counters["checkpoint.fallback"]; got < 1 {
 		t.Errorf("checkpoint.fallback = %d, want >= 1 (seal failure must degrade)", got)
 	}
+	s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
+	res, err := s2.Wait(context.Background(), long.ID())
+	if err != nil {
+		t.Fatalf("log faults must not fail the session: %v", err)
+	}
+	if res.SortedKey() != want.SortedKey() {
+		t.Error("degraded-suspension result differs from clean run")
+	}
 }
 
-// TestLineageShutdownResume checks the restart protocol in lineage mode:
-// graceful shutdown seals the in-flight query's log, the state manifest
-// records it, and a fresh server replays it to an identical result.
-func TestLineageShutdownResume(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// lineageShutdown runs TPC-H 21 on a lineage-level server over db and shuts
+// the server down while the query is mid-run, returning the session's
+// snapshot: suspended, its resume point the sealed log.
+func lineageShutdown(t *testing.T, db *riveter.DB, stall *stallFS) Info {
+	t.Helper()
 	s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := s1.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
+	long := stalledVictim(t, s1, stall, riveter.LineageLevel)
+	if err := shutdownWhile(t, s1, stall, false); err != nil {
 		t.Fatal(err)
 	}
 	in, ok := s1.Info(long.ID())
 	if !ok {
 		t.Fatal("session vanished")
 	}
-	if in.State == StateDone {
-		t.Skip("timing: long query completed before shutdown suspended it")
-	}
 	if in.State != StateSuspended || in.Lineage == "" {
 		t.Fatalf("after shutdown: state=%s lineage=%q checkpoint=%q", in.State, in.Lineage, in.Checkpoint)
 	}
+	return in
+}
+
+// TestLineageShutdownResume checks the restart protocol in lineage mode:
+// graceful shutdown seals the in-flight query's log, the state manifest
+// records it, and a fresh server replays it to an identical result.
+func TestLineageShutdownResume(t *testing.T) {
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
+
+	in := lineageShutdown(t, db, stall)
 	if in.Checkpoint != "" || in.StoreKey != "" {
 		t.Errorf("lineage suspension must not also checkpoint: ckpt=%q store=%q", in.Checkpoint, in.StoreKey)
 	}
@@ -181,14 +140,14 @@ func TestLineageShutdownResume(t *testing.T) {
 	// "Restart": a fresh server over the same DB and state path replays the
 	// sealed log.
 	s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
-	res, err := s2.Wait(context.Background(), long.ID())
+	res, err := s2.Wait(context.Background(), in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SortedKey() != want.SortedKey() {
 		t.Error("replayed-after-restart result differs from uninterrupted run")
 	}
-	in2, _ := s2.Info(long.ID())
+	in2, _ := s2.Info(in.ID)
 	if in2.State != StateDone {
 		t.Errorf("restored session state = %s", in2.State)
 	}
@@ -198,34 +157,11 @@ func TestLineageShutdownResume(t *testing.T) {
 // shutdown and restart: the fresh server quarantines it before dispatching
 // into it, and the session reruns from scratch to the correct result.
 func TestLineageQuarantineOnRestore(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
 
-	s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := s1.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	in, _ := s1.Info(long.ID())
-	if in.State != StateSuspended || in.Lineage == "" {
-		t.Skip("timing: long query completed before shutdown suspended it")
-	}
+	in := lineageShutdown(t, db, stall)
 	// Destroy the log below its header+meta: the scan must reject it
 	// outright, which is a quarantine, not a replay of garbage.
 	if err := os.Truncate(in.Lineage, 3); err != nil {
@@ -233,7 +169,7 @@ func TestLineageQuarantineOnRestore(t *testing.T) {
 	}
 
 	s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
-	res, err := s2.Wait(context.Background(), long.ID())
+	res, err := s2.Wait(context.Background(), in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

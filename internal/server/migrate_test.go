@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/obs"
@@ -28,29 +27,20 @@ func openTPCHStore(t testing.TB, sf float64, dir string, opts ...riveter.Option)
 	return db
 }
 
-// suspendIntoStore submits TPCH 21 to a one-slot server and shuts the
-// server down so the session suspends into the shared store, returning
-// the session id (skipping when the query won the race and completed).
-func suspendIntoStore(t *testing.T, db *riveter.DB, instance string) string {
+// suspendIntoStore submits TPCH 21 to a one-slot server over db — opened
+// on stall — and shuts the server down while the query is mid-run, so the
+// session suspends into the shared store; returns the session id.
+func suspendIntoStore(t *testing.T, db *riveter.DB, stall *stallFS, instance string) string {
 	t.Helper()
-	s, err := New(Config{DB: db, Slots: 1, InstanceID: instance})
+	s, err := New(Config{DB: db, Slots: 1, InstanceID: instance, PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	long := stalledVictim(t, s, stall, riveter.PipelineLevel)
+	if err := shutdownWhile(t, s, stall, false); err != nil {
 		t.Fatal(err)
 	}
 	in, _ := s.Info(long.ID())
-	if in.State == StateDone {
-		t.Skip("timing: query completed before shutdown suspended it")
-	}
 	if in.State != StateSuspended || in.StoreKey == "" {
 		t.Fatalf("after shutdown: state=%s storeKey=%q checkpoint=%q", in.State, in.StoreKey, in.Checkpoint)
 	}
@@ -60,50 +50,38 @@ func suspendIntoStore(t *testing.T, db *riveter.DB, instance string) string {
 	return long.ID()
 }
 
-// TestStoreModePreemption: with a store-backed DB, preemption checkpoints
-// go to the blob store (the session resumes from its store key), results
-// stay correct, and a consumed checkpoint is deleted from the store.
+// TestStoreModePreemption: with a store-backed DB, a preempted victim held
+// in memory when the instance drains is persisted to the blob store (the
+// session resumes from its store key on restart), results stay correct,
+// and a consumed checkpoint is deleted from the store.
 func TestStoreModePreemption(t *testing.T) {
 	storeDir := t.TempDir()
-	db := openTPCHStore(t, 0.02, storeDir)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := newStallFS(false)
+	db := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
+	want := runTPCH(t, db, 21)
 
-	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, InstanceID: "inst-a"})
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
+	s, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, InstanceID: "inst-a", PreemptLevel: riveter.LineageLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	short, err := s.Submit(Request{SQL: "SELECT count(*) AS n FROM orders", Priority: Interactive})
-	if err != nil {
+	long, _, _ := heldVictim(t, s, stall, riveter.PipelineLevel)
+	if err := shutdownWhile(t, s, stall, true); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := s.Wait(ctx, short.ID()); err != nil {
-		t.Fatal(err)
+	// The drain persisted the held victim through the store...
+	if in, _ := s.Info(long.ID()); in.StoreKey == "" || in.Checkpoint != "" {
+		t.Fatalf("held victim after drain: %+v, want a store key", in.resumeWire)
 	}
-	res, err := s.Wait(ctx, long.ID())
+	if db.Metrics().Snapshot().Counters[obs.MetricBlobPut] == 0 {
+		t.Error("no chunks were uploaded; the drain bypassed the store")
+	}
+	s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, InstanceID: "inst-a"})
+	res, err := s2.Wait(context.Background(), long.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SortedKey() != want.SortedKey() {
-		t.Error("preempted+resumed result differs from clean run")
-	}
-	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
-	}
-	// The preemption round trip went through the store...
-	snap := db.Metrics().Snapshot()
-	if snap.Counters[obs.MetricBlobPut] == 0 {
-		t.Error("no chunks were uploaded; preemption bypassed the store")
+		t.Error("preempted, drained and resumed result differs from clean run")
 	}
 	// ...and the consumed checkpoint was deleted on completion.
 	st, err := db.BlobStore()
@@ -126,18 +104,10 @@ func TestStoreModePreemption(t *testing.T) {
 // and completes it with results identical to an uninterrupted run.
 func TestServerCrossInstanceMigration(t *testing.T) {
 	storeDir := t.TempDir()
-	dbA := openTPCHStore(t, 0.02, storeDir)
-	want, err := func() (*riveter.Result, error) {
-		q, err := dbA.PrepareTPCH(21)
-		if err != nil {
-			return nil, err
-		}
-		return q.Run(context.Background())
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sid := suspendIntoStore(t, dbA, "inst-a")
+	stall := newStallFS(false)
+	dbA := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
+	want := runTPCH(t, dbA, 21)
+	sid := suspendIntoStore(t, dbA, stall, "inst-a")
 
 	// Instance B: fresh DB over the same (deterministically generated)
 	// dataset and the same store.
@@ -187,8 +157,9 @@ func TestServerCrossInstanceMigration(t *testing.T) {
 // point that prevents two instances from double-resuming one query.
 func TestServerMigrationClaimExclusive(t *testing.T) {
 	storeDir := t.TempDir()
-	dbA := openTPCHStore(t, 0.02, storeDir)
-	sid := suspendIntoStore(t, dbA, "inst-a")
+	stall := newStallFS(false)
+	dbA := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
+	sid := suspendIntoStore(t, dbA, stall, "inst-a")
 
 	// A third instance claims the session before B starts.
 	stA, err := dbA.BlobStore()
@@ -220,16 +191,10 @@ func TestServerMigrationClaimExclusive(t *testing.T) {
 // equivalent of TestShutdownResume.
 func TestStoreModeOwnRestart(t *testing.T) {
 	storeDir := t.TempDir()
-	db := openTPCHStore(t, 0.02, storeDir)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sid := suspendIntoStore(t, db, "inst-a")
+	stall := newStallFS(false)
+	db := openTPCHStore(t, 0.02, storeDir, riveter.WithFS(stall))
+	want := runTPCH(t, db, 21)
+	sid := suspendIntoStore(t, db, stall, "inst-a")
 
 	s2 := newServer(t, db, Config{Slots: 1, InstanceID: "inst-a"})
 	res, err := s2.Wait(context.Background(), sid)

@@ -1,8 +1,10 @@
 package server
 
 // What the server persists: a suspended session's resume point, written by
-// walking the degradation ladder, and the state manifest a graceful
-// shutdown leaves behind. Every resume point goes through the DB's
+// walking the degradation ladder when the suspension must outlive the
+// process (an idle park, a shutdown — a preemption is held in memory and
+// writes nothing), and the state manifest a graceful shutdown leaves
+// behind. Every resume point goes through the DB's
 // persistence seam (riveter.ResumePoint and its five verbs); this file
 // holds the one place that knows the three targets by name — the ladder's
 // order — and the manifest's wire form of a point.
@@ -17,7 +19,7 @@ import (
 	"github.com/riveterdb/riveter/internal/strategy"
 )
 
-// rung is one step of the preemption ladder: a resume point to try, and
+// rung is one step of the persistence ladder: a resume point to try, and
 // the strategy the ladder degrades to when it fails ("" when the next rung
 // persists the same kind of image, which is not a degradation).
 type rung struct {
@@ -26,7 +28,7 @@ type rung struct {
 }
 
 // ladder chooses the targets a suspension of exec is persisted to, in
-// order. A lineage preemption seals first: the log already holds the
+// order. Under LineageLevel the log seals first: the log already holds the
 // state, so the suspension costs only a tail flush, and a seal failure
 // (sticky log-write error, crashed device) degrades to the checkpoint
 // rungs — the executor is still quiesced with its state in memory. The
@@ -48,7 +50,8 @@ func (s *Server) ladder(sess *Session, exec *riveter.Execution) []rung {
 // execution's state and returns that resume point. Each rung retries under
 // the configured policy and may drop a process-level image's padding
 // (Persist counts that in checkpoint.fallback). When every rung fails the
-// first error comes back and the caller resumes the victim in place.
+// first error comes back and the caller resumes the victim in place (or,
+// at shutdown, lists it with no resume point).
 func (s *Server) persistSuspension(sess *Session, exec *riveter.Execution) (riveter.ResumePoint, error) {
 	opts := riveter.PersistOptions{Retry: s.cfg.CheckpointRetry, AllowUnpadded: true}
 	var first error
@@ -71,6 +74,42 @@ func (s *Server) persistSuspension(sess *Session, exec *riveter.Execution) (rive
 		}
 	}
 	return riveter.ResumePoint{}, first
+}
+
+// heldSessions lists the sessions holding a quiesced execution in memory.
+func (s *Server) heldSessions() []*Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*Session
+	for _, sess := range s.sessions {
+		if sess.held != nil {
+			out = append(out, sess)
+		}
+	}
+	return out
+}
+
+// persistHeld writes every held session down the ladder before the state
+// manifest names them: a held execution lives only in this process. A
+// session whose persist fails is listed with no resume point and reruns
+// from scratch; the point the held execution was started from is
+// discarded either way. Runs after the scheduler and every runner exited,
+// so nothing else touches a held execution.
+func (s *Server) persistHeld() {
+	for _, sess := range s.heldSessions() {
+		at, err := s.persistSuspension(sess, sess.held)
+		if err != nil {
+			at = riveter.ResumePoint{}
+		}
+		s.mu.Lock()
+		from := sess.resume
+		sess.held = nil
+		sess.resume = at
+		s.mu.Unlock()
+		if from != at {
+			s.discard(from)
+		}
+	}
 }
 
 // discard drops a resume point nothing will start from any more. Errors

@@ -30,8 +30,8 @@ func (FIFO) Preempt([]*Session, *Session) *Session { return nil }
 
 // SuspensionAware dispatches by priority class and preempts: when a
 // higher-priority session waits and every slot is busy, the lowest-priority
-// running session (longest-running on ties) is suspended at its next
-// pipeline breaker, checkpointed, and re-queued to resume once the
+// running session (longest-running on ties) is quiesced at its next morsel
+// boundary, held in memory and re-queued, to continue in place once the
 // high-priority work has drained.
 type SuspensionAware struct{}
 

@@ -1,8 +1,8 @@
 package server
 
 // The scheduler: the dispatch loop, the scale-to-zero reaper, and the
-// runner that carries one session through a dispatch — start or resume,
-// wait, and route the outcome.
+// runner that carries one session through a dispatch — start, resume or
+// continue in place, wait, and route the outcome.
 
 import (
 	"context"
@@ -39,9 +39,11 @@ func (s *Server) schedule() {
 			if head := s.queue.Peek(); head != nil && s.pendingSuspendsLocked() < s.queue.Len() {
 				if victim := s.preemptCandidateLocked(head); victim != nil {
 					victim.suspendRequested = true
-					// Suspend is a single atomic store on the executor;
+					// A preemption is held in memory, so a quiesce is all it
+					// needs: the next morsel boundary, whatever PreemptLevel
+					// says. Suspend is a single atomic store on the executor;
 					// safe (and cheap) under the server mutex.
-					s.requestSuspend(victim.exec)
+					_ = victim.exec.Suspend(riveter.ProcessLevel)
 					progressed = true
 				}
 			}
@@ -54,10 +56,12 @@ func (s *Server) schedule() {
 
 // idleReaper is the scale-to-zero loop: every quarter window it scans the
 // running set for sessions nobody is watching — no Wait in flight on them
-// or their fold riders, no touch for at least IdleSuspend — and requests
-// their suspension with the idle-park flag set, so the landing suspension
-// parks the session instead of re-queueing it. Parked sessions hold no slot and run no workers; an
-// instance whose sessions are all parked is at zero live executions.
+// or their fold riders, no touch for at least IdleSuspend, no abandoned
+// suspension within AbandonCooldown — and requests their suspension with
+// the idle-park flag set, so the landing suspension is persisted and parks
+// the session instead of re-queueing it. Parked sessions hold no slot and
+// run no workers; an instance whose sessions are all parked is at zero live
+// executions.
 func (s *Server) idleReaper() {
 	defer s.wg.Done()
 	tick := s.cfg.IdleSuspend / 4
@@ -79,7 +83,7 @@ func (s *Server) idleReaper() {
 		}
 		now := time.Now()
 		for _, r := range s.running {
-			if r.exec == nil || r.suspendRequested || r.watchedLocked() {
+			if r.exec == nil || r.suspendRequested || r.watchedLocked() || now.Before(r.noPreemptUntil) {
 				continue
 			}
 			// The idle clock starts at the later of dispatch and last touch:
@@ -100,10 +104,11 @@ func (s *Server) idleReaper() {
 	}
 }
 
-// requestSuspend asks an execution to quiesce at the configured preemption
-// level. A lineage-level request needs a lineage log attached; executions
-// without one (resumed in place after an abandoned preemption, or resumed
-// from a fallback checkpoint) quiesce process-kind instead, so the
+// requestSuspend asks an execution to suspend at the configured
+// PreemptLevel, for a suspension that will be persisted: an idle park or a
+// shutdown. A lineage-level request needs a lineage log attached;
+// executions without one (resumed from a fallback checkpoint, or started
+// when no log could be created) quiesce process-kind instead, so the
 // checkpoint ladder can still persist them.
 func (s *Server) requestSuspend(exec *riveter.Execution) {
 	if err := exec.Suspend(s.cfg.PreemptLevel); err != nil && s.cfg.PreemptLevel == riveter.LineageLevel {
@@ -151,10 +156,12 @@ func (s *Server) dispatchLocked(sess *Session) {
 	sess.started = now
 	sess.suspendRequested = false
 	sess.exec = nil
+	held := sess.held
+	sess.held = nil
 	s.running[sess.id] = sess
 	s.free--
 	s.wg.Add(1)
-	go s.run(sess, sess.resume)
+	go s.run(sess, sess.resume, held)
 }
 
 // startFresh launches a session from scratch. Under lineage-level
@@ -175,12 +182,18 @@ func (s *Server) startFresh(ctx context.Context, sess *Session) (*riveter.Execut
 	return sess.q.Start(ctx)
 }
 
-// start launches one dispatch of a session: from its resume point when it
-// has one, else from scratch. An unusable resume point — torn, unreadable,
-// written for another plan — is quarantined, not fatal: the session reruns
-// from scratch, losing progress but not the query. Returns the resume
-// point the execution actually consumed.
-func (s *Server) start(ctx context.Context, sess *Session, from riveter.ResumePoint) (*riveter.Execution, riveter.ResumePoint, error) {
+// start launches one dispatch of a session: the held execution of a
+// preempted session continues in place; otherwise the session starts from
+// its resume point when it has one, else from scratch. An unusable resume
+// point — torn, unreadable, written for another plan — is quarantined, not
+// fatal: the session reruns from scratch, losing progress but not the
+// query. Returns the resume point the execution consumed (a held
+// execution's is the one its first dispatch started from).
+func (s *Server) start(ctx context.Context, sess *Session, from riveter.ResumePoint, held *riveter.Execution) (*riveter.Execution, riveter.ResumePoint, error) {
+	if held != nil {
+		exec, err := held.ResumeInPlace(ctx)
+		return exec, from, err
+	}
 	if !from.IsZero() {
 		exec, err := sess.q.StartFrom(ctx, from, nil)
 		if err == nil {
@@ -197,22 +210,29 @@ func (s *Server) start(ctx context.Context, sess *Session, from riveter.ResumePo
 	return exec, riveter.ResumePoint{}, err
 }
 
-// run executes one dispatch of a session: start or resume, wait, and route
-// the outcome — completion, preemption (persist, then re-queue), or
-// failure. A suspension that cannot be persisted walks the degradation
-// ladder (persistSuspension) and, when every rung fails, resumes in place
-// instead of failing the session: the victim's work is never the casualty
-// of a broken device.
-func (s *Server) run(sess *Session, from riveter.ResumePoint) {
+// run executes one dispatch of a session: start, resume or continue in
+// place, wait, and route the outcome — completion, suspension, or failure.
+// A preemption on a live instance is held: the slot frees at once and the
+// quiesced execution waits in the queue, nothing written. A suspension
+// that must outlive the dispatch — an idle park, or one landing after
+// Shutdown/Drain began — walks the degradation ladder (persistSuspension)
+// and, when every rung fails, resumes in place instead of failing the
+// session: the victim's work is never the casualty of a broken device.
+func (s *Server) run(sess *Session, from riveter.ResumePoint, held *riveter.Execution) {
 	defer s.wg.Done()
 	ctx := s.ctx
-	exec, from, err := s.start(ctx, sess, from)
+	exec, from, err := s.start(ctx, sess, from, held)
 	if err != nil {
 		s.finish(sess, nil, err)
 		return
 	}
 	s.mu.Lock()
 	sess.exec = exec
+	if s.stopping && !sess.suspendRequested {
+		// Dispatched just before Shutdown asked the running set to suspend.
+		sess.suspendRequested = true
+		s.requestSuspend(exec)
+	}
 	// A preemption decision may already be waiting on this execution.
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -235,13 +255,25 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint) {
 			s.finish(sess, res, rerr)
 			return
 		case errors.Is(werr, riveter.ErrSuspended):
+			s.mu.Lock()
+			if !sess.idlePark && !s.stopping {
+				// A preemption: the instance stays up, so nothing needs to
+				// outlive this process. Free the slot and keep the quiesced
+				// execution for the next dispatch to continue.
+				sess.held = exec
+				s.suspendedLocked(sess, exec)
+				s.parkOrEnqueueLocked(sess)
+				s.mu.Unlock()
+				return
+			}
+			s.mu.Unlock()
 			at, perr := s.persistSuspension(sess, exec)
 			if perr != nil {
 				// The whole ladder failed on disk; resume the victim in place.
-				// Its work is preserved and the preemption is abandoned.
+				// Its work is preserved and the suspension is abandoned.
 				fresh, rerr := exec.ResumeInPlace(ctx)
 				if rerr != nil {
-					s.finish(sess, nil, fmt.Errorf("server: abandon preemption: %w", rerr))
+					s.finish(sess, nil, fmt.Errorf("server: abandon suspension: %w", rerr))
 					return
 				}
 				s.met.abandoned.Inc()
@@ -255,6 +287,9 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint) {
 				sess.exec = fresh
 				sess.abandoned++
 				sess.suspendRequested = false
+				// An abandoned park is no park: a later preemption of this
+				// execution is held like any other.
+				sess.idlePark = false
 				sess.noPreemptUntil = time.Now().Add(s.cfg.AbandonCooldown)
 				s.cond.Broadcast()
 				s.mu.Unlock()
@@ -267,14 +302,8 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint) {
 				s.discard(from)
 			}
 			s.mu.Lock()
-			sess.ran += time.Since(sess.started)
-			sess.trace = exec.Trace()
-			sess.exec = nil // persisted: the resume point is the session now
-			sess.resume = at
-			sess.state = StateSuspended
-			sess.lastQueued = time.Now()
-			delete(s.running, sess.id)
-			s.free++
+			sess.resume = at // persisted: the resume point is the session now
+			s.suspendedLocked(sess, exec)
 			s.parkOrEnqueueLocked(sess)
 			s.mu.Unlock()
 			return
@@ -283,6 +312,19 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint) {
 			return
 		}
 	}
+}
+
+// suspendedLocked takes a session whose execution suspended out of its
+// slot. The session keeps no reference to the execution but held, which
+// the caller sets for a preemption it holds.
+func (s *Server) suspendedLocked(sess *Session, exec *riveter.Execution) {
+	sess.ran += time.Since(sess.started)
+	sess.trace = exec.Trace()
+	sess.exec = nil
+	sess.state = StateSuspended
+	sess.lastQueued = time.Now()
+	delete(s.running, sess.id)
+	s.free++
 }
 
 // parkOrEnqueueLocked routes a just-suspended session: an idle-park

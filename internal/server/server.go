@@ -77,19 +77,24 @@ type Config struct {
 	// and where startup looks for one (default
 	// <DB.CheckpointDir()>/riveter-serve.state.json).
 	StatePath string
-	// CheckpointRetry bounds preemption-checkpoint write attempts (default
-	// 3 attempts, 10ms base backoff capped at 200ms).
+	// CheckpointRetry bounds the write attempts of a persisted suspension's
+	// checkpoint (default 3 attempts, 10ms base backoff capped at 200ms).
 	CheckpointRetry riveter.RetryPolicy
-	// PreemptLevel is the suspension strategy preemptions request (default
-	// riveter.PipelineLevel; riveter.ProcessLevel exercises the process-
-	// image path and its degradation ladder; riveter.LineageLevel attaches
-	// a write-ahead lineage log to every session, so a preemption only
-	// seals the log's tail and the resume replays from the last sealed
-	// record — with the checkpoint ladder as fallback when the log fails).
+	// PreemptLevel picks what a persisted suspension — an idle park, or a
+	// query suspended or held at Shutdown/Drain — writes. A preemption
+	// writes nothing whatever the level: it quiesces the victim at its next
+	// morsel boundary and holds it in memory until it continues in place.
+	// riveter.PipelineLevel (the default) suspends a running query at its
+	// next pipeline breaker; riveter.ProcessLevel at its next morsel
+	// boundary, persisting the process image; riveter.LineageLevel attaches
+	// a write-ahead lineage log to every session, so persisting only seals
+	// the log's tail and the resume replays from the last sealed record —
+	// with the checkpoint ladder as fallback when the log fails.
 	PreemptLevel riveter.Strategy
-	// AbandonCooldown is how long a session that survived an abandoned
-	// preemption is exempt from being re-chosen as a victim, so a broken
-	// checkpoint device cannot spin the scheduler (default 500ms).
+	// AbandonCooldown is how long a session whose persisted suspension was
+	// abandoned (every rung of the ladder failed) is exempt from being
+	// chosen as a preemption victim or parked by the idle reaper, so a
+	// broken checkpoint device cannot spin the scheduler (default 500ms).
 	AbandonCooldown time.Duration
 	// InstanceID names this server instance inside a shared blob store:
 	// it prefixes store checkpoint keys, owns claim tokens, and names the
@@ -416,8 +421,9 @@ func (s *Server) foldOntoLocked(q *riveter.Query, display string, req Request) *
 }
 
 // touchLocked records a client interaction with a session: the idle clock
-// restarts, a pending idle-park is converted back into a normal requeue,
-// and a parked session wakes into the dispatch queue. Touching a fold
+// restarts, a pending idle-park becomes a plain preemption (the landing
+// suspension is held in memory and re-queued, not persisted), and a parked
+// session wakes into the dispatch queue. Touching a fold
 // rider touches its leader too: the leader's run is the rider's.
 func (s *Server) touchLocked(sess *Session) {
 	sess.lastTouch = time.Now()
@@ -547,6 +553,7 @@ func (s *Server) finish(sess *Session, res *riveter.Result, err error) {
 		// session keeps the result, not the run that produced it.
 		sess.exec = nil
 	}
+	sess.held = nil
 	sess.res, sess.err = res, err
 	sess.finished = time.Now()
 	if err == nil {
@@ -610,10 +617,10 @@ func (s *Server) settleRidersLocked(sess *Session, res *riveter.Result, err erro
 }
 
 // Shutdown gracefully stops the server: new submissions are refused,
-// every running query is suspended at its next pipeline breaker and
-// checkpointed, and the queued + suspended sessions are persisted to the
-// state manifest so a future Server resumes them. Blocks until in-flight
-// work has quiesced or ctx expires.
+// every running query is suspended at PreemptLevel and persisted, so is
+// every preempted session held in memory, and the queued + suspended
+// sessions are listed in the state manifest so a future Server resumes
+// them. Blocks until in-flight work has quiesced or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ReleaseHolds()
 	s.mu.Lock()
@@ -638,6 +645,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		s.persistHeld()
 		s.cancel()
 		return s.persistState()
 	case <-ctx.Done():
@@ -646,6 +654,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// wait below is bounded even with a failing disk.
 		s.cancel()
 		<-done
+		s.persistHeld()
 		if perr := s.persistState(); perr != nil {
 			return perr
 		}
@@ -709,9 +718,9 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Kill hard-stops the server without persisting anything — the in-process
 // analog of SIGKILL or a spot reclaim that outran its notice. Running
-// executions abort; the checkpoints earlier suspensions pushed to the
-// shared store are the only state that survives, exactly as after a real
-// instance death.
+// executions abort, and held ones are lost with them; the checkpoints
+// earlier suspensions pushed to the shared store are the only state that
+// survives, exactly as after a real instance death.
 func (s *Server) Kill() {
 	s.ReleaseHolds()
 	s.mu.Lock()
@@ -720,6 +729,9 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
+	for _, sess := range s.heldSessions() {
+		s.finish(sess, nil, s.ctx.Err())
+	}
 }
 
 // ReleaseHolds ends every held HTTP session read — GET /sessions/…?wait=

@@ -19,12 +19,12 @@ func openTPCH(t testing.TB, sf float64) *riveter.DB {
 }
 
 // holdsExecution reports whether the session still references an execution:
-// only a running session may, or every finished or suspended one pins its
-// executor, hash tables and all.
+// only a running session and a preempted one held in memory may, or every
+// finished or persisted one pins its executor, hash tables and all.
 func holdsExecution(s *Server, sess *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sess.exec != nil
+	return sess.exec != nil || sess.held != nil
 }
 
 func newServer(t testing.TB, db *riveter.DB, cfg Config) *Server {
@@ -143,30 +143,19 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestPreemption checks the tentpole behaviour: an interactive arrival
-// suspends a running batch query at a pipeline breaker, runs, and the
-// batch query resumes from its checkpoint to the correct result.
+// TestPreemption checks the serving layer's preemption end to end: an
+// interactive arrival preempts a running batch query, which is held in
+// memory while the interactive query runs and then continues in place to
+// the correct result.
 func TestPreemption(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
 
-	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}})
-	long, err := s.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	short, err := s.Submit(Request{SQL: "SELECT count(*) AS n FROM orders", Priority: Interactive})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
+	long := stalledVictim(t, s, stall, riveter.PipelineLevel)
+	short := preemptVictim(t, s, long)
+	stall.release()
 	ctx := context.Background()
 	if _, err := s.Wait(ctx, short.ID()); err != nil {
 		t.Fatal(err)
@@ -181,9 +170,8 @@ func TestPreemption(t *testing.T) {
 	if holdsExecution(s, short) || holdsExecution(s, long) {
 		t.Error("a finished session still holds its execution")
 	}
-	in, _ := s.Info(long.ID())
-	if in.Preemptions == 0 {
-		t.Skip("timing: long query finished before the preemption landed")
+	if in, _ := s.Info(long.ID()); in.Preemptions == 0 {
+		t.Error("the long query was never preempted")
 	}
 	if got := db.Metrics().Snapshot().Counters["server.preemptions"]; got < 1 {
 		t.Errorf("preemption counter = %d", got)
@@ -194,62 +182,66 @@ func TestPreemption(t *testing.T) {
 }
 
 // TestShutdownResume checks the shutdown/restore protocol: graceful
-// shutdown suspends the in-flight query to a checkpoint and a fresh server
-// resumes it to a result identical to an uninterrupted run.
+// shutdown persists the in-flight query — suspended where it runs, or held
+// in memory by a preemption — and a fresh server resumes it to a result
+// identical to an uninterrupted run (a lineage point by replaying it).
 func TestShutdownResume(t *testing.T) {
-	db := openTPCH(t, 0.02)
-	q21, err := db.PrepareTPCH(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := q21.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		level riveter.Strategy
+		held  bool
+		point func(Info) string
+	}{
+		{"running", riveter.PipelineLevel, false, func(in Info) string { return in.Checkpoint }},
+		{"held", riveter.PipelineLevel, true, func(in Info) string { return in.Checkpoint }},
+		{"held_lineage", riveter.LineageLevel, true, func(in Info) string { return in.Lineage }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stall := newStallFS(false)
+			db := openStallTPCH(t, stall)
+			want := runTPCH(t, db, 21)
 
-	s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := s1.Submit(Request{TPCH: 21, Priority: Batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	in, ok := s1.Info(long.ID())
-	if !ok {
-		t.Fatal("session vanished")
-	}
-	if in.State == StateDone {
-		t.Skip("timing: long query completed before shutdown suspended it")
-	}
-	if in.State != StateSuspended || in.Checkpoint == "" {
-		t.Fatalf("after shutdown: state=%s checkpoint=%q", in.State, in.Checkpoint)
-	}
-	if holdsExecution(s1, long) {
-		t.Error("a suspended session still holds the execution its checkpoint replaced")
-	}
-	if _, err := s1.Submit(Request{TPCH: 6}); !errors.Is(err, ErrClosed) {
-		t.Errorf("submit after shutdown = %v", err)
-	}
+			s1, err := New(Config{DB: db, Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var long *Session
+			if tc.held {
+				long, _, _ = heldVictim(t, s1, stall, tc.level)
+			} else {
+				long = stalledVictim(t, s1, stall, tc.level)
+			}
+			if err := shutdownWhile(t, s1, stall, false); err != nil {
+				t.Fatal(err)
+			}
+			in, ok := s1.Info(long.ID())
+			if !ok {
+				t.Fatal("session vanished")
+			}
+			if in.State != StateSuspended || tc.point(in) == "" {
+				t.Fatalf("after shutdown: state=%s resume point=%+v", in.State, in.resumeWire)
+			}
+			if holdsExecution(s1, long) {
+				t.Error("a suspended session still holds the execution its resume point replaced")
+			}
+			if _, err := s1.Submit(Request{TPCH: 6}); !errors.Is(err, ErrClosed) {
+				t.Errorf("submit after shutdown = %v", err)
+			}
 
-	// "Restart": a fresh server over the same DB and state path resumes the
-	// suspended session.
-	s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}})
-	res, err := s2.Wait(context.Background(), long.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SortedKey() != want.SortedKey() {
-		t.Error("resumed-after-restart result differs from uninterrupted run")
-	}
-	in2, _ := s2.Info(long.ID())
-	if in2.State != StateDone {
-		t.Errorf("restored session state = %s", in2.State)
+			// "Restart": a fresh server over the same DB and state path resumes
+			// the suspended session.
+			s2 := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: tc.level})
+			res, err := s2.Wait(context.Background(), long.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SortedKey() != want.SortedKey() {
+				t.Error("resumed-after-restart result differs from uninterrupted run")
+			}
+			in2, _ := s2.Info(long.ID())
+			if in2.State != StateDone {
+				t.Errorf("restored session state = %s", in2.State)
+			}
+		})
 	}
 }

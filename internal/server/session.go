@@ -1,8 +1,8 @@
 // Package server is Riveter's query-serving subsystem: a session and queue
 // manager with priority classes and a bounded worker-slot pool, an
 // admission controller priced by the cost model, and a preemptive
-// scheduler that uses pipeline-level suspension as its preemption
-// mechanism — the paper's Case 1 (heterogeneous workloads) turned from a
+// scheduler that uses suspension as its preemption mechanism — the
+// paper's Case 1 (heterogeneous workloads) turned from a
 // per-query API the caller drives by hand into serving-layer policy.
 //
 // A Server owns a riveter.DB. Clients submit queries tagged with a
@@ -10,12 +10,15 @@
 // model's pre-execution estimates and a memory budget; the scheduler
 // dispatches queued sessions into a fixed number of worker slots. Under
 // the suspension-aware policy, short high-priority arrivals preempt a
-// long-running low-priority query: the scheduler requests a
-// pipeline-level suspension, checkpoints the capture to a collision-free
-// path, drains the queue, and resumes the long query from its checkpoint
-// when the slot frees up — as many round trips as the workload demands.
-// Graceful shutdown suspends every in-flight query to a checkpoint and
-// persists a state manifest; a fresh Server pointed at the same manifest
+// long-running low-priority query: the scheduler asks it to quiesce at its
+// next morsel boundary, frees the slot at once, and holds the quiesced
+// execution in memory — nothing is written — until the queue drains and
+// the long query continues in place, as many round trips as the workload
+// demands. A suspension that must outlive the process — an idle park, or
+// one landing or held at graceful shutdown — is persisted instead, down a
+// degradation ladder of resume points (persistence.go). Graceful shutdown
+// suspends every in-flight query, persists them and the held ones, and
+// writes a state manifest; a fresh Server pointed at the same manifest
 // resumes them.
 package server
 
@@ -78,8 +81,9 @@ func ParsePriority(s string) (Priority, error) {
 type State string
 
 // Session states. Queued and Suspended sessions sit in the dispatch queue
-// (Suspended additionally holds a checkpoint to resume from); Running
-// occupies a worker slot; Done and Failed are terminal.
+// (Suspended additionally holds a quiesced execution or a resume point to
+// continue from); Running occupies a worker slot; Done and Failed are
+// terminal.
 const (
 	StateQueued    State = "queued"
 	StateRunning   State = "running"
@@ -131,16 +135,22 @@ type Session struct {
 	waited      time.Duration // accumulated queue time
 	ran         time.Duration // accumulated slot time
 	preemptions int
-	abandoned   int                 // preemptions given up because no checkpoint would persist
+	abandoned   int                 // suspensions given up because no resume point would persist
 	resume      riveter.ResumePoint // where the next dispatch starts from (zero = from scratch)
 	exec        *riveter.Execution  // the current dispatch's; nil while queued, suspended or terminal
 	res         *riveter.Result
 	err         error
 	trace       *obs.Trace
 
-	// noPreemptUntil exempts the session from victim selection after an
-	// abandoned preemption, so a broken checkpoint device cannot spin the
-	// scheduler against the same query.
+	// held is the quiesced execution of a preempted session, kept in memory
+	// while it waits in the queue: the next dispatch continues it in place,
+	// and Shutdown/Drain persist it. Nil unless the session is suspended by
+	// a preemption.
+	held *riveter.Execution
+
+	// noPreemptUntil exempts the session from victim selection and from idle
+	// parking after an abandoned suspension, so a broken checkpoint device
+	// cannot spin the scheduler or the reaper against the same query.
 	noPreemptUntil time.Time
 
 	// suspendRequested marks an issued, not-yet-acknowledged preemption so

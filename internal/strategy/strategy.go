@@ -12,18 +12,11 @@
 package strategy
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/catalog"
-	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
-	"github.com/riveterdb/riveter/internal/obs"
-	"github.com/riveterdb/riveter/internal/plan"
-	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // Kind aliases the cost model's strategy enum so decisions flow through
@@ -74,39 +67,4 @@ func Request(ex *engine.Executor, k Kind, cancel context.CancelFunc) time.Time {
 		ex.RequestSuspend(engine.KindProcess)
 	}
 	return now
-}
-
-// Relaunch resumes a suspended executor in place: its captured state round-
-// trips through memory into a fresh executor, touching no disk. This is the
-// last rung of the degradation ladder — when no checkpoint can be persisted
-// at any level, the query's work is still preserved and the suspension
-// (hence the preemption) is abandoned rather than the query.
-func Relaunch(cat *catalog.Catalog, node plan.Node, ex *engine.Executor, opts engine.Options) (*engine.Executor, error) {
-	info := ex.Suspended()
-	if info == nil {
-		return nil, fmt.Errorf("strategy: executor is not suspended")
-	}
-	img, err := checkpoint.Encode(checkpoint.Manifest{}, ex.SaveState, nil)
-	if err != nil {
-		return nil, fmt.Errorf("strategy: relaunch save: %w", err)
-	}
-	defer img.Release()
-	pp, err := engine.CompileWith(node, cat, opts.Compile)
-	if err != nil {
-		return nil, err
-	}
-	fresh := engine.NewExecutor(pp, opts)
-	if err := fresh.LoadState(vector.NewDecoder(bytes.NewReader(img.Payload))); err != nil {
-		return nil, fmt.Errorf("strategy: relaunch load: %w", err)
-	}
-	kind := "pipeline"
-	if info.Kind == engine.KindProcess {
-		kind = "process"
-	}
-	if t := opts.Obs.Trace; t != nil {
-		t.Event(obs.EvResumeInPlace,
-			obs.A("kind", kind),
-			obs.A("state_bytes", img.Manifest.StateBytes))
-	}
-	return fresh, nil
 }

@@ -235,19 +235,25 @@ func (e *Execution) suspended() error {
 	return nil
 }
 
-// ResumeInPlace relaunches a suspended execution from its in-memory state,
-// touching no disk — the last rung of the degradation ladder, used when no
-// resume point can be persisted anywhere. The returned Execution continues
-// from exactly where the suspension stopped (and keeps this execution's
-// trace); the suspension itself is effectively abandoned.
+// ResumeInPlace continues a suspended execution on the executor that
+// quiesced, touching no disk and serializing nothing: the suspension is
+// cleared and the same executor runs on from its in-memory state — a
+// process-level capture's in-flight pipelines from their morsel cursors, a
+// pipeline-level one from its first unfinished pipeline. A server holds a
+// preempted victim this way, and it is the ladder's last rung when no
+// resume point can be persisted anywhere. The returned Execution keeps this
+// one's trace and lineage log; this one must not be used again.
 func (e *Execution) ResumeInPlace(ctx context.Context) (*Execution, error) {
 	if err := e.suspended(); err != nil {
 		return nil, err
 	}
-	q := e.q
-	ex, err := strategy.Relaunch(q.db.cat, q.node, e.ex, q.db.execOpts(e.ex.Obs()))
-	if err != nil {
-		return nil, err
+	kind := "pipeline"
+	if e.ex.Suspended().Kind == engine.KindProcess {
+		kind = "process"
 	}
-	return q.launch(ctx, strategy.Run{Ex: ex}), nil
+	e.ex.ClearSuspension()
+	if tr := e.ex.Obs().Trace; tr != nil {
+		tr.Event(obs.EvResumeInPlace, obs.A("kind", kind))
+	}
+	return e.q.launch(ctx, strategy.Run{Ex: e.ex, Log: e.lin}), nil
 }
