@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
+	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // openFoldTPCH opens a fold-enabled database over the same deterministic
@@ -61,11 +65,53 @@ func TestFoldEquivalenceTPCH(t *testing.T) {
 	}
 }
 
-// TestFoldSuspendOneRider: two queries share the lineitem hub; one is
+// overlapGate makes two executions overlap on their scans by construction.
+// It wraps the database's ScanSharer: the first rider it hands out closes
+// reached on its first read and then blocks every read until the second
+// rider has completed one. The first execution is therefore live, stopped
+// before its first morsel, for the whole of the second one's first read.
+type overlapGate struct {
+	engine.ScanSharer
+	riders             atomic.Int32
+	reached, release   chan struct{}
+	reachOnce, relOnce sync.Once
+}
+
+func newOverlapGate(s engine.ScanSharer) *overlapGate {
+	return &overlapGate{ScanSharer: s, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
+// Share implements engine.ScanSharer.
+func (g *overlapGate) Share(table string, proj []int, src engine.Source) engine.Source {
+	return &gatedRider{Source: g.ScanSharer.Share(table, proj, src), g: g, first: g.riders.Add(1) == 1}
+}
+
+type gatedRider struct {
+	engine.Source
+	g     *overlapGate
+	first bool
+}
+
+func (r *gatedRider) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
+	if r.first {
+		r.g.reachOnce.Do(func() { close(r.g.reached) })
+		<-r.g.release
+		return r.Source.ReadMorsel(idx, dst)
+	}
+	n, err := r.Source.ReadMorsel(idx, dst)
+	r.g.relOnce.Do(func() { close(r.g.release) })
+	return n, err
+}
+
+// TestFoldSuspendOneRider: two queries share the fold hubs; one is
 // suspended mid-run. The survivor must complete unaffected, and the
 // detached session must resume byte-identical BOTH ways — rejoining the
 // hubs on the fold database, and privatizing on a database with folding
 // off. Run under -race this also hammers the hub from the suspension path.
+//
+// The overlap is arranged, not timed: an overlapGate holds Q1 before its
+// first morsel until Q6 has read one, so Q6 reads while two executions are
+// live, and Q1's suspension is requested before its first breaker.
 func TestFoldSuspendOneRider(t *testing.T) {
 	const sf = 0.02
 	db := openFoldTPCH(t, sf)
@@ -88,16 +134,18 @@ func TestFoldSuspendOneRider(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Both executions ride the lineitem hub concurrently.
+	gate := newOverlapGate(db.compile.ScanShare)
+	db.compile.ScanShare = gate
 	e1, err := q1.Start(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e6, err := q6.Start(ctx)
-	if err != nil {
+	<-gate.reached // Q1 is live and holds its first morsel
+	if err := e1.Suspend(PipelineLevel); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Suspend(PipelineLevel); err != nil {
+	e6, err := q6.Start(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,18 +160,13 @@ func TestFoldSuspendOneRider(t *testing.T) {
 	if res6.SortedKey() != want6.SortedKey() {
 		t.Fatal("survivor result changed after a rider detached")
 	}
-	// The two executions overlapped, so the lineitem hub actually ran its
-	// shared window for at least part of the survivor's scan.
+	// Q6 read with two executions live, so a hub ran its shared window.
 	if db.Metrics().Snapshot().Counters[obs.MetricFoldFills] == 0 {
 		t.Error("no shared-window fills during the concurrent phase")
 	}
 
-	werr := e1.Wait()
-	if werr == nil {
-		t.Skip("query finished before the suspension landed")
-	}
-	if !errors.Is(werr, ErrSuspended) {
-		t.Fatalf("Wait = %v", werr)
+	if werr := e1.Wait(); !errors.Is(werr, ErrSuspended) {
+		t.Fatalf("Wait = %v, want the requested suspension", werr)
 	}
 	path := filepath.Join(db.CheckpointDir(), "fold-rider.rvck")
 	if _, err := e1.Checkpoint(path); err != nil {

@@ -41,38 +41,6 @@ func encodeKeyFromVecs(dst []byte, groupVecs []*vector.Vector, r int) []byte {
 	return dst
 }
 
-// encodeKeyFromValues is encodeKeyFromVecs over boxed values (the load path).
-func encodeKeyFromValues(dst []byte, key []vector.Value) []byte {
-	for _, v := range key {
-		if v.Null {
-			dst = append(dst, 0)
-			continue
-		}
-		switch v.Type {
-		case vector.TypeInt64, vector.TypeDate:
-			dst = append(dst, 1)
-			x := uint64(v.I)
-			dst = append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24), byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case vector.TypeFloat64:
-			dst = append(dst, 2)
-			x := floatBitsForKey(v.F)
-			dst = append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24), byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case vector.TypeString:
-			dst = append(dst, 3)
-			n := uint32(len(v.S))
-			dst = append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-			dst = append(dst, v.S...)
-		case vector.TypeBool:
-			if v.B {
-				dst = append(dst, 4, 1)
-			} else {
-				dst = append(dst, 4, 0)
-			}
-		}
-	}
-	return dst
-}
-
 func floatBitsForKey(f float64) uint64 {
 	if f == 0 {
 		f = 0 // canonicalize -0

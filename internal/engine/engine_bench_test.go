@@ -45,6 +45,12 @@ var engineCases = []engineCase{
 		t := bl.Scan("t", "g", "v")
 		return t.Agg([]string{"g"}, plan.Sum(t.Col("v"), "s"), plan.CountStar("n")).Node()
 	}),
+	// One group per row (2^18): the tables grow, and Combine and Finalize
+	// carry every group.
+	planCase("HashAggregateHighCard", 1<<18, func(bl *plan.Builder) plan.Node {
+		t := bl.Scan("t", "k", "v")
+		return t.Agg([]string{"k"}, plan.Sum(t.Col("v"), "s"), plan.CountStar("n")).Node()
+	}),
 	// Self-join on the group column: ~128 matches per probe row band.
 	planCase("HashJoin", 1<<17, func(bl *plan.Builder) plan.Node {
 		l := bl.Scan("t", "k", "g")

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 
 	"github.com/riveterdb/riveter/internal/engine/kernel"
@@ -11,22 +12,22 @@ import (
 )
 
 // flatAggTable is the aggregate hash table, open-addressed. Encoded group
-// keys live back-to-back in one byte arena addressed by offset, the
-// per-group accumulators live in struct-of-arrays columns (one aggCol per
-// aggregate spec), and the probe path is FNV hash + linear scan over a
-// power-of-two slot array, so a probe allocates nothing. Group indices are
-// dense and assigned in first-seen order, which is also the output and the
-// checkpoint order.
+// keys live back-to-back in one byte arena addressed by offset, the key
+// values live in one typed column per group-by expression (row g is group
+// g's first-seen key), the per-group accumulators live in struct-of-arrays
+// columns (one aggCol per aggregate spec), and the probe path is FNV hash +
+// linear scan over a power-of-two slot array, so a probe allocates nothing.
+// Group indices are dense and assigned in first-seen order, which is also
+// the output and the checkpoint order.
 type flatAggTable struct {
-	specs    []plan.AggSpec
-	nGroupBy int
+	specs []plan.AggSpec
 
 	slots  []uint32 // group index + 1; 0 = empty
 	mask   uint32
 	hashes []uint64 // per group, for rehash and cheap probe rejection
 	keyOff []int    // arena start offset per group; end = next start or len
 	arena  []byte
-	keys   []vector.Value // boxed key values, nGroupBy per group (save/finalize)
+	keys   []*vector.Vector // one column per group-by expression (save/finalize)
 	cols   []aggCol
 	n      int
 }
@@ -49,13 +50,17 @@ const flatAggInitSlots = 64
 // inserts don't each trigger an incremental map growth allocation.
 const distinctMapSizeHint = 8
 
-func newFlatAggTable(specs []plan.AggSpec, nGroupBy int) *flatAggTable {
+func newFlatAggTable(specs []plan.AggSpec, keyTypes []vector.Type) *flatAggTable {
+	keys := make([]*vector.Vector, len(keyTypes))
+	for i, kt := range keyTypes {
+		keys[i] = vector.New(kt, 0)
+	}
 	return &flatAggTable{
-		specs:    specs,
-		nGroupBy: nGroupBy,
-		slots:    make([]uint32, flatAggInitSlots),
-		mask:     flatAggInitSlots - 1,
-		cols:     make([]aggCol, len(specs)),
+		specs: specs,
+		slots: make([]uint32, flatAggInitSlots),
+		mask:  flatAggInitSlots - 1,
+		keys:  keys,
+		cols:  make([]aggCol, len(specs)),
 	}
 }
 
@@ -67,7 +72,9 @@ func (t *flatAggTable) reset() {
 	t.hashes = t.hashes[:0]
 	t.keyOff = t.keyOff[:0]
 	t.arena = t.arena[:0]
-	t.keys = t.keys[:0]
+	for _, k := range t.keys {
+		k.Reset()
+	}
 	for i := range t.cols {
 		c := &t.cols[i]
 		c.sumF = c.sumF[:0]
@@ -90,7 +97,7 @@ func (t *flatAggTable) keyBytes(g int32) []byte {
 }
 
 // get returns the dense group index for the encoded key, inserting on first
-// sight. isNew tells the caller to record the group's boxed key values.
+// sight. isNew tells the caller to append the group's key values.
 func (t *flatAggTable) get(enc []byte) (g int32, isNew bool) {
 	h := kernel.HashBytes(enc)
 	i := uint32(h) & t.mask
@@ -145,11 +152,6 @@ func (t *flatAggTable) grow() {
 	}
 	t.slots = ns
 	t.mask = mask
-}
-
-// groupKeys returns group g's boxed key values.
-func (t *flatAggTable) groupKeys(g int32) []vector.Value {
-	return t.keys[int(g)*t.nGroupBy : (int(g)+1)*t.nGroupBy]
 }
 
 // updateBoxed folds one boxed value into group g for spec i: the one path for
@@ -225,33 +227,68 @@ func (t *flatAggTable) mergeFrom(src *flatAggTable, dg, sg int32) {
 	}
 }
 
-// result produces the final value of spec i for group g.
-func (t *flatAggTable) result(i int, sp plan.AggSpec, g int32) vector.Value {
-	c := &t.cols[i]
-	if sp.Distinct {
-		return vector.NewInt64(int64(len(c.distinct[g])))
+// merge folds every group of src into t, appending src's unseen groups in
+// its first-seen order. src's arena key bytes are the probe keys: no
+// re-encoding.
+func (t *flatAggTable) merge(src *flatAggTable) {
+	for g := int32(0); int(g) < src.n; g++ {
+		dg, isNew := t.get(src.keyBytes(g))
+		if isNew {
+			for j, k := range t.keys {
+				k.AppendFrom(src.keys[j], int(g))
+			}
+		}
+		t.mergeFrom(src, dg, g)
 	}
-	switch sp.Func {
-	case plan.AggCount, plan.AggCountStar:
-		return vector.NewInt64(c.count[g])
-	case plan.AggAvg:
-		if c.count[g] == 0 {
-			return vector.NewNull(vector.TypeFloat64)
+}
+
+// appendResults appends the final value of spec i for groups [lo, hi) to
+// dst, one loop per aggregate. DISTINCT (its set size as a BIGINT value,
+// whatever the spec's result type) and MIN/MAX (boxed state) go through
+// AppendValue; the rest write typed.
+func (t *flatAggTable) appendResults(dst *vector.Vector, i int, sp plan.AggSpec, lo, hi int) {
+	c := &t.cols[i]
+	switch {
+	case sp.Distinct:
+		for g := lo; g < hi; g++ {
+			dst.AppendValue(vector.NewInt64(int64(len(c.distinct[g]))))
 		}
-		return vector.NewFloat64(c.sumF[g] / float64(c.count[g]))
-	case plan.AggSum:
-		if c.count[g] == 0 {
-			return vector.NewNull(sp.ResultType())
+	case sp.Func == plan.AggCount || sp.Func == plan.AggCountStar:
+		for _, n := range c.count[lo:hi] {
+			dst.AppendInt64(n)
 		}
-		if sp.ResultType() == vector.TypeFloat64 {
-			return vector.NewFloat64(c.sumF[g])
+	case sp.Func == plan.AggAvg:
+		for g := lo; g < hi; g++ {
+			if c.count[g] == 0 {
+				dst.AppendNull()
+			} else {
+				dst.AppendFloat64(c.sumF[g] / float64(c.count[g]))
+			}
 		}
-		return vector.NewInt64(c.sumI[g])
+	case sp.Func == plan.AggSum && sp.ResultType() == vector.TypeFloat64:
+		for g := lo; g < hi; g++ {
+			if c.count[g] == 0 {
+				dst.AppendNull()
+			} else {
+				dst.AppendFloat64(c.sumF[g])
+			}
+		}
+	case sp.Func == plan.AggSum:
+		for g := lo; g < hi; g++ {
+			if c.count[g] == 0 {
+				dst.AppendNull()
+			} else {
+				dst.AppendInt64(c.sumI[g])
+			}
+		}
 	default: // min/max
-		if c.minmax[g].Type == vector.TypeInvalid {
-			return vector.NewNull(sp.ResultType())
+		for _, v := range c.minmax[lo:hi] {
+			if v.Type == vector.TypeInvalid {
+				dst.AppendNull()
+			} else {
+				dst.AppendValue(v)
+			}
 		}
-		return c.minmax[g]
 	}
 }
 
@@ -267,13 +304,14 @@ func (t *flatAggTable) memBytes() int64 {
 	return b
 }
 
-// FlatAggSink is the pipeline breaker for hash aggregation. Worker-local
-// flatAggTables are merged into the global table at Combine; Finalize
-// materializes the groups into a row buffer scannable by the next pipeline —
-// the "global state" of the paper's Fig. 3. Group-by and argument
-// expressions run as compiled programs, group probes allocate nothing, and
-// SUM/COUNT folds run as generated grouped-update kernels over raw slices.
-// SaveLocal writes the v2 aggregate state format (saveTable).
+// FlatAggSink is the pipeline breaker for hash aggregation. At Combine the
+// first worker-local flatAggTable becomes the global table and the others
+// merge into it; Finalize materializes the groups into a row buffer
+// scannable by the next pipeline — the "global state" of the paper's Fig. 3.
+// Group-by and argument expressions run as compiled programs, group probes
+// allocate nothing, and SUM/COUNT folds run as generated grouped-update
+// kernels over raw slices. SaveLocal writes the v2 aggregate state format
+// (saveTable).
 type FlatAggSink struct {
 	specs    []plan.AggSpec
 	outTypes []vector.Type
@@ -308,9 +346,12 @@ func NewFlatAggSink(groupBy []expr.Expr, specs []plan.AggSpec, outTypes []vector
 		outTypes:   outTypes,
 		groupProgs: groupProgs,
 		argProgs:   argProgs,
-		global:     newFlatAggTable(specs, len(groupBy)),
+		global:     newFlatAggTable(specs, outTypes[:len(groupBy)]),
 	}, nil
 }
+
+// keyTypes returns the group-by columns' types.
+func (s *FlatAggSink) keyTypes() []vector.Type { return s.outTypes[:len(s.groupProgs)] }
 
 type flatAggLocal struct {
 	table      *flatAggTable
@@ -340,7 +381,7 @@ func (s *FlatAggSink) MakeLocal() LocalState {
 		l.table.reset()
 		return l
 	}
-	return s.newLocal(newFlatAggTable(s.specs, len(s.groupProgs)))
+	return s.newLocal(newFlatAggTable(s.specs, s.keyTypes()))
 }
 
 // Consume implements Sink.
@@ -358,8 +399,9 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 		return err
 	}
 
-	// Locate (or create) each row's group: no closures, no boxing except for
-	// the first sight of a new group's key values.
+	// Locate (or create) each row's group: no closures, no boxing. A new
+	// group's key values are appended raw, so a first-seen -0.0 stays -0.0
+	// while the key encoding canonicalizes it.
 	if cap(l.rowGroups) < n {
 		l.rowGroups = make([]int32, n)
 	}
@@ -370,8 +412,8 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 		keyBuf = encodeKeyFromVecs(keyBuf[:0], groupVecs, r)
 		g, isNew := t.get(keyBuf)
 		if isNew {
-			for _, gv := range groupVecs {
-				t.keys = append(t.keys, gv.Value(r))
+			for j, gv := range groupVecs {
+				t.keys[j].AppendFrom(gv, r)
 			}
 		}
 		rowGroups[r] = g
@@ -417,40 +459,44 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 	return nil
 }
 
-// Combine implements Sink. The local's arena key bytes are reused directly as
-// probe keys into the global table — no re-encoding, no boxing. The local is
-// recycled into the pool afterwards; that is safe because the scheduler calls
-// Combine exactly once per local and only snapshots (SaveLocal) locals of
-// still-inflight pipelines.
+// Combine implements Sink. While the global table is empty, the local's
+// table becomes the global one: merging into an empty table would rebuild
+// it exactly (0 + a == a, and the groups keep their first-seen order), so
+// the first local is adopted, not copied, and is never recycled. Later
+// locals merge in and are recycled into the pool; that is safe because the
+// scheduler calls Combine exactly once per local and only snapshots
+// (SaveLocal) locals of still-inflight pipelines.
 func (s *FlatAggSink) Combine(ls LocalState) error {
 	l := ls.(*flatAggLocal)
-	lt := l.table
-	for g := int32(0); int(g) < lt.n; g++ {
-		gg, isNew := s.global.get(lt.keyBytes(g))
-		if isNew {
-			s.global.keys = append(s.global.keys, lt.groupKeys(g)...)
-		}
-		s.global.mergeFrom(lt, gg, g)
+	if s.global.n == 0 {
+		s.global = l.table
+		return nil
 	}
+	s.global.merge(l.table)
 	s.localPool.Put(l)
 	return nil
 }
 
-// Finalize implements Sink.
+// Finalize implements Sink. It fills the output one chunk at a time, column
+// by column: key columns by range copy, then each aggregate in one loop.
 func (s *FlatAggSink) Finalize() error {
-	s.buf = NewRowBuffer(s.outTypes)
-	if len(s.groupProgs) == 0 && s.global.n == 0 {
+	t := s.global
+	if len(t.keys) == 0 && t.n == 0 {
 		// Global aggregation over zero rows still yields one row.
-		s.global.get(nil)
+		t.get(nil)
 	}
-	row := make([]vector.Value, 0, len(s.outTypes))
-	for g := int32(0); int(g) < s.global.n; g++ {
-		row = row[:0]
-		row = append(row, s.global.groupKeys(g)...)
-		for i, sp := range s.specs {
-			row = append(row, s.global.result(i, sp, g))
+	s.buf = NewRowBuffer(s.outTypes)
+	for lo := 0; lo < t.n; lo += vector.ChunkCapacity {
+		hi := min(lo+vector.ChunkCapacity, t.n)
+		c := s.buf.tail() // a fresh chunk: every earlier one is full
+		for j, k := range t.keys {
+			c.Col(j).AppendRange(k, lo, hi)
 		}
-		s.buf.AppendRowValues(row...)
+		for i, sp := range s.specs {
+			t.appendResults(c.Col(len(t.keys)+i), i, sp, lo, hi)
+		}
+		c.SetLen(hi - lo)
+		s.buf.rows += int64(hi - lo)
 	}
 	s.final = true
 	return nil
@@ -469,8 +515,8 @@ func (s *FlatAggSink) NumGroups() int { return s.global.n }
 func (s *FlatAggSink) saveTable(enc *vector.Encoder, t *flatAggTable) {
 	enc.Uvarint(uint64(t.n))
 	for g := int32(0); int(g) < t.n; g++ {
-		for _, kv := range t.groupKeys(g) {
-			enc.Value(kv)
+		for _, k := range t.keys {
+			enc.Value(k.Value(int(g)))
 		}
 		for i, sp := range s.specs {
 			c := &t.cols[i]
@@ -496,21 +542,25 @@ func (s *FlatAggSink) saveTable(enc *vector.Encoder, t *flatAggTable) {
 }
 
 func (s *FlatAggSink) loadTable(dec *vector.Decoder) (*flatAggTable, error) {
-	t := newFlatAggTable(s.specs, len(s.groupProgs))
+	t := newFlatAggTable(s.specs, s.keyTypes())
 	n := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	var keyBuf []byte
-	key := make([]vector.Value, t.nGroupBy)
 	for r := 0; r < n; r++ {
-		for i := range key {
-			key[i] = dec.Value()
+		for _, k := range t.keys {
+			k.AppendValue(dec.Value())
 		}
-		keyBuf = encodeKeyFromValues(keyBuf[:0], key)
+		keyBuf = encodeKeyFromVecs(keyBuf[:0], t.keys, r)
 		g, isNew := t.get(keyBuf)
-		if isNew {
-			t.keys = append(t.keys, key...)
+		if !isNew {
+			// The key columns now hold one row more than the table has
+			// groups; a saved table never repeats a key.
+			if err := dec.Err(); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("aggregate state: group %d repeats an earlier key", r)
 		}
 		for i, sp := range s.specs {
 			c := &t.cols[i]

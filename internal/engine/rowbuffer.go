@@ -13,6 +13,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -102,8 +104,16 @@ func (b *RowBuffer) Value(r int64, col int) vector.Value {
 	return b.chunks[ci].Col(col).Value(ri)
 }
 
-// Concat appends all rows of other (which must share types).
+// Concat appends all rows of other (which must share types) and leaves
+// other dead: the sinks' Combine hands over worker-local buffers that are
+// never touched again. Into an empty buffer it takes other's chunks instead
+// of copying them; they are packed densely already, so fixed-stride
+// addressing holds.
 func (b *RowBuffer) Concat(other *RowBuffer) {
+	if len(b.chunks) == 0 {
+		b.chunks, b.rows = other.chunks, other.rows
+		return
+	}
 	for _, c := range other.chunks {
 		b.AppendChunk(c)
 	}
@@ -130,7 +140,11 @@ func (b *RowBuffer) Save(enc *vector.Encoder) {
 	}
 }
 
-// LoadRowBuffer deserializes a buffer written by Save.
+// LoadRowBuffer deserializes a buffer written by Save. Save writes densely
+// packed chunks, and a buffer that is not — a chunk before the last holding
+// fewer than ChunkCapacity rows, or any holding more, or a chunk of other
+// width — is refused: Locate's fixed stride would read the wrong rows. (A
+// zero-width chunk saves no row count, so its rows are not checked.)
 func LoadRowBuffer(dec *vector.Decoder) (*RowBuffer, error) {
 	nt := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
@@ -149,6 +163,10 @@ func LoadRowBuffer(dec *vector.Decoder) (*RowBuffer, error) {
 		c := dec.Chunk()
 		if err := dec.Err(); err != nil {
 			return nil, err
+		}
+		if c.NumCols() != nt || c.Len() > vector.ChunkCapacity || (nt > 0 && i < nc-1 && c.Len() != vector.ChunkCapacity) {
+			return nil, fmt.Errorf("row buffer: chunk %d of %d has %d rows × %d columns; want %d columns, packed to %d rows",
+				i, nc, c.Len(), c.NumCols(), nt, vector.ChunkCapacity)
 		}
 		b.chunks = append(b.chunks, c)
 		b.rows += int64(c.Len())
