@@ -93,13 +93,15 @@ profile:
 # (FuzzReadCheckpoint, whose worker goroutines make coverage vary between
 # runs — without -fuzzminimizetime 1x the engine sits in minimization) — and
 # the expression evaluator against its scalar oracle on random trees
-# (FuzzProgramMatchesScalar). The committed corpora run as plain tests in
+# (FuzzProgramMatchesScalar), and the lineage-log scanner
+# (FuzzScanLineage). The committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A crasher is written
 # under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
 	$(GO) test ./internal/blobstore -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzProgramMatchesScalar$$' -fuzztime 10s
+	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and
 # running. Timings are measured end to end by benchmark/ (BENCHMARK.json);

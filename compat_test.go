@@ -49,7 +49,7 @@ func openCompatDB(t *testing.T, storeDir string) *DB {
 // writeCompatFixtures persists one suspension per target under dir. The
 // process-level and lineage suspensions are retried with a growing head
 // start until they land mid-scan, so the store image carries worker-local
-// state and a cursor and the log carries morsel records to replay past.
+// state and a cursor and the log a breaker state to replay from.
 func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 	db := openCompatDB(t, filepath.Join(dir, "store"))
 	q3, err := db.PrepareTPCH(compatQuery)
@@ -116,7 +116,7 @@ func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 		func(info *PointInfo) bool { return info.TotalBytes > 1<<20 })
 	persist(q3, LineageLevel,
 		func(exec *Execution) ResumePoint { return ResumePoint{Target: "lineage", Ref: exec.LineagePath()} },
-		func(info *PointInfo) bool { return info.States > 0 && info.Records > 10 })
+		func(info *PointInfo) bool { return info.States > 0 })
 }
 
 // copyTree copies the regular files under src to dst.

@@ -112,11 +112,6 @@ type Options struct {
 	// finalize. Returning ActionSuspend triggers a pipeline-level
 	// suspension at this breaker.
 	OnBreaker func(*BreakerEvent) BreakerAction
-	// OnMorsel, when set, is invoked after each morsel is fully processed,
-	// with the pipeline's index and the claimed morsel index. It is called
-	// concurrently from worker goroutines and must be cheap — the
-	// write-ahead lineage log uses it to buffer morsel-progress records.
-	OnMorsel func(pipeline int, morsel int64)
 	// AutoSuspend, when its threshold is positive, arms a one-shot
 	// progress-triggered suspension.
 	AutoSuspend AutoSuspend
@@ -615,7 +610,7 @@ func claimMorsel(cursor *atomic.Int64, morsels int64) (int64, bool) {
 // it exited at a morsel boundary due to a stop signal (context cancellation,
 // a process-level suspension request, or the stop-all barrier) rather than
 // because the pipeline's morsels were exhausted.
-func (ex *Executor) runWorker(ctx context.Context, pi int, p *Pipeline, cursor *atomic.Int64, morsels int64, local LocalState) (stopped bool, err error) {
+func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.Int64, morsels int64, local LocalState) (stopped bool, err error) {
 	chunk := vector.NewChunk(p.Source.OutTypes())
 	chain := makeChain(p.Ops, func(c *vector.Chunk) error {
 		return p.Sink.Consume(local, c)
@@ -665,9 +660,6 @@ func (ex *Executor) runWorker(ctx context.Context, pi int, p *Pipeline, cursor *
 		doneBytes += mb
 		if err := chain(chunk); err != nil {
 			return false, err
-		}
-		if ex.opts.OnMorsel != nil {
-			ex.opts.OnMorsel(pi, idx)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
+	"github.com/riveterdb/riveter/internal/vector"
 )
 
 // orderedKey renders a result row by row, in result order.
@@ -42,18 +43,36 @@ func TestSortedResultKeepsOrderAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	// Suspend inside the result pipeline, after its third morsel.
-	pp := mustCompile(t, node, cat)
-	last := pp.NumPipelines() - 1
-	if !pp.Pipelines[last].Ordered {
+	// Suspend inside the result pipeline, after its third morsel. A probe run
+	// finds that processed-bytes mark: everything the pipelines before it
+	// read, plus the bytes of its first three morsels, read off its source
+	// once the sort has finalized.
+	probe := mustCompile(t, node, cat)
+	last := probe.NumPipelines() - 1
+	if !probe.Pipelines[last].Ordered {
 		t.Fatal("the pipeline scanning the sorted buffer is not marked Ordered")
 	}
-	var ex *Executor
-	ex = NewExecutor(pp, Options{Workers: 4, OnMorsel: func(pipeline int, morsel int64) {
-		if pipeline == last && morsel == 2 {
-			ex.RequestSuspend(KindProcess)
+	acct := NewAccountant()
+	var mark int64
+	_, err := NewExecutor(probe, Options{Workers: 4, Accountant: acct, OnBreaker: func(ev *BreakerEvent) BreakerAction {
+		if ev.PipelineIdx == last-1 {
+			mark = acct.ProcessedBytes()
+			src := probe.Pipelines[last].Source
+			chunk := vector.NewChunk(src.OutTypes())
+			for idx := int64(0); idx < 3; idx++ {
+				if _, err := src.ReadMorsel(idx, chunk); err != nil {
+					t.Error(err)
+				}
+				mark += chunk.MemBytes()
+			}
 		}
-	}})
+		return ActionContinue
+	}}).Run(context.Background())
+	if err != nil || mark == 0 {
+		t.Fatalf("probe run: err %v, mark %d", err, mark)
+	}
+	pp := mustCompile(t, node, cat)
+	ex := NewExecutor(pp, Options{Workers: 4, AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: mark}})
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("Run = %v, want a suspension inside the result pipeline", err)
 	}

@@ -192,7 +192,7 @@ func (s *schedule) addWorker(rp *runningPipe, local LocalState) {
 	rp.outstanding++
 	s.free--
 	go func() {
-		stopped, err := s.ex.runWorker(s.ctx, rp.pi, rp.p, &rp.cursor, rp.morsels, local)
+		stopped, err := s.ex.runWorker(s.ctx, rp.p, &rp.cursor, rp.morsels, local)
 		s.events <- schedEvent{w: &workerExit{pi: rp.pi, stopped: stopped, err: err}}
 	}()
 }

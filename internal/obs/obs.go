@@ -143,9 +143,10 @@ const (
 	MetricServerMigrated = "server.migrated"
 
 	// Write-ahead lineage log metrics. Appends counts records written into
-	// the log (morsel-progress and breaker-state records); LogBytes counts
-	// bytes appended; Seals counts flush+fsync boundaries (periodic seals
-	// plus the final seal a lineage suspension performs); TornTruncated
+	// the log (the meta record, one breaker-state record per breaker, and
+	// the seal record); LogBytes counts bytes appended; Seals counts
+	// flush+fsync boundaries (the log's creation, every breaker, and the
+	// final seal a lineage suspension performs); TornTruncated
 	// counts torn tail records detected and logically truncated at replay
 	// time — they are never replayed.
 	MetricLineageAppends       = "lineage.appends"

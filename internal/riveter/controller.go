@@ -331,7 +331,7 @@ func (c *Controller) runForced(spec QuerySpec, sc Scenario, ev Event, k strategy
 	opts := engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: o}
 	var lin *strategy.LineageLog
 	if k == strategy.Lineage {
-		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, "", &opts)
+		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, &opts)
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +526,7 @@ func (c *Controller) RunAdaptive(spec QuerySpec, sc Scenario, ev Event) (*Report
 	opts := engine.Options{Workers: c.Workers, Accountant: c.accountant(), Obs: o}
 	var lin *strategy.LineageLog
 	if c.UseLineage {
-		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, "", &opts)
+		lin, err = strategy.Seam{FS: c.FS}.OpenLineage(pp, spec.Name, strategy.LineageConfig{Path: c.lineagePath(spec.Name)}, &opts)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,8 @@ import (
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/costmodel"
+	"github.com/riveterdb/riveter/internal/faultfs"
+	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/strategy"
 	"github.com/riveterdb/riveter/internal/tpch"
@@ -140,6 +142,61 @@ func TestForcedProcessSuspension(t *testing.T) {
 	// comfortably exceed the raw pipeline state of an aggregation query.
 	if rep.Strategy != strategy.Process {
 		t.Errorf("strategy = %v", rep.Strategy)
+	}
+}
+
+// forcedLineage runs spec under a forced lineage suspension requested
+// mid-window, retrying until one lands before the query finishes. fsys, when
+// set, builds the filesystem of each attempt; every attempt gets a fresh
+// metrics registry.
+func forcedLineage(t *testing.T, c *Controller, spec QuerySpec, fsys func() faultfs.FS) *Report {
+	t.Helper()
+	sc := Scenario{Probability: 1, WindowStartFrac: 0.4, WindowEndFrac: 0.6}
+	for attempt := 0; attempt < 5; attempt++ {
+		if fsys != nil {
+			c.FS = fsys()
+		}
+		c.Metrics = obs.NewRegistry()
+		rep, err := c.RunForced(spec, sc, Event{}, strategy.Lineage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Suspended {
+			return rep
+		}
+	}
+	t.Fatal("no lineage suspension landed before the query finished")
+	return nil
+}
+
+func TestForcedLineageSuspension(t *testing.T) {
+	cat := slowCatalog(t)
+	c := testController(t, cat)
+	spec := calibrated(t, c, 3)
+	rep := forcedLineage(t, c, spec, nil)
+	if rep.Strategy != strategy.Lineage || rep.PersistedBytes <= 0 {
+		t.Errorf("strategy %v, persisted %d bytes; want lineage and a non-empty log", rep.Strategy, rep.PersistedBytes)
+	}
+	if n := c.Metrics.Counter(obs.MetricCheckpointFallback).Value(); n != 0 {
+		t.Errorf("checkpoint.fallback = %d on a healthy log", n)
+	}
+}
+
+// TestForcedLineageFallsBackToProcessImage: when the log's device fails
+// every sync after the log's creation, the seal fails and the controller
+// persists the process image instead.
+func TestForcedLineageFallsBackToProcessImage(t *testing.T) {
+	cat := slowCatalog(t)
+	c := testController(t, cat)
+	spec := calibrated(t, c, 3)
+	rep := forcedLineage(t, c, spec, func() faultfs.FS {
+		return faultfs.New(nil).AddFault(faultfs.Fault{Op: faultfs.OpSync, PathSubstr: ".rvlg", Nth: 2})
+	})
+	if rep.Strategy != strategy.Process || rep.PersistedBytes <= 0 {
+		t.Errorf("strategy %v, persisted %d bytes; want the process image", rep.Strategy, rep.PersistedBytes)
+	}
+	if n := c.Metrics.Counter(obs.MetricCheckpointFallback).Value(); n != 1 {
+		t.Errorf("checkpoint.fallback = %d, want 1", n)
 	}
 }
 

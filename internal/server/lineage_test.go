@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/checkpoint"
@@ -221,5 +222,34 @@ func TestLineageRerunAfterQuarantineKeepsLog(t *testing.T) {
 	}
 	if got := snap.Counters[obs.MetricLineageAppends]; got == 0 {
 		t.Error("rerun after quarantine ran without a lineage log")
+	}
+}
+
+// TestLineageFailedRunRemovesItsLog: a lineage-logged session whose run
+// fails — here aborted mid-run by Kill — leaves no log behind in the
+// checkpoint directory.
+func TestLineageFailedRunRemovesItsLog(t *testing.T) {
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	s := newServer(t, db, Config{Slots: 1, Policy: SuspensionAware{}, PreemptLevel: riveter.LineageLevel})
+	victim := stalledVictim(t, s, stall, riveter.LineageLevel)
+	killed := make(chan struct{})
+	go func() {
+		s.Kill()
+		close(killed)
+	}()
+	waitCond(t, 30*time.Second, "the kill to cancel the run", func() bool { return s.ctx.Err() != nil })
+	stall.release()
+	select {
+	case <-killed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Kill did not return")
+	}
+	if in, _ := s.Info(victim.ID()); in.State != StateFailed {
+		t.Errorf("killed session is %s, want failed", in.State)
+	}
+	logs, _ := filepath.Glob(filepath.Join(db.CheckpointDir(), "*.rvlg"))
+	if len(logs) != 0 {
+		t.Errorf("a failed run left its lineage log behind: %v", logs)
 	}
 }

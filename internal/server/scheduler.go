@@ -308,6 +308,10 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint, held *riveter.Exec
 			s.mu.Unlock()
 			return
 		default:
+			// A failed run leaves nothing to resume from its own log.
+			if lp := exec.LineagePath(); lp != "" {
+				_ = s.db.RemoveLineage(lp)
+			}
 			s.finish(sess, nil, werr)
 			return
 		}

@@ -2,11 +2,10 @@ package strategy
 
 // Write-ahead lineage suspension (ROADMAP item 3; arXiv 2403.08062):
 // instead of paying checkpoint-sized I/O when a termination warning
-// arrives, the execution continuously appends tiny lineage records to an
-// append-only log — morsel-progress records at every morsel boundary and a
-// pipeline-kind breaker-state record at every pipeline breaker. A
-// suspension then only seals the log: flush + fsync of the unsealed tail
-// plus one small seal record, which is near-free regardless of state size.
+// arrives, the execution appends one pipeline-kind breaker-state record to
+// an append-only log at every pipeline breaker and seals it there. A
+// suspension then only seals the log once more: flush + fsync of one small
+// seal record, which is near-free regardless of state size.
 // A resume scans the log, loads the last sealed breaker-state record, and
 // deterministically re-executes the pipelines that had not finalized by
 // then — the bounded replay the strategy trades for its cheap suspend.
@@ -19,11 +18,9 @@ package strategy
 // The CRC covers type, length, and payload, so any torn tail — a record
 // cut mid-payload by a crash, a corrupted length, an unknown type — is
 // detected at scan time and the log is logically truncated there: torn
-// records are never replayed. Breaker-state payloads are either inline
-// serialized executor state or, when the log rides the blob store, a tiny
-// reference to a content-addressed store checkpoint — consecutive
-// snapshots then dedup chunk-by-chunk, so each breaker uploads only the
-// delta.
+// records are never replayed. Breaker-state payloads are inline serialized
+// executor state. Logs written by older binaries may also hold
+// morsel-progress records (type 2); the scanner validates and skips them.
 
 import (
 	"bytes"
@@ -32,11 +29,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/blobstore"
 	"github.com/riveterdb/riveter/internal/checkpoint"
 	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/faultfs"
@@ -48,7 +43,9 @@ const (
 	lineageMagic   = "RVLG"
 	lineageVersion = 1
 
-	recLineageMeta   byte = 1
+	recLineageMeta byte = 1
+	// recLineageMorsel is a morsel-progress record: written by older
+	// binaries, read by nothing, skipped at scan time.
 	recLineageMorsel byte = 2
 	recLineageState  byte = 3
 	recLineageSeal   byte = 4
@@ -64,71 +61,34 @@ type LineageMeta struct {
 	Query           string `json:"query"`
 	PlanFingerprint string `json:"plan_fingerprint"`
 	Workers         int    `json:"workers"`
-	SealEvery       int    `json:"seal_every"`
 	StateVersion    int    `json:"state_version"`
-	// StoreKey, when set, is the key prefix breaker-state snapshots were
-	// written under in the blob store; state records then carry references
-	// instead of inline state.
-	StoreKey string `json:"store_key,omitempty"`
-}
-
-// LineageCursor is one pipeline's morsel position at seal time.
-type LineageCursor struct {
-	Pipeline int   `json:"pipeline"`
-	Cursor   int64 `json:"cursor"`
-}
-
-// lineageStateRef is the payload of a store-backed state record.
-type lineageStateRef struct {
-	Key        string `json:"key"`
-	StateBytes int64  `json:"state_bytes"`
-	Seq        int    `json:"seq"`
 }
 
 // lineageSeal is the payload of the final seal record.
 type lineageSeal struct {
-	InFlight  []LineageCursor `json:"in_flight,omitempty"`
-	ElapsedNs int64           `json:"elapsed_ns"`
-	Records   int             `json:"records"`
+	ElapsedNs int64 `json:"elapsed_ns"`
+	Records   int   `json:"records"`
 }
 
 // LineageOptions configure a write-ahead lineage log.
 type LineageOptions struct {
 	// FS is the filesystem the log is appended through (faultfs.OS when nil).
 	FS faultfs.FS
-	// Store, when set, makes breaker-state snapshots ride the blob store:
-	// each one is written as a content-addressed checkpoint under
-	// StoreKey-s<seq> and the log records only the reference. Consecutive
-	// snapshots dedup chunk-by-chunk — the write-ahead log is delta-friendly
-	// by construction.
-	Store *blobstore.Store
-	// StoreKey is the store key prefix for breaker-state snapshots
-	// (required when Store is set).
-	StoreKey string
-	// SealEvery seals (flush + fsync) the log every N breaker-state records;
-	// 0 or 1 seals at every breaker. Replay-on-resume is bounded by this
-	// interval: at most the work since the last sealed breaker record.
-	SealEvery int
 	// Obs attaches metrics and tracing.
 	Obs obs.Context
 }
 
 // LineageLog is an open write-ahead lineage log attached to a running
-// execution. OnMorsel/OnBreaker are wired into engine.Options; Seal is
-// called once the execution quiesced under a suspension. Log-write
-// failures are sticky and deliberately non-fatal to the query: they
-// surface through Err and at Seal, where the caller degrades to a
-// checkpoint-based strategy.
+// execution. OnBreaker is wired into engine.Options; Seal is called once
+// the execution quiesced under a suspension. Log-write failures are sticky
+// and deliberately non-fatal to the query: they surface through Err and at
+// Seal, where the caller degrades to a checkpoint-based strategy.
 type LineageLog struct {
-	fsys      faultfs.FS
-	path      string
-	store     *blobstore.Store
-	storeKey  string
-	sealEvery int
-	query     string
-	fp        string
-	workers   int
-	o         obs.Context
+	path    string
+	query   string
+	fp      string
+	workers int
+	o       obs.Context
 
 	mu             sync.Mutex
 	f              faultfs.File
@@ -150,19 +110,11 @@ func CreateLineageLog(path, query string, fingerprint uint64, workers int, lo Li
 	if lo.FS == nil {
 		lo.FS = faultfs.OS
 	}
-	if lo.SealEvery <= 0 {
-		lo.SealEvery = 1
-	}
-	if lo.Store != nil && lo.StoreKey == "" {
-		return nil, fmt.Errorf("strategy: lineage log needs a StoreKey when riding the blob store")
-	}
 	meta := LineageMeta{
 		Query:           query,
 		PlanFingerprint: fmt.Sprintf("%016x", fingerprint),
 		Workers:         workers,
-		SealEvery:       lo.SealEvery,
 		StateVersion:    engine.StateFormatVersion,
-		StoreKey:        lo.StoreKey,
 	}
 	mj, err := json.Marshal(meta)
 	if err != nil {
@@ -173,17 +125,13 @@ func CreateLineageLog(path, query string, fingerprint uint64, workers int, lo Li
 		return nil, fmt.Errorf("strategy: create lineage log: %w", err)
 	}
 	l := &LineageLog{
-		fsys:      lo.FS,
-		path:      path,
-		store:     lo.Store,
-		storeKey:  lo.StoreKey,
-		sealEvery: lo.SealEvery,
-		query:     query,
-		fp:        meta.PlanFingerprint,
-		workers:   workers,
-		o:         lo.Obs,
-		f:         f,
-		lastSeal:  time.Now(),
+		path:     path,
+		query:    query,
+		fp:       meta.PlanFingerprint,
+		workers:  workers,
+		o:        lo.Obs,
+		f:        f,
+		lastSeal: time.Now(),
 	}
 	l.pending = append(l.pending, lineageMagic...)
 	l.pending = append(l.pending, lineageVersion)
@@ -219,20 +167,6 @@ func (l *LineageLog) TailBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int64(len(l.pending))
-}
-
-// LogBytes returns total bytes appended so far (durable plus pending).
-func (l *LineageLog) LogBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.logBytes
-}
-
-// States returns how many breaker-state records were appended.
-func (l *LineageLog) States() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.states
 }
 
 // LastStateBytes returns the serialized size of the most recent
@@ -297,26 +231,11 @@ func (l *LineageLog) flushSyncLocked() error {
 	return nil
 }
 
-// OnMorsel buffers one morsel-progress record; wire into
-// engine.Options.OnMorsel. Called concurrently from worker goroutines.
-func (l *LineageLog) OnMorsel(pipeline int, morsel int64) {
-	var payload [12]byte
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(pipeline))
-	binary.LittleEndian.PutUint64(payload[4:12], uint64(morsel))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.writeErr != nil || l.closed {
-		return
-	}
-	l.appendRecordLocked(recLineageMorsel, payload[:])
-}
-
 // OnBreaker appends a breaker-state record — the serialized pipeline-kind
-// executor state as of this breaker — and seals the log every SealEvery-th
-// one; wire into engine.Options.OnBreaker. Always returns ActionContinue:
-// the log observes execution, it never suspends it, and a log-write
-// failure must not kill the query (it degrades the suspension path
-// instead).
+// executor state as of this breaker — and seals the log; wire into
+// engine.Options.OnBreaker. Always returns ActionContinue: the log observes
+// execution, it never suspends it, and a log-write failure must not kill
+// the query (it degrades the suspension path instead).
 func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -335,44 +254,26 @@ func (l *LineageLog) OnBreaker(ev *engine.BreakerEvent) engine.BreakerAction {
 		return engine.ActionContinue
 	}
 	defer img.Release()
-	stateBytes, payload := img.Manifest.StateBytes, img.Payload
-	if l.store != nil {
-		key := fmt.Sprintf("%s-s%d", l.storeKey, l.states)
-		if _, err := l.store.WriteCheckpoint(key, img, l.o.Trace); err != nil {
-			l.writeErr = err
-			return engine.ActionContinue
-		}
-		ref, err := json.Marshal(lineageStateRef{Key: key, StateBytes: stateBytes, Seq: l.states})
-		if err != nil {
-			l.writeErr = err
-			return engine.ActionContinue
-		}
-		payload = ref
-	}
-	l.appendRecordLocked(recLineageState, payload)
+	l.appendRecordLocked(recLineageState, img.Payload)
 	l.states++
-	l.lastStateBytes = stateBytes
-	sealed := l.states%l.sealEvery == 0
-	if sealed {
-		if err := l.flushSyncLocked(); err != nil {
-			return engine.ActionContinue
-		}
+	l.lastStateBytes = img.Manifest.StateBytes
+	if err := l.flushSyncLocked(); err != nil {
+		return engine.ActionContinue
 	}
 	if t := l.o.Trace; t != nil {
 		t.Event(obs.EvLineageAppend,
 			obs.A("pipeline", ev.PipelineIdx),
-			obs.A("state_bytes", stateBytes),
-			obs.A("sealed", sealed))
+			obs.A("state_bytes", l.lastStateBytes),
+			obs.A("sealed", true))
 	}
 	return engine.ActionContinue
 }
 
-// Seal finishes the log under a suspension: the final seal record (with
-// the quiesced in-flight cursors) is appended and the tail flushed and
-// fsynced. info may be nil (sealing a completed or abandoned run). The
-// result is the whole cost of a lineage suspension: TailBytes is what this
-// seal had to flush, Duration the lineage L_s (recorded as
-// suspend.latency.lineage).
+// Seal finishes the log under a suspension: the final seal record is
+// appended and the tail flushed and fsynced. info may be nil (sealing a
+// completed or abandoned run). The result is the whole cost of a lineage
+// suspension: TailBytes is what this seal had to flush, Duration the
+// lineage L_s (recorded as suspend.latency.lineage).
 func (l *LineageLog) Seal(info *engine.SuspendInfo) (*PointInfo, error) {
 	start := time.Now()
 	l.mu.Lock()
@@ -386,9 +287,6 @@ func (l *LineageLog) Seal(info *engine.SuspendInfo) (*PointInfo, error) {
 	seal := lineageSeal{Records: l.records}
 	if info != nil {
 		seal.ElapsedNs = int64(info.Elapsed)
-		for _, ip := range info.InFlight {
-			seal.InFlight = append(seal.InFlight, LineageCursor{Pipeline: ip.Pipeline, Cursor: ip.Cursor})
-		}
 	}
 	sj, err := json.Marshal(seal)
 	if err != nil {
@@ -445,21 +343,16 @@ func (l *LineageLog) Close() error {
 
 // LineageScan is the result of scanning a lineage log: its meta header,
 // record totals over the valid prefix, the last intact breaker-state
-// record (inline bytes or store reference), the sealed in-flight cursors,
-// and where — if anywhere — the log was logically truncated.
+// record, and where — if anywhere — the log was logically truncated.
 type LineageScan struct {
 	Meta LineageMeta
-	// Records / States / Morsels / Seals count intact records.
-	Records, States, Morsels, Seals int
-	// LastState is the last intact inline breaker-state payload (nil when
-	// none, or when the log is store-backed); LastStateKey is the store
-	// reference instead.
-	LastState    []byte
-	LastStateKey string
+	// Records counts intact records (legacy morsel records included);
+	// States and Seals count those of their type.
+	Records, States, Seals int
+	// LastState is the last intact breaker-state payload (nil when none).
+	LastState []byte
 	// StateBytes is the size of that state payload.
 	StateBytes int64
-	// SealedInFlight are the in-flight cursors of the last seal record.
-	SealedInFlight []LineageCursor
 	// Elapsed is the execution time recorded by the last seal record.
 	Elapsed time.Duration
 	// ValidBytes is the length of the intact prefix. TornOffset is the byte
@@ -491,6 +384,12 @@ func ScanLineage(fsys faultfs.FS, path string) (*LineageScan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("strategy: read lineage log: %w", err)
 	}
+	return scanLineage(data, path)
+}
+
+// scanLineage scans the bytes of the log at path (named in errors only).
+// LastState aliases data.
+func scanLineage(data []byte, path string) (*LineageScan, error) {
 	if len(data) < len(lineageMagic)+1 || string(data[:len(lineageMagic)]) != lineageMagic {
 		return nil, fmt.Errorf("strategy: %s is not a lineage log (bad magic)", path)
 	}
@@ -511,10 +410,17 @@ func ScanLineage(fsys faultfs.FS, path string) (*LineageScan, error) {
 			if typ != recLineageMeta {
 				return nil, fmt.Errorf("strategy: lineage log %s missing meta record", path)
 			}
-			if err := json.Unmarshal(payload, &s.Meta); err != nil {
+			var meta struct {
+				LineageMeta
+				StoreKey string `json:"store_key"`
+			}
+			if err := json.Unmarshal(payload, &meta); err != nil {
 				return nil, fmt.Errorf("strategy: lineage log %s meta: %w", path, err)
 			}
-			sawMeta = true
+			if meta.StoreKey != "" {
+				return nil, fmt.Errorf("strategy: lineage log %s names store_key %q: its breaker states live in a blob store, and store-backed lineage logs are not supported", path, meta.StoreKey)
+			}
+			s.Meta, sawMeta = meta.LineageMeta, true
 			s.Records++
 			off = next
 			s.ValidBytes = off
@@ -525,28 +431,15 @@ func ScanLineage(fsys faultfs.FS, path string) (*LineageScan, error) {
 			if len(payload) != 12 {
 				s.TornOffset, s.TornErr = off, "morsel record with bad payload size"
 			}
-			s.Morsels++
 		case recLineageState:
 			s.States++
-			if s.Meta.StoreKey != "" {
-				var ref lineageStateRef
-				if err := json.Unmarshal(payload, &ref); err != nil {
-					s.TornOffset, s.TornErr = off, "state reference record undecodable"
-				} else {
-					s.LastStateKey, s.StateBytes = ref.Key, ref.StateBytes
-					s.LastState = nil
-				}
-			} else {
-				s.LastState = append([]byte(nil), payload...)
-				s.StateBytes = int64(len(payload))
-			}
+			s.LastState, s.StateBytes = payload, int64(len(payload))
 		case recLineageSeal:
 			var seal lineageSeal
 			if err := json.Unmarshal(payload, &seal); err != nil {
 				s.TornOffset, s.TornErr = off, "seal record undecodable"
 			} else {
 				s.Seals++
-				s.SealedInFlight = seal.InFlight
 				s.Elapsed = time.Duration(seal.ElapsedNs)
 			}
 		case recLineageMeta:
@@ -595,7 +488,7 @@ func readLineageRecord(data []byte, off int64) (typ byte, payload []byte, next i
 // last sealed breaker-state record is loaded (pipeline-kind, so any worker
 // count can resume) and Run then re-executes exactly the pipelines that
 // had not finalized by that record — the bounded replay.
-func restoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
+func restoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, opts engine.Options) (*engine.Executor, *LineageScan, error) {
 	start := time.Now()
 	scan, err := ScanLineage(fsys, path)
 	if err != nil {
@@ -617,15 +510,7 @@ func restoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, s
 		}
 	}
 	ex := engine.NewExecutor(pp, opts)
-	switch {
-	case scan.LastStateKey != "":
-		if store == nil {
-			return nil, nil, fmt.Errorf("strategy: lineage log %s is store-backed but no store is attached", path)
-		}
-		if _, err := store.ReadCheckpoint(scan.LastStateKey, ex.LoadState, o.Trace); err != nil {
-			return nil, nil, fmt.Errorf("strategy: load lineage state %s: %w", scan.LastStateKey, err)
-		}
-	case scan.LastState != nil:
+	if scan.LastState != nil {
 		if err := ex.LoadState(vector.NewDecoder(bytes.NewReader(scan.LastState))); err != nil {
 			return nil, nil, fmt.Errorf("strategy: load lineage state: %w", err)
 		}
@@ -644,29 +529,4 @@ func restoreLineagePlan(fsys faultfs.FS, pp *engine.PhysicalPlan, path string, s
 			obs.A("duration", dur))
 	}
 	return ex, scan, nil
-}
-
-// RemoveLineage deletes a lineage log and, when it rode the blob store,
-// every breaker-state checkpoint it wrote (keys <prefix>-s<seq>); chunk
-// reclamation is then the store GC's job, as for any deleted checkpoint.
-func RemoveLineage(fsys faultfs.FS, store *blobstore.Store, path string) error {
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
-	scan, scanErr := ScanLineage(fsys, path)
-	if scanErr == nil && scan.Meta.StoreKey != "" && store != nil {
-		keys, err := store.ListCheckpoints()
-		if err == nil {
-			prefix := scan.Meta.StoreKey + "-s"
-			for _, k := range keys {
-				if strings.HasPrefix(k, prefix) {
-					_ = store.DeleteCheckpoint(k)
-				}
-			}
-		}
-	}
-	if err := fsys.Remove(path); err != nil {
-		return err
-	}
-	return nil
 }

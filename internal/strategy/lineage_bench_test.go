@@ -44,7 +44,6 @@ func BenchmarkLineageSuspend(b *testing.B) {
 		}
 		ex := engine.NewExecutor(pp, engine.Options{
 			Workers:     2,
-			OnMorsel:    lin.OnMorsel,
 			OnBreaker:   lin.OnBreaker,
 			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
 		})
@@ -87,7 +86,6 @@ func BenchmarkLineageReplay(b *testing.B) {
 	}
 	ex := engine.NewExecutor(pp, engine.Options{
 		Workers:     2,
-		OnMorsel:    lin.OnMorsel,
 		OnBreaker:   lin.OnBreaker,
 		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
 	})
@@ -102,7 +100,7 @@ func BenchmarkLineageReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex2, _, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+		ex2, _, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func TestLineageCrashMatrixReplayAtBoundaries(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ex, scan, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+		ex, scan, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("cut@%d: restore: %v", cut, err)
 		}
@@ -171,7 +171,6 @@ func TestLineageCrashDuringLogging(t *testing.T) {
 		}
 		ex := engine.NewExecutor(pp, engine.Options{
 			Workers:     2,
-			OnMorsel:    lin.OnMorsel,
 			OnBreaker:   lin.OnBreaker,
 			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
 		})
@@ -189,7 +188,7 @@ func TestLineageCrashDuringLogging(t *testing.T) {
 
 		// The fresh process scans whatever the crash left (through a clean
 		// filesystem) and replays it.
-		ex2, _, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+		ex2, _, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("crash@%d: restore: %v", crashAt, err)
 		}

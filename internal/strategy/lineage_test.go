@@ -42,18 +42,19 @@ func lineageFixture(t *testing.T) (*catalog.Catalog, plan.Node, string) {
 
 // RestoreLineage compiles the plan and replays the log — the form the
 // lineage tests drive restoreLineagePlan through.
-func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, store *blobstore.Store, opts engine.Options) (*engine.Executor, *LineageScan, error) {
+func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, opts engine.Options) (*engine.Executor, *LineageScan, error) {
 	pp, err := engine.CompileWith(node, cat, opts.Compile)
 	if err != nil {
 		return nil, nil, err
 	}
-	return restoreLineagePlan(fsys, pp, path, store, opts)
+	return restoreLineagePlan(fsys, pp, path, opts)
 }
 
 // suspendWithLineage starts the plan with a lineage log attached and runs
 // it to a process-kind suspension (what Request(ex, Lineage) arms) partway
-// through, so morsel and breaker records accumulate before any seal.
-func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) (*engine.Executor, *LineageLog) {
+// through, so breaker records accumulate before the final seal. It also
+// returns how many breakers fired.
+func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) (*engine.Executor, *LineageLog, int) {
 	t.Helper()
 	pp, err := engine.Compile(node, cat)
 	if err != nil {
@@ -63,10 +64,13 @@ func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path
 	if err != nil {
 		t.Fatal(err)
 	}
+	breakers := 0
 	ex := engine.NewExecutor(pp, engine.Options{
-		Workers:     2,
-		OnMorsel:    lin.OnMorsel,
-		OnBreaker:   lin.OnBreaker,
+		Workers: 2,
+		OnBreaker: func(ev *engine.BreakerEvent) engine.BreakerAction {
+			breakers++
+			return lin.OnBreaker(ev)
+		},
 		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
 	})
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
@@ -75,14 +79,14 @@ func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path
 	if err := lin.Err(); err != nil {
 		t.Fatalf("lineage log unhealthy: %v", err)
 	}
-	return ex, lin
+	return ex, lin, breakers
 }
 
 // runWithLineage suspends the plan via the lineage strategy and returns
 // what the seal reported.
 func runWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) *PointInfo {
 	t.Helper()
-	ex, lin := suspendWithLineage(t, cat, node, path, lo)
+	ex, lin, _ := suspendWithLineage(t, cat, node, path, lo)
 	res, err := lin.Seal(ex.Suspended())
 	if err != nil {
 		t.Fatal(err)
@@ -110,22 +114,19 @@ func newStore(t *testing.T) *blobstore.Store {
 // TestLineageSealWritesTenthOfProcessImage is lineage's acceptance ratio
 // in bytes: suspending by sealing the write-ahead log writes at most 10 %
 // of what persisting the process image of the same suspension writes —
-// the image's bytes on the file target, its upload on the store target
-// (beside a log whose breaker states ride the same store).
+// the image's bytes on the file target, its upload on the store target.
 func TestLineageSealWritesTenthOfProcessImage(t *testing.T) {
 	cat, node, _ := lineageFixture(t)
 	for _, target := range []Target{TargetFile, TargetStore} {
 		t.Run(string(target), func(t *testing.T) {
 			dir := t.TempDir()
 			var sm Seam
-			lo := LineageOptions{}
 			ref := filepath.Join(dir, "q3.rvck")
 			if target == TargetStore {
 				sm.Store = newStore(t)
-				lo = LineageOptions{Store: sm.Store, StoreKey: "lin-q3"}
 				ref = "q3"
 			}
-			ex, lin := suspendWithLineage(t, cat, node, filepath.Join(dir, "q3.rvlg"), lo)
+			ex, lin, _ := suspendWithLineage(t, cat, node, filepath.Join(dir, "q3.rvlg"), LineageOptions{})
 			defer lin.Close()
 			img, err := sm.Persist(context.Background(), Run{Ex: ex}, "Q3", ResumePoint{Target: target, Ref: ref}, PersistOptions{})
 			if err != nil {
@@ -156,7 +157,14 @@ func TestLineageKindName(t *testing.T) {
 func TestLineageRoundTrip(t *testing.T) {
 	cat, node, want := lineageFixture(t)
 	path := filepath.Join(t.TempDir(), "q3.rvlg")
-	res := runWithLineage(t, cat, node, path, LineageOptions{})
+	ex, lin, breakers := suspendWithLineage(t, cat, node, path, LineageOptions{})
+	res, err := lin.Seal(ex.Suspended())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lin.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if res.Records == 0 || res.Seals == 0 {
 		t.Fatalf("seal result empty: %+v", res)
@@ -178,11 +186,29 @@ func TestLineageRoundTrip(t *testing.T) {
 	if scan.Meta.Query != "Q3" || scan.Seals != 1 {
 		t.Errorf("scan = %+v", scan)
 	}
-	if scan.Morsels == 0 {
-		t.Error("no morsel records logged")
+	// The log is exactly what recovery reads: the meta record, one state
+	// record per breaker fired, and the seal record.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := map[byte]int{}
+	for off := int64(len(lineageMagic) + 1); off < int64(len(data)); {
+		typ, _, next, torn := readLineageRecord(data, off)
+		if torn != "" {
+			t.Fatalf("record at %d: %s", off, torn)
+		}
+		types[typ]++
+		off = next
+	}
+	if breakers == 0 || types[recLineageMeta] != 1 || types[recLineageState] != breakers || types[recLineageSeal] != 1 || len(types) != 3 {
+		t.Errorf("log records by type = %v, want 1 meta, %d state, 1 seal and nothing else", types, breakers)
+	}
+	if scan.Records != 2+breakers || scan.States != breakers {
+		t.Errorf("scan counted %d records, %d states; want %d, %d", scan.Records, scan.States, 2+breakers, breakers)
 	}
 
-	ex2, scan2, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+	ex2, scan2, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +231,7 @@ func TestLineageReplayWorkerCountFlexible(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q3.rvlg")
 	runWithLineage(t, cat, node, path, LineageOptions{})
 
-	ex2, _, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 5})
+	ex2, _, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +259,7 @@ func TestLineageEmptyLogReplays(t *testing.T) {
 	}
 	lin.Close()
 
-	ex, scan, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+	ex, scan, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +310,7 @@ func TestLineageTornTailTruncated(t *testing.T) {
 		t.Errorf("valid bytes = %d, want %d", scan.ValidBytes, clean.Size())
 	}
 
-	ex, scan2, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
+	ex, scan2, err := RestoreLineage(nil, cat, node, path, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,92 +326,6 @@ func TestLineageTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestLineageSealEvery checks that a larger seal interval leaves a larger
-// unsealed tail (more marginal I/O at suspension) but still replays
-// correctly: the replay falls back to the last *written* state record.
-func TestLineageSealEvery(t *testing.T) {
-	cat, node, want := lineageFixture(t)
-	path := filepath.Join(t.TempDir(), "q3.rvlg")
-	res := runWithLineage(t, cat, node, path, LineageOptions{SealEvery: 100})
-	// With SealEvery far above the breaker count, only the initial meta
-	// seal happened before the final one.
-	if res.Seals != 2 {
-		t.Errorf("seals = %d, want 2 (create + final)", res.Seals)
-	}
-	ex, _, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ex.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SortedKey() != want {
-		t.Error("SealEvery replay differs")
-	}
-}
-
-// TestLineageStoreBacked rides the blob store: breaker states become
-// content-addressed checkpoints and the log holds only references.
-func TestLineageStoreBacked(t *testing.T) {
-	cat, node, want := lineageFixture(t)
-	st := newStore(t)
-	path := filepath.Join(t.TempDir(), "q3.rvlg")
-	res := runWithLineage(t, cat, node, path, LineageOptions{Store: st, StoreKey: "lin-q3"})
-	if res.States == 0 {
-		t.Fatal("no breaker states logged")
-	}
-	// The log itself must stay tiny: it holds references, not state.
-	if res.LogBytes > 1<<16 {
-		t.Errorf("store-backed log is %d bytes; states leaked inline?", res.LogBytes)
-	}
-	keys, err := st.ListCheckpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != res.States {
-		t.Errorf("store has %d checkpoints, want %d", len(keys), res.States)
-	}
-
-	scan, err := ScanLineage(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.LastStateKey == "" || scan.LastState != nil {
-		t.Fatalf("store-backed scan state = %+v", scan)
-	}
-
-	ex, _, err := RestoreLineage(nil, cat, node, path, st, engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ex.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SortedKey() != want {
-		t.Error("store-backed replay differs")
-	}
-
-	// Store-backed replay without a store must fail loudly, not replay
-	// from scratch and silently lose progress accounting.
-	if _, _, err := RestoreLineage(nil, cat, node, path, nil, engine.Options{Workers: 2}); err == nil {
-		t.Error("store-backed restore without a store must fail")
-	}
-
-	// RemoveLineage deletes the log and its store checkpoints.
-	if err := RemoveLineage(nil, st, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("log file survived RemoveLineage")
-	}
-	keys, _ = st.ListCheckpoints()
-	if len(keys) != 0 {
-		t.Errorf("%d store checkpoints survived RemoveLineage", len(keys))
-	}
-}
-
 func TestLineageRestoreRejectsWrongPlan(t *testing.T) {
 	cat, node, _ := lineageFixture(t)
 	path := filepath.Join(t.TempDir(), "q3.rvlg")
@@ -393,7 +333,7 @@ func TestLineageRestoreRejectsWrongPlan(t *testing.T) {
 
 	q6, _ := tpch.Get(6)
 	node6 := q6.Build(plan.NewBuilder(cat), 0.01)
-	if _, _, err := RestoreLineage(nil, cat, node6, path, nil, engine.Options{Workers: 2}); err == nil {
+	if _, _, err := RestoreLineage(nil, cat, node6, path, engine.Options{Workers: 2}); err == nil {
 		t.Fatal("replaying into a different plan must fail")
 	}
 }
@@ -416,9 +356,8 @@ func TestLineageSecondSuspension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _, err := restoreLineagePlan(nil, pp, first, nil, engine.Options{
+	ex, _, err := restoreLineagePlan(nil, pp, first, engine.Options{
 		Workers:   2,
-		OnMorsel:  lin2.OnMorsel,
 		OnBreaker: lin2.OnBreaker,
 	})
 	if err != nil {
@@ -432,7 +371,7 @@ func TestLineageSecondSuspension(t *testing.T) {
 			t.Fatal(err)
 		}
 		lin2.Close()
-		ex3, _, err := RestoreLineage(nil, cat, node, second, nil, engine.Options{Workers: 2})
+		ex3, _, err := RestoreLineage(nil, cat, node, second, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,19 +98,10 @@ type PersistOptions struct {
 }
 
 // LineageConfig tunes a lineage-logged execution. The zero value is valid:
-// a fresh log path under the checkpoint directory, sealing at every
-// pipeline breaker, state inline in the log.
+// a fresh log path under the checkpoint directory.
 type LineageConfig struct {
 	// Path is the log file's location; empty allocates one.
 	Path string
-	// SealEvery flushes+fsyncs the log every N breaker-state records
-	// (default 1: every breaker is immediately durable). Larger values
-	// trade replay window for fewer fsyncs.
-	SealEvery int
-	// ToStore makes breaker-state snapshots ride the blob store as
-	// content-addressed checkpoints, so consecutive snapshots dedup
-	// chunk-by-chunk and the log itself stays tiny.
-	ToStore bool
 }
 
 // Run is an executor together with the write-ahead lineage log attached to
@@ -206,7 +197,7 @@ func (sm Seam) Verify(rp ResumePoint) (*PointInfo, error) {
 
 // Discard deletes a consumed or superseded point: the file, the store
 // manifest and its claim token (chunks are the store GC's to reclaim), or
-// the log and the store snapshots it references. The zero point is a no-op.
+// the log. The zero point is a no-op.
 func (sm Seam) Discard(rp ResumePoint) error {
 	if rp.IsZero() {
 		return nil
@@ -235,28 +226,19 @@ func (sm Seam) Quarantine(rp ResumePoint) (ResumePoint, error) {
 }
 
 // OpenLineage creates the write-ahead log of a run of pp under cfg and
-// wires its hooks into opts. keySuffix separates the store keys of a
-// resumed run's log from the log it replays.
-func (sm Seam) OpenLineage(pp *engine.PhysicalPlan, query string, cfg LineageConfig, keySuffix string, opts *engine.Options) (*LineageLog, error) {
+// wires its breaker hook into opts.
+func (sm Seam) OpenLineage(pp *engine.PhysicalPlan, query string, cfg LineageConfig, opts *engine.Options) (*LineageLog, error) {
 	if cfg.Path == "" {
 		if sm.LineagePath == nil {
 			return nil, fmt.Errorf("strategy: lineage log needs a path")
 		}
 		cfg.Path = sm.LineagePath(query)
 	}
-	lo := LineageOptions{FS: sm.fs(), SealEvery: cfg.SealEvery, Obs: opts.Obs}
-	if cfg.ToStore {
-		if sm.Store == nil {
-			return nil, fmt.Errorf("strategy: lineage log %s: ToStore needs a blob store, none attached", cfg.Path)
-		}
-		lo.Store = sm.Store
-		lo.StoreKey = fmt.Sprintf("lineage-%s-%016x%s", query, pp.Fingerprint, keySuffix)
-	}
-	lin, err := CreateLineageLog(cfg.Path, query, pp.Fingerprint, opts.Workers, lo)
+	lin, err := CreateLineageLog(cfg.Path, query, pp.Fingerprint, opts.Workers, LineageOptions{FS: sm.fs(), Obs: opts.Obs})
 	if err != nil {
 		return nil, err
 	}
-	opts.OnMorsel, opts.OnBreaker = lin.OnMorsel, lin.OnBreaker
+	opts.OnBreaker = lin.OnBreaker
 	return lin, nil
 }
 
@@ -494,7 +476,7 @@ func (lineageTarget) persist(_ context.Context, sm Seam, run Run, _, path string
 			// The log's device failed: what is on it identifies nothing
 			// recoverable, and the caller's next rung is a checkpoint.
 			run.Log.Close()
-			_ = RemoveLineage(sm.fs(), sm.Store, path)
+			_ = sm.fs().Remove(path)
 		}
 		return nil, err
 	}
@@ -503,12 +485,12 @@ func (lineageTarget) persist(_ context.Context, sm Seam, run Run, _, path string
 }
 
 func (lineageTarget) restore(sm Seam, pp *engine.PhysicalPlan, query, path string, cfg LineageConfig, opts engine.Options) (Run, *PointInfo, error) {
-	lin, err := sm.OpenLineage(pp, query, cfg, "-r", &opts)
+	lin, err := sm.OpenLineage(pp, query, cfg, &opts)
 	if err != nil {
 		return Run{}, nil, err
 	}
 	start := time.Now()
-	ex, scan, err := restoreLineagePlan(sm.fs(), pp, path, sm.Store, opts)
+	ex, scan, err := restoreLineagePlan(sm.fs(), pp, path, opts)
 	if err != nil {
 		lin.Close()
 		sm.fs().Remove(lin.Path())
@@ -542,9 +524,7 @@ func scanInfo(path string, scan *LineageScan) *PointInfo {
 	}
 }
 
-func (lineageTarget) discard(sm Seam, path string) error {
-	return RemoveLineage(sm.fs(), sm.Store, path)
-}
+func (lineageTarget) discard(sm Seam, path string) error { return sm.fs().Remove(path) }
 
 func (lineageTarget) quarantine(sm Seam, path string) (string, error) {
 	return checkpoint.Quarantine(sm.fs(), path)

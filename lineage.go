@@ -14,8 +14,8 @@ import (
 )
 
 // StartWithLineage launches the query asynchronously with a write-ahead
-// lineage log attached: every morsel boundary appends a progress record
-// and every pipeline breaker appends the serialized pipeline-kind state.
+// lineage log attached: every pipeline breaker appends and seals the
+// serialized pipeline-kind state.
 // A later Suspend(LineageLevel) + Persist to the lineage point then costs
 // only a tail flush, regardless of how much state the query built up.
 //
@@ -28,7 +28,7 @@ func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execu
 		return nil, err
 	}
 	opts := q.db.execOpts(q.db.obsFor(q.db.newTrace(q.name)))
-	lin, err := q.db.seam.OpenLineage(pp, q.name, cfg, "", &opts)
+	lin, err := q.db.seam.OpenLineage(pp, q.name, cfg, &opts)
 	if err != nil {
 		return nil, err
 	}

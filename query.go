@@ -152,10 +152,11 @@ func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
 	go func() {
 		defer close(e.done)
 		e.res, e.err = e.ex.Run(ctx)
-		if e.err == nil && e.lin != nil {
-			// Clean completion: the log is history, not recovery state.
-			// Close it without a seal; the caller discards it when done
-			// inspecting.
+		if e.lin != nil && !errors.Is(e.err, ErrSuspended) {
+			// Finished, failed or cancelled: the log is history, not
+			// recovery state. Close it without a seal; the caller discards
+			// it when done inspecting. A suspended run keeps it open for
+			// the seal or an in-place resume.
 			e.lin.Close()
 		}
 	}()

@@ -42,7 +42,6 @@ type PersistOptions = strategy.PersistOptions
 type RetryPolicy = checkpoint.RetryPolicy
 
 // LineageConfig tunes a lineage-logged execution; the zero value is valid.
-// ToStore requires WithBlobStore.
 type LineageConfig = strategy.LineageConfig
 
 // Persist writes the suspended execution's state to rp. Valid only after
@@ -103,7 +102,7 @@ func (q *Query) startFrom(ctx context.Context, rp ResumePoint, after *Execution,
 func (db *DB) Verify(rp ResumePoint) (*PointInfo, error) { return db.seam.Verify(rp) }
 
 // Discard deletes a consumed resume point: the file, the store manifest
-// and its claim, or the lineage log and the store snapshots it references.
+// and its claim, or the lineage log.
 func (db *DB) Discard(rp ResumePoint) error { return db.seam.Discard(rp) }
 
 // Quarantine takes an unusable resume point out of circulation (files are
