@@ -106,10 +106,10 @@ const (
 	// MetricServerSessionDuration histograms submission-to-completion
 	// latency of successful sessions.
 	MetricServerSessionDuration = "server.session.duration"
-	// MetricServerPreemptAbandoned counts persisted suspensions (idle parks,
-	// suspensions landing at shutdown) abandoned because no resume point
-	// could be persisted at any level; the victim resumed in place with its
-	// work preserved. A preemption is held in memory and never abandoned.
+	// MetricServerPreemptAbandoned counts idle parks abandoned because no
+	// resume point could be persisted at any level: the session was held
+	// and re-queued instead of parked, and continues in place with its work
+	// preserved. A preemption is held in memory and never abandoned.
 	MetricServerPreemptAbandoned = "server.preempt_abandoned"
 
 	// MetricCheckpointSweepFailed counts startup-sweep entries (orphaned

@@ -52,12 +52,12 @@ const (
 	// aside at restore time. Attrs: path, error.
 	EvCheckpointQuarantined = "checkpoint.quarantined"
 	// EvResumeInPlace records a suspended executor continuing from its
-	// in-memory state: a held preemption dispatched again, or a suspension
-	// abandoned because no resume point could be persisted. Attrs: kind.
+	// in-memory state: a held session dispatched again, whether a
+	// preemption or an idle park that could not be persisted. Attrs: kind.
 	EvResumeInPlace = "resume.in_place"
-	// EvPreemptAbandoned records a persisted suspension given up after the
-	// whole degradation ladder failed; the victim kept its slot.
-	// Attrs: query, error.
+	// EvPreemptAbandoned records an idle park given up after the whole
+	// degradation ladder failed; the session was held and re-queued
+	// instead of parked. Attrs: query, error.
 	EvPreemptAbandoned = "preempt.abandoned"
 	// EvChunkPut records one chunk of a store-backed checkpoint write.
 	// Attrs: digest (truncated hex), size, compressed, deduped.

@@ -107,8 +107,8 @@ func TestPreemptionFallsBackToPipeline(t *testing.T) {
 
 // TestPreemptionAbandonedOnTotalFailure: with the checkpoint device fully
 // broken, a suspension that has to be persisted — here an idle park — is
-// abandoned and the victim resumes in place: its work is preserved and it
-// completes correctly.
+// held and re-queued instead, and the victim continues in place: its work
+// is preserved and it completes correctly.
 func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 	stall := newStallFS(false)
 	inj := faultfs.New(stall)
@@ -123,14 +123,13 @@ func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 		PreemptLevel:    riveter.LineageLevel,
 		IdleSuspend:     5 * time.Millisecond,
 		CheckpointRetry: riveter.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		AbandonCooldown: 50 * time.Millisecond,
 	})
 	long := stalledVictim(t, s, stall, riveter.ProcessLevel)
 	waitCond(t, 30*time.Second, "the idle park", func() bool {
 		return peek(s, func() bool { return long.idlePark && long.suspendRequested })
 	})
 	stall.release()
-	waitCond(t, 30*time.Second, "the abandoned park", func() bool {
+	waitCond(t, 30*time.Second, "the failed park", func() bool {
 		return peek(s, func() bool { return long.abandoned > 0 })
 	})
 
@@ -139,7 +138,7 @@ func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.SortedKey() != want.SortedKey() {
-		t.Error("abandoned-park result differs from clean run")
+		t.Error("failed-park result differs from clean run")
 	}
 	in, _ := s.Info(long.ID())
 	if got := db.Metrics().Snapshot().Counters["server.preempt_abandoned"]; got < 1 {
@@ -248,45 +247,67 @@ func TestStartupSweepsAndQuarantines(t *testing.T) {
 }
 
 // TestShutdownBoundedWithFailingDisk: a disk that fails every checkpoint
-// write cannot hold Shutdown past its context deadline — the server
-// context aborts the retry backoffs.
+// write cannot hold Shutdown past its context deadline, whether the victim
+// is running when Shutdown begins or already held by a preemption: the
+// persist's retry backoff is bounded by the caller's ctx. The session is
+// listed with no resume point, and a restart reruns it to the clean result.
 func TestShutdownBoundedWithFailingDisk(t *testing.T) {
-	stall := newStallFS(false)
-	inj := faultfs.New(stall)
-	db := openStallTPCH(t, inj)
-	inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "session-"})
-	s, err := New(Config{
-		DB:           db,
-		Slots:        1,
-		PreemptLevel: riveter.LineageLevel,
-		CheckpointRetry: riveter.RetryPolicy{
-			Attempts:  1000,
-			BaseDelay: time.Second,
-			MaxDelay:  time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stalledVictim(t, s, stall, riveter.ProcessLevel)
+	for _, tc := range []struct {
+		name string
+		hold bool
+	}{
+		{"running", false},
+		{"held", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stall := newStallFS(false)
+			inj := faultfs.New(stall)
+			db := openStallTPCH(t, inj)
+			want := cleanRun(t, db)
+			inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "session-"})
+			s, err := New(Config{
+				DB:           db,
+				Slots:        1,
+				PreemptLevel: riveter.LineageLevel,
+				CheckpointRetry: riveter.RetryPolicy{
+					Attempts:  1000,
+					BaseDelay: time.Second,
+					MaxDelay:  time.Second,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var victim *Session
+			if tc.hold {
+				victim, _, _ = heldVictim(t, s, stall, riveter.ProcessLevel)
+			} else {
+				victim = stalledVictim(t, s, stall, riveter.ProcessLevel)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	done := make(chan error, 1)
-	go func() { done <- s.Shutdown(ctx) }()
-	waitCond(t, 30*time.Second, "shutdown to begin", func() bool {
-		return peek(s, func() bool { return s.stopping })
-	})
-	stall.release()
-	serr := <-done
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("shutdown took %v with a failing disk; retry backoff not cancelled", elapsed)
-	}
-	// Either the query completed inside the budget (nil) or the deadline
-	// fired (DeadlineExceeded); both are bounded outcomes.
-	if serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
-		t.Errorf("shutdown error = %v", serr)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- s.Shutdown(ctx) }()
+			waitCond(t, 30*time.Second, "shutdown to begin", func() bool {
+				return peek(s, func() bool { return s.stopping })
+			})
+			stall.release()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("shutdown error = %v, want the deadline", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("shutdown still persisting 5s into its 200ms budget: retry backoff not bounded by its ctx")
+			}
+			if in, _ := s.Info(victim.ID()); in.State != StateSuspended || in.resumeWire != (resumeWire{}) {
+				t.Errorf("after shutdown: state %s, resume point %+v; want suspended with none", in.State, in.resumeWire)
+			}
+			if res := restartAndWait(t, db, victim.ID()); res.SortedKey() != want.SortedKey() {
+				t.Error("rerun after a failed persist differs from a clean run")
+			}
+		})
 	}
 }
 

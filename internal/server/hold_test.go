@@ -172,7 +172,7 @@ func heldVictim(t *testing.T, s *Server, stall *stallFS, level riveter.Strategy)
 	release = takeSlot(s)
 	stall.release()
 	waitCond(t, 30*time.Second, "the victim to be held", func() bool {
-		return peek(s, func() bool { return victim.held != nil })
+		return peek(s, func() bool { return victim.state == StateSuspended && victim.exec != nil })
 	})
 	return victim, short, release
 }
@@ -271,15 +271,23 @@ func TestPreemptionHoldsInMemory(t *testing.T) {
 	}
 }
 
-// TestIdleParkAbandon: a persisted idle park that every rung of the
-// ladder fails on is abandoned, and the victim resumes in place. The
-// reaper must then leave it alone for AbandonCooldown — not re-park it at
-// every tick against the broken device — and the abandoned park must not
-// linger: a later preemption of the same execution is held in memory like
-// any other, not parked.
-func TestIdleParkAbandon(t *testing.T) {
-	for _, tc := range []string{"reaper_cooldown", "preempt_holds"} {
-		t.Run(tc, func(t *testing.T) {
+// TestFailedParkIsHeld: an idle park that no rung of the ladder can
+// persist is held and re-queued, not parked — Health counts it live
+// (suspended, then running), so the fleet never reclaims the only copy of
+// the query — it writes nothing, and the victim continues in place to the
+// clean result. The reaper leaves the re-dispatch alone for a full
+// IdleSuspend window, and the failed park leaves no park flag behind: a
+// later preemption of the same execution is held like any other.
+func TestFailedParkIsHeld(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		preemptions int
+	}{
+		{"reaper", 0},
+		{"preempt_holds", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			stall := newStallFS(false)
 			inj := faultfs.New(stall)
 			inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "session-"})
@@ -288,43 +296,58 @@ func TestIdleParkAbandon(t *testing.T) {
 			s := newServer(t, db, Config{
 				Slots:           1,
 				PreemptLevel:    riveter.LineageLevel,
-				IdleSuspend:     5 * time.Millisecond,
-				AbandonCooldown: time.Hour,
+				IdleSuspend:     idle,
 				CheckpointRetry: riveter.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 			})
 			// Persisted suspensions write process images, which the fault
-			// plan refuses: every park is abandoned.
+			// plan refuses: every park fails.
 			victim := stalledVictim(t, s, stall, riveter.ProcessLevel)
 			waitCond(t, 30*time.Second, "the idle park", func() bool {
 				return peek(s, func() bool { return victim.idlePark && victim.suspendRequested })
 			})
+			// Withhold the slot the park frees, so the held victim stays
+			// queued until Health has been read.
+			release := takeSlot(s)
 			select {
 			case stall.step <- struct{}{}:
 			case <-time.After(30 * time.Second):
 				t.Fatal("the victim's first seal is not stalled")
 			}
-			waitCond(t, 30*time.Second, "the abandoned park", func() bool {
+			waitCond(t, 30*time.Second, "the failed park", func() bool {
 				return peek(s, func() bool { return victim.abandoned > 0 })
+			})
+			if h := s.Health(); h.Suspended != 1 || h.Parked != 0 || h.Running != 0 {
+				t.Errorf("health after the failed park = %+v, want one suspended and none parked", h)
+			}
+			if peek(s, func() bool { return victim.parked || victim.exec == nil }) {
+				t.Error("the failed park is parked, or does not hold its execution")
+			}
+			files, _ := filepath.Glob(filepath.Join(db.CheckpointDir(), "*"))
+			for _, f := range files {
+				if !strings.HasSuffix(f, ".rvlg") {
+					t.Errorf("the failed park left %s", f)
+				}
+			}
+			release()
+			waitCond(t, 30*time.Second, "the re-dispatch", func() bool {
+				return s.Health().Running == 1 && peek(s, func() bool { return victim.exec != nil })
 			})
 			// The victim continued in place; until release, its next breaker
 			// seal holds it mid-run again.
-			switch tc {
-			case "reaper_cooldown":
-				// Twenty reaper ticks inside the cooldown: none may park it.
-				deadline := time.Now().Add(100 * time.Millisecond)
-				for time.Now().Before(deadline) {
+			started := peek(s, func() time.Time { return victim.started })
+			switch tc.name {
+			case "reaper":
+				for time.Since(started) < idle*3/4 {
 					if peek(s, func() bool { return victim.suspendRequested }) {
-						t.Fatal("the reaper parked the victim again inside AbandonCooldown")
+						t.Fatalf("the reaper asked again %v after the re-dispatch, inside IdleSuspend", time.Since(started))
 					}
 					time.Sleep(time.Millisecond)
 				}
 			case "preempt_holds":
-				// Preempt it as the scheduler would once the cooldown lapsed.
+				// Preempt it as the scheduler would.
 				s.mu.Lock()
-				if !victim.suspendRequested {
-					victim.suspendRequested = true
-					_ = victim.exec.Suspend(riveter.ProcessLevel)
-				}
+				victim.suspendRequested = true
+				_ = victim.exec.Suspend(riveter.ProcessLevel)
 				s.mu.Unlock()
 				// Let it land before anything touches the session: a touch
 				// would clear a lingering park flag and hide it.
@@ -333,22 +356,142 @@ func TestIdleParkAbandon(t *testing.T) {
 					return peek(s, func() bool { return victim.preemptions+victim.abandoned > 1 })
 				})
 			}
+			// A touch restarts the idle clock, so the reaper leaves the
+			// victim be until the Wait below watches it.
+			s.Info(victim.ID())
 			stall.release()
 			res, err := s.Wait(context.Background(), victim.ID())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.SortedKey() != want.SortedKey() {
-				t.Error("result after an abandoned park differs from a clean run")
+				t.Error("result after a failed park differs from a clean run")
+			}
+			if tr := peek(s, func() *obs.Trace { return victim.trace }); tr == nil {
+				t.Error("no trace")
+			} else if _, ok := tr.Find(obs.EvResumeInPlace); !ok {
+				t.Error("the failed park did not continue in place")
 			}
 			in, _ := s.Info(victim.ID())
-			wantPreemptions := 0
-			if tc == "preempt_holds" {
-				wantPreemptions = 1
+			if in.Abandoned != 1 || in.Preemptions != tc.preemptions {
+				t.Errorf("abandoned %d, preemptions %d; want 1 and %d", in.Abandoned, in.Preemptions, tc.preemptions)
 			}
-			if in.Abandoned != 1 || in.Preemptions != wantPreemptions {
-				t.Errorf("abandoned %d, preemptions %d; want 1 and %d", in.Abandoned, in.Preemptions, wantPreemptions)
+			c := db.Metrics().Snapshot().Counters
+			if c["server.preempt_abandoned"] != 1 || c["server.preemptions"] != int64(tc.preemptions) {
+				t.Errorf("server.preempt_abandoned %d, server.preemptions %d; want 1 and %d",
+					c["server.preempt_abandoned"], c["server.preemptions"], tc.preemptions)
 			}
 		})
+	}
+}
+
+// TestShutdownPersistsEveryHeldSession: Shutdown persists its held
+// sessions concurrently, each to its own resume point, and a restart
+// resumes every one of them to the clean result.
+func TestShutdownPersistsEveryHeldSession(t *testing.T) {
+	stall := newStallFS(false)
+	db := openStallTPCH(t, stall)
+	want := runTPCH(t, db, 21)
+	s, err := New(Config{DB: db, Slots: 2, PreemptLevel: riveter.LineageLevel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second victim needs a lineage log to stall, so the level drops
+	// to process only once both run; the persists then write files.
+	victims := []*Session{
+		stalledVictim(t, s, stall, riveter.LineageLevel),
+		stalledVictim(t, s, stall, riveter.ProcessLevel),
+	}
+	for _, v := range victims {
+		preemptVictim(t, s, v)
+	}
+	takeSlot(s)
+	takeSlot(s)
+	stall.release()
+	waitCond(t, 30*time.Second, "both victims to be held", func() bool {
+		return peek(s, func() bool {
+			for _, v := range victims {
+				if v.state != StateSuspended || v.exec == nil {
+					return false
+				}
+			}
+			return true
+		})
+	})
+	if err := shutdownWhile(t, s, stall, false); err != nil {
+		t.Fatal(err)
+	}
+	points := map[string]bool{}
+	for _, v := range victims {
+		in, _ := s.Info(v.ID())
+		points[in.Checkpoint] = true
+	}
+	if len(points) != 2 || points[""] {
+		t.Fatalf("held victims persisted to %v, want two distinct checkpoints", points)
+	}
+	s2 := newServer(t, db, Config{Slots: 2})
+	for _, v := range victims {
+		res, err := s2.Wait(context.Background(), v.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SortedKey() != want.SortedKey() {
+			t.Errorf("%s resumed to a result that differs from a clean run", v.ID())
+		}
+	}
+}
+
+// gateFS blocks every create of a session checkpoint until open closes,
+// closing entered when the first one blocks: a persist held in flight.
+type gateFS struct {
+	faultfs.FS
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+func (g *gateFS) Create(path string) (faultfs.File, error) {
+	if strings.Contains(path, "session-") {
+		g.once.Do(func() { close(g.entered) })
+		<-g.open
+	}
+	return g.FS.Create(path)
+}
+
+// TestSecondShutdownWaitsForFirst: a Drain or Shutdown arriving while
+// another is still persisting blocks until the first is done — or until
+// its own ctx expires — and returns the first call's error, so "blocks
+// until in-flight work has quiesced" holds for every caller.
+func TestSecondShutdownWaitsForFirst(t *testing.T) {
+	stall := newStallFS(false)
+	gate := &gateFS{FS: stall, entered: make(chan struct{}), open: make(chan struct{})}
+	db := openStallTPCH(t, gate)
+	s, err := New(Config{DB: db, Slots: 1, PreemptLevel: riveter.LineageLevel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, _, _ := heldVictim(t, s, stall, riveter.ProcessLevel)
+	first := make(chan error, 1)
+	go func() { first <- s.Shutdown(context.Background()) }()
+	select {
+	case <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the held victim's persist never started")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a drain during the shutdown's persist = %v, want it to wait out its own deadline", err)
+	}
+	close(gate.open)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("a shutdown after the first = %v", err)
+	}
+	// It returned once the first was done: the held victim is persisted.
+	if in, _ := s.Info(victim.ID()); in.Checkpoint == "" {
+		t.Errorf("a second shutdown returned before the held victim was persisted: %+v", in)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,16 +1,18 @@
 package server
 
-// What the server persists: a suspended session's resume point, written by
+// What the server persists: a held session's resume point, written by
 // walking the degradation ladder when the suspension must outlive the
-// process (an idle park, a shutdown — a preemption is held in memory and
-// writes nothing), and the state manifest a graceful shutdown leaves
+// process (an idle park, a shutdown — a preemption stays held in memory
+// and writes nothing), and the state manifest a graceful shutdown leaves
 // behind. Every resume point goes through the DB's
 // persistence seam (riveter.ResumePoint and its five verbs); this file
 // holds the one place that knows the three targets by name — the ladder's
 // order — and the manifest's wire form of a point.
 
 import (
+	"context"
 	"encoding/json"
+	"sync"
 
 	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/checkpoint"
@@ -48,15 +50,15 @@ func (s *Server) ladder(sess *Session, exec *riveter.Execution) []rung {
 
 // persistSuspension walks the ladder until a rung holds the suspended
 // execution's state and returns that resume point. Each rung retries under
-// the configured policy and may drop a process-level image's padding
-// (Persist counts that in checkpoint.fallback). When every rung fails the
-// first error comes back and the caller resumes the victim in place (or,
-// at shutdown, lists it with no resume point).
-func (s *Server) persistSuspension(sess *Session, exec *riveter.Execution) (riveter.ResumePoint, error) {
+// the configured policy, its backoff bounded by ctx, and may drop a
+// process-level image's padding (Persist counts that in
+// checkpoint.fallback). When every rung fails the first error comes back
+// and the session stays held.
+func (s *Server) persistSuspension(ctx context.Context, sess *Session, exec *riveter.Execution) (riveter.ResumePoint, error) {
 	opts := riveter.PersistOptions{Retry: s.cfg.CheckpointRetry, AllowUnpadded: true}
 	var first error
 	for _, r := range s.ladder(sess, exec) {
-		_, err := exec.Persist(s.ctx, r.at, opts)
+		_, err := exec.Persist(ctx, r.at, opts)
 		if err == nil {
 			return r.at, nil
 		}
@@ -77,12 +79,13 @@ func (s *Server) persistSuspension(sess *Session, exec *riveter.Execution) (rive
 }
 
 // heldSessions lists the sessions holding a quiesced execution in memory.
+// Called once every runner exited, when no execution is live.
 func (s *Server) heldSessions() []*Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Session
 	for _, sess := range s.sessions {
-		if sess.held != nil {
+		if sess.exec != nil {
 			out = append(out, sess)
 		}
 	}
@@ -90,26 +93,43 @@ func (s *Server) heldSessions() []*Session {
 }
 
 // persistHeld writes every held session down the ladder before the state
-// manifest names them: a held execution lives only in this process. A
-// session whose persist fails is listed with no resume point and reruns
-// from scratch; the point the held execution was started from is
-// discarded either way. Runs after the scheduler and every runner exited,
-// so nothing else touches a held execution.
-func (s *Server) persistHeld() {
-	for _, sess := range s.heldSessions() {
-		at, err := s.persistSuspension(sess, sess.held)
-		if err != nil {
-			at = riveter.ResumePoint{}
+// manifest names them: a held execution lives only in this process. The
+// sessions persist concurrently, bounded by ctx and by the server's own
+// context (which Kill, or Shutdown's expired deadline, cancels). A session
+// whose persist fails or misses the deadline is listed with no resume
+// point and reruns from scratch; the point the held execution was started
+// from is discarded either way. Runs after the scheduler and every runner
+// exited, so nothing else touches a held execution.
+func (s *Server) persistHeld(ctx context.Context) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
+	var wg sync.WaitGroup
+	s.mu.Lock()
+	for _, sess := range s.sessions {
+		exec := sess.exec
+		if exec == nil {
+			continue
 		}
-		s.mu.Lock()
-		from := sess.resume
-		sess.held = nil
-		sess.resume = at
-		s.mu.Unlock()
-		if from != at {
-			s.discard(from)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			at, err := s.persistSuspension(ctx, sess, exec)
+			if err != nil {
+				at = riveter.ResumePoint{}
+			}
+			s.mu.Lock()
+			from := sess.resume
+			sess.exec = nil
+			sess.resume = at
+			s.mu.Unlock()
+			if from != at {
+				s.discard(from)
+			}
+		}()
 	}
+	s.mu.Unlock()
+	wg.Wait()
 }
 
 // discard drops a resume point nothing will start from any more. Errors

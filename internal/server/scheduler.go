@@ -7,7 +7,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/riveterdb/riveter"
@@ -56,12 +55,11 @@ func (s *Server) schedule() {
 
 // idleReaper is the scale-to-zero loop: every quarter window it scans the
 // running set for sessions nobody is watching — no Wait in flight on them
-// or their fold riders, no touch for at least IdleSuspend, no abandoned
-// suspension within AbandonCooldown — and requests their suspension with
-// the idle-park flag set, so the landing suspension is persisted and parks
-// the session instead of re-queueing it. Parked sessions hold no slot and
-// run no workers; an instance whose sessions are all parked is at zero live
-// executions.
+// or their fold riders, no touch and no dispatch for at least IdleSuspend —
+// and requests their suspension with the idle-park flag set, so the landing
+// suspension is persisted and parks the session instead of re-queueing it.
+// Parked sessions hold no slot and run no workers; an instance whose
+// sessions are all parked is at zero live executions.
 func (s *Server) idleReaper() {
 	defer s.wg.Done()
 	tick := s.cfg.IdleSuspend / 4
@@ -83,12 +81,14 @@ func (s *Server) idleReaper() {
 		}
 		now := time.Now()
 		for _, r := range s.running {
-			if r.exec == nil || r.suspendRequested || r.watchedLocked() || now.Before(r.noPreemptUntil) {
+			if r.exec == nil || r.suspendRequested || r.watchedLocked() {
 				continue
 			}
 			// The idle clock starts at the later of dispatch and last touch:
 			// a freshly dispatched (or just-woken) query always gets a full
-			// window of progress before it can park again.
+			// window of progress before it can park again — so a park that
+			// failed to persist and was re-queued cannot spin the reaper
+			// against a broken device.
 			idleSince := r.lastTouch
 			if r.started.After(idleSince) {
 				idleSince = r.started
@@ -130,10 +130,9 @@ func (s *Server) pendingSuspendsLocked() int {
 // preemptCandidateLocked filters the running set down to preemptable
 // executions and asks the policy to choose.
 func (s *Server) preemptCandidateLocked(head *Session) *Session {
-	now := time.Now()
 	cands := make([]*Session, 0, len(s.running))
 	for _, r := range s.running {
-		if r.exec == nil || r.suspendRequested || now.Before(r.noPreemptUntil) {
+		if r.exec == nil || r.suspendRequested {
 			continue
 		}
 		cands = append(cands, r)
@@ -155,9 +154,10 @@ func (s *Server) dispatchLocked(sess *Session) {
 	sess.state = StateRunning
 	sess.started = now
 	sess.suspendRequested = false
+	// The runner sets exec again once the execution is live, so nothing
+	// asks a held execution to suspend before it has continued.
+	held := sess.exec
 	sess.exec = nil
-	held := sess.held
-	sess.held = nil
 	s.running[sess.id] = sess
 	s.free--
 	s.wg.Add(1)
@@ -212,16 +212,15 @@ func (s *Server) start(ctx context.Context, sess *Session, from riveter.ResumePo
 
 // run executes one dispatch of a session: start, resume or continue in
 // place, wait, and route the outcome — completion, suspension, or failure.
-// A preemption on a live instance is held: the slot frees at once and the
-// quiesced execution waits in the queue, nothing written. A suspension
-// that must outlive the dispatch — an idle park, or one landing after
-// Shutdown/Drain began — walks the degradation ladder (persistSuspension)
-// and, when every rung fails, resumes in place instead of failing the
-// session: the victim's work is never the casualty of a broken device.
+// Every suspension lands held: the slot frees and the quiesced execution
+// stays on the session, nothing written, for the next dispatch to continue
+// in place. Only an idle park persists first, down the degradation ladder
+// (persistSuspension) before its slot frees, so a parked instance is
+// kill-safe. A suspension landing after Shutdown/Drain began is held like
+// a preemption, and Shutdown persists it (persistHeld).
 func (s *Server) run(sess *Session, from riveter.ResumePoint, held *riveter.Execution) {
 	defer s.wg.Done()
-	ctx := s.ctx
-	exec, from, err := s.start(ctx, sess, from, held)
+	exec, from, err := s.start(s.ctx, sess, from, held)
 	if err != nil {
 		s.finish(sess, nil, err)
 		return
@@ -237,114 +236,85 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint, held *riveter.Exec
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	for {
-		werr := exec.Wait()
-		switch {
-		case werr == nil:
-			res, rerr := exec.Result()
-			// Finished work needs no recovery state: the resume point this
-			// dispatch consumed and the lineage log the execution wrote
-			// while it ran both go.
-			s.discard(from)
-			if lp := exec.LineagePath(); lp != "" {
-				_ = s.db.RemoveLineage(lp)
-			}
-			s.mu.Lock()
-			sess.resume = riveter.ResumePoint{}
-			s.mu.Unlock()
-			s.finish(sess, res, rerr)
-			return
-		case errors.Is(werr, riveter.ErrSuspended):
-			s.mu.Lock()
-			if !sess.idlePark && !s.stopping {
-				// A preemption: the instance stays up, so nothing needs to
-				// outlive this process. Free the slot and keep the quiesced
-				// execution for the next dispatch to continue.
-				sess.held = exec
-				s.suspendedLocked(sess, exec)
-				s.parkOrEnqueueLocked(sess)
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Unlock()
-			at, perr := s.persistSuspension(sess, exec)
-			if perr != nil {
-				// The whole ladder failed on disk; resume the victim in place.
-				// Its work is preserved and the suspension is abandoned.
-				fresh, rerr := exec.ResumeInPlace(ctx)
-				if rerr != nil {
-					s.finish(sess, nil, fmt.Errorf("server: abandon suspension: %w", rerr))
-					return
-				}
-				s.met.abandoned.Inc()
-				if tr := exec.Trace(); tr != nil {
-					tr.Event(obs.EvPreemptAbandoned,
-						obs.A("query", sess.display),
-						obs.A("error", perr.Error()))
-				}
-				exec = fresh
-				s.mu.Lock()
-				sess.exec = fresh
-				sess.abandoned++
-				sess.suspendRequested = false
-				// An abandoned park is no park: a later preemption of this
-				// execution is held like any other.
-				sess.idlePark = false
-				sess.noPreemptUntil = time.Now().Add(s.cfg.AbandonCooldown)
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				continue
-			}
+	werr := exec.Wait()
+	switch {
+	case werr == nil:
+		res, rerr := exec.Result()
+		// Finished work needs no recovery state: the resume point this
+		// dispatch consumed and the lineage log the execution wrote while it
+		// ran both go.
+		s.discard(from)
+		if lp := exec.LineagePath(); lp != "" {
+			_ = s.db.RemoveLineage(lp)
+		}
+		s.mu.Lock()
+		sess.resume = riveter.ResumePoint{}
+		s.mu.Unlock()
+		s.finish(sess, res, rerr)
+	case errors.Is(werr, riveter.ErrSuspended):
+		s.mu.Lock()
+		park := sess.idlePark && !s.stopping
+		s.mu.Unlock()
+		var at riveter.ResumePoint
+		var perr error
+		if park {
 			// The new point supersedes the one this dispatch consumed (an
 			// adopted session, say, re-suspends under this instance's key;
 			// the foreign original is no longer the resume point).
-			if from != at {
+			if at, perr = s.persistSuspension(s.ctx, sess, exec); perr == nil && from != at {
 				s.discard(from)
 			}
-			s.mu.Lock()
-			sess.resume = at // persisted: the resume point is the session now
-			s.suspendedLocked(sess, exec)
-			s.parkOrEnqueueLocked(sess)
-			s.mu.Unlock()
-			return
-		default:
-			// A failed run leaves nothing to resume from its own log.
-			if lp := exec.LineagePath(); lp != "" {
-				_ = s.db.RemoveLineage(lp)
-			}
-			s.finish(sess, nil, werr)
-			return
 		}
+		s.mu.Lock()
+		s.suspendedLocked(sess, at, perr)
+		s.mu.Unlock()
+	default:
+		// A failed run leaves nothing to resume from its own log.
+		if lp := exec.LineagePath(); lp != "" {
+			_ = s.db.RemoveLineage(lp)
+		}
+		s.finish(sess, nil, werr)
 	}
 }
 
-// suspendedLocked takes a session whose execution suspended out of its
-// slot. The session keeps no reference to the execution but held, which
-// the caller sets for a preemption it holds.
-func (s *Server) suspendedLocked(sess *Session, exec *riveter.Execution) {
+// suspendedLocked frees the slot of a session whose execution suspended
+// and routes the session. The quiesced execution stays on it, held,
+// unless the suspension was persisted to at, which is the session's
+// resume point from then on. A persisted idle park parks the session
+// (server.idle_suspended; the next touch wakes it). A park that persisted
+// nowhere (perr) is held and re-queued, as a touch would have it: it
+// counts as abandoned, not as a preemption, and its re-dispatch gets a
+// full IdleSuspend window before the reaper asks again. Anything else is a
+// preemption round trip back into the dispatch queue.
+func (s *Server) suspendedLocked(sess *Session, at riveter.ResumePoint, perr error) {
 	sess.ran += time.Since(sess.started)
-	sess.trace = exec.Trace()
-	sess.exec = nil
+	sess.trace = sess.exec.Trace()
+	if !at.IsZero() {
+		sess.exec = nil
+		sess.resume = at
+	}
 	sess.state = StateSuspended
 	sess.lastQueued = time.Now()
 	delete(s.running, sess.id)
 	s.free++
-}
-
-// parkOrEnqueueLocked routes a just-suspended session: an idle-park
-// suspension parks it (counted as server.idle_suspended, woken by the
-// next touch), anything else is a preemption round trip that re-enters
-// the dispatch queue.
-func (s *Server) parkOrEnqueueLocked(sess *Session) {
-	if sess.idlePark {
-		sess.idlePark = false
+	park := sess.idlePark && !at.IsZero()
+	sess.idlePark = false
+	switch {
+	case park:
 		sess.parked = true
 		s.met.idleSuspended.Inc()
 		// A park freed a slot; queued work (if any) can dispatch into it.
 		s.cond.Broadcast()
 		return
+	case perr != nil:
+		sess.abandoned++
+		s.met.abandoned.Inc()
+		if tr := sess.trace; tr != nil {
+			tr.Event(obs.EvPreemptAbandoned, obs.A("query", sess.display), obs.A("error", perr.Error()))
+		}
+	default:
+		sess.preemptions++
+		s.met.preemptions.Inc()
 	}
-	sess.preemptions++
-	s.met.preemptions.Inc()
 	s.enqueueLocked(sess)
 }

@@ -78,12 +78,13 @@ type Config struct {
 	// <DB.CheckpointDir()>/riveter-serve.state.json).
 	StatePath string
 	// CheckpointRetry bounds the write attempts of a persisted suspension's
-	// checkpoint (default 3 attempts, 10ms base backoff capped at 200ms).
+	// checkpoint (default 3 attempts, 10ms base backoff capped at 200ms); at
+	// Shutdown/Drain the caller's deadline bounds them too.
 	CheckpointRetry riveter.RetryPolicy
 	// PreemptLevel picks what a persisted suspension — an idle park, or a
-	// query suspended or held at Shutdown/Drain — writes. A preemption
-	// writes nothing whatever the level: it quiesces the victim at its next
-	// morsel boundary and holds it in memory until it continues in place.
+	// session held at Shutdown/Drain — writes. A preemption writes nothing
+	// whatever the level: it quiesces the victim at its next morsel
+	// boundary and holds it in memory until it continues in place.
 	// riveter.PipelineLevel (the default) suspends a running query at its
 	// next pipeline breaker; riveter.ProcessLevel at its next morsel
 	// boundary, persisting the process image; riveter.LineageLevel attaches
@@ -91,11 +92,6 @@ type Config struct {
 	// the log's tail and the resume replays from the last sealed record —
 	// with the checkpoint ladder as fallback when the log fails.
 	PreemptLevel riveter.Strategy
-	// AbandonCooldown is how long a session whose persisted suspension was
-	// abandoned (every rung of the ladder failed) is exempt from being
-	// chosen as a preemption victim or parked by the idle reaper, so a
-	// broken checkpoint device cannot spin the scheduler (default 500ms).
-	AbandonCooldown time.Duration
 	// InstanceID names this server instance inside a shared blob store:
 	// it prefixes store checkpoint keys, owns claim tokens, and names the
 	// instance's state document. Only meaningful when the DB was opened
@@ -108,7 +104,9 @@ type Config struct {
 	// IdleSuspend is the scale-to-zero window: a running session nobody is
 	// watching (no Wait in flight and no Info/HTTP snapshot for this long)
 	// is suspended to the configured store — or the checkpoint directory
-	// without one — and parked: its slot frees, but it is NOT re-queued.
+	// without one — and parked: its slot frees, but it is NOT re-queued. A
+	// park that persists nowhere is held and re-queued instead, and gets a
+	// full window after its re-dispatch before it can park again.
 	// The next touch (Info, Wait, a session HTTP request) wakes it back
 	// into the dispatch queue. An instance whose sessions are all parked
 	// runs zero executions and can be reclaimed for free. Zero disables.
@@ -207,7 +205,11 @@ type Server struct {
 	free     int
 	seq      uint64
 	stopping bool
-	traces   []*obs.Trace // ring of recently finished session traces
+	// stopped closes when the first Shutdown, Drain or Kill has finished;
+	// stopErr is what that Shutdown returned. Later calls wait on it.
+	stopped chan struct{}
+	stopErr error
+	traces  []*obs.Trace // ring of recently finished session traces
 }
 
 const traceRingCap = 64
@@ -239,9 +241,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PreemptLevel == riveter.Redo {
 		cfg.PreemptLevel = riveter.PipelineLevel
 	}
-	if cfg.AbandonCooldown == 0 {
-		cfg.AbandonCooldown = 500 * time.Millisecond
-	}
 	s := &Server{
 		cfg:        cfg,
 		db:         cfg.DB,
@@ -254,6 +253,7 @@ func New(cfg Config) (*Server, error) {
 		free:       cfg.Slots,
 		instanceID: sanitizeInstanceID(cfg.InstanceID),
 		released:   make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
 	if cfg.PlanCacheSize >= 0 {
 		s.plans = newPlanCache(cfg.PlanCacheSize, cfg.DB.Metrics())
@@ -553,7 +553,6 @@ func (s *Server) finish(sess *Session, res *riveter.Result, err error) {
 		// session keeps the result, not the run that produced it.
 		sess.exec = nil
 	}
-	sess.held = nil
 	sess.res, sess.err = res, err
 	sess.finished = time.Now()
 	if err == nil {
@@ -617,16 +616,25 @@ func (s *Server) settleRidersLocked(sess *Session, res *riveter.Result, err erro
 }
 
 // Shutdown gracefully stops the server: new submissions are refused,
-// every running query is suspended at PreemptLevel and persisted, so is
-// every preempted session held in memory, and the queued + suspended
-// sessions are listed in the state manifest so a future Server resumes
-// them. Blocks until in-flight work has quiesced or ctx expires.
+// every running query is suspended at PreemptLevel and held, every held
+// session is persisted, and the queued + suspended sessions are listed in
+// the state manifest so a future Server resumes them. Blocks until
+// in-flight work has quiesced and been persisted, or ctx expires: the
+// persists run concurrently under ctx, a session whose persist misses the
+// deadline is listed with no resume point, and Shutdown returns ctx.Err().
+// A second Shutdown or Drain waits for the first and returns its error
+// (or its own ctx's).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ReleaseHolds()
 	s.mu.Lock()
 	if s.stopping {
 		s.mu.Unlock()
-		return nil
+		select {
+		case <-s.stopped:
+			return s.stopErr
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	s.stopping = true
 	for _, r := range s.running {
@@ -637,6 +645,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	defer close(s.stopped)
 
 	done := make(chan struct{})
 	go func() {
@@ -645,21 +654,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.persistHeld()
-		s.cancel()
-		return s.persistState()
 	case <-ctx.Done():
 		// The drain budget expired. Cancel the server context: running
 		// executions abort and checkpoint retry loops stop sleeping, so the
 		// wait below is bounded even with a failing disk.
 		s.cancel()
 		<-done
-		s.persistHeld()
-		if perr := s.persistState(); perr != nil {
-			return perr
-		}
-		return ctx.Err()
 	}
+	s.persistHeld(ctx)
+	s.cancel()
+	s.stopErr = s.persistState()
+	if s.stopErr == nil {
+		s.stopErr = ctx.Err()
+	}
+	return s.stopErr
 }
 
 // Health is the instance's readiness snapshot, served on /healthz and
@@ -724,6 +732,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Kill() {
 	s.ReleaseHolds()
 	s.mu.Lock()
+	first := !s.stopping
 	s.stopping = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -731,6 +740,9 @@ func (s *Server) Kill() {
 	s.wg.Wait()
 	for _, sess := range s.heldSessions() {
 		s.finish(sess, nil, s.ctx.Err())
+	}
+	if first {
+		close(s.stopped)
 	}
 }
 

@@ -19,12 +19,12 @@ func openTPCH(t testing.TB, sf float64) *riveter.DB {
 }
 
 // holdsExecution reports whether the session still references an execution:
-// only a running session and a preempted one held in memory may, or every
-// finished or persisted one pins its executor, hash tables and all.
+// only a running session and a held one may, or every finished or
+// persisted one pins its executor, hash tables and all.
 func holdsExecution(s *Server, sess *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sess.exec != nil || sess.held != nil
+	return sess.exec != nil
 }
 
 func newServer(t testing.TB, db *riveter.DB, cfg Config) *Server {
@@ -55,30 +55,25 @@ func TestAdmissionMemoryBudget(t *testing.T) {
 }
 
 func TestAdmissionQueueLimit(t *testing.T) {
-	db := openTPCH(t, 0.02)
+	db := openTPCH(t, 0.005)
 	s := newServer(t, db, Config{Slots: 1, QueueLimit: 1, Policy: FIFO{}})
-	long, err := s.Submit(Request{TPCH: 21})
+	// With the only slot withheld, the first submission queues and fills
+	// the queue, and the next one is turned away.
+	release := holdSlots(s)
+	queued, err := s.Submit(Request{SQL: "SELECT count(*) FROM orders"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the long query occupies the slot so the next two
-	// submissions exercise queue accounting deterministically.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		in, _ := s.Info(long.ID())
-		if in.State == StateRunning {
-			break
-		}
-		if in.State == StateDone || time.Now().After(deadline) {
-			t.Skipf("long query did not hold the slot (state=%s)", in.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := s.Submit(Request{SQL: "SELECT count(*) FROM orders"}); err != nil {
 		t.Fatalf("first queued submission: %v", err)
 	}
 	if _, err := s.Submit(Request{SQL: "SELECT count(*) FROM region"}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("want queue-full rejection, got %v", err)
+	}
+	c := db.Metrics().Snapshot().Counters
+	if c["server.admit.queue"] != 1 || c["server.admit.reject"] != 1 {
+		t.Errorf("admit.queue %d, admit.reject %d; want 1 and 1", c["server.admit.queue"], c["server.admit.reject"])
+	}
+	release()
+	if _, err := s.Wait(context.Background(), queued.ID()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -189,7 +184,7 @@ func TestShutdownResume(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		level riveter.Strategy
-		held  bool
+		hold  bool
 		point func(Info) string
 	}{
 		{"running", riveter.PipelineLevel, false, func(in Info) string { return in.Checkpoint }},
@@ -206,7 +201,7 @@ func TestShutdownResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			var long *Session
-			if tc.held {
+			if tc.hold {
 				long, _, _ = heldVictim(t, s1, stall, tc.level)
 			} else {
 				long = stalledVictim(t, s1, stall, tc.level)

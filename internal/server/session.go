@@ -14,12 +14,12 @@
 // next morsel boundary, frees the slot at once, and holds the quiesced
 // execution in memory — nothing is written — until the queue drains and
 // the long query continues in place, as many round trips as the workload
-// demands. A suspension that must outlive the process — an idle park, or
-// one landing or held at graceful shutdown — is persisted instead, down a
-// degradation ladder of resume points (persistence.go). Graceful shutdown
-// suspends every in-flight query, persists them and the held ones, and
-// writes a state manifest; a fresh Server pointed at the same manifest
-// resumes them.
+// demands. Every suspension lands held that way; persisting is a separate
+// step, down a degradation ladder of resume points (persistence.go), taken
+// in two places only: an idle park persists before its slot frees, and
+// graceful shutdown suspends every in-flight query, persists every held
+// one within its deadline and writes a state manifest; a fresh Server
+// pointed at the same manifest resumes them.
 package server
 
 import (
@@ -135,23 +135,12 @@ type Session struct {
 	waited      time.Duration // accumulated queue time
 	ran         time.Duration // accumulated slot time
 	preemptions int
-	abandoned   int                 // suspensions given up because no resume point would persist
+	abandoned   int                 // idle parks held and re-queued because no resume point would persist
 	resume      riveter.ResumePoint // where the next dispatch starts from (zero = from scratch)
-	exec        *riveter.Execution  // the current dispatch's; nil while queued, suspended or terminal
+	exec        *riveter.Execution  // in memory: live while Running, quiesced (held) while Suspended, else nil
 	res         *riveter.Result
 	err         error
 	trace       *obs.Trace
-
-	// held is the quiesced execution of a preempted session, kept in memory
-	// while it waits in the queue: the next dispatch continues it in place,
-	// and Shutdown/Drain persist it. Nil unless the session is suspended by
-	// a preemption.
-	held *riveter.Execution
-
-	// noPreemptUntil exempts the session from victim selection and from idle
-	// parking after an abandoned suspension, so a broken checkpoint device
-	// cannot spin the scheduler or the reaper against the same query.
-	noPreemptUntil time.Time
 
 	// suspendRequested marks an issued, not-yet-acknowledged preemption so
 	// the scheduler never double-suspends one execution.
@@ -187,7 +176,7 @@ type Info struct {
 	State       State         `json:"state"`
 	Parked      bool          `json:"parked,omitempty"`
 	Preemptions int           `json:"preemptions"`
-	Abandoned   int           `json:"abandoned,omitempty"`
+	Abandoned   int           `json:"abandoned,omitempty"` // idle parks held and re-queued: no resume point would persist
 	Waited      time.Duration `json:"waited_ns"`
 	Ran         time.Duration `json:"ran_ns"`
 	resumeWire

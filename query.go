@@ -240,9 +240,9 @@ func (e *Execution) suspended() error {
 // quiesced, touching no disk and serializing nothing: the suspension is
 // cleared and the same executor runs on from its in-memory state — a
 // process-level capture's in-flight pipelines from their morsel cursors, a
-// pipeline-level one from its first unfinished pipeline. A server holds a
-// preempted victim this way, and it is the ladder's last rung when no
-// resume point can be persisted anywhere. The returned Execution keeps this
+// pipeline-level one from its first unfinished pipeline. A server
+// continues every held session this way — a preempted victim, or an idle
+// park that could not be persisted. The returned Execution keeps this
 // one's trace and lineage log; this one must not be used again.
 func (e *Execution) ResumeInPlace(ctx context.Context) (*Execution, error) {
 	if err := e.suspended(); err != nil {

@@ -153,6 +153,13 @@ require_in_flight "restart mid-load"
 stop_server TERM
 [ -f "$CKDIR2/riveter-serve.state.json" ] ||
     { echo "graceful shutdown left no state manifest" >&2; exit 1; }
+# A Q21 was running at the SIGTERM, so at least one session must have been
+# persisted: a shutdown that lists every session to rerun fails here.
+grep -q '"checkpoint": "' "$CKDIR2/riveter-serve.state.json" || {
+    echo "graceful shutdown persisted no checkpoint resume point:" >&2
+    cat "$CKDIR2/riveter-serve.state.json" >&2
+    exit 1
+}
 
 echo "== restarting on the same checkpoint dir"
 "$BIN" -addr "127.0.0.1:$PORT" -sf "$LOAD_SF" -workers 1 -slots 1 -ckdir "$CKDIR2" &
