@@ -59,6 +59,25 @@ var engineCases = []engineCase{
 		return l.Join(rf, plan.InnerJoin, []string{"g"}, []string{"r.k"}).
 			Agg(nil, plan.CountStar("n")).Node()
 	}),
+	// Four build rows per key: a semi join without a residual predicate
+	// stops at the first.
+	planCase("HashJoinSemi", 1<<17, func(bl *plan.Builder) plan.Node {
+		l := bl.Scan("t", "k", "g")
+		r := bl.Scan("t", "k", "g").Rename("r.")
+		rf := r.Filter(expr.Lt(r.Col("r.k"), expr.Int(4096)))
+		return l.Join(rf, plan.SemiJoin, []string{"g"}, []string{"r.g"}).
+			Agg(nil, plan.CountStar("n")).Node()
+	}),
+	// Four build rows per key, and a residual predicate over both sides
+	// that keeps about half the pairs.
+	planCase("HashJoinResidual", 1<<17, func(bl *plan.Builder) plan.Node {
+		l := bl.Scan("t", "k", "g", "v")
+		r := bl.Scan("t", "k", "g", "v").Rename("r.")
+		rf := r.Filter(expr.Lt(r.Col("r.k"), expr.Int(4096)))
+		return l.JoinExtra(rf, plan.InnerJoin, []string{"g"}, []string{"r.g"},
+			func(c plan.ColResolver) expr.Expr { return expr.Lt(c.Col("v"), c.Col("r.v")) }).
+			Agg(nil, plan.CountStar("n")).Node()
+	}),
 	planCase("Sort", 1<<17, func(bl *plan.Builder) plan.Node {
 		t := bl.Scan("t", "v", "k")
 		return t.Sort(plan.Desc("v"), plan.Asc("k")).Limit(1).Node()

@@ -112,13 +112,20 @@ func (o *FusedOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) erro
 }
 
 // gatherChunk copies the selected rows of src into dst column by column with
-// type-specialized gather kernels. Null backing stays zero because the source
+// type-specialized gather kernels.
+func gatherChunk(dst, src *vector.Chunk, sel []int32) {
+	gatherCols(dst.Cols(), src.Cols(), sel)
+	dst.SetLen(len(sel))
+}
+
+// gatherCols gathers the selected rows of each src column into the dst
+// column at the same index. Null backing stays zero because the source
 // columns uphold the zero-backing-under-null invariant and gathers copy
 // backing verbatim.
-func gatherChunk(dst, src *vector.Chunk, sel []int32) {
+func gatherCols(dst, src []*vector.Vector, sel []int32) {
 	m := len(sel)
-	for j, sv := range src.Cols() {
-		dv := dst.Col(j)
+	for j, sv := range src {
+		dv := dst[j]
 		switch sv.Type() {
 		case vector.TypeInt64, vector.TypeDate:
 			kernel.GatherInt64(dv.ResizeInt64(m), sv.Int64s(), sel)
@@ -133,5 +140,4 @@ func gatherChunk(dst, src *vector.Chunk, sel []int32) {
 			kernel.GatherNullBits(dv.EnsureNullWords(m), sv.NullWords(), sel)
 		}
 	}
-	dst.SetLen(m)
 }

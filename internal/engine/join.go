@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/riveterdb/riveter/internal/engine/kernel"
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
@@ -27,15 +28,109 @@ type HashJoinBuildSink struct {
 }
 
 // joinIndex is the probe-side hash index over the build buffer: a flat
-// chained-bucket layout (slot heads + per-row next links) with a stored
-// hash per row as a cheap prefilter before the real key comparison. It is
+// chained-bucket layout. heads maps a power-of-two slot to its first row,
+// and entries holds each row's key hash (a cheap prefilter before the real
+// key comparison) beside its chain link, so a chain step reads one cache
+// line. Row ids are stored plus one, so the zero that make fills in ends a
+// chain. cols views every buffer column chunk by chunk, for the key
+// comparison and the probe's bulk gather of payload columns. The index is
 // rebuilt from the row buffer on finalize and on checkpoint load, so it
 // never appears in the persisted state.
 type joinIndex struct {
-	mask   uint64
-	heads  []int64  // slot -> first row id, -1 when empty
-	next   []int64  // row id -> next row in chain, -1 at end
-	hashes []uint64 // row id -> key hash
+	mask    uint64
+	heads   []int64 // slot -> first row id + 1, 0 when empty
+	entries []joinEntry
+	cols    []chunkedCol // keys, then payload
+}
+
+// joinEntry is one build row's slot in the index.
+type joinEntry struct {
+	hash uint64
+	next int64 // next row id + 1 in the chain, 0 at its end
+}
+
+// chunkedCol is one column of a densely packed RowBuffer as the backing
+// slices of its chunks, so row r is element r&(ChunkCapacity-1) of chunk
+// r>>ChunkShift. Only the slice of the column's type is set.
+type chunkedCol struct {
+	typ    vector.Type
+	ints   [][]int64
+	floats [][]float64
+	strs   [][]string
+	bools  [][]bool
+	nulls  [][]uint64 // nil when no chunk holds a NULL
+}
+
+// chunkedCols views every column of buf chunk by chunk. The tables of all
+// columns of one physical type share one backing array.
+func chunkedCols(buf *RowBuffer) []chunkedCol {
+	nc := buf.NumChunks()
+	types := buf.Types()
+	var perType [vector.TypeDate + 1]int
+	for _, t := range types {
+		perType[t] += nc
+	}
+	ints := make([][]int64, perType[vector.TypeInt64]+perType[vector.TypeDate])
+	floats := make([][]float64, perType[vector.TypeFloat64])
+	strs := make([][]string, perType[vector.TypeString])
+	bools := make([][]bool, perType[vector.TypeBool])
+	var nulls [][]uint64 // made at the first chunk holding a NULL
+	cols := make([]chunkedCol, len(types))
+	for j, t := range types {
+		c := &cols[j]
+		c.typ = t
+		switch t {
+		case vector.TypeInt64, vector.TypeDate:
+			c.ints, ints = ints[:nc:nc], ints[nc:]
+		case vector.TypeFloat64:
+			c.floats, floats = floats[:nc:nc], floats[nc:]
+		case vector.TypeString:
+			c.strs, strs = strs[:nc:nc], strs[nc:]
+		case vector.TypeBool:
+			c.bools, bools = bools[:nc:nc], bools[nc:]
+		}
+		for ci := 0; ci < nc; ci++ {
+			v := buf.Chunk(ci).Col(j)
+			switch t {
+			case vector.TypeInt64, vector.TypeDate:
+				c.ints[ci] = v.Int64s()
+			case vector.TypeFloat64:
+				c.floats[ci] = v.Float64s()
+			case vector.TypeString:
+				c.strs[ci] = v.Strings()
+			case vector.TypeBool:
+				c.bools[ci] = v.Bools()
+			}
+			if v.HasNulls() {
+				if nulls == nil {
+					nulls = make([][]uint64, len(types)*nc)
+				}
+				if c.nulls == nil {
+					c.nulls = nulls[j*nc : (j+1)*nc : (j+1)*nc]
+				}
+				c.nulls[ci] = v.NullWords()
+			}
+		}
+	}
+	return cols
+}
+
+// gather writes rows of the column into dv, one typed gather per call.
+func (c *chunkedCol) gather(dv *vector.Vector, rows []int64) {
+	m := len(rows)
+	switch c.typ {
+	case vector.TypeInt64, vector.TypeDate:
+		kernel.GatherChunkedInt64(dv.ResizeInt64(m), c.ints, rows, vector.ChunkShift)
+	case vector.TypeFloat64:
+		kernel.GatherChunkedFloat64(dv.ResizeFloat64(m), c.floats, rows, vector.ChunkShift)
+	case vector.TypeString:
+		kernel.GatherChunkedString(dv.ResizeString(m), c.strs, rows, vector.ChunkShift)
+	case vector.TypeBool:
+		kernel.GatherChunkedBool(dv.ResizeBool(m), c.bools, rows, vector.ChunkShift)
+	}
+	if c.nulls != nil {
+		kernel.GatherChunkedNullBits(dv.EnsureNullWords(m), c.nulls, rows, vector.ChunkShift)
+	}
 }
 
 // NewHashJoinBuildSink builds the sink for the given key expressions and
@@ -108,64 +203,44 @@ func (s *HashJoinBuildSink) Finalize() error {
 func (s *HashJoinBuildSink) rebuildBuckets() {
 	nk := len(s.keyTypes)
 	rows := s.buf.Rows()
-	s.index = joinIndex{}
+	s.index = joinIndex{cols: chunkedCols(s.buf)}
 	if nk == 0 || rows == 0 {
 		return // cross join: no index, every row matches
 	}
-	keyIdx := make([]int, nk)
-	for i := range keyIdx {
-		keyIdx[i] = i
-	}
-	// Pass 1: hash every row and record NULL-key rows (SQL equality: NULL
-	// keys never match, so they are left out of the chains).
-	hashes := make([]uint64, rows)
-	skip := make([]bool, rows)
-	var chunkHashes []uint64
-	var rowID int64
-	for ci := 0; ci < s.buf.NumChunks(); ci++ {
-		c := s.buf.Chunk(ci)
-		chunkHashes = c.Hash(keyIdx, chunkHashes)
-		copy(hashes[rowID:], chunkHashes)
-		hasNulls := false
-		for k := 0; k < nk; k++ {
-			if c.Col(k).HasNulls() {
-				hasNulls = true
-				break
-			}
-		}
-		if hasNulls {
-			for i := 0; i < c.Len(); i++ {
-				skip[rowID+int64(i)] = rowHasNullKey(c, nk, i)
-			}
-		}
-		rowID += int64(c.Len())
-	}
-	// Pass 2: chain rows under power-of-two slots. Inserting in descending
-	// row order yields ascending chains, preserving the match emission
-	// order of the old per-hash bucket lists.
 	slots := uint64(1)
 	for slots < uint64(rows) {
 		slots <<= 1
 	}
-	idx := joinIndex{
-		mask:   slots - 1,
-		heads:  make([]int64, slots),
-		next:   make([]int64, rows),
-		hashes: hashes,
-	}
-	for i := range idx.heads {
-		idx.heads[i] = -1
-	}
-	for r := rows - 1; r >= 0; r-- {
-		if skip[r] {
-			idx.next[r] = -1
-			continue
+	idx := &s.index
+	idx.mask = slots - 1
+	idx.heads = make([]int64, slots)
+	idx.entries = make([]joinEntry, rows)
+	// Hash each chunk's keys straight into its entries and chain its rows
+	// under their slots. Walking the rows in descending order yields
+	// ascending chains, so matches come out in build-row order. Rows with a
+	// NULL key stay out of the chains: under SQL equality they never match.
+	hashes := make([]uint64, min(rows, vector.ChunkCapacity))
+	for ci := s.buf.NumChunks() - 1; ci >= 0; ci-- {
+		c := s.buf.Chunk(ci)
+		h := hashes[:c.Len()]
+		clear(h)
+		hasNulls := false
+		for k := 0; k < nk; k++ {
+			c.Col(k).HashInto(h)
+			hasNulls = hasNulls || c.Col(k).HasNulls()
 		}
-		slot := hashes[r] & idx.mask
-		idx.next[r] = idx.heads[slot]
-		idx.heads[slot] = r
+		base := int64(ci) << vector.ChunkShift
+		for i := len(h) - 1; i >= 0; i-- {
+			e := &idx.entries[base+int64(i)]
+			e.hash = h[i]
+			if hasNulls && rowHasNullKey(c, nk, i) {
+				continue
+			}
+			slot := e.hash & idx.mask
+			e.next = idx.heads[slot]
+			idx.heads[slot] = base + int64(i) + 1
+		}
 	}
-	s.index = idx
 }
 
 func rowHasNullKey(c *vector.Chunk, nk, i int) bool {
@@ -219,7 +294,7 @@ func (s *HashJoinBuildSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 // MemBytes implements Sink.
 func (s *HashJoinBuildSink) MemBytes() int64 {
 	b := s.buf.MemBytes()
-	b += int64(len(s.index.heads)+len(s.index.next)+len(s.index.hashes)) * 8
+	b += int64(len(s.index.heads))*8 + int64(len(s.index.entries))*16
 	return b
 }
 
@@ -252,13 +327,17 @@ type probeScratch struct {
 	keyInsts []*expr.Instance
 	extra    *expr.Instance // nil without a residual predicate
 	keyVecs  []*vector.Vector
-	hashes   []uint64
-	matched  []bool
-	pair     *vector.Chunk // joined probe++payload rows pending flush
-	pairRows []int         // probe row index of each pair row
-	filtered *vector.Chunk // pair rows surviving the extra predicate
-	frows    []int
-	tail     *vector.Chunk // left-outer padding / semi-anti output
+	hashes   []uint64 // per probe row: its key hash, then its first candidate
+	matched  []bool   // per probe row; only when tracksMatches
+	// probeRows and buildRows are the pending matches, one pair per index:
+	// the probe row and the build row id. Sized once at ChunkCapacity, the
+	// point where they flush.
+	probeRows []int32
+	buildRows []int64
+	sel       []int32       // residual survivors, or the tail's rows
+	pair      *vector.Chunk // the pending matches as probe++payload rows
+	filtered  *vector.Chunk // pair rows surviving the extra predicate
+	tail      *vector.Chunk // left-outer padding / semi-anti output
 }
 
 // getScratch returns a scratch sized for an n-row probe chunk.
@@ -266,9 +345,14 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 	s, _ := p.scratch.Get().(*probeScratch)
 	if s == nil {
 		s = &probeScratch{
-			keyInsts: newInstances(p.keyProgs),
-			keyVecs:  make([]*vector.Vector, len(p.keyProgs)),
-			pair:     vector.NewChunk(p.pairTypes),
+			keyInsts:  newInstances(p.keyProgs),
+			keyVecs:   make([]*vector.Vector, len(p.keyProgs)),
+			probeRows: make([]int32, 0, vector.ChunkCapacity),
+			buildRows: make([]int64, 0, vector.ChunkCapacity),
+			pair:      vector.NewChunk(p.pairTypes),
+		}
+		if p.extra != nil || p.tracksMatches() {
+			s.sel = make([]int32, 0, vector.ChunkCapacity)
 		}
 		if p.extra != nil {
 			s.extra = p.extra.NewInstance()
@@ -285,17 +369,21 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 		s.hashes = make([]uint64, n)
 	}
 	s.hashes = s.hashes[:n]
-	if cap(s.matched) < n {
-		s.matched = make([]bool, n)
+	clear(s.hashes)
+	if p.tracksMatches() {
+		if cap(s.matched) < n {
+			s.matched = make([]bool, n)
+		}
+		s.matched = s.matched[:n]
+		clear(s.matched)
 	}
-	s.matched = s.matched[:n]
-	for i := 0; i < n; i++ {
-		s.hashes[i] = 0
-		s.matched[i] = false
-	}
-	s.pair.Reset()
-	s.pairRows = s.pairRows[:0]
 	return s
+}
+
+// tracksMatches reports whether the join's output depends on which probe
+// rows matched: left-outer, semi and anti joins.
+func (p *HashJoinProbeOp) tracksMatches() bool {
+	return p.Type != plan.InnerJoin && p.Type != plan.CrossJoin
 }
 
 // NewHashJoinProbeOp builds the probe operator. extra, the residual
@@ -330,7 +418,9 @@ func NewHashJoinProbeOp(jt plan.JoinType, build *HashJoinBuildSink, keys []expr.
 // OutTypes implements StreamOp.
 func (p *HashJoinProbeOp) OutTypes() []vector.Type { return p.outTypes }
 
-// Process implements StreamOp.
+// Process implements StreamOp. The chain walk only collects matches; at
+// every ChunkCapacity matches and at the end of the chunk, flush builds the
+// pair rows column by column with typed gathers.
 func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) error {
 	if !p.build.final {
 		return fmt.Errorf("hash join probe before build finalize")
@@ -347,148 +437,182 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		return err
 	}
 	hashes := s.hashes
+	nullKeys := false
 	for _, kv := range keyVecs {
 		kv.HashInto(hashes)
+		nullKeys = nullKeys || kv.HasNulls()
 	}
 
-	matched := s.matched
-	emitPairs := p.Type == plan.InnerJoin || p.Type == plan.LeftOuterJoin || p.Type == plan.CrossJoin
-	pairOut := s.pair
-
-	flush := func() error {
-		if pairOut.Len() == 0 {
-			return nil
-		}
-		keepChunk := pairOut
-		keepRows := s.pairRows
-		if s.extra != nil {
-			sel, err := s.extra.Eval(pairOut)
-			if err != nil {
-				return err
-			}
-			s.filtered.Reset()
-			s.frows = s.frows[:0]
-			bs := sel.Bools()
-			for i := 0; i < pairOut.Len(); i++ {
-				if sel.IsNull(i) || !bs[i] {
-					continue
-				}
-				s.filtered.AppendRowFrom(pairOut, i)
-				s.frows = append(s.frows, s.pairRows[i])
-			}
-			keepChunk, keepRows = s.filtered, s.frows
-		}
-		for _, pr := range keepRows {
-			matched[pr] = true
-		}
-		if emitPairs && keepChunk.Len() > 0 {
-			if err := emit(keepChunk); err != nil {
-				return err
-			}
-		}
-		pairOut.Reset()
-		s.pairRows = s.pairRows[:0]
-		return nil
-	}
-
-	appendPair := func(probeRow int, buildRow int64) error {
-		ci, ri := p.build.buf.Locate(buildRow)
-		bc := p.build.buf.Chunk(ci)
-		nk := len(p.build.keyTypes)
-		for j := 0; j < in.NumCols(); j++ {
-			pairOut.Col(j).AppendFrom(in.Col(j), probeRow)
-		}
-		for j := 0; j < len(p.build.payTypes); j++ {
-			pairOut.Col(in.NumCols()+j).AppendFrom(bc.Col(nk+j), ri)
-		}
-		pairOut.SetLen(pairOut.Len() + 1)
-		s.pairRows = append(s.pairRows, probeRow)
-		if pairOut.Len() >= vector.ChunkCapacity {
-			return flush()
+	addMatch := func(i int, r int64) error {
+		s.probeRows = append(s.probeRows, int32(i))
+		s.buildRows = append(s.buildRows, r)
+		if len(s.probeRows) == vector.ChunkCapacity {
+			return p.flush(s, in, emit)
 		}
 		return nil
 	}
-
+	idx := &p.build.index
 	if len(p.keyProgs) == 0 {
 		// Cross join: every build row pairs with every probe row.
 		for i := 0; i < n; i++ {
 			for r := int64(0); r < p.build.buf.Rows(); r++ {
-				if err := appendPair(i, r); err != nil {
+				if err := addMatch(i, r); err != nil {
 					return err
 				}
 			}
 		}
-	} else {
-		idx := &p.build.index
-		for i := 0; i < n; i++ {
-			if idx.heads == nil {
-				break // empty build side: nothing can match
+	} else if idx.heads != nil { // an empty build side matches nothing
+		// Without a residual predicate, the first match decides a semi or
+		// anti join's row.
+		firstOnly := s.extra == nil && (p.Type == plan.SemiJoin || p.Type == plan.AntiJoin)
+		heads, entries, mask := idx.heads, idx.entries, idx.mask
+		// Replace every row's hash by its first candidate, the first entry
+		// of its chain with the same hash (0 for none), before walking any
+		// chain: the rows' lookups are independent, so their cache misses
+		// overlap instead of queueing one behind the other.
+		for i, h := range hashes {
+			e := heads[h&mask]
+			for e != 0 && entries[e-1].hash != h {
+				e = entries[e-1].next
 			}
-			if probeRowHasNullKey(keyVecs, i) {
-				continue // NULL keys never match
+			hashes[i] = uint64(e)
+		}
+		for i, first := range hashes {
+			e := int64(first)
+			if e == 0 || nullKeys && probeRowHasNullKey(keyVecs, i) {
+				continue // no candidate, or a NULL key, which never matches
 			}
-			h := hashes[i]
-			for r := idx.heads[h&idx.mask]; r >= 0; r = idx.next[r] {
-				if idx.hashes[r] != h || !p.keysEqual(keyVecs, i, r) {
+			h := entries[e-1].hash
+			for e != 0 {
+				r := e - 1
+				e = entries[r].next
+				if entries[r].hash != h || !idx.keysEqual(keyVecs, i, r) {
 					continue
 				}
-				if err := appendPair(i, r); err != nil {
+				if firstOnly {
+					s.matched[i] = true
+					break
+				}
+				if err := addMatch(i, r); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := p.flush(s, in, emit); err != nil {
 		return err
 	}
 
 	switch p.Type {
 	case plan.LeftOuterJoin:
 		// Emit unmatched probe rows padded with NULL build columns.
-		out := s.tail
-		out.Reset()
-		for i := 0; i < n; i++ {
-			if matched[i] {
-				continue
-			}
-			for j := 0; j < in.NumCols(); j++ {
-				out.Col(j).AppendFrom(in.Col(j), i)
-			}
-			for j := 0; j < len(p.build.payTypes); j++ {
-				out.Col(in.NumCols() + j).AppendNull()
-			}
-			out.SetLen(out.Len() + 1)
-			if out.Len() >= vector.ChunkCapacity {
-				if err := emit(out); err != nil {
-					return err
-				}
-				out.Reset()
-			}
+		s.sel = selectMatched(s.matched, false, s.sel)
+		sel := s.sel
+		if len(sel) == 0 {
+			return nil
 		}
-		if out.Len() > 0 {
-			return emit(out)
+		np := in.NumCols()
+		gatherCols(s.tail.Cols()[:np], in.Cols(), sel)
+		for _, v := range s.tail.Cols()[np:] {
+			padNull(v, len(sel))
 		}
+		s.tail.SetLen(len(sel))
+		return emit(s.tail)
 	case plan.SemiJoin, plan.AntiJoin:
-		want := p.Type == plan.SemiJoin
-		out := s.tail
-		out.Reset()
-		for i := 0; i < n; i++ {
-			if matched[i] != want {
-				continue
-			}
-			out.AppendRowFrom(in, i)
-			if out.Len() >= vector.ChunkCapacity {
-				if err := emit(out); err != nil {
-					return err
-				}
-				out.Reset()
-			}
+		s.sel = selectMatched(s.matched, p.Type == plan.SemiJoin, s.sel)
+		sel := s.sel
+		switch len(sel) {
+		case 0:
+			return nil
+		case n:
+			return emit(in)
 		}
-		if out.Len() > 0 {
-			return emit(out)
-		}
+		gatherChunk(s.tail, in, sel)
+		return emit(s.tail)
 	}
 	return nil
+}
+
+// flush turns the pending matches into pair rows: probe columns gathered
+// from in, payload columns from the build buffer. It applies the residual
+// predicate, marks the matched probe rows, and emits the surviving pairs of
+// the joins that output them.
+func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*vector.Chunk) error) error {
+	probeRows, buildRows := s.probeRows, s.buildRows
+	m := len(probeRows)
+	if m == 0 {
+		return nil
+	}
+	s.probeRows, s.buildRows = probeRows[:0], buildRows[:0]
+	pair := s.pair
+	np, nk := in.NumCols(), len(p.build.keyTypes)
+	gatherCols(pair.Cols()[:np], in.Cols(), probeRows)
+	for j, v := range pair.Cols()[np:] {
+		p.build.index.cols[nk+j].gather(v, buildRows)
+	}
+	pair.SetLen(m)
+
+	out := pair
+	markMatched := p.tracksMatches()
+	if s.extra != nil {
+		pv, err := s.extra.Eval(pair)
+		if err != nil {
+			return err
+		}
+		s.sel = kernel.SelectTrue(pv.Bools(), pv.NullWords(), m, s.sel)
+		if markMatched {
+			for _, j := range s.sel {
+				s.matched[probeRows[j]] = true
+			}
+		}
+		if len(s.sel) == 0 {
+			return nil
+		}
+		if len(s.sel) < m {
+			gatherChunk(s.filtered, pair, s.sel)
+			out = s.filtered
+		}
+	} else if markMatched {
+		for _, i := range probeRows {
+			s.matched[i] = true
+		}
+	}
+	if p.Type == plan.SemiJoin || p.Type == plan.AntiJoin {
+		return nil // they emit probe rows, after the whole chunk
+	}
+	return emit(out)
+}
+
+// selectMatched returns in sel the probe rows whose matched flag is want.
+func selectMatched(matched []bool, want bool, sel []int32) []int32 {
+	sel = sel[:0]
+	for i, m := range matched {
+		if m == want {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
+}
+
+// padNull sets v to n NULL rows, their backing zeroed.
+func padNull(v *vector.Vector, n int) {
+	switch v.Type() {
+	case vector.TypeInt64, vector.TypeDate:
+		clear(v.ResizeInt64(n))
+	case vector.TypeFloat64:
+		clear(v.ResizeFloat64(n))
+	case vector.TypeString:
+		clear(v.ResizeString(n))
+	case vector.TypeBool:
+		clear(v.ResizeBool(n))
+	}
+	nulls := v.EnsureNullWords(n)
+	for w := range nulls {
+		nulls[w] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		nulls[len(nulls)-1] = 1<<r - 1
+	}
 }
 
 func probeRowHasNullKey(keyVecs []*vector.Vector, i int) bool {
@@ -501,29 +625,26 @@ func probeRowHasNullKey(keyVecs []*vector.Vector, i int) bool {
 }
 
 // keysEqual verifies probe row i's keys against build row r's key columns.
-func (p *HashJoinProbeOp) keysEqual(keyVecs []*vector.Vector, i int, r int64) bool {
-	ci, ri := p.build.buf.Locate(r)
-	bc := p.build.buf.Chunk(ci)
+// Chained build rows have no NULL key, so only the values are compared.
+func (idx *joinIndex) keysEqual(keyVecs []*vector.Vector, i int, r int64) bool {
+	ci, ri := r>>vector.ChunkShift, r&(vector.ChunkCapacity-1)
 	for k, kv := range keyVecs {
-		bcol := bc.Col(k)
-		if bcol.IsNull(ri) {
-			return false
-		}
+		bc := &idx.cols[k]
 		switch kv.Type() {
 		case vector.TypeInt64, vector.TypeDate:
-			if kv.Int64s()[i] != bcol.Int64s()[ri] {
+			if kv.Int64s()[i] != bc.ints[ci][ri] {
 				return false
 			}
 		case vector.TypeFloat64:
-			if kv.Float64s()[i] != bcol.Float64s()[ri] {
+			if kv.Float64s()[i] != bc.floats[ci][ri] {
 				return false
 			}
 		case vector.TypeString:
-			if kv.Strings()[i] != bcol.Strings()[ri] {
+			if kv.Strings()[i] != bc.strs[ci][ri] {
 				return false
 			}
 		case vector.TypeBool:
-			if kv.Bools()[i] != bcol.Bools()[ri] {
+			if kv.Bools()[i] != bc.bools[ci][ri] {
 				return false
 			}
 		}

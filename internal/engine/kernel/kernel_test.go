@@ -272,3 +272,29 @@ func TestNullBitmapHelpers(t *testing.T) {
 		t.Error("AnyWord wrong")
 	}
 }
+
+// TestGatherChunkedMatchesFlat holds the chunked gathers to a flat gather
+// over the same rows, with chunks of 4 rows, a short last chunk, and null
+// bitmaps that are nil or short in some chunks.
+func TestGatherChunkedMatchesFlat(t *testing.T) {
+	const shift = 2
+	flat := []int64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	var chunks [][]int64
+	for i := 0; i < len(flat); i += 1 << shift {
+		chunks = append(chunks, flat[i:min(i+1<<shift, len(flat))])
+	}
+	nulls := [][]uint64{nil, {1 << 1}, {}} // only row 5 is null
+	rows := []int64{9, 0, 5, 5, 3, 8, 1}
+	dst := make([]int64, len(rows))
+	GatherChunkedInt64(dst, chunks, rows, shift)
+	bits := make([]uint64, WordsFor(len(rows)))
+	GatherChunkedNullBits(bits, nulls, rows, shift)
+	for j, r := range rows {
+		if dst[j] != flat[r] {
+			t.Errorf("row %d: got %d, want %d", r, dst[j], flat[r])
+		}
+		if NullAt(bits, j) != (r == 5) {
+			t.Errorf("row %d: null bit %v", r, NullAt(bits, j))
+		}
+	}
+}

@@ -69,3 +69,17 @@ func GatherNullBits(dst, src []uint64, sel []int32) {
 		}
 	}
 }
+
+// GatherChunkedNullBits is GatherNullBits over a bitmap held as chunks of
+// 1<<shift rows each (see GatherChunkedInt64); a nil or short chunk bitmap
+// means its rows are not null.
+func GatherChunkedNullBits(dst []uint64, src [][]uint64, rows []int64, shift uint) {
+	mask := int64(1)<<shift - 1
+	for j, r := range rows {
+		nulls := src[r>>shift]
+		i := r & mask
+		if w := int(i >> 6); w < len(nulls) && nulls[w]&(1<<(uint(i)&63)) != 0 {
+			dst[j>>6] |= 1 << (uint(j) & 63)
+		}
+	}
+}

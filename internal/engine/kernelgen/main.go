@@ -209,7 +209,8 @@ func %[1]s%[2]sScalar(dst []bool, a []%[4]s, b %[4]s) {
 	return b.String()
 }
 
-// genGather emits selection-vector gathers for all four physical types.
+// genGather emits selection-vector gathers for all four physical types,
+// over one slice and over a column split into fixed-stride chunks.
 func genGather() string {
 	var b bytes.Buffer
 	for _, t := range allTypes {
@@ -217,6 +218,15 @@ func genGather() string {
 func Gather%[1]s(dst, src []%[2]s, sel []int32) {
 	for j, s := range sel {
 		dst[j] = src[s]
+	}
+}
+
+// GatherChunked%[1]s computes dst[j] = row rows[j] of a column held as
+// chunks of 1<<shift rows each: src[r>>shift][r&(1<<shift-1)].
+func GatherChunked%[1]s(dst []%[2]s, src [][]%[2]s, rows []int64, shift uint) {
+	mask := int64(1)<<shift - 1
+	for j, r := range rows {
+		dst[j] = src[r>>shift][r&mask]
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/catalog"
@@ -33,60 +34,169 @@ func randomTable(t *testing.T, cat *catalog.Catalog, name string, rows, keyRange
 	return tbl
 }
 
+// joinRow is one row of a join oracle table: a BIGINT key, a DOUBLE and a
+// VARCHAR payload, any of them NULL.
+type joinRow struct{ k, v, s vector.Value }
+
+// joinRowCols are a joinRow's column types, in table order.
+var joinRowCols = []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString}
+
+// createJoinTable stores rows as table name, with columns name_k, name_v
+// and name_s.
+func createJoinTable(tb testing.TB, cat *catalog.Catalog, name string, rows []joinRow) {
+	tb.Helper()
+	tbl, err := cat.Create(name, catalog.NewSchema(
+		catalog.Col(name+"_k", vector.TypeInt64),
+		catalog.Col(name+"_v", vector.TypeFloat64),
+		catalog.Col(name+"_s", vector.TypeString),
+	))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := tbl.AppendRow(r.k, r.v, r.s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// randomJoinRows draws n rows with keys in [0, keyRange), each column
+// NULL now and then.
+func randomJoinRows(rng *rand.Rand, n, keyRange int) []joinRow {
+	rows := make([]joinRow, n)
+	for i := range rows {
+		r := joinRow{
+			k: vector.NewInt64(int64(rng.Intn(keyRange))),
+			v: vector.NewFloat64(float64(rng.Intn(50))),
+			s: vector.NewString([]string{"", "a", "b", "c"}[rng.Intn(4)]),
+		}
+		if rng.Intn(20) == 0 {
+			r.k = vector.NewNull(vector.TypeInt64)
+		}
+		if rng.Intn(8) == 0 {
+			r.v = vector.NewNull(vector.TypeFloat64)
+		}
+		if rng.Intn(8) == 0 {
+			r.s = vector.NewNull(vector.TypeString)
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// Residual predicates the join oracle checks, by index: none, a DOUBLE
+// comparison and a VARCHAR one, each false where either side is NULL.
+const numJoinResiduals = 3
+
+func joinResidual(kind int) (func(plan.ColResolver) expr.Expr, func(l, r joinRow) bool) {
+	switch kind {
+	case 1:
+		return func(c plan.ColResolver) expr.Expr { return expr.Lt(c.Col("l_v"), c.Col("r_v")) },
+			func(l, r joinRow) bool { return !l.v.Null && !r.v.Null && l.v.F < r.v.F }
+	case 2:
+		return func(c plan.ColResolver) expr.Expr { return expr.Ne(c.Col("l_s"), c.Col("r_s")) },
+			func(l, r joinRow) bool { return !l.s.Null && !r.s.Null && l.s.S != r.s.S }
+	}
+	return nil, nil
+}
+
+func renderRow(vals []vector.Value) string {
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, "|")
+}
+
+// nestedLoopJoin is the oracle: probe rows l against build rows r on equal
+// non-NULL keys (every pair for a cross join) and the residual pred, each
+// output row rendered, sorted.
+func nestedLoopJoin(jt plan.JoinType, l, r []joinRow, pred func(l, r joinRow) bool) []string {
+	var out []string
+	nullBuild := joinRow{vector.NewNull(vector.TypeInt64), vector.NewNull(vector.TypeFloat64), vector.NewNull(vector.TypeString)}
+	pair := func(a, b joinRow) string { return renderRow([]vector.Value{a.k, a.v, a.s, b.k, b.v, b.s}) }
+	for _, a := range l {
+		matches := 0
+		for _, b := range r {
+			if jt != plan.CrossJoin && (a.k.Null || b.k.Null || a.k.I != b.k.I) {
+				continue
+			}
+			if pred != nil && !pred(a, b) {
+				continue
+			}
+			matches++
+			if jt == plan.InnerJoin || jt == plan.LeftOuterJoin || jt == plan.CrossJoin {
+				out = append(out, pair(a, b))
+			}
+		}
+		switch {
+		case jt == plan.LeftOuterJoin && matches == 0:
+			out = append(out, pair(a, nullBuild))
+		case jt == plan.SemiJoin && matches > 0, jt == plan.AntiJoin && matches == 0:
+			out = append(out, renderRow([]vector.Value{a.k, a.v, a.s}))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkJoinAgainstOracle runs probe l against build r as join jt with
+// residual predicate kind on workers workers, and compares every output
+// column of every row, as sorted multisets, with the nested-loop oracle.
+func checkJoinAgainstOracle(tb testing.TB, l, r []joinRow, jt plan.JoinType, residual, workers int) {
+	tb.Helper()
+	cat := catalog.New()
+	createJoinTable(tb, cat, "l", l)
+	createJoinTable(tb, cat, "r", r)
+	extra, pred := joinResidual(residual)
+	b := plan.NewBuilder(cat)
+	lr, rr := b.Scan("l"), b.Scan("r")
+	var j *plan.Rel
+	if jt == plan.CrossJoin {
+		j = lr.Cross(rr)
+	} else {
+		j = lr.JoinExtra(rr, jt, []string{"l_k"}, []string{"r_k"}, extra)
+	}
+	res := runPlan(tb, cat, j.Node(), workers)
+	got := make([]string, res.NumRows())
+	for i := range got {
+		got[i] = renderRow(res.Row(int64(i)))
+	}
+	sort.Strings(got)
+	want := nestedLoopJoin(jt, l, r, pred)
+	if len(got) != len(want) {
+		tb.Fatalf("%v join, residual %d, %d×%d rows: %d rows, oracle %d", jt, residual, len(l), len(r), len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			tb.Fatalf("%v join, residual %d, %d×%d rows: sorted row %d is %q, oracle %q", jt, residual, len(l), len(r), i, got[i], want[i])
+		}
+	}
+}
+
+var oracleJoinTypes = []plan.JoinType{plan.InnerJoin, plan.LeftOuterJoin, plan.SemiJoin, plan.AntiJoin}
+
 // TestJoinMatchesNestedLoopOracle cross-checks the hash join against a
-// brute-force nested loop over random tables, for every join type.
+// brute-force nested loop over random tables, row for row and column for
+// column: every keyed join type under each residual predicate, with NULL
+// keys and payloads on both sides, and a cross join. The last case gives
+// one key more than two chunks of build rows, so the probe's pending
+// matches flush in the middle of a probe row.
 func TestJoinMatchesNestedLoopOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
-		cat := catalog.New()
-		l := randomTable(t, cat, "l", 50+rng.Intn(300), 1+rng.Intn(30), rng)
-		r := randomTable(t, cat, "r", 50+rng.Intn(300), 1+rng.Intn(30), rng)
-
-		// Oracle rows.
-		type row struct{ lk, rk vector.Value }
-		matchCount := make([]int, l.NumRows())
-		for i := int64(0); i < l.NumRows(); i++ {
-			lk := l.Value(i, 0)
-			if lk.Null {
-				continue
-			}
-			for j := int64(0); j < r.NumRows(); j++ {
-				rk := r.Value(j, 0)
-				if !rk.Null && lk.Equal(rk) {
-					matchCount[i]++
-				}
-			}
+		l := randomJoinRows(rng, 50+rng.Intn(300), 1+rng.Intn(30))
+		r := randomJoinRows(rng, 50+rng.Intn(300), 1+rng.Intn(30))
+		for _, jt := range oracleJoinTypes {
+			checkJoinAgainstOracle(t, l, r, jt, trial%numJoinResiduals, 3)
 		}
-		var innerRows, semiRows, antiRows, leftRows int64
-		for i := int64(0); i < l.NumRows(); i++ {
-			innerRows += int64(matchCount[i])
-			if matchCount[i] > 0 {
-				semiRows++
-				leftRows += int64(matchCount[i])
-			} else {
-				antiRows++
-				leftRows++
-			}
-		}
-
-		b := plan.NewBuilder(cat)
-		runJoin := func(jt plan.JoinType) int64 {
-			lr := b.Scan("l")
-			rr := b.Scan("r")
-			res := runPlan(t, cat, lr.Join(rr, jt, []string{"l_k"}, []string{"r_k"}).Node(), 3)
-			return res.NumRows()
-		}
-		if got := runJoin(plan.InnerJoin); got != innerRows {
-			t.Errorf("trial %d: inner join rows = %d, oracle %d", trial, got, innerRows)
-		}
-		if got := runJoin(plan.SemiJoin); got != semiRows {
-			t.Errorf("trial %d: semi join rows = %d, oracle %d", trial, got, semiRows)
-		}
-		if got := runJoin(plan.AntiJoin); got != antiRows {
-			t.Errorf("trial %d: anti join rows = %d, oracle %d", trial, got, antiRows)
-		}
-		if got := runJoin(plan.LeftOuterJoin); got != leftRows {
-			t.Errorf("trial %d: left join rows = %d, oracle %d", trial, got, leftRows)
+		checkJoinAgainstOracle(t, l[:20+rng.Intn(30)], r[:1+rng.Intn(40)], plan.CrossJoin, 0, 3)
+	}
+	l := randomJoinRows(rng, 40, 3)
+	r := randomJoinRows(rng, 4600, 1)
+	for _, jt := range oracleJoinTypes {
+		for residual := 0; residual < numJoinResiduals; residual++ {
+			checkJoinAgainstOracle(t, l, r, jt, residual, 2)
 		}
 	}
 }

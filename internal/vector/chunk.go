@@ -99,23 +99,6 @@ func (c *Chunk) Row(i int) []Value {
 	return row
 }
 
-// Hash computes a row hash for the given column indexes into dst, which is
-// resized as needed and returned.
-func (c *Chunk) Hash(colIdx []int, dst []uint64) []uint64 {
-	n := c.length
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, ci := range colIdx {
-		c.cols[ci].HashInto(dst)
-	}
-	return dst
-}
-
 // MemBytes estimates the resident size of the chunk.
 func (c *Chunk) MemBytes() int64 {
 	var b int64

@@ -8,7 +8,11 @@ import "fmt"
 
 // ChunkCapacity is the standard number of rows per DataChunk. Operators may
 // produce shorter chunks but never longer ones.
-const ChunkCapacity = 2048
+const ChunkCapacity = 1 << ChunkShift
+
+// ChunkShift is log2(ChunkCapacity): row r of a buffer packed densely into
+// chunks sits in chunk r>>ChunkShift.
+const ChunkShift = 11
 
 // Type identifies the logical type of a vector or scalar value.
 type Type uint8
