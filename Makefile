@@ -93,8 +93,10 @@ profile:
 # (FuzzReadCheckpoint, whose worker goroutines make coverage vary between
 # runs — without -fuzzminimizetime 1x the engine sits in minimization) — and
 # the expression evaluator against its scalar oracle on random trees
-# (FuzzProgramMatchesScalar), the hash join against its nested-loop oracle
-# on small tables with repeated and NULL keys (FuzzHashJoinMatchesNestedLoop),
+# (FuzzProgramMatchesScalar), both LIKE matchers against a regexp
+# translation of the pattern (FuzzLikeMatchesRegexp), the hash join
+# against its nested-loop oracle on small tables with repeated and NULL
+# keys (FuzzHashJoinMatchesNestedLoop),
 # and the lineage-log scanner (FuzzScanLineage). The committed corpora run as
 # plain tests in `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
@@ -102,6 +104,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
 	$(GO) test ./internal/blobstore -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzProgramMatchesScalar$$' -fuzztime 10s
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzLikeMatchesRegexp$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzHashJoinMatchesNestedLoop$$' -fuzztime 10s
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 

@@ -55,15 +55,15 @@ func TestTableAppendAndScan(t *testing.T) {
 		t.Fatalf("rows = %d", tbl.NumRows())
 	}
 
-	dst := vector.NewChunk([]vector.Type{vector.TypeFloat64, vector.TypeInt64})
-	n := tbl.ScanInto(dst, 90, 50, []int{2, 0})
-	if n != 10 || dst.Len() != 10 {
+	dst := vector.NewViewChunk([]vector.Type{vector.TypeFloat64, vector.TypeInt64})
+	n := tbl.ScanView(dst, 64, 64, []int{2, 0})
+	if n != 36 || dst.Len() != 36 {
 		t.Fatalf("scan returned %d rows", n)
 	}
-	if dst.Col(1).Int64s()[0] != 90 || dst.Col(0).Float64s()[9] != 99*0.5 {
+	if dst.Col(1).Int64s()[0] != 64 || dst.Col(0).Float64s()[35] != 99*0.5 {
 		t.Error("scan values wrong")
 	}
-	if got := tbl.ScanInto(dst, 100, 10, []int{0}); got != 0 {
+	if got := tbl.ScanView(dst, 128, 10, []int{0}); got != 0 {
 		t.Errorf("scan past end = %d", got)
 	}
 }

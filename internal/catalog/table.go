@@ -83,20 +83,19 @@ func (t *Table) AppendRow(vals ...vector.Value) error {
 	return nil
 }
 
-// ScanInto copies rows [start, start+count) of the projected columns into
-// dst, which must have matching column types. It returns the number of rows
-// copied (possibly fewer than count at the end of the table).
-func (t *Table) ScanInto(dst *vector.Chunk, start, count int64, proj []int) int {
+// ScanView points dst's columns at rows [start, start+count) of the
+// projected columns without copying, and returns the number of rows in view
+// (possibly fewer than count at the end of the table). dst must have
+// matching column types and must be treated as read-only: it aliases the
+// table. start must be a multiple of 64 (morsels start at multiples of
+// vector.ChunkCapacity), and so must count unless the scan reaches the end.
+func (t *Table) ScanView(dst *vector.Chunk, start, count int64, proj []int) int {
 	if start >= t.rows {
 		return 0
 	}
-	end := start + count
-	if end > t.rows {
-		end = t.rows
-	}
-	dst.Reset()
+	end := min(start+count, t.rows)
 	for k, j := range proj {
-		dst.Col(k).AppendRange(t.cols[j], int(start), int(end))
+		dst.Col(k).View(t.cols[j], int(start), int(end))
 	}
 	n := int(end - start)
 	dst.SetLen(n)

@@ -272,13 +272,13 @@ func WriteTable(path string, t *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	chunk := vector.NewChunk(t.Schema().Types())
+	chunk := vector.NewViewChunk(t.Schema().Types())
 	proj := make([]int, t.Schema().Arity())
 	for i := range proj {
 		proj[i] = i
 	}
 	for start := int64(0); start < t.NumRows(); start += vector.ChunkCapacity {
-		t.ScanInto(chunk, start, vector.ChunkCapacity, proj)
+		t.ScanView(chunk, start, vector.ChunkCapacity, proj)
 		if err := w.WriteChunk(chunk); err != nil {
 			w.f.Close()
 			return err

@@ -611,7 +611,7 @@ func claimMorsel(cursor *atomic.Int64, morsels int64) (int64, bool) {
 // a process-level suspension request, or the stop-all barrier) rather than
 // because the pipeline's morsels were exhausted.
 func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.Int64, morsels int64, local LocalState) (stopped bool, err error) {
-	chunk := vector.NewChunk(p.Source.OutTypes())
+	chunk := vector.NewViewChunk(p.Source.OutTypes())
 	chain := makeChain(p.Ops, func(c *vector.Chunk) error {
 		return p.Sink.Consume(local, c)
 	})

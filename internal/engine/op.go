@@ -19,6 +19,10 @@ import (
 // because emitted chunks are never retained downstream: sinks copy rows out
 // on Consume (the source chunk in runWorker is itself reused every morsel,
 // which forces that discipline on the whole chain).
+//
+// Process treats in as read-only: a source's chunk aliases the base table
+// or a finalized sink buffer (Source), and an emitted chunk may alias it in
+// turn. An operator writes only into chunks and registers it owns.
 type StreamOp interface {
 	Process(in *vector.Chunk, emit func(*vector.Chunk) error) error
 	// OutTypes returns the operator's output column types.

@@ -13,11 +13,15 @@ const MorselRows = vector.ChunkCapacity
 
 // Source produces the morsels of a pipeline. Implementations must be safe
 // for concurrent ReadMorsel calls with distinct destination chunks.
+//
+// The sources here hand out views: ReadMorsel points dst's columns at the
+// rows of the table or sink buffer (vector.View) instead of copying them,
+// so every operator treats its input chunk as read-only.
 type Source interface {
 	// MorselCount returns the total number of morsels. It is only called
 	// after the source's dependency pipelines have finalized.
 	MorselCount() int64
-	// ReadMorsel fills dst with the rows of morsel idx and returns the row
+	// ReadMorsel sets dst to the rows of morsel idx and returns the row
 	// count (0 at the end of ragged inputs).
 	ReadMorsel(idx int64, dst *vector.Chunk) (int, error)
 	// OutTypes returns the column types the source produces.
@@ -47,7 +51,7 @@ func (s *TableSource) MorselCount() int64 {
 
 // ReadMorsel implements Source.
 func (s *TableSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
-	n := s.table.ScanInto(dst, idx*MorselRows, MorselRows, s.proj)
+	n := s.table.ScanView(dst, idx*MorselRows, MorselRows, s.proj)
 	return n, nil
 }
 
@@ -84,10 +88,8 @@ func (s *SinkSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 	if idx >= int64(buf.NumChunks()) {
 		return 0, nil
 	}
-	src := buf.Chunk(int(idx))
-	dst.Reset()
-	dst.AppendChunk(src)
-	return src.Len(), nil
+	dst.View(buf.Chunk(int(idx)))
+	return dst.Len(), nil
 }
 
 // OutTypes implements Source.
@@ -118,10 +120,8 @@ func (s *UnionSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 	for _, sk := range s.sinks {
 		buf := sk.Buffer()
 		if idx < int64(buf.NumChunks()) {
-			src := buf.Chunk(int(idx))
-			dst.Reset()
-			dst.AppendChunk(src)
-			return src.Len(), nil
+			dst.View(buf.Chunk(int(idx)))
+			return dst.Len(), nil
 		}
 		idx -= int64(buf.NumChunks())
 	}

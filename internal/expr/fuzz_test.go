@@ -54,7 +54,10 @@ var fuzzConsts = map[vector.Type][]vector.Value{
 	vector.TypeBool: {vector.NewBool(true), vector.NewBool(false)},
 }
 
-var fuzzPatterns = []string{"", "%", "_", "a%", "%e", "a__le", "50\\%", "%\\%%", "apple"}
+var fuzzPatterns = []string{
+	"", "%", "_", "a%", "%e", "a__le", "50\\%", "%\\%%", "apple",
+	"%p%e%", "a%p%e", "%pp%i%", "%%_%", "a%%", "%_%%",
+}
 
 func pick[T any](g *treeGen, from []T) T { return from[g.next()%len(from)] }
 
@@ -141,9 +144,7 @@ func (g *treeGen) expr(t vector.Type, depth int) Expr {
 		case 5:
 			return &IsNullExpr{In: sub(pick(g, fuzzTypes)), Negate: g.next()%2 == 0}
 		case 6:
-			ot := pick(g, fuzzTypes)
-			list := []vector.Value{pick(g, fuzzConsts[ot]), pick(g, fuzzConsts[ot]), vector.NewNull(ot)}
-			return &InExpr{In: sub(ot), List: list[:1+g.next()%3], Negate: g.next()%2 == 0}
+			return g.in(sub)
 		default:
 			return &LikeExpr{In: sub(vector.TypeString), Pattern: pick(g, fuzzPatterns), Negate: g.next()%2 == 0}
 		}
@@ -172,6 +173,30 @@ func (g *treeGen) expr(t vector.Type, depth int) Expr {
 	default: // DATE
 		return arith(3, sub(t), sub(t))
 	}
+}
+
+// in yields an IN or NOT IN over any type with up to four candidates, some
+// NULL. A numeric input's candidates may be of another numeric type, which
+// the program must promote as Compare does; on rare bytes a candidate's
+// type is arbitrary, mostly a compile error.
+func (g *treeGen) in(sub func(vector.Type) Expr) Expr {
+	ot := pick(g, fuzzTypes)
+	list := make([]vector.Value, 1+g.next()%4)
+	for i := range list {
+		ct := ot
+		switch b := g.next(); {
+		case b >= 240:
+			ct = pick(g, fuzzTypes)
+		case b >= 160 && ot.Numeric():
+			ct = pick(g, []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeDate})
+		}
+		if g.next()%4 == 0 {
+			list[i] = vector.NewNull(ct)
+		} else {
+			list[i] = pick(g, fuzzConsts[ct])
+		}
+	}
+	return &InExpr{In: sub(ot), List: list, Negate: g.next()%2 == 0}
 }
 
 // FuzzProgramMatchesScalar builds a bounded random expression from the input

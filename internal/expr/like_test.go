@@ -40,6 +40,10 @@ func TestLikeMatchTable(t *testing.T) {
 		{"x", "%%", true},
 		{"mississippi", "%iss%ippi", true},
 		{"mississippi", "%iss%issippi", true},
+		{"a%b", "a%", true},
+		{"x%y%z", "%y%", true},
+		{"50%", "50%", true},
+		{"a_", "a%_", true},
 	}
 	for _, tc := range cases {
 		if got := LikeMatch(tc.s, tc.p); got != tc.want {
@@ -71,21 +75,60 @@ func TestLikeMatchesRegexpOracle(t *testing.T) {
 	}
 }
 
+// likeToRegexp translates a LIKE pattern into an anchored regexp: each
+// literal run quoted, % as .* and _ as one byte — (?s) lets . match a
+// newline, and the inputs are ASCII so a character is a byte.
 func likeToRegexp(pattern string) *regexp.Regexp {
 	var b strings.Builder
-	b.WriteString("^")
-	for i := 0; i < len(pattern); i++ {
-		switch pattern[i] {
-		case '%':
-			b.WriteString(".*")
-		case '_':
-			b.WriteString(".")
-		default:
-			b.WriteString(regexp.QuoteMeta(string(pattern[i])))
+	b.WriteString("(?s)^")
+	lit := 0
+	for i := 0; i <= len(pattern); i++ {
+		if i < len(pattern) && pattern[i] != '%' && pattern[i] != '_' {
+			continue
 		}
+		b.WriteString(regexp.QuoteMeta(pattern[lit:i]))
+		if i < len(pattern) {
+			if pattern[i] == '%' {
+				b.WriteString(".*")
+			} else {
+				b.WriteString(".")
+			}
+		}
+		lit = i + 1
 	}
 	b.WriteString("$")
 	return regexp.MustCompile(b.String())
+}
+
+// FuzzLikeMatchesRegexp holds both matchers — LikeMatch and the compiled
+// form programs run — to the regexp translation of the pattern, over ASCII
+// subjects that may hold % and _ themselves.
+func FuzzLikeMatchesRegexp(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a%b", "a%"}, {"x%y%z", "%y%"}, {"%", "%"}, {"_", "%_%"}, {"a_b", "a%_"},
+		{"special packages requests", "%special%requests%"}, {"pepe", "%p%e%"},
+		{"abc", "a%c"}, {"ac", "a%%c"}, {"", "%%"}, {"a.b", "a.b"}, {"x\ny", "x%y"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, s, pattern string) {
+		for _, str := range []string{s, pattern} {
+			for i := 0; i < len(str); i++ {
+				if str[i] >= 0x80 {
+					t.Skip("non-ASCII: _ matches a byte, . a rune")
+				}
+			}
+		}
+		want := likeToRegexp(pattern).MatchString(s)
+		if got := LikeMatch(s, pattern); got != want {
+			t.Fatalf("LikeMatch(%q, %q) = %v, regexp says %v", s, pattern, got, want)
+		}
+		dst := make([]bool, 2)
+		compileLike(pattern).matchAll(dst, []string{s, s}, false)
+		if dst[0] != want || dst[1] != want {
+			t.Fatalf("compiled %q over %q = %v, regexp says %v", pattern, s, dst, want)
+		}
+	})
 }
 
 func TestLikeExprEval(t *testing.T) {

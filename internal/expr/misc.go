@@ -15,10 +15,17 @@ type InExpr struct {
 }
 
 // In returns e IN (vals...).
-func In(e Expr, vals ...vector.Value) Expr { return &InExpr{In: e, List: vals} }
+func In(e Expr, vals ...vector.Value) Expr { return newIn(e, vals, false) }
 
 // NotIn returns e NOT IN (vals...).
-func NotIn(e Expr, vals ...vector.Value) Expr { return &InExpr{In: e, List: vals, Negate: true} }
+func NotIn(e Expr, vals ...vector.Value) Expr { return newIn(e, vals, true) }
+
+func newIn(e Expr, vals []vector.Value, negate bool) Expr {
+	x := &InExpr{In: e, List: vals, Negate: negate}
+	_, err := inDomain(x)
+	must(err)
+	return x
+}
 
 // InStrings returns e IN (strings...).
 func InStrings(e Expr, ss ...string) Expr {
@@ -43,6 +50,37 @@ func (ix *InExpr) String() string {
 		op = "NOT IN"
 	}
 	return fmt.Sprintf("(%s %s [%s])", ix.In, op, strings.Join(parts, ","))
+}
+
+// inDomain returns the physical type x's membership test compares in,
+// promoting as Compare does: DOUBLE when the input or any non-NULL
+// candidate is one and the other side is numeric, BIGINT for DATE and
+// BIGINT, and otherwise the input's own type. A candidate of any other type
+// (a string against a number, say) is an error.
+func inDomain(x *InExpr) (vector.Type, error) {
+	in := x.In.Type()
+	dom := in
+	if intRepr(in) {
+		dom = vector.TypeInt64
+	}
+	for _, c := range x.List {
+		switch {
+		case c.Null || c.Type == in || intRepr(c.Type) && intRepr(in):
+		case c.Type.Numeric() && in.Numeric():
+			dom = vector.TypeFloat64
+		default:
+			return vector.TypeInvalid, fmt.Errorf("IN type mismatch: %v vs candidate %v of %v", in, c, c.Type)
+		}
+	}
+	return dom, nil
+}
+
+// inCandidate converts a non-NULL candidate (or input value) into dom.
+func inCandidate(v vector.Value, dom vector.Type) vector.Value {
+	if dom == vector.TypeFloat64 && intRepr(v.Type) {
+		return vector.NewFloat64(float64(v.I))
+	}
+	return v
 }
 
 // IsNullExpr tests for SQL NULL.

@@ -94,6 +94,9 @@ func check(e Expr) error {
 	case *IsNullExpr:
 		return check(x.In)
 	case *InExpr:
+		if _, err := inDomain(x); err != nil {
+			return err
+		}
 		return check(x.In)
 	case *LikeExpr:
 		return checkOperands(likeOver, vector.TypeString, x.In)
@@ -772,10 +775,40 @@ func buildIsNull(x *IsNullExpr) evalFn {
 	}
 }
 
+// buildIn runs a typed membership kernel over a candidate list converted
+// once into the comparison domain (inDomain), NULL candidates dropped: an
+// input that promotes to DOUBLE is cast first, as Compare casts.
 func buildIn(x *InExpr) evalFn {
-	inf := buildNode(x.In)
+	dom, _ := inDomain(x) // vetted by check
+	in := x.In
+	if dom == vector.TypeFloat64 {
+		in = ToFloat(in)
+	}
+	inf := buildNode(in)
+	var (
+		ints   []int64
+		floats []float64
+		strs   []string
+		bools  []bool
+	)
+	for _, c := range x.List {
+		if c.Null {
+			continue
+		}
+		c = inCandidate(c, dom)
+		switch dom {
+		case vector.TypeInt64:
+			ints = append(ints, c.I)
+		case vector.TypeFloat64:
+			floats = append(floats, c.F)
+		case vector.TypeString:
+			strs = append(strs, c.S)
+		case vector.TypeBool:
+			bools = append(bools, c.B)
+		}
+	}
 	reg := vector.New(vector.TypeBool, 0)
-	list, negate := x.List, x.Negate
+	negate := x.Negate
 	return func(c *vector.Chunk) (*vector.Vector, error) {
 		av, err := inf(c)
 		if err != nil {
@@ -783,31 +816,32 @@ func buildIn(x *InExpr) evalFn {
 		}
 		n := av.Len()
 		dst := reg.ResizeBool(n)
-		w := av.NullWords()
-		for i := 0; i < n; i++ {
-			if kernel.NullAt(w, i) {
-				dst[i] = false
-				continue
-			}
-			v := av.Value(i)
-			found := false
-			for _, cand := range list {
-				if !cand.Null && cand.Equal(v) {
-					found = true
-					break
-				}
-			}
-			dst[i] = found != negate
+		switch dom {
+		case vector.TypeInt64:
+			kernel.InInt64(dst, av.Int64s(), ints)
+		case vector.TypeFloat64:
+			kernel.InFloat64(dst, av.Float64s(), floats)
+		case vector.TypeString:
+			kernel.InString(dst, av.Strings(), strs)
+		case vector.TypeBool:
+			kernel.InBool(dst, av.Bools(), bools)
 		}
-		copyNulls(reg, av, n)
+		if negate {
+			kernel.NotBool(dst, dst)
+		}
+		if copyNulls(reg, av, n) {
+			kernel.ZeroNullsBool(dst, reg.NullWords())
+		}
 		return reg, nil
 	}
 }
 
+// buildLike matches every row with the pattern's compiled form (likeMatcher).
 func buildLike(x *LikeExpr) evalFn {
 	inf := buildNode(x.In)
 	reg := vector.New(vector.TypeBool, 0)
-	pattern, negate := x.Pattern, x.Negate
+	m := compileLike(x.Pattern)
+	negate := x.Negate
 	return func(c *vector.Chunk) (*vector.Vector, error) {
 		av, err := inf(c)
 		if err != nil {
@@ -815,22 +849,10 @@ func buildLike(x *LikeExpr) evalFn {
 		}
 		n := av.Len()
 		dst := reg.ResizeBool(n)
-		ss := av.Strings()
-		w := av.NullWords()
-		if len(w) == 0 {
-			for i := 0; i < n; i++ {
-				dst[i] = LikeMatch(ss[i], pattern) != negate
-			}
-			return reg, nil
+		m.matchAll(dst, av.Strings(), negate)
+		if copyNulls(reg, av, n) {
+			kernel.ZeroNullsBool(dst, reg.NullWords())
 		}
-		for i := 0; i < n; i++ {
-			if kernel.NullAt(w, i) {
-				dst[i] = false
-				continue
-			}
-			dst[i] = LikeMatch(ss[i], pattern) != negate
-		}
-		copyNulls(reg, av, n)
 		return reg, nil
 	}
 }

@@ -95,10 +95,14 @@ func EvalScalar(e Expr, types []vector.Type, row []vector.Value) (vector.Value, 
 		v, err := EvalScalar(x.In, types, row)
 		return vector.NewBool(v.Null != x.Negate), err
 	case *InExpr:
+		dom, err := inDomain(x)
+		if err != nil {
+			return vector.Value{}, err
+		}
 		v, err := EvalScalar(x.In, types, row)
 		found := false
 		for _, cand := range x.List {
-			found = found || (!cand.Null && cand.Equal(v))
+			found = found || (!cand.Null && !v.Null && inCandidate(cand, dom).Equal(inCandidate(v, dom)))
 		}
 		return nullOr(v.Null, vector.NewBool(found != x.Negate)), err
 	case *LikeExpr:

@@ -8,13 +8,15 @@
 // The hub is demand-driven rather than push-based, which is what makes it
 // suspension-safe. A hub keeps a ring of recently materialized morsels (the
 // shared window); riders read through ScanHub.Read, which serves three
-// cases: the requested morsel is in the window (hit — copy out), the rider
-// is the first to need a newer morsel (fill — read it from the base table
-// into the window, advancing it for everyone), or the rider is behind the
-// window (direct — a private base-table read that touches no shared state).
-// Slow riders therefore never stall the stream: the window advances with
-// the fastest rider, laggards privatize the morsels they missed, and no
-// rider ever blocks another beyond a per-slot copy.
+// cases: the requested morsel is in the window (hit — a view of the slot),
+// the rider is the first to need a newer morsel (fill — read it from the
+// base table into the window, advancing it for everyone), or the rider is
+// behind the window (direct — a private base-table read that touches no
+// shared state). Slow riders therefore never stall the stream: the window
+// advances with the fastest rider, laggards privatize the morsels they
+// missed, and no rider ever blocks another beyond a slot lookup. Nothing is
+// copied: a slot holds the base source's view of its morsel, and a hit
+// points the rider's chunk at the same rows.
 //
 // Because Read(idx) returns exactly the rows of morsel idx no matter which
 // case serves it, a rider is just another random-access Source: the
@@ -84,8 +86,8 @@ func newScanHub(base engine.Source, m *Manager) *ScanHub {
 // can and reading the base table otherwise.
 func (h *ScanHub) Read(idx int64, dst *vector.Chunk) (int, error) {
 	// Single-rider fast path: while at most one execution is live there is
-	// nobody to share with, so maintaining the window — one extra chunk
-	// copy per morsel — is pure tax. Private reads are always correct
+	// nobody to share with, so maintaining the window — a slot lock and a
+	// fresh slot chunk per morsel — is pure tax. Private reads are always correct
 	// (they return the same bytes as a hit or fill), so this can flip
 	// per-read as executions come and go.
 	if h.live != nil && h.live.Load() <= 1 {
@@ -97,27 +99,24 @@ func (h *ScanHub) Read(idx int64, dst *vector.Chunk) (int, error) {
 	switch {
 	case s.idx == idx:
 		// Hit: another rider already materialized this morsel.
-		dst.Reset()
-		dst.AppendChunk(s.chunk)
+		dst.View(s.chunk)
 		n := s.n
 		s.mu.Unlock()
 		h.hits.Inc()
 		return n, nil
 	case idx > s.idx:
-		// Fill: advance the window. The read lands in the shared slot so
-		// every rider at or behind this point shares it.
-		if s.chunk == nil {
-			s.chunk = vector.NewChunk(h.types)
-		}
-		n, err := h.base.ReadMorsel(idx, s.chunk)
+		// Fill: advance the window. The read lands in a fresh slot chunk
+		// so that riders still holding a view of the previous one keep
+		// their rows whatever the base source does with its destination.
+		c := vector.NewViewChunk(h.types)
+		n, err := h.base.ReadMorsel(idx, c)
 		if err != nil {
-			s.idx = -1
+			s.idx, s.chunk = -1, nil
 			s.mu.Unlock()
 			return 0, err
 		}
-		s.idx, s.n = idx, n
-		dst.Reset()
-		dst.AppendChunk(s.chunk)
+		s.idx, s.n, s.chunk = idx, n, c
+		dst.View(c)
 		s.mu.Unlock()
 		h.fills.Inc()
 		return n, nil

@@ -1,10 +1,13 @@
 package fold
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/catalog"
+	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -181,6 +184,93 @@ func TestHubSingleRiderFastPath(t *testing.T) {
 	checkMorsel(t, dst, 1, 2)
 	if got := base.reads.Load(); got != 6 {
 		t.Fatalf("shared mode did not cache: %d base reads, want 6", got)
+	}
+}
+
+// tableBytes encodes every column of tbl.
+func tableBytes(t *testing.T, tbl *catalog.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := vector.NewEncoder(&buf)
+	for j := 0; j < tbl.Schema().Arity(); j++ {
+		enc.Vector(tbl.Column(j))
+	}
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkTableMorsel compares c with morsel idx of tbl, row by row.
+func checkTableMorsel(t *testing.T, c *vector.Chunk, tbl *catalog.Table, idx int64) {
+	t.Helper()
+	lo := idx * vector.ChunkCapacity
+	want := min(tbl.NumRows()-lo, vector.ChunkCapacity)
+	if int64(c.Len()) != want {
+		t.Fatalf("morsel %d: %d rows, want %d", idx, c.Len(), want)
+	}
+	for r := 0; r < c.Len(); r++ {
+		for j := 0; j < c.NumCols(); j++ {
+			if got, w := c.Col(j).Value(r), tbl.Value(lo+int64(r), j); !got.Equal(w) || got.Null != w.Null {
+				t.Fatalf("morsel %d row %d col %d: %v, want %v", idx, r, j, got, w)
+			}
+		}
+	}
+}
+
+// TestHubHitIntoDirectReadView: a chunk that held a direct read — a view
+// of the base table — takes a hub hit and shows the hit's morsel; reused
+// afterwards as an ordinary chunk, it writes storage of its own, so the
+// table and the hub's slot are what they were.
+func TestHubHitIntoDirectReadView(t *testing.T) {
+	tbl := catalog.NewTable("t", catalog.NewSchema(
+		catalog.Col("k", vector.TypeInt64),
+		catalog.Col("s", vector.TypeString),
+	))
+	rows := 3*vector.ChunkCapacity + 5 // the last morsel is partial
+	for i := 0; i < rows; i++ {
+		s := vector.NewString(string(rune('a' + i%26)))
+		if i%10 == 3 {
+			s = vector.NewNull(vector.TypeString)
+		}
+		if err := tbl.AppendRow(vector.NewInt64(int64(i)), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tableBytes(t, tbl)
+	var live atomic.Int64
+	m := NewManager(obs.NewRegistry(), &live)
+	base := engine.NewTableSource(tbl, []int{0, 1})
+	r1, r2 := m.Share("t", []int{0, 1}, base), m.Share("t", []int{0, 1}, base)
+	dst := vector.NewViewChunk(base.OutTypes())
+	other := vector.NewViewChunk(base.OutTypes())
+
+	live.Store(1)
+	if _, err := r2.ReadMorsel(0, dst); err != nil { // direct
+		t.Fatal(err)
+	}
+	checkTableMorsel(t, dst, tbl, 0)
+	live.Store(2)
+	for _, idx := range []int64{2, 3} {
+		if _, err := r1.ReadMorsel(idx, other); err != nil { // fill
+			t.Fatal(err)
+		}
+		if _, err := r2.ReadMorsel(idx, dst); err != nil { // hit
+			t.Fatal(err)
+		}
+		checkTableMorsel(t, dst, tbl, idx)
+	}
+
+	dst.Reset()
+	for i := 0; i < 100; i++ {
+		dst.AppendRowValues(vector.NewInt64(-1), vector.NewNull(vector.TypeString))
+	}
+	if _, err := r1.ReadMorsel(3, other); err != nil { // hit: the slot is intact
+		t.Fatal(err)
+	}
+	checkTableMorsel(t, other, tbl, 3)
+	if !bytes.Equal(tableBytes(t, tbl), before) {
+		t.Fatal("a rider's chunk wrote into the base table")
 	}
 }
 

@@ -347,6 +347,39 @@ func TestIllTypedStatementsFailCompile(t *testing.T) {
 	}
 }
 
+// TestInPromotesLikeCompare: IN compares the input with each candidate in
+// the type Compare would promote the pair to, and refuses a string against
+// a number. (IN once compared through the field the candidate's type
+// selects, so salary IN (0) held on every row, and so did id IN with an
+// empty string.)
+func TestInPromotesLikeCompare(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		query string
+		rows  int64
+	}{
+		{"SELECT id FROM emp WHERE salary IN (0)", 5},
+		{"SELECT id FROM emp WHERE salary IN (10, 1990)", 10},
+		{"SELECT id FROM emp WHERE salary NOT IN (0)", 995},
+		{"SELECT id FROM emp WHERE id IN (7.0)", 1},
+		{"SELECT id FROM emp WHERE id IN (7.5)", 0},
+		{"SELECT id FROM emp WHERE dept IN (1.0, 2)", 400},
+	} {
+		if got := run(t, cat, tc.query).NumRows(); got != tc.rows {
+			t.Errorf("%s: rows = %d, want %d", tc.query, got, tc.rows)
+		}
+	}
+	for _, q := range []string{
+		"SELECT id FROM emp WHERE id IN ('')",
+		"SELECT id FROM emp WHERE name IN (1)",
+		"SELECT id FROM emp WHERE salary NOT IN ('x', 1)",
+	} {
+		if _, err := Compile(q, cat); err == nil || !strings.Contains(err.Error(), "IN type mismatch") {
+			t.Errorf("Compile(%q) = %v, want an IN type mismatch", q, err)
+		}
+	}
+}
+
 // TestGroupByNineColumns: the aggregate table has no cap on key columns (its
 // predecessor panicked in engine.Compile past eight).
 func TestGroupByNineColumns(t *testing.T) {

@@ -97,22 +97,3 @@ func TestAppendRange(t *testing.T) {
 		t.Error("empty range changed length")
 	}
 }
-
-func TestChunkAppendChunk(t *testing.T) {
-	types := []Type{TypeInt64, TypeString}
-	src := NewChunk(types)
-	src.AppendRowValues(NewInt64(1), NewString("a"))
-	src.AppendRowValues(NewNull(TypeInt64), NewString("b"))
-	dst := NewChunk(types)
-	dst.AppendRowValues(NewInt64(9), NewNull(TypeString))
-	dst.AppendChunk(src)
-	if dst.Len() != 3 {
-		t.Fatalf("len = %d, want 3", dst.Len())
-	}
-	if dst.Col(0).Int64s()[1] != 1 || !dst.Col(0).IsNull(2) {
-		t.Error("column 0 wrong")
-	}
-	if dst.Col(1).Strings()[2] != "b" || !dst.Col(1).IsNull(0) {
-		t.Error("column 1 wrong")
-	}
-}

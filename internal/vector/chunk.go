@@ -19,6 +19,25 @@ func NewChunk(types []Type) *Chunk {
 	return c
 }
 
+// NewViewChunk returns an empty chunk whose columns reserve no storage: the
+// destination of a source that points it at rows the source owns (View).
+func NewViewChunk(types []Type) *Chunk {
+	c := &Chunk{cols: make([]*Vector, len(types))}
+	for i, t := range types {
+		c.cols[i] = New(t, 0)
+	}
+	return c
+}
+
+// View points every column of c at the same column of src (same layout),
+// all rows, without copying; see Vector.View.
+func (c *Chunk) View(src *Chunk) {
+	for j, col := range c.cols {
+		col.View(src.cols[j], 0, src.length)
+	}
+	c.length = src.length
+}
+
 // NumCols returns the number of columns.
 func (c *Chunk) NumCols() int { return len(c.cols) }
 
@@ -68,15 +87,6 @@ func (c *Chunk) AppendRowFrom(src *Chunk, i int) {
 		col.AppendFrom(src.cols[j], i)
 	}
 	c.length++
-}
-
-// AppendChunk bulk-appends every row of src (same column layout) using
-// per-column range copies instead of per-row dispatch.
-func (c *Chunk) AppendChunk(src *Chunk) {
-	for j, col := range c.cols {
-		col.AppendRange(src.cols[j], 0, src.length)
-	}
-	c.length += src.length
 }
 
 // AppendRowValues appends one row of boxed values.

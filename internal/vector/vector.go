@@ -1,10 +1,19 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a typed column of values with an optional null bitmap. Storage is
 // a tagged union: exactly one of the data slices is in use, selected by the
 // vector's type (ints doubles as the DATE representation).
+//
+// A vector may be a view (View): its slices alias rows of another vector,
+// cut with cap = len. A view is copy-on-write. Reset, the Resize family,
+// SetNull and EnsureNullWords detach it before they write, and an append
+// reallocates because no capacity is left, so nothing written through a
+// view reaches the storage it aliases.
 type Vector struct {
 	typ    Type
 	length int
@@ -16,6 +25,9 @@ type Vector struct {
 
 	// nulls is a bitmap with one bit per row; nil means "no nulls".
 	nulls []uint64
+
+	// view marks slices aliased from another vector's storage.
+	view bool
 }
 
 // New returns an empty vector of the given type with capacity for cap rows.
@@ -54,8 +66,53 @@ func (v *Vector) Type() Type { return v.typ }
 // Len returns the number of rows in the vector.
 func (v *Vector) Len() int { return v.length }
 
-// Reset truncates the vector to zero rows, keeping capacity.
+// View points v at rows [lo, hi) of src, which must have v's type family,
+// without copying: v reads src's storage until a mutator detaches it. lo
+// must be a multiple of 64 so the null words line up, and hi too unless it
+// is src's end, so that no null bit of a row past hi is in view.
+func (v *Vector) View(src *Vector, lo, hi int) {
+	if lo&63 != 0 || hi&63 != 0 && hi != src.length {
+		panic(fmt.Sprintf("vector.View: rows [%d, %d) of %d are not word-aligned", lo, hi, src.length))
+	}
+	v.ints, v.floats, v.strs, v.bools, v.nulls = nil, nil, nil, nil, nil
+	switch v.typ {
+	case TypeInt64, TypeDate:
+		v.ints = src.ints[lo:hi:hi]
+	case TypeFloat64:
+		v.floats = src.floats[lo:hi:hi]
+	case TypeString:
+		v.strs = src.strs[lo:hi:hi]
+	case TypeBool:
+		v.bools = src.bools[lo:hi:hi]
+	}
+	if w := lo >> 6; w < len(src.nulls) {
+		end := min((hi+63)>>6, len(src.nulls))
+		v.nulls = src.nulls[w:end:end]
+	}
+	v.length = hi - lo
+	v.view = true
+}
+
+// detach gives a view storage of its own before a write in place. With
+// keep the rows are copied, for a caller that modifies them; without, they
+// are dropped, for one that overwrites every row.
+func (v *Vector) detach(keep bool) {
+	v.view = false
+	if keep {
+		v.ints, v.floats = slices.Clone(v.ints), slices.Clone(v.floats)
+		v.strs, v.bools = slices.Clone(v.strs), slices.Clone(v.bools)
+		v.nulls = slices.Clone(v.nulls)
+		return
+	}
+	v.ints, v.floats, v.strs, v.bools, v.nulls = nil, nil, nil, nil, nil
+}
+
+// Reset truncates the vector to zero rows, keeping capacity (a view lets
+// go of the storage it aliases instead).
 func (v *Vector) Reset() {
+	if v.view {
+		v.detach(false)
+	}
 	v.length = 0
 	v.ints = v.ints[:0]
 	v.floats = v.floats[:0]
@@ -85,18 +142,14 @@ func (v *Vector) IsNull(i int) bool {
 
 // SetNull marks row i as NULL. The row must already exist.
 func (v *Vector) SetNull(i int) {
+	if v.view {
+		v.detach(true)
+	}
 	w := i >> 6
 	for len(v.nulls) <= w {
 		v.nulls = append(v.nulls, 0)
 	}
 	v.nulls[w] |= 1 << (uint(i) & 63)
-}
-
-func (v *Vector) clearNull(i int) {
-	w := i >> 6
-	if w < len(v.nulls) {
-		v.nulls[w] &^= 1 << (uint(i) & 63)
-	}
 }
 
 // Int64s exposes the backing int64 slice (BIGINT and DATE vectors).
@@ -215,6 +268,9 @@ func (v *Vector) AppendFrom(src *Vector, i int) {
 // returns the backing slice for direct writes. Existing contents are
 // unspecified; callers overwrite every row.
 func (v *Vector) ResizeInt64(n int) []int64 {
+	if v.view {
+		v.detach(false)
+	}
 	if cap(v.ints) < n {
 		v.ints = make([]int64, n)
 	} else {
@@ -227,6 +283,9 @@ func (v *Vector) ResizeInt64(n int) []int64 {
 
 // ResizeFloat64 is ResizeInt64 for float64 vectors.
 func (v *Vector) ResizeFloat64(n int) []float64 {
+	if v.view {
+		v.detach(false)
+	}
 	if cap(v.floats) < n {
 		v.floats = make([]float64, n)
 	} else {
@@ -239,6 +298,9 @@ func (v *Vector) ResizeFloat64(n int) []float64 {
 
 // ResizeString is ResizeInt64 for string vectors.
 func (v *Vector) ResizeString(n int) []string {
+	if v.view {
+		v.detach(false)
+	}
 	if cap(v.strs) < n {
 		v.strs = make([]string, n)
 	} else {
@@ -251,6 +313,9 @@ func (v *Vector) ResizeString(n int) []string {
 
 // ResizeBool is ResizeInt64 for bool vectors.
 func (v *Vector) ResizeBool(n int) []bool {
+	if v.view {
+		v.detach(false)
+	}
 	if cap(v.bools) < n {
 		v.bools = make([]bool, n)
 	} else {
@@ -268,6 +333,9 @@ func (v *Vector) NullWords() []uint64 { return v.nulls }
 // EnsureNullWords grows the null bitmap to cover n rows, zeroing any newly
 // exposed words, and returns it for direct bit manipulation.
 func (v *Vector) EnsureNullWords(n int) []uint64 {
+	if v.view {
+		v.detach(true)
+	}
 	words := (n + 63) >> 6
 	if cap(v.nulls) < words {
 		nw := make([]uint64, words)
