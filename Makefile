@@ -96,9 +96,12 @@ profile:
 # (FuzzProgramMatchesScalar), both LIKE matchers against a regexp
 # translation of the pattern (FuzzLikeMatchesRegexp), the hash join
 # against its nested-loop oracle on small tables with repeated and NULL
-# keys (FuzzHashJoinMatchesNestedLoop),
-# and the lineage-log scanner (FuzzScanLineage). The committed corpora run as
-# plain tests in `make test`; this catches what only mutation finds. A
+# keys (FuzzHashJoinMatchesNestedLoop), the aggregate's local-state
+# reader (FuzzLoadAggState, whose kilobyte-sized seeds take the engine
+# longer to minimize than the ten seconds last, hence -fuzzminimizetime
+# 1x as well), and the lineage-log scanner
+# (FuzzScanLineage). The committed corpora run as plain tests in
+# `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzProgramMatchesScalar$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzLikeMatchesRegexp$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzHashJoinMatchesNestedLoop$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadAggState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and

@@ -10,16 +10,14 @@ import (
 )
 
 // The parent-written resume points under testdata/parent, all at SF 0.01
-// with two workers. TPC-H Q3, suspended and persisted by the commit before
-// the one-image rewrite: a pipeline-level checkpoint file, a process-level
-// image in a blob store (key "q3"), and a sealed lineage log. And compatAggSQL
-// (store key "agg"), suspended process-level in the middle of its aggregation
-// by the last commit that had the map-based aggregate sink, with that
-// commit's DB.compileOpts forced onto it (its option to switch the generated
-// kernel layer off): the worker-local aggregate tables in the image are the
-// bytes of the implementation FlatAggSink replaced. To
-// regenerate, copy this file into a checkout of the commit whose bytes are
-// the reference and run there (it overwrites that checkout's testdata/parent)
+// with two workers, written by the commit that introduced state format v3:
+// TPC-H Q3, suspended and persisted as a pipeline-level checkpoint file, a
+// process-level image in a blob store (key "q3") and a sealed lineage log;
+// and compatAggSQL (store key "agg"), suspended process-level in the middle
+// of its aggregation, so the image holds both workers' local aggregate
+// tables in the v3 layout. To regenerate, copy this file into a checkout of
+// the commit whose bytes are the reference and run there (it overwrites
+// that checkout's testdata/parent)
 // RIVETER_GOLDEN=parent go test -run TestParentWrittenPointsStartFrom .
 // for the Q3 points, RIVETER_GOLDEN=parent-agg for the aggregation point.
 const (
@@ -100,12 +98,13 @@ func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 		}
 		t.Fatalf("no mid-scan %v suspension landed", level)
 	}
-	// The finalized aggregate is four rows; a state this large is the two
-	// workers' local tables with their DISTINCT sets, i.e. mid-aggregation.
+	// The finalized aggregate is four rows, about 200 bytes of state; a
+	// state above 1 KiB is the two workers' local tables with their
+	// DISTINCT pairs, i.e. mid-aggregation.
 	if aggOnly {
 		persist(agg, ProcessLevel,
 			func(*Execution) ResumePoint { return storePoint("agg") },
-			func(info *PointInfo) bool { return info.StateBytes > 3<<10 })
+			func(info *PointInfo) bool { return info.StateBytes > 1<<10 })
 		return
 	}
 	persist(q3, PipelineLevel,

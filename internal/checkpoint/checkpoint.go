@@ -72,7 +72,7 @@ type Manifest struct {
 	// manifest copy lets tooling inspect a checkpoint without deserializing.
 	StateVersion int `json:"state_version,omitempty"`
 	// InFlightPipelines lists the pipelines captured mid-execution by a
-	// process-level suspension (v2 states capture a set; empty for pipeline
+	// process-level suspension (states since v2 capture a set; empty for pipeline
 	// checkpoints and for pre-DAG single-cursor images).
 	InFlightPipelines []int `json:"in_flight_pipelines,omitempty"`
 }

@@ -3,11 +3,13 @@ package engine
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,9 +18,12 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// The breaker state bytes are pinned against the boxed-key aggregate table
-// that the typed key columns replaced: testdata/aggstate.txt was recorded
-// from it, and has no -update path.
+// The breaker state bytes are pinned: testdata/aggstate.txt holds the
+// digests of the v3 SaveLocal bytes and of the Combine+Finalize results.
+// The result digests were recorded from the boxed-key aggregate table the
+// typed key columns replaced and have stayed put since; the state digests
+// were re-recorded when state format v3 made them deterministic. There is
+// no -update path.
 
 // aggStateTypes is the input layout: four key columns (BIGINT, DATE,
 // VARCHAR, DOUBLE) and three argument columns.
@@ -72,26 +77,19 @@ func aggStateChunks() []*vector.Chunk {
 }
 
 // aggStateSpecs covers SUM over both numeric types, AVG, MIN and MAX over
-// three types, COUNT, COUNT(*) and COUNT DISTINCT. With multiDistinct the
-// last spec is a COUNT DISTINCT holding several values per group; a saved
-// distinct set is written in map order, so only results are compared for
-// it. Without, the DISTINCT argument is a group key — one value per group —
-// and the saved bytes are deterministic.
-func aggStateSpecs(multiDistinct bool) []plan.AggSpec {
+// three types, COUNT, COUNT(*) and COUNT DISTINCT twice: over a group key,
+// one value per group, and over a VARCHAR with several values per group.
+func aggStateSpecs() []plan.AggSpec {
 	x, y, z := expr.Col(4, vector.TypeFloat64), expr.Col(5, vector.TypeInt64), expr.Col(6, vector.TypeString)
-	specs := []plan.AggSpec{
+	return []plan.AggSpec{
 		plan.Sum(x, "sx"), plan.Sum(y, "sy"), plan.Avg(x, "ax"),
 		plan.Min(z, "mnz"), plan.Max(expr.Col(1, vector.TypeDate), "mxd"), plan.Min(x, "mnx"), plan.Max(y, "mxy"),
 		plan.Count(y, "cy"), plan.CountStar("n"),
-		plan.CountDistinct(expr.Col(0, vector.TypeInt64), "dk"),
+		plan.CountDistinct(expr.Col(0, vector.TypeInt64), "dk"), plan.CountDistinct(z, "dz"),
 	}
-	if multiDistinct {
-		specs = append(specs, plan.CountDistinct(z, "dz"))
-	}
-	return specs
 }
 
-func aggStateSink(t *testing.T, specs []plan.AggSpec) *FlatAggSink {
+func aggStateSink(t testing.TB, specs []plan.AggSpec) *FlatAggSink {
 	t.Helper()
 	keys := []expr.Expr{
 		expr.Col(0, vector.TypeInt64), expr.Col(1, vector.TypeDate),
@@ -109,7 +107,7 @@ func aggStateSink(t *testing.T, specs []plan.AggSpec) *FlatAggSink {
 }
 
 // aggStateLocals feeds chunk i to local i mod n.
-func aggStateLocals(t *testing.T, s *FlatAggSink, n int) []LocalState {
+func aggStateLocals(t testing.TB, s *FlatAggSink, n int) []LocalState {
 	t.Helper()
 	locals := make([]LocalState, n)
 	for i := range locals {
@@ -145,12 +143,12 @@ func aggStateRecord(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, n := range []int{1, 2, 4} {
-		s := aggStateSink(t, aggStateSpecs(false))
-		for i, ls := range aggStateLocals(t, s, n) {
+		s := aggStateSink(t, aggStateSpecs())
+		locals := aggStateLocals(t, s, n)
+		for i, ls := range locals {
 			lines = append(lines, fmt.Sprintf("locals=%d local=%d %s", n, i, saveLocalDigest(t, s, ls)))
 		}
-		s = aggStateSink(t, aggStateSpecs(true))
-		for _, ls := range aggStateLocals(t, s, n) {
+		for _, ls := range locals {
 			if err := s.Combine(ls); err != nil {
 				t.Fatal(err)
 			}
@@ -163,9 +161,8 @@ func aggStateRecord(t *testing.T) []string {
 	return lines
 }
 
-// TestAggStateMatchesRecordedBytes: the typed key columns move no byte —
-// SaveLocal writes and Combine+Finalize produces exactly what the boxed
-// table did.
+// TestAggStateMatchesRecordedBytes: SaveLocal writes the recorded v3 bytes
+// and Combine+Finalize produces exactly what the boxed table did.
 func TestAggStateMatchesRecordedBytes(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "aggstate.txt"))
 	if err != nil {
@@ -187,7 +184,7 @@ func TestAggStateMatchesRecordedBytes(t *testing.T) {
 // the bytes of merging every local into an empty table, for 1, 2 and 4
 // locals, down to row order and float bits.
 func TestAggCombineAdoptsFirstLocal(t *testing.T) {
-	specs := aggStateSpecs(true)
+	specs := aggStateSpecs()
 	for _, n := range []int{1, 2, 4} {
 		s := aggStateSink(t, specs)
 		for _, ls := range aggStateLocals(t, s, n) {
@@ -200,9 +197,9 @@ func TestAggCombineAdoptsFirstLocal(t *testing.T) {
 		}
 
 		ref := aggStateSink(t, specs)
-		into := newFlatAggTable(specs, ref.keyTypes())
+		into := ref.newTable()
 		for _, ls := range aggStateLocals(t, ref, n) {
-			into.merge(ls.(*flatAggLocal).table)
+			into.merge(ls.(*flatAggLocal).table, nil)
 		}
 		ref.global = into
 		if err := ref.Finalize(); err != nil {
@@ -252,27 +249,161 @@ func TestRowBufferConcatTakesChunks(t *testing.T) {
 	}
 }
 
+// hostileAggState is local aggregate state that LoadLocal of aggStateSink
+// must refuse, with the refusal it must give.
+type hostileAggState struct {
+	data []byte
+	want string
+}
+
+// saveLocalBytes is a local's SaveLocal bytes.
+func saveLocalBytes(tb testing.TB, s *FlatAggSink, ls LocalState) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveLocal(ls, vector.NewEncoder(&buf)); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// validAggState is the state of one local after aggStateChunks' first chunk.
+func validAggState(tb testing.TB) []byte {
+	s := aggStateSink(tb, aggStateSpecs())
+	return saveLocalBytes(tb, s, aggStateLocals(tb, s, 4)[0])
+}
+
+// hostileAggStates edits the state of one local (validAggState) or of an
+// empty table into bytes a saved table never holds.
+func hostileAggStates(tb testing.TB) map[string]hostileAggState {
+	edited := func(edit func(*flatAggTable)) []byte {
+		s := aggStateSink(tb, aggStateSpecs())
+		ls := aggStateLocals(tb, s, 4)[0]
+		edit(ls.(*flatAggLocal).table)
+		return saveLocalBytes(tb, s, ls)
+	}
+	s := aggStateSink(tb, aggStateSpecs())
+	empty := saveLocalBytes(tb, s, s.MakeLocal())
+	// An empty table ends in its two DISTINCT sections, three bytes each:
+	// no pairs, then an empty value column.
+	claimPairs := func(n uint64) []byte {
+		return binary.AppendUvarint(slices.Clone(empty[:len(empty)-6]), n)
+	}
+	dist := func(t *flatAggTable, spec int) *distinctSet { return t.cols[spec].dist }
+	const dk, dz = 9, 10 // the DISTINCT specs: over key 0, and over z
+	return map[string]hostileAggState{
+		"repeated-key": {edited(func(t *flatAggTable) {
+			// Group 1 takes group 0's key: (0, 19000, NULL, -0.0).
+			k := t.keys
+			k[0].Int64s()[1], k[1].Int64s()[1], k[3].Float64s()[1] = k[0].Int64s()[0], k[1].Int64s()[0], k[3].Float64s()[0]
+			k[2].SetNull(1)
+		}), "repeats an earlier key"},
+		"pair-names-group-past-table": {edited(func(t *flatAggTable) {
+			dist(t, dk).groups[0] = int32(t.n)
+		}), "names group"},
+		"repeated-pair": {edited(func(t *flatAggTable) {
+			d := dist(t, dk)
+			d.groups[1], d.vals.Int64s()[1] = d.groups[0], d.vals.Int64s()[0]
+		}), "repeats an earlier one"},
+		"null-distinct-value": {edited(func(t *flatAggTable) {
+			dist(t, dz).vals.SetNull(0)
+		}), "NULL"},
+		"2^24-distinct-pairs": {claimPairs(1 << 24), "distinct pairs in 0 bytes"},
+		"2^40-distinct-pairs": {claimPairs(1 << 40), "distinct pairs in 0 bytes"},
+		"2^40-groups":         {binary.AppendUvarint(nil, 1<<40), "groups in 0 bytes"},
+		"2^40-key-rows": {binary.AppendUvarint([]byte{1, byte(vector.TypeInt64)}, 1<<40),
+			"rows in 0 bytes"},
+		"key-of-another-type": {append([]byte{0, byte(vector.TypeString), 0}, empty[3:]...), "where 0 BIGINT belong"},
+		"truncated":           {validAggState(tb)[:100], "rows in 27 bytes"},
+	}
+}
+
 // TestAggLoadRefusesRepeatedKey: a saved aggregate table never repeats a
 // group key, so state bytes that do are refused, not merged.
 func TestAggLoadRefusesRepeatedKey(t *testing.T) {
-	s := aggStateSink(t, aggStateSpecs(false))
-	ls := s.MakeLocal()
-	if err := s.Consume(ls, aggStateChunks()[0]); err != nil {
+	s := aggStateSink(t, aggStateSpecs())
+	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(validAggState(t)))); err != nil {
 		t.Fatal(err)
 	}
-	ls.(*flatAggLocal).table.n = 1 // keep the first group only
-	var one bytes.Buffer
-	if err := s.SaveLocal(ls, vector.NewEncoder(&one)); err != nil {
-		t.Fatal(err)
-	}
-	group := one.Bytes()[1:] // after the one-byte group count
-	twice := append(append([]byte{2}, group...), group...)
-	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(twice))); err == nil || !strings.Contains(err.Error(), "repeats") {
+	repeated := hostileAggStates(t)["repeated-key"].data
+	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(repeated))); err == nil || !strings.Contains(err.Error(), "repeats") {
 		t.Fatalf("LoadLocal of a repeated key = %v, want a refusal", err)
 	}
-	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(one.Bytes()))); err != nil {
-		t.Fatal(err)
+}
+
+// TestAggLoadRefusesHostileStates: every count is bounded by the bytes
+// left, so a state claiming more elements than it holds is refused before
+// anything is sized from it, and so are pairs a table never saves.
+func TestAggLoadRefusesHostileStates(t *testing.T) {
+	s := aggStateSink(t, aggStateSpecs())
+	for name, h := range hostileAggStates(t) {
+		_, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(h.data)))
+		if err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s (%d bytes): LoadLocal = %v, want %q", name, len(h.data), err, h.want)
+		}
 	}
+}
+
+// TestLoadAggStateCorpusCommitted keeps testdata/fuzz/FuzzLoadAggState in
+// step with validAggState and hostileAggStates (RIVETER_GOLDEN=write
+// regenerates it).
+func TestLoadAggStateCorpusCommitted(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadAggState")
+	corpus := map[string][]byte{"valid": validAggState(t)}
+	for name, h := range hostileAggStates(t) {
+		corpus[name] = h.data
+	}
+	for name, data := range corpus {
+		entry := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data))
+		path := filepath.Join(dir, name)
+		if os.Getenv("RIVETER_GOLDEN") == "write" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+			t.Errorf("corpus entry %s is missing or stale (%v)", name, err)
+		}
+	}
+}
+
+// FuzzLoadAggState feeds arbitrary bytes to LoadLocal of a sink over every
+// aggregate function and key type, and requires an error or a table that
+// works: its bytes save and load back to themselves, and it takes more
+// rows, combines and finalizes without a panic. The seed corpus
+// (testdata/fuzz/FuzzLoadAggState) is validAggState and hostileAggStates.
+func FuzzLoadAggState(f *testing.F) {
+	f.Add(validAggState(f))
+	chunk := aggStateChunks()[1]
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := aggStateSink(t, aggStateSpecs())
+		ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		saved := saveLocalBytes(t, s, ls)
+		again, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(saved)))
+		if err != nil {
+			t.Fatalf("a loaded table's own bytes do not load: %v", err)
+		}
+		if !bytes.Equal(saveLocalBytes(t, s, again), saved) {
+			t.Fatal("a loaded table's bytes do not round-trip")
+		}
+		if err := s.Consume(ls, chunk); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []LocalState{ls, again} {
+			if err := s.Combine(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestLoadRowBufferRefusesLoosePacking: Concat adopts a restored local's

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/riveterdb/riveter/internal/engine/kernel"
@@ -11,131 +11,227 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// flatAggTable is the aggregate hash table, open-addressed. Encoded group
-// keys live back-to-back in one byte arena addressed by offset, the key
-// values live in one typed column per group-by expression (row g is group
-// g's first-seen key), the per-group accumulators live in struct-of-arrays
-// columns (one aggCol per aggregate spec), and the probe path is FNV hash +
-// linear scan over a power-of-two slot array, so a probe allocates nothing.
+// flatAggTable is the aggregate hash table, open-addressed. The key values
+// live in one typed column per group-by expression (row g is group g's
+// first-seen key), the per-group accumulators in struct-of-arrays columns
+// (one aggCol per aggregate spec), and a probe hashes a whole chunk's keys
+// with vector.HashInto, then scans a power-of-two slot array linearly,
+// comparing the typed key columns directly, so a probe allocates nothing.
 // Group indices are dense and assigned in first-seen order, which is also
 // the output and the checkpoint order.
 type flatAggTable struct {
-	specs []plan.AggSpec
-
 	slots  []uint32 // group index + 1; 0 = empty
 	mask   uint32
-	hashes []uint64 // per group, for rehash and cheap probe rejection
-	keyOff []int    // arena start offset per group; end = next start or len
-	arena  []byte
-	keys   []*vector.Vector // one column per group-by expression (save/finalize)
+	hashes []uint64 // per group, for rehash, merge and cheap probe rejection
+	keys   []*vector.Vector
 	cols   []aggCol
 	n      int
 }
 
-// aggCol is the struct-of-arrays accumulator for one aggregate spec across
-// all groups. sumF/sumI/count are maintained for every spec because the v2
-// state format writes all three per spec; minmax and distinct are allocated
-// only for the specs that use them.
+// aggFn is an aggregate function specialized to its argument type: it
+// decides which accumulators a spec keeps and which kernel folds it.
+type aggFn uint8
+
+const (
+	fnCount      aggFn = iota // COUNT, COUNT(*): count
+	fnSumInt64                // SUM over BIGINT or DATE: sumI, count
+	fnSumFloat64              // SUM over DOUBLE: sumF, count
+	fnAvgInt64                // AVG over BIGINT or DATE: sumF, count
+	fnAvgFloat64              // AVG over DOUBLE: sumF, count
+	fnMin                     // MIN: ext
+	fnMax                     // MAX: ext
+)
+
+// aggCol is one aggregate spec's accumulators across all groups. Each
+// function keeps only the arrays it reads (see aggFn); a DISTINCT spec adds
+// its set of (group, value) pairs, and a pair seen for the first time folds
+// into the same accumulators a plain row would.
 type aggCol struct {
-	sumF     []float64
-	sumI     []int64
-	count    []int64
-	minmax   []vector.Value
-	distinct []map[vector.Value]struct{}
+	fn    aggFn
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	ext   *vector.Vector // MIN/MAX: group g's extreme, NULL until it has one
+	dist  *distinctSet
 }
 
 const flatAggInitSlots = 64
 
-// distinctMapSizeHint pre-sizes per-group DISTINCT sets so the first few
-// inserts don't each trigger an incremental map growth allocation.
-const distinctMapSizeHint = 8
+// aggLayout is the shape of one spec's accumulators: its specialized
+// function, its argument's type and whether it folds DISTINCT values.
+type aggLayout struct {
+	fn       aggFn
+	arg      vector.Type
+	distinct bool
+}
 
-func newFlatAggTable(specs []plan.AggSpec, keyTypes []vector.Type) *flatAggTable {
+func aggLayoutOf(sp plan.AggSpec) (aggLayout, error) {
+	l := aggLayout{distinct: sp.Distinct}
+	if sp.Arg != nil {
+		l.arg = sp.Arg.Type()
+	}
+	isFloat := l.arg == vector.TypeFloat64
+	switch {
+	case sp.Func == plan.AggCount || sp.Func == plan.AggCountStar:
+		l.fn = fnCount
+	case sp.Func == plan.AggMin:
+		l.fn = fnMin
+	case sp.Func == plan.AggMax:
+		l.fn = fnMax
+	case l.arg != vector.TypeInt64 && l.arg != vector.TypeDate && !isFloat:
+		return l, fmt.Errorf("engine: %s over %v", sp.Func, l.arg)
+	case sp.Func == plan.AggSum && isFloat:
+		l.fn = fnSumFloat64
+	case sp.Func == plan.AggSum:
+		l.fn = fnSumInt64
+	case isFloat:
+		l.fn = fnAvgFloat64
+	default:
+		l.fn = fnAvgInt64
+	}
+	return l, nil
+}
+
+// newFlatAggTable builds an empty table for the specs laid out by layout.
+func newFlatAggTable(layout []aggLayout, keyTypes []vector.Type) *flatAggTable {
 	keys := make([]*vector.Vector, len(keyTypes))
 	for i, kt := range keyTypes {
 		keys[i] = vector.New(kt, 0)
 	}
+	cols := make([]aggCol, len(layout))
+	for i, l := range layout {
+		cols[i].fn = l.fn
+		if l.fn == fnMin || l.fn == fnMax {
+			cols[i].ext = vector.New(l.arg, 0)
+		}
+		if l.distinct {
+			cols[i].dist = newDistinctSet(l.arg)
+		}
+	}
 	return &flatAggTable{
-		specs: specs,
 		slots: make([]uint32, flatAggInitSlots),
 		mask:  flatAggInitSlots - 1,
 		keys:  keys,
-		cols:  make([]aggCol, len(specs)),
+		cols:  cols,
 	}
 }
 
 // reset empties the table, keeping all backing arrays for reuse.
 func (t *flatAggTable) reset() {
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
+	clear(t.slots)
 	t.hashes = t.hashes[:0]
-	t.keyOff = t.keyOff[:0]
-	t.arena = t.arena[:0]
 	for _, k := range t.keys {
 		k.Reset()
 	}
 	for i := range t.cols {
 		c := &t.cols[i]
-		c.sumF = c.sumF[:0]
-		c.sumI = c.sumI[:0]
-		c.count = c.count[:0]
-		c.minmax = c.minmax[:0]
-		c.distinct = c.distinct[:0]
+		c.count, c.sumI, c.sumF = c.count[:0], c.sumI[:0], c.sumF[:0]
+		if c.ext != nil {
+			c.ext.Reset()
+		}
+		if c.dist != nil {
+			c.dist.reset()
+		}
 	}
 	t.n = 0
 }
 
-// keyBytes returns group g's encoded key, borrowed from the arena.
-func (t *flatAggTable) keyBytes(g int32) []byte {
-	start := t.keyOff[g]
-	end := len(t.arena)
-	if int(g)+1 < t.n {
-		end = t.keyOff[g+1]
+// floatBitsForKey is a DOUBLE key's identity: its bits, with -0.0 taken as
+// +0.0.
+func floatBitsForKey(f float64) uint64 {
+	if f == 0 {
+		f = 0 // canonicalize -0
 	}
-	return t.arena[start:end]
+	return math.Float64bits(f)
 }
 
-// get returns the dense group index for the encoded key, inserting on first
-// sight. isNew tells the caller to append the group's key values.
-func (t *flatAggTable) get(enc []byte) (g int32, isNew bool) {
-	h := kernel.HashBytes(enc)
+// sameKey reports whether row i of a and row j of b are one key: NULL
+// equals NULL whatever the value slots hold, and DOUBLEs compare by
+// floatBitsForKey, so -0.0 and +0.0 are one key.
+func sameKey(a *vector.Vector, i int, b *vector.Vector, j int) bool {
+	an, bn := a.IsNull(i), b.IsNull(j)
+	if an || bn {
+		return an == bn
+	}
+	switch a.Type() {
+	case vector.TypeInt64, vector.TypeDate:
+		return a.Int64s()[i] == b.Int64s()[j]
+	case vector.TypeFloat64:
+		return floatBitsForKey(a.Float64s()[i]) == floatBitsForKey(b.Float64s()[j])
+	case vector.TypeString:
+		return a.Strings()[i] == b.Strings()[j]
+	default:
+		return a.Bools()[i] == b.Bools()[j]
+	}
+}
+
+// find returns the group whose key is row r of vecs, hashed h, and true;
+// or the empty slot where that key belongs and false.
+func (t *flatAggTable) find(h uint64, vecs []*vector.Vector, r int) (int32, uint32, bool) {
 	i := uint32(h) & t.mask
 	for {
 		s := t.slots[i]
 		if s == 0 {
-			return t.insert(enc, h, i), true
+			return 0, i, false
 		}
-		gi := int32(s - 1)
-		if t.hashes[gi] == h && bytes.Equal(t.keyBytes(gi), enc) {
-			return gi, false
+		g := int32(s - 1)
+		if t.hashes[g] == h && t.sameKeys(g, vecs, r) {
+			return g, i, true
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-func (t *flatAggTable) insert(enc []byte, h uint64, slot uint32) int32 {
+func (t *flatAggTable) sameKeys(g int32, vecs []*vector.Vector, r int) bool {
+	for j, k := range t.keys {
+		if !sameKey(k, int(g), vecs[j], r) {
+			return false
+		}
+	}
+	return true
+}
+
+// place assigns the next group index to the empty slot found for hash h.
+// The caller appends the group's key values.
+func (t *flatAggTable) place(h uint64, slot uint32) int32 {
 	g := int32(t.n)
 	t.n++
 	t.slots[slot] = uint32(g) + 1
 	t.hashes = append(t.hashes, h)
-	t.keyOff = append(t.keyOff, len(t.arena))
-	t.arena = append(t.arena, enc...)
-	for i := range t.cols {
-		c := &t.cols[i]
-		sp := t.specs[i]
-		c.sumF = append(c.sumF, 0)
-		c.sumI = append(c.sumI, 0)
-		c.count = append(c.count, 0)
-		if sp.Func == plan.AggMin || sp.Func == plan.AggMax {
-			c.minmax = append(c.minmax, vector.Value{})
-		}
-		if sp.Distinct {
-			c.distinct = append(c.distinct, make(map[vector.Value]struct{}, distinctMapSizeHint))
-		}
-	}
 	if t.n*4 > len(t.slots)*3 {
 		t.grow()
+	}
+	return g
+}
+
+// insert places a new group and appends its empty accumulators.
+func (t *flatAggTable) insert(h uint64, slot uint32) int32 {
+	g := t.place(h, slot)
+	for i := range t.cols {
+		c := &t.cols[i]
+		switch c.fn {
+		case fnMin, fnMax:
+			c.ext.AppendNull()
+			continue
+		case fnSumInt64:
+			c.sumI = append(c.sumI, 0)
+		case fnSumFloat64, fnAvgInt64, fnAvgFloat64:
+			c.sumF = append(c.sumF, 0)
+		}
+		c.count = append(c.count, 0)
+	}
+	return g
+}
+
+// groupOf returns the group of row r of vecs, hashed h, inserting it and
+// appending its key values on first sight.
+func (t *flatAggTable) groupOf(h uint64, vecs []*vector.Vector, r int) int32 {
+	g, slot, ok := t.find(h, vecs, r)
+	if !ok {
+		g = t.insert(h, slot)
+		for j, k := range t.keys {
+			k.AppendFrom(vecs[j], r)
+		}
 	}
 	return g
 }
@@ -154,126 +250,130 @@ func (t *flatAggTable) grow() {
 	t.mask = mask
 }
 
-// updateBoxed folds one boxed value into group g for spec i: the one path for
-// DISTINCT, MIN and MAX, which compare or hash whole values; SUM, AVG and
-// COUNT reach it only over a type without a grouped-update kernel.
-func (t *flatAggTable) updateBoxed(i int, sp plan.AggSpec, g int32, v vector.Value) {
-	c := &t.cols[i]
-	if sp.Func == plan.AggCountStar {
-		c.count[g]++
-		return
+// fold folds rows [lo, lo+len(groups)) of av, whose row lo+i belongs to
+// group groups[i], into the accumulators, skipping NULL rows. av is nil for
+// COUNT(*). Only a chunk's arguments are folded from lo 0 with NULLs; a
+// DISTINCT set, whose new pairs fold from where they start, holds none.
+func (c *aggCol) fold(groups []int32, av *vector.Vector, lo int) {
+	var nulls []uint64
+	if av != nil && av.HasNulls() {
+		nulls = av.NullWords()
 	}
-	if v.Null {
-		return // SQL aggregates ignore NULLs
+	hi := lo + len(groups)
+	switch c.fn {
+	case fnCount:
+		kernel.CountUpdate(groups, nulls, c.count)
+	case fnSumInt64:
+		kernel.SumInt64Update(groups, av.Int64s()[lo:hi], nulls, c.sumI, c.count)
+	case fnSumFloat64:
+		kernel.SumFloat64Update(groups, av.Float64s()[lo:hi], nulls, c.sumF, c.count)
+	case fnAvgInt64:
+		kernel.AvgInt64Update(groups, av.Int64s()[lo:hi], nulls, c.sumF, c.count)
+	case fnAvgFloat64:
+		kernel.AvgFloat64Update(groups, av.Float64s()[lo:hi], nulls, c.sumF, c.count)
+	default:
+		c.foldExtreme(groups, av, lo, nulls)
 	}
-	if sp.Distinct {
-		if _, seen := c.distinct[g][v]; seen {
-			return
-		}
-		c.distinct[g][v] = struct{}{}
-	}
-	switch sp.Func {
-	case plan.AggSum, plan.AggAvg:
-		c.count[g]++
-		if v.Type == vector.TypeFloat64 {
-			c.sumF[g] += v.F
+}
+
+// foldExtreme is fold for MIN and MAX. Merge calls it too, with a source
+// table's extremes as the values and their NULLs (no value yet) skipped.
+func (c *aggCol) foldExtreme(groups []int32, av *vector.Vector, lo int, nulls []uint64) {
+	hi, empty, isMin := lo+len(groups), c.ext.NullWords(), c.fn == fnMin
+	switch av.Type() {
+	case vector.TypeInt64, vector.TypeDate:
+		if isMin {
+			kernel.MinInt64Update(groups, av.Int64s()[lo:hi], nulls, c.ext.Int64s(), empty)
 		} else {
-			c.sumI[g] += v.I
-			c.sumF[g] += float64(v.I)
+			kernel.MaxInt64Update(groups, av.Int64s()[lo:hi], nulls, c.ext.Int64s(), empty)
 		}
-	case plan.AggCount:
-		c.count[g]++
-	case plan.AggMin:
-		if c.minmax[g].Type == vector.TypeInvalid || v.Compare(c.minmax[g]) < 0 {
-			c.minmax[g] = v
+	case vector.TypeFloat64:
+		if isMin {
+			kernel.MinFloat64Update(groups, av.Float64s()[lo:hi], nulls, c.ext.Float64s(), empty)
+		} else {
+			kernel.MaxFloat64Update(groups, av.Float64s()[lo:hi], nulls, c.ext.Float64s(), empty)
 		}
-	case plan.AggMax:
-		if c.minmax[g].Type == vector.TypeInvalid || v.Compare(c.minmax[g]) > 0 {
-			c.minmax[g] = v
+	case vector.TypeString:
+		if isMin {
+			kernel.MinStringUpdate(groups, av.Strings()[lo:hi], nulls, c.ext.Strings(), empty)
+		} else {
+			kernel.MaxStringUpdate(groups, av.Strings()[lo:hi], nulls, c.ext.Strings(), empty)
+		}
+	case vector.TypeBool:
+		if isMin {
+			kernel.MinBoolUpdate(groups, av.Bools()[lo:hi], nulls, c.ext.Bools(), empty)
+		} else {
+			kernel.MaxBoolUpdate(groups, av.Bools()[lo:hi], nulls, c.ext.Bools(), empty)
 		}
 	}
 }
 
-// mergeFrom folds group sg of src into group dg.
-func (t *flatAggTable) mergeFrom(src *flatAggTable, dg, sg int32) {
-	for i, sp := range t.specs {
-		dc, sc := &t.cols[i], &src.cols[i]
-		if sp.Distinct {
-			dm := dc.distinct[dg]
-			for v := range sc.distinct[sg] {
-				if _, seen := dm[v]; !seen {
-					dm[v] = struct{}{}
-					dc.count[dg]++ // recounted below for count-distinct finalize
-				}
-			}
-			continue
+// foldDistinct adds the pairs (groups[r], row r of av) that the set has not
+// seen, skipping NULL rows, and folds the new ones. vh holds av's row
+// hashes; a merge passes its source set's values, hashes and mapped groups.
+func (c *aggCol) foldDistinct(groups []int32, av *vector.Vector, vh []uint64) {
+	d := c.dist
+	start := len(d.groups)
+	for r, g := range groups {
+		if !av.IsNull(r) {
+			d.add(g, vh[r], av, r)
 		}
-		switch sp.Func {
-		case plan.AggSum, plan.AggAvg:
-			dc.count[dg] += sc.count[sg]
-			dc.sumF[dg] += sc.sumF[sg]
-			dc.sumI[dg] += sc.sumI[sg]
-		case plan.AggCount, plan.AggCountStar:
-			dc.count[dg] += sc.count[sg]
-		case plan.AggMin:
-			if sc.minmax[sg].Type != vector.TypeInvalid && (dc.minmax[dg].Type == vector.TypeInvalid || sc.minmax[sg].Compare(dc.minmax[dg]) < 0) {
-				dc.minmax[dg] = sc.minmax[sg]
-			}
-		case plan.AggMax:
-			if sc.minmax[sg].Type != vector.TypeInvalid && (dc.minmax[dg].Type == vector.TypeInvalid || sc.minmax[sg].Compare(dc.minmax[dg]) > 0) {
-				dc.minmax[dg] = sc.minmax[sg]
-			}
+	}
+	c.fold(d.groups[start:], d.vals, start)
+}
+
+// mergeFrom folds src, whose group sg is this table's group gmap[sg], into
+// the accumulators.
+func (c *aggCol) mergeFrom(src *aggCol, gmap []int32) {
+	if c.dist != nil {
+		sd := src.dist
+		mapped := make([]int32, len(sd.groups))
+		for p, sg := range sd.groups {
+			mapped[p] = gmap[sg]
 		}
+		c.foldDistinct(mapped, sd.vals, sd.hashes)
+		return
+	}
+	switch c.fn {
+	case fnMin, fnMax:
+		c.foldExtreme(gmap, src.ext, 0, src.ext.NullWords())
+		return
+	case fnSumInt64:
+		for sg, dg := range gmap {
+			c.sumI[dg] += src.sumI[sg]
+		}
+	case fnSumFloat64, fnAvgInt64, fnAvgFloat64:
+		for sg, dg := range gmap {
+			c.sumF[dg] += src.sumF[sg]
+		}
+	}
+	for sg, dg := range gmap {
+		c.count[dg] += src.count[sg]
 	}
 }
 
 // merge folds every group of src into t, appending src's unseen groups in
-// its first-seen order. src's arena key bytes are the probe keys: no
-// re-encoding.
-func (t *flatAggTable) merge(src *flatAggTable) {
-	for g := int32(0); int(g) < src.n; g++ {
-		dg, isNew := t.get(src.keyBytes(g))
-		if isNew {
-			for j, k := range t.keys {
-				k.AppendFrom(src.keys[j], int(g))
-			}
-		}
-		t.mergeFrom(src, dg, g)
+// its first-seen order. src's group hashes are the probe hashes. gmap is
+// scratch space for the group map, returned for reuse.
+func (t *flatAggTable) merge(src *flatAggTable, gmap []int32) []int32 {
+	gmap = gmap[:0]
+	for g := 0; g < src.n; g++ {
+		gmap = append(gmap, t.groupOf(src.hashes[g], src.keys, g))
 	}
+	for i := range t.cols {
+		t.cols[i].mergeFrom(&src.cols[i], gmap)
+	}
+	return gmap
 }
 
-// appendResults appends the final value of spec i for groups [lo, hi) to
-// dst, one loop per aggregate. DISTINCT (its set size as a BIGINT value,
-// whatever the spec's result type) and MIN/MAX (boxed state) go through
-// AppendValue; the rest write typed.
-func (t *flatAggTable) appendResults(dst *vector.Vector, i int, sp plan.AggSpec, lo, hi int) {
-	c := &t.cols[i]
-	switch {
-	case sp.Distinct:
-		for g := lo; g < hi; g++ {
-			dst.AppendValue(vector.NewInt64(int64(len(c.distinct[g]))))
-		}
-	case sp.Func == plan.AggCount || sp.Func == plan.AggCountStar:
+// appendResults appends the final value of groups [lo, hi) to dst, typed.
+func (c *aggCol) appendResults(dst *vector.Vector, lo, hi int) {
+	switch c.fn {
+	case fnCount:
 		for _, n := range c.count[lo:hi] {
 			dst.AppendInt64(n)
 		}
-	case sp.Func == plan.AggAvg:
-		for g := lo; g < hi; g++ {
-			if c.count[g] == 0 {
-				dst.AppendNull()
-			} else {
-				dst.AppendFloat64(c.sumF[g] / float64(c.count[g]))
-			}
-		}
-	case sp.Func == plan.AggSum && sp.ResultType() == vector.TypeFloat64:
-		for g := lo; g < hi; g++ {
-			if c.count[g] == 0 {
-				dst.AppendNull()
-			} else {
-				dst.AppendFloat64(c.sumF[g])
-			}
-		}
-	case sp.Func == plan.AggSum:
+	case fnSumInt64:
 		for g := lo; g < hi; g++ {
 			if c.count[g] == 0 {
 				dst.AppendNull()
@@ -281,27 +381,93 @@ func (t *flatAggTable) appendResults(dst *vector.Vector, i int, sp plan.AggSpec,
 				dst.AppendInt64(c.sumI[g])
 			}
 		}
-	default: // min/max
-		for _, v := range c.minmax[lo:hi] {
-			if v.Type == vector.TypeInvalid {
+	case fnSumFloat64:
+		for g := lo; g < hi; g++ {
+			if c.count[g] == 0 {
 				dst.AppendNull()
 			} else {
-				dst.AppendValue(v)
+				dst.AppendFloat64(c.sumF[g])
 			}
 		}
+	case fnAvgInt64, fnAvgFloat64:
+		for g := lo; g < hi; g++ {
+			if c.count[g] == 0 {
+				dst.AppendNull()
+			} else {
+				dst.AppendFloat64(c.sumF[g] / float64(c.count[g]))
+			}
+		}
+	default:
+		dst.AppendRange(c.ext, lo, hi)
 	}
 }
 
 // memBytes estimates 64 bytes per group plus 64 per state plus 64 per
 // distinct value, for the executor's memory-based checkpoint cost model.
 func (t *flatAggTable) memBytes() int64 {
-	b := int64(t.n) * int64(64+64*len(t.specs))
+	b := int64(t.n) * int64(64+64*len(t.cols))
 	for i := range t.cols {
-		for _, m := range t.cols[i].distinct {
-			b += int64(len(m)) * 64
+		if d := t.cols[i].dist; d != nil {
+			b += int64(len(d.groups)) * 64
 		}
 	}
 	return b
+}
+
+// distinctSet is one DISTINCT spec's (group, value) pairs, open-addressed
+// and kept in first-seen order: pair p is (groups[p], row p of vals).
+type distinctSet struct {
+	slots  []uint32 // pair index + 1; 0 = empty
+	mask   uint32
+	groups []int32
+	hashes []uint64 // the value's hash, without the group
+	vals   *vector.Vector
+}
+
+func newDistinctSet(typ vector.Type) *distinctSet {
+	return &distinctSet{
+		slots: make([]uint32, flatAggInitSlots),
+		mask:  flatAggInitSlots - 1,
+		vals:  vector.New(typ, 0),
+	}
+}
+
+func (d *distinctSet) reset() {
+	clear(d.slots)
+	d.groups, d.hashes = d.groups[:0], d.hashes[:0]
+	d.vals.Reset()
+}
+
+func pairSlot(vh uint64, g int32) uint32 { return uint32(vector.CombineHash(vh, uint64(g))) }
+
+// add inserts the pair (g, row r of src), whose value hashes to vh, and
+// reports whether it is new.
+func (d *distinctSet) add(g int32, vh uint64, src *vector.Vector, r int) bool {
+	i := pairSlot(vh, g) & d.mask
+	for s := d.slots[i]; s != 0; s = d.slots[i] {
+		p := int(s - 1)
+		if d.groups[p] == g && d.hashes[p] == vh && sameKey(d.vals, p, src, r) {
+			return false
+		}
+		i = (i + 1) & d.mask
+	}
+	d.slots[i] = uint32(len(d.groups)) + 1
+	d.groups = append(d.groups, g)
+	d.hashes = append(d.hashes, vh)
+	d.vals.AppendFrom(src, r)
+	if len(d.groups)*4 > len(d.slots)*3 {
+		ns := make([]uint32, len(d.slots)*2)
+		mask := uint32(len(ns) - 1)
+		for p, pg := range d.groups {
+			j := pairSlot(d.hashes[p], pg) & mask
+			for ns[j] != 0 {
+				j = (j + 1) & mask
+			}
+			ns[j] = uint32(p) + 1
+		}
+		d.slots, d.mask = ns, mask
+	}
+	return true
 }
 
 // FlatAggSink is the pipeline breaker for hash aggregation. At Combine the
@@ -309,11 +475,12 @@ func (t *flatAggTable) memBytes() int64 {
 // merge into it; Finalize materializes the groups into a row buffer
 // scannable by the next pipeline — the "global state" of the paper's Fig. 3.
 // Group-by and argument expressions run as compiled programs, group probes
-// allocate nothing, and SUM/COUNT folds run as generated grouped-update
-// kernels over raw slices. SaveLocal writes the v2 aggregate state format
+// allocate nothing, and every fold runs as a generated grouped-update kernel
+// over raw slices. SaveLocal writes the v3 aggregate state format
 // (saveTable).
 type FlatAggSink struct {
 	specs    []plan.AggSpec
+	layout   []aggLayout // per spec
 	outTypes []vector.Type
 
 	groupProgs []*expr.Program
@@ -334,28 +501,36 @@ func NewFlatAggSink(groupBy []expr.Expr, specs []plan.AggSpec, outTypes []vector
 		return nil, err
 	}
 	args := make([]expr.Expr, len(specs))
+	layout := make([]aggLayout, len(specs))
 	for i, sp := range specs {
 		args[i] = sp.Arg
+		if layout[i], err = aggLayoutOf(sp); err != nil {
+			return nil, err
+		}
 	}
 	argProgs, err := compilePrograms(args)
 	if err != nil {
 		return nil, err
 	}
-	return &FlatAggSink{
+	s := &FlatAggSink{
 		specs:      specs,
+		layout:     layout,
 		outTypes:   outTypes,
 		groupProgs: groupProgs,
 		argProgs:   argProgs,
-		global:     newFlatAggTable(specs, outTypes[:len(groupBy)]),
-	}, nil
+	}
+	s.global = s.newTable()
+	return s, nil
 }
 
 // keyTypes returns the group-by columns' types.
 func (s *FlatAggSink) keyTypes() []vector.Type { return s.outTypes[:len(s.groupProgs)] }
 
+func (s *FlatAggSink) newTable() *flatAggTable { return newFlatAggTable(s.layout, s.keyTypes()) }
+
 type flatAggLocal struct {
 	table      *flatAggTable
-	keyBuf     []byte
+	hashes     []uint64 // hashRows' buffer
 	rowGroups  []int32
 	groupVecs  []*vector.Vector
 	argVecs    []*vector.Vector
@@ -381,7 +556,7 @@ func (s *FlatAggSink) MakeLocal() LocalState {
 		l.table.reset()
 		return l
 	}
-	return s.newLocal(newFlatAggTable(s.specs, s.keyTypes()))
+	return s.newLocal(s.newTable())
 }
 
 // Consume implements Sink.
@@ -401,62 +576,46 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 
 	// Locate (or create) each row's group: no closures, no boxing. A new
 	// group's key values are appended raw, so a first-seen -0.0 stays -0.0
-	// while the key encoding canonicalizes it.
+	// while the probe takes it as +0.0.
 	if cap(l.rowGroups) < n {
 		l.rowGroups = make([]int32, n)
 	}
 	rowGroups := l.rowGroups[:n]
 	t := l.table
-	keyBuf := l.keyBuf
-	for r := 0; r < n; r++ {
-		keyBuf = encodeKeyFromVecs(keyBuf[:0], groupVecs, r)
-		g, isNew := t.get(keyBuf)
-		if isNew {
-			for j, gv := range groupVecs {
-				t.keys[j].AppendFrom(gv, r)
-			}
+	if len(groupVecs) == 0 { // a global aggregate: every row is group 0
+		if t.n == 0 {
+			t.insert(0, 0)
 		}
-		rowGroups[r] = g
+		clear(rowGroups)
+	} else {
+		hashes := l.hashRows(groupVecs, n)
+		for r, h := range hashes {
+			rowGroups[r] = t.groupOf(h, groupVecs, r)
+		}
 	}
-	l.keyBuf = keyBuf
 
-	// Fold each aggregate with a generated grouped-update kernel where one
-	// exists; boxed per-row updates otherwise.
-	for i, sp := range s.specs {
-		av := argVecs[i]
+	for i := range t.cols {
 		col := &t.cols[i]
-		switch {
-		case sp.Func == plan.AggCountStar:
-			kernel.CountUpdate(rowGroups, col.count)
-		case sp.Distinct || sp.Func == plan.AggMin || sp.Func == plan.AggMax:
-			for r := 0; r < n; r++ {
-				t.updateBoxed(i, sp, rowGroups[r], av.Value(r))
-			}
-		case sp.Func == plan.AggCount:
-			if av.HasNulls() {
-				kernel.CountUpdateNulls(rowGroups, av.NullWords(), col.count)
-			} else {
-				kernel.CountUpdate(rowGroups, col.count)
-			}
-		case av.Type() == vector.TypeFloat64: // sum/avg over doubles
-			if av.HasNulls() {
-				kernel.SumFloat64UpdateNulls(rowGroups, av.Float64s(), av.NullWords(), col.sumF, col.count)
-			} else {
-				kernel.SumFloat64Update(rowGroups, av.Float64s(), col.sumF, col.count)
-			}
-		case av.Type() == vector.TypeInt64 || av.Type() == vector.TypeDate:
-			if av.HasNulls() {
-				kernel.SumInt64UpdateNulls(rowGroups, av.Int64s(), av.NullWords(), col.sumI, col.sumF, col.count)
-			} else {
-				kernel.SumInt64Update(rowGroups, av.Int64s(), col.sumI, col.sumF, col.count)
-			}
-		default:
-			for r := 0; r < n; r++ {
-				t.updateBoxed(i, sp, rowGroups[r], av.Value(r))
-			}
+		if col.dist == nil {
+			col.fold(rowGroups, argVecs[i], 0)
+		} else {
+			col.foldDistinct(rowGroups, argVecs[i], l.hashRows(argVecs[i:i+1], n))
 		}
 	}
 	return nil
+}
+
+// hashRows returns the hashes of the n rows of vecs, in the local's buffer.
+func (l *flatAggLocal) hashRows(vecs []*vector.Vector, n int) []uint64 {
+	if cap(l.hashes) < n {
+		l.hashes = make([]uint64, n)
+	}
+	hashes := l.hashes[:n]
+	clear(hashes)
+	for _, v := range vecs {
+		v.HashInto(hashes)
+	}
+	return hashes
 }
 
 // Combine implements Sink. While the global table is empty, the local's
@@ -472,7 +631,7 @@ func (s *FlatAggSink) Combine(ls LocalState) error {
 		s.global = l.table
 		return nil
 	}
-	s.global.merge(l.table)
+	l.rowGroups = s.global.merge(l.table, l.rowGroups)
 	s.localPool.Put(l)
 	return nil
 }
@@ -483,7 +642,7 @@ func (s *FlatAggSink) Finalize() error {
 	t := s.global
 	if len(t.keys) == 0 && t.n == 0 {
 		// Global aggregation over zero rows still yields one row.
-		t.get(nil)
+		t.insert(0, 0)
 	}
 	s.buf = NewRowBuffer(s.outTypes)
 	for lo := 0; lo < t.n; lo += vector.ChunkCapacity {
@@ -492,8 +651,8 @@ func (s *FlatAggSink) Finalize() error {
 		for j, k := range t.keys {
 			c.Col(j).AppendRange(k, lo, hi)
 		}
-		for i, sp := range s.specs {
-			t.appendResults(c.Col(len(t.keys)+i), i, sp, lo, hi)
+		for i := range t.cols {
+			t.cols[i].appendResults(c.Col(len(t.keys)+i), lo, hi)
 		}
 		c.SetLen(hi - lo)
 		s.buf.rows += int64(hi - lo)
@@ -508,82 +667,170 @@ func (s *FlatAggSink) Buffer() *RowBuffer { return s.buf }
 // NumGroups returns the current number of global groups.
 func (s *FlatAggSink) NumGroups() int { return s.global.n }
 
-// saveTable writes a table in the v2 aggregate state format: per group, in
-// first-seen order, the boxed key values then, per spec, the four scalar
-// state fields and the distinct set. Fields a spec never touches are written
-// as their zero values.
+// saveTable writes a table in the v3 aggregate state format: the group
+// count, the key columns, each spec's own accumulator arrays in group
+// order, then each DISTINCT spec's (group, value) pairs in first-seen
+// order. Every array is one a spec reads; nothing is written as a zero
+// placeholder, and the bytes are a function of the table alone.
 func (s *FlatAggSink) saveTable(enc *vector.Encoder, t *flatAggTable) {
 	enc.Uvarint(uint64(t.n))
-	for g := int32(0); int(g) < t.n; g++ {
-		for _, k := range t.keys {
-			enc.Value(k.Value(int(g)))
+	for _, k := range t.keys {
+		enc.Vector(k)
+	}
+	for i := range t.cols {
+		c := &t.cols[i]
+		switch c.fn {
+		case fnMin, fnMax:
+			enc.Vector(c.ext)
+			continue
+		case fnSumInt64:
+			saveInt64s(enc, c.sumI)
+		case fnSumFloat64, fnAvgInt64, fnAvgFloat64:
+			for _, x := range c.sumF {
+				enc.Float64(x)
+			}
 		}
-		for i, sp := range s.specs {
-			c := &t.cols[i]
-			enc.Float64(c.sumF[g])
-			enc.Varint(c.sumI[g])
-			enc.Varint(c.count[g])
-			if c.minmax != nil {
-				enc.Value(c.minmax[g])
-			} else {
-				enc.Value(vector.Value{})
+		saveInt64s(enc, c.count)
+	}
+	for i := range t.cols {
+		if d := t.cols[i].dist; d != nil {
+			enc.Uvarint(uint64(len(d.groups)))
+			for _, g := range d.groups {
+				enc.Uvarint(uint64(g))
 			}
-			if sp.Distinct {
-				enc.Bool(true)
-				enc.Uvarint(uint64(len(c.distinct[g])))
-				for v := range c.distinct[g] {
-					enc.Value(v)
-				}
-			} else {
-				enc.Bool(false)
-			}
+			enc.Vector(d.vals)
 		}
 	}
 }
 
+func saveInt64s(enc *vector.Encoder, xs []int64) {
+	for _, x := range xs {
+		enc.Varint(x)
+	}
+}
+
+// loadTable reads saveTable's format from bytes that may be hostile: every
+// count is bounded by the bytes that remain, and a repeated key, a pair
+// naming a group past the table or a repeated pair is refused.
 func (s *FlatAggSink) loadTable(dec *vector.Decoder) (*flatAggTable, error) {
-	t := newFlatAggTable(s.specs, s.keyTypes())
-	n := int(dec.Uvarint())
+	t := s.newTable()
+	n, err := loadCount(dec, "groups")
+	if err != nil {
+		return nil, err
+	}
+	for j, k := range t.keys {
+		if t.keys[j], err = loadColumn(dec, k.Type(), n); err != nil {
+			return nil, err
+		}
+	}
+	for i := range t.cols {
+		c := &t.cols[i]
+		switch c.fn {
+		case fnMin, fnMax:
+			if c.ext, err = loadColumn(dec, c.ext.Type(), n); err != nil {
+				return nil, err
+			}
+			c.ext.EnsureNullWords(n) // the kernels address every group's bit
+			continue
+		case fnSumInt64:
+			c.sumI = loadInt64s(dec, n)
+		case fnSumFloat64, fnAvgInt64, fnAvgFloat64:
+			c.sumF = make([]float64, n)
+			for g := range c.sumF {
+				c.sumF[g] = dec.Float64()
+			}
+		}
+		c.count = loadInt64s(dec, n)
+	}
+	for i := range t.cols {
+		if d := t.cols[i].dist; d != nil {
+			if err := d.load(dec, n); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	var keyBuf []byte
-	for r := 0; r < n; r++ {
-		for _, k := range t.keys {
-			k.AppendValue(dec.Value())
+	hashes := make([]uint64, n)
+	for _, k := range t.keys {
+		k.HashInto(hashes)
+	}
+	for g, h := range hashes {
+		_, slot, found := t.find(h, t.keys, g)
+		if found {
+			return nil, fmt.Errorf("aggregate state: group %d repeats an earlier key", g)
 		}
-		keyBuf = encodeKeyFromVecs(keyBuf[:0], t.keys, r)
-		g, isNew := t.get(keyBuf)
-		if !isNew {
-			// The key columns now hold one row more than the table has
-			// groups; a saved table never repeats a key.
+		t.place(h, slot)
+	}
+	return t, nil
+}
+
+// load reads the pairs saveTable wrote for a table of n groups.
+func (d *distinctSet) load(dec *vector.Decoder, n int) error {
+	np, err := loadCount(dec, "distinct pairs")
+	if err != nil {
+		return err
+	}
+	groups := make([]int32, np)
+	for p := range groups {
+		g := dec.Uvarint()
+		if g >= uint64(n) {
 			if err := dec.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			return nil, fmt.Errorf("aggregate state: group %d repeats an earlier key", r)
+			return fmt.Errorf("aggregate state: distinct pair %d names group %d of %d", p, g, n)
 		}
-		for i, sp := range s.specs {
-			c := &t.cols[i]
-			c.sumF[g] = dec.Float64()
-			c.sumI[g] = dec.Varint()
-			c.count[g] = dec.Varint()
-			mm := dec.Value()
-			if c.minmax != nil {
-				c.minmax[g] = mm
-			}
-			if dec.Bool() {
-				cnt := int(dec.Uvarint())
-				m := make(map[vector.Value]struct{}, cnt)
-				for k := 0; k < cnt; k++ {
-					m[dec.Value()] = struct{}{}
-				}
-				if sp.Distinct {
-					c.distinct[g] = m
-				}
-			}
+		groups[p] = int32(g)
+	}
+	vals, err := loadColumn(dec, d.vals.Type(), np)
+	if err != nil {
+		return err
+	}
+	if vals.HasNulls() {
+		return fmt.Errorf("aggregate state: a distinct value is NULL")
+	}
+	vh := make([]uint64, np)
+	vals.HashInto(vh)
+	for p, g := range groups {
+		if !d.add(g, vh[p], vals, p) {
+			return fmt.Errorf("aggregate state: distinct pair %d repeats an earlier one", p)
 		}
 	}
-	return t, dec.Err()
+	return nil
+}
+
+// loadCount reads a count of elements that take at least one byte each,
+// refusing one that the bytes left cannot hold.
+func loadCount(dec *vector.Decoder, what string) (int, error) {
+	x := dec.Uvarint()
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if rem := dec.Remaining(); x > math.MaxInt32 || rem >= 0 && x > uint64(rem) {
+		return 0, fmt.Errorf("aggregate state: %d %s in %d bytes", x, what, rem)
+	}
+	return int(x), nil
+}
+
+// loadColumn reads a vector that must hold n rows of type typ.
+func loadColumn(dec *vector.Decoder, typ vector.Type, n int) (*vector.Vector, error) {
+	v := dec.Vector()
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	if v.Type() != typ || v.Len() != n {
+		return nil, fmt.Errorf("aggregate state: a column of %d %v rows where %d %v belong", v.Len(), v.Type(), n, typ)
+	}
+	return v, nil
+}
+
+func loadInt64s(dec *vector.Decoder, n int) []int64 {
+	xs := make([]int64, n)
+	for g := range xs {
+		xs[g] = dec.Varint()
+	}
+	return xs
 }
 
 // SaveGlobal implements Sink. After finalize the scannable buffer is the

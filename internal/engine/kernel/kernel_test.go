@@ -154,14 +154,16 @@ func TestGroupedAggKernels(t *testing.T) {
 	groups := []int32{0, 1, 0, 1, 0}
 	vals := []int64{1, 2, 3, 4, 5}
 	sumI := make([]int64, 2)
-	sumF := make([]float64, 2)
 	count := make([]int64, 2)
-	SumInt64Update(groups, vals, sumI, sumF, count)
+	SumInt64Update(groups, vals, nil, sumI, count)
 	if sumI[0] != 9 || sumI[1] != 6 || count[0] != 3 || count[1] != 2 {
 		t.Errorf("SumInt64Update: sumI=%v count=%v", sumI, count)
 	}
-	if sumF[0] != 9 || sumF[1] != 6 {
-		t.Errorf("SumInt64Update: sumF=%v", sumF)
+	sumF := make([]float64, 2)
+	clear(count)
+	AvgInt64Update(groups, vals, nil, sumF, count)
+	if sumF[0] != 9 || sumF[1] != 6 || count[0] != 3 || count[1] != 2 {
+		t.Errorf("AvgInt64Update: sumF=%v count=%v", sumF, count)
 	}
 }
 
@@ -186,24 +188,55 @@ func TestGroupedAggKernelsShortBitmap(t *testing.T) {
 	}
 
 	sumI := make([]int64, 1)
-	sumF := make([]float64, 1)
 	count := make([]int64, 1)
-	SumInt64UpdateNulls(groups, vals, nulls, sumI, sumF, count)
+	SumInt64Update(groups, vals, nulls, sumI, count)
 	if sumI[0] != wantSum || count[0] != wantCount {
-		t.Errorf("SumInt64UpdateNulls: sum=%d count=%d, want %d/%d", sumI[0], count[0], wantSum, wantCount)
+		t.Errorf("SumInt64Update: sum=%d count=%d, want %d/%d", sumI[0], count[0], wantSum, wantCount)
 	}
 
 	sumF2 := make([]float64, 1)
 	count2 := make([]int64, 1)
-	SumFloat64UpdateNulls(groups, fvals, nulls, sumF2, count2)
+	SumFloat64Update(groups, fvals, nulls, sumF2, count2)
 	if sumF2[0] != float64(wantSum) || count2[0] != wantCount {
-		t.Errorf("SumFloat64UpdateNulls: sum=%v count=%d", sumF2[0], count2[0])
+		t.Errorf("SumFloat64Update: sum=%v count=%d", sumF2[0], count2[0])
 	}
 
 	count3 := make([]int64, 1)
-	CountUpdateNulls(groups, nulls, count3)
+	CountUpdate(groups, nulls, count3)
 	if count3[0] != wantCount {
-		t.Errorf("CountUpdateNulls = %d, want %d", count3[0], wantCount)
+		t.Errorf("CountUpdate = %d, want %d", count3[0], wantCount)
+	}
+}
+
+// TestMinMaxKernels: a group's bit in empty is set until its first non-NULL
+// value, which then wins whatever the accumulator's slot held; a NULL row
+// is skipped; a NaN never replaces a value, as vector.Value.Compare orders
+// it.
+func TestMinMaxKernels(t *testing.T) {
+	groups := []int32{0, 1, 0, 1, 0, 2}
+	nulls := []uint64{1 << 4} // row 4 NULL
+	empty := []uint64{0b111}
+	acc := []int64{-100, -100, -100}
+	MinInt64Update(groups, []int64{5, 7, 3, 9, -50, 4}, nulls, acc, empty)
+	if acc[0] != 3 || acc[1] != 7 || acc[2] != 4 || empty[0] != 0 {
+		t.Errorf("MinInt64Update: acc=%v empty=%b", acc, empty[0])
+	}
+
+	empty = []uint64{0b11}
+	facc := make([]float64, 2)
+	MaxFloat64Update([]int32{0, 0, 1, 1}, []float64{math.NaN(), 2, 1, math.NaN()}, nil, facc, empty)
+	if !math.IsNaN(facc[0]) || facc[1] != 1 || empty[0] != 0 {
+		t.Errorf("MaxFloat64Update: acc=%v empty=%b", facc, empty[0])
+	}
+
+	empty = []uint64{0b11}
+	sacc := make([]string, 2)
+	MaxStringUpdate([]int32{0, 0, 1}, []string{"b", "c", "a"}, nil, sacc, empty)
+	bacc := make([]bool, 2)
+	bempty := []uint64{0b10} // group 0 already holds false
+	MinBoolUpdate([]int32{0, 1, 1}, []bool{true, true, false}, nil, bacc, bempty)
+	if sacc[0] != "c" || sacc[1] != "a" || bacc[0] || bacc[1] || bempty[0] != 0 {
+		t.Errorf("MaxStringUpdate = %q, MinBoolUpdate = %v", sacc, bacc)
 	}
 }
 
@@ -239,15 +272,6 @@ func TestGatherAndFill(t *testing.T) {
 		if x != 2.5 {
 			t.Errorf("FillFloat64 = %v", f)
 		}
-	}
-}
-
-func TestHashBytes(t *testing.T) {
-	if HashBytes(nil) != 0xcbf29ce484222325 {
-		t.Error("empty hash must be the FNV offset basis")
-	}
-	if HashBytes([]byte("a")) == HashBytes([]byte("b")) {
-		t.Error("distinct keys hash equal")
 	}
 }
 

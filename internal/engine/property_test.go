@@ -2,8 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -239,26 +243,78 @@ func TestTopNMatchesFullSortPrefix(t *testing.T) {
 // aggOracle is one group's aggregates computed the plain way: a struct of
 // running values per group in a Go map, sharing nothing with the engine.
 type aggOracle struct {
-	rows, nV, nS int64 // COUNT(*), COUNT(v), COUNT(s)
+	first        []vector.Value // the group's first-seen key, raw
+	rows, nV, nS int64          // COUNT(*), COUNT(v), COUNT(s)
 	sumV         float64
 	sumI         int64
 	minS, maxS   string
 	minD, maxD   int64
+	minV, maxV   float64
+	minI, maxI   int64
 	distinctI    map[int64]bool
 	distinctS    map[string]bool
+	distinctV    map[float64]bool
+	sumDistinctV float64
+	sumDistinctI int64
+}
+
+// oracleKey renders a group key for the oracle's map: -0.0 and +0.0 are
+// one key, as NULL and NULL are.
+func oracleKey(key []vector.Value) string {
+	key = slices.Clone(key)
+	for i, v := range key {
+		if v.Type == vector.TypeFloat64 && v.F == 0 {
+			key[i].F = 0
+		}
+	}
+	return renderRow(key)
+}
+
+// aggGrouping is one GROUP BY of TestAggregationMatchesMapOracle: its key
+// expressions over table t, and the key they give a row.
+type aggGrouping struct {
+	name  string
+	names []string
+	exprs func(*plan.Rel) []expr.Expr
+	key   func(k, f, c vector.Value) []vector.Value
+}
+
+var aggGroupings = []aggGrouping{
+	{"k", []string{"k"}, func(t *plan.Rel) []expr.Expr { return []expr.Expr{t.Col("k")} },
+		func(k, _, _ vector.Value) []vector.Value { return []vector.Value{k} }},
+	// BIGINT, DOUBLE with -0.0 beside +0.0, and a nullable VARCHAR.
+	{"k,f,c", []string{"k", "f", "c"}, func(t *plan.Rel) []expr.Expr { return []expr.Expr{t.Col("k"), t.Col("f"), t.Col("c")} },
+		func(k, f, c vector.Value) []vector.Value { return []vector.Value{k, f, c} }},
+	// A computed key: k ranges from -1, so whatever value slot k + 1
+	// leaves under a NULL (0 or 1) is also a real key.
+	{"k+1", []string{"k1"}, func(t *plan.Rel) []expr.Expr {
+		return []expr.Expr{expr.Add(t.Col("k"), expr.Lit(vector.NewInt64(1)))}
+	}, func(k, _, _ vector.Value) []vector.Value {
+		if k.Null {
+			return []vector.Value{k}
+		}
+		return []vector.Value{vector.NewInt64(k.I + 1)}
+	}},
 }
 
 // TestAggregationMatchesMapOracle verifies every aggregate function — SUM
-// over doubles and integers, AVG, COUNT, COUNT(*), MIN and MAX over strings
-// and dates, COUNT DISTINCT over integers and strings — against plain maps,
+// over doubles and integers, AVG, COUNT, COUNT(*), MIN and MAX over
+// strings, dates, doubles and integers, COUNT DISTINCT over integers and
+// strings, and SUM, AVG, MIN and MAX over DISTINCT — against plain maps,
 // over random tables with NULL keys, NULL arguments, and one group (key 0)
-// whose nullable arguments are all NULL.
+// whose nullable arguments are all NULL. Each table is grouped three ways
+// (aggGroupings), at 1 and 4 workers, and once more through a process-level
+// suspension in the middle of the aggregation, restored from its saved
+// state into a fresh executor. At 1 worker a group keeps its first-seen
+// key, -0.0 or +0.0.
 func TestAggregationMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		cat := catalog.New()
 		tbl, err := cat.Create("t", catalog.NewSchema(
 			catalog.Col("k", vector.TypeInt64),
+			catalog.Col("f", vector.TypeFloat64),
+			catalog.Col("c", vector.TypeString),
 			catalog.Col("v", vector.TypeFloat64),
 			catalog.Col("i", vector.TypeInt64),
 			catalog.Col("s", vector.TypeString),
@@ -267,12 +323,20 @@ func TestAggregationMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[vector.Value]*aggOracle{} // keyed by the boxed group key, NULL included
+		want := make([]map[string]*aggOracle, len(aggGroupings))
+		for gi := range want {
+			want[gi] = map[string]*aggOracle{}
+		}
 		keyRange := 1 + rng.Intn(50)
-		for r, rows := 0, 500+rng.Intn(4000); r < rows; r++ {
-			k := vector.NewInt64(int64(rng.Intn(keyRange)))
+		for r, rows := 0, 6000+rng.Intn(6000); r < rows; r++ {
+			k := vector.NewInt64(int64(rng.Intn(keyRange) - 1))
 			if rng.Intn(20) == 0 {
 				k = vector.NewNull(vector.TypeInt64)
+			}
+			f := vector.NewFloat64([]float64{math.Copysign(0, -1), 0, 2.5}[rng.Intn(3)])
+			c := vector.NewString([]string{"a", "b"}[rng.Intn(2)])
+			if rng.Intn(4) == 0 {
+				c = vector.NewNull(vector.TypeString)
 			}
 			v := vector.NewFloat64(float64(rng.Intn(1000)))
 			s := vector.NewString(fmt.Sprintf("s%03d", rng.Intn(40)))
@@ -280,74 +344,151 @@ func TestAggregationMatchesMapOracle(t *testing.T) {
 				v, s = vector.NewNull(vector.TypeFloat64), vector.NewNull(vector.TypeString)
 			}
 			i, d := int64(rng.Intn(30)-15), int64(rng.Intn(10000))
-			if err := tbl.AppendRow(k, v, vector.NewInt64(i), s, vector.NewDate(d)); err != nil {
+			if err := tbl.AppendRow(k, f, c, v, vector.NewInt64(i), s, vector.NewDate(d)); err != nil {
 				t.Fatal(err)
 			}
-			g := want[k]
-			if g == nil {
-				g = &aggOracle{minD: d, maxD: d, distinctI: map[int64]bool{}, distinctS: map[string]bool{}}
-				want[k] = g
-			}
-			g.rows++
-			g.sumI += i
-			g.distinctI[i] = true
-			g.minD, g.maxD = min(g.minD, d), max(g.maxD, d)
-			if !v.Null {
-				g.nV++
-				g.sumV += v.F
-			}
-			if !s.Null {
-				if g.nS == 0 {
-					g.minS, g.maxS = s.S, s.S
+			for gi, grouping := range aggGroupings {
+				key := grouping.key(k, f, c)
+				g := want[gi][oracleKey(key)]
+				if g == nil {
+					g = &aggOracle{first: key, minD: d, maxD: d, minI: i, maxI: i,
+						distinctI: map[int64]bool{}, distinctS: map[string]bool{}, distinctV: map[float64]bool{}}
+					want[gi][oracleKey(key)] = g
 				}
-				g.nS++
-				g.minS, g.maxS = min(g.minS, s.S), max(g.maxS, s.S)
-				g.distinctS[s.S] = true
+				g.rows++
+				g.sumI += i
+				if !g.distinctI[i] {
+					g.distinctI[i] = true
+					g.sumDistinctI += i
+				}
+				g.minD, g.maxD = min(g.minD, d), max(g.maxD, d)
+				g.minI, g.maxI = min(g.minI, i), max(g.maxI, i)
+				if !v.Null {
+					if g.nV == 0 {
+						g.minV, g.maxV = v.F, v.F
+					}
+					g.nV++
+					g.sumV += v.F
+					g.minV, g.maxV = min(g.minV, v.F), max(g.maxV, v.F)
+					if !g.distinctV[v.F] {
+						g.distinctV[v.F] = true
+						g.sumDistinctV += v.F
+					}
+				}
+				if !s.Null {
+					if g.nS == 0 {
+						g.minS, g.maxS = s.S, s.S
+					}
+					g.nS++
+					g.minS, g.maxS = min(g.minS, s.S), max(g.maxS, s.S)
+					g.distinctS[s.S] = true
+				}
 			}
 		}
 
-		tb := plan.NewBuilder(cat).Scan("t")
-		res := runPlan(t, cat, tb.Agg([]string{"k"},
-			plan.Sum(tb.Col("v"), "sum_v"), plan.Avg(tb.Col("v"), "avg_v"), plan.Sum(tb.Col("i"), "sum_i"),
-			plan.Count(tb.Col("v"), "n_v"), plan.Count(tb.Col("s"), "n_s"), plan.CountStar("n"),
-			plan.Min(tb.Col("s"), "min_s"), plan.Max(tb.Col("s"), "max_s"),
-			plan.Min(tb.Col("d"), "min_d"), plan.Max(tb.Col("d"), "max_d"),
-			plan.CountDistinct(tb.Col("i"), "d_i"), plan.CountDistinct(tb.Col("s"), "d_s"),
-		).Node(), 4)
-
-		if res.NumRows() != int64(len(want)) {
-			t.Fatalf("trial %d: groups = %d, want %d", trial, res.NumRows(), len(want))
+		for gi, grouping := range aggGroupings {
+			tb := plan.NewBuilder(cat).Scan("t")
+			distinct := func(sp plan.AggSpec) plan.AggSpec { sp.Distinct = true; return sp }
+			v, i, s, d := tb.Col("v"), tb.Col("i"), tb.Col("s"), tb.Col("d")
+			node := tb.AggExprs(grouping.names, grouping.exprs(tb),
+				plan.Sum(v, "sum_v"), plan.Avg(v, "avg_v"), plan.Sum(i, "sum_i"),
+				plan.Count(v, "n_v"), plan.Count(s, "n_s"), plan.CountStar("n"),
+				plan.Min(s, "min_s"), plan.Max(s, "max_s"), plan.Min(d, "min_d"), plan.Max(d, "max_d"),
+				plan.Min(v, "min_v"), plan.Max(v, "max_v"), plan.Min(i, "min_i"), plan.Max(i, "max_i"),
+				plan.CountDistinct(i, "d_i"), plan.CountDistinct(s, "d_s"),
+				distinct(plan.Sum(v, "sum_dv")), distinct(plan.Avg(v, "avg_dv")),
+				distinct(plan.Min(v, "min_dv")), distinct(plan.Max(v, "max_dv")),
+				distinct(plan.Sum(i, "sum_di")), distinct(plan.Avg(i, "avg_di")),
+			).Node()
+			for _, workers := range []int{1, 4} {
+				run := fmt.Sprintf("trial %d, group by %s, %d workers", trial, grouping.name, workers)
+				checkAggAgainstOracle(t, run, runPlan(t, cat, node, workers), len(grouping.names), want[gi], workers == 1)
+				res := runAggSuspendedMidScan(t, run, cat, node, workers)
+				checkAggAgainstOracle(t, run+", restored mid-scan", res, len(grouping.names), want[gi], workers == 1)
+			}
 		}
-		for r := int64(0); r < res.NumRows(); r++ {
-			row := res.Row(r)
-			g := want[row[0]]
-			if g == nil {
-				t.Fatalf("trial %d: group %v is not in the input", trial, row[0])
-			}
-			// SUM, AVG, MIN and MAX over no non-NULL value are NULL.
-			orNull := func(n int64, v vector.Value) vector.Value {
-				if n == 0 {
-					return vector.NewNull(v.Type)
+	}
+}
+
+// runAggSuspendedMidScan runs an aggregation to a process-level suspension
+// halfway through its input, saves the state, and finishes it in a fresh
+// executor.
+func runAggSuspendedMidScan(t *testing.T, run string, cat *catalog.Catalog, node plan.Node, workers int) *ResultSet {
+	t.Helper()
+	acct := NewAccountant()
+	if _, err := NewExecutor(mustCompile(t, node, cat), Options{Workers: workers, Accountant: acct}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	pp := mustCompile(t, node, cat)
+	ex := NewExecutor(pp, Options{Workers: workers,
+		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: acct.ProcessedBytes() / 2}})
+	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("%s: Run = %v, want a suspension", run, err)
+	}
+	if info := ex.Suspended(); info.Kind != KindProcess || info.Pipeline != 0 ||
+		info.Cursor == 0 || info.Cursor >= pp.Pipelines[0].Source.MorselCount() {
+		t.Fatalf("%s: suspension landed at %+v, want mid-scan of the aggregation", run, info)
+	}
+	ex2 := NewExecutor(mustCompile(t, node, cat), Options{Workers: workers})
+	loadState(t, ex2, saveState(t, ex))
+	res, err := ex2.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkAggAgainstOracle compares every row of res, whose first nKeys
+// columns are the group key, with the oracle's group. With firstSeen the
+// key must be the group's first-seen key bit for bit.
+func checkAggAgainstOracle(t *testing.T, run string, res *ResultSet, nKeys int, want map[string]*aggOracle, firstSeen bool) {
+	t.Helper()
+	if res.NumRows() != int64(len(want)) {
+		t.Fatalf("%s: groups = %d, want %d", run, res.NumRows(), len(want))
+	}
+	for r := int64(0); r < res.NumRows(); r++ {
+		row := res.Row(r)
+		key := row[:nKeys]
+		g := want[oracleKey(key)]
+		if g == nil {
+			t.Fatalf("%s: group %v is not in the input", run, key)
+		}
+		if firstSeen {
+			for j, k := range key {
+				if k.Type == vector.TypeFloat64 && math.Signbit(k.F) != math.Signbit(g.first[j].F) {
+					t.Errorf("%s: group %v keeps %v, first seen as %v", run, key, k, g.first[j])
 				}
-				return v
 			}
-			wantRow := []vector.Value{
-				row[0],
-				orNull(g.nV, vector.NewFloat64(g.sumV)), orNull(g.nV, vector.NewFloat64(g.sumV/float64(g.nV))), vector.NewInt64(g.sumI),
-				vector.NewInt64(g.nV), vector.NewInt64(g.nS), vector.NewInt64(g.rows),
-				orNull(g.nS, vector.NewString(g.minS)), orNull(g.nS, vector.NewString(g.maxS)),
-				vector.NewDate(g.minD), vector.NewDate(g.maxD),
-				vector.NewInt64(int64(len(g.distinctI))), vector.NewInt64(int64(len(g.distinctS))),
+		}
+		// SUM, AVG, MIN and MAX over no non-NULL value are NULL.
+		orNull := func(n int64, v vector.Value) vector.Value {
+			if n == 0 {
+				return vector.NewNull(v.Type)
 			}
-			for c, w := range wantRow {
-				got := row[c]
-				same := got.Type == w.Type && got.Null == w.Null && (got.Null || got.Equal(w))
-				if w.Type == vector.TypeFloat64 && !w.Null && !got.Null {
-					same = floatsClose(got.F, w.F) // combine order varies across workers
-				}
-				if !same {
-					t.Errorf("trial %d: group %v %s = %v, want %v", trial, row[0], res.Schema.Columns[c].Name, got, w)
-				}
+			return v
+		}
+		nDV := int64(len(g.distinctV))
+		minDV, maxDV := g.minV, g.maxV // the extremes of the distinct values are the extremes
+		wantRow := append(slices.Clone(key),
+			orNull(g.nV, vector.NewFloat64(g.sumV)), orNull(g.nV, vector.NewFloat64(g.sumV/float64(g.nV))), vector.NewInt64(g.sumI),
+			vector.NewInt64(g.nV), vector.NewInt64(g.nS), vector.NewInt64(g.rows),
+			orNull(g.nS, vector.NewString(g.minS)), orNull(g.nS, vector.NewString(g.maxS)),
+			vector.NewDate(g.minD), vector.NewDate(g.maxD),
+			orNull(g.nV, vector.NewFloat64(g.minV)), orNull(g.nV, vector.NewFloat64(g.maxV)),
+			vector.NewInt64(g.minI), vector.NewInt64(g.maxI),
+			vector.NewInt64(int64(len(g.distinctI))), vector.NewInt64(int64(len(g.distinctS))),
+			orNull(nDV, vector.NewFloat64(g.sumDistinctV)), orNull(nDV, vector.NewFloat64(g.sumDistinctV/float64(nDV))),
+			orNull(nDV, vector.NewFloat64(minDV)), orNull(nDV, vector.NewFloat64(maxDV)),
+			vector.NewInt64(g.sumDistinctI), vector.NewFloat64(float64(g.sumDistinctI)/float64(len(g.distinctI))),
+		)
+		for c := nKeys; c < len(wantRow); c++ {
+			got, w := row[c], wantRow[c]
+			same := got.Type == w.Type && got.Null == w.Null && (got.Null || got.Equal(w))
+			if w.Type == vector.TypeFloat64 && !w.Null && !got.Null {
+				same = floatsClose(got.F, w.F) // combine order varies across workers
+			}
+			if !same {
+				t.Errorf("%s: group %v %s = %v, want %v", run, key, res.Schema.Columns[c].Name, got, w)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -236,38 +237,41 @@ func TestPipelineSuspendMidDAGDiscardsSiblings(t *testing.T) {
 	}
 }
 
-// TestStateFormatV1Rejected: version 1 of the state format (pre-DAG) is no
-// longer loadable. Its bytes must yield a clean "unsupported state version"
-// error — no panic — and leave the executor untouched, so it still runs
-// from scratch to the right result.
+// TestStateFormatV1Rejected: versions 1 (pre-DAG) and 2 (the aggregate
+// state before v3) of the state format are no longer loadable. Their bytes
+// must yield a clean "unsupported state version" error — no panic — and
+// leave the executor untouched, so it still runs from scratch to the right
+// result.
 func TestStateFormatV1Rejected(t *testing.T) {
 	cat := testDB(t)
 	node := complexQuery(cat)
 	ref := runPlan(t, cat, node, 2).SortedKey()
 
-	var buf bytes.Buffer
-	enc := vector.NewEncoder(&buf)
-	enc.String(stateMagic)
-	enc.Uvarint(1)
-	// What followed in v1: kind, fingerprint, workers, elapsed ...
-	enc.Uvarint(uint64(KindPipeline))
-	enc.Uvarint(mustCompile(t, node, cat).Fingerprint)
-	enc.Uvarint(2)
-	enc.Varint(12345)
-	if err := enc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	for _, version := range []uint64{1, 2} {
+		var buf bytes.Buffer
+		enc := vector.NewEncoder(&buf)
+		enc.String(stateMagic)
+		enc.Uvarint(version)
+		// What followed in both: kind, fingerprint, workers, elapsed ...
+		enc.Uvarint(uint64(KindPipeline))
+		enc.Uvarint(mustCompile(t, node, cat).Fingerprint)
+		enc.Uvarint(2)
+		enc.Varint(12345)
+		if err := enc.Err(); err != nil {
+			t.Fatal(err)
+		}
 
-	ex := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
-	err := ex.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes())))
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
-		t.Fatalf("LoadState(v1) = %v, want an unsupported-version error", err)
-	}
-	res, err := ex.Run(context.Background())
-	if err != nil {
-		t.Fatalf("executor unusable after a rejected load: %v", err)
-	}
-	if res.SortedKey() != ref {
-		t.Error("a rejected v1 load left partial state behind")
+		ex := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+		err := ex.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes())))
+		if want := fmt.Sprintf("unsupported state version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("LoadState(v%d) = %v, want an unsupported-version error", version, err)
+		}
+		res, err := ex.Run(context.Background())
+		if err != nil {
+			t.Fatalf("executor unusable after a rejected v%d load: %v", version, err)
+		}
+		if res.SortedKey() != ref {
+			t.Errorf("a rejected v%d load left partial state behind", version)
+		}
 	}
 }

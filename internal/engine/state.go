@@ -16,12 +16,15 @@ import (
 // scheduler had in flight, its morsel cursor and each of its workers' local
 // sink states — the full execution context, as a CRIU dump would.
 //
-// The format is at version 2 (an in-flight set of pipelines); version 1,
-// the pre-DAG single-in-flight layout, is no longer loadable.
+// The format is at version 3: an in-flight set of pipelines (since version
+// 2), whose aggregate locals hold only the arrays each function reads
+// (FlatAggSink.saveTable). There is one reader; the bytes of versions 1 (the
+// pre-DAG single-in-flight layout) and 2 (every aggregate's sums and count
+// plus boxed MIN/MAX and DISTINCT values) are refused.
 
 const (
 	stateMagic   = "RVST"
-	stateVersion = 2
+	stateVersion = 3
 )
 
 // StateFormatVersion is the executor state format version written by
@@ -136,7 +139,7 @@ func (ex *Executor) LoadState(dec *vector.Decoder) error {
 	if v := dec.Uvarint(); v != stateVersion {
 		return fmt.Errorf("engine: unsupported state version %d", v)
 	}
-	return ex.loadStateV2Locked(dec)
+	return ex.loadBodyLocked(dec)
 }
 
 // loadHeaderLocked reads and validates the fields after the version: kind,
@@ -195,8 +198,9 @@ func (ex *Executor) loadGlobalsLocked(dec *vector.Decoder) error {
 	return dec.Err()
 }
 
-// loadStateV2Locked restores the DAG-era format with its in-flight set.
-func (ex *Executor) loadStateV2Locked(dec *vector.Decoder) error {
+// loadBodyLocked restores what follows the version: header, done bitmap,
+// live globals and the in-flight set.
+func (ex *Executor) loadBodyLocked(dec *vector.Decoder) error {
 	kind, err := ex.loadHeaderLocked(dec)
 	if err != nil {
 		return err

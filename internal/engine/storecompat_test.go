@@ -53,8 +53,8 @@ func restoreFromStore(t *testing.T, st *blobstore.Store, key string, ex2 *Execut
 	return res
 }
 
-// TestStoreRestoresV2Checkpoint: the current (v2) format written as raw
-// bytes — the same path a foreign instance uses when it serialized state
+// TestStoreRestoresV2Checkpoint: the current format (the in-flight-set
+// layout of version 2, at version 3 now) written as raw bytes — the same path a foreign instance uses when it serialized state
 // itself — round-trips through the store, including a process-level
 // capture with in-flight pipeline state.
 func TestStoreRestoresV2Checkpoint(t *testing.T) {

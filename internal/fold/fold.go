@@ -22,7 +22,7 @@
 // case serves it, a rider is just another random-access Source: the
 // engine's morsel cursors, checkpoint format, and result bytes are
 // identical with and without folding. Suspension needs no new state — a
-// rider detaches by simply stopping (its cursor is already in the v2
+// rider detaches by simply stopping (its cursor is already in the
 // checkpoint), the hub keeps streaming for survivors, and a resumed rider
 // either rejoins (below-window reads go direct until it converges) or runs
 // the same plan with a private scan.

@@ -10,8 +10,8 @@ import (
 
 // TestPreemptionQuiescesDAG: a preemption landing while the victim's DAG
 // scheduler has several pipelines in flight must quiesce the whole DAG;
-// the held capture, persisted at shutdown, is a v2 process-level
-// checkpoint carrying the in-flight set, and resumes to an identical
+// the held capture, persisted at shutdown, is a process-level
+// checkpoint (state format v2 or later) carrying the in-flight set, and resumes to an identical
 // result. Q21 is the multi-join victim — its plan has several independent
 // build pipelines that run concurrently.
 func TestPreemptionQuiescesDAG(t *testing.T) {

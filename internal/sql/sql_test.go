@@ -240,6 +240,26 @@ func TestCountDistinct(t *testing.T) {
 	}
 }
 
+// TestAggregatesOverDistinct: SUM, AVG, MIN and MAX over DISTINCT fold
+// each distinct value once. In dept 0 the salaries are 0, 50, ..., 1950,
+// each on 5 rows.
+func TestAggregatesOverDistinct(t *testing.T) {
+	cat := testCatalog(t)
+	res := run(t, cat, `SELECT count(DISTINCT salary), sum(DISTINCT salary), avg(DISTINCT salary),
+		min(DISTINCT salary), max(DISTINCT salary), sum(DISTINCT dept), max(DISTINCT name)
+		FROM emp WHERE dept = 0`)
+	want := []vector.Value{
+		vector.NewInt64(40), vector.NewFloat64(39000), vector.NewFloat64(975),
+		vector.NewFloat64(0), vector.NewFloat64(1950), vector.NewInt64(0), vector.NewString("carol"),
+	}
+	row := res.Row(0)
+	for i, w := range want {
+		if !row[i].Equal(w) || row[i].Type != w.Type {
+			t.Errorf("%s = %v, want %v", res.Schema.Columns[i].Name, row[i], w)
+		}
+	}
+}
+
 func TestOrderByOrdinalAndLimit(t *testing.T) {
 	cat := testCatalog(t)
 	res := run(t, cat, "SELECT id, salary FROM emp ORDER BY 2 DESC, 1 ASC LIMIT 5")

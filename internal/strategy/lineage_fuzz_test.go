@@ -23,9 +23,10 @@ func framedLineage(records ...[]byte) []byte {
 
 func record(typ byte, payload string) []byte { return append([]byte{typ}, payload...) }
 
-// hostileLineageLogs is FuzzScanLineage's seed corpus: a log an older
-// binary wrote (morsel records and all), one this writer wrote, and the
-// damaged or foreign shapes the scanner must refuse or truncate.
+// hostileLineageLogs is FuzzScanLineage's seed corpus: the committed
+// parent log, one this writer wrote, one in the shape older binaries wrote
+// (morsel records and all), and the damaged or foreign shapes the scanner
+// must refuse or truncate.
 func hostileLineageLogs(t testing.TB) map[string][]byte {
 	t.Helper()
 	parent, err := os.ReadFile(filepath.Join("..", "..", "testdata", "parent", "q3.rvlg"))
@@ -53,11 +54,17 @@ func hostileLineageLogs(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, metaEnd, _ := readLineageRecord(fresh, int64(len(lineageMagic)+1))
+	_, meta, metaEnd, _ := readLineageRecord(fresh, int64(len(lineageMagic)+1))
+	older := [][]byte{append([]byte{recLineageMeta}, meta...)}
+	for m := 0; m < 9; m++ {
+		older = append(older, record(recLineageMorsel, fmt.Sprintf("%012d", m)))
+	}
+	older = append(older, append([]byte{recLineageState}, scan.LastState...), record(recLineageSeal, `{"elapsed_ns":1,"records":11}`))
 	return map[string][]byte{
-		"parent-q3": parent,
-		"fresh":     fresh,
-		"torn-tail": append(append([]byte(nil), fresh...), recLineageState, 0xff, 0xff),
+		"parent-q3":          parent,
+		"fresh":              fresh,
+		"older-with-morsels": framedLineage(older...),
+		"torn-tail":          append(append([]byte(nil), fresh...), recLineageState, 0xff, 0xff),
 		"store-backed-meta": framedLineage(
 			record(recLineageMeta, `{"query":"Q3","plan_fingerprint":"8199efd5e47d5c09","workers":2,"seal_every":1,"state_version":2,"store_key":"lineage-Q3-8199efd5e47d5c09"}`),
 			record(recLineageState, `{"key":"lineage-Q3-8199efd5e47d5c09-s0","state_bytes":3299,"seq":0}`),
@@ -71,14 +78,18 @@ func hostileLineageLogs(t testing.TB) map[string][]byte {
 // what each entry must scan to.
 func TestHostileLineageLogs(t *testing.T) {
 	logs := hostileLineageLogs(t)
-	for _, name := range []string{"parent-q3", "fresh", "torn-tail", "implausible-length"} {
+	for _, name := range []string{"parent-q3", "fresh", "older-with-morsels", "torn-tail", "implausible-length"} {
 		if _, err := scanLineage(logs[name], name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	parent, _ := scanLineage(logs["parent-q3"], "parent")
-	if parent.Records != 12 || parent.States != 1 || parent.Seals != 1 || parent.Torn() {
-		t.Errorf("parent log scanned to %d records, %d states, %d seals, torn %v; want 12, 1, 1, clean", parent.Records, parent.States, parent.Seals, parent.Torn())
+	if parent.Records != 3 || parent.States != 1 || parent.Seals != 1 || parent.Torn() {
+		t.Errorf("parent log scanned to %d records, %d states, %d seals, torn %v; want 3, 1, 1, clean", parent.Records, parent.States, parent.Seals, parent.Torn())
+	}
+	older, _ := scanLineage(logs["older-with-morsels"], "older")
+	if older.Records != 12 || older.States != 1 || older.Seals != 1 || older.Torn() || !bytes.Equal(older.LastState, parent.LastState) {
+		t.Errorf("older log scanned to %d records, %d states, %d seals, torn %v; want 12, 1, 1, clean", older.Records, older.States, older.Seals, older.Torn())
 	}
 	fresh, _ := scanLineage(logs["fresh"], "fresh")
 	if fresh.Records != 3 || fresh.States != 1 || fresh.Seals != 1 || !bytes.Equal(fresh.LastState, parent.LastState) {

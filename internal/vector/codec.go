@@ -154,6 +154,17 @@ func NewDecoder(r interface {
 // Err returns the first read error encountered.
 func (d *Decoder) Err() error { return d.err }
 
+// Remaining returns the number of bytes left to decode when the reader
+// reports it (a *bytes.Reader does), or -1. Every element of a counted run
+// takes at least one byte, so a count above Remaining is corrupt: decoders
+// of untrusted state check that before they size anything from it.
+func (d *Decoder) Remaining() int {
+	if l, ok := d.rr.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return -1
+}
+
 func (d *Decoder) fail(err error) {
 	if d.err == nil && err != nil {
 		d.err = err
@@ -250,6 +261,10 @@ func (d *Decoder) Vector() *Vector {
 		d.fail(fmt.Errorf("decode vector: bad header type=%v len=%d", typ, n))
 		return nil
 	}
+	if rem := d.Remaining(); rem >= 0 && n > rem {
+		d.fail(fmt.Errorf("decode vector: %d rows in %d bytes", n, rem))
+		return nil
+	}
 	v := New(typ, n)
 	nullWords := (n + 63) / 64
 	nulls := make([]uint64, 0, nullWords)
@@ -262,6 +277,9 @@ func (d *Decoder) Vector() *Vector {
 		}
 	}
 	if any {
+		if n&63 != 0 {
+			nulls[len(nulls)-1] &= 1<<(uint(n)&63) - 1 // no NULL past the last row
+		}
 		v.nulls = nulls
 	}
 	switch typ {

@@ -13,6 +13,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// nullHash is the hash of a NULL row, of any type.
+const nullHash = 0x9e3779b97f4a7c15
+
 // CombineHash mixes an element hash into an accumulated row hash.
 func CombineHash(acc, h uint64) uint64 {
 	return mix64(acc ^ (h + 0x9e3779b97f4a7c15 + (acc << 6) + (acc >> 2)))

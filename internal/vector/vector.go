@@ -381,9 +381,20 @@ func (v *Vector) AppendRange(src *Vector, start, end int) {
 }
 
 // HashInto combines the hash of each row into the accumulator slice, which
-// must have at least Len entries.
+// must have at least Len entries. A NULL row combines the NULL hash alone,
+// whatever its value slot holds, so every NULL hashes alike.
 func (v *Vector) HashInto(acc []uint64) {
 	n := v.length
+	if v.HasNulls() {
+		for i := 0; i < n; i++ {
+			if v.IsNull(i) {
+				acc[i] = CombineHash(acc[i], nullHash)
+			} else {
+				acc[i] = CombineHash(acc[i], v.hashAt(i))
+			}
+		}
+		return
+	}
 	switch v.typ {
 	case TypeInt64, TypeDate:
 		for i := 0; i < n; i++ {
@@ -399,19 +410,25 @@ func (v *Vector) HashInto(acc []uint64) {
 		}
 	case TypeBool:
 		for i := 0; i < n; i++ {
-			h := uint64(2)
-			if v.bools[i] {
-				h = 1
-			}
-			acc[i] = CombineHash(acc[i], mix64(h))
+			acc[i] = CombineHash(acc[i], v.hashAt(i))
 		}
 	}
-	if len(v.nulls) > 0 {
-		for i := 0; i < n; i++ {
-			if v.IsNull(i) {
-				acc[i] = CombineHash(acc[i], 0x9e3779b97f4a7c15)
-			}
+}
+
+// hashAt is the hash of row i's value, NULL or not.
+func (v *Vector) hashAt(i int) uint64 {
+	switch v.typ {
+	case TypeInt64, TypeDate:
+		return mix64(uint64(v.ints[i]))
+	case TypeFloat64:
+		return mix64(floatBits(v.floats[i]))
+	case TypeString:
+		return hashString(v.strs[i])
+	default:
+		if v.bools[i] {
+			return mix64(1)
 		}
+		return mix64(2)
 	}
 }
 

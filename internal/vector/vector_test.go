@@ -177,6 +177,28 @@ func TestChunkHashGroupsEqualRows(t *testing.T) {
 	}
 }
 
+// TestHashIntoNullIgnoresValueSlot: a NULL row hashes as NULL whatever its
+// value slot holds — a computed column may leave a real value under its
+// null bit — so two NULLs, which are one group key, hash equal.
+func TestHashIntoNullIgnoresValueSlot(t *testing.T) {
+	for _, typ := range []Type{TypeInt64, TypeFloat64, TypeString, TypeBool} {
+		v := New(typ, 3)
+		v.AppendValue(Value{Type: typ, I: 7, F: 7, S: "7", B: true})
+		v.AppendValue(Value{Type: typ, I: 0, F: 0, S: "", B: false})
+		v.AppendValue(Value{Type: typ, I: 7, F: 7, S: "7", B: true})
+		v.SetNull(0)
+		v.SetNull(1)
+		h := make([]uint64, 3)
+		v.HashInto(h)
+		if h[0] != h[1] {
+			t.Errorf("%v: NULL rows over different value slots hash %x and %x", typ, h[0], h[1])
+		}
+		if h[0] == h[2] {
+			t.Errorf("%v: a NULL hashes like the value under it", typ)
+		}
+	}
+}
+
 func TestValueCompare(t *testing.T) {
 	cases := []struct {
 		a, b Value
