@@ -99,8 +99,9 @@ profile:
 # keys (FuzzHashJoinMatchesNestedLoop), the aggregate's local-state
 # reader (FuzzLoadAggState, whose kilobyte-sized seeds take the engine
 # longer to minimize than the ten seconds last, hence -fuzzminimizetime
-# 1x as well), and the lineage-log scanner
-# (FuzzScanLineage). The committed corpora run as plain tests in
+# 1x as well), the join build's state reader (FuzzLoadJoinState: a state
+# is loaded as a global and as a local, then probed), and the lineage-log
+# scanner (FuzzScanLineage). The committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -110,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzLikeMatchesRegexp$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzHashJoinMatchesNestedLoop$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadAggState$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadJoinState$$' -fuzztime 10s
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and

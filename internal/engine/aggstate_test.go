@@ -211,9 +211,10 @@ func TestAggCombineAdoptsFirstLocal(t *testing.T) {
 	}
 }
 
-// TestRowBufferConcatTakesChunks: Concat into an empty buffer takes the
-// other buffer's chunks; the result saves the bytes a copying concat does
-// and keeps fixed-stride addressing across the seam.
+// TestRowBufferConcatTakesChunks: Concat keeps the rows of both buffers
+// and their dense packing — every chunk but the last is full, so Value
+// addresses every row — while it keeps the other buffer's full chunks by
+// pointer and copies at most one partial chunk's rows per call.
 func TestRowBufferConcatTakesChunks(t *testing.T) {
 	types := []vector.Type{vector.TypeInt64, vector.TypeString, vector.TypeFloat64}
 	build := func(rows, base int) *RowBuffer {
@@ -227,31 +228,64 @@ func TestRowBufferConcatTakesChunks(t *testing.T) {
 		}
 		return b
 	}
-	parts := func() []*RowBuffer { return []*RowBuffer{build(2500, 0), build(700, 2500), build(3000, 3200)} }
-
-	copied := NewRowBuffer(types)
-	for _, p := range parts() {
-		for i := 0; i < p.NumChunks(); i++ {
-			copied.AppendChunk(p.Chunk(i))
-		}
-	}
 	got := NewRowBuffer(types)
-	for _, p := range parts() {
+	base := 0
+	for _, rows := range []int{2500, 700, 3000, 0, 2048, 1500, 1900, 5} {
+		p := build(rows, base)
+		base += rows
+		before := map[*vector.Chunk]int{} // every chunk's rows before the call
+		var full []*vector.Chunk          // the other buffer's full chunks
+		for _, b := range []*RowBuffer{got, p} {
+			for i := 0; i < b.NumChunks(); i++ {
+				before[b.Chunk(i)] = b.Chunk(i).Len()
+				if b == p && b.Chunk(i).Full() {
+					full = append(full, b.Chunk(i))
+				}
+			}
+		}
 		got.Concat(p)
-	}
-	if bufferDigest(t, got) != bufferDigest(t, copied) {
-		t.Fatal("Concat saves different bytes from a copying concat")
-	}
-	for _, r := range []int64{0, 2047, 2048, 2499, 2500, 3199, 3200, 6199} {
-		if v := got.Value(r, 0); v.I != r {
-			t.Errorf("row %d holds id %d", r, v.I)
+
+		kept := map[*vector.Chunk]bool{}
+		copied := got.Rows()
+		for i := 0; i < got.NumChunks(); i++ {
+			c := got.Chunk(i)
+			if n, ok := before[c]; ok {
+				kept[c] = true
+				copied -= int64(n)
+			}
+			if i < got.NumChunks()-1 && !c.Full() {
+				t.Fatalf("after %d rows: chunk %d of %d holds %d rows", base, i, got.NumChunks(), c.Len())
+			}
+		}
+		for _, c := range full {
+			if !kept[c] {
+				t.Fatalf("after %d rows: a full chunk of the other buffer was not kept", base)
+			}
+		}
+		if copied > vector.ChunkCapacity {
+			t.Fatalf("after %d rows: Concat copied %d rows", base, copied)
+		}
+		if got.Rows() != int64(base) {
+			t.Fatalf("after %d rows: Rows() = %d", base, got.Rows())
+		}
+		seen := make([]bool, base)
+		for r := int64(0); r < got.Rows(); r++ {
+			id := got.Value(r, 0).I
+			if id < 0 || id >= int64(base) || seen[id] {
+				t.Fatalf("after %d rows: row %d holds id %d twice or out of range", base, r, id)
+			}
+			seen[id] = true
+			s, f := got.Value(r, 1), got.Value(r, 2)
+			if f.F != float64(id)/3 || s.Null != (id%13 == 0) || !s.Null && s.S != fmt.Sprintf("s%d", id) {
+				t.Fatalf("after %d rows: row %d mixes id %d with %v and %v", base, r, id, s, f)
+			}
 		}
 	}
 }
 
-// hostileAggState is local aggregate state that LoadLocal of aggStateSink
+// hostileState is local aggregate state that LoadLocal of aggStateSink
 // must refuse, with the refusal it must give.
-type hostileAggState struct {
+type hostileState struct {
 	data []byte
 	want string
 }
@@ -274,7 +308,7 @@ func validAggState(tb testing.TB) []byte {
 
 // hostileAggStates edits the state of one local (validAggState) or of an
 // empty table into bytes a saved table never holds.
-func hostileAggStates(tb testing.TB) map[string]hostileAggState {
+func hostileAggStates(tb testing.TB) map[string]hostileState {
 	edited := func(edit func(*flatAggTable)) []byte {
 		s := aggStateSink(tb, aggStateSpecs())
 		ls := aggStateLocals(tb, s, 4)[0]
@@ -290,7 +324,7 @@ func hostileAggStates(tb testing.TB) map[string]hostileAggState {
 	}
 	dist := func(t *flatAggTable, spec int) *distinctSet { return t.cols[spec].dist }
 	const dk, dz = 9, 10 // the DISTINCT specs: over key 0, and over z
-	return map[string]hostileAggState{
+	return map[string]hostileState{
 		"repeated-key": {edited(func(t *flatAggTable) {
 			// Group 1 takes group 0's key: (0, 19000, NULL, -0.0).
 			k := t.keys

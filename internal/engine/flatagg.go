@@ -842,7 +842,7 @@ func (s *FlatAggSink) SaveGlobal(enc *vector.Encoder) error {
 
 // LoadGlobal implements Sink.
 func (s *FlatAggSink) LoadGlobal(dec *vector.Decoder) error {
-	buf, err := LoadRowBuffer(dec)
+	buf, err := loadRowBufferOf(dec, s.outTypes)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/riveterdb/riveter/internal/engine/kernel"
@@ -11,42 +12,64 @@ import (
 )
 
 // HashJoinBuildSink is the pipeline breaker that materializes the build
-// (right) side of a hash join. The buffered rows are laid out as the key
-// columns followed by the full build-side payload; the bucket index maps key
-// hashes to row ids and is rebuilt from the buffer on load, so checkpoints
-// persist only the rows — exactly the "entire hash table for the join" the
-// paper measures for join-ending pipelines (Fig. 8).
+// (right) side of a hash join. It stores each column once, and only the
+// columns its probe reads: the buffered rows are laid out as the computed
+// keys (a key that is not a bare build column, such as r_k + 1) followed by
+// the stored build columns. A key that is a bare build column is read from
+// its stored column through keyCols. Inner, left-outer and cross joins
+// store every build column, since they output them; semi and anti joins
+// store only the key columns and the columns the residual reads. The
+// bucket index maps key hashes to row ids and is rebuilt from the buffer on
+// load, so checkpoints persist only the rows — exactly the "entire hash
+// table for the join" the paper measures for join-ending pipelines (Fig. 8).
 type HashJoinBuildSink struct {
-	keyProgs []*expr.Program // over the build input schema
-	keyTypes []vector.Type
-	payTypes []vector.Type
-	rowTypes []vector.Type // keyTypes ++ payTypes
+	jt       plan.JoinType
+	keyProgs []*expr.Program // the computed keys, over the build input schema
+	keyTypes []vector.Type   // every key's type
+	keyCols  []int           // key -> its buffer column
+	stored   []int           // stored build input columns, in buffer order after the computed keys
+	rowTypes []vector.Type   // computed key types ++ stored column types
+
+	// pairCols are the buffer columns the probe gathers after the probe
+	// columns; residual, over the probe columns followed by those, is the
+	// join's extra predicate remapped (nil without one). probeWidth is the
+	// probe column count the residual was remapped for.
+	pairCols   []int
+	residual   expr.Expr
+	probeWidth int
 
 	buf   *RowBuffer
 	index joinIndex
 	final bool
 }
 
+// maxBuildRows bounds a join build: the index stores row ids plus one in
+// 32 bits.
+const maxBuildRows = 1<<32 - 1
+
 // joinIndex is the probe-side hash index over the build buffer: a flat
-// chained-bucket layout. heads maps a power-of-two slot to its first row,
-// and entries holds each row's key hash (a cheap prefilter before the real
-// key comparison) beside its chain link, so a chain step reads one cache
-// line. Row ids are stored plus one, so the zero that make fills in ends a
-// chain. cols views every buffer column chunk by chunk, for the key
-// comparison and the probe's bulk gather of payload columns. The index is
+// chained-bucket layout. heads maps a power-of-two slot (the low bits of a
+// key hash) to its first row, and entries holds each row's tag (the high
+// half of its key hash, a cheap prefilter before the real key comparison)
+// beside its chain link, so an entry is 8 bytes and a chain step reads one
+// cache line. Row ids are stored plus one, so the zero that make fills in
+// ends a chain. cols views every buffer column chunk by chunk, for the
+// probe's bulk gather of build columns, and keys points at each key's
+// column among them, for the key comparison. The index is
 // rebuilt from the row buffer on finalize and on checkpoint load, so it
 // never appears in the persisted state.
 type joinIndex struct {
 	mask    uint64
-	heads   []int64 // slot -> first row id + 1, 0 when empty
+	heads   []uint32 // slot -> first row id + 1, 0 when empty
 	entries []joinEntry
-	cols    []chunkedCol // keys, then payload
+	cols    []chunkedCol  // the buffer's columns
+	keys    []*chunkedCol // key k's column in cols
 }
 
 // joinEntry is one build row's slot in the index.
 type joinEntry struct {
-	hash uint64
-	next int64 // next row id + 1 in the chain, 0 at its end
+	tag  uint32 // the high half of the row's key hash
+	next uint32 // next row id + 1 in the chain, 0 at its end
 }
 
 // chunkedCol is one column of a densely packed RowBuffer as the backing
@@ -133,32 +156,122 @@ func (c *chunkedCol) gather(dv *vector.Vector, rows []int64) {
 	}
 }
 
-// NewHashJoinBuildSink builds the sink for the given key expressions and
-// build-side input types.
-func NewHashJoinBuildSink(keys []expr.Expr, inTypes []vector.Type) (*HashJoinBuildSink, error) {
-	progs, err := compilePrograms(keys)
-	if err != nil {
+// NewHashJoinBuildSink builds the build sink of join jt for the key
+// expressions over the build input types. extra, the join's residual
+// predicate over probeWidth probe columns followed by the build columns,
+// may be nil; the sink remaps it onto the columns it stores.
+func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, probeWidth int, inTypes []vector.Type) (*HashJoinBuildSink, error) {
+	// bareCol is the build column key k is, or -1 for a computed key.
+	bareCol := func(k expr.Expr) int {
+		if c, ok := k.(*expr.Column); ok && c.Index >= 0 && c.Index < len(inTypes) && c.Typ == inTypes[c.Index] {
+			return c.Index
+		}
+		return -1
+	}
+	// reads are the build columns the residual reads, ascending.
+	var reads []int
+	if extra != nil {
+		read := make([]bool, len(inTypes))
+		if _, err := expr.RemapColumns(extra, func(i int) (int, error) {
+			if i < 0 || i >= probeWidth+len(inTypes) {
+				return 0, fmt.Errorf("join residual reads column %d of %d", i, probeWidth+len(inTypes))
+			}
+			if i >= probeWidth {
+				read[i-probeWidth] = true
+			}
+			return i, nil
+		}); err != nil {
+			return nil, err
+		}
+		for b, ok := range read {
+			if ok {
+				reads = append(reads, b)
+			}
+		}
+	}
+
+	s := &HashJoinBuildSink{
+		jt:         jt,
+		keyTypes:   make([]vector.Type, len(keys)),
+		keyCols:    make([]int, len(keys)),
+		stored:     make([]int, 0, len(inTypes)),
+		rowTypes:   make([]vector.Type, 0, len(keys)+len(inTypes)),
+		pairCols:   make([]int, 0, len(inTypes)),
+		probeWidth: probeWidth,
+	}
+	semiAnti := jt == plan.SemiJoin || jt == plan.AntiJoin
+	keep := make([]bool, len(inTypes))
+	for b := range keep {
+		keep[b] = !semiAnti
+	}
+	for _, b := range reads {
+		keep[b] = true
+	}
+	for _, k := range keys {
+		if b := bareCol(k); b >= 0 {
+			keep[b] = true
+		}
+	}
+	for b, ok := range keep {
+		if ok {
+			s.stored = append(s.stored, b)
+		}
+	}
+	var computed []expr.Expr
+	for k, key := range keys {
+		s.keyTypes[k] = key.Type()
+		if bareCol(key) < 0 {
+			s.keyCols[k] = len(computed)
+			computed = append(computed, key)
+			s.rowTypes = append(s.rowTypes, key.Type())
+		}
+	}
+	nc := len(computed)
+	col := func(b int) int { return nc + slices.Index(s.stored, b) } // build column b's buffer column
+	for k, key := range keys {
+		if b := bareCol(key); b >= 0 {
+			s.keyCols[k] = col(b)
+		}
+	}
+	for _, b := range s.stored {
+		s.rowTypes = append(s.rowTypes, inTypes[b])
+	}
+	if semiAnti {
+		// The pair holds the probe columns and the build columns the
+		// residual reads, nothing more: they output probe rows.
+		for _, b := range reads {
+			s.pairCols = append(s.pairCols, col(b))
+		}
+		if extra != nil {
+			var err error
+			if s.residual, err = expr.RemapColumns(extra, func(i int) (int, error) {
+				if i < probeWidth {
+					return i, nil
+				}
+				return probeWidth + slices.Index(reads, i-probeWidth), nil
+			}); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		for _, b := range s.stored {
+			s.pairCols = append(s.pairCols, col(b))
+		}
+		s.residual = extra
+	}
+	var err error
+	if s.keyProgs, err = compilePrograms(computed); err != nil {
 		return nil, err
 	}
-	kt := make([]vector.Type, len(keys))
-	for i, k := range keys {
-		kt[i] = k.Type()
-	}
-	rt := append(append([]vector.Type{}, kt...), inTypes...)
-	return &HashJoinBuildSink{
-		keyProgs: progs,
-		keyTypes: kt,
-		payTypes: inTypes,
-		rowTypes: rt,
-		buf:      NewRowBuffer(rt),
-	}, nil
+	s.buf = NewRowBuffer(s.rowTypes)
+	return s, nil
 }
 
 type joinBuildLocal struct {
 	buf      *RowBuffer
 	keyInsts []*expr.Instance
-	// keyVecs and rowCols are per-chunk scratch for evaluated key vectors
-	// and the key++payload column layout; worker-local, so plain reuse is
+	// keyVecs and rowCols are per-chunk scratch for the evaluated computed
+	// keys and the buffer's column layout; worker-local, so plain reuse is
 	// race-free.
 	keyVecs []*vector.Vector
 	rowCols []*vector.Vector
@@ -177,12 +290,13 @@ func (s *HashJoinBuildSink) Consume(ls LocalState, c *vector.Chunk) error {
 	if err := evalInstances(l.keyInsts, c, l.keyVecs); err != nil {
 		return err
 	}
-	// Lay out key columns then payload columns and bulk-append the whole
-	// chunk; AppendRange copies, so aliasing key vectors to input columns
-	// (a bare column-reference key) is fine.
-	l.rowCols = l.rowCols[:0]
-	l.rowCols = append(l.rowCols, l.keyVecs...)
-	l.rowCols = append(l.rowCols, c.Cols()...)
+	// Lay out the computed keys then the stored columns and bulk-append
+	// the whole chunk; AppendRange copies, so a computed key's vector
+	// aliasing an input column is fine.
+	l.rowCols = append(l.rowCols[:0], l.keyVecs...)
+	for _, b := range s.stored {
+		l.rowCols = append(l.rowCols, c.Col(b))
+	}
 	l.buf.appendVectors(l.rowCols, c.Len())
 	return nil
 }
@@ -195,57 +309,74 @@ func (s *HashJoinBuildSink) Combine(ls LocalState) error {
 
 // Finalize implements Sink.
 func (s *HashJoinBuildSink) Finalize() error {
-	s.rebuildBuckets()
+	if err := s.rebuildBuckets(); err != nil {
+		return err
+	}
 	s.final = true
 	return nil
 }
 
-func (s *HashJoinBuildSink) rebuildBuckets() {
-	nk := len(s.keyTypes)
+// checkBuildRows refuses a build of more rows than the index addresses.
+func checkBuildRows(rows uint64) error {
+	if rows >= maxBuildRows {
+		return fmt.Errorf("hash join build of %d rows: the index addresses fewer than %d", rows, uint64(maxBuildRows))
+	}
+	return nil
+}
+
+func (s *HashJoinBuildSink) rebuildBuckets() error {
 	rows := s.buf.Rows()
+	if err := checkBuildRows(uint64(rows)); err != nil {
+		return err
+	}
 	s.index = joinIndex{cols: chunkedCols(s.buf)}
-	if nk == 0 || rows == 0 {
-		return // cross join: no index, every row matches
+	if len(s.keyCols) == 0 || rows == 0 {
+		return nil // keyless: no index, every row matches
+	}
+	idx := &s.index
+	idx.keys = make([]*chunkedCol, len(s.keyCols))
+	for k, c := range s.keyCols {
+		idx.keys[k] = &idx.cols[c]
 	}
 	slots := uint64(1)
 	for slots < uint64(rows) {
 		slots <<= 1
 	}
-	idx := &s.index
 	idx.mask = slots - 1
-	idx.heads = make([]int64, slots)
+	idx.heads = make([]uint32, slots)
 	idx.entries = make([]joinEntry, rows)
-	// Hash each chunk's keys straight into its entries and chain its rows
-	// under their slots. Walking the rows in descending order yields
-	// ascending chains, so matches come out in build-row order. Rows with a
-	// NULL key stay out of the chains: under SQL equality they never match.
+	// Hash each chunk's keys and chain its rows under their slots. Walking
+	// the rows in descending order yields ascending chains, so matches
+	// come out in build-row order. Rows with a NULL key stay out of the
+	// chains: under SQL equality they never match.
 	hashes := make([]uint64, min(rows, vector.ChunkCapacity))
 	for ci := s.buf.NumChunks() - 1; ci >= 0; ci-- {
 		c := s.buf.Chunk(ci)
 		h := hashes[:c.Len()]
 		clear(h)
 		hasNulls := false
-		for k := 0; k < nk; k++ {
-			c.Col(k).HashInto(h)
-			hasNulls = hasNulls || c.Col(k).HasNulls()
+		for _, kc := range s.keyCols {
+			c.Col(kc).HashInto(h)
+			hasNulls = hasNulls || c.Col(kc).HasNulls()
 		}
-		base := int64(ci) << vector.ChunkShift
+		base := uint32(ci) << vector.ChunkShift
 		for i := len(h) - 1; i >= 0; i-- {
-			e := &idx.entries[base+int64(i)]
-			e.hash = h[i]
-			if hasNulls && rowHasNullKey(c, nk, i) {
+			if hasNulls && rowHasNullKey(c, s.keyCols, i) {
 				continue
 			}
-			slot := e.hash & idx.mask
+			e := &idx.entries[base+uint32(i)]
+			e.tag = uint32(h[i] >> 32)
+			slot := h[i] & idx.mask
 			e.next = idx.heads[slot]
-			idx.heads[slot] = base + int64(i) + 1
+			idx.heads[slot] = base + uint32(i) + 1
 		}
 	}
+	return nil
 }
 
-func rowHasNullKey(c *vector.Chunk, nk, i int) bool {
-	for k := 0; k < nk; k++ {
-		if c.Col(k).IsNull(i) {
+func rowHasNullKey(c *vector.Chunk, keyCols []int, i int) bool {
+	for _, kc := range keyCols {
+		if c.Col(kc).IsNull(i) {
 			return true
 		}
 	}
@@ -258,33 +389,60 @@ func (s *HashJoinBuildSink) NumKeys() int { return len(s.keyTypes) }
 // Rows returns the number of buffered build rows.
 func (s *HashJoinBuildSink) Rows() int64 { return s.buf.Rows() }
 
-// SaveGlobal implements Sink.
-func (s *HashJoinBuildSink) SaveGlobal(enc *vector.Encoder) error {
-	s.buf.Save(enc)
+// saveBuffer writes buf's row count, then buf: a semi or anti join
+// without keys or residual stores no column, and a zero-width chunk saves
+// no row count.
+func saveBuffer(buf *RowBuffer, enc *vector.Encoder) error {
+	enc.Uvarint(uint64(buf.Rows()))
+	buf.Save(enc)
 	return enc.Err()
 }
 
+// loadBuffer reads what saveBuffer wrote, refusing a buffer of another
+// layout than the sink's and a build the index cannot address.
+func (s *HashJoinBuildSink) loadBuffer(dec *vector.Decoder) (*RowBuffer, error) {
+	rows := dec.Uvarint()
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkBuildRows(rows); err != nil {
+		return nil, err
+	}
+	buf, err := loadRowBufferOf(dec, s.rowTypes)
+	if err != nil {
+		return nil, err
+	}
+	if err := buf.claimRows(int64(rows)); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// SaveGlobal implements Sink.
+func (s *HashJoinBuildSink) SaveGlobal(enc *vector.Encoder) error { return saveBuffer(s.buf, enc) }
+
 // LoadGlobal implements Sink.
 func (s *HashJoinBuildSink) LoadGlobal(dec *vector.Decoder) error {
-	buf, err := LoadRowBuffer(dec)
+	buf, err := s.loadBuffer(dec)
 	if err != nil {
 		return err
 	}
 	s.buf = buf
-	s.rebuildBuckets()
+	if err := s.rebuildBuckets(); err != nil {
+		return err
+	}
 	s.final = true
 	return nil
 }
 
 // SaveLocal implements Sink.
 func (s *HashJoinBuildSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
-	ls.(*joinBuildLocal).buf.Save(enc)
-	return enc.Err()
+	return saveBuffer(ls.(*joinBuildLocal).buf, enc)
 }
 
 // LoadLocal implements Sink.
 func (s *HashJoinBuildSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
-	buf, err := LoadRowBuffer(dec)
+	buf, err := s.loadBuffer(dec)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +452,7 @@ func (s *HashJoinBuildSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 // MemBytes implements Sink.
 func (s *HashJoinBuildSink) MemBytes() int64 {
 	b := s.buf.MemBytes()
-	b += int64(len(s.index.heads))*8 + int64(len(s.index.entries))*16
+	b += int64(len(s.index.heads))*4 + int64(len(s.index.entries))*8
 	return b
 }
 
@@ -310,11 +468,11 @@ type HashJoinProbeOp struct {
 	Type     plan.JoinType
 	build    *HashJoinBuildSink
 	keyProgs []*expr.Program // over the probe input schema
-	extra    *expr.Program   // over probe ++ build payload; may be nil
+	extra    *expr.Program   // the build's residual; may be nil
 
 	probeTypes []vector.Type
 	outTypes   []vector.Type
-	pairTypes  []vector.Type // probeTypes ++ build payload types
+	pairTypes  []vector.Type // probeTypes ++ the types of the build's pairCols
 
 	// scratch pools per-worker probe state (the operator instance is shared
 	// by all workers of the pipeline). See StreamOp for why reusing emitted
@@ -335,7 +493,7 @@ type probeScratch struct {
 	probeRows []int32
 	buildRows []int64
 	sel       []int32       // residual survivors, or the tail's rows
-	pair      *vector.Chunk // the pending matches as probe++payload rows
+	pair      *vector.Chunk // the pending matches as probe++build rows
 	filtered  *vector.Chunk // pair rows surviving the extra predicate
 	tail      *vector.Chunk // left-outer padding / semi-anti output
 }
@@ -386,20 +544,29 @@ func (p *HashJoinProbeOp) tracksMatches() bool {
 	return p.Type != plan.InnerJoin && p.Type != plan.CrossJoin
 }
 
-// NewHashJoinProbeOp builds the probe operator. extra, the residual
-// predicate over probe ++ build payload columns, may be nil.
-func NewHashJoinProbeOp(jt plan.JoinType, build *HashJoinBuildSink, keys []expr.Expr, extra expr.Expr, probeTypes []vector.Type) (*HashJoinProbeOp, error) {
+// NewHashJoinProbeOp builds the probe operator of build's join for the
+// probe-side key expressions over probeTypes. The join type and the
+// residual predicate come from build.
+func NewHashJoinProbeOp(build *HashJoinBuildSink, keys []expr.Expr, probeTypes []vector.Type) (*HashJoinProbeOp, error) {
+	if len(keys) != len(build.keyTypes) || len(probeTypes) != build.probeWidth {
+		return nil, fmt.Errorf("hash join probe of %d keys over %d columns for a build of %d keys over %d",
+			len(keys), len(probeTypes), len(build.keyTypes), build.probeWidth)
+	}
 	keyProgs, err := compilePrograms(keys)
 	if err != nil {
 		return nil, err
 	}
 	var extraProg *expr.Program
-	if extra != nil {
-		if extraProg, err = compilePredicate(extra); err != nil {
+	if build.residual != nil {
+		if extraProg, err = compilePredicate(build.residual); err != nil {
 			return nil, err
 		}
 	}
-	pair := append(append([]vector.Type{}, probeTypes...), build.payTypes...)
+	pair := slices.Clone(probeTypes)
+	for _, c := range build.pairCols {
+		pair = append(pair, build.rowTypes[c])
+	}
+	jt := build.jt
 	out := pair
 	if jt == plan.SemiJoin || jt == plan.AntiJoin {
 		out = probeTypes
@@ -452,48 +619,54 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		return nil
 	}
 	idx := &p.build.index
+	// Without a residual predicate, the first match decides a semi or anti
+	// join's row.
+	firstOnly := s.extra == nil && (p.Type == plan.SemiJoin || p.Type == plan.AntiJoin)
 	if len(p.keyProgs) == 0 {
-		// Cross join: every build row pairs with every probe row.
+		// Keyless: every build row pairs with every probe row.
+		rows := p.build.buf.Rows()
 		for i := 0; i < n; i++ {
-			for r := int64(0); r < p.build.buf.Rows(); r++ {
+			if firstOnly {
+				s.matched[i] = rows > 0
+				continue
+			}
+			for r := int64(0); r < rows; r++ {
 				if err := addMatch(i, r); err != nil {
 					return err
 				}
 			}
 		}
 	} else if idx.heads != nil { // an empty build side matches nothing
-		// Without a residual predicate, the first match decides a semi or
-		// anti join's row.
-		firstOnly := s.extra == nil && (p.Type == plan.SemiJoin || p.Type == plan.AntiJoin)
 		heads, entries, mask := idx.heads, idx.entries, idx.mask
 		// Replace every row's hash by its first candidate, the first entry
-		// of its chain with the same hash (0 for none), before walking any
+		// of its chain with the same tag (0 for none), before walking any
 		// chain: the rows' lookups are independent, so their cache misses
 		// overlap instead of queueing one behind the other.
 		for i, h := range hashes {
+			tag := uint32(h >> 32)
 			e := heads[h&mask]
-			for e != 0 && entries[e-1].hash != h {
+			for e != 0 && entries[e-1].tag != tag {
 				e = entries[e-1].next
 			}
 			hashes[i] = uint64(e)
 		}
 		for i, first := range hashes {
-			e := int64(first)
+			e := uint32(first)
 			if e == 0 || nullKeys && probeRowHasNullKey(keyVecs, i) {
 				continue // no candidate, or a NULL key, which never matches
 			}
-			h := entries[e-1].hash
+			tag := entries[e-1].tag
 			for e != 0 {
 				r := e - 1
 				e = entries[r].next
-				if entries[r].hash != h || !idx.keysEqual(keyVecs, i, r) {
+				if entries[r].tag != tag || !idx.keysEqual(keyVecs, i, r) {
 					continue
 				}
 				if firstOnly {
 					s.matched[i] = true
 					break
 				}
-				if err := addMatch(i, r); err != nil {
+				if err := addMatch(i, int64(r)); err != nil {
 					return err
 				}
 			}
@@ -534,7 +707,7 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 }
 
 // flush turns the pending matches into pair rows: probe columns gathered
-// from in, payload columns from the build buffer. It applies the residual
+// from in, the build's pairCols from its buffer. It applies the residual
 // predicate, marks the matched probe rows, and emits the surviving pairs of
 // the joins that output them.
 func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*vector.Chunk) error) error {
@@ -545,10 +718,10 @@ func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*ve
 	}
 	s.probeRows, s.buildRows = probeRows[:0], buildRows[:0]
 	pair := s.pair
-	np, nk := in.NumCols(), len(p.build.keyTypes)
+	np := in.NumCols()
 	gatherCols(pair.Cols()[:np], in.Cols(), probeRows)
 	for j, v := range pair.Cols()[np:] {
-		p.build.index.cols[nk+j].gather(v, buildRows)
+		p.build.index.cols[p.build.pairCols[j]].gather(v, buildRows)
 	}
 	pair.SetLen(m)
 
@@ -626,10 +799,10 @@ func probeRowHasNullKey(keyVecs []*vector.Vector, i int) bool {
 
 // keysEqual verifies probe row i's keys against build row r's key columns.
 // Chained build rows have no NULL key, so only the values are compared.
-func (idx *joinIndex) keysEqual(keyVecs []*vector.Vector, i int, r int64) bool {
+func (idx *joinIndex) keysEqual(keyVecs []*vector.Vector, i int, r uint32) bool {
 	ci, ri := r>>vector.ChunkShift, r&(vector.ChunkCapacity-1)
 	for k, kv := range keyVecs {
-		bc := &idx.cols[k]
+		bc := idx.keys[k]
 		switch kv.Type() {
 		case vector.TypeInt64, vector.TypeDate:
 			if kv.Int64s()[i] != bc.ints[ci][ri] {

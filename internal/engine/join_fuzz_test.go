@@ -47,20 +47,23 @@ func (g *joinGen) rows() []joinRow {
 	return rows
 }
 
-// FuzzHashJoinMatchesNestedLoop builds two small tables, a join type and an
-// optional residual predicate from the input, and holds the hash join's
-// output, every column of every row, to the nested-loop oracle.
+// FuzzHashJoinMatchesNestedLoop builds two small tables, a join type, an
+// optional residual predicate and the join keys from the input, and holds
+// the hash join's output, every column of every row, to the nested-loop
+// oracle. The keys are chosen last, so an input that ends before them
+// joins on l_k = r_k.
 func FuzzHashJoinMatchesNestedLoop(f *testing.F) {
 	types := append(append([]plan.JoinType{}, oracleJoinTypes...), plan.CrossJoin)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &joinGen{data: data}
-		jt := types[g.next()%len(types)]
-		residual := g.next() % numJoinResiduals
-		if jt == plan.CrossJoin {
-			residual = 0
-		}
+		jc := joinCase{jt: types[g.next()%len(types)]}
+		jc.residual = g.next() % numJoinResiduals
 		workers := 1 + g.next()%2
 		l, r := g.rows(), g.rows()
-		checkJoinAgainstOracle(t, l, r, jt, residual, workers)
+		jc.keys = g.next() % numJoinKeyings
+		if jc.jt == plan.CrossJoin {
+			jc.keys, jc.residual = keysNone, 0
+		}
+		checkJoinAgainstOracle(t, l, r, jc, workers, false)
 	})
 }

@@ -1,0 +1,425 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/riveterdb/riveter/internal/expr"
+	"github.com/riveterdb/riveter/internal/plan"
+	"github.com/riveterdb/riveter/internal/vector"
+)
+
+// joinStateTypes is the build input of joinStateSink: a key column and two
+// payload columns.
+var joinStateTypes = []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString}
+
+// joinStateKeys are the keys joinStateSink joins on over a one-column
+// BIGINT probe or build input: k, a bare column, beside k + 1, computed.
+func joinStateKeys() []expr.Expr {
+	k := expr.Col(0, vector.TypeInt64)
+	return []expr.Expr{k, expr.Add(k, expr.Int(1))}
+}
+
+// joinStateSink is an inner join build on joinStateKeys; its buffer holds
+// the computed key, then the three build columns.
+func joinStateSink(tb testing.TB) *HashJoinBuildSink {
+	tb.Helper()
+	s, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys(), nil, 1, joinStateTypes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// joinStateChunk is 40 build rows: keys 0-9, every seventh NULL.
+func joinStateChunk() *vector.Chunk {
+	c := vector.NewChunk(joinStateTypes)
+	for i := 0; i < 40; i++ {
+		k := vector.NewInt64(int64(i % 10))
+		if i%7 == 3 {
+			k = vector.NewNull(vector.TypeInt64)
+		}
+		c.AppendRowValues(k, vector.NewFloat64(float64(i)/4), vector.NewString(fmt.Sprintf("r%d", i)))
+	}
+	return c
+}
+
+// buildSinkState feeds chunk to a local of s and returns its SaveLocal
+// bytes, which are also what SaveGlobal writes after Combine and Finalize.
+func buildSinkState(tb testing.TB, s *HashJoinBuildSink, chunk *vector.Chunk) []byte {
+	tb.Helper()
+	ls := s.MakeLocal()
+	if err := s.Consume(ls, chunk); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SaveLocal(ls, vector.NewEncoder(&buf)); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func validJoinState(tb testing.TB) []byte {
+	return buildSinkState(tb, joinStateSink(tb), joinStateChunk())
+}
+
+// savedBuffer is the join-state encoding of a buffer of chunks: the row
+// count rows, then the buffer with declared column types types.
+func savedBuffer(rows uint64, types []vector.Type, chunks ...*vector.Chunk) []byte {
+	b := NewRowBuffer(types)
+	b.chunks = chunks
+	var buf bytes.Buffer
+	enc := vector.NewEncoder(&buf)
+	enc.Uvarint(rows)
+	b.Save(enc)
+	return buf.Bytes()
+}
+
+// filledChunk is a chunk of the given types holding n rows of zero values.
+func filledChunk(types []vector.Type, n int) *vector.Chunk {
+	c := vector.NewChunk(types)
+	for i := 0; i < n; i++ {
+		vals := make([]vector.Value, len(types))
+		for j, t := range types {
+			vals[j] = vector.Value{Type: t}
+		}
+		c.AppendRowValues(vals...)
+	}
+	return c
+}
+
+// hostileJoinStates are join-build states joinStateSink must refuse, each
+// with the refusal it must give.
+func hostileJoinStates(tb testing.TB) map[string]hostileState {
+	valid := validJoinState(tb)
+	layout := joinStateSink(tb).rowTypes
+	wrongKey := slices.Clone(layout)
+	wrongKey[0] = vector.TypeString
+	bareKeyOnly, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys()[:1], nil, 1, joinStateTypes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// valid's row count is one byte (40), the buffer follows.
+	withCount := func(rows uint64) []byte { return append(binary.AppendUvarint(nil, rows), valid[1:]...) }
+	return map[string]hostileState{
+		"wrong-column-count":     {buildSinkState(tb, bareKeyOnly, joinStateChunk()), "where [BIGINT BIGINT DOUBLE VARCHAR] belong"},
+		"key-of-another-type":    {savedBuffer(3, wrongKey, filledChunk(wrongKey, 3)), "where [BIGINT BIGINT DOUBLE VARCHAR] belong"},
+		"chunk-of-another-type":  {savedBuffer(3, layout, filledChunk(wrongKey, 3)), "column 0 is VARCHAR, declared BIGINT"},
+		"zero-width-claims-rows": {savedBuffer(5000, nil, filledChunk(nil, 0), filledChunk(nil, 0), filledChunk(nil, 0)), "row buffer of columns []"},
+		"truncated":              {valid[:len(valid)/2], "EOF"},
+		"loose-packing":          {savedBuffer(10, layout, filledChunk(layout, 5), filledChunk(layout, 5)), "packed to 2048 rows"},
+		"count-mismatch":         {withCount(41), "row buffer of 40 rows claims 41"},
+		"2^32-1-rows":            {withCount(1<<32 - 1), "hash join build of 4294967295 rows"},
+	}
+}
+
+// TestJoinLoadRefusesHostileStates: LoadGlobal and LoadLocal refuse a
+// join-build state of another layout, with a row count its buffer does not
+// hold, or one the index cannot address.
+func TestJoinLoadRefusesHostileStates(t *testing.T) {
+	for name, h := range hostileJoinStates(t) {
+		s := joinStateSink(t)
+		if err := s.LoadGlobal(vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: LoadGlobal = %v, want %q", name, err, h.want)
+		}
+		if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: LoadLocal = %v, want %q", name, err, h.want)
+		}
+	}
+}
+
+// TestLoadJoinStateCorpusCommitted keeps testdata/fuzz/FuzzLoadJoinState
+// in step with validJoinState and hostileJoinStates (RIVETER_GOLDEN=write
+// regenerates it).
+func TestLoadJoinStateCorpusCommitted(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadJoinState")
+	corpus := map[string][]byte{"valid": validJoinState(t)}
+	for name, h := range hostileJoinStates(t) {
+		corpus[name] = h.data
+	}
+	for name, data := range corpus {
+		entry := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data))
+		path := filepath.Join(dir, name)
+		if os.Getenv("RIVETER_GOLDEN") == "write" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+			t.Errorf("corpus entry %s is missing or stale (%v)", name, err)
+		}
+	}
+}
+
+// probeJoinState probes build, finalized or loaded, with keys 0-11 and a
+// NULL, and returns the number of rows the inner join emits.
+func probeJoinState(tb testing.TB, build *HashJoinBuildSink) int {
+	tb.Helper()
+	probe, err := NewHashJoinProbeOp(build, joinStateKeys(), []vector.Type{vector.TypeInt64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in := vector.NewChunk([]vector.Type{vector.TypeInt64})
+	for k := int64(0); k < 12; k++ {
+		in.AppendRowValues(vector.NewInt64(k))
+	}
+	in.AppendRowValues(vector.NewNull(vector.TypeInt64))
+	rows := 0
+	err = probe.Process(in, func(c *vector.Chunk) error {
+		if c.NumCols() != 4 {
+			tb.Fatalf("probe emitted %d columns, want 4", c.NumCols())
+		}
+		rows += c.Len()
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+// FuzzLoadJoinState feeds arbitrary bytes to LoadGlobal and LoadLocal of a
+// join build over a bare and a computed key, and requires an error or a
+// state that probes without a panic: the global at once, the local after
+// taking more rows, Combine and Finalize. The seed corpus
+// (testdata/fuzz/FuzzLoadJoinState) is validJoinState and
+// hostileJoinStates.
+func FuzzLoadJoinState(f *testing.F) {
+	f.Add(validJoinState(f))
+	chunk := joinStateChunk()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := joinStateSink(t)
+		if err := s.LoadGlobal(vector.NewDecoder(bytes.NewReader(data))); err == nil {
+			probeJoinState(t, s)
+		}
+		s = joinStateSink(t)
+		ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		if err := s.Consume(ls, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Combine(ls); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		probeJoinState(t, s)
+	})
+}
+
+// TestJoinBuildStoresEachColumnOnce pins the build layout: a bare key is
+// read from its stored column, a computed key is stored ahead of the build
+// columns, and a semi or anti join stores only its key columns and what
+// its residual reads, which the residual then reads in the pair.
+func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
+	in := []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString, vector.TypeDate}
+	k, v := expr.Col(0, vector.TypeInt64), expr.Col(1, vector.TypeFloat64)
+	probeV := expr.Col(0, vector.TypeFloat64) // over a one-column probe
+	buildS := expr.Col(1+2, vector.TypeString)
+	for _, tc := range []struct {
+		name     string
+		jt       plan.JoinType
+		keys     []expr.Expr
+		extra    expr.Expr
+		rowTypes []vector.Type
+		keyCols  []int
+		pairCols []int
+		residual string
+	}{
+		{"inner, bare key", plan.InnerJoin, []expr.Expr{k}, nil,
+			in, []int{0}, []int{0, 1, 2, 3}, ""},
+		{"left outer, computed beside bare", plan.LeftOuterJoin, []expr.Expr{expr.Add(k, expr.Int(1)), v}, nil,
+			append([]vector.Type{vector.TypeInt64}, in...), []int{0, 2}, []int{1, 2, 3, 4}, ""},
+		{"semi, two keys on one column", plan.SemiJoin, []expr.Expr{k, k}, nil,
+			in[:1], []int{0, 0}, nil, ""},
+		{"anti, residual over the third column", plan.AntiJoin, []expr.Expr{k}, expr.IsNull(buildS),
+			[]vector.Type{vector.TypeInt64, vector.TypeString}, []int{0}, []int{1}, "(#1:VARCHAR IS NULL)"},
+		{"semi, residual over the key column", plan.SemiJoin, []expr.Expr{k}, expr.Gt(probeV, expr.Col(1, vector.TypeInt64)),
+			in[:1], []int{0}, []int{0}, "(#0:DOUBLE > cast(#1:BIGINT as DOUBLE))"},
+		{"keyless semi", plan.SemiJoin, nil, nil,
+			nil, nil, nil, ""},
+	} {
+		s, err := NewHashJoinBuildSink(tc.jt, tc.keys, tc.extra, 1, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		residual := ""
+		if s.residual != nil {
+			residual = s.residual.String()
+		}
+		if !slices.Equal(s.rowTypes, tc.rowTypes) || !slices.Equal(s.keyCols, tc.keyCols) ||
+			!slices.Equal(s.pairCols, tc.pairCols) || residual != tc.residual {
+			t.Errorf("%s: rows %v, keys at %v, pair %v, residual %q; want %v, %v, %v, %q", tc.name,
+				s.rowTypes, s.keyCols, s.pairCols, residual, tc.rowTypes, tc.keyCols, tc.pairCols, tc.residual)
+		}
+	}
+}
+
+// TestKeylessSemiJoinKeepsRowsAcrossCheckpoint: a keyless semi or anti join
+// without a residual stores no column, and a zero-width chunk saves no row
+// count, so the build persists its count beside the buffer. Restored from
+// a global state, or from a local one that takes more rows and is saved
+// and loaded again, the build still decides every probe row.
+func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
+	in := []vector.Type{vector.TypeInt64}
+	for _, rows := range []int{0, 1, vector.ChunkCapacity, 3000} {
+		for _, jt := range []plan.JoinType{plan.SemiJoin, plan.AntiJoin} {
+			s, err := NewHashJoinBuildSink(jt, nil, nil, 1, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.rowTypes) != 0 {
+				t.Fatalf("keyless %v build stores %v", jt, s.rowTypes)
+			}
+			state := buildSinkState(t, s, filledChunk(in, 0))
+			if rows > 0 {
+				c := filledChunk(in, min(rows, vector.ChunkCapacity))
+				ls := s.MakeLocal()
+				for left := rows; left > 0; left -= c.Len() {
+					if left < c.Len() {
+						c = filledChunk(in, left)
+					}
+					if err := s.Consume(ls, c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var buf bytes.Buffer
+				if err := s.SaveLocal(ls, vector.NewEncoder(&buf)); err != nil {
+					t.Fatal(err)
+				}
+				state = buf.Bytes()
+			}
+			for _, global := range []bool{true, false} {
+				r, _ := NewHashJoinBuildSink(jt, nil, nil, 1, in)
+				want := rows
+				if global {
+					err = r.LoadGlobal(vector.NewDecoder(bytes.NewReader(state)))
+				} else {
+					// A restored local takes five more rows and goes
+					// through one more checkpoint before it combines.
+					want += 5
+					var ls LocalState
+					if ls, err = r.LoadLocal(vector.NewDecoder(bytes.NewReader(state))); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Consume(ls, filledChunk(in, 5)); err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					if err := r.SaveLocal(ls, vector.NewEncoder(&buf)); err != nil {
+						t.Fatal(err)
+					}
+					if ls, err = r.LoadLocal(vector.NewDecoder(&buf)); err == nil {
+						if err = r.Combine(ls); err == nil {
+							err = r.Finalize()
+						}
+					}
+				}
+				if err != nil {
+					t.Fatalf("%v, %d rows, global %v: %v", jt, rows, global, err)
+				}
+				if r.Rows() != int64(want) {
+					t.Fatalf("%v, %d rows, global %v: restored %d rows, want %d", jt, rows, global, r.Rows(), want)
+				}
+				probe, err := NewHashJoinProbeOp(r, nil, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := 0
+				if err := probe.Process(filledChunk(in, 5), func(c *vector.Chunk) error { out += c.Len(); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if wantOut := map[bool]int{true: 5, false: 0}[(want > 0) == (jt == plan.SemiJoin)]; out != wantOut {
+					t.Errorf("%v, %d rows, global %v: %d of 5 probe rows out, want %d", jt, rows, global, out, wantOut)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinBuildRowLimit: the index stores row ids plus one in 32 bits, so a
+// build of 2^32-1 rows or more is an error from Finalize, not a wrap.
+func TestJoinBuildRowLimit(t *testing.T) {
+	s := joinStateSink(t)
+	s.buf.rows = maxBuildRows
+	if err := s.Finalize(); err == nil || !strings.Contains(err.Error(), "hash join build of 4294967295 rows") {
+		t.Fatalf("Finalize of 2^32-1 rows = %v, want a refusal", err)
+	}
+}
+
+// TestRowBufferSinksRefuseOtherLayout: every sink backed by a row buffer
+// refuses, in LoadGlobal and LoadLocal, a buffer whose column types are not
+// its own — a buffer it would address by position past its columns. The
+// join build once took a one-column BIGINT buffer for a build with a
+// (BIGINT, VARCHAR) payload and panicked in the probe.
+func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
+	narrow := []vector.Type{vector.TypeInt64}
+	wide := []vector.Type{vector.TypeInt64, vector.TypeString}
+	key := []expr.Expr{expr.Col(0, vector.TypeInt64)}
+	sortKeys := []plan.SortKey{{Expr: key[0]}}
+	sinks := map[string]func(types []vector.Type) Sink{
+		"join build": func(types []vector.Type) Sink {
+			s, err := NewHashJoinBuildSink(plan.InnerJoin, key, nil, 1, types)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"sort": func(types []vector.Type) Sink {
+			s, err := NewSortSink(sortKeys, types)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"top-N": func(types []vector.Type) Sink {
+			s, err := NewTopNSink(sortKeys, types, 5, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"collector": func(types []vector.Type) Sink { return NewCollectorSink(types, -1) },
+	}
+	for name, mk := range sinks {
+		from := mk(narrow)
+		ls := from.MakeLocal()
+		if err := from.Consume(ls, filledChunk(narrow, 3)); err != nil {
+			t.Fatal(err)
+		}
+		var local, global bytes.Buffer
+		if err := from.SaveLocal(ls, vector.NewEncoder(&local)); err != nil {
+			t.Fatal(err)
+		}
+		if err := from.Combine(ls); err != nil {
+			t.Fatal(err)
+		}
+		if err := from.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := from.SaveGlobal(vector.NewEncoder(&global)); err != nil {
+			t.Fatal(err)
+		}
+		for _, types := range [][]vector.Type{narrow, wide} {
+			errG := mk(types).LoadGlobal(vector.NewDecoder(bytes.NewReader(global.Bytes())))
+			_, errL := mk(types).LoadLocal(vector.NewDecoder(bytes.NewReader(local.Bytes())))
+			own := len(types) == len(narrow)
+			if (errG == nil) != own || (errL == nil) != own {
+				t.Errorf("%s over %v loading a %v state: LoadGlobal = %v, LoadLocal = %v", name, types, narrow, errG, errL)
+			}
+		}
+	}
+}

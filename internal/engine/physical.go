@@ -202,7 +202,7 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		build, err := NewHashJoinBuildSink(t.RightKeys, rtypes)
+		build, err := NewHashJoinBuildSink(t.Type, t.RightKeys, t.Extra, t.Left.Schema().Arity(), rtypes)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +215,7 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		probe, err := NewHashJoinProbeOp(t.Type, build, t.LeftKeys, t.Extra, ltypes)
+		probe, err := NewHashJoinProbeOp(build, t.LeftKeys, ltypes)
 		if err != nil {
 			return nil, err
 		}

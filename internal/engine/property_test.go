@@ -88,21 +88,62 @@ func randomJoinRows(rng *rand.Rand, n, keyRange int) []joinRow {
 	return rows
 }
 
-// Residual predicates the join oracle checks, by index: none, a DOUBLE
-// comparison and a VARCHAR one, each false where either side is NULL.
-const numJoinResiduals = 3
+// Join keys the oracle checks, by index: l_k = r_k; none (a cross join,
+// or a keyless semi or anti join); a computed key beside a bare one,
+// (l_k + 1, l_s) = (r_k + 1, r_s); and two keys on the same build column,
+// (l_k, l_k) = (r_k, r_k).
+const (
+	keysK = iota
+	keysNone
+	keysComputed
+	keysSameColumn
+	numJoinKeyings
+)
 
-func joinResidual(kind int) (func(plan.ColResolver) expr.Expr, func(l, r joinRow) bool) {
+// joinKeys returns keying kind's probe and build key expressions, over the
+// l and r tables' columns, and the oracle's key match.
+func joinKeys(kind int) (lk, rk []expr.Expr, match func(l, r joinRow) bool) {
+	k := func(i int) expr.Expr { return expr.Col(i, vector.TypeInt64) }
+	s := func(i int) expr.Expr { return expr.Col(i, vector.TypeString) }
+	eqK := func(l, r joinRow) bool { return !l.k.Null && !r.k.Null && l.k.I == r.k.I }
+	switch kind {
+	case keysNone:
+		return nil, nil, func(l, r joinRow) bool { return true }
+	case keysComputed:
+		return []expr.Expr{expr.Add(k(0), expr.Int(1)), s(2)}, []expr.Expr{expr.Add(k(0), expr.Int(1)), s(2)},
+			func(l, r joinRow) bool { return eqK(l, r) && !l.s.Null && !r.s.Null && l.s.S == r.s.S }
+	case keysSameColumn:
+		return []expr.Expr{k(0), k(0)}, []expr.Expr{k(0), k(0)}, eqK
+	}
+	return []expr.Expr{k(0)}, []expr.Expr{k(0)}, eqK
+}
+
+// Residual predicates the join oracle checks, by index: none, a DOUBLE
+// comparison, a VARCHAR one, and one reading the build key column, each
+// false where either side is NULL. They are built over l's columns (0-2)
+// followed by r's (3-5).
+const numJoinResiduals = 4
+
+func joinResidual(kind int) (expr.Expr, func(l, r joinRow) bool) {
+	col := func(i int) expr.Expr { return expr.Col(i, joinRowCols[i%3]) }
 	switch kind {
 	case 1:
-		return func(c plan.ColResolver) expr.Expr { return expr.Lt(c.Col("l_v"), c.Col("r_v")) },
+		return expr.Lt(col(1), col(4)),
 			func(l, r joinRow) bool { return !l.v.Null && !r.v.Null && l.v.F < r.v.F }
 	case 2:
-		return func(c plan.ColResolver) expr.Expr { return expr.Ne(c.Col("l_s"), c.Col("r_s")) },
+		return expr.Ne(col(2), col(5)),
 			func(l, r joinRow) bool { return !l.s.Null && !r.s.Null && l.s.S != r.s.S }
+	case 3:
+		return expr.Gt(col(1), col(3)),
+			func(l, r joinRow) bool { return !l.v.Null && !r.k.Null && l.v.F > float64(r.k.I) }
 	}
 	return nil, nil
 }
+
+// keepBuildRow is the filter in front of every oracle join's build: it
+// drops about a fifth of the rows, so worker-local build buffers end in
+// partial chunks that Combine must pack.
+func keepBuildRow(r joinRow) bool { return r.s.Null || r.s.S != "c" }
 
 func renderRow(vals []vector.Value) string {
 	parts := make([]string, len(vals))
@@ -112,17 +153,17 @@ func renderRow(vals []vector.Value) string {
 	return strings.Join(parts, "|")
 }
 
-// nestedLoopJoin is the oracle: probe rows l against build rows r on equal
-// non-NULL keys (every pair for a cross join) and the residual pred, each
-// output row rendered, sorted.
-func nestedLoopJoin(jt plan.JoinType, l, r []joinRow, pred func(l, r joinRow) bool) []string {
+// nestedLoopJoin is the oracle: probe rows l against build rows r where
+// keyMatch and the residual pred (when not nil) hold, each output row
+// rendered, sorted.
+func nestedLoopJoin(jt plan.JoinType, l, r []joinRow, keyMatch, pred func(l, r joinRow) bool) []string {
 	var out []string
 	nullBuild := joinRow{vector.NewNull(vector.TypeInt64), vector.NewNull(vector.TypeFloat64), vector.NewNull(vector.TypeString)}
 	pair := func(a, b joinRow) string { return renderRow([]vector.Value{a.k, a.v, a.s, b.k, b.v, b.s}) }
 	for _, a := range l {
 		matches := 0
 		for _, b := range r {
-			if jt != plan.CrossJoin && (a.k.Null || b.k.Null || a.k.I != b.k.I) {
+			if !keepBuildRow(b) || !keyMatch(a, b) {
 				continue
 			}
 			if pred != nil && !pred(a, b) {
@@ -144,36 +185,53 @@ func nestedLoopJoin(jt plan.JoinType, l, r []joinRow, pred func(l, r joinRow) bo
 	return out
 }
 
-// checkJoinAgainstOracle runs probe l against build r as join jt with
-// residual predicate kind on workers workers, and compares every output
-// column of every row, as sorted multisets, with the nested-loop oracle.
-func checkJoinAgainstOracle(tb testing.TB, l, r []joinRow, jt plan.JoinType, residual, workers int) {
+// joinCase is one join the oracle checks: its type, keying (joinKeys) and
+// residual (joinResidual).
+type joinCase struct {
+	jt             plan.JoinType
+	keys, residual int
+}
+
+func (c joinCase) String() string {
+	return fmt.Sprintf("%v join, keys %d, residual %d", c.jt, c.keys, c.residual)
+}
+
+// checkJoinAgainstOracle runs probe l against build r as join jc on
+// workers workers, and compares every output column of every row, as
+// sorted multisets, with the nested-loop oracle. With midBuild it runs the
+// join to a process-level suspension in the middle of its build instead,
+// and finishes it from the saved state in a fresh executor.
+func checkJoinAgainstOracle(tb testing.TB, l, r []joinRow, jc joinCase, workers int, midBuild bool) {
 	tb.Helper()
 	cat := catalog.New()
 	createJoinTable(tb, cat, "l", l)
 	createJoinTable(tb, cat, "r", r)
-	extra, pred := joinResidual(residual)
+	lk, rk, keyMatch := joinKeys(jc.keys)
+	extra, pred := joinResidual(jc.residual)
 	b := plan.NewBuilder(cat)
-	lr, rr := b.Scan("l"), b.Scan("r")
-	var j *plan.Rel
-	if jt == plan.CrossJoin {
-		j = lr.Cross(rr)
+	rs := expr.Col(2, vector.TypeString)
+	build := b.Scan("r").Filter(expr.Or(expr.IsNull(rs), expr.Ne(rs, expr.Str("c"))))
+	node := plan.NewJoin(jc.jt, b.Scan("l").Node(), build.Node(), lk, rk, extra)
+	run := fmt.Sprintf("%v, %d×%d rows, %d workers", jc, len(l), len(r), workers)
+	var res *ResultSet
+	if midBuild {
+		run += ", restored mid-build"
+		res = runSuspendedMidScan(tb, run, cat, node, workers)
 	} else {
-		j = lr.JoinExtra(rr, jt, []string{"l_k"}, []string{"r_k"}, extra)
+		res = runPlan(tb, cat, node, workers)
 	}
-	res := runPlan(tb, cat, j.Node(), workers)
 	got := make([]string, res.NumRows())
 	for i := range got {
 		got[i] = renderRow(res.Row(int64(i)))
 	}
 	sort.Strings(got)
-	want := nestedLoopJoin(jt, l, r, pred)
+	want := nestedLoopJoin(jc.jt, l, r, keyMatch, pred)
 	if len(got) != len(want) {
-		tb.Fatalf("%v join, residual %d, %d×%d rows: %d rows, oracle %d", jt, residual, len(l), len(r), len(got), len(want))
+		tb.Fatalf("%s: %d rows, oracle %d", run, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			tb.Fatalf("%v join, residual %d, %d×%d rows: sorted row %d is %q, oracle %q", jt, residual, len(l), len(r), i, got[i], want[i])
+			tb.Fatalf("%s: sorted row %d is %q, oracle %q", run, i, got[i], want[i])
 		}
 	}
 }
@@ -183,24 +241,47 @@ var oracleJoinTypes = []plan.JoinType{plan.InnerJoin, plan.LeftOuterJoin, plan.S
 // TestJoinMatchesNestedLoopOracle cross-checks the hash join against a
 // brute-force nested loop over random tables, row for row and column for
 // column: every keyed join type under each residual predicate, with NULL
-// keys and payloads on both sides, and a cross join. The last case gives
-// one key more than two chunks of build rows, so the probe's pending
-// matches flush in the middle of a probe row.
+// keys and payloads on both sides, and a cross join. One case gives one
+// key more than two chunks of build rows, so the probe's pending matches
+// flush in the middle of a probe row. The last cases pin the build's
+// layout — a computed key beside a bare one, two keys on the same build
+// column, semi and anti joins whose residual reads one of several build
+// columns (or the key column), keyless semi and anti joins with and
+// without a residual — each at 1 and 4 workers, and again through a
+// process-level suspension in the middle of the build, restored from its
+// saved state.
 func TestJoinMatchesNestedLoopOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
 		l := randomJoinRows(rng, 50+rng.Intn(300), 1+rng.Intn(30))
 		r := randomJoinRows(rng, 50+rng.Intn(300), 1+rng.Intn(30))
 		for _, jt := range oracleJoinTypes {
-			checkJoinAgainstOracle(t, l, r, jt, trial%numJoinResiduals, 3)
+			checkJoinAgainstOracle(t, l, r, joinCase{jt, keysK, trial % numJoinResiduals}, 3, false)
 		}
-		checkJoinAgainstOracle(t, l[:20+rng.Intn(30)], r[:1+rng.Intn(40)], plan.CrossJoin, 0, 3)
+		checkJoinAgainstOracle(t, l[:20+rng.Intn(30)], r[:1+rng.Intn(40)], joinCase{plan.CrossJoin, keysNone, 0}, 3, false)
 	}
 	l := randomJoinRows(rng, 40, 3)
-	r := randomJoinRows(rng, 4600, 1)
+	r := randomJoinRows(rng, 5200, 1)
 	for _, jt := range oracleJoinTypes {
 		for residual := 0; residual < numJoinResiduals; residual++ {
-			checkJoinAgainstOracle(t, l, r, jt, residual, 2)
+			checkJoinAgainstOracle(t, l, r, joinCase{jt, keysK, residual}, 2, false)
+		}
+	}
+
+	var cases []joinCase
+	for _, jt := range oracleJoinTypes {
+		cases = append(cases, joinCase{jt, keysComputed, 0}, joinCase{jt, keysSameColumn, 1})
+	}
+	for _, jt := range []plan.JoinType{plan.SemiJoin, plan.AntiJoin} {
+		cases = append(cases, joinCase{jt, keysK, 1}, joinCase{jt, keysK, 3},
+			joinCase{jt, keysNone, 0}, joinCase{jt, keysNone, 2})
+	}
+	l = randomJoinRows(rng, 60, 20)
+	r = randomJoinRows(rng, 7000, 20)
+	for _, jc := range cases {
+		for _, workers := range []int{1, 4} {
+			checkJoinAgainstOracle(t, l, r, jc, workers, false)
+			checkJoinAgainstOracle(t, l, r, jc, workers, true)
 		}
 	}
 }
@@ -403,37 +484,37 @@ func TestAggregationMatchesMapOracle(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				run := fmt.Sprintf("trial %d, group by %s, %d workers", trial, grouping.name, workers)
 				checkAggAgainstOracle(t, run, runPlan(t, cat, node, workers), len(grouping.names), want[gi], workers == 1)
-				res := runAggSuspendedMidScan(t, run, cat, node, workers)
+				res := runSuspendedMidScan(t, run, cat, node, workers)
 				checkAggAgainstOracle(t, run+", restored mid-scan", res, len(grouping.names), want[gi], workers == 1)
 			}
 		}
 	}
 }
 
-// runAggSuspendedMidScan runs an aggregation to a process-level suspension
-// halfway through its input, saves the state, and finishes it in a fresh
-// executor.
-func runAggSuspendedMidScan(t *testing.T, run string, cat *catalog.Catalog, node plan.Node, workers int) *ResultSet {
-	t.Helper()
+// runSuspendedMidScan runs a plan to a process-level suspension halfway
+// through its input, which must land in the middle of pipeline 0, saves the
+// state, and finishes it in a fresh executor.
+func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node plan.Node, workers int) *ResultSet {
+	tb.Helper()
 	acct := NewAccountant()
-	if _, err := NewExecutor(mustCompile(t, node, cat), Options{Workers: workers, Accountant: acct}).Run(context.Background()); err != nil {
-		t.Fatal(err)
+	if _, err := NewExecutor(mustCompile(tb, node, cat), Options{Workers: workers, Accountant: acct}).Run(context.Background()); err != nil {
+		tb.Fatal(err)
 	}
-	pp := mustCompile(t, node, cat)
+	pp := mustCompile(tb, node, cat)
 	ex := NewExecutor(pp, Options{Workers: workers,
 		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: acct.ProcessedBytes() / 2}})
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
-		t.Fatalf("%s: Run = %v, want a suspension", run, err)
+		tb.Fatalf("%s: Run = %v, want a suspension", run, err)
 	}
 	if info := ex.Suspended(); info.Kind != KindProcess || info.Pipeline != 0 ||
 		info.Cursor == 0 || info.Cursor >= pp.Pipelines[0].Source.MorselCount() {
-		t.Fatalf("%s: suspension landed at %+v, want mid-scan of the aggregation", run, info)
+		tb.Fatalf("%s: suspension landed at %+v, want mid-scan of pipeline 0", run, info)
 	}
-	ex2 := NewExecutor(mustCompile(t, node, cat), Options{Workers: workers})
-	loadState(t, ex2, saveState(t, ex))
+	ex2 := NewExecutor(mustCompile(tb, node, cat), Options{Workers: workers})
+	loadState(tb, ex2, saveState(tb, ex))
 	res, err := ex2.Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res
 }

@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -106,17 +107,45 @@ func (b *RowBuffer) Value(r int64, col int) vector.Value {
 
 // Concat appends all rows of other (which must share types) and leaves
 // other dead: the sinks' Combine hands over worker-local buffers that are
-// never touched again. Into an empty buffer it takes other's chunks instead
-// of copying them; they are packed densely already, so fixed-stride
-// addressing holds.
+// never touched again. It moves other's full chunks by pointer and copies
+// the rows of at most one partial chunk — the smaller of b's and other's —
+// into the other partial one, so every chunk but the last stays full and
+// fixed-stride addressing holds. Rows keep their order within each buffer,
+// but b's partial rows may land after other's full chunks.
 func (b *RowBuffer) Concat(other *RowBuffer) {
+	if len(other.chunks) == 0 {
+		return
+	}
 	if len(b.chunks) == 0 {
 		b.chunks, b.rows = other.chunks, other.rows
 		return
 	}
-	for _, c := range other.chunks {
-		b.AppendChunk(c)
+	b.rows += other.rows
+	mine, theirs := b.popPartial(), other.popPartial()
+	b.chunks = append(b.chunks, other.chunks...)
+	switch {
+	case mine == nil && theirs == nil:
+		return
+	case mine == nil:
+		mine, theirs = theirs, nil
+	case theirs != nil && theirs.Len() > mine.Len():
+		mine, theirs = theirs, mine
 	}
+	b.chunks = append(b.chunks, mine)
+	if theirs != nil {
+		b.rows -= int64(theirs.Len()) // appendVectors counts them again
+		b.appendVectors(theirs.Cols(), theirs.Len())
+	}
+}
+
+// popPartial removes and returns the last chunk when it is not full.
+func (b *RowBuffer) popPartial() *vector.Chunk {
+	last := b.chunks[len(b.chunks)-1]
+	if last.Full() {
+		return nil
+	}
+	b.chunks = b.chunks[:len(b.chunks)-1]
+	return last
 }
 
 // MemBytes estimates the resident size of the buffer.
@@ -143,12 +172,16 @@ func (b *RowBuffer) Save(enc *vector.Encoder) {
 // LoadRowBuffer deserializes a buffer written by Save. Save writes densely
 // packed chunks, and a buffer that is not — a chunk before the last holding
 // fewer than ChunkCapacity rows, or any holding more, or a chunk of other
-// width — is refused: Locate's fixed stride would read the wrong rows. (A
-// zero-width chunk saves no row count, so its rows are not checked.)
+// width or column types — is refused: Locate's fixed stride would read the
+// wrong rows. (A zero-width chunk saves no row count, so its rows are not
+// checked; see claimRows.)
 func LoadRowBuffer(dec *vector.Decoder) (*RowBuffer, error) {
 	nt := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return nil, err
+	}
+	if nt < 0 || nt > 1<<16 {
+		return nil, fmt.Errorf("row buffer: implausible column count %d", nt)
 	}
 	types := make([]vector.Type, nt)
 	for i := range types {
@@ -168,8 +201,48 @@ func LoadRowBuffer(dec *vector.Decoder) (*RowBuffer, error) {
 			return nil, fmt.Errorf("row buffer: chunk %d of %d has %d rows × %d columns; want %d columns, packed to %d rows",
 				i, nc, c.Len(), c.NumCols(), nt, vector.ChunkCapacity)
 		}
+		for j, t := range types {
+			if ct := c.Col(j).Type(); ct != t {
+				return nil, fmt.Errorf("row buffer: chunk %d column %d is %v, declared %v", i, j, ct, t)
+			}
+		}
 		b.chunks = append(b.chunks, c)
 		b.rows += int64(c.Len())
 	}
 	return b, dec.Err()
+}
+
+// loadRowBufferOf is LoadRowBuffer for a sink whose buffer has the given
+// column types: a buffer of any other layout is refused, since the sink
+// addresses its columns by position.
+func loadRowBufferOf(dec *vector.Decoder, types []vector.Type) (*RowBuffer, error) {
+	b, err := LoadRowBuffer(dec)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(b.types, types) {
+		return nil, fmt.Errorf("row buffer of columns %v where %v belong", b.types, types)
+	}
+	return b, nil
+}
+
+// claimRows checks a loaded buffer against the row count its sink saved
+// beside it. A zero-width chunk saves no row count, so a buffer without
+// columns takes its rows from the count: it must hold one chunk per
+// ChunkCapacity rows, which bounds the count by the bytes read.
+func (b *RowBuffer) claimRows(rows int64) error {
+	if len(b.types) > 0 {
+		if b.rows != rows {
+			return fmt.Errorf("row buffer of %d rows claims %d", b.rows, rows)
+		}
+		return nil
+	}
+	if want := (rows + vector.ChunkCapacity - 1) / vector.ChunkCapacity; int64(len(b.chunks)) != want {
+		return fmt.Errorf("row buffer without columns claims %d rows in %d chunks", rows, len(b.chunks))
+	}
+	for i, c := range b.chunks {
+		c.SetLen(int(min(vector.ChunkCapacity, rows-int64(i)*vector.ChunkCapacity)))
+	}
+	b.rows = rows
+	return nil
 }

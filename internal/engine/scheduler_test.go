@@ -237,8 +237,9 @@ func TestPipelineSuspendMidDAGDiscardsSiblings(t *testing.T) {
 	}
 }
 
-// TestStateFormatV1Rejected: versions 1 (pre-DAG) and 2 (the aggregate
-// state before v3) of the state format are no longer loadable. Their bytes
+// TestStateFormatV1Rejected: versions 1 (pre-DAG), 2 (the aggregate state
+// before v3) and 3 (the join build before v4) of the state format are no
+// longer loadable. Their bytes
 // must yield a clean "unsupported state version" error — no panic — and
 // leave the executor untouched, so it still runs from scratch to the right
 // result.
@@ -247,12 +248,12 @@ func TestStateFormatV1Rejected(t *testing.T) {
 	node := complexQuery(cat)
 	ref := runPlan(t, cat, node, 2).SortedKey()
 
-	for _, version := range []uint64{1, 2} {
+	for _, version := range []uint64{1, 2, 3} {
 		var buf bytes.Buffer
 		enc := vector.NewEncoder(&buf)
 		enc.String(stateMagic)
 		enc.Uvarint(version)
-		// What followed in both: kind, fingerprint, workers, elapsed ...
+		// What followed in each: kind, fingerprint, workers, elapsed ...
 		enc.Uvarint(uint64(KindPipeline))
 		enc.Uvarint(mustCompile(t, node, cat).Fingerprint)
 		enc.Uvarint(2)

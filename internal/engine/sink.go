@@ -121,7 +121,7 @@ func (s *CollectorSink) SaveGlobal(enc *vector.Encoder) error {
 func (s *CollectorSink) LoadGlobal(dec *vector.Decoder) error {
 	s.MaxRows = dec.Varint()
 	s.OffsetRows = dec.Varint()
-	buf, err := LoadRowBuffer(dec)
+	buf, err := loadRowBufferOf(dec, s.types)
 	if err != nil {
 		return err
 	}
@@ -137,7 +137,7 @@ func (s *CollectorSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
 
 // LoadLocal implements Sink.
 func (s *CollectorSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
-	buf, err := LoadRowBuffer(dec)
+	buf, err := loadRowBufferOf(dec, s.types)
 	if err != nil {
 		return nil, err
 	}

@@ -253,7 +253,7 @@ func (s *SortSink) SaveGlobal(enc *vector.Encoder) error {
 
 // LoadGlobal implements Sink.
 func (s *SortSink) LoadGlobal(dec *vector.Decoder) error {
-	out, err := LoadRowBuffer(dec)
+	out, err := loadRowBufferOf(dec, s.payTypes)
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func (s *SortSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
 
 // LoadLocal implements Sink.
 func (s *SortSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
-	buf, err := LoadRowBuffer(dec)
+	buf, err := loadRowBufferOf(dec, s.rowTypes)
 	if err != nil {
 		return nil, err
 	}

@@ -16,15 +16,18 @@ import (
 // scheduler had in flight, its morsel cursor and each of its workers' local
 // sink states — the full execution context, as a CRIU dump would.
 //
-// The format is at version 3: an in-flight set of pipelines (since version
+// The format is at version 4: an in-flight set of pipelines (since version
 // 2), whose aggregate locals hold only the arrays each function reads
-// (FlatAggSink.saveTable). There is one reader; the bytes of versions 1 (the
-// pre-DAG single-in-flight layout) and 2 (every aggregate's sums and count
-// plus boxed MIN/MAX and DISTINCT values) are refused.
+// (FlatAggSink.saveTable, since version 3), and whose join builds store
+// each column once, only the columns the probe reads, behind their row
+// count (HashJoinBuildSink). There is one reader; the bytes of versions 1
+// (the pre-DAG single-in-flight layout), 2 (every aggregate's sums and
+// count plus boxed MIN/MAX and DISTINCT values) and 3 (join builds of keys
+// followed by every build column) are refused.
 
 const (
 	stateMagic   = "RVST"
-	stateVersion = 3
+	stateVersion = 4
 )
 
 // StateFormatVersion is the executor state format version written by

@@ -54,7 +54,7 @@ func restoreFromStore(t *testing.T, st *blobstore.Store, key string, ex2 *Execut
 }
 
 // TestStoreRestoresV2Checkpoint: the current format (the in-flight-set
-// layout of version 2, at version 3 now) written as raw bytes — the same path a foreign instance uses when it serialized state
+// layout of version 2, at version 4 now) written as raw bytes — the same path a foreign instance uses when it serialized state
 // itself — round-trips through the store, including a process-level
 // capture with in-flight pipeline state.
 func TestStoreRestoresV2Checkpoint(t *testing.T) {

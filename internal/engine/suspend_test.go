@@ -26,7 +26,7 @@ func complexQuery(cat *catalog.Catalog) plan.Node {
 		Limit(5).Node()
 }
 
-func mustCompile(t *testing.T, n plan.Node, cat *catalog.Catalog) *PhysicalPlan {
+func mustCompile(t testing.TB, n plan.Node, cat *catalog.Catalog) *PhysicalPlan {
 	t.Helper()
 	pp, err := Compile(n, cat)
 	if err != nil {
@@ -35,7 +35,7 @@ func mustCompile(t *testing.T, n plan.Node, cat *catalog.Catalog) *PhysicalPlan 
 	return pp
 }
 
-func saveState(t *testing.T, ex *Executor) []byte {
+func saveState(t testing.TB, ex *Executor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := vector.NewEncoder(&buf)
@@ -45,7 +45,7 @@ func saveState(t *testing.T, ex *Executor) []byte {
 	return buf.Bytes()
 }
 
-func loadState(t *testing.T, ex *Executor, data []byte) {
+func loadState(t testing.TB, ex *Executor, data []byte) {
 	t.Helper()
 	dec := vector.NewDecoder(bytes.NewReader(data))
 	if err := ex.LoadState(dec); err != nil {

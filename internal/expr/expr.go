@@ -128,3 +128,146 @@ func promote(l, r Expr) (Expr, Expr, vector.Type, error) {
 	}
 	return nil, nil, vector.TypeInvalid, fmt.Errorf("incompatible types %v and %v", lt, rt)
 }
+
+// RemapColumns returns e with every column reference's index replaced by
+// remap(index); remap's error stops the walk. Nodes under which no index
+// changes are returned as they are, so a remap that returns its argument
+// allocates nothing and serves to list the columns e reads. Like
+// CompileProgram it fails on a node type it does not know, so no column
+// reference is passed over unseen.
+func RemapColumns(e Expr, remap func(int) (int, error)) (Expr, error) {
+	var err error
+	changed := false // whether a child of e changed
+	walk := func(x Expr) Expr {
+		if err != nil {
+			return x
+		}
+		y, werr := RemapColumns(x, remap)
+		if werr != nil {
+			err = werr
+			return x
+		}
+		changed = changed || y != x
+		return y
+	}
+	walkAll := func(xs []Expr) []Expr {
+		out := xs // copied at the first child that changes
+		for i, x := range xs {
+			if y := walk(x); y != x {
+				if &out[0] == &xs[0] {
+					out = append([]Expr(nil), xs...)
+				}
+				out[i] = y
+			}
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case *Column:
+		idx, err := remap(x.Index)
+		if err != nil || idx == x.Index {
+			return x, err
+		}
+		c := *x
+		c.Index = idx
+		return &c, nil
+	case *Const:
+		return x, nil
+	case *Cast:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *Arith:
+		l, r := walk(x.L), walk(x.R)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.L, c.R = l, r
+		return &c, nil
+	case *Compare:
+		l, r := walk(x.L), walk(x.R)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.L, c.R = l, r
+		return &c, nil
+	case *AndExpr:
+		args := walkAll(x.Args)
+		if err != nil || !changed {
+			return x, err
+		}
+		return &AndExpr{Args: args}, nil
+	case *OrExpr:
+		args := walkAll(x.Args)
+		if err != nil || !changed {
+			return x, err
+		}
+		return &OrExpr{Args: args}, nil
+	case *NotExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		return &NotExpr{In: in}, nil
+	case *IsNullExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *InExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *LikeExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *ExtractExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *SubstrExpr:
+		in := walk(x.In)
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.In = in
+		return &c, nil
+	case *CaseExpr:
+		whens, thens := walkAll(x.Whens), walkAll(x.Thens)
+		els := x.Else
+		if els != nil {
+			els = walk(els)
+		}
+		if err != nil || !changed {
+			return x, err
+		}
+		c := *x
+		c.Whens, c.Thens, c.Else = whens, thens, els
+		return &c, nil
+	default:
+		return nil, fmt.Errorf("expr: cannot remap the columns of node %T (%s)", e, e)
+	}
+}

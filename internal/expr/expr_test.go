@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -299,5 +300,83 @@ func TestConstructorsRejectIllTypedOperands(t *testing.T) {
 			}()
 			tc.build()
 		}()
+	}
+}
+
+// TestRemapColumns: RemapColumns rewrites the column references of every
+// node type and nothing else, leaves the input tree as it was, lists the
+// columns read under an identity remap, and fails on a node it does not
+// know and on the remap's own error.
+func TestRemapColumns(t *testing.T) {
+	col := func(i int) Expr { return Col(i, testChunk().Col(i).Type()) }
+	cond := And(
+		Or(Gt(col(0), Int(1)), IsNull(col(1)), col(4)),
+		Not(Like(col(2), "%an%")),
+		In(ExtractYear(col(3)), vector.NewInt64(1994), vector.NewInt64(1996)),
+		Eq(Substr(col(2), 1, 2), Str("ap")),
+	)
+	e := When(cond, Add(&Cast{In: col(0), To: vector.TypeFloat64}, col(1)), Float(-1))
+	before := e.String()
+
+	// Over a chunk with the columns in reverse order, the remapped tree
+	// computes what e computes over the original.
+	orig := testChunk()
+	rev := vector.NewChunk(nil)
+	for i := orig.NumCols() - 1; i >= 0; i-- {
+		rev = appendCol(rev, orig.Col(i))
+	}
+	remapped, err := RemapColumns(e, func(i int) (int, error) { return orig.NumCols() - 1 - i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.String() != before {
+		t.Fatalf("RemapColumns changed its input: %s", e)
+	}
+	want, got := mustEval(t, e, orig), mustEval(t, remapped, rev)
+	for r := 0; r < orig.Len(); r++ {
+		if w, g := want.Value(r), got.Value(r); w != g {
+			t.Errorf("row %d: remapped %v, original %v", r, g, w)
+		}
+	}
+
+	var read []int
+	if _, err := RemapColumns(e, func(i int) (int, error) { read = append(read, i); return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(read) != "[0 1 4 2 3 2 0 1]" {
+		t.Errorf("identity remap read columns %v", read)
+	}
+
+	if _, err := RemapColumns(And(col(4), foreignExpr{}), func(i int) (int, error) { return i, nil }); err == nil ||
+		!strings.Contains(err.Error(), "expr.foreignExpr") {
+		t.Errorf("RemapColumns over an unknown node = %v", err)
+	}
+	if _, err := RemapColumns(e, func(i int) (int, error) { return 0, fmt.Errorf("no column %d", i) }); err == nil ||
+		err.Error() != "no column 0" {
+		t.Errorf("RemapColumns with a failing remap = %v", err)
+	}
+}
+
+// appendCol returns c with column v added after its columns.
+func appendCol(c *vector.Chunk, v *vector.Vector) *vector.Chunk {
+	out := vector.NewChunk(append(c.Types(), v.Type()))
+	for r := 0; r < v.Len(); r++ {
+		out.AppendRowValues(append(c.Row(r), v.Value(r))...)
+	}
+	return out
+}
+
+// TestRemapColumnsIdentityAllocatesNothing: a remap that changes no index
+// returns the tree itself, so listing a residual's columns costs a plan
+// compile no allocation.
+func TestRemapColumnsIdentityAllocatesNothing(t *testing.T) {
+	col := func(i int) Expr { return Col(i, testChunk().Col(i).Type()) }
+	e := When(And(Or(Gt(col(0), Int(1)), IsNull(col(1))), Not(Like(col(2), "%an%"))), col(1), Float(-1))
+	identity := func(i int) (int, error) { return i, nil }
+	if got, err := RemapColumns(e, identity); err != nil || got != e {
+		t.Fatalf("identity remap = %v, %v; want the tree itself", got, err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = RemapColumns(e, identity) }); n != 0 {
+		t.Errorf("identity remap allocates %v times", n)
 	}
 }
