@@ -5,13 +5,13 @@ GO ?= go
 
 # The race gate's packages, in three groups CI runs side by side: every
 # package with real concurrency (executor workers, the DAG scheduler,
-# suspension strategies and their fault matrix, the blob store, the
-# adaptive controller, shared execution, the serving layer, the fleet
-# control plane and its chaos scenarios, the public API) plus the suites
-# that drive them (TPC-H equivalence, cost-model calibration, checkpoint
-# and filesystem fault injection, the cloud simulation).
+# suspension strategies and their fault matrix, the blob store, shared
+# execution, the serving layer, the fleet control plane and its chaos
+# scenarios, the public API and the adaptive controller on it) plus the
+# suites that drive them (TPC-H equivalence, cost-model calibration,
+# checkpoint and filesystem fault injection, the cloud simulation).
 RACE_ENGINE := . ./internal/engine/... ./internal/expr/... ./internal/vector/... ./internal/tpch/... ./internal/fold/...
-RACE_PERSIST := ./internal/strategy/... ./internal/riveter/... ./internal/obs/... ./internal/blobstore/... ./internal/costmodel/... ./internal/checkpoint/... ./internal/faultfs/...
+RACE_PERSIST := ./internal/strategy/... ./internal/obs/... ./internal/blobstore/... ./internal/costmodel/... ./internal/checkpoint/... ./internal/faultfs/...
 RACE_SERVE := ./internal/server/... ./internal/controlplane/... ./internal/faultnet/... ./internal/cloud/...
 RACE_PKGS := $(RACE_ENGINE) $(RACE_PERSIST) $(RACE_SERVE)
 

@@ -1,4 +1,4 @@
-package riveter
+package riveter_test
 
 import (
 	"io"

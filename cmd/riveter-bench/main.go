@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"github.com/riveterdb/riveter/internal/bench"
-	"github.com/riveterdb/riveter/internal/obs"
 )
 
 func main() {
@@ -26,10 +25,10 @@ func main() {
 		workers = flag.Int("workers", 4, "workers per pipeline")
 		runs    = flag.Int("runs", 3, "independent runs for averaged experiments")
 		queries = flag.String("queries", "", "comma-separated query ids to restrict to (default all 22)")
-		seed    = flag.Int64("seed", 1, "random seed for data generation and termination sampling")
+		seed    = flag.Int64("seed", 1, "random seed for termination sampling")
 		ckdir   = flag.String("checkpoint-dir", "", "checkpoint directory (default: temp dir)")
 		quiet   = flag.Bool("quiet", false, "suppress progress logging")
-		metrics = flag.Bool("metrics", false, "collect decision traces and dump a metrics snapshot (human-readable + JSON) at exit")
+		metrics = flag.Bool("metrics", false, "trace every run, log adaptive decisions, and dump each scale factor's metrics snapshot (human-readable + JSON) at exit")
 		foldExp = flag.Bool("fold", false, "run the shared-execution folding experiment (same as -exp fold): 32-session mixed burst, folded vs isolated")
 	)
 	flag.Parse()
@@ -53,10 +52,7 @@ func main() {
 		CheckpointDir: *ckdir,
 		Out:           os.Stdout,
 		Quiet:         *quiet,
-	}
-	if *metrics {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.DecisionTraces = true
+		Metrics:       *metrics,
 	}
 	var err error
 	if cfg.SFs, err = parseFloats(*sfs); err != nil {
@@ -76,11 +72,8 @@ func main() {
 	if _, err := suite.Run(*exp); err != nil {
 		fatal("%v", err)
 	}
-	if cfg.Metrics != nil {
-		snap := cfg.Metrics.Snapshot()
-		fmt.Println("\nmetrics:")
-		_ = snap.WriteText(os.Stdout)
-		_ = snap.WriteJSON(os.Stdout)
+	if cfg.Metrics {
+		_ = suite.WriteMetrics(os.Stdout)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/engine"
-	"github.com/riveterdb/riveter/internal/obs"
-	"github.com/riveterdb/riveter/internal/strategy"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -47,20 +45,6 @@ func resultDigest(t *testing.T, res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// startAuto launches q with a progress-triggered suspension of the given
-// kind armed at the given processed-bytes mark, so where it suspends does
-// not depend on timing.
-func startAuto(t *testing.T, q *Query, kind engine.SuspendKind, at int64) *Execution {
-	t.Helper()
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := q.db.execOpts(obs.Context{})
-	opts.AutoSuspend = engine.AutoSuspend{Kind: kind, AtProcessedBytes: at}
-	return q.launch(context.Background(), strategy.Run{Ex: engine.NewExecutor(pp, opts)})
-}
-
 // TestResumeInPlaceMatchesRecordedResults: every TPC-H query, suspended at
 // a third and at two thirds of its input at both kinds and continued in
 // place on the executor that quiesced, returns its uninterrupted result —
@@ -84,7 +68,10 @@ func TestResumeInPlaceMatchesRecordedResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			// An unarmed run sizes the query's input.
-			clean := startAuto(t, q, engine.KindNone, 0)
+			clean, err := q.start(ctx, engine.AutoSuspend{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ref, err := clean.Result()
 			if err != nil {
 				t.Fatal(err)
@@ -95,8 +82,13 @@ func TestResumeInPlaceMatchesRecordedResults(t *testing.T) {
 			total := clean.ex.Accountant().ProcessedBytes()
 			for _, kind := range []engine.SuspendKind{engine.KindPipeline, engine.KindProcess} {
 				for _, at := range []int64{total / 3, 2 * total / 3} {
-					exec := startAuto(t, q, kind, at)
-					err := exec.Wait()
+					// Armed at a processed-bytes mark, the suspension lands
+					// where it does regardless of timing.
+					exec, err := q.start(ctx, engine.AutoSuspend{Kind: kind, AtProcessedBytes: at}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = exec.Wait()
 					if errors.Is(err, ErrSuspended) {
 						landed[kind]++
 						if exec, err = exec.ResumeInPlace(ctx); err != nil {

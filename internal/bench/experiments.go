@@ -4,20 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/plan"
-	"github.com/riveterdb/riveter/internal/riveter"
-	"github.com/riveterdb/riveter/internal/strategy"
-	"github.com/riveterdb/riveter/internal/tpch"
+	"github.com/riveterdb/riveter"
 )
 
 // Table2 reproduces Table II: core operators and input table counts of the
 // highlighted queries, via plan introspection.
 func (s *Suite) Table2() ([]*Table, error) {
 	sf := s.cfg.SFs[0]
-	cat, err := s.catalogFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table II: selected queries in TPC-H (plan characteristics)",
 		Header: []string{"Query", "Core Operators", "Tables"},
@@ -26,12 +19,11 @@ func (s *Suite) Table2() ([]*Table, error) {
 		},
 	}
 	for _, id := range highlightIDs() {
-		q, err := tpch.Get(id)
+		a, err := s.queryFor(sf, id)
 		if err != nil {
 			return nil, err
 		}
-		node := q.Build(plan.NewBuilder(cat), sf)
-		ops := plan.CountOperators(node)
+		ops := a.QueryInfo().Ops
 		desc := ""
 		if ops.Aggregates > 0 {
 			desc += fmt.Sprintf("%d groupby ", ops.Aggregates)
@@ -48,14 +40,14 @@ func (s *Suite) Table2() ([]*Table, error) {
 		if ops.Unions > 0 {
 			desc += fmt.Sprintf("%d unionall ", ops.Unions)
 		}
-		t.AddRow(q.Name, desc, fmt.Sprintf("%d tables", ops.Tables))
+		t.AddRow(a.QueryInfo().Name, desc, fmt.Sprintf("%d tables", ops.Tables))
 	}
 	return []*Table{t}, nil
 }
 
 // sizeSweep suspends every configured query at the fraction with the given
 // strategy across all SFs and tabulates persisted bytes.
-func (s *Suite) sizeSweep(title string, k strategy.Kind, frac float64, ids []int) (*Table, error) {
+func (s *Suite) sizeSweep(title string, k riveter.Strategy, frac float64, ids []int) (*Table, error) {
 	header := []string{"Query"}
 	for _, sf := range s.cfg.SFs {
 		header = append(header, sfLabel(sf))
@@ -64,15 +56,11 @@ func (s *Suite) sizeSweep(title string, k strategy.Kind, frac float64, ids []int
 	for _, id := range ids {
 		row := []string{fmt.Sprintf("Q%d", id)}
 		for _, sf := range s.cfg.SFs {
-			c, err := s.controllerFor(sf)
+			a, err := s.queryFor(sf, id)
 			if err != nil {
 				return nil, err
 			}
-			spec, err := s.specFor(sf, id)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := s.suspendWithRetry(c, spec, k, frac)
+			rep, err := suspendWithRetry(a, k, frac)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +80,7 @@ func (s *Suite) sizeSweep(title string, k strategy.Kind, frac float64, ids []int
 func (s *Suite) Fig6() ([]*Table, error) {
 	t, err := s.sizeSweep(
 		"Fig 6: process-level persisted intermediate data size (suspend at ~50%)",
-		strategy.Process, 0.5, s.queryIDs())
+		riveter.ProcessLevel, 0.5, s.queryIDs())
 	if err != nil {
 		return nil, err
 	}
@@ -106,23 +94,19 @@ func (s *Suite) Fig6() ([]*Table, error) {
 // execution for the highlighted queries at the largest SF.
 func (s *Suite) Fig7() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 7: process-level image size vs suspension point (%s)", sfLabel(sf)),
 		Header: []string{"Query", "30%", "60%", "90%"},
 		Notes:  []string{"expected shape: size increases monotonically with later suspension"},
 	}
 	for _, id := range highlightIDs() {
-		spec, err := s.specFor(sf, id)
+		a, err := s.queryFor(sf, id)
 		if err != nil {
 			return nil, err
 		}
-		row := []string{spec.Name}
+		row := []string{a.QueryInfo().Name}
 		for _, frac := range []float64{0.3, 0.6, 0.9} {
-			rep, err := s.suspendWithRetry(c, spec, strategy.Process, frac)
+			rep, err := suspendWithRetry(a, riveter.ProcessLevel, frac)
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +125,7 @@ func (s *Suite) Fig7() ([]*Table, error) {
 func (s *Suite) Fig8() ([]*Table, error) {
 	t, err := s.sizeSweep(
 		"Fig 8: pipeline-level persisted intermediate data size (suspend at ~50%)",
-		strategy.Pipeline, 0.5, s.queryIDs())
+		riveter.PipelineLevel, 0.5, s.queryIDs())
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +150,7 @@ func (s *Suite) Fig9() ([]*Table, error) {
 	for _, id := range highlightIDs() {
 		row := []string{fmt.Sprintf("Q%d", id)}
 		for _, sf := range s.cfg.SFs {
-			c, err := s.controllerFor(sf)
-			if err != nil {
-				return nil, err
-			}
-			spec, err := s.specFor(sf, id)
+			a, err := s.queryFor(sf, id)
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +158,7 @@ func (s *Suite) Fig9() ([]*Table, error) {
 			var total time.Duration
 			var n int
 			for r := 0; r < s.cfg.Runs; r++ {
-				rep, err := s.suspendWithRetry(c, spec, strategy.Pipeline, 0.5)
+				rep, err := suspendWithRetry(a, riveter.PipelineLevel, 0.5)
 				if err != nil {
 					return nil, err
 				}
@@ -213,10 +193,6 @@ var windows = []struct {
 // of the three forced strategies under certain termination (P=100%).
 func (s *Suite) Fig10() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 10: overhead of forced strategies, P=100%%, %s (box stats across queries, seconds)", sfLabel(sf)),
 		Header: []string{"Window", "Strategy", "min", "q1", "median", "q3", "max"},
@@ -226,17 +202,17 @@ func (s *Suite) Fig10() ([]*Table, error) {
 	}
 	for _, w := range windows {
 		sc := riveter.Scenario{Probability: 1, WindowStartFrac: w.Start, WindowEndFrac: w.End}
-		for _, k := range []strategy.Kind{strategy.Redo, strategy.Pipeline, strategy.Process} {
+		for _, k := range []riveter.Strategy{riveter.Redo, riveter.PipelineLevel, riveter.ProcessLevel} {
 			var overheads []float64
 			for _, id := range s.queryIDs() {
-				spec, err := s.specFor(sf, id)
+				a, err := s.queryFor(sf, id)
 				if err != nil {
 					return nil, err
 				}
 				var sum float64
 				for r := 0; r < s.cfg.Runs; r++ {
-					ev := c.Sample(spec, sc)
-					rep, err := c.RunForced(spec, sc, ev, k)
+					ev := s.sample(sf, a, sc)
+					rep, err := a.RunForced(sc, ev, k)
 					if err != nil {
 						return nil, err
 					}
@@ -257,10 +233,6 @@ func (s *Suite) Fig10() ([]*Table, error) {
 // a strategy that completes at least as fast as the best forced strategy.
 func (s *Suite) Fig11() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	reg, err := s.regressionFor(sf)
 	if err != nil {
 		return nil, err
@@ -277,16 +249,16 @@ func (s *Suite) Fig11() ([]*Table, error) {
 		sc := riveter.Scenario{Probability: 1, WindowStartFrac: w.Start, WindowEndFrac: w.End}
 		successes, trials := 0, 0
 		for _, id := range s.queryIDs() {
-			spec, err := s.specFor(sf, id)
+			a, err := s.queryFor(sf, id)
 			if err != nil {
 				return nil, err
 			}
 			for r := 0; r < s.cfg.Runs; r++ {
-				ev := c.Sample(spec, sc)
-				forced := map[strategy.Kind]time.Duration{}
+				ev := s.sample(sf, a, sc)
+				forced := map[riveter.Strategy]time.Duration{}
 				best := time.Duration(1 << 62)
-				for _, k := range []strategy.Kind{strategy.Redo, strategy.Pipeline, strategy.Process} {
-					rep, err := c.RunForced(spec, sc, ev, k)
+				for _, k := range []riveter.Strategy{riveter.Redo, riveter.PipelineLevel, riveter.ProcessLevel} {
+					rep, err := a.RunForced(sc, ev, k)
 					if err != nil {
 						return nil, err
 					}
@@ -295,12 +267,12 @@ func (s *Suite) Fig11() ([]*Table, error) {
 						best = rep.TotalTime
 					}
 				}
-				c.Estimator = reg
-				arep, err := c.RunAdaptive(spec, sc, ev)
+				a.Estimator = reg
+				arep, err := a.RunAdaptive(sc, ev)
 				if err != nil {
 					return nil, err
 				}
-				s.logDecision(arep)
+				s.logDecision(a.QueryInfo().Name, arep)
 				trials++
 				// The paper's criterion: the query "under the strategy
 				// chosen by Riveter is completed in the shortest time".

@@ -5,16 +5,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/catalog"
+	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/obs"
-	"github.com/riveterdb/riveter/internal/plan"
-	"github.com/riveterdb/riveter/internal/riveter"
-	"github.com/riveterdb/riveter/internal/strategy"
-	"github.com/riveterdb/riveter/internal/tpch"
 )
 
 // Config parameterizes the experiment suite.
@@ -37,13 +34,11 @@ type Config struct {
 	Out io.Writer
 	// Quiet suppresses progress logging.
 	Quiet bool
-	// Metrics, when set, receives suspend/resume latency, checkpoint size,
-	// and strategy-decision metrics from every run the suite executes.
-	Metrics *obs.Registry
-	// DecisionTraces attaches a per-run decision trace to every controller
-	// Report; adaptive runs additionally log a one-line decision summary
-	// (chosen strategy plus the cost-model inputs that produced it).
-	DecisionTraces bool
+	// Metrics traces every run: each report carries its decision trace,
+	// adaptive runs log a one-line decision summary (chosen strategy plus
+	// the cost-model inputs that produced it), and WriteMetrics prints each
+	// scale factor's metrics.
+	Metrics bool
 }
 
 // DefaultConfig returns the laptop-scale defaults (1:5:10 SF ratio).
@@ -60,14 +55,19 @@ func DefaultConfig() Config {
 // sfLabel renders a scale factor with the paper-equivalent name.
 func sfLabel(sf float64) string { return fmt.Sprintf("SF%g", sf*1000) }
 
-// Suite caches generated databases, controllers, and calibrations across
-// experiments.
+// Suite caches databases and calibrations across experiments.
 type Suite struct {
-	cfg   Config
-	cats  map[float64]*catalog.Catalog
-	ctrls map[float64]*riveter.Controller
-	specs map[string]riveter.QuerySpec
-	regs  map[float64]*costmodel.RegressionEstimator
+	cfg    Config
+	scales map[float64]*scale
+}
+
+// scale is one scale factor's database, its termination sampler, its
+// calibrated queries, and the regression estimator trained on them.
+type scale struct {
+	db      *riveter.DB
+	rng     *rand.Rand
+	queries map[int]*riveter.Adaptive
+	reg     *costmodel.RegressionEstimator
 }
 
 // NewSuite builds a Suite; missing config fields get defaults.
@@ -103,13 +103,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 		}
 		cfg.CheckpointDir = dir
 	}
-	return &Suite{
-		cfg:   cfg,
-		cats:  map[float64]*catalog.Catalog{},
-		ctrls: map[float64]*riveter.Controller{},
-		specs: map[string]riveter.QuerySpec{},
-		regs:  map[float64]*costmodel.RegressionEstimator{},
-	}, nil
+	return &Suite{cfg: cfg, scales: map[float64]*scale{}}, nil
 }
 
 // Config returns the effective configuration.
@@ -138,73 +132,64 @@ func (s *Suite) queryIDs() []int {
 // highlightIDs are the paper's featured queries (Table II).
 func highlightIDs() []int { return []int{1, 3, 17, 21} }
 
-// catalogFor generates (once) the database at the scale factor.
-func (s *Suite) catalogFor(sf float64) (*catalog.Catalog, error) {
-	if cat, ok := s.cats[sf]; ok {
-		return cat, nil
+// scaleFor opens (once) the database at the scale factor and generates its
+// TPC-H data. Each scale factor checkpoints into its own subdirectory.
+func (s *Suite) scaleFor(sf float64) (*scale, error) {
+	if sc, ok := s.scales[sf]; ok {
+		return sc, nil
 	}
+	opts := []riveter.Option{
+		riveter.WithWorkers(s.cfg.Workers),
+		riveter.WithCheckpointDir(filepath.Join(s.cfg.CheckpointDir, sfLabel(sf))),
+	}
+	if s.cfg.Metrics {
+		opts = append(opts, riveter.WithTracing())
+	}
+	db := riveter.Open(opts...)
 	s.logf("generating TPC-H %s ...", sfLabel(sf))
 	start := time.Now()
-	cat, err := tpch.Generate(tpch.Config{SF: sf, Seed: s.cfg.Seed})
-	if err != nil {
+	if err := db.GenerateTPCH(sf); err != nil {
 		return nil, err
 	}
 	s.logf("generated %s in %v", sfLabel(sf), time.Since(start).Round(time.Millisecond))
-	s.cats[sf] = cat
-	return cat, nil
+	sc := &scale{db: db, rng: rand.New(rand.NewSource(s.cfg.Seed)), queries: map[int]*riveter.Adaptive{}}
+	s.scales[sf] = sc
+	return sc, nil
 }
 
-// controllerFor returns (building once) the controller at the scale factor.
-func (s *Suite) controllerFor(sf float64) (*riveter.Controller, error) {
-	if c, ok := s.ctrls[sf]; ok {
-		return c, nil
-	}
-	cat, err := s.catalogFor(sf)
+// queryFor calibrates (once) TPC-H query id at a scale factor.
+func (s *Suite) queryFor(sf float64, id int) (*riveter.Adaptive, error) {
+	sc, err := s.scaleFor(sf)
 	if err != nil {
 		return nil, err
 	}
-	c := riveter.NewController(cat, s.cfg.Workers, s.cfg.CheckpointDir)
-	c.Rng = rand.New(rand.NewSource(s.cfg.Seed))
-	c.Metrics = s.cfg.Metrics
-	c.Tracing = s.cfg.DecisionTraces
-	if io, err := costmodel.CalibrateIO(s.cfg.CheckpointDir); err == nil {
-		c.IO = io
+	if a, ok := sc.queries[id]; ok {
+		return a, nil
 	}
-	c.Estimator = costmodel.OptimizerEstimator{}
-	s.ctrls[sf] = c
-	return c, nil
+	q, err := sc.db.PrepareTPCH(id)
+	if err != nil {
+		return nil, err
+	}
+	a, err := q.Calibrate()
+	if err != nil {
+		return nil, fmt.Errorf("calibrate %s at %s: %w", q.Name(), sfLabel(sf), err)
+	}
+	sc.queries[id] = a
+	return a, nil
 }
 
-// specFor calibrates (once) a query at a scale factor.
-func (s *Suite) specFor(sf float64, id int) (riveter.QuerySpec, error) {
-	key := fmt.Sprintf("%g/Q%d", sf, id)
-	if spec, ok := s.specs[key]; ok {
-		return spec, nil
-	}
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return riveter.QuerySpec{}, err
-	}
-	q, err := tpch.Get(id)
-	if err != nil {
-		return riveter.QuerySpec{}, err
-	}
-	node := q.Build(plan.NewBuilder(c.Cat), sf)
-	spec, err := c.Calibrate(q.Name, node)
-	if err != nil {
-		return riveter.QuerySpec{}, fmt.Errorf("calibrate %s at %s: %w", q.Name, sfLabel(sf), err)
-	}
-	s.specs[key] = spec
-	return spec, nil
+// sample draws a termination for a query from the scale factor's sampler.
+func (s *Suite) sample(sf float64, a *riveter.Adaptive, sc riveter.Scenario) riveter.Event {
+	return sc.Sample(a.NormalTime(), s.scales[sf].rng)
 }
 
 // suspendWithRetry lands a forced suspension at the fraction, retrying a
 // few times (a fast query can finish before the request takes effect — the
 // same effect the paper reports for Q2/Q11/Q16/Q22 at SF-10).
-func (s *Suite) suspendWithRetry(c *riveter.Controller, spec riveter.QuerySpec, k strategy.Kind, frac float64) (*riveter.Report, error) {
-	var last *riveter.Report
+func suspendWithRetry(a *riveter.Adaptive, k riveter.Strategy, frac float64) (*riveter.AdaptiveReport, error) {
+	var last *riveter.AdaptiveReport
 	for attempt := 0; attempt < 3; attempt++ {
-		rep, err := c.SuspendAtFraction(spec, k, frac)
+		rep, err := a.SuspendAt(k, frac)
 		if err != nil {
 			return nil, err
 		}
@@ -220,26 +205,26 @@ func (s *Suite) suspendWithRetry(c *riveter.Controller, spec riveter.QuerySpec, 
 // from observed process-level suspensions, mirroring the paper's
 // 200-execution training pass at smaller scale.
 func (s *Suite) regressionFor(sf float64) (*costmodel.RegressionEstimator, error) {
-	if reg, ok := s.regs[sf]; ok {
-		return reg, nil
-	}
-	c, err := s.controllerFor(sf)
+	sc, err := s.scaleFor(sf)
 	if err != nil {
 		return nil, err
 	}
+	if sc.reg != nil {
+		return sc.reg, nil
+	}
 	reg := costmodel.NewRegressionEstimator()
 	for _, id := range highlightIDs() {
-		spec, err := s.specFor(sf, id)
+		a, err := s.queryFor(sf, id)
 		if err != nil {
 			return nil, err
 		}
 		for _, frac := range []float64{0.3, 0.5, 0.7} {
-			rep, err := s.suspendWithRetry(c, spec, strategy.Process, frac)
+			rep, err := suspendWithRetry(a, riveter.ProcessLevel, frac)
 			if err != nil {
 				return nil, err
 			}
 			if rep.Suspended {
-				reg.Observe(costmodel.Sample{Query: spec.Info, Fraction: frac, Bytes: rep.PersistedBytes})
+				reg.Observe(costmodel.Sample{Query: a.QueryInfo(), Fraction: frac, Bytes: rep.PersistedBytes})
 			}
 		}
 	}
@@ -249,26 +234,46 @@ func (s *Suite) regressionFor(sf float64) (*costmodel.RegressionEstimator, error
 	if err := reg.Fit(); err != nil {
 		return nil, err
 	}
-	s.regs[sf] = reg
+	sc.reg = reg
 	return reg, nil
 }
 
-// logDecision logs one adaptive run's strategy-decision event (attached to
-// the report's trace when DecisionTraces is enabled): the chosen strategy
-// plus the cost-model inputs and per-strategy costs that produced it.
-func (s *Suite) logDecision(rep *riveter.Report) {
-	if rep == nil || rep.Trace == nil {
+// logDecision logs one adaptive run's strategy-decision event (on the
+// report's trace when Metrics is set): the chosen strategy plus the
+// cost-model inputs and per-strategy costs that produced it.
+func (s *Suite) logDecision(name string, rep *riveter.AdaptiveReport) {
+	if rep.Trace == nil {
 		return
 	}
 	ev, ok := rep.Trace.Find(obs.EvDecision)
 	if !ok {
 		return
 	}
-	line := fmt.Sprintf("  decision %s:", rep.Query)
+	line := fmt.Sprintf("  decision %s:", name)
 	for _, a := range ev.Attrs {
 		line += fmt.Sprintf(" %s=%v", a.Key, a.Value)
 	}
 	s.logf("%s", line)
+}
+
+// WriteMetrics prints the metrics snapshot of every scale factor's
+// database, human-readable then JSON.
+func (s *Suite) WriteMetrics(w io.Writer) error {
+	for _, sf := range s.cfg.SFs {
+		sc, ok := s.scales[sf]
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(w, "\nmetrics %s:\n", sfLabel(sf))
+		snap := sc.db.Metrics().Snapshot()
+		if err := snap.WriteText(w); err != nil {
+			return err
+		}
+		if err := snap.WriteJSON(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Experiments returns the experiment ids in paper order.

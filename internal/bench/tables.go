@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/riveterdb/riveter"
 	"github.com/riveterdb/riveter/internal/costmodel"
-	"github.com/riveterdb/riveter/internal/riveter"
-	"github.com/riveterdb/riveter/internal/strategy"
 )
 
 // table3Scenarios are the paper's Table III configurations.
@@ -25,32 +24,28 @@ var table3Scenarios = []struct {
 // and execution time with suspension for the paper's four scenarios.
 func (s *Suite) Table3() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	reg, err := s.regressionFor(sf)
 	if err != nil {
 		return nil, err
 	}
-	c.Estimator = reg
 	t := &Table{
 		Title: fmt.Sprintf("Table III: adaptive strategy selection scenarios (%s)", sfLabel(sf)),
 		Header: []string{"Query", "Configuration", "Selected Strategy",
 			"Execution Time", "Execution Time with Suspension", "Terminations"},
 	}
 	for _, row := range table3Scenarios {
-		spec, err := s.specFor(sf, row.QueryID)
+		a, err := s.queryFor(sf, row.QueryID)
 		if err != nil {
 			return nil, err
 		}
+		a.Estimator = reg
 		sc := riveter.Scenario{Probability: row.Prob, WindowStartFrac: row.Start, WindowEndFrac: row.End}
 		var total time.Duration
-		counts := map[strategy.Kind]int{}
+		counts := map[riveter.Strategy]int{}
 		terms := 0
 		for r := 0; r < s.cfg.Runs; r++ {
-			ev := c.Sample(spec, sc)
-			rep, err := c.RunAdaptive(spec, sc, ev)
+			ev := s.sample(sf, a, sc)
+			rep, err := a.RunAdaptive(sc, ev)
 			if err != nil {
 				return nil, err
 			}
@@ -60,16 +55,16 @@ func (s *Suite) Table3() ([]*Table, error) {
 				terms++
 			}
 		}
-		selected, best := strategy.Redo, 0
+		selected, best := riveter.Redo, 0
 		for k, n := range counts {
 			if n > best {
 				selected, best = k, n
 			}
 		}
-		t.AddRow(spec.Name,
+		t.AddRow(a.QueryInfo().Name,
 			fmt.Sprintf("P=%.0f%%, window %.0f-%.0f%%", row.Prob*100, row.Start*100, row.End*100),
 			selected.String(),
-			humanDur(spec.EstTotal),
+			humanDur(a.NormalTime()),
 			humanDur(total/time.Duration(s.cfg.Runs)),
 			fmt.Sprintf("%d/%d", terms, s.cfg.Runs))
 	}
@@ -92,19 +87,15 @@ func (s *Suite) Table4() ([]*Table, error) {
 	}
 	for _, id := range highlightIDs() {
 		for _, sf := range sfs {
-			c, err := s.controllerFor(sf)
-			if err != nil {
-				return nil, err
-			}
 			reg, err := s.regressionFor(sf)
 			if err != nil {
 				return nil, err
 			}
-			spec, err := s.specFor(sf, id)
+			a, err := s.queryFor(sf, id)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := s.suspendWithRetry(c, spec, strategy.Process, 0.5)
+			rep, err := suspendWithRetry(a, riveter.ProcessLevel, 0.5)
 			if err != nil {
 				return nil, err
 			}
@@ -112,9 +103,9 @@ func (s *Suite) Table4() ([]*Table, error) {
 			if rep.Suspended {
 				truth = humanBytes(rep.PersistedBytes)
 			}
-			regEst := reg.EstimateProcessImage(spec.Info, 0.5)
-			optEst := costmodel.OptimizerEstimator{}.EstimateProcessImage(spec.Info, 0.5)
-			t.AddRow(spec.Name, sfLabel(sf), humanBytes(regEst), humanBytes(optEst), truth)
+			regEst := reg.EstimateProcessImage(a.QueryInfo(), 0.5)
+			optEst := costmodel.OptimizerEstimator{}.EstimateProcessImage(a.QueryInfo(), 0.5)
+			t.AddRow(a.QueryInfo().Name, sfLabel(sf), humanBytes(regEst), humanBytes(optEst), truth)
 		}
 	}
 	return []*Table{t}, nil
@@ -124,15 +115,10 @@ func (s *Suite) Table4() ([]*Table, error) {
 // for strategy selection, against the query's overall execution time.
 func (s *Suite) Table5() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	reg, err := s.regressionFor(sf)
 	if err != nil {
 		return nil, err
 	}
-	c.Estimator = reg
 	t := &Table{
 		Title:  fmt.Sprintf("Table V: cost model running time (%s)", sfLabel(sf)),
 		Header: []string{"Query", "Running Time of Cost Model", "Overall Execution Time (no suspension)"},
@@ -141,14 +127,15 @@ func (s *Suite) Table5() ([]*Table, error) {
 		},
 	}
 	for _, id := range highlightIDs() {
-		spec, err := s.specFor(sf, id)
+		a, err := s.queryFor(sf, id)
 		if err != nil {
 			return nil, err
 		}
+		a.Estimator = reg
 		sc := riveter.Scenario{Probability: 1, WindowStartFrac: 0.5, WindowEndFrac: 0.75}
 		var maxSel time.Duration
 		for r := 0; r < s.cfg.Runs; r++ {
-			rep, err := c.RunAdaptive(spec, sc, riveter.Event{})
+			rep, err := a.RunAdaptive(sc, riveter.Event{})
 			if err != nil {
 				return nil, err
 			}
@@ -156,7 +143,7 @@ func (s *Suite) Table5() ([]*Table, error) {
 				maxSel = rep.SelectionTime
 			}
 		}
-		t.AddRow(spec.Name, humanDur(maxSel), humanDur(spec.EstTotal))
+		t.AddRow(a.QueryInfo().Name, humanDur(maxSel), humanDur(a.NormalTime()))
 	}
 	return []*Table{t}, nil
 }
@@ -167,15 +154,11 @@ func (s *Suite) Table5() ([]*Table, error) {
 // image look enormous), causing terminations before suspension completes.
 func (s *Suite) Fig12() ([]*Table, error) {
 	sf := s.cfg.SFs[len(s.cfg.SFs)-1]
-	c, err := s.controllerFor(sf)
-	if err != nil {
-		return nil, err
-	}
 	reg, err := s.regressionFor(sf)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := s.specFor(sf, 17)
+	a, err := s.queryFor(sf, 17)
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +177,10 @@ func (s *Suite) Fig12() ([]*Table, error) {
 		{"regression", reg},
 		{"optimizer", costmodel.OptimizerEstimator{}},
 	} {
-		c.Estimator = mode.est
+		a.Estimator = mode.est
 		for r := 0; r < s.cfg.Runs; r++ {
-			ev := c.Sample(spec, sc)
-			rep, err := c.RunAdaptive(spec, sc, ev)
+			ev := s.sample(sf, a, sc)
+			rep, err := a.RunAdaptive(sc, ev)
 			if err != nil {
 				return nil, err
 			}

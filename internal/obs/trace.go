@@ -91,7 +91,7 @@ const (
 	// EvDecision records one Algorithm 1 run with its cost-model inputs and
 	// outputs. Attrs: strategy, cost_redo, cost_pipeline, cost_process,
 	// cost_lineage, ct, avg_pipeline_time, next_breaker_eta,
-	// pipeline_state_bytes, available_memory, est_total, model_time.
+	// pipeline_state_bytes, est_total, model_time.
 	EvDecision = "strategy.decision"
 	// EvOutcome closes the loop on a decision with measured actuals.
 	// Attrs: strategy, suspended, terminated, suspend_latency,

@@ -7,8 +7,9 @@
 // write-ahead lineage strategy — maintaining the morsel-granular log that
 // makes a suspension a near-free tail flush (lineage.go).
 //
-// Policy — deciding if/when/how to suspend — lives in internal/riveter,
-// which drives this package with the cost model's decisions.
+// Policy — deciding if/when/how to suspend — lives in the root package's
+// adaptive controller (adaptive.go), which drives this package with the
+// cost model's decisions.
 package strategy
 
 import (

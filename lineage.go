@@ -10,7 +10,6 @@ import (
 	"context"
 
 	"github.com/riveterdb/riveter/internal/engine"
-	"github.com/riveterdb/riveter/internal/strategy"
 )
 
 // StartWithLineage launches the query asynchronously with a write-ahead
@@ -23,16 +22,7 @@ import (
 // the caller degrades to a file or store point (the executor is still
 // quiesced with its state in memory).
 func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
-	if err != nil {
-		return nil, err
-	}
-	opts := q.db.execOpts(q.db.obsFor(q.db.newTrace(q.name)))
-	lin, err := q.db.seam.OpenLineage(pp, q.name, cfg, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, opts), Log: lin}), nil
+	return q.start(ctx, engine.AutoSuspend{}, &cfg)
 }
 
 // LineagePath returns the execution's lineage-log path ("" when the

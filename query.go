@@ -167,6 +167,13 @@ func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
 // compile attaches every base-table scan to its shared hub (scan sharing
 // is shape-neutral, so the execution stays fully checkpointable).
 func (q *Query) Start(ctx context.Context) (*Execution, error) {
+	return q.start(ctx, engine.AutoSuspend{}, nil)
+}
+
+// start compiles and launches the query. auto arms a progress-triggered
+// suspension (the zero value arms none); a non-nil lineage attaches a
+// write-ahead lineage log configured by it.
+func (q *Query) start(ctx context.Context, auto engine.AutoSuspend, lineage *LineageConfig) (*Execution, error) {
 	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
 	if err != nil {
 		return nil, err
@@ -175,7 +182,16 @@ func (q *Query) Start(ctx context.Context) (*Execution, error) {
 	if q.db.foldM != nil && o.Trace != nil {
 		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", pp.Fingerprint))
 	}
-	return q.launch(ctx, strategy.Run{Ex: engine.NewExecutor(pp, q.db.execOpts(o))}), nil
+	opts := q.db.execOpts(o)
+	opts.AutoSuspend = auto
+	var run strategy.Run
+	if lineage != nil {
+		if run.Log, err = q.db.seam.OpenLineage(pp, q.name, *lineage, &opts); err != nil {
+			return nil, err
+		}
+	}
+	run.Ex = engine.NewExecutor(pp, opts)
+	return q.launch(ctx, run), nil
 }
 
 // Suspend requests a suspension: PipelineLevel takes effect at the next
@@ -225,6 +241,13 @@ func (e *Execution) Result() (*Result, error) {
 // the resumed execution continue this trace, so it spans the whole
 // suspend→persist→resume round trip.
 func (e *Execution) Trace() *obs.Trace { return e.ex.Obs().Trace }
+
+// discardLog deletes the execution's lineage log, if it has one.
+func (e *Execution) discardLog() {
+	if e.lin != nil {
+		e.q.db.Discard(ResumePoint{Target: strategy.TargetLineage, Ref: e.lin.Path()})
+	}
+}
 
 // suspended blocks until the execution stops and returns an error unless
 // it stopped by suspending.

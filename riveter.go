@@ -21,14 +21,15 @@
 // Suspension and resumption:
 //
 //	q, _ := db.PrepareTPCH(21)
-//	exec := q.Start(ctx)
-//	exec.Suspend(riveter.PipelineLevel)      // suspends at the next breaker
-//	if exec.Wait() == riveter.ErrSuspended {
-//	    at := riveter.ResumePoint{Target: "file", Ref: "q21.rvck"}
-//	    info, _ := exec.Persist(ctx, at, riveter.PersistOptions{})
-//	    ...
-//	    resumed, _ := q.StartFrom(ctx, at, nil)  // possibly on another node
+//	exec, _ := q.Start(ctx)
+//	_ = exec.Suspend(riveter.PipelineLevel) // suspends at the next breaker
+//	if errors.Is(exec.Wait(), riveter.ErrSuspended) {
+//	    at := riveter.ResumePoint{Target: "file", Ref: db.NewCheckpointPath("q21")}
+//	    defer db.Discard(at)
+//	    _, _ = exec.Persist(ctx, at, riveter.PersistOptions{})
+//	    resumed, _ := q.StartFrom(ctx, at, nil) // possibly on another node
 //	    res, _ := resumed.Result()
+//	    fmt.Println(res.NumRows())
 //	}
 package riveter
 
