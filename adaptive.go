@@ -203,19 +203,16 @@ func (a *Adaptive) runForced(ev Event, k Strategy, at time.Duration, auto engine
 		return nil, err
 	}
 	r.rep.Trace = e.Trace()
-	var requested atomic.Int64 // UnixNano of a timed request
+	var req *suspendRequest
 	if k != Redo && auto.AtProcessedBytes == 0 {
-		timer := time.AfterFunc(time.Until(r.start.Add(at)), func() {
-			requested.Store(time.Now().UnixNano())
-			e.Suspend(k)
-		})
-		defer timer.Stop()
+		req = requestAfter(e, k, time.Until(r.start.Add(at)))
+		defer req.stop()
 	}
 	err = e.Wait()
 	if errors.Is(err, ErrSuspended) {
 		reqAt := e.ex.AutoSuspendFiredAt()
-		if auto.AtProcessedBytes == 0 {
-			reqAt = time.Unix(0, requested.Load())
+		if req != nil {
+			reqAt = req.requested()
 		}
 		r.rep.SuspendLag = time.Since(reqAt)
 	}
@@ -225,11 +222,8 @@ func (a *Adaptive) runForced(ev Event, k Strategy, at time.Duration, auto engine
 // RunAdaptive runs the scenario with Riveter's adaptive selection; ev is
 // the termination. The resource alert fires when execution enters the
 // window (spot providers alert "when instances are at risk of imminent
-// termination"); the execution quiesces at the next morsel boundary,
-// Algorithm 1 selects the minimum-cost strategy against the quiesced state,
-// and the strategy executes: process-level persists immediately,
-// pipeline-level continues and suspends at the next breaker (incurring the
-// Fig. 9 lag), redo continues and re-executes if the termination lands.
+// termination"); the execution quiesces at the next morsel boundary, and
+// act decides and executes the decision.
 func (a *Adaptive) RunAdaptive(sc Scenario, ev Event) (*AdaptiveReport, error) {
 	model := sc.model(a.normal)
 	r, cancel := a.begin(ev, Redo)
@@ -245,42 +239,84 @@ func (a *Adaptive) RunAdaptive(sc Scenario, ev Event) (*AdaptiveReport, error) {
 		// Completed before the alert landed, terminated, or failed.
 		return r.settle(e, err)
 	}
+	return r.act(e, model)
+}
 
-	d := a.decide(e.ex, costmodel.Params{
-		IO:          a.q.db.io,
-		Probability: sc.Probability,
-		WindowStart: model.Start,
-		WindowEnd:   model.End,
-	}, r.rep.Trace)
+// act runs Algorithm 1 against the quiesced execution e and executes the
+// decision. A process-level suspension priced at the decision instant
+// persists right here: e is already at a morsel boundary. Every other
+// decision continues e in place; redo then just runs on (a termination
+// forces re-execution), and the other strategies request their suspension
+// after a delay: pipeline-level at once, landing at the next breaker (a
+// termination before it is the Fig. 12 failure), process-level at the
+// instant the probe priced.
+func (r *scenarioRun) act(e *Execution, model cloud.TerminationModel) (*AdaptiveReport, error) {
+	ct := e.ex.Elapsed()
+	d := r.a.decide(e, model)
 	r.rep.Strategy, r.rep.SelectionTime = d.Strategy, d.ModelTime
+	var after time.Duration
 	if d.Strategy == ProcessLevel {
-		// Already quiesced at a morsel boundary: persist right here.
-		r.rep.SuspendLag = max(time.Since(r.start.Add(model.Start)), 0)
-		return r.settle(e, ErrSuspended)
+		if after = d.ProcessSuspendAt - ct; after <= 0 {
+			r.rep.SuspendLag = max(time.Since(r.start.Add(model.Start)), 0)
+			return r.settle(e, ErrSuspended)
+		}
 	}
 	cont, err := e.ResumeInPlace(r.ctx)
 	if err != nil {
 		return nil, err
 	}
-	if d.Strategy == PipelineLevel {
-		// The suspension lands at the next breaker; a termination before
-		// it is the Fig. 12 failure.
-		requested := time.Now()
-		cont.Suspend(PipelineLevel)
-		err = cont.Wait()
-		if errors.Is(err, ErrSuspended) {
-			r.rep.SuspendLag = time.Since(requested)
-		}
-		return r.settle(cont, err)
+	if d.Strategy == Redo {
+		return r.settle(cont, cont.Wait())
 	}
-	// Redo: keep running; a termination forces re-execution.
-	return r.settle(cont, cont.Wait())
+	req := requestAfter(cont, d.Strategy, after)
+	defer req.stop()
+	err = cont.Wait()
+	if errors.Is(err, ErrSuspended) {
+		r.rep.SuspendLag = time.Since(req.requested())
+	}
+	return r.settle(cont, err)
 }
 
-// decide runs Algorithm 1 on the quiesced executor. Its running time
-// includes measuring the state, as deployed.
-func (a *Adaptive) decide(ex *engine.Executor, p costmodel.Params, tr *obs.Trace) costmodel.Decision {
+// suspendRequest is a suspension asked of an execution after a delay.
+type suspendRequest struct {
+	timer *time.Timer
+	at    atomic.Int64 // UnixNano of the request, once made
+}
+
+// requestAfter asks e for a k suspension once d has passed (at once when
+// it has).
+func requestAfter(e *Execution, k Strategy, d time.Duration) *suspendRequest {
+	s := &suspendRequest{}
+	fire := func() {
+		s.at.Store(time.Now().UnixNano())
+		e.Suspend(k)
+	}
+	if d <= 0 {
+		fire()
+	} else {
+		s.timer = time.AfterFunc(d, fire)
+	}
+	return s
+}
+
+// stop cancels a request not yet made.
+func (s *suspendRequest) stop() {
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+}
+
+// requested returns when the request was made.
+func (s *suspendRequest) requested() time.Time { return time.Unix(0, s.at.Load()) }
+
+// decide runs Algorithm 1 on the quiesced execution e. It is the one place
+// that writes the model's inputs, and it reads them from e and its DB: the
+// lineage terms come from e's log when a healthy one is attached. EstTotal
+// and the query's plan characteristics are the calibrated ones. Its
+// running time includes measuring the state, as deployed.
+func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) costmodel.Decision {
 	start := time.Now()
+	ex, db := e.ex, a.q.db
 	prog := ex.CurrentProgress()
 	var avg time.Duration
 	if times := ex.PipelineTimes(); len(times) > 0 {
@@ -289,6 +325,13 @@ func (a *Adaptive) decide(ex *engine.Executor, p costmodel.Params, tr *obs.Trace
 			sum += d
 		}
 		avg = sum / time.Duration(len(times))
+	}
+	p := costmodel.Params{
+		IO:          db.io,
+		Probability: model.Probability,
+		WindowStart: model.Start,
+		WindowEnd:   model.End,
+		Lineage:     db.lineage,
 	}
 	in := costmodel.Input{
 		Ct:                 ex.Elapsed(),
@@ -299,12 +342,17 @@ func (a *Adaptive) decide(ex *engine.Executor, p costmodel.Params, tr *obs.Trace
 		PipelineDiscard:    prog.PipelineSuspendDiscard(),
 		Query:              a.info,
 	}
+	if e.lin != nil && e.lin.Err() == nil {
+		in.LineageEnabled = true
+		in.LineageTailBytes = e.lin.TailBytes()
+		in.LineageStateBytes = e.lin.LastStateBytes()
+		in.LineageReplay = e.lin.UnsealedFor()
+	}
 	d := costmodel.Select(in, p, a.Estimator)
 	d.ModelTime = time.Since(start)
-	m := a.q.db.metrics
-	m.Counter(obs.Kinded(obs.MetricDecisions, d.Strategy.String())).Inc()
-	m.DurationHistogram(obs.MetricDecisionTime).ObserveDuration(d.ModelTime)
-	if tr != nil {
+	db.metrics.Counter(obs.Kinded(obs.MetricDecisions, d.Strategy.String())).Inc()
+	db.metrics.DurationHistogram(obs.MetricDecisionTime).ObserveDuration(d.ModelTime)
+	if tr := e.Trace(); tr != nil {
 		tr.Event(obs.EvDecision,
 			obs.A("strategy", d.Strategy.String()),
 			obs.A("cost_redo", d.CostRedo),
@@ -314,13 +362,20 @@ func (a *Adaptive) decide(ex *engine.Executor, p costmodel.Params, tr *obs.Trace
 			obs.A("process_suspend_at", d.ProcessSuspendAt),
 			obs.A("ct", in.Ct),
 			obs.A("avg_pipeline_time", in.AvgPipelineTime),
-			obs.A("next_breaker_eta", in.NextBreakerEta),
-			obs.A("pipeline_discard", in.PipelineDiscard),
 			obs.A("pipeline_state_bytes", in.PipelineStateBytes),
 			obs.A("est_total", in.EstTotal),
+			obs.A("next_breaker_eta", in.NextBreakerEta),
+			obs.A("lineage_enabled", in.LineageEnabled),
+			obs.A("lineage_tail_bytes", in.LineageTailBytes),
+			obs.A("lineage_state_bytes", in.LineageStateBytes),
+			obs.A("lineage_replay", in.LineageReplay),
+			obs.A("pipeline_discard", in.PipelineDiscard),
+			obs.A("query", in.Query.Name),
+			obs.A("io", p.IO),
 			obs.A("probability", p.Probability),
 			obs.A("window_start", p.WindowStart),
 			obs.A("window_end", p.WindowEnd),
+			obs.A("lineage", p.Lineage),
 			obs.A("model_time", d.ModelTime))
 	}
 	return d

@@ -1,6 +1,8 @@
 package riveter
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/riveterdb/riveter/internal/cloud"
 	"github.com/riveterdb/riveter/internal/costmodel"
+	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 )
@@ -261,6 +265,146 @@ func TestAdaptiveSuspendsUnderImminentTermination(t *testing.T) {
 	}
 	if suspended == 0 {
 		t.Error("adaptive controller never suspended under certain termination")
+	}
+}
+
+// suspendedAt starts a's query with a process-level suspension armed at
+// frac of its calibrated bytes, lineage attaching a log, and waits for it.
+func suspendedAt(ctx context.Context, t *testing.T, a *Adaptive, frac float64, lineage *LineageConfig) *Execution {
+	t.Helper()
+	auto := engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: int64(frac * float64(a.processed))}
+	e, err := a.q.start(ctx, auto, lineage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Wait(); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("suspension armed at %d bytes: Wait = %v", auto.AtProcessedBytes, err)
+	}
+	return e
+}
+
+// TestDecisionPricesAttachedLineageLog: decide reads the lineage terms
+// from the execution's own log. With a healthy log the lineage cost is the
+// formula over the log's accessors; a log whose breaker sync failed prices
+// lineage out exactly as no log does.
+func TestDecisionPricesAttachedLineageLog(t *testing.T) {
+	for _, failSync := range []bool{false, true} {
+		fsys := faultfs.New(nil)
+		if failSync {
+			// The first sync initializes the log; every breaker's fails.
+			fsys.AddFault(faultfs.Fault{Op: faultfs.OpSync, PathSubstr: ".rvlg", Nth: 2})
+		}
+		db := Open(WithWorkers(2), WithCheckpointDir(t.TempDir()), WithFS(fsys), WithTracing())
+		if err := db.GenerateTPCH(0.02); err != nil {
+			t.Fatal(err)
+		}
+		q, err := db.PrepareTPCH(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := q.Calibrate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := suspendedAt(context.Background(), t, a, 2.0/3, &LineageConfig{})
+		if failed := e.lin.Err() != nil; failed != failSync {
+			t.Fatalf("log failed = %v, want %v: no breaker synced before the suspension", failed, failSync)
+		}
+		// A certain termination that is already due exposes the whole
+		// replay window: Cost_lin = L_s(tail) + L_r(state) + 2·replay.
+		d := a.decide(e, cloud.TerminationModel{Probability: 1, End: time.Nanosecond})
+		dec, ok := e.Trace().Find(obs.EvDecision)
+		if !ok {
+			t.Fatal("trace missing strategy.decision event")
+		}
+		if dec.Attr("cost_lineage") != d.CostLineage || dec.Attr("lineage_enabled") != !failSync {
+			t.Errorf("decision event %+v does not match decision %+v", dec, d)
+		}
+		if failSync {
+			if off := costmodel.Select(costmodel.Input{}, costmodel.Params{}, nil).CostLineage; d.CostLineage != off {
+				t.Errorf("lineage cost on a failed log = %v, want %v (priced out)", d.CostLineage, off)
+			}
+		} else {
+			tail, state := dec.Attr("lineage_tail_bytes").(int64), dec.Attr("lineage_state_bytes").(int64)
+			replay := dec.Attr("lineage_replay").(time.Duration)
+			if tail != e.lin.TailBytes() || state != e.lin.LastStateBytes() || state <= 0 {
+				t.Errorf("tail %d, state %d bytes; the log reports %d and %d", tail, state, e.lin.TailBytes(), e.lin.LastStateBytes())
+			}
+			if replay <= 0 || replay > e.lin.UnsealedFor() {
+				t.Errorf("replay %v, the log has been unsealed for %v", replay, e.lin.UnsealedFor())
+			}
+			want := db.lineage.SealLatency(tail) + db.io.ResumeLatency(state) + 2*replay
+			if d.CostLineage != want {
+				t.Errorf("lineage cost = %v, want %v", d.CostLineage, want)
+			}
+		}
+		e.discardLog()
+	}
+}
+
+// stepImage is a SizeEstimator whose image shrinks with progress: a
+// gigabyte up to the fraction from, nothing after it.
+type stepImage struct{ from float64 }
+
+func (s stepImage) EstimateProcessImage(_ costmodel.QueryInfo, frac float64) int64 {
+	if frac <= s.from {
+		return 1 << 30
+	}
+	return 0
+}
+
+// TestAdaptiveRequestsProcessAtProbedInstant: when the probe prices the
+// process-level suspension cheapest at a later instant, the execution
+// continues and the suspension is requested at that instant, not at the
+// decision.
+func TestAdaptiveRequestsProcessAtProbedInstant(t *testing.T) {
+	db := Open(WithWorkers(2), WithCheckpointDir(t.TempDir()), WithTracing())
+	if err := db.GenerateTPCH(0.02); err != nil {
+		t.Fatal(err)
+	}
+	// A device with a negligible fixed cost, so an empty image costs less
+	// to persist than the progress redo would lose.
+	db.io = costmodel.IOProfile{WriteBytesPerSec: 1 << 30, ReadBytesPerSec: 1 << 30, FixedLatency: time.Microsecond}
+	q, err := db.PrepareTPCH(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := q.Calibrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, cancel := a.begin(Event{}, Redo)
+	defer cancel()
+	e := suspendedAt(r.ctx, t, a, 1.0/3, nil)
+	r.rep.Trace = e.Trace()
+	ct := e.ex.Elapsed()
+	a.Estimator = stepImage{from: float64(ct) / float64(a.normal)}
+	// Inside a wide window: redo loses C_t, an empty image costs microseconds.
+	rep := clean(t, db)(r.act(e, cloud.TerminationModel{Probability: 1, Start: ct / 2, End: 1000 * a.normal}))
+
+	dec, ok := rep.Trace.Find(obs.EvDecision)
+	if !ok {
+		t.Fatal("trace missing strategy.decision event")
+	}
+	at := dec.Attr("process_suspend_at").(time.Duration)
+	if dec.Attr("strategy") != "process" || at <= ct {
+		t.Fatalf("decision %+v: want process-level at an instant after ct %v", dec, ct)
+	}
+	if !rep.Suspended || rep.Strategy != ProcessLevel {
+		t.Fatalf("report %+v: want a process-level suspension", rep)
+	}
+	var req *obs.Event
+	for _, ev := range rep.Trace.Events() {
+		if ev.Name == obs.EvSuspendRequested && ev.Seq > dec.Seq {
+			req = &ev
+			break
+		}
+	}
+	if req == nil {
+		t.Fatal("no suspension requested after the decision")
+	}
+	if due := dec.At + (at - ct); req.At < due {
+		t.Errorf("suspension requested at %v, before the probed instant (%v into the trace)", req.At, due)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/checkpoint"
+	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/faultfs"
 )
 
@@ -23,23 +24,33 @@ func openTPCHFS(t testing.TB, sf float64) (*DB, *faultfs.Injector) {
 	return db, inj
 }
 
-// suspendedExec starts q and suspends it at the given level, skipping the
-// test if the query finished first.
-func suspendedExec(t *testing.T, q *Query, level Strategy) *Execution {
+// suspendArmed starts q with a level suspension armed at half the bytes a
+// clean run processes, so the suspension lands whatever the timing, and
+// waits for it. A lineage suspension gets a log attached.
+func suspendArmed(t *testing.T, q *Query, level Strategy) *Execution {
 	t.Helper()
-	exec, err := q.Start(context.Background())
+	ctx := context.Background()
+	clean, err := q.start(ctx, engine.AutoSuspend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Suspend(level); err != nil {
+	if err := clean.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	err = exec.Wait()
-	if err == nil {
-		t.Skip("timing: query finished before the suspension landed")
+	auto := engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: clean.ex.Accountant().ProcessedBytes() / 2}
+	if level == PipelineLevel {
+		auto.Kind = engine.KindPipeline
 	}
-	if !errors.Is(err, ErrSuspended) {
-		t.Fatalf("Wait = %v", err)
+	var lineage *LineageConfig
+	if level == LineageLevel {
+		lineage = &LineageConfig{}
+	}
+	exec, err := q.start(ctx, auto, lineage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("%v suspension armed at %d bytes: Wait = %v", level, auto.AtProcessedBytes, err)
 	}
 	return exec
 }
@@ -60,7 +71,7 @@ func TestCrashMatrixEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := suspendedExec(t, q, PipelineLevel)
+	exec := suspendArmed(t, q, PipelineLevel)
 
 	// One clean checkpoint to learn the image size (and prove the state is
 	// re-serializable: every crash round below checkpoints the same
@@ -132,7 +143,7 @@ func TestPersistRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := suspendedExec(t, q, PipelineLevel)
+	exec := suspendArmed(t, q, PipelineLevel)
 
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpWrite, PathSubstr: ".rvck", Nth: 1, Count: 2})
 	at := filePoint(db.NewCheckpointPath("retry"))
@@ -166,7 +177,7 @@ func TestPersistDegradedUnpadded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := suspendedExec(t, q, ProcessLevel)
+	exec := suspendArmed(t, q, ProcessLevel)
 	ctx := context.Background()
 
 	fullInfo, err := exec.Persist(ctx, filePoint(db.NewCheckpointPath("full")), PersistOptions{})
@@ -215,7 +226,7 @@ func TestResumeInPlacePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := suspendedExec(t, q, PipelineLevel)
+	exec := suspendArmed(t, q, PipelineLevel)
 
 	// The disk is gone entirely.
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate})

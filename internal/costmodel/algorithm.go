@@ -32,17 +32,18 @@ type Params struct {
 	Probability float64
 	WindowStart time.Duration
 	WindowEnd   time.Duration
-	// ProbeSteps is the number of future suspension points CostEstProc
-	// probes within one average pipeline time ("advancing suspension time
-	// points by each time unit"). Default 10.
-	ProbeSteps int
-	// Lineage holds the calibrated log-rate and replay-rate terms the
-	// lineage strategy's cost estimate is computed from. The zero profile
-	// falls back to DefaultLineageProfile's conservative constants.
+	// Lineage holds the calibrated log terms the lineage strategy's seal
+	// latency is computed from.
 	Lineage LineageProfile
 }
 
-// Input is the state observed at a pipeline breaker (Algorithm 1 lines 3-7).
+// probeSteps is the number of future suspension points CostEstProc probes
+// within one average pipeline time ("advancing suspension time points by
+// each time unit").
+const probeSteps = 10
+
+// Input is the state observed where the decision runs (Algorithm 1 lines
+// 3-7).
 type Input struct {
 	// Ct is the current time since query start.
 	Ct time.Duration
@@ -51,21 +52,19 @@ type Input struct {
 	// PipelineStateBytes is S^ppl, the measured serialized size of the
 	// pipeline-level checkpoint at this breaker.
 	PipelineStateBytes int64
-	// AvailableMemory is M; estimated states above it make a strategy
-	// infeasible (lines 21-24, 35-38).
-	AvailableMemory int64
 	// EstTotal is the estimated total execution time of the query, used to
 	// convert probe instants into execution fractions for the estimator.
 	EstTotal time.Duration
-	// NextBreakerEta, when positive, is the estimated time until the next
-	// pipeline breaker. It is zero when the decision runs at a breaker
-	// (Algorithm 1's proactive path) and positive when a resource alert
-	// interrupts mid-pipeline — then a pipeline-level suspension is
-	// deferred until the current pipeline completes, so its termination
-	// exposure starts that much later (the Fig. 9 / Fig. 12 lag).
+	// NextBreakerEta is the estimated time until the next pipeline breaker.
+	// The decision runs where a resource alert quiesced the execution,
+	// usually mid-pipeline: a pipeline-level suspension is then deferred
+	// until the current pipeline completes, so its termination exposure
+	// starts that much later (the Fig. 9 / Fig. 12 lag). Zero means the
+	// execution stands at a breaker, where CostEstPpl is the paper's
+	// formula exactly.
 	NextBreakerEta time.Duration
-	// LineageEnabled reports whether a write-ahead lineage log is attached
-	// to the execution (and healthy). Without one the lineage strategy is
+	// LineageEnabled reports whether a healthy write-ahead lineage log is
+	// attached to the execution. Without one the lineage strategy is
 	// infeasible — there is nothing to seal or replay.
 	LineageEnabled bool
 	// LineageTailBytes is the unsealed tail of the lineage log: the bytes a
@@ -73,12 +72,11 @@ type Input struct {
 	// strategy near-free — the tail is a handful of records, not a
 	// checkpoint image.
 	LineageTailBytes int64
-	// LineageStateBytes is the size of the last sealed breaker-state record,
-	// read back (or fetched from the store) at resume.
+	// LineageStateBytes is the size of the last synced breaker-state
+	// record, read back at resume.
 	LineageStateBytes int64
-	// LineageReplay is the estimated re-execution time from the last sealed
-	// record to the suspension point — the work a resume replays. Bounded by
-	// the configured log-seal interval.
+	// LineageReplay is the time since the last breaker state was synced:
+	// the work a resume replays.
 	LineageReplay time.Duration
 	// PipelineDiscard is the in-flight sibling work a pipeline-level
 	// suspension would discard. Under DAG scheduling several pipelines run
@@ -88,15 +86,6 @@ type Input struct {
 	// resume. That re-execution is a direct cost of choosing the pipeline
 	// strategy, on top of its suspend/resume latencies.
 	PipelineDiscard time.Duration
-	// FoldResume is the extra resume latency a folded execution pays on
-	// top of the checkpoint restore: a rider that detached from shared
-	// scan hubs must either catch up to the live window (direct reads of
-	// the morsels it is behind by) or privatize its remaining scan. The
-	// server prices it with FoldProfile.CatchUpCost / PrivatizeCost and it
-	// loads every suspending strategy equally — redo pays nothing, which
-	// is exactly the asymmetry the picker should see: folded executions
-	// are cheap to kill and expensive to park.
-	FoldResume time.Duration
 	// Query feeds the process-image size estimator.
 	Query QueryInfo
 }
@@ -186,11 +175,8 @@ func costEstRedo(in Input, p Params) time.Duration {
 
 // costEstPpl implements CostEstPpl (lines 33-46).
 func costEstPpl(in Input, p Params) time.Duration {
-	if in.AvailableMemory > 0 && in.PipelineStateBytes > in.AvailableMemory {
-		return infCost
-	}
 	ls := p.IO.SuspendLatency(in.PipelineStateBytes)
-	lr := p.IO.ResumeLatency(in.PipelineStateBytes) + in.FoldResume
+	lr := p.IO.ResumeLatency(in.PipelineStateBytes)
 	// The suspension cannot start before the next breaker; mid-pipeline the
 	// exposure window shifts by the breaker ETA.
 	prob := overlapProbability(in.Ct+in.NextBreakerEta+ls, p)
@@ -201,18 +187,14 @@ func costEstPpl(in Input, p Params) time.Duration {
 // costEstProc implements CostEstProc (lines 18-32): probe future suspension
 // instants within one average pipeline time and take the cheapest.
 func costEstProc(in Input, p Params, est SizeEstimator) (time.Duration, time.Duration) {
-	steps := p.ProbeSteps
-	if steps <= 0 {
-		steps = 10
-	}
 	span := in.AvgPipelineTime
 	if span <= 0 {
 		span = time.Millisecond
 	}
 	bestCost := infCost
 	bestAt := in.Ct
-	for i := 0; i <= steps; i++ {
-		st := in.Ct + time.Duration(int64(span)*int64(i)/int64(steps))
+	for i := 0; i <= probeSteps; i++ {
+		st := in.Ct + time.Duration(int64(span)*int64(i)/probeSteps)
 		frac := 0.5
 		if in.EstTotal > 0 {
 			frac = float64(st) / float64(in.EstTotal)
@@ -224,11 +206,8 @@ func costEstProc(in Input, p Params, est SizeEstimator) (time.Duration, time.Dur
 		if est != nil {
 			size = est.EstimateProcessImage(in.Query, frac)
 		}
-		if in.AvailableMemory > 0 && size > in.AvailableMemory {
-			continue // L = infinity at this point
-		}
 		ls := p.IO.SuspendLatency(size)
-		lr := p.IO.ResumeLatency(size) + in.FoldResume
+		lr := p.IO.ResumeLatency(size)
 		prob := overlapProbability(st+ls, p)
 		cost := ls + lr + time.Duration(prob*float64(st))
 		if cost < bestCost {
@@ -250,12 +229,8 @@ func costEstLineage(in Input, p Params) time.Duration {
 	if !in.LineageEnabled {
 		return infCost
 	}
-	prof := p.Lineage
-	if !prof.Enabled() {
-		prof = DefaultLineageProfile()
-	}
-	ls := prof.SealLatency(in.LineageTailBytes)
-	lr := p.IO.ResumeLatency(in.LineageStateBytes) + in.LineageReplay + in.FoldResume
+	ls := p.Lineage.SealLatency(in.LineageTailBytes)
+	lr := p.IO.ResumeLatency(in.LineageStateBytes) + in.LineageReplay
 	prob := overlapProbability(in.Ct+ls, p)
 	return ls + lr + time.Duration(prob*float64(in.LineageReplay))
 }

@@ -42,20 +42,6 @@ func TestSuspendLatencyMonotone(t *testing.T) {
 	}
 }
 
-func TestCalibrateIO(t *testing.T) {
-	prof, err := CalibrateIO(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.WriteBytesPerSec <= 0 || prof.ReadBytesPerSec <= 0 {
-		t.Errorf("calibration produced %+v", prof)
-	}
-	// A real device writes at least 1MB/s and at most 100GB/s.
-	if prof.WriteBytesPerSec < 1<<20 || prof.WriteBytesPerSec > 100<<30 {
-		t.Errorf("write bandwidth implausible: %v", prof.WriteBytesPerSec)
-	}
-}
-
 func testQueryInfo(t *testing.T) (QueryInfo, *catalog.Catalog) {
 	t.Helper()
 	cat := catalog.New()
@@ -168,7 +154,6 @@ func algoParams() Params {
 		Probability: 1.0,
 		WindowStart: 500 * time.Millisecond,
 		WindowEnd:   800 * time.Millisecond,
-		ProbeSteps:  10,
 	}
 }
 
@@ -240,26 +225,6 @@ func TestSelectPrefersProcessWithSmallImage(t *testing.T) {
 	}
 	if d.ProcessSuspendAt < in.Ct {
 		t.Errorf("process suspend at %v before Ct %v", d.ProcessSuspendAt, in.Ct)
-	}
-}
-
-func TestMemoryGuardMakesStrategiesInfeasible(t *testing.T) {
-	in := Input{
-		Ct:                 600 * time.Millisecond,
-		AvgPipelineTime:    100 * time.Millisecond,
-		PipelineStateBytes: 1 << 30,
-		AvailableMemory:    1 << 20, // 1MB: neither state fits
-		EstTotal:           time.Second,
-	}
-	d := Select(in, algoParams(), constEstimator(1<<30))
-	if d.CostPipeline != infCost {
-		t.Errorf("pipeline cost = %v, want infeasible", d.CostPipeline)
-	}
-	if d.CostProcess != infCost {
-		t.Errorf("process cost = %v, want infeasible", d.CostProcess)
-	}
-	if d.Strategy != StrategyRedo {
-		t.Errorf("only redo is feasible, got %v", d.Strategy)
 	}
 }
 

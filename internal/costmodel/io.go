@@ -43,7 +43,7 @@ func (p IOProfile) StoreBacked() bool {
 }
 
 // DefaultIOProfile is a conservative local-SSD profile used when
-// calibration is skipped.
+// calibration fails.
 func DefaultIOProfile() IOProfile {
 	return IOProfile{
 		WriteBytesPerSec: 400 << 20,
@@ -82,52 +82,70 @@ func (p IOProfile) ResumeLatency(bytes int64) time.Duration {
 	return p.FixedLatency + time.Duration(float64(bytes)/p.ReadBytesPerSec*float64(time.Second))
 }
 
-// CalibrateIO measures the device backing dir with a small write/read probe
-// and returns a profile. The probe size balances accuracy against startup
-// cost.
-func CalibrateIO(dir string) (IOProfile, error) {
-	return CalibrateIOFS(faultfs.OS, dir)
-}
-
-// CalibrateIOFS is CalibrateIO over an injectable filesystem, so the probe
-// runs against the same (possibly fault-injected) device checkpoints will.
-func CalibrateIOFS(fsys faultfs.FS, dir string) (IOProfile, error) {
-	const probeBytes = 8 << 20
+// CalibrateDir measures the device backing dir with one probe file and
+// returns both profiles it prices: a burst of small fsynced appends gives
+// the lineage log's append latency, a bulk write gives the write bandwidth
+// (which is also the log bandwidth), and reading the file back gives the
+// read bandwidth. FixedLatency is the 2 ms constant. On error both
+// defaults come back with it.
+func CalibrateDir(fsys faultfs.FS, dir string) (IOProfile, LineageProfile, error) {
+	const (
+		smallAppends = 16
+		smallBytes   = 256
+		bulkBytes    = 8 << 20
+	)
 	path := filepath.Join(dir, ".riveter-io-probe")
 	defer fsys.Remove(path)
+	fail := func(err error) (IOProfile, LineageProfile, error) {
+		return DefaultIOProfile(), DefaultLineageProfile(), fmt.Errorf("costmodel: calibrate: %w", err)
+	}
 
+	f, err := fsys.Create(path)
+	if err != nil {
+		return fail(err)
+	}
 	buf := make([]byte, 1<<20)
 	for i := range buf {
 		buf[i] = byte(i * 131)
 	}
+	aStart := time.Now()
+	for i := 0; i < smallAppends; i++ {
+		if _, err := f.Write(buf[:smallBytes]); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fail(err)
+		}
+	}
+	appendLat := time.Since(aStart) / smallAppends
 
 	wStart := time.Now()
-	f, err := fsys.Create(path)
-	if err != nil {
-		return IOProfile{}, fmt.Errorf("costmodel: calibrate: %w", err)
-	}
-	for written := 0; written < probeBytes; written += len(buf) {
+	for written := 0; written < bulkBytes; written += len(buf) {
 		if _, err := f.Write(buf); err != nil {
 			f.Close()
-			return IOProfile{}, err
+			return fail(err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return IOProfile{}, err
-	}
-	if err := f.Close(); err != nil {
-		return IOProfile{}, err
+		return fail(err)
 	}
 	wDur := time.Since(wStart)
+	if err := f.Close(); err != nil {
+		return fail(err)
+	}
 
 	rStart := time.Now()
 	rf, err := fsys.Open(path)
 	if err != nil {
-		return IOProfile{}, err
+		return fail(err)
 	}
+	read := 0
 	for {
-		_, err := rf.Read(buf)
+		n, err := rf.Read(buf)
+		read += n
 		if err != nil {
 			break
 		}
@@ -135,17 +153,15 @@ func CalibrateIOFS(fsys faultfs.FS, dir string) (IOProfile, error) {
 	rf.Close()
 	rDur := time.Since(rStart)
 
-	prof := IOProfile{FixedLatency: 2 * time.Millisecond}
-	if wDur > 0 {
-		prof.WriteBytesPerSec = probeBytes / wDur.Seconds()
+	if appendLat <= 0 || wDur <= 0 || rDur <= 0 || read == 0 {
+		return DefaultIOProfile(), DefaultLineageProfile(), nil
 	}
-	if rDur > 0 {
-		prof.ReadBytesPerSec = probeBytes / rDur.Seconds()
+	prof := IOProfile{
+		WriteBytesPerSec: bulkBytes / wDur.Seconds(),
+		ReadBytesPerSec:  float64(read) / rDur.Seconds(),
+		FixedLatency:     2 * time.Millisecond,
 	}
-	if prof.WriteBytesPerSec <= 0 || prof.ReadBytesPerSec <= 0 {
-		return DefaultIOProfile(), nil
-	}
-	return prof, nil
+	return prof, LineageProfile{AppendLatency: appendLat, LogBytesPerSec: prof.WriteBytesPerSec}, nil
 }
 
 // StoreProber is the slice of a blob-store backend the calibration

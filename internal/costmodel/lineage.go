@@ -1,44 +1,31 @@
 package costmodel
 
 import (
-	"fmt"
-	"path/filepath"
 	"time"
 
-	"github.com/riveterdb/riveter/internal/faultfs"
 	"github.com/riveterdb/riveter/internal/obs"
 )
 
 // LineageProfile characterizes the write-ahead lineage log for the cost
-// model: how fast tiny records append to it (the seal cost is latency plus
-// tail bytes over bandwidth) and how fast replayed work re-executes. The
-// numbers are measured by CalibrateLineage against the same directory the
-// log will live in, and published as costmodel.lineage.* gauges so
-// /metrics shows what Algorithm 1 is pricing lineage suspensions from.
+// model: how fast tiny records append to it. The seal cost is latency plus
+// tail bytes over bandwidth. CalibrateDir measures both against the
+// directory the log will live in, and Publish shows them as
+// costmodel.lineage.* gauges, so /metrics shows what Algorithm 1 prices
+// lineage suspensions from.
 type LineageProfile struct {
 	// AppendLatency is the fixed cost of one small fsynced append — the
 	// floor of a seal, no matter how short the tail.
 	AppendLatency time.Duration
 	// LogBytesPerSec is the sustained append bandwidth of the log device.
 	LogBytesPerSec float64
-	// ReplayBytesPerSec estimates how fast replayed morsel work re-executes
-	// on resume, converting the unsealed window's bytes into replay time.
-	ReplayBytesPerSec float64
-}
-
-// Enabled reports whether the profile carries calibrated (or default)
-// numbers; the zero profile does not.
-func (l LineageProfile) Enabled() bool {
-	return l.AppendLatency > 0 || l.LogBytesPerSec > 0
 }
 
 // DefaultLineageProfile is a conservative local-SSD profile used when
-// calibration is skipped or fails.
+// calibration fails.
 func DefaultLineageProfile() LineageProfile {
 	return LineageProfile{
-		AppendLatency:     500 * time.Microsecond,
-		LogBytesPerSec:    200 << 20,
-		ReplayBytesPerSec: 256 << 20,
+		AppendLatency:  500 * time.Microsecond,
+		LogBytesPerSec: 200 << 20,
 	}
 }
 
@@ -55,80 +42,10 @@ func (l LineageProfile) SealLatency(tailBytes int64) time.Duration {
 	return d
 }
 
-// ReplayTime converts bytes of unsealed work into estimated re-execution
-// time on resume.
-func (l LineageProfile) ReplayTime(bytes int64) time.Duration {
-	if l.ReplayBytesPerSec <= 0 || bytes <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) / l.ReplayBytesPerSec * float64(time.Second))
-}
-
-// CalibrateLineage measures the device backing dir with a lineage-shaped
-// probe: a burst of small fsynced appends (the seal's fixed cost) followed
-// by a bulk append (the log bandwidth). The replay rate is not measured
-// here — it is the engine's in-memory processing bandwidth, for which the
-// default constant is used.
-func CalibrateLineage(fsys faultfs.FS, dir string) (LineageProfile, error) {
-	const (
-		smallAppends = 16
-		smallBytes   = 256
-		bulkBytes    = 1 << 20
-	)
-	path := filepath.Join(dir, ".riveter-lineage-probe")
-	defer fsys.Remove(path)
-
-	f, err := fsys.Create(path)
-	if err != nil {
-		return DefaultLineageProfile(), fmt.Errorf("costmodel: lineage probe: %w", err)
-	}
-	defer f.Close()
-
-	small := make([]byte, smallBytes)
-	for i := range small {
-		small[i] = byte(i * 131)
-	}
-	aStart := time.Now()
-	for i := 0; i < smallAppends; i++ {
-		if _, err := f.Write(small); err != nil {
-			return DefaultLineageProfile(), err
-		}
-		if err := f.Sync(); err != nil {
-			return DefaultLineageProfile(), err
-		}
-	}
-	appendLat := time.Since(aStart) / smallAppends
-
-	bulk := make([]byte, 64<<10)
-	for i := range bulk {
-		bulk[i] = byte(i * 31)
-	}
-	bStart := time.Now()
-	for written := 0; written < bulkBytes; written += len(bulk) {
-		if _, err := f.Write(bulk); err != nil {
-			return DefaultLineageProfile(), err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return DefaultLineageProfile(), err
-	}
-	bDur := time.Since(bStart)
-
-	prof := DefaultLineageProfile()
-	if appendLat > 0 {
-		prof.AppendLatency = appendLat
-	}
-	if bDur > 0 {
-		prof.LogBytesPerSec = bulkBytes / bDur.Seconds()
-	}
-	return prof, nil
-}
-
 // Publish surfaces the calibrated lineage profile as gauges, mirroring
-// IOProfile.Publish: costmodel.lineage.append_latency_ns,
-// costmodel.lineage.log_bytes_per_sec, costmodel.lineage.replay_bytes_per_sec.
+// IOProfile.Publish: costmodel.lineage.append_latency_ns and
+// costmodel.lineage.log_bytes_per_sec.
 func (l LineageProfile) Publish(r *obs.Registry) {
 	r.Gauge(obs.MetricLineageAppendLatency).Set(int64(l.AppendLatency))
 	r.Gauge(obs.MetricLineageLogBps).Set(int64(l.LogBytesPerSec))
-	r.Gauge(obs.MetricLineageReplayBps).Set(int64(l.ReplayBytesPerSec))
 }

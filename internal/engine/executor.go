@@ -520,13 +520,17 @@ func (ex *Executor) DonePipelines() int {
 }
 
 // Run executes the plan to completion, a suspension, or cancellation.
-// It may be called again after LoadState to continue a resumed query.
+// It may be called again to continue a suspended query in place. A plan
+// another executor already ran is refused: compile once per executor.
 //
 // Scheduling is DAG-driven: every pipeline whose dependencies have finalized
 // is eligible to run, and the Options.Workers goroutine budget is partitioned
 // across the running set (see schedule in scheduler.go). Serial per-pipeline
 // execution is the MaxConcurrentPipelines==1 special case.
 func (ex *Executor) Run(ctx context.Context) (*ResultSet, error) {
+	if !ex.pp.runner.CompareAndSwap(nil, ex) && ex.pp.runner.Load() != ex {
+		return nil, fmt.Errorf("engine: physical plan already run by another executor; compile it once per executor")
+	}
 	ex.mu.Lock()
 	if ex.suspended != nil {
 		ex.mu.Unlock()

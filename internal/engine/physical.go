@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/expr"
@@ -37,12 +38,16 @@ type Pipeline struct {
 
 // PhysicalPlan is the compiled, executable form of a logical plan: pipelines
 // in a valid execution order (every pipeline appears after its Deps), the
-// last one sinking into the result collector.
+// last one sinking into the result collector. A plan runs once: its sinks
+// hold the state of the executor that ran it, so only that executor may
+// run it (again, to continue after a suspension).
 type PhysicalPlan struct {
 	Pipelines   []*Pipeline
 	OutSchema   *catalog.Schema
 	Fingerprint uint64
 	Root        plan.Node
+
+	runner atomic.Pointer[Executor] // the executor that ran the plan first
 }
 
 // NumPipelines returns the pipeline count.

@@ -72,7 +72,7 @@ func TestStoreRestoresV2Checkpoint(t *testing.T) {
 	}
 	info := ex.Suspended()
 	if info == nil || info.Kind != KindProcess {
-		t.Skipf("no process-level suspension landed: %+v", info)
+		t.Fatalf("no process-level suspension landed: %+v", info)
 	}
 	v2 := saveState(t, ex)
 

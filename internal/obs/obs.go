@@ -166,11 +166,10 @@ const (
 	MetricIOFixedLatency  = "costmodel.io.fixed_latency_ns"
 	MetricIOUploadLatency = "costmodel.io.upload_latency_ns"
 
-	// Calibrated lineage profile gauges: the log-rate and replay-rate terms
-	// Algorithm 1 prices the lineage strategy from.
+	// Calibrated lineage profile gauges: the log terms Algorithm 1 prices a
+	// lineage seal from.
 	MetricLineageAppendLatency = "costmodel.lineage.append_latency_ns"
 	MetricLineageLogBps        = "costmodel.lineage.log_bytes_per_sec"
-	MetricLineageReplayBps     = "costmodel.lineage.replay_bytes_per_sec"
 
 	// Scale-to-zero metrics. IdleSuspended counts running sessions parked
 	// to the store because nobody was watching them; IdleWoken counts
@@ -248,12 +247,6 @@ const (
 	// Prepared-plan cache metrics (the server's SQL front door).
 	MetricPlanCacheHit  = "server.plancache.hit"
 	MetricPlanCacheMiss = "server.plancache.miss"
-
-	// Published fold cost-model terms (see costmodel.FoldProfile): the
-	// shared-scan replay bandwidth behind catch-up pricing and the mean
-	// morsel size the terms are denominated in.
-	MetricFoldScanBps     = "costmodel.fold.scan_bytes_per_sec"
-	MetricFoldMorselBytes = "costmodel.fold.morsel_bytes"
 
 	// Injected network-fault metrics (internal/faultnet): one counter per
 	// fault kind plus a total, mirroring the faultfs Injected() accounting

@@ -51,7 +51,7 @@ func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path 
 }
 
 // suspendWithLineage starts the plan with a lineage log attached and runs
-// it to a process-kind suspension (what Request(ex, Lineage) arms) partway
+// it to a process-kind suspension (what a lineage suspension arms) partway
 // through, so breaker records accumulate before the final seal. It also
 // returns how many breakers fired.
 func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) (*engine.Executor, *LineageLog, int) {
@@ -363,7 +363,7 @@ func TestLineageSecondSuspension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Request(ex, Lineage, nil)
+	ex.RequestSuspend(engine.KindProcess)
 	_, err = ex.Run(context.Background())
 	switch {
 	case errors.Is(err, engine.ErrSuspended):

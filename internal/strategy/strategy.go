@@ -12,13 +12,7 @@
 // cost model's decisions.
 package strategy
 
-import (
-	"context"
-	"time"
-
-	"github.com/riveterdb/riveter/internal/costmodel"
-	"github.com/riveterdb/riveter/internal/engine"
-)
+import "github.com/riveterdb/riveter/internal/costmodel"
 
 // Kind aliases the cost model's strategy enum so decisions flow through
 // without translation.
@@ -44,28 +38,4 @@ func KindName(k Kind) string {
 	default:
 		return "redo"
 	}
-}
-
-// Request triggers a suspension of the given kind on a running execution
-// and returns the request instant. Redo terminates via cancel; the other
-// kinds set the executor's suspension flag and take effect at the next
-// breaker (pipeline) or morsel boundary (process).
-func Request(ex *engine.Executor, k Kind, cancel context.CancelFunc) time.Time {
-	now := time.Now()
-	switch k {
-	case Redo:
-		if cancel != nil {
-			cancel()
-		}
-	case Pipeline:
-		ex.RequestSuspend(engine.KindPipeline)
-	case Process:
-		ex.RequestSuspend(engine.KindProcess)
-	case Lineage:
-		// Lineage needs no state capture of its own — the write-ahead log
-		// already has it. The execution only has to quiesce at morsel
-		// boundaries so the final seal record carries exact cursors.
-		ex.RequestSuspend(engine.KindProcess)
-	}
-	return now
 }

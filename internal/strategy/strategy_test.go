@@ -44,7 +44,7 @@ func TestRequestRedoCancels(t *testing.T) {
 	pp := setup(t)
 	ex := engine.NewExecutor(pp, engine.Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
-	Request(ex, Redo, cancel)
+	cancel()
 	if _, err := ex.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -75,10 +75,10 @@ func TestPersistAndRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []Kind{Pipeline, Process} {
+	for kind, req := range map[Kind]engine.SuspendKind{Pipeline: engine.KindPipeline, Process: engine.KindProcess} {
 		pp, _ := engine.Compile(node, cat)
 		ex := engine.NewExecutor(pp, engine.Options{Workers: 2})
-		Request(ex, kind, nil)
+		ex.RequestSuspend(req)
 		_, err := ex.Run(context.Background())
 		if !errors.Is(err, engine.ErrSuspended) {
 			t.Fatalf("%v: err = %v", kind, err)
@@ -125,7 +125,7 @@ func TestRestoreRejectsWrongPlan(t *testing.T) {
 	node3 := q3.Build(plan.NewBuilder(cat), 0.01)
 	pp, _ := engine.Compile(node3, cat)
 	ex := engine.NewExecutor(pp, engine.Options{Workers: 2})
-	Request(ex, Process, nil)
+	ex.RequestSuspend(engine.KindProcess)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 		t.Fatal(err)
 	}

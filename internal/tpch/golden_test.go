@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/riveterdb/riveter/internal/engine"
+	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -22,13 +25,39 @@ const goldenResults = "results_sf001.sha256"
 // the same values, the same float bit patterns and the same null bitmaps.
 func resultDigest(t *testing.T, q Query, workers int) string {
 	t.Helper()
+	return digestOf(t, q, runQuery(t, queryCatalog(t), q, workers))
+}
+
+func digestOf(t *testing.T, q Query, res *engine.ResultSet) string {
+	t.Helper()
 	h := sha256.New()
 	enc := vector.NewEncoder(h)
-	runQuery(t, queryCatalog(t), q, workers).Buf.Save(enc)
+	res.Buf.Save(enc)
 	if err := enc.Err(); err != nil {
 		t.Fatalf("%s: encode: %v", q.Name, err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// recordedDigests reads the recorded result digest of every query.
+func recordedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	path := filepath.Join("testdata", goldenResults)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = digest
+		}
+	}
+	if len(want) != len(All()) {
+		t.Fatalf("%s lists %d queries, want %d", path, len(want), len(All()))
+	}
+	return want
 }
 
 // TestQueriesMatchRecordedResults runs all 22 TPC-H queries at SF 0.01 on one
@@ -54,23 +83,36 @@ func TestQueriesMatchRecordedResults(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
-			want[name] = digest
-		}
-	}
-	if len(want) != len(All()) {
-		t.Fatalf("%s lists %d queries, want %d", path, len(want), len(All()))
-	}
+	want := recordedDigests(t)
 	for _, q := range All() {
 		if got := resultDigest(t, q, 1); got != want[q.Name] {
 			t.Errorf("%s: result digest %s, recorded %s", q.Name, got, want[q.Name])
+		}
+	}
+}
+
+// TestCompiledPlanRunsOnce: a compiled plan's sinks hold the state of the
+// executor that ran it, so each of the 22 plans returns its recorded
+// result once, and a second executor on the same plan is refused instead
+// of returning the first run's rows again with its own appended.
+func TestCompiledPlanRunsOnce(t *testing.T) {
+	cat := queryCatalog(t)
+	want := recordedDigests(t)
+	for _, q := range All() {
+		pp, err := engine.Compile(q.Build(plan.NewBuilder(cat), testSF), cat)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", q.Name, err)
+		}
+		res, err := engine.NewExecutor(pp, engine.Options{Workers: 1}).Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: run: %v", q.Name, err)
+		}
+		if got := digestOf(t, q, res); got != want[q.Name] {
+			t.Errorf("%s: result digest %s, recorded %s", q.Name, got, want[q.Name])
+		}
+		_, err = engine.NewExecutor(pp, engine.Options{Workers: 1}).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "already run by another executor") {
+			t.Errorf("%s: second executor on one plan: err = %v, want the reuse refused", q.Name, err)
 		}
 	}
 }

@@ -2,10 +2,13 @@ package riveter
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 
+	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/obs"
 )
 
@@ -24,20 +27,7 @@ func TestTraceSuspendResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exec, err := q.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Suspend(PipelineLevel); err != nil {
-		t.Fatal(err)
-	}
-	err = exec.Wait()
-	if err == nil {
-		t.Skip("query finished before the suspension landed")
-	}
-	if !errors.Is(err, ErrSuspended) {
-		t.Fatalf("Wait = %v", err)
-	}
+	exec := suspendArmed(t, q, PipelineLevel)
 	path := filepath.Join(db.CheckpointDir(), "q3.rvck")
 	info, err := exec.Checkpoint(path)
 	if err != nil {
@@ -188,12 +178,39 @@ func TestAdaptiveTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("trace missing strategy.decision event")
 	}
-	for _, key := range []string{"strategy", "cost_redo", "cost_pipeline", "cost_process", "ct", "pipeline_state_bytes", "est_total"} {
+	// One attribute per Algorithm 1 input: a field added to Input or Params
+	// that decide does not write fails here.
+	keys := []string{"strategy", "cost_redo", "cost_pipeline", "cost_process", "cost_lineage", "process_suspend_at"}
+	for _, typ := range []reflect.Type{reflect.TypeOf(costmodel.Input{}), reflect.TypeOf(costmodel.Params{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			keys = append(keys, snakeCase(typ.Field(i).Name))
+		}
+	}
+	for _, key := range keys {
 		if dec.Attr(key) == nil {
-			t.Fatalf("decision event missing %s attr: %+v", key, dec)
+			t.Errorf("decision event missing %s attr: %+v", key, dec)
 		}
 	}
 	if _, ok := rep.Trace.Find(obs.EvOutcome); !ok {
 		t.Fatal("trace missing strategy.outcome event")
 	}
+}
+
+// snakeCase renders a Go field name as a trace attribute key:
+// AvgPipelineTime → avg_pipeline_time, IO → io.
+func snakeCase(name string) string {
+	var b strings.Builder
+	for i, r := range name {
+		if i > 0 && unicode.IsUpper(r) {
+			prev, next := rune(name[i-1]), rune(0)
+			if i+1 < len(name) {
+				next = rune(name[i+1])
+			}
+			if unicode.IsLower(prev) || unicode.IsLower(next) {
+				b.WriteByte('_')
+			}
+		}
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return b.String()
 }

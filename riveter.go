@@ -100,14 +100,14 @@ type DB struct {
 	// over: fsys, store, and the lineage-path allocator (resume.go).
 	seam strategy.Seam
 
-	// Shared-execution state (WithFold): foldM registers one scan hub per
-	// (table, column-set) and rides every base-table scan on it; foldProf
-	// is the cost model's view of detach/rejoin pricing. compile carries
-	// foldM as ScanShare into every compile — run, start and restore alike
-	// — which is shape-neutral, so all lower a plan to the same pipelines.
-	foldM    *fold.Manager
-	foldProf costmodel.FoldProfile
-	compile  engine.CompileOptions
+	// Shared-execution state (WithFold): fold asks for it, and foldM
+	// registers one scan hub per (table, column-set) and rides every
+	// base-table scan on it. compile carries foldM as ScanShare into every
+	// compile — run, start and restore alike — which is shape-neutral, so
+	// all lower a plan to the same pipelines.
+	fold    bool
+	foldM   *fold.Manager
+	compile engine.CompileOptions
 
 	// live counts in-flight executions across every start/resume path; the
 	// fold manager's hubs consult it to skip shared-window maintenance
@@ -179,7 +179,7 @@ func WithBlobStore(cfg StoreConfig) Option {
 // already in the checkpoint, so on resume it rejoins its hub mid-stream
 // or, on a non-folding instance, falls back to a private scan.
 func WithFold() Option {
-	return func(db *DB) { db.foldProf = costmodel.DefaultFoldProfile() }
+	return func(db *DB) { db.fold = true }
 }
 
 // WithTracing enables per-execution traces: executions created by
@@ -196,7 +196,6 @@ func Open(opts ...Option) *DB {
 	db := &DB{
 		cat:     catalog.New(),
 		workers: 4,
-		io:      costmodel.DefaultIOProfile(),
 		metrics: obs.NewRegistry(),
 		fsys:    faultfs.OS,
 	}
@@ -215,18 +214,14 @@ func Open(opts ...Option) *DB {
 		// missing parent can never surface mid-suspension.
 		os.MkdirAll(db.checkpointDir, 0o755)
 	}
-	if prof, err := costmodel.CalibrateIOFS(db.fsys, db.checkpointDir); err == nil {
-		db.io = prof
-	}
-	db.lineage, _ = costmodel.CalibrateLineage(db.fsys, db.checkpointDir)
+	db.io, db.lineage, _ = costmodel.CalibrateDir(db.fsys, db.checkpointDir)
 	if db.storeCfg != nil {
 		db.initStore()
 	}
 	db.seam = strategy.Seam{FS: db.fsys, Store: db.store, LineagePath: db.NewLineagePath}
-	if db.foldProf.Enabled() {
+	if db.fold {
 		db.foldM = fold.NewManager(db.metrics, &db.live)
 		db.compile.ScanShare = db.foldM
-		db.foldProf.Publish(db.metrics)
 	}
 	db.io.Publish(db.metrics)
 	db.lineage.Publish(db.metrics)
@@ -278,16 +273,11 @@ func (db *DB) BlobStore() (*blobstore.Store, error) {
 func (db *DB) IOProfile() costmodel.IOProfile { return db.io }
 
 // LineageProfile returns the calibrated lineage-log cost terms (append
-// latency, log bandwidth, replay bandwidth) Algorithm 1 prices the
-// lineage strategy with.
+// latency and log bandwidth) Algorithm 1 prices a lineage seal with.
 func (db *DB) LineageProfile() costmodel.LineageProfile { return db.lineage }
 
 // FoldEnabled reports whether shared execution is on (WithFold).
 func (db *DB) FoldEnabled() bool { return db.foldM != nil }
-
-// FoldProfile returns the fold cost terms Algorithm 1 prices detached
-// riders with (the zero profile when folding is off).
-func (db *DB) FoldProfile() costmodel.FoldProfile { return db.foldProf }
 
 // FS returns the filesystem checkpoint I/O goes through.
 func (db *DB) FS() faultfs.FS { return db.fsys }

@@ -122,24 +122,6 @@ func findFile(t *testing.T, root, part string) string {
 	return found
 }
 
-// start launches q the way the target needs (a lineage point needs a log).
-func (tg seamTarget) start(t *testing.T, q *Query) *Execution {
-	t.Helper()
-	var (
-		exec *Execution
-		err  error
-	)
-	if tg.level == LineageLevel {
-		exec, err = q.StartWithLineage(context.Background(), LineageConfig{})
-	} else {
-		exec, err = q.Start(context.Background())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return exec
-}
-
 // suspend requests the target's suspension and reports whether it landed
 // before the query finished.
 func (tg seamTarget) suspend(t *testing.T, exec *Execution) bool {
@@ -180,10 +162,7 @@ func TestSeamContract(t *testing.T) {
 			// fresh point, checking what Persist and Verify report.
 			points := 0
 			suspendInto := func() (*Execution, ResumePoint) {
-				exec := tg.start(t, q)
-				if !tg.suspend(t, exec) {
-					t.Skip("timing: query finished before the suspension landed")
-				}
+				exec := suspendArmed(t, q, tg.level)
 				at := tg.point(db, exec, points)
 				points++
 				info, err := exec.Persist(ctx, at, PersistOptions{})

@@ -2,7 +2,6 @@ package riveter
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -24,25 +23,14 @@ func openTPCHStore(t testing.TB, sf float64, dir string) *DB {
 	return db
 }
 
-// suspendTPCH starts query id and suspends it at the given level, skipping
-// the test when the query outruns the suspension request.
+// suspendTPCH prepares query id and suspends it at the given level.
 func suspendTPCH(t *testing.T, db *DB, id int, k Strategy) (*Query, *Execution) {
 	t.Helper()
 	q, err := db.PrepareTPCH(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := q.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Suspend(k); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
-		t.Skipf("no suspension landed: %v", err)
-	}
-	return q, exec
+	return q, suspendArmed(t, q, k)
 }
 
 // TestStoreCheckpointDedupAcrossSuspensions is the tentpole's acceptance

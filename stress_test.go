@@ -159,14 +159,7 @@ func TestStartFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exec, err := q.Start(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = exec.Suspend(PipelineLevel)
-	if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
-		t.Skipf("first suspension did not land: %v", err)
-	}
+	exec := suspendArmed(t, q, PipelineLevel)
 	ck1 := db.NewCheckpointPath("sfc")
 	if _, err := exec.Checkpoint(ck1); err != nil {
 		t.Fatal(err)
