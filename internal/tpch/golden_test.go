@@ -17,7 +17,7 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-var update = flag.Bool("update", false, "re-record testdata/results_sf001.sha256 and testdata/allocs_sf001.txt from this build")
+var update = flag.Bool("update", false, "re-record the testdata files of the tests that run (result, table and allocation records) from this build")
 
 const goldenResults = "results_sf001.sha256"
 
