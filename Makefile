@@ -100,8 +100,10 @@ profile:
 # reader (FuzzLoadAggState, whose kilobyte-sized seeds take the engine
 # longer to minimize than the ten seconds last, hence -fuzzminimizetime
 # 1x as well), the join build's state reader (FuzzLoadJoinState: a state
-# is loaded as a global and as a local, then probed), and the lineage-log
-# scanner (FuzzScanLineage). The committed corpora run as plain tests in
+# is loaded as a global and as a local, then probed), the lineage-log
+# scanner (FuzzScanLineage), and the colfile table loader (FuzzReadTable,
+# also -fuzzminimizetime 1x: minimizing its kilobyte files outlasts the
+# ten seconds). The committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -113,6 +115,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadAggState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadJoinState$$' -fuzztime 10s
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
+	$(GO) test ./internal/colfile -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s -fuzzminimizetime 1x
 
 # Every benchmark in the module, once: keeps benchmark code compiling and
 # running. Timings are measured end to end by benchmark/ (BENCHMARK.json);

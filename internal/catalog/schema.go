@@ -51,6 +51,16 @@ func (s *Schema) Types() []vector.Type {
 	return ts
 }
 
+// NewColumns returns one empty vector per column, each with room for n
+// rows: the columns a loader fills and hands to TableOf.
+func (s *Schema) NewColumns(n int) []*vector.Vector {
+	cols := make([]*vector.Vector, len(s.Columns))
+	for i, c := range s.Columns {
+		cols[i] = vector.New(c.Type, n)
+	}
+	return cols
+}
+
 // Names returns the column names in order.
 func (s *Schema) Names() []string {
 	ns := make([]string, len(s.Columns))

@@ -25,12 +25,28 @@ type Table struct {
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema *Schema) *Table {
-	t := &Table{name: name, schema: schema}
-	t.cols = make([]*vector.Vector, schema.Arity())
-	for i, c := range schema.Columns {
-		t.cols[i] = vector.New(c.Type, 0)
+	return &Table{name: name, schema: schema, cols: schema.NewColumns(0)}
+}
+
+// TableOf adopts fully built column vectors as a table: one vector per
+// schema column, of the column's type, all of one length. The table owns
+// the vectors from here on. Stats and MemBytes are computed on first use.
+func TableOf(name string, schema *Schema, cols []*vector.Vector) (*Table, error) {
+	if len(cols) != schema.Arity() {
+		return nil, fmt.Errorf("table %s: %d columns for a %d-column schema", name, len(cols), schema.Arity())
 	}
-	return t
+	t := &Table{name: name, schema: schema, cols: cols}
+	for j, col := range cols {
+		if want, got := schema.Columns[j].Type, col.Type(); want != got {
+			return nil, fmt.Errorf("table %s column %s: type %v, schema says %v", name, schema.Columns[j].Name, got, want)
+		}
+		if j == 0 {
+			t.rows = int64(col.Len())
+		} else if int64(col.Len()) != t.rows {
+			return nil, fmt.Errorf("table %s column %s: %d rows, column %s has %d", name, schema.Columns[j].Name, col.Len(), schema.Columns[0].Name, t.rows)
+		}
+	}
+	return t, nil
 }
 
 // Name returns the table name.
@@ -57,10 +73,8 @@ func (t *Table) AppendChunk(c *vector.Chunk) error {
 			return fmt.Errorf("table %s column %s: append type %v to %v", t.name, t.schema.Columns[j].Name, got, want)
 		}
 	}
-	for i := 0; i < c.Len(); i++ {
-		for j, col := range t.cols {
-			col.AppendFrom(c.Col(j), i)
-		}
+	for j, col := range t.cols {
+		col.AppendRange(c.Col(j), 0, c.Len())
 	}
 	t.rows += int64(c.Len())
 	t.stats = nil
@@ -68,8 +82,9 @@ func (t *Table) AppendChunk(c *vector.Chunk) error {
 	return nil
 }
 
-// AppendRow appends a single row of boxed values (slow path; loaders and
-// tests).
+// AppendRow appends a single row of boxed values. It is the slow path that
+// tests use to build small tables; the loaders build typed columns and
+// adopt them with TableOf.
 func (t *Table) AppendRow(vals ...vector.Value) error {
 	if len(vals) != t.schema.Arity() {
 		return fmt.Errorf("table %s: append row of %d values to %d-column schema", t.name, len(vals), t.schema.Arity())

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/catalog"
+	"github.com/riveterdb/riveter/internal/tpch"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -102,5 +103,29 @@ func TestReadTableRowCountMismatchDetected(t *testing.T) {
 	}
 	if got.NumRows() != 500 {
 		t.Errorf("rows = %d", got.NumRows())
+	}
+}
+
+// BenchmarkReadTableLineitem loads TPC-H lineitem at SF 0.1 (about 600k
+// rows of 16 columns) from a colfile, as DB.LoadDir does.
+func BenchmarkReadTableLineitem(b *testing.B) {
+	cat, err := tpch.Generate(tpch.Config{SF: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	li, err := cat.Table("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "lineitem.rvc")
+	if err := WriteTable(path, li); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadTable(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

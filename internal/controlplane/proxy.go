@@ -578,7 +578,10 @@ func (p *Proxy) DrainAndRebalance(id string) error {
 		return fmt.Errorf("controlplane: drain %s: status %d", id, status)
 	}
 	p.met.drains.Inc()
-	p.reg.ProbeNow(id) // pick up the draining status before re-picking
+	// The 200 is the instance's word that it drains: record it before
+	// re-picking, so no later notice counts it as accepting even when a
+	// probe of the busy instance times out.
+	p.reg.SetStatus(id, "draining")
 	p.recoverKeysLocked(p.keysPinnedTo(id))
 	return nil
 }

@@ -72,6 +72,10 @@ type member struct {
 
 	// brk is the instance's request-path circuit breaker (breaker.go).
 	brk breaker
+
+	// marks counts SetStatus calls: a probe that started before the last
+	// one carries an older status and does not override it.
+	marks int
 }
 
 // InstanceView is a point-in-time public snapshot of one instance.
@@ -248,6 +252,20 @@ func (r *Registry) MarkDead(id string) bool {
 	return true
 }
 
+// SetStatus records an instance status the proxy learned first-hand — a
+// 200 from /admin/drain means "draining" — without waiting for a probe to
+// observe it: under load the probe can time out, and the instance would
+// keep reading "accepting". A probe that starts after the call overrides
+// it, as the instance's own word.
+func (r *Registry) SetStatus(id, status string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.members[id]; m != nil {
+		m.health.Status = status
+		m.marks++
+	}
+}
+
 // View snapshots one instance.
 func (r *Registry) View(id string) (InstanceView, bool) {
 	r.mu.Lock()
@@ -344,7 +362,7 @@ func (r *Registry) ProbeNow(id string) bool {
 		r.mu.Unlock()
 		return false
 	}
-	url := m.url
+	url, marks := m.url, m.marks
 	r.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ProbeTimeout)
@@ -375,6 +393,9 @@ func (r *Registry) ProbeNow(id string) bool {
 	}
 	m.fails = 0
 	m.alive = true
+	if m.marks != marks {
+		h.Status = m.health.Status // set while this probe was in flight
+	}
 	m.health = h
 	m.lastSeen = r.nowFn()
 	if perr == nil {

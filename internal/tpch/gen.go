@@ -1,8 +1,7 @@
 package tpch
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/vector"
@@ -20,7 +19,11 @@ type Config struct {
 }
 
 // rng is a splitmix64 PRNG: tiny, fast, deterministic across platforms.
-type rng struct{ state uint64 }
+// buf is scratch for the strings it builds.
+type rng struct {
+	state uint64
+	buf   []byte
+}
 
 func newRNG(seed int64, stream string) *rng {
 	s := uint64(seed) ^ 0x9e3779b97f4a7c15
@@ -51,19 +54,63 @@ func (r *rng) rangeF(lo, hi float64) float64 {
 
 func (r *rng) pick(words []string) string { return words[r.intn(len(words))] }
 
-func (r *rng) comment(minWords, maxWords int) string {
-	n := minWords + r.intn(maxWords-minWords+1)
-	parts := make([]string, n)
-	for i := range parts {
-		parts[i] = r.pick(commentWords)
+// words joins n words picked from vocab with single spaces.
+func (r *rng) words(vocab []string, n int) string {
+	r.buf = r.buf[:0]
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			r.buf = append(r.buf, ' ')
+		}
+		r.buf = append(r.buf, r.pick(vocab)...)
 	}
-	return strings.Join(parts, " ")
+	return string(r.buf)
 }
 
-func (r *rng) phone(nationKey int64) string {
-	return fmt.Sprintf("%02d-%03d-%03d-%04d", nationKey+10,
-		r.rangeI(100, 999), r.rangeI(100, 999), r.rangeI(1000, 9999))
+func (r *rng) comment(minWords, maxWords int) string {
+	return r.words(commentWords, minWords+r.intn(maxWords-minWords+1))
 }
+
+// phone is the spec's phone number: "%02d-%03d-%03d-%04d" of the nation
+// key plus 10 and three random groups.
+func (r *rng) phone(nationKey int64) string {
+	b := appendPadded(r.buf[:0], nationKey+10, 2)
+	b = appendPadded(append(b, '-'), r.rangeI(100, 999), 3)
+	b = appendPadded(append(b, '-'), r.rangeI(100, 999), 3)
+	b = appendPadded(append(b, '-'), r.rangeI(1000, 9999), 4)
+	r.buf = b
+	return string(b)
+}
+
+// appendPadded appends v >= 0 in decimal, zero-padded to width digits, as
+// %0<width>d formats it.
+func appendPadded(b []byte, v int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], v, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// keyName is prefix followed by v zero-padded to nine digits, the spec's
+// "Supplier#%09d" shape.
+func keyName(prefix string, v int64) string {
+	var b [32]byte
+	return string(appendPadded(append(b[:0], prefix...), v, 9))
+}
+
+// manufacturers[m] is p_mfgr and brands[m][n] p_brand for manufacturer m+1
+// and brand n+1.
+var (
+	manufacturers = [5]string{"Manufacturer#1", "Manufacturer#2", "Manufacturer#3", "Manufacturer#4", "Manufacturer#5"}
+	brands        = [5][5]string{
+		{"Brand#11", "Brand#12", "Brand#13", "Brand#14", "Brand#15"},
+		{"Brand#21", "Brand#22", "Brand#23", "Brand#24", "Brand#25"},
+		{"Brand#31", "Brand#32", "Brand#33", "Brand#34", "Brand#35"},
+		{"Brand#41", "Brand#42", "Brand#43", "Brand#44", "Brand#45"},
+		{"Brand#51", "Brand#52", "Brand#53", "Brand#54", "Brand#55"},
+	}
+)
 
 // Row counts at scale factor 1.
 const (
@@ -98,78 +145,64 @@ func partRetailPrice(partKey int64) float64 {
 // Generate builds the full TPC-H database into a fresh catalog.
 func Generate(cfg Config) (*catalog.Catalog, error) {
 	cat := catalog.New()
-	if err := genRegion(cat); err != nil {
-		return nil, err
-	}
-	if err := genNation(cat); err != nil {
-		return nil, err
-	}
-	if err := genSupplier(cat, cfg); err != nil {
-		return nil, err
-	}
-	if err := genCustomer(cat, cfg); err != nil {
-		return nil, err
-	}
-	if err := genPart(cat, cfg); err != nil {
-		return nil, err
-	}
-	if err := genPartSupp(cat, cfg); err != nil {
-		return nil, err
-	}
-	if err := genOrdersAndLineitem(cat, cfg); err != nil {
-		return nil, err
+	for _, gen := range []func(*catalog.Catalog, Config) error{
+		genRegion, genNation, genSupplier, genCustomer, genPart, genPartSupp, genOrdersAndLineitem,
+	} {
+		if err := gen(cat, cfg); err != nil {
+			return nil, err
+		}
 	}
 	return cat, nil
 }
 
-func genRegion(cat *catalog.Catalog) error {
-	t, err := cat.Create("region", catalog.NewSchema(
-		catalog.Col("r_regionkey", vector.TypeInt64),
-		catalog.Col("r_name", vector.TypeString),
-		catalog.Col("r_comment", vector.TypeString),
-	))
+// addTable registers the built columns as the named table.
+func addTable(cat *catalog.Catalog, name string, schema *catalog.Schema, cols []*vector.Vector) error {
+	t, err := catalog.TableOf(name, schema, cols)
 	if err != nil {
 		return err
 	}
-	r := newRNG(0, "region")
-	for _, reg := range regions {
-		if err := t.AppendRow(
-			vector.NewInt64(reg.Key),
-			vector.NewString(reg.Name),
-			vector.NewString(r.comment(3, 8)),
-		); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cat.Add(t)
 }
 
-func genNation(cat *catalog.Catalog) error {
-	t, err := cat.Create("nation", catalog.NewSchema(
+// Each gen function appends a row's values in the order it draws them, so
+// the same (SF, Seed) gives the same bytes.
+
+func genRegion(cat *catalog.Catalog, _ Config) error {
+	schema := catalog.NewSchema(
+		catalog.Col("r_regionkey", vector.TypeInt64),
+		catalog.Col("r_name", vector.TypeString),
+		catalog.Col("r_comment", vector.TypeString),
+	)
+	c := schema.NewColumns(len(regions))
+	r := newRNG(0, "region")
+	for _, reg := range regions {
+		c[0].AppendInt64(reg.Key)
+		c[1].AppendString(reg.Name)
+		c[2].AppendString(r.comment(3, 8))
+	}
+	return addTable(cat, "region", schema, c)
+}
+
+func genNation(cat *catalog.Catalog, _ Config) error {
+	schema := catalog.NewSchema(
 		catalog.Col("n_nationkey", vector.TypeInt64),
 		catalog.Col("n_name", vector.TypeString),
 		catalog.Col("n_regionkey", vector.TypeInt64),
 		catalog.Col("n_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
+	c := schema.NewColumns(len(nations))
 	r := newRNG(0, "nation")
 	for _, n := range nations {
-		if err := t.AppendRow(
-			vector.NewInt64(n.Key),
-			vector.NewString(n.Name),
-			vector.NewInt64(n.Region),
-			vector.NewString(r.comment(3, 8)),
-		); err != nil {
-			return err
-		}
+		c[0].AppendInt64(n.Key)
+		c[1].AppendString(n.Name)
+		c[2].AppendInt64(n.Region)
+		c[3].AppendString(r.comment(3, 8))
 	}
-	return nil
+	return addTable(cat, "nation", schema, c)
 }
 
 func genSupplier(cat *catalog.Catalog, cfg Config) error {
-	t, err := cat.Create("supplier", catalog.NewSchema(
+	schema := catalog.NewSchema(
 		catalog.Col("s_suppkey", vector.TypeInt64),
 		catalog.Col("s_name", vector.TypeString),
 		catalog.Col("s_address", vector.TypeString),
@@ -177,12 +210,10 @@ func genSupplier(cat *catalog.Catalog, cfg Config) error {
 		catalog.Col("s_phone", vector.TypeString),
 		catalog.Col("s_acctbal", vector.TypeFloat64),
 		catalog.Col("s_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
 	r := newRNG(cfg.Seed, "supplier")
 	n := scaled(baseSupplier, cfg.SF)
+	c := schema.NewColumns(int(n))
 	for k := int64(1); k <= n; k++ {
 		nk := int64(r.intn(len(nations)))
 		comment := r.comment(5, 12)
@@ -191,23 +222,19 @@ func genSupplier(cat *catalog.Catalog, cfg Config) error {
 		if r.intn(2000) == 0 {
 			comment = "Customer " + r.pick(commentWords) + " Complaints " + comment
 		}
-		if err := t.AppendRow(
-			vector.NewInt64(k),
-			vector.NewString(fmt.Sprintf("Supplier#%09d", k)),
-			vector.NewString(r.comment(2, 4)),
-			vector.NewInt64(nk),
-			vector.NewString(r.phone(nk)),
-			vector.NewFloat64(r.rangeF(-999.99, 9999.99)),
-			vector.NewString(comment),
-		); err != nil {
-			return err
-		}
+		c[0].AppendInt64(k)
+		c[1].AppendString(keyName("Supplier#", k))
+		c[2].AppendString(r.comment(2, 4))
+		c[3].AppendInt64(nk)
+		c[4].AppendString(r.phone(nk))
+		c[5].AppendFloat64(r.rangeF(-999.99, 9999.99))
+		c[6].AppendString(comment)
 	}
-	return nil
+	return addTable(cat, "supplier", schema, c)
 }
 
 func genCustomer(cat *catalog.Catalog, cfg Config) error {
-	t, err := cat.Create("customer", catalog.NewSchema(
+	schema := catalog.NewSchema(
 		catalog.Col("c_custkey", vector.TypeInt64),
 		catalog.Col("c_name", vector.TypeString),
 		catalog.Col("c_address", vector.TypeString),
@@ -216,32 +243,26 @@ func genCustomer(cat *catalog.Catalog, cfg Config) error {
 		catalog.Col("c_acctbal", vector.TypeFloat64),
 		catalog.Col("c_mktsegment", vector.TypeString),
 		catalog.Col("c_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
 	r := newRNG(cfg.Seed, "customer")
 	n := scaled(baseCustomer, cfg.SF)
+	c := schema.NewColumns(int(n))
 	for k := int64(1); k <= n; k++ {
 		nk := int64(r.intn(len(nations)))
-		if err := t.AppendRow(
-			vector.NewInt64(k),
-			vector.NewString(fmt.Sprintf("Customer#%09d", k)),
-			vector.NewString(r.comment(2, 4)),
-			vector.NewInt64(nk),
-			vector.NewString(r.phone(nk)),
-			vector.NewFloat64(r.rangeF(-999.99, 9999.99)),
-			vector.NewString(r.pick(segments)),
-			vector.NewString(r.comment(6, 16)),
-		); err != nil {
-			return err
-		}
+		c[0].AppendInt64(k)
+		c[1].AppendString(keyName("Customer#", k))
+		c[2].AppendString(r.comment(2, 4))
+		c[3].AppendInt64(nk)
+		c[4].AppendString(r.phone(nk))
+		c[5].AppendFloat64(r.rangeF(-999.99, 9999.99))
+		c[6].AppendString(r.pick(segments))
+		c[7].AppendString(r.comment(6, 16))
 	}
-	return nil
+	return addTable(cat, "customer", schema, c)
 }
 
 func genPart(cat *catalog.Catalog, cfg Config) error {
-	t, err := cat.Create("part", catalog.NewSchema(
+	schema := catalog.NewSchema(
 		catalog.Col("p_partkey", vector.TypeInt64),
 		catalog.Col("p_name", vector.TypeString),
 		catalog.Col("p_mfgr", vector.TypeString),
@@ -251,69 +272,54 @@ func genPart(cat *catalog.Catalog, cfg Config) error {
 		catalog.Col("p_container", vector.TypeString),
 		catalog.Col("p_retailprice", vector.TypeFloat64),
 		catalog.Col("p_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
 	r := newRNG(cfg.Seed, "part")
 	n := scaled(basePart, cfg.SF)
+	c := schema.NewColumns(int(n))
 	for k := int64(1); k <= n; k++ {
-		words := make([]string, 5)
-		for i := range words {
-			words[i] = r.pick(colors)
-		}
-		m := r.intn(5) + 1
-		if err := t.AppendRow(
-			vector.NewInt64(k),
-			vector.NewString(strings.Join(words, " ")),
-			vector.NewString(fmt.Sprintf("Manufacturer#%d", m)),
-			vector.NewString(fmt.Sprintf("Brand#%d%d", m, r.intn(5)+1)),
-			vector.NewString(r.pick(typeSyllable1)+" "+r.pick(typeSyllable2)+" "+r.pick(typeSyllable3)),
-			vector.NewInt64(r.rangeI(1, 50)),
-			vector.NewString(r.pick(containerSyllable1)+" "+r.pick(containerSyllable2)),
-			vector.NewFloat64(partRetailPrice(k)),
-			vector.NewString(r.comment(2, 6)),
-		); err != nil {
-			return err
-		}
+		name := r.words(colors, 5)
+		m := r.intn(5)
+		c[0].AppendInt64(k)
+		c[1].AppendString(name)
+		c[2].AppendString(manufacturers[m])
+		c[3].AppendString(brands[m][r.intn(5)])
+		c[4].AppendString(r.pick(typeSyllable1) + " " + r.pick(typeSyllable2) + " " + r.pick(typeSyllable3))
+		c[5].AppendInt64(r.rangeI(1, 50))
+		c[6].AppendString(r.pick(containerSyllable1) + " " + r.pick(containerSyllable2))
+		c[7].AppendFloat64(partRetailPrice(k))
+		c[8].AppendString(r.comment(2, 6))
 	}
-	return nil
+	return addTable(cat, "part", schema, c)
 }
 
 func genPartSupp(cat *catalog.Catalog, cfg Config) error {
-	t, err := cat.Create("partsupp", catalog.NewSchema(
+	schema := catalog.NewSchema(
 		catalog.Col("ps_partkey", vector.TypeInt64),
 		catalog.Col("ps_suppkey", vector.TypeInt64),
 		catalog.Col("ps_availqty", vector.TypeInt64),
 		catalog.Col("ps_supplycost", vector.TypeFloat64),
 		catalog.Col("ps_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
 	r := newRNG(cfg.Seed, "partsupp")
 	nParts := scaled(basePart, cfg.SF)
 	nSupp := scaled(baseSupplier, cfg.SF)
+	c := schema.NewColumns(int(nParts * suppsPerPart))
 	for pk := int64(1); pk <= nParts; pk++ {
 		for s := int64(0); s < suppsPerPart; s++ {
 			// The spec's supplier spreading function: distinct suppliers per part.
 			sk := (pk+s*(nSupp/suppsPerPart+(pk-1)/nSupp))%nSupp + 1
-			if err := t.AppendRow(
-				vector.NewInt64(pk),
-				vector.NewInt64(sk),
-				vector.NewInt64(r.rangeI(1, 9999)),
-				vector.NewFloat64(r.rangeF(1, 1000)),
-				vector.NewString(r.comment(4, 10)),
-			); err != nil {
-				return err
-			}
+			c[0].AppendInt64(pk)
+			c[1].AppendInt64(sk)
+			c[2].AppendInt64(r.rangeI(1, 9999))
+			c[3].AppendFloat64(r.rangeF(1, 1000))
+			c[4].AppendString(r.comment(4, 10))
 		}
 	}
-	return nil
+	return addTable(cat, "partsupp", schema, c)
 }
 
 func genOrdersAndLineitem(cat *catalog.Catalog, cfg Config) error {
-	orders, err := cat.Create("orders", catalog.NewSchema(
+	ordersSchema := catalog.NewSchema(
 		catalog.Col("o_orderkey", vector.TypeInt64),
 		catalog.Col("o_custkey", vector.TypeInt64),
 		catalog.Col("o_orderstatus", vector.TypeString),
@@ -323,11 +329,8 @@ func genOrdersAndLineitem(cat *catalog.Catalog, cfg Config) error {
 		catalog.Col("o_clerk", vector.TypeString),
 		catalog.Col("o_shippriority", vector.TypeInt64),
 		catalog.Col("o_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
-	lineitem, err := cat.Create("lineitem", catalog.NewSchema(
+	)
+	lineitemSchema := catalog.NewSchema(
 		catalog.Col("l_orderkey", vector.TypeInt64),
 		catalog.Col("l_partkey", vector.TypeInt64),
 		catalog.Col("l_suppkey", vector.TypeInt64),
@@ -344,16 +347,18 @@ func genOrdersAndLineitem(cat *catalog.Catalog, cfg Config) error {
 		catalog.Col("l_shipinstruct", vector.TypeString),
 		catalog.Col("l_shipmode", vector.TypeString),
 		catalog.Col("l_comment", vector.TypeString),
-	))
-	if err != nil {
-		return err
-	}
+	)
 
 	r := newRNG(cfg.Seed, "orders")
 	nOrders := scaled(baseOrders, cfg.SF)
 	nCust := scaled(baseCustomer, cfg.SF)
 	nParts := scaled(basePart, cfg.SF)
 	nSupp := scaled(baseSupplier, cfg.SF)
+	o := ordersSchema.NewColumns(int(nOrders))
+	// An order has 1..maxLines lines, 4 on average; 4.1 per order leaves
+	// room for the spread of all but the smallest scale factors, which
+	// grow once.
+	l := lineitemSchema.NewColumns(int(nOrders * 41 / 10))
 
 	for ok := int64(1); ok <= nOrders; ok++ {
 		// Spec: only customers with custkey%3 != 0 place orders (Q22 depends
@@ -377,46 +382,35 @@ func genOrdersAndLineitem(cat *catalog.Catalog, cfg Config) error {
 			commitDate := odate + r.rangeI(30, 90)
 			receiptDate := shipDate + r.rangeI(1, 30)
 
-			var returnFlag string
+			returnFlag := "N"
 			if receiptDate <= currentDate {
-				if r.intn(2) == 0 {
-					returnFlag = "R"
-				} else {
-					returnFlag = "A"
-				}
-			} else {
-				returnFlag = "N"
+				returnFlag = [2]string{"R", "A"}[r.intn(2)]
 			}
-			var lineStatus string
+			lineStatus := "F"
 			if shipDate > currentDate {
 				lineStatus = "O"
 				allF = false
 			} else {
-				lineStatus = "F"
 				allO = false
 			}
 			totalPrice += extPrice * (1 + tax) * (1 - disc)
 
-			if err := lineitem.AppendRow(
-				vector.NewInt64(ok),
-				vector.NewInt64(pk),
-				vector.NewInt64(sk),
-				vector.NewInt64(int64(ln)),
-				vector.NewFloat64(qty),
-				vector.NewFloat64(extPrice),
-				vector.NewFloat64(disc),
-				vector.NewFloat64(tax),
-				vector.NewString(returnFlag),
-				vector.NewString(lineStatus),
-				vector.NewDate(shipDate),
-				vector.NewDate(commitDate),
-				vector.NewDate(receiptDate),
-				vector.NewString(r.pick(instructions)),
-				vector.NewString(r.pick(shipModes)),
-				vector.NewString(r.comment(2, 6)),
-			); err != nil {
-				return err
-			}
+			l[0].AppendInt64(ok)
+			l[1].AppendInt64(pk)
+			l[2].AppendInt64(sk)
+			l[3].AppendInt64(int64(ln))
+			l[4].AppendFloat64(qty)
+			l[5].AppendFloat64(extPrice)
+			l[6].AppendFloat64(disc)
+			l[7].AppendFloat64(tax)
+			l[8].AppendString(returnFlag)
+			l[9].AppendString(lineStatus)
+			l[10].AppendInt64(shipDate)
+			l[11].AppendInt64(commitDate)
+			l[12].AppendInt64(receiptDate)
+			l[13].AppendString(r.pick(instructions))
+			l[14].AppendString(r.pick(shipModes))
+			l[15].AppendString(r.comment(2, 6))
 		}
 		status := "P"
 		if allF {
@@ -424,19 +418,18 @@ func genOrdersAndLineitem(cat *catalog.Catalog, cfg Config) error {
 		} else if allO {
 			status = "O"
 		}
-		if err := orders.AppendRow(
-			vector.NewInt64(ok),
-			vector.NewInt64(ck),
-			vector.NewString(status),
-			vector.NewFloat64(totalPrice),
-			vector.NewDate(odate),
-			vector.NewString(r.pick(priorities)),
-			vector.NewString(fmt.Sprintf("Clerk#%09d", r.rangeI(1, scaled(1000, cfg.SF)))),
-			vector.NewInt64(0),
-			vector.NewString(r.comment(5, 12)),
-		); err != nil {
-			return err
-		}
+		o[0].AppendInt64(ok)
+		o[1].AppendInt64(ck)
+		o[2].AppendString(status)
+		o[3].AppendFloat64(totalPrice)
+		o[4].AppendInt64(odate)
+		o[5].AppendString(r.pick(priorities))
+		o[6].AppendString(keyName("Clerk#", r.rangeI(1, scaled(1000, cfg.SF))))
+		o[7].AppendInt64(0)
+		o[8].AppendString(r.comment(5, 12))
 	}
-	return nil
+	if err := addTable(cat, "orders", ordersSchema, o); err != nil {
+		return err
+	}
+	return addTable(cat, "lineitem", lineitemSchema, l)
 }

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -31,13 +32,18 @@ func benchCatalog(b *testing.B) *catalog.Catalog {
 	return benchCat
 }
 
-// BenchmarkGenerate measures the data generator's throughput.
+// BenchmarkGenerate measures the data generator at a small scale factor
+// and at the benchmark's SF 0.1.
 func BenchmarkGenerate(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(Config{SF: 0.005}); err != nil {
-			b.Fatal(err)
-		}
+	for _, sf := range []float64{0.005, 0.1} {
+		b.Run(fmt.Sprintf("sf%g", sf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(Config{SF: sf}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -81,4 +87,20 @@ func TestQueryAllocCeilings(t *testing.T) {
 		ops = append(ops, alloctest.Op{Name: q.Name, Run: func() { runToEnd(t, cat, node) }})
 	}
 	alloctest.Check(t, filepath.Join("testdata", "allocs_sf001.txt"), *update, ops)
+}
+
+// TestGenerateAllocCeiling pins the allocs/op of Generate at SF 0.01 to
+// testdata/allocs_generate.txt within alloctest.Tolerance, so that a boxed
+// value or a per-cell copy cannot come back into the generator unseen. It
+// has a file of its own: `-run TestGenerateAllocCeiling -update`
+// re-records it and leaves the query ceilings alone.
+func TestGenerateAllocCeiling(t *testing.T) {
+	alloctest.Check(t, filepath.Join("testdata", "allocs_generate.txt"), *update, []alloctest.Op{{
+		Name: "Generate/sf0.01",
+		Run: func() {
+			if _, err := Generate(Config{SF: 0.01}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}})
 }

@@ -140,6 +140,7 @@ type Decoder struct {
 	r   io.ByteReader
 	rr  io.Reader
 	err error
+	buf []byte // scratch for fixed-width values and string bytes
 }
 
 // NewDecoder returns a Decoder reading from r, which must support byte-wise
@@ -196,12 +197,12 @@ func (d *Decoder) Float64() float64 {
 	if d.err != nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.rr, b[:]); err != nil {
+	b := d.scratch(8)
+	if _, err := io.ReadFull(d.rr, b); err != nil {
 		d.fail(err)
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // Bool reads a single-byte bool.
@@ -220,16 +221,24 @@ func (d *Decoder) String() string {
 	if d.err != nil {
 		return ""
 	}
-	if n > 1<<31 {
+	if rem := d.Remaining(); n > 1<<31 || rem >= 0 && n > uint64(rem) {
 		d.fail(fmt.Errorf("decode string: implausible length %d", n))
 		return ""
 	}
-	b := make([]byte, n)
+	b := d.scratch(int(n))
 	if _, err := io.ReadFull(d.rr, b); err != nil {
 		d.fail(err)
 		return ""
 	}
 	return string(b)
+}
+
+// scratch returns the decoder's scratch buffer resized to n bytes.
+func (d *Decoder) scratch(n int) []byte {
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n)
+	}
+	return d.buf[:n]
 }
 
 // Bytes reads a length-prefixed byte slice.
@@ -238,7 +247,7 @@ func (d *Decoder) Bytes() []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n > 1<<33 {
+	if rem := d.Remaining(); n > 1<<33 || rem >= 0 && n > uint64(rem) {
 		d.fail(fmt.Errorf("decode bytes: implausible length %d", n))
 		return nil
 	}
