@@ -76,6 +76,13 @@ func (b *RowBuffer) appendVectors(cols []*vector.Vector, n int) {
 	b.rows += int64(n)
 }
 
+// adoptChunk appends c itself, which the buffer owns from then on. Only
+// the last chunk appended may hold fewer than ChunkCapacity rows.
+func (b *RowBuffer) adoptChunk(c *vector.Chunk) {
+	b.chunks = append(b.chunks, c)
+	b.rows += int64(c.Len())
+}
+
 // AppendRowFrom appends row i of c.
 func (b *RowBuffer) AppendRowFrom(c *vector.Chunk, i int) {
 	b.tail().AppendRowFrom(c, i)

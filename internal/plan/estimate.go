@@ -60,6 +60,8 @@ func EstimateRows(n Node, cat *catalog.Catalog) float64 {
 		switch t.Type {
 		case SemiJoin, AntiJoin:
 			return l * 0.5
+		case RightSemiJoin, RightAntiJoin:
+			return r * 0.5
 		case CrossJoin:
 			return l * r
 		default:
@@ -196,7 +198,7 @@ func CountOperators(n Node) OperatorCounts {
 			switch t.Type {
 			case LeftOuterJoin:
 				c.OuterJoins++
-			case SemiJoin, AntiJoin:
+			case SemiJoin, AntiJoin, RightSemiJoin, RightAntiJoin:
 				c.SemiAnti++
 			default:
 				c.Joins++

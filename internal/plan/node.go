@@ -112,16 +112,24 @@ func (p *Project) String() string {
 // JoinType enumerates join semantics.
 type JoinType uint8
 
-// Supported join types. The build side is always the right child.
+// Supported join types. The build side is always the right child. A semi
+// or anti join outputs the left rows that have a match (semi) or none
+// (anti) in the right input; a right-semi or right-anti join outputs the
+// right rows that have a match or none in the left input. Which of the two
+// a plan uses picks the side that is hashed: the right, preserved one of a
+// right-semi or right-anti join, the right, tested one of a semi or anti
+// join.
 const (
 	InnerJoin JoinType = iota
 	LeftOuterJoin
 	SemiJoin
 	AntiJoin
 	CrossJoin
+	RightSemiJoin
+	RightAntiJoin
 )
 
-var joinNames = [...]string{"INNER", "LEFT_OUTER", "SEMI", "ANTI", "CROSS"}
+var joinNames = [...]string{"INNER", "LEFT_OUTER", "SEMI", "ANTI", "CROSS", "RIGHT_SEMI", "RIGHT_ANTI"}
 
 // String returns the join type name.
 func (t JoinType) String() string { return joinNames[t] }
@@ -148,6 +156,8 @@ func NewJoin(t JoinType, left, right Node, leftKeys, rightKeys []expr.Expr, extr
 	switch t {
 	case SemiJoin, AntiJoin:
 		j.out = left.Schema()
+	case RightSemiJoin, RightAntiJoin:
+		j.out = right.Schema()
 	default:
 		cols := append([]catalog.Column{}, left.Schema().Columns...)
 		cols = append(cols, right.Schema().Columns...)

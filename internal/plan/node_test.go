@@ -12,7 +12,7 @@ import (
 func TestJoinTypeNames(t *testing.T) {
 	want := map[JoinType]string{
 		InnerJoin: "INNER", LeftOuterJoin: "LEFT_OUTER", SemiJoin: "SEMI",
-		AntiJoin: "ANTI", CrossJoin: "CROSS",
+		AntiJoin: "ANTI", CrossJoin: "CROSS", RightSemiJoin: "RIGHT_SEMI", RightAntiJoin: "RIGHT_ANTI",
 	}
 	for jt, name := range want {
 		if jt.String() != name {

@@ -95,6 +95,11 @@ func TestBuilderJoinSchemas(t *testing.T) {
 	if anti.Schema().Arity() != 4 {
 		t.Error("anti join schema must be left-only")
 	}
+	for _, jt := range []JoinType{RightSemiJoin, RightAntiJoin} {
+		if rj := o.Join(c, jt, []string{"o_custkey"}, []string{"c_custkey"}); rj.Schema().String() != c.Schema().String() {
+			t.Errorf("%v join schema must be the right input's, got %s", jt, rj.Schema())
+		}
+	}
 	cross := o.Cross(c)
 	if cross.Schema().Arity() != 6 {
 		t.Error("cross join schema must concatenate")
@@ -207,6 +212,10 @@ func TestEstimateRows(t *testing.T) {
 	if got := EstimateRows(semi.Node(), cat); got != 500 {
 		t.Errorf("semi estimate = %v", got)
 	}
+	rsemi := o.Join(c, RightSemiJoin, []string{"o_custkey"}, []string{"c_custkey"})
+	if got := EstimateRows(rsemi.Node(), cat); got != 50 {
+		t.Errorf("right-semi estimate = %v, want half the right input", got)
+	}
 	u := o.Union(b.Scan("orders"))
 	if got := EstimateRows(u.Node(), cat); got != 2000 {
 		t.Errorf("union estimate = %v", got)
@@ -261,6 +270,11 @@ func TestCoreOperatorAndCounts(t *testing.T) {
 	if EstimateWidth(q.Node()) <= 0 {
 		t.Error("width must be positive")
 	}
+	semis := o.Join(c, SemiJoin, []string{"o_custkey"}, []string{"c_custkey"}).
+		Join(c, RightAntiJoin, []string{"o_custkey"}, []string{"c_custkey"})
+	if counts := CountOperators(semis.Node()); counts.SemiAnti != 2 || counts.Joins != 0 {
+		t.Errorf("semi and right-anti counts = %+v, want both under SemiAnti", counts)
+	}
 }
 
 func TestFingerprintStability(t *testing.T) {
@@ -280,6 +294,14 @@ func TestFingerprintStability(t *testing.T) {
 		Agg([]string{"o_custkey"}, CountStar("n")).Node()
 	if Fingerprint(build()) == Fingerprint(other) {
 		t.Error("different plans should fingerprint differently")
+	}
+	c := b.Scan("customer")
+	for _, pair := range [][2]JoinType{{SemiJoin, RightSemiJoin}, {AntiJoin, RightAntiJoin}} {
+		l := o.Join(c, pair[0], []string{"o_custkey"}, []string{"c_custkey"}).Node()
+		r := o.Join(c, pair[1], []string{"o_custkey"}, []string{"c_custkey"}).Node()
+		if Fingerprint(l) == Fingerprint(r) {
+			t.Errorf("%v and %v joins fingerprint alike", pair[0], pair[1])
+		}
 	}
 	if len(FingerprintString(build())) != 16 {
 		t.Error("fingerprint string must be 16 hex chars")

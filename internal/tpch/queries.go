@@ -131,7 +131,9 @@ func q4(b *plan.Builder, _ float64) plan.Node {
 	))
 	l := b.Scan("lineitem", "l_orderkey", "l_commitdate", "l_receiptdate")
 	l = l.Filter(expr.Lt(l.Col("l_commitdate"), l.Col("l_receiptdate")))
-	return o.Join(l, plan.SemiJoin, []string{"o_orderkey"}, []string{"l_orderkey"}).
+	// EXISTS over the late lineitems: the quarter's orders are the build
+	// side, a few thousand rows, and the late lineitems mark them.
+	return l.Join(o, plan.RightSemiJoin, []string{"l_orderkey"}, []string{"o_orderkey"}).
 		Agg([]string{"o_orderpriority"}, plan.CountStar("order_count")).
 		Sort(plan.Asc("o_orderpriority")).Node()
 }
@@ -501,9 +503,11 @@ func q21(b *plan.Builder, _ float64) plan.Node {
 	o = o.Filter(expr.Eq(o.Col("o_orderstatus"), expr.Str("F")))
 	j = j.Join(o, plan.InnerJoin, []string{"l_orderkey"}, []string{"o_orderkey"})
 
+	// j holds a few thousand rows, so it is the build side of both
+	// subqueries and the lineitem scans mark it.
 	// EXISTS: another lineitem of the same order from a different supplier.
 	l2 := b.Scan("lineitem", "l_orderkey", "l_suppkey").Rename("l2.")
-	j = j.JoinExtra(l2, plan.SemiJoin, []string{"l_orderkey"}, []string{"l2.l_orderkey"},
+	j = l2.JoinExtra(j, plan.RightSemiJoin, []string{"l2.l_orderkey"}, []string{"l_orderkey"},
 		func(cr plan.ColResolver) expr.Expr {
 			return expr.Ne(cr.Col("l2.l_suppkey"), cr.Col("l_suppkey"))
 		})
@@ -512,7 +516,7 @@ func q21(b *plan.Builder, _ float64) plan.Node {
 	l3 := b.Scan("lineitem", "l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate")
 	l3 = l3.Filter(expr.Gt(l3.Col("l_receiptdate"), l3.Col("l_commitdate"))).
 		Keep("l_orderkey", "l_suppkey").Rename("l3.")
-	j = j.JoinExtra(l3, plan.AntiJoin, []string{"l_orderkey"}, []string{"l3.l_orderkey"},
+	j = l3.JoinExtra(j, plan.RightAntiJoin, []string{"l3.l_orderkey"}, []string{"l_orderkey"},
 		func(cr plan.ColResolver) expr.Expr {
 			return expr.Ne(cr.Col("l3.l_suppkey"), cr.Col("l_suppkey"))
 		})
@@ -538,8 +542,10 @@ func q22(b *plan.Builder, _ float64) plan.Node {
 
 	j := cf.Cross(avgBal)
 	j = j.Filter(expr.Gt(j.Col("c_acctbal"), j.Col("avg_bal")))
+	// NOT EXISTS over orders: the customers are the build side, and every
+	// order marks its customer.
 	o := b.Scan("orders", "o_custkey")
-	j = j.Join(o, plan.AntiJoin, []string{"c_custkey"}, []string{"o_custkey"})
+	j = o.Join(j, plan.RightAntiJoin, []string{"o_custkey"}, []string{"c_custkey"})
 	return j.Agg([]string{"cntrycode"},
 		plan.CountStar("numcust"),
 		plan.Sum(j.Col("c_acctbal"), "totacctbal"),
