@@ -100,7 +100,10 @@ profile:
 # reader (FuzzLoadAggState, whose kilobyte-sized seeds take the engine
 # longer to minimize than the ten seconds last, hence -fuzzminimizetime
 # 1x as well), the join build's state reader (FuzzLoadJoinState: a state
-# is loaded as a global and as a local, then probed), the lineage-log
+# is loaded as a global and as a local, then probed), the right-semi and
+# right-anti mark sink's state reader (FuzzLoadMarkState: a bitmap is
+# loaded as a local and marks on, a buffer as a global and is scanned),
+# the lineage-log
 # scanner (FuzzScanLineage), and the colfile table loader (FuzzReadTable,
 # also -fuzzminimizetime 1x: minimizing its kilobyte files outlasts the
 # ten seconds). The committed corpora run as plain tests in
@@ -114,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzHashJoinMatchesNestedLoop$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadAggState$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadJoinState$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadMarkState$$' -fuzztime 10s
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 	$(GO) test ./internal/colfile -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s -fuzzminimizetime 1x
 

@@ -2,9 +2,11 @@ package tpch
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -114,5 +116,61 @@ func TestCompiledPlanRunsOnce(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "already run by another executor") {
 			t.Errorf("%s: second executor on one plan: err = %v, want the reuse refused", q.Name, err)
 		}
+	}
+}
+
+// TestQ21ResumesToRecordedDigest suspends Q21, whose EXISTS and NOT EXISTS
+// are right-semi and right-anti joins, at 25, 50 and 75 % of its processed
+// bytes, at both levels, and resumes each in a fresh executor: every run
+// returns the recorded result bytes. At least one process-level suspension
+// lands inside a mark pipeline, with its bitmaps in flight.
+func TestQ21ResumesToRecordedDigest(t *testing.T) {
+	cat := queryCatalog(t)
+	q := mustGet(t, 21)
+	want := recordedDigests(t)[q.Name]
+	node := q.Build(plan.NewBuilder(cat), testSF)
+	compile := func() *engine.PhysicalPlan {
+		pp, err := engine.Compile(node, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pp
+	}
+	acct := engine.NewAccountant()
+	if _, err := engine.NewExecutor(compile(), engine.Options{Workers: 1, Accountant: acct}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	inMark := false
+	for _, kind := range []engine.SuspendKind{engine.KindPipeline, engine.KindProcess} {
+		for _, pct := range []int64{25, 50, 75} {
+			run := fmt.Sprintf("%v suspension at %d%%", kind, pct)
+			pp := compile()
+			ex := engine.NewExecutor(pp, engine.Options{Workers: 1,
+				AutoSuspend: engine.AutoSuspend{Kind: kind, AtProcessedBytes: acct.ProcessedBytes() * pct / 100}})
+			if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
+				t.Fatalf("%s: Run = %v, want a suspension", run, err)
+			}
+			for _, f := range ex.Suspended().InFlight {
+				inMark = inMark || strings.Contains(pp.Pipelines[f.Pipeline].Label, "mark(")
+			}
+			var buf bytes.Buffer
+			if err := ex.SaveState(vector.NewEncoder(&buf)); err != nil {
+				t.Fatalf("%s: save: %v", run, err)
+			}
+			resumed := engine.NewExecutor(compile(), engine.Options{Workers: 1})
+			if err := resumed.LoadState(vector.NewDecoder(&buf)); err != nil {
+				t.Fatalf("%s: load: %v", run, err)
+			}
+			res, err := resumed.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: resume: %v", run, err)
+			}
+			if got := digestOf(t, q, res); got != want {
+				t.Errorf("%s: result digest %s, recorded %s", run, got, want)
+			}
+		}
+	}
+	if !inMark {
+		t.Error("no process-level suspension landed inside a mark pipeline")
 	}
 }
