@@ -60,6 +60,19 @@ func (v *Vector) reserve(capacity int) {
 	}
 }
 
+// Grow makes room for n rows in all, keeping the rows there are: it
+// reserves the values and, where the vector has a null bitmap, the bitmap,
+// so appends up to n rows do not reallocate.
+func (v *Vector) Grow(n int) {
+	if v.view {
+		v.detach(true)
+	}
+	v.reserve(n)
+	if words := (n + 63) >> 6; v.nulls != nil && cap(v.nulls) < words {
+		v.nulls = append(make([]uint64, 0, words), v.nulls...)
+	}
+}
+
 // Type returns the vector's logical type.
 func (v *Vector) Type() Type { return v.typ }
 

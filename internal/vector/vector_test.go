@@ -110,6 +110,25 @@ func TestVectorReset(t *testing.T) {
 	}
 }
 
+// TestVectorGrow: Grow keeps the rows and their NULLs, and appends up to
+// the reserved count write into the same backing arrays.
+func TestVectorGrow(t *testing.T) {
+	v := New(TypeInt64, 0)
+	v.AppendInt64(7)
+	v.AppendNull()
+	v.Grow(200)
+	ints, nulls := &v.Int64s()[:1][0], &v.NullWords()[:1][0]
+	for i := 2; i < 200; i++ {
+		v.AppendNull()
+	}
+	if &v.Int64s()[0] != ints || &v.NullWords()[0] != nulls {
+		t.Error("appends within the grown capacity reallocated")
+	}
+	if v.Len() != 200 || v.Value(0) != NewInt64(7) || !v.IsNull(1) || !v.IsNull(199) {
+		t.Errorf("grown vector holds %d rows: %v, %v, %v", v.Len(), v.Value(0), v.Value(1), v.Value(199))
+	}
+}
+
 func TestVectorAppendFrom(t *testing.T) {
 	src := New(TypeString, 3)
 	src.AppendString("a")
