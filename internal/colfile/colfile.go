@@ -97,9 +97,14 @@ func (w *Writer) WriteChunk(c *vector.Chunk) error {
 	if w.closed {
 		return fmt.Errorf("colfile: write after Close")
 	}
-	for i := 0; i < c.Len(); i++ {
-		w.pending.AppendRowFrom(c, i)
-		w.rows++
+	for start := 0; start < c.Len(); {
+		m := min(c.Len()-start, BlockRows-w.pending.Len())
+		for j, v := range w.pending.Cols() {
+			v.AppendRange(c.Col(j), start, start+m)
+		}
+		w.pending.SetLen(w.pending.Len() + m)
+		w.rows += int64(m)
+		start += m
 		if w.pending.Len() >= BlockRows {
 			if err := w.flushBlock(); err != nil {
 				return err

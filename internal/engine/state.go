@@ -271,7 +271,8 @@ func (ex *Executor) loadBodyLocked(dec *vector.Decoder) error {
 	return dec.Err()
 }
 
-// countingWriter counts bytes written.
+// countingWriter counts bytes written. WriteString lets an encoder write
+// strings without copying them.
 type countingWriter struct{ n int64 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
@@ -279,7 +280,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var _ io.Writer = (*countingWriter)(nil)
+func (c *countingWriter) WriteString(s string) (int, error) {
+	c.n += int64(len(s))
+	return len(s), nil
+}
+
+var _ io.StringWriter = (*countingWriter)(nil)
 
 // measureState serializes a hypothetical checkpoint of the given kind
 // to a counting writer and returns its size in bytes.

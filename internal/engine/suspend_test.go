@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -348,5 +349,26 @@ func TestElapsedAccumulatesAcrossResume(t *testing.T) {
 	}
 	if len(ex2.PipelineTimes()) != len(ex2.Plan().Pipelines) {
 		t.Error("pipeline times incomplete")
+	}
+}
+
+// TestCountingWriterTakesStrings: measureState and the breaker-size
+// estimate encode into a countingWriter, whose WriteString lets a VARCHAR
+// column encode without an allocation per value, and which counts the
+// bytes a buffer would hold.
+func TestCountingWriterTakesStrings(t *testing.T) {
+	v := vector.New(vector.TypeString, vector.ChunkCapacity)
+	for i := 0; i < vector.ChunkCapacity; i++ {
+		v.AppendString(fmt.Sprintf("row %d", i))
+	}
+	var cw countingWriter
+	enc := vector.NewEncoder(&cw)
+	if n := testing.AllocsPerRun(10, func() { enc.Vector(v) }); n != 0 {
+		t.Errorf("encoding %d strings allocates %v times, want 0", v.Len(), n)
+	}
+	var buf bytes.Buffer
+	vector.NewEncoder(&buf).Vector(v)
+	if want := 11 * int64(buf.Len()); cw.n != want { // AllocsPerRun runs it once more to warm up
+		t.Errorf("counted %d bytes, want %d", cw.n, want)
 	}
 }

@@ -9,7 +9,9 @@ import (
 
 // Encoder writes the compact binary representation shared by the on-disk
 // table format and checkpoint files. All integers are varint-encoded; floats
-// are fixed 8-byte little-endian.
+// are fixed 8-byte little-endian. Encoding allocates nothing per value when
+// the writer has a WriteString method (io.StringWriter); without one, each
+// string is copied to a byte slice first.
 type Encoder struct {
 	w       io.Writer
 	buf     [binary.MaxVarintLen64]byte
@@ -55,17 +57,22 @@ func (e *Encoder) Float64(x float64) {
 
 // Bool writes a single byte 0/1.
 func (e *Encoder) Bool(x bool) {
+	e.buf[0] = 0
 	if x {
-		e.write([]byte{1})
-	} else {
-		e.write([]byte{0})
+		e.buf[0] = 1
 	}
+	e.write(e.buf[:1])
 }
 
 // String writes a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
-	e.write([]byte(s))
+	if e.err != nil {
+		return
+	}
+	n, err := io.WriteString(e.w, s)
+	e.written += int64(n)
+	e.err = err
 }
 
 // Bytes writes a length-prefixed byte slice.

@@ -2,6 +2,8 @@ package vector
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,5 +205,31 @@ func TestEncoderWrittenCountsBytes(t *testing.T) {
 	enc.Uvarint(300)
 	if enc.Written() != int64(buf.Len()) {
 		t.Errorf("Written = %d, buffer = %d", enc.Written(), buf.Len())
+	}
+}
+
+// TestEncoderAllocatesNothingPerValue: into a writer with a WriteString
+// method, encoding strings and bools allocates nothing, however many
+// values there are. Checkpoints and their size estimates encode every
+// VARCHAR and BOOLEAN row of a state this way.
+func TestEncoderAllocatesNothingPerValue(t *testing.T) {
+	strs, bools := New(TypeString, 2048), New(TypeBool, 2048)
+	for i := 0; i < 2048; i++ {
+		strs.AppendString(fmt.Sprintf("value %d", i))
+		bools.AppendBool(i%3 == 0)
+	}
+	enc := NewEncoder(io.Discard)
+	encode := func() {
+		enc.Vector(strs)
+		enc.Vector(bools)
+		enc.String("x")
+		enc.Bool(true)
+		enc.Value(NewString("boxed"))
+	}
+	if n := testing.AllocsPerRun(10, encode); n != 0 {
+		t.Errorf("encoding 4,099 values allocates %v times, want 0", n)
+	}
+	if enc.Err() != nil {
+		t.Fatal(enc.Err())
 	}
 }
