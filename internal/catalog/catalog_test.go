@@ -130,43 +130,6 @@ func TestTableMemBytesFollowsAppends(t *testing.T) {
 	check("after AppendChunk")
 }
 
-func TestTableStats(t *testing.T) {
-	tbl := NewTable("t", testSchema())
-	for i := 0; i < 1000; i++ {
-		var name vector.Value
-		if i%10 == 0 {
-			name = vector.NewNull(vector.TypeString)
-		} else {
-			name = vector.NewString([]string{"a", "b", "c"}[i%3])
-		}
-		_ = tbl.AppendRow(vector.NewInt64(int64(i%50)), name, vector.NewFloat64(float64(i)))
-	}
-	st := tbl.Stats()
-	if st.Rows != 1000 {
-		t.Fatalf("stats rows = %d", st.Rows)
-	}
-	if st.Columns[0].Distinct != 50 {
-		t.Errorf("id distinct = %d, want 50", st.Columns[0].Distinct)
-	}
-	if st.Columns[1].NullCount != 100 {
-		t.Errorf("null count = %d, want 100", st.Columns[1].NullCount)
-	}
-	if st.Columns[2].Min.F != 0 || st.Columns[2].Max.F != 999 {
-		t.Errorf("min/max = %v/%v", st.Columns[2].Min, st.Columns[2].Max)
-	}
-	if st.RowWidth() <= 0 {
-		t.Error("row width must be positive")
-	}
-	// Stats are cached until append invalidates them.
-	if tbl.Stats() != st {
-		t.Error("stats should be cached")
-	}
-	_ = tbl.AppendRow(vector.NewInt64(1), vector.NewString("x"), vector.NewFloat64(0))
-	if tbl.Stats() == st {
-		t.Error("append must invalidate stats")
-	}
-}
-
 func TestCatalogCRUD(t *testing.T) {
 	c := New()
 	_, err := c.Create("orders", testSchema())

@@ -1,7 +1,7 @@
 // Package catalog defines relational schemas, in-memory columnar tables, and
 // the database catalog that maps table names to storage. It is the engine's
-// source of base data and of the statistics used by the planner's
-// cardinality estimation.
+// source of base data. It keeps no statistics: the planner's cardinality
+// estimates (plan.EstimateRows) read only table row counts.
 package catalog
 
 import (

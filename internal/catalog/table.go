@@ -16,10 +16,9 @@ type Table struct {
 	cols   []*vector.Vector
 	rows   int64
 
-	stats *TableStats // lazily computed; invalidated on append
 	// memBytes caches MemBytes, which reads every string of the table and
 	// is asked for on every submission; 0 = not computed. Invalidated on
-	// append like stats, atomic because submissions race each other.
+	// append, atomic because submissions race each other.
 	memBytes atomic.Int64
 }
 
@@ -30,7 +29,7 @@ func NewTable(name string, schema *Schema) *Table {
 
 // TableOf adopts fully built column vectors as a table: one vector per
 // schema column, of the column's type, all of one length. The table owns
-// the vectors from here on. Stats and MemBytes are computed on first use.
+// the vectors from here on. MemBytes is computed on first use.
 func TableOf(name string, schema *Schema, cols []*vector.Vector) (*Table, error) {
 	if len(cols) != schema.Arity() {
 		return nil, fmt.Errorf("table %s: %d columns for a %d-column schema", name, len(cols), schema.Arity())
@@ -77,7 +76,6 @@ func (t *Table) AppendChunk(c *vector.Chunk) error {
 		col.AppendRange(c.Col(j), 0, c.Len())
 	}
 	t.rows += int64(c.Len())
-	t.stats = nil
 	t.memBytes.Store(0)
 	return nil
 }
@@ -93,7 +91,6 @@ func (t *Table) AppendRow(vals ...vector.Value) error {
 		col.AppendValue(vals[j])
 	}
 	t.rows++
-	t.stats = nil
 	t.memBytes.Store(0)
 	return nil
 }
