@@ -60,7 +60,8 @@ func (s *TableSource) OutTypes() []vector.Type { return s.types }
 
 // BufferedSink is implemented by sinks whose finalized global state is a
 // row buffer scannable by downstream pipelines (aggregates, sorts,
-// collectors). The hash-join build sink is not buffered: probes address it
+// collectors, the mark sink of a right-semi or right-anti join). The
+// hash-join build sink is not buffered: probes and mark sinks address it
 // directly.
 type BufferedSink interface {
 	Sink
