@@ -78,7 +78,7 @@ func TestSuiteDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config()
+	cfg := s.cfg
 	if len(cfg.SFs) != 3 || cfg.Workers <= 0 || cfg.Runs <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}

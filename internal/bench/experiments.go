@@ -37,9 +37,6 @@ func (s *Suite) Table2() ([]*Table, error) {
 		if ops.SemiAnti > 0 {
 			desc += fmt.Sprintf("%d semi/anti join ", ops.SemiAnti)
 		}
-		if ops.Unions > 0 {
-			desc += fmt.Sprintf("%d unionall ", ops.Unions)
-		}
 		t.AddRow(a.QueryInfo().Name, desc, fmt.Sprintf("%d tables", ops.Tables))
 	}
 	return []*Table{t}, nil

@@ -106,9 +106,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	return &Suite{cfg: cfg, scales: map[float64]*scale{}}, nil
 }
 
-// Config returns the effective configuration.
-func (s *Suite) Config() Config { return s.cfg }
-
 func (s *Suite) logf(format string, args ...any) {
 	if !s.cfg.Quiet {
 		fmt.Fprintf(s.cfg.Out, format+"\n", args...)

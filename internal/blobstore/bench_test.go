@@ -30,7 +30,7 @@ func BenchmarkChunker(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				p.Chunks(in.data, func(c []byte) { n += len(c) })
+				chunks(p, in.data, func(c []byte) { n += len(c) })
 				if n != len(in.data) {
 					b.Fatalf("chunker lost bytes: %d of %d", n, len(in.data))
 				}
@@ -90,8 +90,9 @@ func BenchmarkStoreWriteCold(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			st := benchStore(b)
 			m := checkpoint.Manifest{Kind: "pipeline", Query: "bench"}
+			state := string(c.state)
 			save := func(enc *vector.Encoder) error {
-				enc.Bytes(c.state)
+				enc.String(state)
 				return enc.Err()
 			}
 			b.SetBytes(int64(len(c.state)) + c.padding)
@@ -132,8 +133,9 @@ func BenchmarkStoreWriteDedup(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			st := benchStore(b)
 			m := checkpoint.Manifest{Kind: "pipeline", Query: "bench"}
+			state := string(c.state)
 			save := func(enc *vector.Encoder) error {
-				enc.Bytes(c.state)
+				enc.String(state)
 				return enc.Err()
 			}
 			if _, err := writeSaved(st, "warm", m, save, c.padding, nil); err != nil {
@@ -163,7 +165,7 @@ func BenchmarkStoreRead(b *testing.B) {
 			st := benchStore(b)
 			m := checkpoint.Manifest{Kind: "pipeline", Query: "bench"}
 			if _, err := writeSaved(st, "r", m, func(enc *vector.Encoder) error {
-				enc.Bytes(c.state)
+				enc.String(string(c.state))
 				return enc.Err()
 			}, c.padding, nil); err != nil {
 				b.Fatal(err)
@@ -175,7 +177,7 @@ func BenchmarkStoreRead(b *testing.B) {
 					b.ResetTimer()
 				}
 				if _, err := st.ReadCheckpoint("r", func(dec *vector.Decoder) error {
-					dec.Bytes()
+					_ = dec.String()
 					return dec.Err()
 				}, nil); err != nil {
 					b.Fatal(err)

@@ -121,9 +121,6 @@ func New(cfg Config) (*Store, error) {
 	}, nil
 }
 
-// Backend returns the store's backend (for probing and tests).
-func (s *Store) Backend() Backend { return s.backend }
-
 // ChunkRef identifies one chunk of a checkpoint: the sha256 of its
 // uncompressed content and its uncompressed length.
 type ChunkRef struct {

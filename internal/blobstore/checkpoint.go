@@ -372,14 +372,6 @@ func (s *Store) VerifyCheckpoint(key string) (StoreManifest, error) {
 	return res.Manifest, nil
 }
 
-// HasCheckpoint reports whether a checkpoint with this key exists.
-func (s *Store) HasCheckpoint(key string) (bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return false, err
-	}
-	return s.backend.Has(manifestName(key))
-}
-
 // ListCheckpoints returns the keys of every stored checkpoint.
 func (s *Store) ListCheckpoints() ([]string, error) {
 	names, err := s.backend.List(nsManifests + "/")

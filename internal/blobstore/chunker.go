@@ -75,20 +75,6 @@ var gearTable = func() [256]uint64 {
 	return t
 }()
 
-// Chunks splits data into content-defined chunks and calls emit with each
-// one (a sub-slice of data; emit must not retain it past its call). The
-// concatenation of emitted chunks is exactly data; an empty input emits
-// nothing.
-func (p ChunkParams) Chunks(data []byte, emit func(chunk []byte)) {
-	p = p.normalized()
-	mask := uint64(p.Avg - 1)
-	for len(data) > 0 {
-		n := p.cut(data, mask)
-		emit(data[:n])
-		data = data[n:]
-	}
-}
-
 // cut returns the length of the next chunk: the first position past Min
 // where the rolling hash hits the boundary mask, clamped at Max (and at the
 // end of the input).

@@ -43,9 +43,6 @@ func NewLocal(fsys faultfs.FS, dir string) (*Local, error) {
 	return &Local{fsys: fsys, root: dir}, nil
 }
 
-// Root returns the backend's directory.
-func (l *Local) Root() string { return l.root }
-
 // path maps an object name to its file path, rejecting names that would
 // escape the root.
 func (l *Local) path(name string) (string, error) {

@@ -192,7 +192,7 @@ func TestWriteRejectsInconsistentImage(t *testing.T) {
 			t.Errorf("image with manifest sizes %d+%d over a 5-byte payload accepted", m.StateBytes, m.PaddingBytes)
 		}
 	}
-	if ok, _ := st.HasCheckpoint("k"); ok {
+	if ok, _ := st.backend.Has(manifestName("k")); ok {
 		t.Fatal("a refused write published a manifest")
 	}
 }
@@ -214,7 +214,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		res, err := writeSaved(st, "k", checkpoint.Manifest{Kind: "process"}, func(enc *vector.Encoder) error {
-			enc.Bytes(state)
+			enc.String(string(state))
 			return enc.Err()
 		}, 9_000, nil)
 		if err != nil {
@@ -235,7 +235,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		be.objects[first] = chunk
 		var got []byte
 		_, rerr := st.ReadCheckpoint("k", func(dec *vector.Decoder) error {
-			got = dec.Bytes()
+			got = []byte(dec.String())
 			return dec.Err()
 		}, nil)
 		if _, verr := st.VerifyCheckpoint("k"); rerr == nil && verr != nil {
@@ -421,7 +421,7 @@ func TestFailedCallsPublishNothingAndLeakNothing(t *testing.T) {
 	if _, err := st.WriteCheckpointBytes("k", checkpoint.Manifest{}, state, 0, nil); err == nil {
 		t.Fatal("write survived a failed put")
 	}
-	if ok, _ := st.HasCheckpoint("k"); ok {
+	if ok, _ := st.backend.Has(manifestName("k")); ok {
 		t.Fatal("manifest published after a failed chunk put")
 	}
 	if got := len(be.chunkOps("PUT")); got != 7 {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/cloud"
-	"github.com/riveterdb/riveter/internal/faultnet"
 )
 
 // Remote simulates a cloud object store: it delegates storage to an inner
@@ -21,12 +20,6 @@ type Remote struct {
 	inner Backend
 	net   cloud.NetProfile
 	sleep func(time.Duration)
-
-	// faults, when set, runs every operation through a faultnet plan on
-	// faultLink — the same declarative fault grammar the HTTP clients use,
-	// here modelling a flaky or partitioned store link.
-	faults    *faultnet.Plan
-	faultLink string
 }
 
 // NewRemote wraps inner with the given network profile. A zero profile
@@ -34,39 +27,6 @@ type Remote struct {
 func NewRemote(inner Backend, net cloud.NetProfile) *Remote {
 	return &Remote{inner: inner, net: net, sleep: time.Sleep}
 }
-
-// SetSleep replaces the delay function (tests).
-func (r *Remote) SetSleep(f func(time.Duration)) { r.sleep = f }
-
-// SetFaults attaches a fault plan to the store link. Operations check
-// the plan as "<OP> <name>" deliveries on the given link (default
-// "store"): drops and blackholes fail the operation before it reaches
-// the inner backend, asymmetric rules let the operation land but lose
-// the acknowledgement, and latency rules charge extra delay. Pass a nil
-// plan to detach.
-func (r *Remote) SetFaults(plan *faultnet.Plan, link string) {
-	if link == "" {
-		link = "store"
-	}
-	r.faults, r.faultLink = plan, link
-}
-
-// fault consults the plan for one operation: pre is returned before the
-// inner call runs (the request never arrived), post after it ran (the
-// ack was lost on the way back).
-func (r *Remote) fault(op string) (pre, post error) {
-	if r.faults == nil {
-		return nil, nil
-	}
-	v := r.faults.Check(r.faultLink, op)
-	if v.Delay > 0 {
-		r.sleep(v.Delay)
-	}
-	return v.Err, v.ErrAfter
-}
-
-// Net returns the simulated network profile.
-func (r *Remote) Net() cloud.NetProfile { return r.net }
 
 // delay charges one operation's simulated network time.
 func (r *Remote) delay(d time.Duration) {
@@ -77,89 +37,42 @@ func (r *Remote) delay(d time.Duration) {
 
 // Put implements Backend, charging latency plus upload bandwidth.
 func (r *Remote) Put(name string, data []byte) error {
-	pre, post := r.fault("PUT " + name)
-	if pre != nil {
-		return pre
-	}
 	r.delay(r.net.Latency + r.net.UploadDelay(len(data)))
-	err := r.inner.Put(name, data)
-	if err == nil && post != nil {
-		return post // the write landed; the acknowledgement did not
-	}
-	return err
+	return r.inner.Put(name, data)
 }
 
 // PutExcl implements Backend, charging like Put.
 func (r *Remote) PutExcl(name string, data []byte) error {
-	pre, post := r.fault("PUTX " + name)
-	if pre != nil {
-		return pre
-	}
 	r.delay(r.net.Latency + r.net.UploadDelay(len(data)))
-	err := r.inner.PutExcl(name, data)
-	if err == nil && post != nil {
-		return post
-	}
-	return err
+	return r.inner.PutExcl(name, data)
 }
 
 // Get implements Backend, charging latency plus download bandwidth for
 // the bytes actually returned.
 func (r *Remote) Get(name string) ([]byte, error) {
-	pre, post := r.fault("GET " + name)
-	if pre != nil {
-		return nil, pre
-	}
 	data, err := r.inner.Get(name)
 	if err != nil {
 		r.delay(r.net.Latency)
 		return nil, err
 	}
 	r.delay(r.net.Latency + r.net.DownloadDelay(len(data)))
-	if post != nil {
-		return nil, post
-	}
 	return data, nil
 }
 
 // Has implements Backend, charging one control-plane round trip.
 func (r *Remote) Has(name string) (bool, error) {
-	pre, post := r.fault("HAS " + name)
-	if pre != nil {
-		return false, pre
-	}
 	r.delay(r.net.Latency)
-	ok, err := r.inner.Has(name)
-	if err == nil && post != nil {
-		return false, post
-	}
-	return ok, err
+	return r.inner.Has(name)
 }
 
 // List implements Backend, charging one control-plane round trip.
 func (r *Remote) List(prefix string) ([]string, error) {
-	pre, post := r.fault("LIST " + prefix)
-	if pre != nil {
-		return nil, pre
-	}
 	r.delay(r.net.Latency)
-	names, err := r.inner.List(prefix)
-	if err == nil && post != nil {
-		return nil, post
-	}
-	return names, err
+	return r.inner.List(prefix)
 }
 
 // Delete implements Backend, charging one control-plane round trip.
 func (r *Remote) Delete(name string) error {
-	pre, post := r.fault("DELETE " + name)
-	if pre != nil {
-		return pre
-	}
 	r.delay(r.net.Latency)
-	err := r.inner.Delete(name)
-	if err == nil && post != nil {
-		return post
-	}
-	return err
+	return r.inner.Delete(name)
 }

@@ -65,7 +65,7 @@ func writeBlob(t *testing.T, st *Store, key string, data []byte, padding int64) 
 	t.Helper()
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "test", Workers: 2}
 	res, err := writeSaved(st, key, m, func(enc *vector.Encoder) error {
-		enc.Bytes(data)
+		enc.String(string(data))
 		return enc.Err()
 	}, padding, nil)
 	if err != nil {
@@ -79,7 +79,7 @@ func readBlob(t *testing.T, st *Store, key string) ([]byte, *ReadResult) {
 	t.Helper()
 	var got []byte
 	res, err := st.ReadCheckpoint(key, func(dec *vector.Decoder) error {
-		got = dec.Bytes()
+		got = []byte(dec.String())
 		return dec.Err()
 	}, nil)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestMissingChunkDetected(t *testing.T) {
 	st, _ := newTestStore(t, nil, nil)
 	res := writeBlob(t, st, "q", randBytes(7, 30_000), 0)
 	victim := res.Manifest.Chunks[len(res.Manifest.Chunks)-1]
-	if err := st.Backend().Delete(chunkName(victim.Digest)); err != nil {
+	if err := st.backend.Delete(chunkName(victim.Digest)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.VerifyCheckpoint("q"); err == nil {
@@ -224,14 +224,14 @@ func TestFaultedUploadLeavesNoCheckpoint(t *testing.T) {
 	inj.AddFault(faultfs.Fault{Op: faultfs.OpCreate, PathSubstr: "chunks", Nth: 3})
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "faulted"}
 	_, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
-		enc.Bytes(randBytes(8, 50_000))
+		enc.String(string(randBytes(8, 50_000)))
 		return enc.Err()
 	}, 0, nil)
 	if err == nil {
 		t.Fatal("write succeeded under an injected chunk fault")
 	}
 	inj.Reset()
-	if ok, _ := st.HasCheckpoint("q"); ok {
+	if ok, _ := st.backend.Has(manifestName("q")); ok {
 		t.Fatal("manifest published despite failed chunk upload")
 	}
 }
@@ -245,20 +245,20 @@ func TestTornChunkUploadInvisible(t *testing.T) {
 	inj.CrashAfterBytes(600)
 	m := checkpoint.Manifest{Kind: "pipeline", Query: "torn"}
 	_, err := writeSaved(st, "q", m, func(enc *vector.Encoder) error {
-		enc.Bytes(randBytes(9, 50_000))
+		enc.String(string(randBytes(9, 50_000)))
 		return enc.Err()
 	}, 0, nil)
 	if err == nil {
 		t.Fatal("write survived a simulated crash")
 	}
 	inj.Reset()
-	chunks, err := st.Backend().List(nsChunks + "/")
+	chunks, err := st.backend.List(nsChunks + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range chunks {
 		digest := name[len(nsChunks)+1:]
-		data, err := st.Backend().Get(name)
+		data, err := st.backend.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestGCSkipsChunksUnderUnreadableManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An unreferenced chunk that would normally be collected.
-	if err := st.Backend().Put(chunkName(digestOf([]byte("junk"))), []byte("junk")); err != nil {
+	if err := st.backend.Put(chunkName(digestOf([]byte("junk"))), []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 	res, err := st.GC()

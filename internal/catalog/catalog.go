@@ -53,17 +53,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Drop removes the named table.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	delete(c.tables, name)
-	return nil
-}
-
 // Names returns all table names in sorted order.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()

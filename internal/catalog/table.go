@@ -57,29 +57,6 @@ func (t *Table) Schema() *Schema { return t.schema }
 // NumRows returns the current row count.
 func (t *Table) NumRows() int64 { return t.rows }
 
-// Column returns the full storage vector of column i (read-only use).
-func (t *Table) Column(i int) *vector.Vector { return t.cols[i] }
-
-// AppendChunk appends all rows of the chunk, whose column types must match
-// the schema.
-func (t *Table) AppendChunk(c *vector.Chunk) error {
-	if c.NumCols() != t.schema.Arity() {
-		return fmt.Errorf("table %s: append %d columns to %d-column schema", t.name, c.NumCols(), t.schema.Arity())
-	}
-	for j := range t.cols {
-		want, got := t.schema.Columns[j].Type, c.Col(j).Type()
-		if want != got {
-			return fmt.Errorf("table %s column %s: append type %v to %v", t.name, t.schema.Columns[j].Name, got, want)
-		}
-	}
-	for j, col := range t.cols {
-		col.AppendRange(c.Col(j), 0, c.Len())
-	}
-	t.rows += int64(c.Len())
-	t.memBytes.Store(0)
-	return nil
-}
-
 // AppendRow appends a single row of boxed values. It is the slow path that
 // tests use to build small tables; the loaders build typed columns and
 // adopt them with TableOf.

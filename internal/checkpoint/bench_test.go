@@ -23,12 +23,12 @@ func benchState(n int) []byte {
 // serialize, tmp file, fsync, rename, directory fsync — per state size.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
-		state := benchState(size)
+		state := string(benchState(size))
 		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
 			dir := b.TempDir()
 			m := Manifest{Kind: "pipeline", Query: "bench"}
 			save := func(enc *vector.Encoder) error {
-				enc.Bytes(state)
+				enc.String(state)
 				return enc.Err()
 			}
 			b.SetBytes(int64(size))
@@ -47,12 +47,12 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // deserialization.
 func BenchmarkCheckpointRead(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
-		state := benchState(size)
+		state := string(benchState(size))
 		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "b.rvck")
 			m := Manifest{Kind: "pipeline", Query: "bench"}
 			if _, err := writeFS(faultfs.OS, path, m, func(enc *vector.Encoder) error {
-				enc.Bytes(state)
+				enc.String(state)
 				return enc.Err()
 			}, 0); err != nil {
 				b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ReadFS(faultfs.OS, path, func(dec *vector.Decoder) error {
-					dec.Bytes()
+					_ = dec.String()
 					return dec.Err()
 				}); err != nil {
 					b.Fatal(err)
@@ -73,10 +73,10 @@ func BenchmarkCheckpointRead(b *testing.B) {
 
 // BenchmarkCheckpointVerify measures the structural walk alone.
 func BenchmarkCheckpointVerify(b *testing.B) {
-	state := benchState(1 << 20)
+	state := string(benchState(1 << 20))
 	path := filepath.Join(b.TempDir(), "b.rvck")
 	if _, err := writeFS(faultfs.OS, path, Manifest{Kind: "pipeline", Query: "bench"}, func(enc *vector.Encoder) error {
-		enc.Bytes(state)
+		enc.String(state)
 		return enc.Err()
 	}, 0); err != nil {
 		b.Fatal(err)

@@ -138,7 +138,7 @@ func hostileImages(t testing.TB) map[string][]byte {
 	t.Helper()
 	pinClock(t, 1_700_000_000_000_000_000)
 	img, err := Encode(Manifest{Kind: "process", Query: "fuzz", Workers: 2, StateVersion: 2}, func(enc *vector.Encoder) error {
-		enc.Bytes(fuzzState)
+		enc.String(string(fuzzState))
 		return enc.Err()
 	}, func(int64) int64 { return 64 })
 	if err != nil {
@@ -256,7 +256,7 @@ func FuzzReadImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got []byte
 		m, err := readImage(bytes.NewReader(data), int64(len(data)), func(dec *vector.Decoder) error {
-			got = dec.Bytes()
+			got = []byte(dec.String())
 			return dec.Err()
 		})
 		if _, verr := readImage(bytes.NewReader(data), int64(len(data)), nil); err == nil && verr != nil {

@@ -134,15 +134,6 @@ func (p NetProfile) Zero() bool {
 	return p.Latency == 0 && p.UploadBytesPerSec == 0 && p.DownloadBytesPerSec == 0
 }
 
-// InstanceState is the lifecycle state of a simulated ephemeral instance.
-type InstanceState int
-
-// Instance lifecycle states.
-const (
-	StateRunning InstanceState = iota
-	StateReclaimed
-)
-
 // Instance simulates a spot instance with a reclamation notice, mirroring
 // providers that alert users "when their spot instances are at risk of
 // imminent termination".
@@ -150,7 +141,6 @@ type Instance struct {
 	// NoticeLead is how far in advance the reclamation notice fires.
 	NoticeLead time.Duration
 
-	state      InstanceState
 	reclaimAt  time.Duration
 	terminates bool
 }
@@ -175,12 +165,4 @@ func (i *Instance) NoticeAt() time.Duration {
 		n = 0
 	}
 	return n
-}
-
-// StateAt returns the lifecycle state at elapsed time t.
-func (i *Instance) StateAt(t time.Duration) InstanceState {
-	if i.terminates && t >= i.reclaimAt {
-		return StateReclaimed
-	}
-	return StateRunning
 }

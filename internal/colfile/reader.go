@@ -47,9 +47,6 @@ func Open(path string) (*Reader, error) {
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// Meta returns the file's metadata.
-func (r *Reader) Meta() Meta { return r.meta }
-
 // readAt reads the n bytes at off into r.buf and returns them.
 func (r *Reader) readAt(off, n int64) ([]byte, error) {
 	if int64(cap(r.buf)) < n {

@@ -23,7 +23,7 @@ func TestMetaFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	m := r.Meta()
+	m := r.meta
 	if m.TableName != "test_table" || m.Rows != 1234 || m.Blocks != 1 {
 		t.Errorf("meta = %+v", m)
 	}

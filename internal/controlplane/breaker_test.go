@@ -16,6 +16,14 @@ import (
 
 // healthStub is a minimal instance: /healthz answers accepting, /metrics
 // answers an empty snapshot. Enough for the registry's prober.
+// setNow swaps the registry's clock, so that tests drive breaker cooldowns
+// without sleeping.
+func setNow(r *Registry, fn func() time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nowFn = fn
+}
+
 func healthStub(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -50,7 +58,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// Fake clock: a base instant plus an atomic offset the test advances.
 	base := time.Unix(1_700_000_000, 0)
 	var offset atomic.Int64
-	reg.setNow(func() time.Time { return base.Add(time.Duration(offset.Load())) })
+	setNow(reg, func() time.Time { return base.Add(time.Duration(offset.Load())) })
 	advance := func(d time.Duration) { offset.Add(int64(d)) }
 
 	const id = "brk"
@@ -350,7 +358,7 @@ func TestBreakerIgnoresAbandonedHeldReads(t *testing.T) {
 	defer reg.Close()
 	base := time.Unix(1_700_000_000, 0)
 	var offset atomic.Int64
-	reg.setNow(func() time.Time { return base.Add(time.Duration(offset.Load())) })
+	setNow(reg, func() time.Time { return base.Add(time.Duration(offset.Load())) })
 	p := NewProxy(ProxyConfig{Registry: reg, Metrics: met,
 		Retry: RetryPolicy{Budget: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond, Seed: 5}})
 	const id = "held"

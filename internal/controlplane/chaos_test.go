@@ -459,7 +459,7 @@ func TestChaosFlapQuarantine(t *testing.T) {
 	// Heal the link and jump the clock past the cooldown: the next probe
 	// is the half-open trial and re-closes the breaker.
 	plan.Heal()
-	f.reg.setNow(func() time.Time { return time.Now().Add(2 * time.Hour) })
+	setNow(f.reg, func() time.Time { return time.Now().Add(2 * time.Hour) })
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if v, _ := f.reg.View("flap-a"); v.Breaker == "" && v.Accepting() {

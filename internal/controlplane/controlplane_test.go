@@ -674,8 +674,14 @@ func TestProxyWaitMode(t *testing.T) {
 	if got := f.met.Counter(obs.MetricCPWaitRounds).Value(); got != queries {
 		t.Errorf("wait_rounds = %d, want %d", got, queries)
 	}
-	if got := f.met.Histogram(obs.MetricCPProxyWaitLatency, obs.DurationBuckets).Count(); got != queries {
-		t.Errorf("wait latency observed %d times, want %d", got, queries)
+	observed := int64(-1)
+	for _, h := range f.met.Snapshot().Histograms {
+		if h.Name == obs.MetricCPProxyWaitLatency {
+			observed = h.Count
+		}
+	}
+	if observed != queries {
+		t.Errorf("wait latency observed %d times, want %d", observed, queries)
 	}
 	env, _ := f.getJSON("/fleet/metrics")
 	if proxy, _ := env["proxy"].(map[string]any); !strings.Contains(fmt.Sprint(proxy), obs.MetricCPWaitRounds) {

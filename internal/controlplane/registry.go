@@ -177,14 +177,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	return r
 }
 
-// setNow swaps the registry's clock (tests drive breaker cooldowns
-// without sleeping).
-func (r *Registry) setNow(fn func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nowFn = fn
-}
-
 // Close stops the probe loop.
 func (r *Registry) Close() {
 	r.cancel()

@@ -30,7 +30,7 @@ func retentionQ1(t testing.TB) func(retention float64) int64 {
 	}
 	node := q.Build(plan.NewBuilder(cat), sf)
 	run := func(opts engine.Options) (*engine.Executor, error) {
-		pp, err := engine.Compile(node, cat)
+		pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,20 +80,20 @@ func aggStateChunks() []*vector.Chunk {
 // three types, COUNT, COUNT(*) and COUNT DISTINCT twice: over a group key,
 // one value per group, and over a VARCHAR with several values per group.
 func aggStateSpecs() []plan.AggSpec {
-	x, y, z := expr.Col(4, vector.TypeFloat64), expr.Col(5, vector.TypeInt64), expr.Col(6, vector.TypeString)
+	x, y, z := expr.NamedCol(4, vector.TypeFloat64, ""), expr.NamedCol(5, vector.TypeInt64, ""), expr.NamedCol(6, vector.TypeString, "")
 	return []plan.AggSpec{
 		plan.Sum(x, "sx"), plan.Sum(y, "sy"), plan.Avg(x, "ax"),
-		plan.Min(z, "mnz"), plan.Max(expr.Col(1, vector.TypeDate), "mxd"), plan.Min(x, "mnx"), plan.Max(y, "mxy"),
+		plan.Min(z, "mnz"), plan.Max(expr.NamedCol(1, vector.TypeDate, ""), "mxd"), plan.Min(x, "mnx"), plan.Max(y, "mxy"),
 		plan.Count(y, "cy"), plan.CountStar("n"),
-		plan.CountDistinct(expr.Col(0, vector.TypeInt64), "dk"), plan.CountDistinct(z, "dz"),
+		plan.CountDistinct(expr.NamedCol(0, vector.TypeInt64, ""), "dk"), plan.CountDistinct(z, "dz"),
 	}
 }
 
 func aggStateSink(t testing.TB, specs []plan.AggSpec) *FlatAggSink {
 	t.Helper()
 	keys := []expr.Expr{
-		expr.Col(0, vector.TypeInt64), expr.Col(1, vector.TypeDate),
-		expr.Col(2, vector.TypeString), expr.Col(3, vector.TypeFloat64),
+		expr.NamedCol(0, vector.TypeInt64, ""), expr.NamedCol(1, vector.TypeDate, ""),
+		expr.NamedCol(2, vector.TypeString, ""), expr.NamedCol(3, vector.TypeFloat64, ""),
 	}
 	outTypes := append([]vector.Type{}, aggStateTypes[:4]...)
 	for _, sp := range specs {
@@ -280,12 +280,15 @@ func TestRowBufferConcatTakesChunks(t *testing.T) {
 	types := []vector.Type{vector.TypeInt64, vector.TypeString, vector.TypeFloat64}
 	build := func(rows, base int) *RowBuffer {
 		b := NewRowBuffer(types)
+		row := vector.NewChunk(types)
 		for i := base; i < base+rows; i++ {
 			s := vector.NewString(fmt.Sprintf("s%d", i))
 			if i%13 == 0 {
 				s = vector.NewNull(vector.TypeString)
 			}
-			b.AppendRowValues(vector.NewInt64(int64(i)), s, vector.NewFloat64(float64(i)/3))
+			row.Reset()
+			row.AppendRowValues(vector.NewInt64(int64(i)), s, vector.NewFloat64(float64(i)/3))
+			b.AppendRowFrom(row, 0)
 		}
 		return b
 	}

@@ -94,7 +94,7 @@ var engineCases = []engineCase{
 		t := bl.Scan("t", "g", "v")
 		node := t.Agg([]string{"g"}, plan.Sum(t.Col("v"), "s")).
 			Sort(plan.Desc("s")).Node()
-		pp, _ := Compile(node, cat)
+		pp, _ := CompileWith(node, cat, CompileOptions{})
 		ex := NewExecutor(pp, Options{
 			Workers: 4,
 			OnBreaker: func(ev *BreakerEvent) BreakerAction {
@@ -112,7 +112,7 @@ var engineCases = []engineCase{
 			if err := ex.SaveState(vector.NewEncoder(&out)); err != nil {
 				tb.Fatal(err)
 			}
-			pp2, _ := Compile(node, cat)
+			pp2, _ := CompileWith(node, cat, CompileOptions{})
 			ex2 := NewExecutor(pp2, Options{Workers: 4})
 			if err := ex2.LoadState(vector.NewDecoder(bytes.NewReader(out.Bytes()))); err != nil {
 				tb.Fatal(err)
@@ -126,7 +126,7 @@ var engineCases = []engineCase{
 		t := bl.Scan("t", "g", "v")
 		node := t.Agg([]string{"g"}, plan.Sum(t.Col("v"), "s")).Node()
 		return func() {
-			pp, _ := Compile(node, cat)
+			pp, _ := CompileWith(node, cat, CompileOptions{})
 			ex := NewExecutor(pp, Options{
 				Workers:     4,
 				AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 1 << 21},
@@ -142,7 +142,7 @@ var engineCases = []engineCase{
 			if err := ex.SaveState(vector.NewEncoder(&buf)); err != nil {
 				tb.Fatal(err)
 			}
-			pp2, _ := Compile(node, cat)
+			pp2, _ := CompileWith(node, cat, CompileOptions{})
 			ex2 := NewExecutor(pp2, Options{Workers: 4})
 			if err := ex2.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
 				tb.Fatal(err)
@@ -173,20 +173,14 @@ func benchCatalog(tb testing.TB, rows int) *catalog.Catalog {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	chunk := vector.NewChunk(tbl.Schema().Types())
 	for i := 0; i < rows; i++ {
-		if chunk.Full() {
-			_ = tbl.AppendChunk(chunk)
-			chunk.Reset()
-		}
-		chunk.AppendRowValues(
+		_ = tbl.AppendRow(
 			vector.NewInt64(int64(i)),
 			vector.NewInt64(int64(i%1024)),
 			vector.NewFloat64(float64(i%1000)),
 			vector.NewString([]string{"alpha", "beta", "gamma", "delta"}[i%4]),
 		)
 	}
-	_ = tbl.AppendChunk(chunk)
 	benchCatalogs[rows] = cat
 	return cat
 }

@@ -59,14 +59,6 @@ type BreakerEvent struct {
 	PipelineTimes []time.Duration
 }
 
-// MeasurePipelineCheckpointBytes serializes the would-be pipeline-level
-// checkpoint to a counting writer and returns its exact size — the paper's
-// "serialize the intermediate data in binary format, which allows us to
-// determine its size".
-func (e *BreakerEvent) MeasurePipelineCheckpointBytes() int64 {
-	return e.ex.measureState(KindPipeline)
-}
-
 // SavePipelineState serializes a pipeline-level snapshot of the executor
 // state as of this breaker. Safe mid-run because breaker events run on the
 // scheduler goroutine and a pipeline-kind snapshot carries only the done
@@ -76,14 +68,6 @@ func (e *BreakerEvent) MeasurePipelineCheckpointBytes() int64 {
 // one per breaker as its sealed resume points.
 func (e *BreakerEvent) SavePipelineState(enc *vector.Encoder) error {
 	return e.ex.savePipelineStateAt(enc, e.Elapsed)
-}
-
-// LiveStateBytes returns the resident size of live operator state.
-func (e *BreakerEvent) LiveStateBytes() int64 { return e.ex.liveStateBytes() }
-
-// ProcessImageBytes returns the modeled CRIU image size at this moment.
-func (e *BreakerEvent) ProcessImageBytes() int64 {
-	return e.ex.acct.ImageBytes(e.ex.liveStateBytes())
 }
 
 // AutoSuspend configures a progress-triggered suspension: once the
@@ -504,19 +488,6 @@ func (ex *Executor) PipelineTimes() []time.Duration {
 		}
 	}
 	return out
-}
-
-// DonePipelines returns how many pipelines have finalized.
-func (ex *Executor) DonePipelines() int {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	n := 0
-	for _, d := range ex.done {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // Run executes the plan to completion, a suspension, or cancellation.

@@ -707,9 +707,6 @@ func (s *FlatAggSink) Finalize() error {
 // Buffer implements BufferedSink.
 func (s *FlatAggSink) Buffer() *RowBuffer { return s.buf }
 
-// NumGroups returns the current number of global groups.
-func (s *FlatAggSink) NumGroups() int { return s.global.n }
-
 // saveTable writes a table in the v3 aggregate state format: the group
 // count, the key columns, each spec's own accumulator arrays in group
 // order, then each DISTINCT spec's (group, value) pairs in first-seen

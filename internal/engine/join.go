@@ -392,9 +392,6 @@ func (s *HashJoinBuildSink) outTypes() []vector.Type {
 	return s.rowTypes[len(s.rowTypes)-len(s.stored):]
 }
 
-// NumKeys returns the number of equi-join keys.
-func (s *HashJoinBuildSink) NumKeys() int { return len(s.keyTypes) }
-
 // Rows returns the number of buffered build rows.
 func (s *HashJoinBuildSink) Rows() int64 { return s.buf.Rows() }
 

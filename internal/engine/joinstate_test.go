@@ -22,7 +22,7 @@ var joinStateTypes = []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.
 // joinStateKeys are the keys joinStateSink joins on over a one-column
 // BIGINT probe or build input: k, a bare column, beside k + 1, computed.
 func joinStateKeys() []expr.Expr {
-	k := expr.Col(0, vector.TypeInt64)
+	k := expr.NamedCol(0, vector.TypeInt64, "")
 	return []expr.Expr{k, expr.Add(k, expr.Int(1))}
 }
 
@@ -228,9 +228,9 @@ func FuzzLoadJoinState(f *testing.F) {
 // them, and its pair holds only what the residual reads.
 func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
 	in := []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString, vector.TypeDate}
-	k, v := expr.Col(0, vector.TypeInt64), expr.Col(1, vector.TypeFloat64)
-	probeV := expr.Col(0, vector.TypeFloat64) // over a one-column probe
-	buildS := expr.Col(1+2, vector.TypeString)
+	k, v := expr.NamedCol(0, vector.TypeInt64, ""), expr.NamedCol(1, vector.TypeFloat64, "")
+	probeV := expr.NamedCol(0, vector.TypeFloat64, "") // over a one-column probe
+	buildS := expr.NamedCol(1+2, vector.TypeString, "")
 	for _, tc := range []struct {
 		name     string
 		jt       plan.JoinType
@@ -249,7 +249,7 @@ func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
 			in[:1], []int{0, 0}, nil, ""},
 		{"anti, residual over the third column", plan.AntiJoin, []expr.Expr{k}, expr.IsNull(buildS),
 			[]vector.Type{vector.TypeInt64, vector.TypeString}, []int{0}, []int{1}, "(#1:VARCHAR IS NULL)"},
-		{"semi, residual over the key column", plan.SemiJoin, []expr.Expr{k}, expr.Gt(probeV, expr.Col(1, vector.TypeInt64)),
+		{"semi, residual over the key column", plan.SemiJoin, []expr.Expr{k}, expr.Gt(probeV, expr.NamedCol(1, vector.TypeInt64, "")),
 			in[:1], []int{0}, []int{0}, "(#0:DOUBLE > cast(#1:BIGINT as DOUBLE))"},
 		{"keyless semi", plan.SemiJoin, nil, nil,
 			nil, nil, nil, ""},
@@ -374,7 +374,7 @@ func TestJoinBuildRowLimit(t *testing.T) {
 func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 	narrow := []vector.Type{vector.TypeInt64}
 	wide := []vector.Type{vector.TypeInt64, vector.TypeString}
-	key := []expr.Expr{expr.Col(0, vector.TypeInt64)}
+	key := []expr.Expr{expr.NamedCol(0, vector.TypeInt64, "")}
 	sortKeys := []plan.SortKey{{Expr: key[0]}}
 	sinks := map[string]func(types []vector.Type) Sink{
 		"join build": func(types []vector.Type) Sink {
@@ -436,7 +436,7 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 // second holding 36 rows.
 func markStateSink(tb testing.TB) *HashJoinMarkSink {
 	tb.Helper()
-	k := []expr.Expr{expr.Col(0, vector.TypeInt64)}
+	k := []expr.Expr{expr.NamedCol(0, vector.TypeInt64, "")}
 	build, err := NewHashJoinBuildSink(plan.RightSemiJoin, k, nil, 1, joinStateTypes)
 	if err != nil {
 		tb.Fatal(err)

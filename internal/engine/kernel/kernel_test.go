@@ -75,7 +75,7 @@ func TestDivFloat64FoldsZeroDivisorsToNull(t *testing.T) {
 	a := []float64{10, 20, 30, -5}
 	b := []float64{2, 0, -3, 0}
 	dst := make([]float64, 4)
-	nulls := make([]uint64, WordsFor(4))
+	nulls := make([]uint64, 1)
 	DivFloat64(dst, a, b, nulls)
 	if dst[0] != 5 || dst[2] != -10 {
 		t.Errorf("DivFloat64 = %v", dst)
@@ -92,7 +92,7 @@ func TestDivFloat64FoldsZeroDivisorsToNull(t *testing.T) {
 }
 
 // TestSelectTrueShortBitmap pins the covered-split: bitmaps shorter than
-// WordsFor(n) mean the uncovered tail is non-null, and must not panic.
+// n rows mean the uncovered tail is non-null, and must not panic.
 func TestSelectTrueShortBitmap(t *testing.T) {
 	n := 130 // needs 3 words; give 1
 	vals := make([]bool, n)
@@ -125,7 +125,7 @@ func TestSelectTrueShortBitmap(t *testing.T) {
 func TestGatherNullBitsShortBitmap(t *testing.T) {
 	src := []uint64{1 << 3} // covers rows 0..63 only; row 3 null
 	sel := []int32{3, 100, 64, 2}
-	dst := make([]uint64, WordsFor(len(sel)))
+	dst := make([]uint64, (len(sel)+63)/64)
 	GatherNullBits(dst, src, sel)
 	wantNull := []bool{true, false, false, false}
 	for j, w := range wantNull {
@@ -276,9 +276,6 @@ func TestGatherAndFill(t *testing.T) {
 }
 
 func TestNullBitmapHelpers(t *testing.T) {
-	if WordsFor(0) != 0 || WordsFor(1) != 1 || WordsFor(64) != 1 || WordsFor(65) != 2 {
-		t.Error("WordsFor wrong")
-	}
 	nulls := make([]uint64, 2)
 	SetNull(nulls, 70)
 	if !NullAt(nulls, 70) || NullAt(nulls, 69) {
@@ -311,7 +308,7 @@ func TestGatherChunkedMatchesFlat(t *testing.T) {
 	rows := []int64{9, 0, 5, 5, 3, 8, 1}
 	dst := make([]int64, len(rows))
 	GatherChunkedInt64(dst, chunks, rows, shift)
-	bits := make([]uint64, WordsFor(len(rows)))
+	bits := make([]uint64, (len(rows)+63)/64)
 	GatherChunkedNullBits(bits, nulls, rows, shift)
 	for j, r := range rows {
 		if dst[j] != flat[r] {

@@ -1,8 +1,5 @@
 package kernel
 
-// WordsFor returns the number of 64-bit bitmap words covering n rows.
-func WordsFor(n int) int { return (n + 63) >> 6 }
-
 // NullAt reports whether bit i is set; a short bitmap means "not null".
 func NullAt(nulls []uint64, i int) bool {
 	w := i >> 6
@@ -36,7 +33,7 @@ func AnyWord(words []uint64) bool {
 // NULL is not true.
 func SelectTrue(vals []bool, nulls []uint64, n int, sel []int32) []int32 {
 	sel = sel[:0]
-	// Bitmaps may be shorter than WordsFor(n): rows past the covered prefix
+	// Bitmaps may cover fewer than n rows: rows past the covered prefix
 	// are not null. Split the loop so the covered part checks bits and the
 	// tail skips the bitmap entirely.
 	covered := len(nulls) << 6

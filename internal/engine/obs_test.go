@@ -22,7 +22,7 @@ func TestExecutorMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	numPipes := int64(pp.NumPipelines())
+	numPipes := int64(len(pp.Pipelines))
 	if got := reg.Counter(obs.MetricPipelinesDone).Value(); got != numPipes {
 		t.Fatalf("pipelines_done = %d, want %d", got, numPipes)
 	}
@@ -32,19 +32,30 @@ func TestExecutorMetrics(t *testing.T) {
 	if got := reg.Counter(obs.MetricProcessedBytes).Value(); got != ex.Accountant().ProcessedBytes() {
 		t.Fatalf("processed_bytes counter = %d, accountant says %d", got, ex.Accountant().ProcessedBytes())
 	}
-	if got := reg.DurationHistogram(obs.MetricPipelineDuration).Count(); got != numPipes {
-		t.Fatalf("pipeline duration observations = %d, want %d", got, numPipes)
+	observed := int64(-1)
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == obs.MetricPipelineDuration {
+			observed = h.Count
+		}
+	}
+	if observed != numPipes {
+		t.Fatalf("pipeline duration observations = %d, want %d", observed, numPipes)
 	}
 
-	starts := tr.FindAll(obs.EvPipelineStart)
-	finishes := tr.FindAll(obs.EvPipelineFinish)
-	if int64(len(starts)) != numPipes || int64(len(finishes)) != numPipes {
-		t.Fatalf("trace has %d starts / %d finishes, want %d each", len(starts), len(finishes), numPipes)
-	}
-	for _, f := range finishes {
-		if f.Attr("duration") == nil {
-			t.Fatalf("pipeline.finish missing duration attr: %+v", f)
+	var starts, finishes int64
+	for _, e := range tr.Events() {
+		switch e.Name {
+		case obs.EvPipelineStart:
+			starts++
+		case obs.EvPipelineFinish:
+			finishes++
+			if e.Attr("duration") == nil {
+				t.Fatalf("pipeline.finish missing duration attr: %+v", e)
+			}
 		}
+	}
+	if starts != numPipes || finishes != numPipes {
+		t.Fatalf("trace has %d starts / %d finishes, want %d each", starts, finishes, numPipes)
 	}
 }
 
@@ -96,7 +107,7 @@ func TestExecutorMetricsDisabled(t *testing.T) {
 	if _, err := ex.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if o := ex.Obs(); o.Enabled() {
+	if o := ex.Obs(); o.Metrics != nil || o.Trace != nil {
 		t.Fatal("executor without Obs options must report a disabled context")
 	}
 }

@@ -48,7 +48,7 @@ func TestSortedResultKeepsOrderAcrossWorkers(t *testing.T) {
 	// read, plus the bytes of its first three morsels, read off its source
 	// once the sort has finalized.
 	probe := mustCompile(t, node, cat)
-	last := probe.NumPipelines() - 1
+	last := len(probe.Pipelines) - 1
 	if !probe.Pipelines[last].Ordered {
 		t.Fatal("the pipeline scanning the sorted buffer is not marked Ordered")
 	}

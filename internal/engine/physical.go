@@ -27,7 +27,7 @@ type Pipeline struct {
 
 	// Ordered marks a pipeline whose source rows carry an order its sink hands
 	// on: it scans a sort's (or top-N's) finalized buffer into a collector —
-	// the result, a limit, a union input. Morsels are claimed by whichever
+	// the result or a limit. Morsels are claimed by whichever
 	// worker is free but worker-locals are combined in assignment order, so
 	// with two workers morsels {0,2} and {1} would come out 0,2,1. The
 	// scheduler therefore never gives such a pipeline a second worker; it
@@ -50,9 +50,6 @@ type PhysicalPlan struct {
 
 	runner atomic.Pointer[Executor] // the executor that ran the plan first
 }
-
-// NumPipelines returns the pipeline count.
-func (pp *PhysicalPlan) NumPipelines() int { return len(pp.Pipelines) }
 
 // Result returns the final collector sink.
 func (pp *PhysicalPlan) Result() *CollectorSink {
@@ -115,16 +112,10 @@ func carriesOrder(n plan.Node) bool {
 	return false
 }
 
-// Compile lowers a logical plan into pipelines with the default options.
-// Pipelines are emitted bottom-up, so the slice order is already a valid
-// sequential schedule. Every expression in the plan is compiled to its
-// program here, so an ill-typed one fails the compile, before a morsel is
-// read.
-func Compile(root plan.Node, cat *catalog.Catalog) (*PhysicalPlan, error) {
-	return CompileWith(root, cat, CompileOptions{})
-}
-
-// CompileWith is Compile with explicit options.
+// CompileWith lowers a logical plan into pipelines. Pipelines are emitted
+// bottom-up, so the slice order is already a valid sequential schedule.
+// Every expression in the plan is compiled to its program here, so an
+// ill-typed one fails the compile, before a morsel is read.
 func CompileWith(root plan.Node, cat *catalog.Catalog, opts CompileOptions) (*PhysicalPlan, error) {
 	c := &compiler{cat: cat, opts: opts, memo: make(map[plan.Node]*memoEntry)}
 	final := &Pipeline{Label: "result"}
@@ -291,29 +282,6 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		cp.Label = appendLabel(cp.Label, fmt.Sprintf("limit(%d)", t.N))
 		c.register(cp)
 		return c.scanShared(p, c.remember(n, cp.ID, sink, inTypes, "scan(limit)")), nil
-
-	case *plan.UnionAll:
-		var sinks []BufferedSink
-		var types []vector.Type
-		for i, in := range t.Inputs {
-			cp := &Pipeline{}
-			it, err := c.compile(in, cp)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				types = it
-			}
-			sink := NewCollectorSink(it, -1)
-			cp.Sink = sink
-			cp.Label = appendLabel(cp.Label, fmt.Sprintf("union-input(%d)", i))
-			c.register(cp)
-			sinks = append(sinks, sink)
-			p.Deps = append(p.Deps, cp.ID)
-		}
-		p.Source = NewUnionSource(sinks, types)
-		p.Label = appendLabel(p.Label, "scan(union)")
-		return types, nil
 
 	default:
 		return nil, fmt.Errorf("engine: cannot compile %T", n)

@@ -103,8 +103,8 @@ const (
 // joinKeys returns keying kind's probe and build key expressions, over the
 // l and r tables' columns, and the oracle's key match.
 func joinKeys(kind int) (lk, rk []expr.Expr, match func(l, r joinRow) bool) {
-	k := func(i int) expr.Expr { return expr.Col(i, vector.TypeInt64) }
-	s := func(i int) expr.Expr { return expr.Col(i, vector.TypeString) }
+	k := func(i int) expr.Expr { return expr.NamedCol(i, vector.TypeInt64, "") }
+	s := func(i int) expr.Expr { return expr.NamedCol(i, vector.TypeString, "") }
 	eqK := func(l, r joinRow) bool { return !l.k.Null && !r.k.Null && l.k.I == r.k.I }
 	switch kind {
 	case keysNone:
@@ -125,7 +125,7 @@ func joinKeys(kind int) (lk, rk []expr.Expr, match func(l, r joinRow) bool) {
 const numJoinResiduals = 4
 
 func joinResidual(kind int) (expr.Expr, func(l, r joinRow) bool) {
-	col := func(i int) expr.Expr { return expr.Col(i, joinRowCols[i%3]) }
+	col := func(i int) expr.Expr { return expr.NamedCol(i, joinRowCols[i%3], "") }
 	switch kind {
 	case 1:
 		return expr.Lt(col(1), col(4)),
@@ -225,7 +225,7 @@ func checkJoinAgainstOracle(tb testing.TB, l, r []joinRow, jc joinCase, workers,
 	lk, rk, keyMatch := joinKeys(jc.keys)
 	extra, pred := joinResidual(jc.residual)
 	b := plan.NewBuilder(cat)
-	rs := expr.Col(2, vector.TypeString)
+	rs := expr.NamedCol(2, vector.TypeString, "")
 	build := b.Scan("r").Filter(expr.Or(expr.IsNull(rs), expr.Ne(rs, expr.Str("c"))))
 	node := plan.NewJoin(jc.jt, b.Scan("l").Node(), build.Node(), lk, rk, extra)
 	run := fmt.Sprintf("%v, %d×%d rows, %d workers", jc, len(l), len(r), workers)
@@ -686,13 +686,16 @@ func TestRowBufferRoundTripRandom(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		types := []vector.Type{vector.TypeInt64, vector.TypeString, vector.TypeFloat64}
 		buf := NewRowBuffer(types)
+		row := vector.NewChunk(types)
 		n := rng.Intn(5000)
 		for i := 0; i < n; i++ {
-			buf.AppendRowValues(
+			row.Reset()
+			row.AppendRowValues(
 				vector.NewInt64(rng.Int63()),
 				vector.NewString(fmt.Sprintf("s%d", rng.Intn(100))),
 				vector.NewFloat64(rng.NormFloat64()),
 			)
+			buf.AppendRowFrom(row, 0)
 		}
 		var raw bytes.Buffer
 		enc := vector.NewEncoder(&raw)
@@ -761,13 +764,13 @@ func TestExprVectorizedMatchesScalarOracle(t *testing.T) {
 		c.AppendRowValues(vector.NewInt64(int64(rng.Intn(100)-50)), vector.NewFloat64(rng.NormFloat64()*10))
 	}
 	exprs := []expr.Expr{
-		expr.Add(expr.Col(0, vector.TypeInt64), expr.Int(7)),
-		expr.Mul(expr.ToFloat(expr.Col(0, vector.TypeInt64)), expr.Col(1, vector.TypeFloat64)),
-		expr.Gt(expr.Col(1, vector.TypeFloat64), expr.Float(0)),
-		expr.When(expr.Lt(expr.Col(0, vector.TypeInt64), expr.Int(0)), expr.Int(-1), expr.Int(1)),
+		expr.Add(expr.NamedCol(0, vector.TypeInt64, ""), expr.Int(7)),
+		expr.Mul(expr.ToFloat(expr.NamedCol(0, vector.TypeInt64, "")), expr.NamedCol(1, vector.TypeFloat64, "")),
+		expr.Gt(expr.NamedCol(1, vector.TypeFloat64, ""), expr.Float(0)),
+		expr.When(expr.Lt(expr.NamedCol(0, vector.TypeInt64, ""), expr.Int(0)), expr.Int(-1), expr.Int(1)),
 		expr.And(
-			expr.Ge(expr.Col(0, vector.TypeInt64), expr.Int(-25)),
-			expr.Le(expr.Col(1, vector.TypeFloat64), expr.Float(5)),
+			expr.Ge(expr.NamedCol(0, vector.TypeInt64, ""), expr.Int(-25)),
+			expr.Le(expr.NamedCol(1, vector.TypeFloat64, ""), expr.Float(5)),
 		),
 	}
 	for ei, e := range exprs {

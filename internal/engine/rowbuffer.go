@@ -89,12 +89,6 @@ func (b *RowBuffer) AppendRowFrom(c *vector.Chunk, i int) {
 	b.rows++
 }
 
-// AppendRowValues appends one boxed row.
-func (b *RowBuffer) AppendRowValues(vals ...vector.Value) {
-	b.tail().AppendRowValues(vals...)
-	b.rows++
-}
-
 // Row returns the boxed values of global row index r.
 func (b *RowBuffer) Row(r int64) []vector.Value {
 	ci, ri := int(r/vector.ChunkCapacity), int(r%vector.ChunkCapacity)

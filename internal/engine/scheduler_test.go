@@ -16,25 +16,24 @@ import (
 )
 
 // dagQuery builds a plan whose physical form has several independent
-// pipelines: three filtered aggregations over emp, unioned, re-aggregated,
-// and sorted. The three branch aggregations share no dependencies, so the
-// DAG scheduler runs them concurrently.
+// pipelines: three filtered aggregations over emp, joined on dept, and
+// sorted. The three branch aggregations share no dependencies, so the DAG
+// scheduler runs them concurrently.
 func dagQuery(cat *catalog.Catalog) plan.Node {
 	b := plan.NewBuilder(cat)
-	part := func(lo, hi int64) *plan.Rel {
+	part := func(lo, hi int64, prefix string) *plan.Rel {
 		e := b.Scan("emp", "id", "dept", "salary")
 		return e.Filter(expr.And(
 			expr.Ge(e.Col("id"), expr.Int(lo)),
 			expr.Lt(e.Col("id"), expr.Int(hi)),
 		)).Agg([]string{"dept"},
 			plan.Sum(e.Col("salary"), "total"),
-			plan.CountStar("n"))
+			plan.CountStar("n")).Rename(prefix)
 	}
-	u := part(0, 4000).Union(part(2000, 8000), part(5000, 10000))
-	return u.Agg([]string{"dept"},
-		plan.Sum(u.Col("total"), "grand"),
-		plan.Sum(u.Col("n"), "rows")).
-		Sort(plan.Asc("dept")).Node()
+	return part(0, 4000, "a.").
+		Join(part(2000, 8000, "b."), plan.InnerJoin, []string{"a.dept"}, []string{"b.dept"}).
+		Join(part(5000, 10000, "c."), plan.InnerJoin, []string{"a.dept"}, []string{"c.dept"}).
+		Sort(plan.Asc("a.dept")).Node()
 }
 
 // runWith runs a plan with explicit scheduling options.

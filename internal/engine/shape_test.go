@@ -20,7 +20,7 @@ import (
 func TestCompileShapeIsFoldIndependent(t *testing.T) {
 	check := func(t *testing.T, name string, node plan.Node, cat *catalog.Catalog) {
 		t.Helper()
-		plain, err := engine.Compile(node, cat)
+		plain, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestCompileShapeIsFoldIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := shared.NumPipelines(), plain.NumPipelines(); got != want {
+		if got, want := len(shared.Pipelines), len(plain.Pipelines); got != want {
 			t.Fatalf("%s: %d pipelines with ScanShare, %d without", name, got, want)
 		}
 		for i, p := range plain.Pipelines {
@@ -52,13 +52,15 @@ func TestCompileShapeIsFoldIndependent(t *testing.T) {
 	for name, node := range engine.EquivPlans(matrix) {
 		check(t, fmt.Sprintf("equivPlans[%s]", name), node, matrix)
 	}
-	// One view built twice: distinct nodes with equal fingerprints. Only
-	// pointer-identical subplans may share a breaker, so both copies lower
-	// to their own pipelines whether or not scans are shared.
+	// One view built twice and joined with itself: distinct nodes with
+	// equal fingerprints. Only pointer-identical subplans may share a
+	// breaker, so both copies lower to their own pipelines whether or not
+	// scans are shared.
 	b := plan.NewBuilder(matrix)
-	view := func() *plan.Rel {
+	view := func(prefix string) *plan.Rel {
 		e := b.Scan("emp", "dept", "salary")
-		return e.Agg([]string{"dept"}, plan.Sum(e.Col("salary"), "total"))
+		return e.Agg([]string{"dept"}, plan.Sum(e.Col("salary"), "total")).Rename(prefix)
 	}
-	check(t, "twin-view", view().Union(view()).Node(), matrix)
+	twin := view("l.").Join(view("r."), plan.InnerJoin, []string{"l.dept"}, []string{"r.dept"})
+	check(t, "twin-view", twin.Node(), matrix)
 }

@@ -44,7 +44,7 @@ type Sink interface {
 }
 
 // CollectorSink materializes rows into a row buffer: the final result sink,
-// and the materialization point for union inputs and standalone limits.
+// and the materialization point for standalone limits.
 // MaxRows < 0 means unlimited.
 type CollectorSink struct {
 	types []vector.Type

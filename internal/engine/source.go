@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -95,39 +93,3 @@ func (s *SinkSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 
 // OutTypes implements Source.
 func (s *SinkSource) OutTypes() []vector.Type { return s.types }
-
-// UnionSource concatenates the finalized buffers of several upstream sinks.
-type UnionSource struct {
-	sinks []BufferedSink
-	types []vector.Type
-}
-
-// NewUnionSource builds a source over multiple buffered sinks.
-func NewUnionSource(sinks []BufferedSink, types []vector.Type) *UnionSource {
-	return &UnionSource{sinks: sinks, types: types}
-}
-
-// MorselCount implements Source.
-func (s *UnionSource) MorselCount() int64 {
-	var n int64
-	for _, sk := range s.sinks {
-		n += int64(sk.Buffer().NumChunks())
-	}
-	return n
-}
-
-// ReadMorsel implements Source.
-func (s *UnionSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
-	for _, sk := range s.sinks {
-		buf := sk.Buffer()
-		if idx < int64(buf.NumChunks()) {
-			dst.View(buf.Chunk(int(idx)))
-			return dst.Len(), nil
-		}
-		idx -= int64(buf.NumChunks())
-	}
-	return 0, fmt.Errorf("union source: morsel index out of range")
-}
-
-// OutTypes implements Source.
-func (s *UnionSource) OutTypes() []vector.Type { return s.types }

@@ -21,7 +21,7 @@ func complexQuery(cat *catalog.Catalog) plan.Node {
 	d := b.Scan("dept")
 	return e.Join(d, plan.InnerJoin, []string{"dept"}, []string{"did"}).
 		Agg([]string{"dname"},
-			plan.Sum(expr.Col(2, vector.TypeFloat64), "total"),
+			plan.Sum(expr.NamedCol(2, vector.TypeFloat64, ""), "total"),
 			plan.CountStar("n")).
 		Sort(plan.Desc("total"), plan.Asc("dname")).
 		Limit(5).Node()
@@ -29,7 +29,7 @@ func complexQuery(cat *catalog.Catalog) plan.Node {
 
 func mustCompile(t testing.TB, n plan.Node, cat *catalog.Catalog) *PhysicalPlan {
 	t.Helper()
-	pp, err := Compile(n, cat)
+	pp, err := CompileWith(n, cat, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPipelineLevelSuspendResumeAtEveryBreaker(t *testing.T) {
 	ref := runPlan(t, cat, node, 2).SortedKey()
 
 	pp := mustCompile(t, node, cat)
-	numBreakers := pp.NumPipelines() - 1 // no breaker decision after the result pipeline
+	numBreakers := len(pp.Pipelines) - 1 // no breaker decision after the result pipeline
 	for breaker := 0; breaker < numBreakers; breaker++ {
 		target := breaker
 		pp1 := mustCompile(t, node, cat)
@@ -241,19 +241,16 @@ func TestBreakerEventMeasurement(t *testing.T) {
 	ex := NewExecutor(pp, Options{
 		Workers: 2,
 		OnBreaker: func(ev *BreakerEvent) BreakerAction {
-			sizes = append(sizes, ev.MeasurePipelineCheckpointBytes())
+			sizes = append(sizes, ev.ex.measureState(KindPipeline))
 			pipeTimes = len(ev.PipelineTimes)
-			if ev.ProcessImageBytes() <= 0 || ev.LiveStateBytes() < 0 {
-				t.Error("image/live bytes must be positive")
-			}
 			return ActionContinue
 		},
 	})
 	if _, err := ex.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != pp.NumPipelines()-1 {
-		t.Fatalf("breaker events = %d, want %d", len(sizes), pp.NumPipelines()-1)
+	if len(sizes) != len(pp.Pipelines)-1 {
+		t.Fatalf("breaker events = %d, want %d", len(sizes), len(pp.Pipelines)-1)
 	}
 	for i, s := range sizes {
 		if s <= 0 {
@@ -343,9 +340,6 @@ func TestElapsedAccumulatesAcrossResume(t *testing.T) {
 	}
 	if ex2.Elapsed() < e1 {
 		t.Errorf("elapsed after resume %v < before %v", ex2.Elapsed(), e1)
-	}
-	if ex2.DonePipelines() != len(ex2.Plan().Pipelines) {
-		t.Error("all pipelines must be done after completion")
 	}
 	if len(ex2.PipelineTimes()) != len(ex2.Plan().Pipelines) {
 		t.Error("pipeline times incomplete")

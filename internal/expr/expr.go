@@ -51,9 +51,6 @@ type Column struct {
 	Name  string // display only; not part of semantics
 }
 
-// Col returns a column reference expression.
-func Col(index int, t vector.Type) *Column { return &Column{Index: index, Typ: t} }
-
 // NamedCol returns a column reference that prints with a name.
 func NamedCol(index int, t vector.Type, name string) *Column {
 	return &Column{Index: index, Typ: t, Name: name}

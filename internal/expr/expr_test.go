@@ -9,6 +9,9 @@ import (
 )
 
 // testChunk builds a chunk with columns: 0 int64, 1 float64, 2 string, 3 date, 4 bool.
+// col is an unnamed column reference.
+func col(index int, t vector.Type) *Column { return &Column{Index: index, Typ: t} }
+
 func testChunk() *vector.Chunk {
 	c := vector.NewChunk([]vector.Type{
 		vector.TypeInt64, vector.TypeFloat64, vector.TypeString, vector.TypeDate, vector.TypeBool,
@@ -42,7 +45,7 @@ func mustEval(t *testing.T, e Expr, c *vector.Chunk) *vector.Vector {
 
 func TestColumnAndConst(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, Col(0, vector.TypeInt64), c)
+	v := mustEval(t, col(0, vector.TypeInt64), c)
 	if v.Int64s()[2] != 3 {
 		t.Error("column eval wrong")
 	}
@@ -52,21 +55,21 @@ func TestColumnAndConst(t *testing.T) {
 			t.Error("const eval wrong")
 		}
 	}
-	if _, err := evalProgram(Col(9, vector.TypeInt64), c); err == nil {
+	if _, err := evalProgram(col(9, vector.TypeInt64), c); err == nil {
 		t.Error("out of range column must fail")
 	}
-	if _, err := evalProgram(Col(0, vector.TypeString), c); err == nil {
+	if _, err := evalProgram(col(0, vector.TypeString), c); err == nil {
 		t.Error("type-mismatched column must fail")
 	}
 }
 
 func TestArith(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, Add(Col(0, vector.TypeInt64), Int(10)), c)
+	v := mustEval(t, Add(col(0, vector.TypeInt64), Int(10)), c)
 	if v.Int64s()[0] != 11 || v.Int64s()[2] != 13 {
 		t.Error("int add wrong")
 	}
-	v = mustEval(t, Mul(Col(1, vector.TypeFloat64), Float(2)), c)
+	v = mustEval(t, Mul(col(1, vector.TypeFloat64), Float(2)), c)
 	if v.Float64s()[0] != 3.0 || v.Float64s()[1] != -4.0 {
 		t.Error("float mul wrong")
 	}
@@ -74,7 +77,7 @@ func TestArith(t *testing.T) {
 		t.Error("null propagation in arith failed")
 	}
 	// Mixed int/float promotes to float.
-	v = mustEval(t, Sub(Col(0, vector.TypeInt64), Col(1, vector.TypeFloat64)), c)
+	v = mustEval(t, Sub(col(0, vector.TypeInt64), col(1, vector.TypeFloat64)), c)
 	if v.Type() != vector.TypeFloat64 || v.Float64s()[0] != -0.5 {
 		t.Errorf("promotion wrong: %v %v", v.Type(), v.Float64s())
 	}
@@ -92,26 +95,26 @@ func TestArith(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, Gt(Col(0, vector.TypeInt64), Int(1)), c)
+	v := mustEval(t, Gt(col(0, vector.TypeInt64), Int(1)), c)
 	if v.Bools()[0] || !v.Bools()[1] || !v.Bools()[2] {
 		t.Error("int gt wrong")
 	}
-	v = mustEval(t, Eq(Col(2, vector.TypeString), Str("banana")), c)
+	v = mustEval(t, Eq(col(2, vector.TypeString), Str("banana")), c)
 	if v.Bools()[0] || !v.Bools()[1] {
 		t.Error("string eq wrong")
 	}
 	if !v.IsNull(2) {
 		t.Error("NULL = x must be NULL")
 	}
-	v = mustEval(t, Between(Col(3, vector.TypeDate), Date("1995-01-01"), Date("1995-12-31")), c)
+	v = mustEval(t, Between(col(3, vector.TypeDate), Date("1995-01-01"), Date("1995-12-31")), c)
 	if v.Bools()[0] || !v.Bools()[1] || v.Bools()[2] {
 		t.Error("date between wrong")
 	}
-	v = mustEval(t, Le(Col(1, vector.TypeFloat64), Float(0)), c)
+	v = mustEval(t, Le(col(1, vector.TypeFloat64), Float(0)), c)
 	if v.Bools()[0] || !v.Bools()[1] || !v.IsNull(2) {
 		t.Error("float le wrong")
 	}
-	v = mustEval(t, Ne(Col(4, vector.TypeBool), Lit(vector.NewBool(false))), c)
+	v = mustEval(t, Ne(col(4, vector.TypeBool), Lit(vector.NewBool(false))), c)
 	if !v.Bools()[0] || v.Bools()[1] {
 		t.Error("bool ne wrong")
 	}
@@ -119,8 +122,8 @@ func TestCompare(t *testing.T) {
 
 func TestBooleanThreeValued(t *testing.T) {
 	c := testChunk()
-	isNullF := IsNull(Col(1, vector.TypeFloat64))  // row2 true
-	gt := Gt(Col(1, vector.TypeFloat64), Float(0)) // t, f, NULL
+	isNullF := IsNull(col(1, vector.TypeFloat64))  // row2 true
+	gt := Gt(col(1, vector.TypeFloat64), Float(0)) // t, f, NULL
 
 	v := mustEval(t, And(gt, Lit(vector.NewBool(true))), c)
 	if !v.Bools()[0] || v.Bools()[1] || !v.IsNull(2) {
@@ -149,7 +152,7 @@ func TestBooleanThreeValued(t *testing.T) {
 	if v.Bools()[0] || !v.Bools()[2] {
 		t.Error("IS NULL wrong")
 	}
-	v = mustEval(t, IsNotNull(Col(1, vector.TypeFloat64)), c)
+	v = mustEval(t, IsNotNull(col(1, vector.TypeFloat64)), c)
 	if !v.Bools()[0] || v.Bools()[2] {
 		t.Error("IS NOT NULL wrong")
 	}
@@ -172,11 +175,11 @@ func TestAndOrFlatten(t *testing.T) {
 
 func TestIn(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, InStrings(Col(2, vector.TypeString), "apple", "cherry"), c)
+	v := mustEval(t, InStrings(col(2, vector.TypeString), "apple", "cherry"), c)
 	if !v.Bools()[0] || v.Bools()[1] || !v.IsNull(2) {
 		t.Error("IN wrong")
 	}
-	v = mustEval(t, NotIn(Col(0, vector.TypeInt64), vector.NewInt64(2)), c)
+	v = mustEval(t, NotIn(col(0, vector.TypeInt64), vector.NewInt64(2)), c)
 	if !v.Bools()[0] || v.Bools()[1] || !v.Bools()[2] {
 		t.Error("NOT IN wrong")
 	}
@@ -184,13 +187,13 @@ func TestIn(t *testing.T) {
 
 func TestCase(t *testing.T) {
 	c := testChunk()
-	e := When(Gt(Col(0, vector.TypeInt64), Int(1)), Str("big"), Str("small"))
+	e := When(Gt(col(0, vector.TypeInt64), Int(1)), Str("big"), Str("small"))
 	v := mustEval(t, e, c)
 	if v.Strings()[0] != "small" || v.Strings()[1] != "big" {
 		t.Error("CASE wrong")
 	}
 	// No ELSE -> NULL; NULL condition counts as false.
-	e2 := Case([]Expr{Gt(Col(1, vector.TypeFloat64), Float(0))}, []Expr{Int(1)}, nil)
+	e2 := Case([]Expr{Gt(col(1, vector.TypeFloat64), Float(0))}, []Expr{Int(1)}, nil)
 	v = mustEval(t, e2, c)
 	if v.IsNull(0) || !v.IsNull(1) || !v.IsNull(2) {
 		t.Error("CASE null handling wrong")
@@ -199,19 +202,19 @@ func TestCase(t *testing.T) {
 
 func TestExtractAndSubstr(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, ExtractYear(Col(3, vector.TypeDate)), c)
+	v := mustEval(t, ExtractYear(col(3, vector.TypeDate)), c)
 	if v.Int64s()[0] != 1994 || v.Int64s()[2] != 1996 {
 		t.Error("EXTRACT YEAR wrong")
 	}
-	v = mustEval(t, ExtractMonth(Col(3, vector.TypeDate)), c)
+	v = mustEval(t, ExtractMonth(col(3, vector.TypeDate)), c)
 	if v.Int64s()[1] != 7 {
 		t.Error("EXTRACT MONTH wrong")
 	}
-	v = mustEval(t, Substr(Col(2, vector.TypeString), 2, 3), c)
+	v = mustEval(t, Substr(col(2, vector.TypeString), 2, 3), c)
 	if v.Strings()[0] != "ppl" || v.Strings()[1] != "ana" || !v.IsNull(2) {
 		t.Errorf("SUBSTRING wrong: %v", v.Strings())
 	}
-	v = mustEval(t, Substr(Col(2, vector.TypeString), 4, 100), c)
+	v = mustEval(t, Substr(col(2, vector.TypeString), 4, 100), c)
 	if v.Strings()[0] != "le" {
 		t.Error("SUBSTRING clamp wrong")
 	}
@@ -219,39 +222,39 @@ func TestExtractAndSubstr(t *testing.T) {
 
 func TestCast(t *testing.T) {
 	c := testChunk()
-	v := mustEval(t, ToFloat(Col(0, vector.TypeInt64)), c)
+	v := mustEval(t, ToFloat(col(0, vector.TypeInt64)), c)
 	if v.Type() != vector.TypeFloat64 || v.Float64s()[2] != 3.0 {
 		t.Error("cast int->float wrong")
 	}
 	// ToFloat of a float is identity.
-	e := ToFloat(Col(1, vector.TypeFloat64))
+	e := ToFloat(col(1, vector.TypeFloat64))
 	if _, ok := e.(*Column); !ok {
 		t.Error("ToFloat over DOUBLE should be a no-op")
 	}
-	v = mustEval(t, &Cast{In: Col(1, vector.TypeFloat64), To: vector.TypeInt64}, c)
+	v = mustEval(t, &Cast{In: col(1, vector.TypeFloat64), To: vector.TypeInt64}, c)
 	if v.Int64s()[0] != 1 || !v.IsNull(2) {
 		t.Error("cast float->int wrong")
 	}
-	if _, err := CompileProgram(&Cast{In: Col(2, vector.TypeString), To: vector.TypeInt64}); err == nil {
+	if _, err := CompileProgram(&Cast{In: col(2, vector.TypeString), To: vector.TypeInt64}); err == nil {
 		t.Error("string->int cast must fail")
 	}
 }
 
 func TestStringsAreDeterministic(t *testing.T) {
-	e1 := And(Gt(Col(0, vector.TypeInt64), Int(1)), Like(Col(2, vector.TypeString), "%an%"))
-	e2 := And(Gt(Col(0, vector.TypeInt64), Int(1)), Like(Col(2, vector.TypeString), "%an%"))
+	e1 := And(Gt(col(0, vector.TypeInt64), Int(1)), Like(col(2, vector.TypeString), "%an%"))
+	e2 := And(Gt(col(0, vector.TypeInt64), Int(1)), Like(col(2, vector.TypeString), "%an%"))
 	if e1.String() != e2.String() {
 		t.Error("identical expressions must print identically")
 	}
 	for _, e := range []Expr{
 		e1, Int(1), Str("x"), Date("1995-01-01"),
-		In(Col(0, vector.TypeInt64), vector.NewInt64(5)),
+		In(col(0, vector.TypeInt64), vector.NewInt64(5)),
 		When(Gt(Int(1), Int(0)), Int(1), Int(2)),
-		IsNull(Col(0, vector.TypeInt64)),
-		ExtractYear(Col(3, vector.TypeDate)),
-		Substr(Col(2, vector.TypeString), 1, 2),
+		IsNull(col(0, vector.TypeInt64)),
+		ExtractYear(col(3, vector.TypeDate)),
+		Substr(col(2, vector.TypeString), 1, 2),
 		Not(Gt(Int(1), Int(0))),
-		&Cast{In: Col(0, vector.TypeInt64), To: vector.TypeFloat64},
+		&Cast{In: col(0, vector.TypeInt64), To: vector.TypeFloat64},
 	} {
 		if strings.TrimSpace(e.String()) == "" {
 			t.Errorf("%T prints empty", e)
@@ -262,7 +265,7 @@ func TestStringsAreDeterministic(t *testing.T) {
 func TestEvalScalar(t *testing.T) {
 	types := []vector.Type{vector.TypeInt64, vector.TypeFloat64}
 	got, err := EvalScalar(
-		Add(ToFloat(Col(0, vector.TypeInt64)), Col(1, vector.TypeFloat64)),
+		Add(ToFloat(col(0, vector.TypeInt64)), col(1, vector.TypeFloat64)),
 		types,
 		[]vector.Value{vector.NewInt64(2), vector.NewFloat64(0.5)},
 	)
@@ -275,7 +278,7 @@ func TestEvalScalar(t *testing.T) {
 // operand of the wrong type, with the words sql.Compile turns into the
 // Prepare error.
 func TestConstructorsRejectIllTypedOperands(t *testing.T) {
-	f, s, b := Col(1, vector.TypeFloat64), Col(2, vector.TypeString), Col(4, vector.TypeBool)
+	f, s, b := col(1, vector.TypeFloat64), col(2, vector.TypeString), col(4, vector.TypeBool)
 	for _, tc := range []struct {
 		want  string
 		build func()
@@ -308,7 +311,7 @@ func TestConstructorsRejectIllTypedOperands(t *testing.T) {
 // columns read under an identity remap, and fails on a node it does not
 // know and on the remap's own error.
 func TestRemapColumns(t *testing.T) {
-	col := func(i int) Expr { return Col(i, testChunk().Col(i).Type()) }
+	col := func(i int) Expr { return col(i, testChunk().Col(i).Type()) }
 	cond := And(
 		Or(Gt(col(0), Int(1)), IsNull(col(1)), col(4)),
 		Not(Like(col(2), "%an%")),
@@ -370,7 +373,7 @@ func appendCol(c *vector.Chunk, v *vector.Vector) *vector.Chunk {
 // returns the tree itself, so listing a residual's columns costs a plan
 // compile no allocation.
 func TestRemapColumnsIdentityAllocatesNothing(t *testing.T) {
-	col := func(i int) Expr { return Col(i, testChunk().Col(i).Type()) }
+	col := func(i int) Expr { return col(i, testChunk().Col(i).Type()) }
 	e := When(And(Or(Gt(col(0), Int(1)), IsNull(col(1))), Not(Like(col(2), "%an%"))), col(1), Float(-1))
 	identity := func(i int) (int, error) { return i, nil }
 	if got, err := RemapColumns(e, identity); err != nil || got != e {

@@ -67,14 +67,14 @@ func pick[T any](g *treeGen, from []T) T { return from[g.next()%len(from)] }
 func (g *treeGen) leaf(t vector.Type) Expr {
 	switch b := g.next(); {
 	case b >= 250:
-		return Col(9, t)
+		return col(9, t)
 	case b >= 244:
 		other := pick(g, fuzzTypes)
-		return Col(fuzzColumns[other][0], t)
+		return col(fuzzColumns[other][0], t)
 	case b >= 232:
 		return Lit(vector.NewNull(t))
 	case b%2 == 0:
-		return Col(pick(g, fuzzColumns[t]), t)
+		return col(pick(g, fuzzColumns[t]), t)
 	default:
 		return Lit(pick(g, fuzzConsts[t]))
 	}

@@ -137,14 +137,14 @@ func TestLikeExprEval(t *testing.T) {
 	c.AppendRowValues(vector.NewString("SMALL ANODIZED"))
 	c.AppendRowValues(vector.NewNull(vector.TypeString))
 
-	v, err := evalProgram(Like(Col(0, vector.TypeString), "PROMO%"), c)
+	v, err := evalProgram(Like(col(0, vector.TypeString), "PROMO%"), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Bools()[0] || v.Bools()[1] || !v.IsNull(2) {
 		t.Error("LIKE eval wrong")
 	}
-	v, err = evalProgram(NotLike(Col(0, vector.TypeString), "PROMO%"), c)
+	v, err = evalProgram(NotLike(col(0, vector.TypeString), "PROMO%"), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLikeExprEval(t *testing.T) {
 		t.Error("NOT LIKE eval wrong")
 	}
 	// LIKE over a non-string column must fail, hand-assembled too.
-	if _, err := CompileProgram(&LikeExpr{In: Col(0, vector.TypeInt64), Pattern: "%"}); err == nil {
+	if _, err := CompileProgram(&LikeExpr{In: col(0, vector.TypeInt64), Pattern: "%"}); err == nil {
 		t.Error("LIKE over BIGINT must fail")
 	}
 }

@@ -148,18 +148,14 @@ func checkOperands(format string, want vector.Type, es ...Expr) error {
 // each worker its own.
 type Instance struct {
 	eval evalFn
-	typ  vector.Type
 }
 
 type evalFn func(c *vector.Chunk) (*vector.Vector, error)
 
 // NewInstance builds a fresh register set for the program.
 func (p *Program) NewInstance() *Instance {
-	return &Instance{eval: buildNode(p.root), typ: p.typ}
+	return &Instance{eval: buildNode(p.root)}
 }
-
-// OutType returns the instance's result type.
-func (in *Instance) OutType() vector.Type { return in.typ }
 
 // Eval evaluates the program over every row of the chunk.
 func (in *Instance) Eval(c *vector.Chunk) (*vector.Vector, error) { return in.eval(c) }

@@ -130,13 +130,13 @@ func checkProgramAgainstOracle(t *testing.T, e Expr, c *vector.Chunk) {
 	}
 }
 
-func i64() Expr  { return Col(0, vector.TypeInt64) }
-func f64() Expr  { return Col(1, vector.TypeFloat64) }
-func str() Expr  { return Col(2, vector.TypeString) }
-func date() Expr { return Col(3, vector.TypeDate) }
-func bl() Expr   { return Col(4, vector.TypeBool) }
-func div() Expr  { return Col(5, vector.TypeFloat64) }
-func i2() Expr   { return Col(6, vector.TypeInt64) }
+func i64() Expr  { return col(0, vector.TypeInt64) }
+func f64() Expr  { return col(1, vector.TypeFloat64) }
+func str() Expr  { return col(2, vector.TypeString) }
+func date() Expr { return col(3, vector.TypeDate) }
+func bl() Expr   { return col(4, vector.TypeBool) }
+func div() Expr  { return col(5, vector.TypeFloat64) }
+func i2() Expr   { return col(6, vector.TypeInt64) }
 
 func TestProgramMatchesScalarOracle(t *testing.T) {
 	c := programChunk()
@@ -244,7 +244,7 @@ func TestProgramFallbacks(t *testing.T) {
 		{&Arith{Op: OpAdd, L: i64(), R: f64(), typ: vector.TypeFloat64}, "arith + yielding DOUBLE over BIGINT and DOUBLE"},
 		{&Arith{Op: OpDiv, L: i64(), R: i2(), typ: vector.TypeInt64}, "arith / yielding BIGINT over BIGINT and BIGINT"},
 		{&Compare{Op: OpEq, L: i64(), R: str()}, "compare type mismatch: BIGINT vs VARCHAR"},
-		{Col(0, vector.TypeInvalid), "column 0 of type INVALID"},
+		{col(0, vector.TypeInvalid), "column 0 of type INVALID"},
 	} {
 		p, err := CompileProgram(tc.e)
 		if err == nil || p != nil || !strings.Contains(err.Error(), tc.want) {

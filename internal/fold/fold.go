@@ -199,10 +199,3 @@ func (m *Manager) Share(table string, proj []int, src engine.Source) engine.Sour
 	m.attached.Inc()
 	return &rider{hub: h}
 }
-
-// Hubs returns the live hub count.
-func (m *Manager) Hubs() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.hubs)
-}

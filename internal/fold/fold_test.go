@@ -75,8 +75,8 @@ func TestHubFillThenHit(t *testing.T) {
 	if got := base.reads.Load(); got != 8 {
 		t.Fatalf("second rider hit the base table: %d reads, want 8", got)
 	}
-	if m.Hubs() != 1 {
-		t.Fatalf("Hubs() = %d, want 1", m.Hubs())
+	if len(m.hubs) != 1 {
+		t.Fatalf("hubs = %d, want 1", len(m.hubs))
 	}
 }
 
@@ -112,8 +112,8 @@ func TestHubDistinctColumnSets(t *testing.T) {
 	m.Share("t", []int{0}, &fakeSource{morsels: 1, rowsPer: 1})
 	m.Share("t", []int{0, 1}, &fakeSource{morsels: 1, rowsPer: 1})
 	m.Share("u", []int{0}, &fakeSource{morsels: 1, rowsPer: 1})
-	if m.Hubs() != 3 {
-		t.Fatalf("Hubs() = %d, want 3", m.Hubs())
+	if len(m.hubs) != 3 {
+		t.Fatalf("hubs = %d, want 3", len(m.hubs))
 	}
 }
 
@@ -187,13 +187,15 @@ func TestHubSingleRiderFastPath(t *testing.T) {
 	}
 }
 
-// tableBytes encodes every column of tbl.
+// tableBytes encodes a view of every column of tbl.
 func tableBytes(t *testing.T, tbl *catalog.Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := vector.NewEncoder(&buf)
-	for j := 0; j < tbl.Schema().Arity(); j++ {
-		enc.Vector(tbl.Column(j))
+	for j, c := range tbl.Schema().Columns {
+		view := vector.NewChunk([]vector.Type{c.Type})
+		tbl.ScanView(view, 0, tbl.NumRows(), []int{j})
+		enc.Vector(view.Col(0))
 	}
 	if err := enc.Err(); err != nil {
 		t.Fatal(err)

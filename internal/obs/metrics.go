@@ -122,29 +122,12 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of observed values (0 for nil).
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// BucketCount returns the count of bucket i (bounds index; len(bounds) is
-// the overflow bucket).
-func (h *Histogram) BucketCount(i int) int64 {
-	if h == nil || i < 0 || i >= len(h.counts) {
-		return 0
-	}
-	return h.counts[i].Load()
 }
 
 // Default bucket layouts. Values are chosen to straddle the scales the

@@ -33,9 +33,6 @@ type Context struct {
 	Trace *Trace
 }
 
-// Enabled reports whether any observability sink is attached.
-func (c Context) Enabled() bool { return c.Metrics != nil || c.Trace != nil }
-
 // Canonical metric names. Suspend/resume/checkpoint metrics append a
 // ".<kind>" suffix ("pipeline" or "process") via the Kinded helper.
 const (

@@ -36,10 +36,10 @@ func TestRegistryConcurrentIncrements(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != goroutines*perG*2 {
 		t.Fatalf("shared counter = %d, want %d", got, goroutines*perG*2)
 	}
-	if got := r.DurationHistogram("lat").Count(); got != goroutines*perG {
+	if got := r.DurationHistogram("lat").count.Load(); got != goroutines*perG {
 		t.Fatalf("lat histogram count = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.SizeHistogram("sz").Count(); got != goroutines*perG {
+	if got := r.SizeHistogram("sz").count.Load(); got != goroutines*perG {
 		t.Fatalf("sz histogram count = %d, want %d", got, goroutines*perG)
 	}
 	snap := r.Snapshot()
@@ -66,7 +66,7 @@ func TestNilSafety(t *testing.T) {
 
 	var tr *Trace
 	tr.Event("x", A("k", 1))
-	if tr.Len() != 0 || tr.Events() != nil || tr.Query() != "" {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil trace must drop events")
 	}
 	if err := tr.WriteText(&bytes.Buffer{}); err != nil {
@@ -95,12 +95,12 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		want[c.bucket]++
 	}
 	for i, w := range want {
-		if got := h.BucketCount(i); got != w {
+		if got := h.counts[i].Load(); got != w {
 			t.Errorf("bucket %d count = %d, want %d", i, got, w)
 		}
 	}
-	if h.Count() != int64(len(cases)) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(cases))
+	if got := h.count.Load(); got != int64(len(cases)) {
+		t.Fatalf("count = %d, want %d", got, len(cases))
 	}
 	var sum int64
 	for _, c := range cases {
@@ -125,7 +125,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
 	h := newHistogram([]int64{1000, 10, 100})
 	h.Observe(50)
-	if got := h.BucketCount(1); got != 1 {
+	if got := h.counts[1].Load(); got != 1 {
 		t.Fatalf("observation of 50 landed outside bucket (10,100]: %d", got)
 	}
 }
@@ -156,9 +156,6 @@ func TestTraceOrderingAndLookup(t *testing.T) {
 	}
 	if ev, _ := tr.Find(EvCheckpointPersisted); ev.Attr("missing") != nil {
 		t.Fatal("absent attr must be nil")
-	}
-	if n := len(tr.FindAll(EvPipelineStart)); n != 1 {
-		t.Fatalf("FindAll = %d, want 1", n)
 	}
 }
 

@@ -159,14 +159,6 @@ func NewTrace(query string) *Trace {
 	return &Trace{query: query, start: time.Now(), events: make([]Event, 0, 32)}
 }
 
-// Query returns the traced query's name ("" for nil).
-func (t *Trace) Query() string {
-	if t == nil {
-		return ""
-	}
-	return t.query
-}
-
 // Event appends one event with the current timestamp.
 func (t *Trace) Event(name string, attrs ...Attr) {
 	if t == nil {
@@ -196,17 +188,6 @@ func (t *Trace) Find(name string) (Event, bool) {
 		}
 	}
 	return Event{}, false
-}
-
-// FindAll returns every event with the given name, in order.
-func (t *Trace) FindAll(name string) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Name == name {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Len returns the number of recorded events.

@@ -208,12 +208,6 @@ func Asc(name string) SortSpec { return SortSpec{Name: name} }
 // Desc is a descending sort key on a named column.
 func Desc(name string) SortSpec { return SortSpec{Name: name, Descending: true} }
 
-// DescExpr is a descending sort key on an expression.
-func DescExpr(e expr.Expr) SortSpec { return SortSpec{Expr: e, Descending: true} }
-
-// AscExpr is an ascending sort key on an expression.
-func AscExpr(e expr.Expr) SortSpec { return SortSpec{Expr: e} }
-
 // SortSpec names a sort key for the builder (column name or raw expression).
 type SortSpec struct {
 	Name       string
@@ -237,25 +231,4 @@ func (r *Rel) Sort(keys ...SortSpec) *Rel {
 // Limit keeps the first n rows.
 func (r *Rel) Limit(n int64) *Rel {
 	return &Rel{b: r.b, node: &Limit{Child: r.node, N: n}}
-}
-
-// Union concatenates this relation with others (UNION ALL semantics). All
-// inputs must have identical column types.
-func (r *Rel) Union(others ...*Rel) *Rel {
-	inputs := make([]Node, 0, 1+len(others))
-	inputs = append(inputs, r.node)
-	myTypes := r.Schema().Types()
-	for _, o := range others {
-		ot := o.Schema().Types()
-		if len(ot) != len(myTypes) {
-			panic("Union: arity mismatch")
-		}
-		for i := range ot {
-			if ot[i] != myTypes[i] {
-				panic(fmt.Sprintf("Union: column %d type %v vs %v", i, ot[i], myTypes[i]))
-			}
-		}
-		inputs = append(inputs, o.node)
-	}
-	return &Rel{b: r.b, node: &UnionAll{Inputs: inputs}}
 }

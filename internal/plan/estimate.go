@@ -87,12 +87,6 @@ func EstimateRows(n Node, cat *catalog.Catalog) float64 {
 			r = 1
 		}
 		return r
-	case *UnionAll:
-		var sum float64
-		for _, c := range t.Inputs {
-			sum += EstimateRows(c, cat)
-		}
-		return sum
 	default:
 		return 1
 	}
@@ -175,8 +169,8 @@ func CoreOperator(n Node) Node {
 // size estimator uses these as features ("metadata of the query, e.g.
 // number of various core operators in the physical plan").
 type OperatorCounts struct {
-	Scans, Filters, Projects, Joins, OuterJoins, SemiAnti, Aggregates, Sorts, Limits, Unions int
-	Tables                                                                                   int
+	Scans, Filters, Projects, Joins, OuterJoins, SemiAnti, Aggregates, Sorts, Limits int
+	Tables                                                                           int
 }
 
 // CountOperators walks the plan and tallies operator kinds.
@@ -209,8 +203,6 @@ func CountOperators(n Node) OperatorCounts {
 			c.Sorts++
 		case *Limit:
 			c.Limits++
-		case *UnionAll:
-			c.Unions++
 		}
 	})
 	c.Tables = len(seen)

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // Fingerprint returns a stable 64-bit hash of the full plan tree. A
 // checkpoint records the fingerprint of the plan it was taken from; resume
@@ -13,10 +10,4 @@ func Fingerprint(n Node) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(Tree(n)))
 	return h.Sum64()
-}
-
-// FingerprintString renders the fingerprint in the fixed-width hex form used
-// inside checkpoint manifests.
-func FingerprintString(n Node) string {
-	return fmt.Sprintf("%016x", Fingerprint(n))
 }

@@ -345,21 +345,6 @@ func (l *Limit) Children() []Node { return []Node{l.Child} }
 // String implements Node.
 func (l *Limit) String() string { return fmt.Sprintf("Limit(%d offset %d)", l.N, l.Offset) }
 
-// UnionAll concatenates the rows of all children, which must share a schema
-// shape (types; names are taken from the first child).
-type UnionAll struct {
-	Inputs []Node
-}
-
-// Schema implements Node.
-func (u *UnionAll) Schema() *catalog.Schema { return u.Inputs[0].Schema() }
-
-// Children implements Node.
-func (u *UnionAll) Children() []Node { return u.Inputs }
-
-// String implements Node.
-func (u *UnionAll) String() string { return fmt.Sprintf("UnionAll(%d inputs)", len(u.Inputs)) }
-
 // Rename relabels the output columns without changing data; used to alias
 // self-joined tables (e.g. Q21's lineitem l1/l2/l3).
 type Rename struct {

@@ -47,7 +47,7 @@ func TestAggFuncResultTypes(t *testing.T) {
 	if !strings.Contains(spec.String(), "count_star") {
 		t.Errorf("spec string = %q", spec.String())
 	}
-	d := AggSpec{Func: AggCount, Arg: expr.Col(0, vector.TypeInt64), Distinct: true, Name: "d"}
+	d := AggSpec{Func: AggCount, Arg: expr.NamedCol(0, vector.TypeInt64, ""), Distinct: true, Name: "d"}
 	if !strings.Contains(d.String(), "distinct") {
 		t.Errorf("distinct spec string = %q", d.String())
 	}
@@ -61,7 +61,7 @@ func TestNodeStringsCoverAllTypes(t *testing.T) {
 
 	nodes := []Node{
 		o.Node(),
-		o.Filter(expr.Gt(expr.Col(0, vector.TypeInt64), expr.Int(0))).
+		o.Filter(expr.Gt(expr.NamedCol(0, vector.TypeInt64, ""), expr.Int(0))).
 			Agg([]string{"o_custkey"}, CountStar("n")).Node(), // filter folded into scan
 		o.Keep("o_orderkey").Node(),
 		o.Rename("x.").Node(),
@@ -69,7 +69,6 @@ func TestNodeStringsCoverAllTypes(t *testing.T) {
 		o.Cross(c).Node(),
 		o.Sort(Desc("o_totalprice")).Node(),
 		o.Limit(5).Node(),
-		o.Keep("o_orderkey").Union(b.Scan("orders").Keep("o_custkey")).Node(),
 	}
 	for _, n := range nodes {
 		if strings.TrimSpace(n.String()) == "" {
@@ -89,7 +88,7 @@ func TestSortSpecHelpers(t *testing.T) {
 	b := NewBuilder(cat)
 	o := b.Scan("orders")
 	e := expr.Add(o.Col("o_orderkey"), expr.Int(1))
-	s := o.Sort(AscExpr(e), DescExpr(e))
+	s := o.Sort(SortSpec{Expr: e}, SortSpec{Expr: e, Descending: true})
 	keys := s.Node().(*Sort).Keys
 	if keys[0].Desc || !keys[1].Desc {
 		t.Error("expr sort key directions wrong")

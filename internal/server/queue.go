@@ -46,8 +46,3 @@ func (q *sessionQueue) Peek() *Session {
 	}
 	return q.items[0]
 }
-
-// All returns the queued sessions in arbitrary order.
-func (q *sessionQueue) All() []*Session {
-	return append([]*Session(nil), q.items...)
-}

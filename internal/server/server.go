@@ -279,12 +279,6 @@ func New(cfg Config) (*Server, error) {
 // InstanceID returns this server's (sanitized) instance id.
 func (s *Server) InstanceID() string { return s.instanceID }
 
-// Policy returns the active scheduling policy.
-func (s *Server) Policy() Policy { return s.cfg.Policy }
-
-// DB returns the served database.
-func (s *Server) DB() *riveter.DB { return s.db }
-
 // ID returns the session's identifier.
 func (s *Session) ID() string { return s.id }
 

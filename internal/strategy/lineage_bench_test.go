@@ -33,7 +33,7 @@ func BenchmarkLineageSuspend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		pp, err := engine.Compile(node, cat)
+		pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkLineageReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	node := q.Build(plan.NewBuilder(cat), 0.01)
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

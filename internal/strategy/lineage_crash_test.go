@@ -156,8 +156,8 @@ func TestLineageCrashDuringLogging(t *testing.T) {
 	dir := t.TempDir()
 	for _, crashAt := range []int64{64, 200, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
 		// Compiled plans carry per-run operator state: every executor
-		// needs its own Compile.
-		pp, err := engine.Compile(node, cat)
+		// needs its own compile.
+		pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

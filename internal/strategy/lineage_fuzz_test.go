@@ -122,7 +122,7 @@ func TestStoreBackedLineageRefused(t *testing.T) {
 	if _, err := (Seam{}).Verify(rp); err == nil || !strings.Contains(err.Error(), "store_key") {
 		t.Errorf("Verify: %v, want a refusal naming store_key", err)
 	}
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

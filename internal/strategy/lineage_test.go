@@ -28,7 +28,7 @@ func lineageFixture(t *testing.T) (*catalog.Catalog, plan.Node, string) {
 		t.Fatal(err)
 	}
 	node := q.Build(plan.NewBuilder(cat), 0.01)
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path 
 // returns how many breakers fired.
 func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path string, lo LineageOptions) (*engine.Executor, *LineageLog, int) {
 	t.Helper()
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestLineageReplayWorkerCountFlexible(t *testing.T) {
 // fired: the replay is simply a fresh run.
 func TestLineageEmptyLogReplays(t *testing.T) {
 	cat, node, want := lineageFixture(t)
-	pp, _ := engine.Compile(node, cat)
+	pp, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 	path := filepath.Join(t.TempDir(), "empty.rvlg")
 	lin, err := CreateLineageLog(path, "Q3", pp.Fingerprint, 2, LineageOptions{})
 	if err != nil {
@@ -347,7 +347,7 @@ func TestLineageSecondSuspension(t *testing.T) {
 	first := filepath.Join(dir, "first.rvlg")
 	runWithLineage(t, cat, node, first, LineageOptions{})
 
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func setup(t *testing.T) *engine.PhysicalPlan {
 		t.Fatal(err)
 	}
 	node := q.Build(plan.NewBuilder(cat), 0.01)
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPersistAndRestoreRoundTrip(t *testing.T) {
 	}
 	q, _ := tpch.Get(3)
 	node := q.Build(plan.NewBuilder(cat), 0.01)
-	ppRef, _ := engine.Compile(node, cat)
+	ppRef, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 	exRef := engine.NewExecutor(ppRef, engine.Options{Workers: 2})
 	want, err := exRef.Run(context.Background())
 	if err != nil {
@@ -76,7 +76,7 @@ func TestPersistAndRestoreRoundTrip(t *testing.T) {
 	}
 
 	for kind, req := range map[Kind]engine.SuspendKind{Pipeline: engine.KindPipeline, Process: engine.KindProcess} {
-		pp, _ := engine.Compile(node, cat)
+		pp, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 		ex := engine.NewExecutor(pp, engine.Options{Workers: 2})
 		ex.RequestSuspend(req)
 		_, err := ex.Run(context.Background())
@@ -98,7 +98,7 @@ func TestPersistAndRestoreRoundTrip(t *testing.T) {
 			t.Error("pipeline checkpoint must not carry padding")
 		}
 
-		pp2, _ := engine.Compile(node, cat)
+		pp2, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 		run, rres, err := Seam{}.Restore(pp2, "Q3", ResumePoint{TargetFile, path}, LineageConfig{}, engine.Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v restore: %v", kind, err)
@@ -123,7 +123,7 @@ func TestRestoreRejectsWrongPlan(t *testing.T) {
 	}
 	q3, _ := tpch.Get(3)
 	node3 := q3.Build(plan.NewBuilder(cat), 0.01)
-	pp, _ := engine.Compile(node3, cat)
+	pp, _ := engine.CompileWith(node3, cat, engine.CompileOptions{})
 	ex := engine.NewExecutor(pp, engine.Options{Workers: 2})
 	ex.RequestSuspend(engine.KindProcess)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
@@ -135,7 +135,7 @@ func TestRestoreRejectsWrongPlan(t *testing.T) {
 	}
 	q6, _ := tpch.Get(6)
 	node6 := q6.Build(plan.NewBuilder(cat), 0.01)
-	pp6, _ := engine.Compile(node6, cat)
+	pp6, _ := engine.CompileWith(node6, cat, engine.CompileOptions{})
 	if _, _, err := (Seam{}).Restore(pp6, "Q6", ResumePoint{TargetFile, path}, LineageConfig{}, engine.Options{Workers: 2}); err == nil {
 		t.Fatal("restoring into a different plan must fail")
 	}
@@ -169,7 +169,7 @@ func TestPersistSerializesOnce(t *testing.T) {
 	pp := setup(t)
 	// Every breaker's sink but the result's: whichever finalized states the
 	// suspension finds live, each is saved once per SaveState.
-	counts := make([]atomic.Int64, pp.NumPipelines()-1)
+	counts := make([]atomic.Int64, len(pp.Pipelines)-1)
 	for i := range counts {
 		pp.Pipelines[i].Sink = countingSink{pp.Pipelines[i].Sink, &counts[i]}
 	}

@@ -16,6 +16,13 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
+// column is a read-only view of every row of column j of tbl.
+func column(tbl *catalog.Table, j int) *vector.Vector {
+	view := vector.NewChunk([]vector.Type{tbl.Schema().Columns[j].Type})
+	tbl.ScanView(view, 0, tbl.NumRows(), []int{j})
+	return view.Col(0)
+}
+
 // tableDigest hashes every cell of a table column by column: the column's
 // name and type, then each row as 8 little-endian bytes (int and date values,
 // float bit patterns) or as the string's bytes and a 0 terminator, and one
@@ -26,7 +33,7 @@ func tableDigest(tbl *catalog.Table) string {
 	var b [8]byte
 	for j, c := range tbl.Schema().Columns {
 		fmt.Fprintf(w, "%s %v\x00", c.Name, c.Type)
-		col := tbl.Column(j)
+		col := column(tbl, j)
 		for i := 0; i < col.Len(); i++ {
 			if col.IsNull(i) {
 				w.WriteByte(1)

@@ -101,7 +101,7 @@ func TestCompiledPlanRunsOnce(t *testing.T) {
 	cat := queryCatalog(t)
 	want := recordedDigests(t)
 	for _, q := range All() {
-		pp, err := engine.Compile(q.Build(plan.NewBuilder(cat), testSF), cat)
+		pp, err := engine.CompileWith(q.Build(plan.NewBuilder(cat), testSF), cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", q.Name, err)
 		}
@@ -130,7 +130,7 @@ func TestQ21ResumesToRecordedDigest(t *testing.T) {
 	want := recordedDigests(t)[q.Name]
 	node := q.Build(plan.NewBuilder(cat), testSF)
 	compile := func() *engine.PhysicalPlan {
-		pp, err := engine.Compile(node, cat)
+		pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func queryCatalog(t testing.TB) *catalog.Catalog {
 func runQuery(t testing.TB, cat *catalog.Catalog, q Query, workers int) *engine.ResultSet {
 	t.Helper()
 	node := q.Build(plan.NewBuilder(cat), testSF)
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", q.Name, err)
 	}
@@ -256,7 +256,7 @@ func TestEveryQuerySuspendsAndResumesPipelineLevel(t *testing.T) {
 	for _, q := range All() {
 		node := q.Build(plan.NewBuilder(cat), testSF)
 		ref := func() string {
-			pp, err := engine.Compile(node, cat)
+			pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,13 +269,13 @@ func TestEveryQuerySuspendsAndResumesPipelineLevel(t *testing.T) {
 		}()
 
 		// Suspend at the middle breaker, resume, compare.
-		pp1, err := engine.Compile(node, cat)
+		pp1, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mid := pp1.NumPipelines() / 2
-		if mid >= pp1.NumPipelines()-1 {
-			mid = pp1.NumPipelines() - 2
+		mid := len(pp1.Pipelines) / 2
+		if mid >= len(pp1.Pipelines)-1 {
+			mid = len(pp1.Pipelines) - 2
 		}
 		if mid < 0 {
 			continue // single-pipeline plan: nothing to suspend at
@@ -298,7 +298,7 @@ func TestEveryQuerySuspendsAndResumesPipelineLevel(t *testing.T) {
 			t.Fatalf("%s: save: %v", q.Name, err)
 		}
 
-		pp2, err := engine.Compile(node, cat)
+		pp2, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestEveryQuerySuspendsAndResumesProcessLevel(t *testing.T) {
 	cat := queryCatalog(t)
 	for _, q := range All() {
 		node := q.Build(plan.NewBuilder(cat), testSF)
-		pp0, err := engine.Compile(node, cat)
+		pp0, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestEveryQuerySuspendsAndResumesProcessLevel(t *testing.T) {
 		}
 		ref := resRef.SortedKey()
 
-		pp1, _ := engine.Compile(node, cat)
+		pp1, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 		ex1 := engine.NewExecutor(pp1, engine.Options{Workers: 2})
 		ex1.RequestSuspend(engine.KindProcess)
 		_, err = ex1.Run(context.Background())
@@ -342,7 +342,7 @@ func TestEveryQuerySuspendsAndResumesProcessLevel(t *testing.T) {
 		if err := ex1.SaveState(vector.NewEncoder(&buf)); err != nil {
 			t.Fatalf("%s: save: %v", q.Name, err)
 		}
-		pp2, _ := engine.Compile(node, cat)
+		pp2, _ := engine.CompileWith(node, cat, engine.CompileOptions{})
 		ex2 := engine.NewExecutor(pp2, engine.Options{Workers: 2})
 		if err := ex2.LoadState(vector.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
 			t.Fatalf("%s: load: %v", q.Name, err)

@@ -22,7 +22,7 @@ func columnDigests(t *testing.T, cat *catalog.Catalog) map[string][32]byte {
 		for j, col := range tbl.Schema().Columns {
 			var buf bytes.Buffer
 			enc := vector.NewEncoder(&buf)
-			enc.Vector(tbl.Column(j))
+			enc.Vector(column(tbl, j))
 			if err := enc.Err(); err != nil {
 				t.Fatal(err)
 			}

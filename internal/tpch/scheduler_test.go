@@ -18,7 +18,7 @@ func TestQueriesDAGMatchesSerialSchedule(t *testing.T) {
 	for _, q := range All() {
 		node := q.Build(plan.NewBuilder(cat), testSF)
 		run := func(maxConc int) string {
-			pp, err := engine.Compile(node, cat)
+			pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 			if err != nil {
 				t.Fatalf("%s: compile: %v", q.Name, err)
 			}

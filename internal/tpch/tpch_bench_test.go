@@ -50,7 +50,7 @@ func BenchmarkGenerate(b *testing.B) {
 // runToEnd compiles a query's plan and runs it to completion on four
 // workers.
 func runToEnd(tb testing.TB, cat *catalog.Catalog, node plan.Node) {
-	pp, err := engine.Compile(node, cat)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -117,12 +117,3 @@ func (c *Chunk) MemBytes() int64 {
 	}
 	return b
 }
-
-// Clone deep-copies the chunk.
-func (c *Chunk) Clone() *Chunk {
-	out := NewChunk(c.Types())
-	for i := 0; i < c.length; i++ {
-		out.AppendRowFrom(c, i)
-	}
-	return out
-}

@@ -13,10 +13,9 @@ import (
 // the writer has a WriteString method (io.StringWriter); without one, each
 // string is copied to a byte slice first.
 type Encoder struct {
-	w       io.Writer
-	buf     [binary.MaxVarintLen64]byte
-	written int64
-	err     error
+	w   io.Writer
+	buf [binary.MaxVarintLen64]byte
+	err error
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -25,16 +24,11 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 // Err returns the first write error encountered.
 func (e *Encoder) Err() error { return e.err }
 
-// Written returns the number of bytes written so far.
-func (e *Encoder) Written() int64 { return e.written }
-
 func (e *Encoder) write(p []byte) {
 	if e.err != nil {
 		return
 	}
-	n, err := e.w.Write(p)
-	e.written += int64(n)
-	e.err = err
+	_, e.err = e.w.Write(p)
 }
 
 // Uvarint writes an unsigned varint.
@@ -70,15 +64,7 @@ func (e *Encoder) String(s string) {
 	if e.err != nil {
 		return
 	}
-	n, err := io.WriteString(e.w, s)
-	e.written += int64(n)
-	e.err = err
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (e *Encoder) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.write(b)
+	_, e.err = io.WriteString(e.w, s)
 }
 
 // Vector writes a full vector: type, length, null bitmap, then data.
@@ -246,24 +232,6 @@ func (d *Decoder) scratch(n int) []byte {
 		d.buf = make([]byte, n)
 	}
 	return d.buf[:n]
-}
-
-// Bytes reads a length-prefixed byte slice.
-func (d *Decoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if rem := d.Remaining(); n > 1<<33 || rem >= 0 && n > uint64(rem) {
-		d.fail(fmt.Errorf("decode bytes: implausible length %d", n))
-		return nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.rr, b); err != nil {
-		d.fail(err)
-		return nil
-	}
-	return b
 }
 
 // Vector reads a full vector.

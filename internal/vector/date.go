@@ -64,25 +64,6 @@ func DateMonth(days int64) int {
 	return m
 }
 
-// AddMonths shifts a date by n calendar months, clamping the day of month
-// to the length of the target month (SQL interval semantics).
-func AddMonths(days int64, n int) int64 {
-	y, m, d := DateToYMD(days)
-	total := y*12 + (m - 1) + n
-	ny, nm := total/12, total%12+1
-	if nm < 1 {
-		nm += 12
-		ny--
-	}
-	if maxd := daysInMonth(ny, nm); d > maxd {
-		d = maxd
-	}
-	return DateFromYMD(ny, nm, d)
-}
-
-// AddYears shifts a date by n calendar years.
-func AddYears(days int64, n int) int64 { return AddMonths(days, 12*n) }
-
 func daysInMonth(y, m int) int {
 	switch m {
 	case 1, 3, 5, 7, 8, 10, 12:

@@ -62,31 +62,6 @@ func TestDateRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAddMonths(t *testing.T) {
-	cases := []struct {
-		in   string
-		n    int
-		want string
-	}{
-		{"1995-01-31", 1, "1995-02-28"},
-		{"1996-01-31", 1, "1996-02-29"},
-		{"1995-12-15", 1, "1996-01-15"},
-		{"1995-03-31", -1, "1995-02-28"},
-		{"1995-06-17", 12, "1996-06-17"},
-		{"1995-06-17", -18, "1993-12-17"},
-		{"1994-01-01", 3, "1994-04-01"},
-	}
-	for _, tc := range cases {
-		got := FormatDate(AddMonths(MustParseDate(tc.in), tc.n))
-		if got != tc.want {
-			t.Errorf("AddMonths(%s, %d) = %s, want %s", tc.in, tc.n, got, tc.want)
-		}
-	}
-	if got := FormatDate(AddYears(MustParseDate("1994-02-14"), 2)); got != "1996-02-14" {
-		t.Errorf("AddYears = %s", got)
-	}
-}
-
 func TestDateYearMonth(t *testing.T) {
 	d := MustParseDate("1997-09-03")
 	if DateYear(d) != 1997 || DateMonth(d) != 9 {

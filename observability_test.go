@@ -81,7 +81,12 @@ func TestTraceSuspendResumeRoundTrip(t *testing.T) {
 	}
 
 	// Pipelines finished both before the suspension and after the resume.
-	finishes := tr.FindAll(obs.EvPipelineFinish)
+	var finishes []obs.Event
+	for _, e := range tr.Events() {
+		if e.Name == obs.EvPipelineFinish {
+			finishes = append(finishes, e)
+		}
+	}
 	if len(finishes) == 0 {
 		t.Fatal("trace has no pipeline.finish events")
 	}
