@@ -104,9 +104,11 @@ profile:
 # right-anti mark sink's state reader (FuzzLoadMarkState: a bitmap is
 # loaded as a local and marks on, a buffer as a global and is scanned),
 # the lineage-log
-# scanner (FuzzScanLineage), and the colfile table loader (FuzzReadTable,
+# scanner (FuzzScanLineage), the colfile table loader (FuzzReadTable,
 # also -fuzzminimizetime 1x: minimizing its kilobyte files outlasts the
-# ten seconds). The committed corpora run as plain tests in
+# ten seconds), and the SQL front end that POST /query hands raw text to
+# (FuzzCompileSQL: parse, bind, lower and run, never a panic). The
+# committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -120,6 +122,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadMarkState$$' -fuzztime 10s
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 	$(GO) test ./internal/colfile -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s -fuzzminimizetime 1x
+	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzCompileSQL$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and
 # running. Timings are measured end to end by benchmark/ (BENCHMARK.json);
