@@ -20,11 +20,15 @@ type Table struct {
 	// is asked for on every submission; 0 = not computed. Invalidated on
 	// append, atomic because submissions race each other.
 	memBytes atomic.Int64
+	// chunkBytes caches, per column, ChunkBytes of each of its chunks; nil
+	// = not computed. Invalidated on append, atomic because scans race
+	// each other.
+	chunkBytes []atomic.Pointer[[]int64]
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{name: name, schema: schema, cols: schema.NewColumns(0)}
+	return &Table{name: name, schema: schema, cols: schema.NewColumns(0), chunkBytes: make([]atomic.Pointer[[]int64], schema.Arity())}
 }
 
 // TableOf adopts fully built column vectors as a table: one vector per
@@ -34,7 +38,7 @@ func TableOf(name string, schema *Schema, cols []*vector.Vector) (*Table, error)
 	if len(cols) != schema.Arity() {
 		return nil, fmt.Errorf("table %s: %d columns for a %d-column schema", name, len(cols), schema.Arity())
 	}
-	t := &Table{name: name, schema: schema, cols: cols}
+	t := &Table{name: name, schema: schema, cols: cols, chunkBytes: make([]atomic.Pointer[[]int64], len(cols))}
 	for j, col := range cols {
 		if want, got := schema.Columns[j].Type, col.Type(); want != got {
 			return nil, fmt.Errorf("table %s column %s: type %v, schema says %v", name, schema.Columns[j].Name, got, want)
@@ -69,6 +73,9 @@ func (t *Table) AppendRow(vals ...vector.Value) error {
 	}
 	t.rows++
 	t.memBytes.Store(0)
+	for j := range t.chunkBytes {
+		t.chunkBytes[j].Store(nil)
+	}
 	return nil
 }
 
@@ -102,6 +109,27 @@ func (t *Table) MemBytes() int64 {
 	}
 	t.memBytes.Store(b)
 	return b
+}
+
+// ChunkBytes returns the MemBytes of column col's rows [chunk*ChunkCapacity,
+// (chunk+1)*ChunkCapacity) as ScanView views them. A column's sizes are
+// computed once, on first use: a scan asks for every morsel's, and a
+// string column's size is a pass over its strings.
+func (t *Table) ChunkBytes(col int, chunk int64) int64 {
+	sizes := t.chunkBytes[col].Load()
+	if sizes == nil {
+		c := t.cols[col]
+		s := make([]int64, (t.rows+vector.ChunkCapacity-1)/vector.ChunkCapacity)
+		v := vector.New(c.Type(), 0)
+		for i := range s {
+			lo := i * vector.ChunkCapacity
+			v.View(c, lo, min(lo+vector.ChunkCapacity, c.Len()))
+			s[i] = v.MemBytes()
+		}
+		sizes = &s
+		t.chunkBytes[col].Store(sizes)
+	}
+	return (*sizes)[chunk]
 }
 
 // Value returns the boxed value at (row, col); for tests and result checks.

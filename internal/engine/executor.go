@@ -629,7 +629,12 @@ func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.I
 		if n == 0 {
 			continue
 		}
-		mb := chunk.MemBytes()
+		var mb int64
+		if ts, ok := p.Source.(*TableSource); ok {
+			mb = ts.MorselBytes(idx)
+		} else {
+			mb = chunk.MemBytes()
+		}
 		ex.acct.AddProcessed(mb)
 		doneMorsels++
 		doneBytes += mb

@@ -564,10 +564,18 @@ func TestAggregationMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// runSuspendedMidScan runs a plan to a process-level suspension halfway
-// through the input of pipeline pipe, which must land in its middle, saves
-// the state, and finishes it in a fresh executor. The pipelines up to pipe
+// runSuspendedMidScan runs a plan to a process-level suspension in the
+// middle of the input of pipeline pipe, which must land there, saves the
+// state, and finishes it in a fresh executor. The pipelines up to pipe
 // must run one after the other, each depending on the one before.
+//
+// The suspension is armed at the bytes of the pipelines before pipe plus
+// those of the j smallest morsels of pipe, so it fires by the time any j
+// of them are read, and after at least one. j is half of pipe's morsels,
+// but at most their count less the workers, and at least one: the other
+// workers go on claiming until they next look at the processed bytes, one
+// morsel each, so that many must stay unclaimed for the suspension to land
+// in the middle of the scan.
 func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node plan.Node, workers, pipe int) *ResultSet {
 	tb.Helper()
 	// A finished run's sources read again the morsels it processed.
@@ -578,17 +586,20 @@ func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node p
 	var at int64
 	for i, p := range done.Pipelines[:pipe+1] {
 		chunk := vector.NewViewChunk(p.Source.OutTypes())
-		var bytes int64
-		for m := int64(0); m < p.Source.MorselCount(); m++ {
-			if _, err := p.Source.ReadMorsel(m, chunk); err != nil {
+		sizes := make([]int64, p.Source.MorselCount())
+		for m := range sizes {
+			if _, err := p.Source.ReadMorsel(int64(m), chunk); err != nil {
 				tb.Fatal(err)
 			}
-			bytes += chunk.MemBytes()
+			sizes[m] = chunk.MemBytes()
 		}
 		if i == pipe {
-			bytes /= 2
+			slices.Sort(sizes)
+			sizes = sizes[:max(1, min(len(sizes)/2, len(sizes)-workers))]
 		}
-		at += bytes
+		for _, b := range sizes {
+			at += b
+		}
 	}
 	pp := mustCompile(tb, node, cat)
 	ex := NewExecutor(pp, Options{Workers: workers,

@@ -56,6 +56,16 @@ func (s *TableSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 // OutTypes implements Source.
 func (s *TableSource) OutTypes() []vector.Type { return s.types }
 
+// MorselBytes returns the MemBytes of the chunk ReadMorsel(idx) gives,
+// without reading it.
+func (s *TableSource) MorselBytes(idx int64) int64 {
+	var b int64
+	for _, j := range s.proj {
+		b += s.table.ChunkBytes(j, idx)
+	}
+	return b
+}
+
 // BufferedSink is implemented by sinks whose finalized global state is a
 // row buffer scannable by downstream pipelines (aggregates, sorts,
 // collectors, the mark sink of a right-semi or right-anti join). The

@@ -383,3 +383,39 @@ func TestQueryPlansFingerprintStable(t *testing.T) {
 		}
 	}
 }
+
+// TestTableSourceMorselBytesMatchChunks: the processed bytes a table scan
+// reports per morsel, from its table's cached column sizes, are exactly
+// the MemBytes of the chunk the morsel is read into — for every morsel of
+// every table, under the full projection, each single column, and a
+// reordered pair.
+func TestTableSourceMorselBytesMatchChunks(t *testing.T) {
+	cat := queryCatalog(t)
+	for _, name := range cat.Names() {
+		tbl, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arity := tbl.Schema().Arity()
+		all := make([]int, arity)
+		for j := range all {
+			all[j] = j
+		}
+		projs := [][]int{all, {arity - 1, 0}}
+		for j := range all {
+			projs = append(projs, []int{j})
+		}
+		for _, proj := range projs {
+			src := engine.NewTableSource(tbl, proj)
+			chunk := vector.NewViewChunk(src.OutTypes())
+			for m := int64(0); m < src.MorselCount(); m++ {
+				if _, err := src.ReadMorsel(m, chunk); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := src.MorselBytes(m), chunk.MemBytes(); got != want {
+					t.Fatalf("%s %v morsel %d: MorselBytes = %d, chunk holds %d", name, proj, m, got, want)
+				}
+			}
+		}
+	}
+}
