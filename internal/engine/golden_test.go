@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/catalog"
@@ -166,8 +167,9 @@ func TestPlansWorkerCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusePipelineOpsMergesFilterProject pins the peephole: a compiled
-// scan+filter+project pipeline carries one fused operator, not two.
+// TestFusePipelineOpsMergesFilterProject pins the merge: a compiled
+// scan+filter+project pipeline carries one fused operator, not two, and
+// it gathers the rows that pass of only the column the projection reads.
 func TestFusePipelineOpsMergesFilterProject(t *testing.T) {
 	cat := testDB(t)
 	b := plan.NewBuilder(cat)
@@ -185,5 +187,8 @@ func TestFusePipelineOpsMergesFilterProject(t *testing.T) {
 	}
 	if f.pred == nil || f.projs == nil {
 		t.Error("merged op should carry both predicate and projections")
+	}
+	if !slices.Equal(f.gather, []int{1}) {
+		t.Errorf("merged op gathers columns %v, want [1] (salary)", f.gather)
 	}
 }

@@ -16,13 +16,14 @@ import (
 // columns its probe reads: the buffered rows are laid out as the computed
 // keys (a key that is not a bare build column, such as r_k + 1) followed by
 // the stored build columns. A key that is a bare build column is read from
-// its stored column through keyCols. Inner, left-outer, cross, right-semi
-// and right-anti joins store every build column, since they output them;
-// semi and anti joins store only the key columns and the columns the
-// residual reads. The
-// bucket index maps key hashes to row ids and is rebuilt from the buffer on
-// load, so checkpoints persist only the rows — exactly the "entire hash
-// table for the join" the paper measures for join-ending pipelines (Fig. 8).
+// its stored column through keyCols. The stored columns are the bare keys,
+// the columns the residual reads and the build columns the join outputs:
+// those of its output columns an inner, left-outer or cross join keeps,
+// the ones a right-semi or right-anti join keeps, none for a semi or anti
+// join. The bucket index maps key hashes to row ids and is rebuilt from the
+// buffer on load, so checkpoints persist only the rows — exactly the
+// "entire hash table for the join" the paper measures for join-ending
+// pipelines (Fig. 8).
 type HashJoinBuildSink struct {
 	jt       plan.JoinType
 	keyProgs []*expr.Program // the computed keys, over the build input schema
@@ -31,13 +32,22 @@ type HashJoinBuildSink struct {
 	stored   []int           // stored build input columns, in buffer order after the computed keys
 	rowTypes []vector.Type   // computed key types ++ stored column types
 
-	// pairCols are the buffer columns the probe gathers after the probe
-	// columns; residual, over the probe columns followed by those, is the
-	// join's extra predicate remapped (nil without one). probeWidth is the
-	// probe column count the residual was remapped for.
+	// A probe gathers its matches into pair rows: the probe columns
+	// probeCols, then the buffer columns pairCols. residual, over the pair
+	// rows, is the join's extra predicate remapped (nil without one).
+	// probeWidth is the probe column count the join was planned for.
+	probeCols  []int
 	pairCols   []int
 	residual   expr.Expr
 	probeWidth int
+
+	// out is the join's output columns, positions in its full output (the
+	// probe's columns then the build's, or one side's alone); outCols is
+	// where each comes from: a pair column for an inner, left-outer or
+	// cross join, a probe column for a semi or anti join, a buffer column
+	// for a right-semi or right-anti join.
+	out     []int
+	outCols []int
 
 	buf   *RowBuffer
 	index joinIndex
@@ -160,8 +170,10 @@ func (c *chunkedCol) gather(dv *vector.Vector, rows []int64) {
 // NewHashJoinBuildSink builds the build sink of join jt for the key
 // expressions over the build input types. extra, the join's residual
 // predicate over probeWidth probe columns followed by the build columns,
-// may be nil; the sink remaps it onto the columns it stores.
-func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, probeWidth int, inTypes []vector.Type) (*HashJoinBuildSink, error) {
+// may be nil; the sink remaps it onto the pair rows. out lists the join's
+// output columns, ascending positions in its full output; nil is all of
+// them.
+func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, probeWidth int, inTypes []vector.Type, out []int) (*HashJoinBuildSink, error) {
 	// bareCol is the build column key k is, or -1 for a computed key.
 	bareCol := func(k expr.Expr) int {
 		if c, ok := k.(*expr.Column); ok && c.Index >= 0 && c.Index < len(inTypes) && c.Typ == inTypes[c.Index] {
@@ -169,25 +181,58 @@ func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, p
 		}
 		return -1
 	}
-	// reads are the build columns the residual reads, ascending.
-	var reads []int
+	semiAnti := jt == plan.SemiJoin || jt == plan.AntiJoin
+	// The full output is the probe columns, the build columns, or both.
+	probeOut, buildOut := probeWidth, len(inTypes)
+	switch {
+	case semiAnti:
+		buildOut = 0
+	case marksBuild(jt):
+		probeOut = 0
+	}
+	if out == nil {
+		out = make([]int, probeOut+buildOut)
+		for i := range out {
+			out[i] = i
+		}
+	}
+	// pairProbe and pairBuild mark the probe and build columns of the pair
+	// rows: the ones the residual reads, and the output columns of the
+	// joins that output pairs.
+	pairProbe := make([]bool, probeWidth)
+	pairBuild := make([]bool, len(inTypes))
+	keep := make([]bool, len(inTypes))
+	for i, o := range out {
+		if o < 0 || o >= probeOut+buildOut || i > 0 && o <= out[i-1] {
+			return nil, fmt.Errorf("join output columns %v of %d", out, probeOut+buildOut)
+		}
+		switch {
+		case o >= probeOut:
+			keep[o-probeOut] = true
+			pairBuild[o-probeOut] = !marksBuild(jt)
+		case !semiAnti:
+			pairProbe[o] = true
+		}
+	}
 	if extra != nil {
-		read := make([]bool, len(inTypes))
 		if _, err := expr.RemapColumns(extra, func(i int) (int, error) {
-			if i < 0 || i >= probeWidth+len(inTypes) {
+			switch {
+			case i >= 0 && i < probeWidth:
+				pairProbe[i] = true
+			case i >= probeWidth && i < probeWidth+len(inTypes):
+				pairBuild[i-probeWidth] = true
+				keep[i-probeWidth] = true
+			default:
 				return 0, fmt.Errorf("join residual reads column %d of %d", i, probeWidth+len(inTypes))
-			}
-			if i >= probeWidth {
-				read[i-probeWidth] = true
 			}
 			return i, nil
 		}); err != nil {
 			return nil, err
 		}
-		for b, ok := range read {
-			if ok {
-				reads = append(reads, b)
-			}
+	}
+	for _, k := range keys {
+		if b := bareCol(k); b >= 0 {
+			keep[b] = true
 		}
 	}
 
@@ -195,28 +240,10 @@ func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, p
 		jt:         jt,
 		keyTypes:   make([]vector.Type, len(keys)),
 		keyCols:    make([]int, len(keys)),
-		stored:     make([]int, 0, len(inTypes)),
 		rowTypes:   make([]vector.Type, 0, len(keys)+len(inTypes)),
-		pairCols:   make([]int, 0, len(inTypes)),
 		probeWidth: probeWidth,
-	}
-	semiAnti := jt == plan.SemiJoin || jt == plan.AntiJoin
-	keep := make([]bool, len(inTypes))
-	for b := range keep {
-		keep[b] = !semiAnti
-	}
-	for _, b := range reads {
-		keep[b] = true
-	}
-	for _, k := range keys {
-		if b := bareCol(k); b >= 0 {
-			keep[b] = true
-		}
-	}
-	for b, ok := range keep {
-		if ok {
-			s.stored = append(s.stored, b)
-		}
+		out:        out,
+		outCols:    make([]int, len(out)),
 	}
 	var computed []expr.Expr
 	for k, key := range keys {
@@ -228,39 +255,48 @@ func NewHashJoinBuildSink(jt plan.JoinType, keys []expr.Expr, extra expr.Expr, p
 		}
 	}
 	nc := len(computed)
+	for b, ok := range keep {
+		if ok {
+			s.stored = append(s.stored, b)
+			s.rowTypes = append(s.rowTypes, inTypes[b])
+		}
+	}
 	col := func(b int) int { return nc + slices.Index(s.stored, b) } // build column b's buffer column
 	for k, key := range keys {
 		if b := bareCol(key); b >= 0 {
 			s.keyCols[k] = col(b)
 		}
 	}
-	for _, b := range s.stored {
-		s.rowTypes = append(s.rowTypes, inTypes[b])
+	// pairPos maps a probe column, then a build column offset by
+	// probeWidth, to its pair column.
+	pairPos := make([]int, probeWidth+len(inTypes))
+	for i, ok := range pairProbe {
+		if ok {
+			pairPos[i] = len(s.probeCols)
+			s.probeCols = append(s.probeCols, i)
+		}
 	}
-	if semiAnti || marksBuild(jt) {
-		// The pair holds the probe columns and the build columns the
-		// residual reads, nothing more: semi and anti joins output probe
-		// rows, and right-semi and right-anti joins gather the build rows
-		// they output from the buffer.
-		for _, b := range reads {
+	for b, ok := range pairBuild {
+		if ok {
+			pairPos[probeWidth+b] = len(s.probeCols) + len(s.pairCols)
 			s.pairCols = append(s.pairCols, col(b))
 		}
-		if extra != nil {
-			var err error
-			if s.residual, err = expr.RemapColumns(extra, func(i int) (int, error) {
-				if i < probeWidth {
-					return i, nil
-				}
-				return probeWidth + slices.Index(reads, i-probeWidth), nil
-			}); err != nil {
-				return nil, err
-			}
+	}
+	for i, o := range out {
+		switch {
+		case semiAnti:
+			s.outCols[i] = o
+		case marksBuild(jt):
+			s.outCols[i] = col(o)
+		default:
+			s.outCols[i] = pairPos[o]
 		}
-	} else {
-		for _, b := range s.stored {
-			s.pairCols = append(s.pairCols, col(b))
+	}
+	if extra != nil {
+		var err error
+		if s.residual, err = expr.RemapColumns(extra, func(i int) (int, error) { return pairPos[i], nil }); err != nil {
+			return nil, err
 		}
-		s.residual = extra
 	}
 	var err error
 	if s.keyProgs, err = compilePrograms(computed); err != nil {
@@ -386,12 +422,6 @@ func rowHasNullKey(c *vector.Chunk, keyCols []int, i int) bool {
 	return false
 }
 
-// outTypes returns the types of the stored build columns: every build
-// input column, for the joins that output them.
-func (s *HashJoinBuildSink) outTypes() []vector.Type {
-	return s.rowTypes[len(s.rowTypes)-len(s.stored):]
-}
-
 // Rows returns the number of buffered build rows.
 func (s *HashJoinBuildSink) Rows() int64 { return s.buf.Rows() }
 
@@ -479,7 +509,7 @@ type joinProber struct {
 	extra    *expr.Program   // the build's residual; may be nil
 
 	probeTypes []vector.Type
-	pairTypes  []vector.Type // probeTypes ++ the types of the build's pairCols
+	pairTypes  []vector.Type // the types of the build's probeCols, then of its pairCols
 }
 
 // newJoinProber builds the probe half of build's join for the probe-side
@@ -499,7 +529,10 @@ func newJoinProber(build *HashJoinBuildSink, keys []expr.Expr, probeTypes []vect
 			return joinProber{}, err
 		}
 	}
-	pair := slices.Clone(probeTypes)
+	pair := make([]vector.Type, 0, len(build.probeCols)+len(build.pairCols))
+	for _, c := range build.probeCols {
+		pair = append(pair, probeTypes[c])
+	}
 	for _, c := range build.pairCols {
 		pair = append(pair, build.rowTypes[c])
 	}
@@ -520,8 +553,9 @@ type probeScratch struct {
 	buildRows []int64
 	sel       []int32       // residual survivors, or the tail's rows
 	pair      *vector.Chunk // the pending matches as probe++build rows
-	filtered  *vector.Chunk // pair rows surviving the extra predicate
+	filtered  *vector.Chunk // the output columns of pair rows surviving the extra predicate
 	tail      *vector.Chunk // left-outer padding / semi-anti output
+	view      *vector.Chunk // the output columns of pair or probe rows, when they are not all
 }
 
 // newScratch returns the working set every probe needs: key evaluation,
@@ -663,8 +697,8 @@ func (jp *joinProber) walk(s *probeScratch, in *vector.Chunk, mode walkMode, mar
 	return flushRest()
 }
 
-// pairUp turns the pending matches into pair rows in s.pair, the probe
-// columns gathered from in and the build's pairCols from its buffer, and
+// pairUp turns the pending matches into pair rows in s.pair, the build's
+// probeCols gathered from in and its pairCols from its buffer, and
 // empties the pending lists, returning them. With a residual predicate it
 // leaves in s.sel the pairs that satisfy it; without one every pair does.
 func (jp *joinProber) pairUp(s *probeScratch, in *vector.Chunk) (probeRows []int32, buildRows []int64, err error) {
@@ -672,8 +706,10 @@ func (jp *joinProber) pairUp(s *probeScratch, in *vector.Chunk) (probeRows []int
 	s.probeRows, s.buildRows = probeRows[:0], buildRows[:0]
 	m := len(probeRows)
 	pair := s.pair
-	np := in.NumCols()
-	gatherCols(pair.Cols()[:np], in.Cols(), probeRows)
+	np := len(jp.build.probeCols)
+	for j, c := range jp.build.probeCols {
+		gatherCol(pair.Col(j), in.Col(c), probeRows)
+	}
 	for j, v := range pair.Cols()[np:] {
 		jp.build.index.cols[jp.build.pairCols[j]].gather(v, buildRows)
 	}
@@ -695,6 +731,9 @@ type HashJoinProbeOp struct {
 	joinProber
 	Type     plan.JoinType
 	outTypes []vector.Type
+	// whole is set when the output is the pair rows as they are (an inner,
+	// left-outer or cross join) or the probe rows (a semi or anti join).
+	whole bool
 
 	// scratch pools per-worker probe state (the operator instance is shared
 	// by all workers of the pipeline). See StreamOp for why reusing emitted
@@ -711,13 +750,13 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 			s.sel = make([]int32, 0, vector.ChunkCapacity)
 		}
 		if p.extra != nil {
-			s.filtered = vector.NewChunk(p.pairTypes)
+			s.filtered = vector.NewChunk(p.outTypes)
 		}
-		switch p.Type {
-		case plan.LeftOuterJoin:
-			s.tail = vector.NewChunk(p.pairTypes)
-		case plan.SemiJoin, plan.AntiJoin:
-			s.tail = vector.NewChunk(p.probeTypes)
+		if p.tracksMatches() {
+			s.tail = vector.NewChunk(p.outTypes)
+		}
+		if !p.whole {
+			s.view = vector.NewViewChunk(p.outTypes)
 		}
 	}
 	if p.tracksMatches() {
@@ -747,11 +786,40 @@ func NewHashJoinProbeOp(build *HashJoinBuildSink, keys []expr.Expr, probeTypes [
 	if err != nil {
 		return nil, err
 	}
-	out := jp.pairTypes
+	from := jp.pairTypes
 	if build.jt == plan.SemiJoin || build.jt == plan.AntiJoin {
-		out = probeTypes
+		from = probeTypes
 	}
-	return &HashJoinProbeOp{joinProber: jp, Type: build.jt, outTypes: out}, nil
+	out := make([]vector.Type, len(build.outCols))
+	whole := len(out) == len(from)
+	for i, c := range build.outCols {
+		out[i] = from[c]
+		whole = whole && c == i
+	}
+	return &HashJoinProbeOp{joinProber: jp, Type: build.jt, outTypes: out, whole: whole}, nil
+}
+
+// columns points s.view at the output columns of c, rows of the pair or
+// probe layout, unless they are all of c.
+func (p *HashJoinProbeOp) columns(s *probeScratch, c *vector.Chunk) *vector.Chunk {
+	if p.whole {
+		return c
+	}
+	for j, k := range p.build.outCols {
+		*s.view.Col(j) = *c.Col(k)
+	}
+	s.view.SetLen(c.Len())
+	return s.view
+}
+
+// gatherOut gathers the sel rows of the output columns of c, rows of the
+// pair or probe layout, into dst.
+func (p *HashJoinProbeOp) gatherOut(dst, c *vector.Chunk, sel []int32) *vector.Chunk {
+	for j, k := range p.build.outCols {
+		gatherCol(dst.Col(j), c.Col(k), sel)
+	}
+	dst.SetLen(len(sel))
+	return dst
 }
 
 // OutTypes implements StreamOp.
@@ -785,10 +853,12 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		if len(sel) == 0 {
 			return nil
 		}
-		np := in.NumCols()
-		gatherCols(s.tail.Cols()[:np], in.Cols(), sel)
-		for _, v := range s.tail.Cols()[np:] {
-			padNull(v, len(sel))
+		for j, o := range p.build.out {
+			if o < p.build.probeWidth {
+				gatherCol(s.tail.Col(j), in.Col(o), sel)
+			} else {
+				padNull(s.tail.Col(j), len(sel))
+			}
 		}
 		s.tail.SetLen(len(sel))
 		return emit(s.tail)
@@ -799,10 +869,9 @@ func (p *HashJoinProbeOp) Process(in *vector.Chunk, emit func(*vector.Chunk) err
 		case 0:
 			return nil
 		case n:
-			return emit(in)
+			return emit(p.columns(s, in))
 		}
-		gatherChunk(s.tail, in, sel)
-		return emit(s.tail)
+		return emit(p.gatherOut(s.tail, in, sel))
 	}
 	return nil
 }
@@ -814,7 +883,6 @@ func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*ve
 	if err != nil {
 		return err
 	}
-	out := s.pair
 	markMatched := p.tracksMatches()
 	if s.extra != nil {
 		if markMatched {
@@ -822,12 +890,11 @@ func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*ve
 				s.matched[probeRows[j]] = true
 			}
 		}
-		if len(s.sel) == 0 {
-			return nil
+		if len(s.sel) == 0 || p.Type == plan.SemiJoin || p.Type == plan.AntiJoin {
+			return nil // semi and anti joins emit probe rows, after the whole chunk
 		}
 		if len(s.sel) < len(probeRows) {
-			gatherChunk(s.filtered, s.pair, s.sel)
-			out = s.filtered
+			return emit(p.gatherOut(s.filtered, s.pair, s.sel))
 		}
 	} else if markMatched {
 		for _, i := range probeRows {
@@ -835,9 +902,9 @@ func (p *HashJoinProbeOp) flush(s *probeScratch, in *vector.Chunk, emit func(*ve
 		}
 	}
 	if p.Type == plan.SemiJoin || p.Type == plan.AntiJoin {
-		return nil // they emit probe rows, after the whole chunk
+		return nil
 	}
-	return emit(out)
+	return emit(p.columns(s, s.pair))
 }
 
 // marksBuild reports whether jt outputs build rows by their matches: a
@@ -880,11 +947,15 @@ func NewHashJoinMarkSink(build *HashJoinBuildSink, keys []expr.Expr, probeTypes 
 	if err != nil {
 		return nil, err
 	}
-	return &HashJoinMarkSink{joinProber: jp, anti: build.jt == plan.RightAntiJoin, out: NewRowBuffer(build.outTypes())}, nil
+	types := make([]vector.Type, len(build.outCols))
+	for i, c := range build.outCols {
+		types[i] = build.rowTypes[c]
+	}
+	return &HashJoinMarkSink{joinProber: jp, anti: build.jt == plan.RightAntiJoin, out: NewRowBuffer(types)}, nil
 }
 
-// OutTypes returns the types of the rows the sink outputs: the build
-// input's columns.
+// OutTypes returns the types of the rows the sink outputs: the join's
+// output columns of the build input.
 func (s *HashJoinMarkSink) OutTypes() []vector.Type { return s.out.Types() }
 
 // markWords is the bitmap length for rows build rows.
@@ -954,7 +1025,7 @@ func (s *HashJoinMarkSink) Finalize() error {
 	if s.marked == nil {
 		s.marked = make([]uint64, markWords(rows))
 	}
-	cols := s.build.index.cols[len(s.build.rowTypes)-len(s.build.stored):] // the stored build columns
+	cols := s.build.index.cols
 	types := s.out.Types()
 	keep := make([]int64, 0, min(rows, vector.ChunkCapacity))
 	for r := int64(0); r < rows; r++ {
@@ -963,8 +1034,8 @@ func (s *HashJoinMarkSink) Finalize() error {
 		}
 		if len(keep) == vector.ChunkCapacity || r == rows-1 && len(keep) > 0 {
 			c := vector.NewChunk(types)
-			for j := range cols {
-				cols[j].gather(c.Col(j), keep)
+			for j, bc := range s.build.outCols {
+				cols[bc].gather(c.Col(j), keep)
 			}
 			c.SetLen(len(keep))
 			s.out.adoptChunk(c)

@@ -30,7 +30,7 @@ func joinStateKeys() []expr.Expr {
 // the computed key, then the three build columns.
 func joinStateSink(tb testing.TB) *HashJoinBuildSink {
 	tb.Helper()
-	s, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys(), nil, 1, joinStateTypes)
+	s, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys(), nil, 1, joinStateTypes, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func hostileJoinStates(tb testing.TB) map[string]hostileState {
 	layout := joinStateSink(tb).rowTypes
 	wrongKey := slices.Clone(layout)
 	wrongKey[0] = vector.TypeString
-	bareKeyOnly, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys()[:1], nil, 1, joinStateTypes)
+	bareKeyOnly, err := NewHashJoinBuildSink(plan.InnerJoin, joinStateKeys()[:1], nil, 1, joinStateTypes, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -223,9 +223,10 @@ func FuzzLoadJoinState(f *testing.F) {
 // TestJoinBuildStoresEachColumnOnce pins the build layout: a bare key is
 // read from its stored column, a computed key is stored ahead of the build
 // columns, and a semi or anti join stores only its key columns and what
-// its residual reads, which the residual then reads in the pair. A
-// right-semi or right-anti join stores every build column, since it outputs
-// them, and its pair holds only what the residual reads.
+// its residual reads, which the residual then reads in the pair. Other
+// joins store the build columns they output, all of them without an
+// output list; a right-semi or right-anti join's pair holds only what the
+// residual reads, of the probe columns too.
 func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
 	in := []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString, vector.TypeDate}
 	k, v := expr.NamedCol(0, vector.TypeInt64, ""), expr.NamedCol(1, vector.TypeFloat64, "")
@@ -236,29 +237,35 @@ func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
 		jt       plan.JoinType
 		keys     []expr.Expr
 		extra    expr.Expr
+		out      []int
 		rowTypes []vector.Type
 		keyCols  []int
+		probe    []int
 		pairCols []int
 		residual string
 	}{
-		{"inner, bare key", plan.InnerJoin, []expr.Expr{k}, nil,
-			in, []int{0}, []int{0, 1, 2, 3}, ""},
-		{"left outer, computed beside bare", plan.LeftOuterJoin, []expr.Expr{expr.Add(k, expr.Int(1)), v}, nil,
-			append([]vector.Type{vector.TypeInt64}, in...), []int{0, 2}, []int{1, 2, 3, 4}, ""},
-		{"semi, two keys on one column", plan.SemiJoin, []expr.Expr{k, k}, nil,
-			in[:1], []int{0, 0}, nil, ""},
-		{"anti, residual over the third column", plan.AntiJoin, []expr.Expr{k}, expr.IsNull(buildS),
-			[]vector.Type{vector.TypeInt64, vector.TypeString}, []int{0}, []int{1}, "(#1:VARCHAR IS NULL)"},
-		{"semi, residual over the key column", plan.SemiJoin, []expr.Expr{k}, expr.Gt(probeV, expr.NamedCol(1, vector.TypeInt64, "")),
-			in[:1], []int{0}, []int{0}, "(#0:DOUBLE > cast(#1:BIGINT as DOUBLE))"},
-		{"keyless semi", plan.SemiJoin, nil, nil,
-			nil, nil, nil, ""},
-		{"right anti, residual over the third column", plan.RightAntiJoin, []expr.Expr{k}, expr.IsNull(buildS),
-			in, []int{0}, []int{2}, "(#1:VARCHAR IS NULL)"},
-		{"right semi, computed key", plan.RightSemiJoin, []expr.Expr{expr.Add(k, expr.Int(1))}, nil,
-			append([]vector.Type{vector.TypeInt64}, in...), []int{0}, nil, ""},
+		{"inner, bare key", plan.InnerJoin, []expr.Expr{k}, nil, nil,
+			in, []int{0}, []int{0}, []int{0, 1, 2, 3}, ""},
+		{"inner, output of the probe column and the third", plan.InnerJoin, []expr.Expr{k}, nil, []int{0, 1 + 2},
+			[]vector.Type{vector.TypeInt64, vector.TypeString}, []int{0}, []int{0}, []int{1}, ""},
+		{"left outer, computed beside bare", plan.LeftOuterJoin, []expr.Expr{expr.Add(k, expr.Int(1)), v}, nil, nil,
+			append([]vector.Type{vector.TypeInt64}, in...), []int{0, 2}, []int{0}, []int{1, 2, 3, 4}, ""},
+		{"semi, two keys on one column", plan.SemiJoin, []expr.Expr{k, k}, nil, nil,
+			in[:1], []int{0, 0}, nil, nil, ""},
+		{"anti, residual over the third column", plan.AntiJoin, []expr.Expr{k}, expr.IsNull(buildS), nil,
+			[]vector.Type{vector.TypeInt64, vector.TypeString}, []int{0}, nil, []int{1}, "(#0:VARCHAR IS NULL)"},
+		{"semi, residual over the key column", plan.SemiJoin, []expr.Expr{k}, expr.Gt(probeV, expr.NamedCol(1, vector.TypeInt64, "")), nil,
+			in[:1], []int{0}, []int{0}, []int{0}, "(#0:DOUBLE > cast(#1:BIGINT as DOUBLE))"},
+		{"keyless semi", plan.SemiJoin, nil, nil, nil,
+			nil, nil, nil, nil, ""},
+		{"right anti, residual over the third column", plan.RightAntiJoin, []expr.Expr{k}, expr.IsNull(buildS), nil,
+			in, []int{0}, nil, []int{2}, "(#0:VARCHAR IS NULL)"},
+		{"right semi, computed key", plan.RightSemiJoin, []expr.Expr{expr.Add(k, expr.Int(1))}, nil, nil,
+			append([]vector.Type{vector.TypeInt64}, in...), []int{0}, nil, nil, ""},
+		{"right semi, output of the second column", plan.RightSemiJoin, []expr.Expr{k}, nil, []int{1},
+			in[:2], []int{0}, nil, nil, ""},
 	} {
-		s, err := NewHashJoinBuildSink(tc.jt, tc.keys, tc.extra, 1, in)
+		s, err := NewHashJoinBuildSink(tc.jt, tc.keys, tc.extra, 1, in, tc.out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +273,10 @@ func TestJoinBuildStoresEachColumnOnce(t *testing.T) {
 		if s.residual != nil {
 			residual = s.residual.String()
 		}
-		if !slices.Equal(s.rowTypes, tc.rowTypes) || !slices.Equal(s.keyCols, tc.keyCols) ||
+		if !slices.Equal(s.rowTypes, tc.rowTypes) || !slices.Equal(s.keyCols, tc.keyCols) || !slices.Equal(s.probeCols, tc.probe) ||
 			!slices.Equal(s.pairCols, tc.pairCols) || residual != tc.residual {
-			t.Errorf("%s: rows %v, keys at %v, pair %v, residual %q; want %v, %v, %v, %q", tc.name,
-				s.rowTypes, s.keyCols, s.pairCols, residual, tc.rowTypes, tc.keyCols, tc.pairCols, tc.residual)
+			t.Errorf("%s: rows %v, keys at %v, pair %v ++ %v, residual %q; want %v, %v, %v ++ %v, %q", tc.name,
+				s.rowTypes, s.keyCols, s.probeCols, s.pairCols, residual, tc.rowTypes, tc.keyCols, tc.probe, tc.pairCols, tc.residual)
 		}
 	}
 }
@@ -283,7 +290,7 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 	in := []vector.Type{vector.TypeInt64}
 	for _, rows := range []int{0, 1, vector.ChunkCapacity, 3000} {
 		for _, jt := range []plan.JoinType{plan.SemiJoin, plan.AntiJoin} {
-			s, err := NewHashJoinBuildSink(jt, nil, nil, 1, in)
+			s, err := NewHashJoinBuildSink(jt, nil, nil, 1, in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +316,7 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 				state = buf.Bytes()
 			}
 			for _, global := range []bool{true, false} {
-				r, _ := NewHashJoinBuildSink(jt, nil, nil, 1, in)
+				r, _ := NewHashJoinBuildSink(jt, nil, nil, 1, in, nil)
 				want := rows
 				if global {
 					err = r.LoadGlobal(vector.NewDecoder(bytes.NewReader(state)))
@@ -378,7 +385,7 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 	sortKeys := []plan.SortKey{{Expr: key[0]}}
 	sinks := map[string]func(types []vector.Type) Sink{
 		"join build": func(types []vector.Type) Sink {
-			s, err := NewHashJoinBuildSink(plan.InnerJoin, key, nil, 1, types)
+			s, err := NewHashJoinBuildSink(plan.InnerJoin, key, nil, 1, types, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +444,7 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 func markStateSink(tb testing.TB) *HashJoinMarkSink {
 	tb.Helper()
 	k := []expr.Expr{expr.NamedCol(0, vector.TypeInt64, "")}
-	build, err := NewHashJoinBuildSink(plan.RightSemiJoin, k, nil, 1, joinStateTypes)
+	build, err := NewHashJoinBuildSink(plan.RightSemiJoin, k, nil, 1, joinStateTypes, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/riveterdb/riveter/internal/catalog"
@@ -112,22 +113,28 @@ func carriesOrder(n plan.Node) bool {
 	return false
 }
 
-// CompileWith lowers a logical plan into pipelines. Pipelines are emitted
+// CompileWith lowers a logical plan into pipelines. It first drops the
+// columns nothing reads (plan.Prune), then lowers what is left; the
+// physical plan keeps root's fingerprint and root itself, so a checkpoint
+// names the plan as written and estimates read it. Pipelines are emitted
 // bottom-up, so the slice order is already a valid sequential schedule.
 // Every expression in the plan is compiled to its program here, so an
 // ill-typed one fails the compile, before a morsel is read.
 func CompileWith(root plan.Node, cat *catalog.Catalog, opts CompileOptions) (*PhysicalPlan, error) {
+	return lower(root, plan.Prune(root), cat, opts)
+}
+
+// lower lowers run, which computes root's result, into the physical plan
+// of root.
+func lower(root, run plan.Node, cat *catalog.Catalog, opts CompileOptions) (*PhysicalPlan, error) {
 	c := &compiler{cat: cat, opts: opts, memo: make(map[plan.Node]*memoEntry)}
 	final := &Pipeline{Label: "result"}
-	types, err := c.compile(root, final)
+	types, err := c.compile(run, final)
 	if err != nil {
 		return nil, err
 	}
 	final.Sink = NewCollectorSink(types, -1)
 	c.register(final)
-	for _, p := range c.pipes {
-		fusePipelineOps(p)
-	}
 	return &PhysicalPlan{
 		Pipelines:   c.pipes,
 		OutSchema:   root.Schema(),
@@ -177,42 +184,23 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 		return types, c.filter(p, t.Cond, types)
 
 	case *plan.Project:
+		if j, ok := t.Child.(*plan.Join); ok {
+			return c.projectJoin(t, j, p)
+		}
 		inTypes, err := c.compile(t.Child, p)
 		if err != nil {
 			return nil, err
 		}
-		progs, err := compilePrograms(t.Exprs)
-		if err != nil {
-			return nil, err
-		}
-		op := NewFusedOp(nil, progs, inTypes)
-		p.Ops = append(p.Ops, op)
-		return op.OutTypes(), nil
+		return c.project(p, t.Exprs, inTypes)
 
 	case *plan.Rename:
 		return c.compile(t.Child, p)
 
 	case *plan.Join:
 		if marksBuild(t.Type) {
-			return c.markJoin(t, p)
+			return c.markJoin(t, p, nil, t)
 		}
-		build, buildID, err := c.joinBuild(t)
-		if err != nil {
-			return nil, err
-		}
-		// Probe side continues the current pipeline.
-		ltypes, err := c.compile(t.Left, p)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := NewHashJoinProbeOp(build, t.LeftKeys, ltypes)
-		if err != nil {
-			return nil, err
-		}
-		p.Ops = append(p.Ops, probe)
-		p.Deps = append(p.Deps, buildID)
-		p.Label = appendLabel(p.Label, fmt.Sprintf("probe(%s)", t.Type))
-		return probe.OutTypes(), nil
+		return c.join(t, p, nil)
 
 	case *plan.Aggregate:
 		if e := c.memo[n]; e != nil {
@@ -288,15 +276,148 @@ func (c *compiler) compile(n plan.Node, p *Pipeline) ([]vector.Type, error) {
 	}
 }
 
+// join lowers join t, but for a right-semi or right-anti one: its build
+// side into a pipeline of its own, and its probe continuing pipeline p,
+// emitting the columns out of its output (all of them when out is nil).
+func (c *compiler) join(t *plan.Join, p *Pipeline, out []int) ([]vector.Type, error) {
+	build, buildID, err := c.joinBuild(t, out)
+	if err != nil {
+		return nil, err
+	}
+	ltypes, err := c.compile(t.Left, p)
+	if err != nil {
+		return nil, err
+	}
+	probe, err := NewHashJoinProbeOp(build, t.LeftKeys, ltypes)
+	if err != nil {
+		return nil, err
+	}
+	p.Ops = append(p.Ops, probe)
+	p.Deps = append(p.Deps, buildID)
+	p.Label = appendLabel(p.Label, fmt.Sprintf("probe(%s)", t.Type))
+	return probe.OutTypes(), nil
+}
+
+// projectJoin lowers projection t over join j as one: the join emits only
+// the columns t reads, so a projection of columns alone is no operator at
+// all, and one computing more is evaluated over those columns.
+func (c *compiler) projectJoin(t *plan.Project, j *plan.Join, p *Pipeline) ([]vector.Type, error) {
+	reads, err := readColumns(t.Exprs, j.Schema().Arity())
+	if err != nil {
+		return nil, err
+	}
+	if len(reads) == 0 {
+		reads = []int{0} // constants only: the join's rows still count
+	}
+	var types []vector.Type
+	if marksBuild(j.Type) {
+		types, err = c.markJoin(j, p, reads, t)
+	} else {
+		types, err = c.join(j, p, reads)
+	}
+	if err != nil {
+		return nil, err
+	}
+	exprs, err := remapOnto(t.Exprs, reads)
+	if err != nil {
+		return nil, err
+	}
+	if len(exprs) == len(reads) {
+		identity := true
+		for i, e := range exprs {
+			col, ok := e.(*expr.Column)
+			identity = identity && ok && col.Index == i && col.Typ == types[i]
+		}
+		if identity {
+			return types, nil
+		}
+	}
+	return c.project(p, exprs, types)
+}
+
+// project appends the projection computing exprs over the chain's columns
+// of types. A filter right before it becomes one operator with it, which
+// gathers the rows that pass of only the columns exprs read.
+func (c *compiler) project(p *Pipeline, exprs []expr.Expr, types []vector.Type) ([]vector.Type, error) {
+	var pred *expr.Program
+	var gather []int
+	if n := len(p.Ops); n > 0 {
+		if f, ok := p.Ops[n-1].(*FusedOp); ok && f.projs == nil {
+			pred = f.pred
+			p.Ops = p.Ops[:n-1]
+			reads, err := readColumns(exprs, len(types))
+			if err != nil {
+				return nil, err
+			}
+			if len(reads) > 0 && len(reads) < len(types) {
+				if exprs, err = remapOnto(exprs, reads); err != nil {
+					return nil, err
+				}
+				gather = reads
+			}
+		}
+	}
+	progs, err := compilePrograms(exprs)
+	if err != nil {
+		return nil, err
+	}
+	op := NewFusedOp(pred, progs, gather, types)
+	p.Ops = append(p.Ops, op)
+	return op.OutTypes(), nil
+}
+
+// readColumns returns the columns of a width-column input that exprs
+// read, ascending.
+func readColumns(exprs []expr.Expr, width int) ([]int, error) {
+	read := make([]bool, width)
+	for _, e := range exprs {
+		if _, err := expr.RemapColumns(e, func(i int) (int, error) {
+			if i < 0 || i >= width {
+				return 0, fmt.Errorf("engine: expression reads column %d of %d", i, width)
+			}
+			read[i] = true
+			return i, nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	var cols []int
+	for i, ok := range read {
+		if ok {
+			cols = append(cols, i)
+		}
+	}
+	return cols, nil
+}
+
+// remapOnto rewrites exprs, over an input, onto the columns cols of it:
+// column cols[k] becomes column k.
+func remapOnto(exprs []expr.Expr, cols []int) ([]expr.Expr, error) {
+	out := make([]expr.Expr, len(exprs))
+	for i, e := range exprs {
+		var err error
+		if out[i], err = expr.RemapColumns(e, func(j int) (int, error) {
+			if k := slices.Index(cols, j); k >= 0 {
+				return k, nil
+			}
+			return 0, fmt.Errorf("engine: column %d is not among %v", j, cols)
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // joinBuild compiles join t's build side, its right input, into a
-// pipeline of its own ending in the build sink.
-func (c *compiler) joinBuild(t *plan.Join) (*HashJoinBuildSink, int, error) {
+// pipeline of its own ending in the build sink, which stores what the
+// join's output columns out need (nil: all of them).
+func (c *compiler) joinBuild(t *plan.Join, out []int) (*HashJoinBuildSink, int, error) {
 	bp := &Pipeline{}
 	rtypes, err := c.compile(t.Right, bp)
 	if err != nil {
 		return nil, 0, err
 	}
-	build, err := NewHashJoinBuildSink(t.Type, t.RightKeys, t.Extra, t.Left.Schema().Arity(), rtypes)
+	build, err := NewHashJoinBuildSink(t.Type, t.RightKeys, t.Extra, t.Left.Schema().Arity(), rtypes, out)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -308,12 +429,14 @@ func (c *compiler) joinBuild(t *plan.Join) (*HashJoinBuildSink, int, error) {
 
 // markJoin lowers a right-semi or right-anti join into three pipelines:
 // the right input into the build sink, the left input into the mark sink,
-// and pipeline p scanning the build rows the mark sink keeps.
-func (c *compiler) markJoin(t *plan.Join, p *Pipeline) ([]vector.Type, error) {
-	if e := c.memo[t]; e != nil {
+// and pipeline p scanning the columns out (nil: all) of the build rows the
+// mark sink keeps. The breaker is memoized under key: the join, or the
+// projection lowered with it.
+func (c *compiler) markJoin(t *plan.Join, p *Pipeline, out []int, key plan.Node) ([]vector.Type, error) {
+	if e := c.memo[key]; e != nil {
 		return c.scanShared(p, e), nil
 	}
-	build, buildID, err := c.joinBuild(t)
+	build, buildID, err := c.joinBuild(t, out)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +453,7 @@ func (c *compiler) markJoin(t *plan.Join, p *Pipeline) ([]vector.Type, error) {
 	mp.Deps = append(mp.Deps, buildID)
 	mp.Label = appendLabel(mp.Label, fmt.Sprintf("mark(%s)", t.Type))
 	c.register(mp)
-	return c.scanShared(p, c.remember(t, mp.ID, sink, sink.OutTypes(), fmt.Sprintf("scan(%s)", t.Type))), nil
+	return c.scanShared(p, c.remember(key, mp.ID, sink, sink.OutTypes(), fmt.Sprintf("scan(%s)", t.Type))), nil
 }
 
 // remember memoizes a freshly registered breaker for reuse.
@@ -355,26 +478,8 @@ func (c *compiler) filter(p *Pipeline, cond expr.Expr, types []vector.Type) erro
 	if err != nil {
 		return err
 	}
-	p.Ops = append(p.Ops, NewFusedOp(prog, nil, types))
+	p.Ops = append(p.Ops, NewFusedOp(prog, nil, nil, types))
 	return nil
-}
-
-// fusePipelineOps merges a filter-only FusedOp immediately followed by a
-// project-only FusedOp into one scan+filter+project stage, so survivors are
-// gathered once and projected in place instead of crossing an operator
-// boundary per morsel.
-func fusePipelineOps(p *Pipeline) {
-	out := p.Ops[:0]
-	for _, op := range p.Ops {
-		if f, ok := op.(*FusedOp); ok && f.pred == nil && len(out) > 0 {
-			if prev, ok2 := out[len(out)-1].(*FusedOp); ok2 && prev.projs == nil {
-				out[len(out)-1] = NewFusedOp(prev.pred, f.projs, prev.inTypes)
-				continue
-			}
-		}
-		out = append(out, op)
-	}
-	p.Ops = out
 }
 
 func appendLabel(cur, add string) string {

@@ -237,8 +237,8 @@ func TestPipelineSuspendMidDAGDiscardsSiblings(t *testing.T) {
 }
 
 // TestStateFormatV1Rejected: versions 1 (pre-DAG), 2 (the aggregate state
-// before v3) and 3 (the join build before v4) of the state format are no
-// longer loadable. Their bytes
+// before v3), 3 (the join build before v4) and 4 (breakers of unpruned
+// plans) of the state format are no longer loadable. Their bytes
 // must yield a clean "unsupported state version" error — no panic — and
 // leave the executor untouched, so it still runs from scratch to the right
 // result.
@@ -247,7 +247,7 @@ func TestStateFormatV1Rejected(t *testing.T) {
 	node := complexQuery(cat)
 	ref := runPlan(t, cat, node, 2).SortedKey()
 
-	for _, version := range []uint64{1, 2, 3} {
+	for _, version := range []uint64{1, 2, 3, 4} {
 		var buf bytes.Buffer
 		enc := vector.NewEncoder(&buf)
 		enc.String(stateMagic)

@@ -54,18 +54,25 @@ func restoreFromStore(t *testing.T, st *blobstore.Store, key string, ex2 *Execut
 }
 
 // TestStoreRestoresV2Checkpoint: the current format (the in-flight-set
-// layout of version 2, at version 4 now) written as raw bytes — the same path a foreign instance uses when it serialized state
-// itself — round-trips through the store, including a process-level
-// capture with in-flight pipeline state.
+// layout of version 2, at version 5 now) written as raw bytes — the same
+// path a foreign instance uses when it serialized state itself —
+// round-trips through the store, including a process-level capture with
+// in-flight pipeline state, armed at half the bytes an uninterrupted run
+// processes.
 func TestStoreRestoresV2Checkpoint(t *testing.T) {
 	cat := testDB(t)
 	node := complexQuery(cat)
-	ref := runPlan(t, cat, node, 2).SortedKey()
+	clean := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+	res, err := clean.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := res.SortedKey()
 
 	pp := mustCompile(t, node, cat)
 	ex := NewExecutor(pp, Options{
 		Workers:     2,
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 200_000},
+		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: clean.Accountant().ProcessedBytes() / 2},
 	})
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
 		t.Fatal(err)
