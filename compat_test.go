@@ -10,10 +10,11 @@ import (
 )
 
 // The parent-written resume points under testdata/parent, all at SF 0.01
-// with two workers, written by the commit that introduced state format v4:
+// with two workers, written by the commit that introduced state format v5:
 // TPC-H Q3, suspended and persisted as a pipeline-level checkpoint file, a
 // process-level image in a blob store (key "q3") and a sealed lineage log,
-// whose join builds store each column once behind their row count; and
+// whose join builds store each column once behind their row count, and
+// only the columns of the pruned plan (customer keys, not segments); and
 // compatAggSQL (store key "agg"), suspended process-level in the middle of
 // its aggregation, so the image holds both workers' local aggregate tables
 // in the layout v3 introduced. To regenerate, copy this file into a checkout of
