@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/vector"
@@ -134,4 +136,48 @@ func TestCatalogCRUD(t *testing.T) {
 	if c.MemBytes() < 0 {
 		t.Error("membytes negative")
 	}
+}
+
+// TestChunkBytesFollowsAppendsAndRaces: ChunkBytes is the MemBytes of the
+// view ScanView gives of a column's chunk, whichever of several goroutines
+// computes a column's sizes first, and it follows appends.
+func TestChunkBytesFollowsAppendsAndRaces(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	check := func(when string) {
+		t.Helper()
+		chunks := (tbl.NumRows() + vector.ChunkCapacity - 1) / vector.ChunkCapacity
+		want := make([][]int64, tbl.Schema().Arity())
+		dst := vector.NewViewChunk(tbl.Schema().Types())
+		for c := int64(0); c < chunks; c++ {
+			tbl.ScanView(dst, c*vector.ChunkCapacity, vector.ChunkCapacity, []int{0, 1, 2})
+			for j := range want {
+				want[j] = append(want[j], dst.Col(j).MemBytes())
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range want {
+					for c, b := range want[j] {
+						if got := tbl.ChunkBytes(j, int64(c)); got != b {
+							t.Errorf("%s: column %d chunk %d: ChunkBytes = %d, view holds %d", when, j, c, got, b)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := 0; i < 2*vector.ChunkCapacity+5; i++ {
+		if err := tbl.AppendRow(vector.NewInt64(int64(i)), vector.NewString(strings.Repeat("s", i%7)), vector.NewFloat64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("three chunks")
+	if err := tbl.AppendRow(vector.NewInt64(1), vector.NewNull(vector.TypeString), vector.NewFloat64(2)); err != nil {
+		t.Fatal(err)
+	}
+	check("after one more row")
 }
