@@ -107,8 +107,10 @@ profile:
 # scanner (FuzzScanLineage), the colfile table loader (FuzzReadTable,
 # also -fuzzminimizetime 1x: minimizing its kilobyte files outlasts the
 # ten seconds), and the SQL front end that POST /query hands raw text to
-# (FuzzCompileSQL: parse, bind, lower and run, never a panic). The
-# committed corpora run as plain tests in
+# (FuzzCompileSQL: parse, bind, lower and run, never a panic), and the
+# same statements lowered with and without the dead-column pass
+# (FuzzPruneKeepsSQLResults, seeded from FuzzCompileSQL's corpus: the same
+# result bytes at one worker). The committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -123,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/strategy -run '^$$' -fuzz '^FuzzScanLineage$$' -fuzztime 10s
 	$(GO) test ./internal/colfile -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzCompileSQL$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzPruneKeepsSQLResults$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and
 # running. Timings are measured end to end by benchmark/ (BENCHMARK.json);
