@@ -294,8 +294,11 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 // session's instance and failing over when the pick turns out dead.
 // Every submission is keyed (the instance dedups by key), so the inner
 // retry layer may replay it freely; this outer loop only handles
-// routing outcomes — dead instance, drain, breaker quarantine.
+// routing outcomes — dead instance, drain, breaker quarantine. A pin it
+// moves off an unknown or quarantined instance counts as a failover, a
+// resubmitted one: the death handler then finds the key moved already.
 func (p *Proxy) submitRoute(ctx context.Context, key string, body []byte) (sessionEnvelope, string, int, error) {
+	failedOver := false
 	for attempt := 0; attempt < 6; attempt++ {
 		target, pinned := p.routeInstance(key)
 		if !pinned {
@@ -307,7 +310,7 @@ func (p *Proxy) submitRoute(ctx context.Context, key string, body []byte) (sessi
 		}
 		view, ok := p.reg.View(target)
 		if !ok {
-			p.unpin(key)
+			failedOver = p.unpin(key, target) || failedOver
 			continue
 		}
 		env, status, err := p.do(ctx, call{
@@ -321,7 +324,7 @@ func (p *Proxy) submitRoute(ctx context.Context, key string, body []byte) (sessi
 		case errors.Is(err, errBreakerOpen):
 			// Quarantined: route elsewhere without probing — the breaker
 			// is already holding the instance out of service.
-			p.unpin(key)
+			failedOver = p.unpin(key, target) || failedOver
 			continue
 		case err != nil:
 			if ctx.Err() != nil {
@@ -331,12 +334,16 @@ func (p *Proxy) submitRoute(ctx context.Context, key string, body []byte) (sessi
 			continue
 		case status == http.StatusOK:
 			p.pin(key, target, env.str("id"), body)
+			if failedOver {
+				p.met.failovers.Inc()
+				p.met.resubmitted.Inc()
+			}
 			return env, target, status, nil
 		case status == http.StatusServiceUnavailable:
 			// Draining or shutting down: refresh its status so the next
 			// pick avoids it, and try elsewhere.
 			p.reg.ProbeNow(target)
-			p.unpin(key)
+			p.unpin(key, target)
 			continue
 		default:
 			return nil, "", status, fmt.Errorf("controlplane: instance %s: %s", target, env.str("error"))
@@ -667,12 +674,16 @@ func (p *Proxy) pin(key, instance, sid string, body []byte) {
 	}
 }
 
-func (p *Proxy) unpin(key string) {
+// unpin drops key's pin to instance from, if it still has it, and reports
+// whether it did: a concurrent submit may have moved the key already.
+func (p *Proxy) unpin(key, from string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if rt := p.routes[key]; rt != nil {
+	if rt := p.routes[key]; rt != nil && rt.instance == from {
 		rt.instance = ""
+		return true
 	}
+	return false
 }
 
 func (p *Proxy) routeInstance(key string) (string, bool) {
