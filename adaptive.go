@@ -109,7 +109,7 @@ func (q *Query) Calibrate() (*Adaptive, error) {
 	a := &Adaptive{
 		Estimator: costmodel.OptimizerEstimator{},
 		q:         q,
-		info:      costmodel.BuildQueryInfo(q.name, q.node, q.db.cat),
+		info:      costmodel.BuildQueryInfo(q.name, q.pp.Root, q.db.cat),
 		rng:       rand.New(rand.NewSource(1)),
 	}
 	for i := 0; i < 3; i++ {
@@ -460,8 +460,8 @@ func (r *scenarioRun) resume(e *Execution) (*AdaptiveReport, error) {
 		r.rep.PersistedBytes = info.LogBytes
 	}
 	// The resource gap passes (not counted), then the query resumes and
-	// continues e's trace. L_r is the whole of StartFrom: compile and
-	// restore.
+	// continues e's trace. L_r is the whole of StartFrom: the restore onto
+	// the query's plan.
 	resumeStart := time.Now()
 	resumed, err := r.a.q.StartFrom(ctx, at, e)
 	if err != nil {

@@ -134,9 +134,19 @@ func TestFoldSuspendOneRider(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A query lowers at Prepare: the gated pair is prepared behind the
+	// gate, Q1's scan first.
 	gate := newOverlapGate(db.compile.ScanShare)
 	db.compile.ScanShare = gate
-	e1, err := q1.Start(ctx)
+	g1, err := db.PrepareTPCH(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g6, err := db.PrepareTPCH(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := g1.Start(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestFoldSuspendOneRider(t *testing.T) {
 	if err := e1.Suspend(PipelineLevel); err != nil {
 		t.Fatal(err)
 	}
-	e6, err := q6.Start(ctx)
+	e6, err := g6.Start(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +199,94 @@ func TestFoldSuspendOneRider(t *testing.T) {
 	}
 	if got := finishFrom(t, q1iso, filePoint(path)); got.SortedKey() != want1.SortedKey() {
 		t.Fatal("privatize resume differs from clean run")
+	}
+}
+
+// TestFoldKeepsProcessedBytes: every source counts a morsel's bytes
+// (Source.MorselBytes) without reading it twice, a fold rider from its
+// hub's table. Each TPC-H query at SF 0.01 on one worker processes the
+// same bytes with folding on and off, and the bytes recorded here, which
+// the executor counted before the sources did: from cached column sizes
+// for a table scan and from the morsel's chunk for any other source.
+func TestFoldKeepsProcessedBytes(t *testing.T) {
+	recorded := [22]int64{4440414, 615762, 2453000, 2057327, 2306873, 1919848, 2667442, 2876099,
+		3432586, 3302437, 455946, 3622350, 1596575, 2009144, 1934443, 333689, 2542970, 2702988,
+		4944178, 2453546, 5221297, 251512}
+	for _, fold := range []bool{false, true} {
+		opts := []Option{WithWorkers(1), WithCheckpointDir(t.TempDir())}
+		if fold {
+			opts = append(opts, WithFold())
+		}
+		db := Open(opts...)
+		if err := db.GenerateTPCH(0.01); err != nil {
+			t.Fatal(err)
+		}
+		for id := 1; id <= 22; id++ {
+			q, err := db.PrepareTPCH(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := q.Start(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Wait(); err != nil {
+				t.Fatalf("Q%d: %v", id, err)
+			}
+			if got := e.ex.Accountant().ProcessedBytes(); got != recorded[id-1] {
+				t.Errorf("Q%d with folding %v: processed %d bytes, recorded %d", id, fold, got, recorded[id-1])
+			}
+		}
+	}
+}
+
+// TestQueryRunsOnePlan: a Query lowers its plan once, at Prepare, and Run,
+// Start and StartFrom all run it. The executors of Start and StartFrom run
+// the query's very plan, and none of the three lowers it again: with
+// folding on, a lowering attaches each scan to its hub, and fold.attached
+// does not move.
+func TestQueryRunsOnePlan(t *testing.T) {
+	db := openFoldTPCH(t, 0.01)
+	attached := func() int64 { return db.Metrics().Snapshot().Counters[obs.MetricFoldAttached] }
+	q, err := db.PrepareTPCH(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowered := attached()
+	if lowered == 0 {
+		t.Fatal("Prepare attached no scan to a hub")
+	}
+	ctx := context.Background()
+	want, err := q.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := q.start(ctx, engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 20}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Wait(); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("Start: Wait = %v, want a suspension", err)
+	}
+	path := db.NewCheckpointPath("oneplan")
+	if _, err := e.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := q.StartFromCheckpoint(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SortedKey() != want.SortedKey() {
+		t.Error("the resumed run's rows differ from Run's")
+	}
+	if e.ex.Plan() != q.pp || resumed.ex.Plan() != q.pp {
+		t.Error("Start or StartFrom runs a plan other than the query's")
+	}
+	if n := attached(); n != lowered {
+		t.Errorf("fold.attached went from %d to %d: a run lowered the plan again", lowered, n)
 	}
 }

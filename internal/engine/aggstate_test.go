@@ -111,7 +111,7 @@ func aggStateLocals(t testing.TB, s *FlatAggSink, n int) []LocalState {
 	t.Helper()
 	locals := make([]LocalState, n)
 	for i := range locals {
-		locals[i] = s.MakeLocal()
+		locals[i] = s.MakeLocal(nil)
 	}
 	for i, c := range aggStateChunks() {
 		if err := s.Consume(locals[i%n], c); err != nil {
@@ -148,15 +148,16 @@ func aggStateRecord(t *testing.T) []string {
 		for i, ls := range locals {
 			lines = append(lines, fmt.Sprintf("locals=%d local=%d %s", n, i, saveLocalDigest(t, s, ls)))
 		}
+		gs := s.MakeGlobal(nil)
 		for _, ls := range locals {
-			if err := s.Combine(ls); err != nil {
+			if err := s.Combine(gs, ls); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Finalize(); err != nil {
+		if err := s.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, fmt.Sprintf("locals=%d result %s", n, bufferDigest(t, s.Buffer())))
+		lines = append(lines, fmt.Sprintf("locals=%d result %s", n, bufferDigest(t, s.Buffer(gs))))
 	}
 	return lines
 }
@@ -187,12 +188,13 @@ func TestAggCombineAdoptsFirstLocal(t *testing.T) {
 	specs := aggStateSpecs()
 	for _, n := range []int{1, 2, 4} {
 		s := aggStateSink(t, specs)
+		gs := s.MakeGlobal(nil)
 		for _, ls := range aggStateLocals(t, s, n) {
-			if err := s.Combine(ls); err != nil {
+			if err := s.Combine(gs, ls); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Finalize(); err != nil {
+		if err := s.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
 
@@ -201,11 +203,11 @@ func TestAggCombineAdoptsFirstLocal(t *testing.T) {
 		for _, ls := range aggStateLocals(t, ref, n) {
 			into.merge(ls.(*flatAggLocal).table, nil)
 		}
-		ref.global = into
-		if err := ref.Finalize(); err != nil {
+		rg := &flatAggState{table: into}
+		if err := ref.Finalize(rg); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := bufferDigest(t, s.Buffer()), bufferDigest(t, ref.Buffer()); got != want {
+		if got, want := bufferDigest(t, s.Buffer(gs)), bufferDigest(t, ref.Buffer(rg)); got != want {
 			t.Errorf("locals=%d: adopting Combine differs from merging into an empty table", n)
 		}
 	}
@@ -259,17 +261,18 @@ func TestAggTableGrowsByDoubling(t *testing.T) {
 	a, b := locals[0].(*flatAggLocal).table, locals[1].(*flatAggLocal).table
 	check("first local", a, doubled(a.n))
 	check("second local", b, doubled(b.n))
-	loaded, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(saveLocalBytes(t, s, locals[1]))))
+	loaded, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(saveLocalBytes(t, s, locals[1]))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("loaded local", loaded.(*flatAggLocal).table, max(b.n, flatAggInitGroups))
+	gs := s.MakeGlobal(nil).(*flatAggState)
 	for _, ls := range locals {
-		if err := s.Combine(ls); err != nil {
+		if err := s.Combine(gs, ls); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("merged", s.global, doubled(s.global.n))
+	check("merged", gs.table, doubled(gs.table.n))
 }
 
 // TestRowBufferConcatTakesChunks: Concat keeps the rows of both buffers
@@ -380,7 +383,7 @@ func hostileAggStates(tb testing.TB) map[string]hostileState {
 		return saveLocalBytes(tb, s, ls)
 	}
 	s := aggStateSink(tb, aggStateSpecs())
-	empty := saveLocalBytes(tb, s, s.MakeLocal())
+	empty := saveLocalBytes(tb, s, s.MakeLocal(nil))
 	// An empty table ends in its two DISTINCT sections, three bytes each:
 	// no pairs, then an empty value column.
 	claimPairs := func(n uint64) []byte {
@@ -419,11 +422,11 @@ func hostileAggStates(tb testing.TB) map[string]hostileState {
 // group key, so state bytes that do are refused, not merged.
 func TestAggLoadRefusesRepeatedKey(t *testing.T) {
 	s := aggStateSink(t, aggStateSpecs())
-	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(validAggState(t)))); err != nil {
+	if _, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(validAggState(t)))); err != nil {
 		t.Fatal(err)
 	}
 	repeated := hostileAggStates(t)["repeated-key"].data
-	if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(repeated))); err == nil || !strings.Contains(err.Error(), "repeats") {
+	if _, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(repeated))); err == nil || !strings.Contains(err.Error(), "repeats") {
 		t.Fatalf("LoadLocal of a repeated key = %v, want a refusal", err)
 	}
 }
@@ -434,7 +437,7 @@ func TestAggLoadRefusesRepeatedKey(t *testing.T) {
 func TestAggLoadRefusesHostileStates(t *testing.T) {
 	s := aggStateSink(t, aggStateSpecs())
 	for name, h := range hostileAggStates(t) {
-		_, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(h.data)))
+		_, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(h.data)))
 		if err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s (%d bytes): LoadLocal = %v, want %q", name, len(h.data), err, h.want)
 		}
@@ -478,12 +481,12 @@ func FuzzLoadAggState(f *testing.F) {
 	chunk := aggStateChunks()[1]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := aggStateSink(t, aggStateSpecs())
-		ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(data)))
+		ls, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
 		saved := saveLocalBytes(t, s, ls)
-		again, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(saved)))
+		again, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(saved)))
 		if err != nil {
 			t.Fatalf("a loaded table's own bytes do not load: %v", err)
 		}
@@ -493,12 +496,13 @@ func FuzzLoadAggState(f *testing.F) {
 		if err := s.Consume(ls, chunk); err != nil {
 			t.Fatal(err)
 		}
+		gs := s.MakeGlobal(nil)
 		for _, l := range []LocalState{ls, again} {
-			if err := s.Combine(l); err != nil {
+			if err := s.Combine(gs, l); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Finalize(); err != nil {
+		if err := s.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
 	})

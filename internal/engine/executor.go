@@ -102,11 +102,6 @@ type Options struct {
 	// Obs attaches metrics and tracing. The zero value disables both; the
 	// hot morsel loop then pays only two thread-local integer adds.
 	Obs obs.Context
-	// Compile carries the plan-lowering options for paths that compile on
-	// the caller's behalf (the strategy restore functions): a restored
-	// rider rejoins its shared scan hubs only when ScanShare is threaded
-	// through here. Executor construction itself ignores it.
-	Compile CompileOptions
 	// Live, when set, is a shared live-execution gauge: Run increments it
 	// on entry and decrements on exit (including suspension). The fold
 	// subsystem's scan hubs consult it for the single-rider fast path —
@@ -164,13 +159,17 @@ type inflightPipe struct {
 // the three suspension paths: context cancellation (redo), pipeline-level
 // suspension at breakers, and process-level suspension at morsel boundaries.
 // Pipelines whose dependencies have finalized run concurrently, sharing the
-// Options.Workers goroutine budget.
+// Options.Workers goroutine budget. The run state is the executor's own.
 type Executor struct {
 	pp   *PhysicalPlan
 	opts Options
 	acct *Accountant
 	met  execMetrics
 	tr   *obs.Trace
+
+	// states holds each pipeline's global sink state, written only by its
+	// Combine and Finalize and read by dependents once it finalized.
+	states []GlobalState
 
 	suspendReq  atomic.Int32
 	autoFired   atomic.Bool
@@ -230,15 +229,29 @@ func NewExecutor(pp *PhysicalPlan, opts Options) *Executor {
 	if acct == nil {
 		acct = NewAccountant()
 	}
+	states := make([]GlobalState, len(pp.Pipelines))
+	for i, p := range pp.Pipelines {
+		states[i] = p.Sink.MakeGlobal(states[:i])
+	}
 	return &Executor{
 		pp:        pp,
 		opts:      opts,
 		acct:      acct,
 		met:       resolveExecMetrics(opts.Obs.Metrics),
 		tr:        opts.Obs.Trace,
+		states:    states,
 		done:      make([]bool, len(pp.Pipelines)),
 		pipeTimes: make([]time.Duration, len(pp.Pipelines)),
 	}
+}
+
+// source returns the source p reads in this execution, a SinkSource bound
+// to its breaker's rows. Call it only once p's dependencies finalized.
+func (ex *Executor) source(p *Pipeline) Source {
+	if s, ok := p.Source.(*SinkSource); ok {
+		return s.bind(ex.states)
+	}
+	return p.Source
 }
 
 // Plan returns the physical plan.
@@ -420,7 +433,7 @@ func (ex *Executor) CurrentProgress() Progress {
 				DoneMorsels: c.cursor,
 				// In-flight pipelines had all dependencies finalized, so the
 				// source's morsel count is well defined.
-				TotalMorsels: pl.Source.MorselCount(),
+				TotalMorsels: ex.source(pl).MorselCount(),
 				Elapsed:      c.elapsed,
 			})
 		}
@@ -441,7 +454,7 @@ func (ex *Executor) CurrentProgress() Progress {
 			}
 		}
 		if ready {
-			p.TotalMorsels = pl.Source.MorselCount()
+			p.TotalMorsels = ex.source(pl).MorselCount()
 		}
 	}
 	return p
@@ -491,17 +504,15 @@ func (ex *Executor) PipelineTimes() []time.Duration {
 }
 
 // Run executes the plan to completion, a suspension, or cancellation.
-// It may be called again to continue a suspended query in place. A plan
-// another executor already ran is refused: compile once per executor.
+// It may be called again to continue a suspended query in place. Other
+// executors may run the same plan meanwhile: the run state is this
+// executor's own.
 //
 // Scheduling is DAG-driven: every pipeline whose dependencies have finalized
 // is eligible to run, and the Options.Workers goroutine budget is partitioned
 // across the running set (see schedule in scheduler.go). Serial per-pipeline
 // execution is the MaxConcurrentPipelines==1 special case.
 func (ex *Executor) Run(ctx context.Context) (*ResultSet, error) {
-	if !ex.pp.runner.CompareAndSwap(nil, ex) && ex.pp.runner.Load() != ex {
-		return nil, fmt.Errorf("engine: physical plan already run by another executor; compile it once per executor")
-	}
 	ex.mu.Lock()
 	if ex.suspended != nil {
 		ex.mu.Unlock()
@@ -527,7 +538,7 @@ func (ex *Executor) Run(ctx context.Context) (*ResultSet, error) {
 	if err := newSchedule(ex, ctx, start).run(restored); err != nil {
 		return nil, err
 	}
-	res := &ResultSet{Schema: ex.pp.OutSchema, Buf: ex.pp.Result().Buffer()}
+	res := &ResultSet{Schema: ex.pp.OutSchema, Buf: ex.states[len(ex.states)-1].(*RowBuffer)}
 	return res, nil
 }
 
@@ -581,13 +592,14 @@ func claimMorsel(cursor *atomic.Int64, morsels int64) (int64, bool) {
 	}
 }
 
-// runWorker is one morsel-pulling worker loop. It returns stopped=true when
-// it exited at a morsel boundary due to a stop signal (context cancellation,
-// a process-level suspension request, or the stop-all barrier) rather than
-// because the pipeline's morsels were exhausted.
-func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.Int64, morsels int64, local LocalState) (stopped bool, err error) {
-	chunk := vector.NewViewChunk(p.Source.OutTypes())
-	chain := makeChain(p.Ops, func(c *vector.Chunk) error {
+// runWorker is one morsel-pulling worker loop of rp. It returns stopped=true
+// when it exited at a morsel boundary due to a stop signal (context
+// cancellation, a process-level suspension request, or the stop-all
+// barrier) rather than because the pipeline's morsels were exhausted.
+func (ex *Executor) runWorker(ctx context.Context, rp *runningPipe, local LocalState) (stopped bool, err error) {
+	p, src, cursor, morsels := rp.p, rp.src, &rp.cursor, rp.morsels
+	chunk := vector.NewViewChunk(src.OutTypes())
+	chain := makeChain(p.Ops, ex.states, func(c *vector.Chunk) error {
 		return p.Sink.Consume(local, c)
 	})
 	auto := ex.opts.AutoSuspend
@@ -604,9 +616,13 @@ func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.I
 		}
 		if auto.AtProcessedBytes > 0 && !ex.autoFired.Load() &&
 			ex.acct.ProcessedBytes() >= auto.AtProcessedBytes {
+			// Armed before the one-shot flag: a worker finding the flag set
+			// finds the request too, and none claims on past the mark while
+			// the one that fired is descheduled.
+			ex.suspendReq.Store(int32(auto.Kind))
 			if ex.autoFired.CompareAndSwap(false, true) {
 				ex.autoFiredAt.Store(time.Now().UnixNano())
-				ex.RequestSuspend(auto.Kind)
+				ex.tr.Event(obs.EvSuspendRequested, obs.A("kind", kindName(auto.Kind)))
 			}
 		}
 		if ex.stopAll.Load() || SuspendKind(ex.suspendReq.Load()) == KindProcess {
@@ -622,19 +638,14 @@ func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.I
 		if !ok {
 			return false, nil
 		}
-		n, err := p.Source.ReadMorsel(idx, chunk)
+		n, err := src.ReadMorsel(idx, chunk)
 		if err != nil {
 			return false, err
 		}
 		if n == 0 {
 			continue
 		}
-		var mb int64
-		if ts, ok := p.Source.(*TableSource); ok {
-			mb = ts.MorselBytes(idx)
-		} else {
-			mb = chunk.MemBytes()
-		}
+		mb := src.MorselBytes(idx)
 		ex.acct.AddProcessed(mb)
 		doneMorsels++
 		doneBytes += mb
@@ -644,12 +655,12 @@ func (ex *Executor) runWorker(ctx context.Context, p *Pipeline, cursor *atomic.I
 	}
 }
 
-// makeChain composes streaming operators into a single push function.
-func makeChain(ops []StreamOp, final func(*vector.Chunk) error) func(*vector.Chunk) error {
+// makeChain composes streaming operators, bound to an execution's global
+// states, into a single push function.
+func makeChain(ops []StreamOp, states []GlobalState, final func(*vector.Chunk) error) func(*vector.Chunk) error {
 	h := final
 	for i := len(ops) - 1; i >= 0; i-- {
-		op, next := ops[i], h
-		h = func(c *vector.Chunk) error { return op.Process(c, next) }
+		h = ops[i].Bind(states, h)
 	}
 	return h
 }
@@ -662,7 +673,7 @@ func (ex *Executor) liveStateBytes() int64 {
 	var b int64
 	for i, p := range ex.pp.Pipelines {
 		if ex.done[i] {
-			b += p.Sink.MemBytes()
+			b += p.Sink.MemBytes(ex.states[i])
 		}
 	}
 	for _, c := range ex.inflight {

@@ -516,7 +516,8 @@ func (d *distinctSet) add(g int32, vh uint64, src *vector.Vector, r int) bool {
 // FlatAggSink is the pipeline breaker for hash aggregation. At Combine the
 // first worker-local flatAggTable becomes the global table and the others
 // merge into it; Finalize materializes the groups into a row buffer
-// scannable by the next pipeline — the "global state" of the paper's Fig. 3.
+// scannable by the next pipeline — the "global state" of the paper's Fig. 3
+// (flatAggState).
 // Group-by and argument expressions run as compiled programs, group probes
 // allocate nothing, and every fold runs as a generated grouped-update kernel
 // over raw slices. SaveLocal writes the v3 aggregate state format
@@ -529,11 +530,14 @@ type FlatAggSink struct {
 	groupProgs []*expr.Program
 	argProgs   []*expr.Program // nil where the spec takes no argument: COUNT(*)
 
-	global *flatAggTable
-	buf    *RowBuffer
-	final  bool
-
 	localPool sync.Pool // *flatAggLocal recycled at Combine
+}
+
+// flatAggState is an aggregate's global state: the table the locals
+// combine into (nil before the first Combine), then the finalized rows.
+type flatAggState struct {
+	table *flatAggTable
+	buf   *RowBuffer
 }
 
 // NewFlatAggSink builds the sink. outTypes is groupTypes ++ aggregate result
@@ -555,15 +559,13 @@ func NewFlatAggSink(groupBy []expr.Expr, specs []plan.AggSpec, outTypes []vector
 	if err != nil {
 		return nil, err
 	}
-	s := &FlatAggSink{
+	return &FlatAggSink{
 		specs:      specs,
 		layout:     layout,
 		outTypes:   outTypes,
 		groupProgs: groupProgs,
 		argProgs:   argProgs,
-	}
-	s.global = s.newTable()
-	return s, nil
+	}, nil
 }
 
 // keyTypes returns the group-by columns' types.
@@ -591,10 +593,13 @@ func (s *FlatAggSink) newLocal(t *flatAggTable) *flatAggLocal {
 	}
 }
 
+// MakeGlobal implements Sink.
+func (s *FlatAggSink) MakeGlobal([]GlobalState) GlobalState { return &flatAggState{} }
+
 // MakeLocal implements Sink. Locals are recycled through a pool: Combine is
 // called exactly once per local (scheduler finalize), after which the tables'
-// arrays are dead weight the next worker generation can reuse.
-func (s *FlatAggSink) MakeLocal() LocalState {
+// arrays are dead weight the next workers, of any execution, can reuse.
+func (s *FlatAggSink) MakeLocal(GlobalState) LocalState {
 	if l, ok := s.localPool.Get().(*flatAggLocal); ok && l != nil {
 		l.table.reset()
 		return l
@@ -668,29 +673,31 @@ func (l *flatAggLocal) hashRows(vecs []*vector.Vector, n int) []uint64 {
 // locals merge in and are recycled into the pool; that is safe because the
 // scheduler calls Combine exactly once per local and only snapshots
 // (SaveLocal) locals of still-inflight pipelines.
-func (s *FlatAggSink) Combine(ls LocalState) error {
-	l := ls.(*flatAggLocal)
-	if s.global.n == 0 {
-		s.global = l.table
+func (s *FlatAggSink) Combine(gs GlobalState, ls LocalState) error {
+	g, l := gs.(*flatAggState), ls.(*flatAggLocal)
+	if g.table == nil || g.table.n == 0 {
+		g.table = l.table
 		return nil
 	}
-	l.rowGroups = s.global.merge(l.table, l.rowGroups)
+	l.rowGroups = g.table.merge(l.table, l.rowGroups)
 	s.localPool.Put(l)
 	return nil
 }
 
 // Finalize implements Sink. It fills the output one chunk at a time, column
 // by column: key columns by range copy, then each aggregate in one loop.
-func (s *FlatAggSink) Finalize() error {
-	t := s.global
+// Every pipeline combines one local at least, so the table is set.
+func (s *FlatAggSink) Finalize(gs GlobalState) error {
+	g := gs.(*flatAggState)
+	t := g.table
 	if len(t.keys) == 0 && t.n == 0 {
 		// Global aggregation over zero rows still yields one row.
 		t.insert(0, 0)
 	}
-	s.buf = NewRowBuffer(s.outTypes)
+	g.buf = NewRowBuffer(s.outTypes)
 	for lo := 0; lo < t.n; lo += vector.ChunkCapacity {
 		hi := min(lo+vector.ChunkCapacity, t.n)
-		c := s.buf.tail() // a fresh chunk: every earlier one is full
+		c := g.buf.tail() // a fresh chunk: every earlier one is full
 		for j, k := range t.keys {
 			c.Col(j).AppendRange(k, lo, hi)
 		}
@@ -698,14 +705,13 @@ func (s *FlatAggSink) Finalize() error {
 			t.cols[i].appendResults(c.Col(len(t.keys)+i), lo, hi)
 		}
 		c.SetLen(hi - lo)
-		s.buf.rows += int64(hi - lo)
+		g.buf.rows += int64(hi - lo)
 	}
-	s.final = true
 	return nil
 }
 
 // Buffer implements BufferedSink.
-func (s *FlatAggSink) Buffer() *RowBuffer { return s.buf }
+func (s *FlatAggSink) Buffer(gs GlobalState) *RowBuffer { return gs.(*flatAggState).buf }
 
 // saveTable writes a table in the v3 aggregate state format: the group
 // count, the key columns, each spec's own accumulator arrays in group
@@ -876,19 +882,18 @@ func loadInt64s(dec *vector.Decoder, n int) []int64 {
 
 // SaveGlobal implements Sink. After finalize the scannable buffer is the
 // state.
-func (s *FlatAggSink) SaveGlobal(enc *vector.Encoder) error {
-	s.buf.Save(enc)
+func (s *FlatAggSink) SaveGlobal(gs GlobalState, enc *vector.Encoder) error {
+	gs.(*flatAggState).buf.Save(enc)
 	return enc.Err()
 }
 
 // LoadGlobal implements Sink.
-func (s *FlatAggSink) LoadGlobal(dec *vector.Decoder) error {
+func (s *FlatAggSink) LoadGlobal(gs GlobalState, dec *vector.Decoder) error {
 	buf, err := loadRowBufferOf(dec, s.outTypes)
 	if err != nil {
 		return err
 	}
-	s.buf = buf
-	s.final = true
+	gs.(*flatAggState).buf = buf
 	return nil
 }
 
@@ -899,7 +904,7 @@ func (s *FlatAggSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
 }
 
 // LoadLocal implements Sink.
-func (s *FlatAggSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
+func (s *FlatAggSink) LoadLocal(_ GlobalState, dec *vector.Decoder) (LocalState, error) {
 	t, err := s.loadTable(dec)
 	if err != nil {
 		return nil, err
@@ -908,10 +913,14 @@ func (s *FlatAggSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 }
 
 // MemBytes implements Sink.
-func (s *FlatAggSink) MemBytes() int64 {
-	b := s.global.memBytes()
-	if s.buf != nil {
-		b += s.buf.MemBytes()
+func (s *FlatAggSink) MemBytes(gs GlobalState) int64 {
+	g := gs.(*flatAggState)
+	var b int64
+	if g.table != nil {
+		b += g.table.memBytes()
+	}
+	if g.buf != nil {
+		b += g.buf.MemBytes()
 	}
 	return b
 }

@@ -87,6 +87,11 @@ func NewFusedOp(pred *expr.Program, projs []*expr.Program, gather []int, inTypes
 // OutTypes returns the output column types.
 func (o *FusedOp) OutTypes() []vector.Type { return o.outTypes }
 
+// Bind implements StreamOp.
+func (o *FusedOp) Bind(_ []GlobalState, emit func(*vector.Chunk) error) func(*vector.Chunk) error {
+	return func(in *vector.Chunk) error { return o.Process(in, emit) }
+}
+
 // Process runs the fused stage over one morsel.
 func (o *FusedOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) error {
 	n := in.Len()

@@ -54,7 +54,7 @@ func joinStateChunk() *vector.Chunk {
 // bytes, which are also what SaveGlobal writes after Combine and Finalize.
 func buildSinkState(tb testing.TB, s *HashJoinBuildSink, chunk *vector.Chunk) []byte {
 	tb.Helper()
-	ls := s.MakeLocal()
+	ls := s.MakeLocal(nil)
 	if err := s.Consume(ls, chunk); err != nil {
 		tb.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func hostileJoinStates(tb testing.TB) map[string]hostileState {
 func TestJoinLoadRefusesHostileStates(t *testing.T) {
 	for name, h := range hostileJoinStates(t) {
 		s := joinStateSink(t)
-		if err := s.LoadGlobal(vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
+		if err := s.LoadGlobal(s.MakeGlobal(nil), vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: LoadGlobal = %v, want %q", name, err, h.want)
 		}
-		if _, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
+		if _, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: LoadLocal = %v, want %q", name, err, h.want)
 		}
 	}
@@ -161,11 +161,12 @@ func TestLoadJoinStateCorpusCommitted(t *testing.T) {
 	}
 }
 
-// probeJoinState probes build, finalized or loaded, with keys 0-11 and a
-// NULL, and returns the number of rows the inner join emits.
-func probeJoinState(tb testing.TB, build *HashJoinBuildSink) int {
+// probeJoinState probes build's global state gs, finalized or loaded, with
+// keys 0-11 and a NULL, and returns the number of rows the inner join
+// emits.
+func probeJoinState(tb testing.TB, build *HashJoinBuildSink, gs GlobalState) int {
 	tb.Helper()
-	probe, err := NewHashJoinProbeOp(build, joinStateKeys(), []vector.Type{vector.TypeInt64})
+	probe, err := NewHashJoinProbeOp(build, 0, joinStateKeys(), []vector.Type{vector.TypeInt64})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -175,13 +176,13 @@ func probeJoinState(tb testing.TB, build *HashJoinBuildSink) int {
 	}
 	in.AppendRowValues(vector.NewNull(vector.TypeInt64))
 	rows := 0
-	err = probe.Process(in, func(c *vector.Chunk) error {
+	err = probe.Bind([]GlobalState{gs}, func(c *vector.Chunk) error {
 		if c.NumCols() != 4 {
 			tb.Fatalf("probe emitted %d columns, want 4", c.NumCols())
 		}
 		rows += c.Len()
 		return nil
-	})
+	})(in)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -199,24 +200,25 @@ func FuzzLoadJoinState(f *testing.F) {
 	chunk := joinStateChunk()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := joinStateSink(t)
-		if err := s.LoadGlobal(vector.NewDecoder(bytes.NewReader(data))); err == nil {
-			probeJoinState(t, s)
+		gs := s.MakeGlobal(nil)
+		if err := s.LoadGlobal(gs, vector.NewDecoder(bytes.NewReader(data))); err == nil {
+			probeJoinState(t, s, gs)
 		}
-		s = joinStateSink(t)
-		ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(data)))
+		ls, err := s.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
 		if err := s.Consume(ls, chunk); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Combine(ls); err != nil {
+		gs = s.MakeGlobal(nil)
+		if err := s.Combine(gs, ls); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Finalize(); err != nil {
+		if err := s.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
-		probeJoinState(t, s)
+		probeJoinState(t, s, gs)
 	})
 }
 
@@ -300,7 +302,7 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 			state := buildSinkState(t, s, filledChunk(in, 0))
 			if rows > 0 {
 				c := filledChunk(in, min(rows, vector.ChunkCapacity))
-				ls := s.MakeLocal()
+				ls := s.MakeLocal(nil)
 				for left := rows; left > 0; left -= c.Len() {
 					if left < c.Len() {
 						c = filledChunk(in, left)
@@ -317,15 +319,16 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 			}
 			for _, global := range []bool{true, false} {
 				r, _ := NewHashJoinBuildSink(jt, nil, nil, 1, in, nil)
+				rg := r.MakeGlobal(nil)
 				want := rows
 				if global {
-					err = r.LoadGlobal(vector.NewDecoder(bytes.NewReader(state)))
+					err = r.LoadGlobal(rg, vector.NewDecoder(bytes.NewReader(state)))
 				} else {
 					// A restored local takes five more rows and goes
 					// through one more checkpoint before it combines.
 					want += 5
 					var ls LocalState
-					if ls, err = r.LoadLocal(vector.NewDecoder(bytes.NewReader(state))); err != nil {
+					if ls, err = r.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(state))); err != nil {
 						t.Fatal(err)
 					}
 					if err := r.Consume(ls, filledChunk(in, 5)); err != nil {
@@ -335,24 +338,25 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 					if err := r.SaveLocal(ls, vector.NewEncoder(&buf)); err != nil {
 						t.Fatal(err)
 					}
-					if ls, err = r.LoadLocal(vector.NewDecoder(&buf)); err == nil {
-						if err = r.Combine(ls); err == nil {
-							err = r.Finalize()
+					if ls, err = r.LoadLocal(nil, vector.NewDecoder(&buf)); err == nil {
+						if err = r.Combine(rg, ls); err == nil {
+							err = r.Finalize(rg)
 						}
 					}
 				}
 				if err != nil {
 					t.Fatalf("%v, %d rows, global %v: %v", jt, rows, global, err)
 				}
-				if r.Rows() != int64(want) {
-					t.Fatalf("%v, %d rows, global %v: restored %d rows, want %d", jt, rows, global, r.Rows(), want)
+				if got := rg.(*joinBuildState).buf.Rows(); got != int64(want) {
+					t.Fatalf("%v, %d rows, global %v: restored %d rows, want %d", jt, rows, global, got, want)
 				}
-				probe, err := NewHashJoinProbeOp(r, nil, in)
+				probe, err := NewHashJoinProbeOp(r, 0, nil, in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				out := 0
-				if err := probe.Process(filledChunk(in, 5), func(c *vector.Chunk) error { out += c.Len(); return nil }); err != nil {
+				count := func(c *vector.Chunk) error { out += c.Len(); return nil }
+				if err := probe.Bind([]GlobalState{rg}, count)(filledChunk(in, 5)); err != nil {
 					t.Fatal(err)
 				}
 				if wantOut := map[bool]int{true: 5, false: 0}[(want > 0) == (jt == plan.SemiJoin)]; out != wantOut {
@@ -367,8 +371,9 @@ func TestKeylessSemiJoinKeepsRowsAcrossCheckpoint(t *testing.T) {
 // build of 2^32-1 rows or more is an error from Finalize, not a wrap.
 func TestJoinBuildRowLimit(t *testing.T) {
 	s := joinStateSink(t)
-	s.buf.rows = maxBuildRows
-	if err := s.Finalize(); err == nil || !strings.Contains(err.Error(), "hash join build of 4294967295 rows") {
+	gs := s.MakeGlobal(nil).(*joinBuildState)
+	gs.buf.rows = maxBuildRows
+	if err := s.Finalize(gs); err == nil || !strings.Contains(err.Error(), "hash join build of 4294967295 rows") {
 		t.Fatalf("Finalize of 2^32-1 rows = %v, want a refusal", err)
 	}
 }
@@ -409,7 +414,8 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 	}
 	for name, mk := range sinks {
 		from := mk(narrow)
-		ls := from.MakeLocal()
+		gs := from.MakeGlobal(nil)
+		ls := from.MakeLocal(gs)
 		if err := from.Consume(ls, filledChunk(narrow, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -417,18 +423,19 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 		if err := from.SaveLocal(ls, vector.NewEncoder(&local)); err != nil {
 			t.Fatal(err)
 		}
-		if err := from.Combine(ls); err != nil {
+		if err := from.Combine(gs, ls); err != nil {
 			t.Fatal(err)
 		}
-		if err := from.Finalize(); err != nil {
+		if err := from.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
-		if err := from.SaveGlobal(vector.NewEncoder(&global)); err != nil {
+		if err := from.SaveGlobal(gs, vector.NewEncoder(&global)); err != nil {
 			t.Fatal(err)
 		}
 		for _, types := range [][]vector.Type{narrow, wide} {
-			errG := mk(types).LoadGlobal(vector.NewDecoder(bytes.NewReader(global.Bytes())))
-			_, errL := mk(types).LoadLocal(vector.NewDecoder(bytes.NewReader(local.Bytes())))
+			to := mk(types)
+			errG := to.LoadGlobal(to.MakeGlobal(nil), vector.NewDecoder(bytes.NewReader(global.Bytes())))
+			_, errL := to.LoadLocal(nil, vector.NewDecoder(bytes.NewReader(local.Bytes())))
 			own := len(types) == len(narrow)
 			if (errG == nil) != own || (errL == nil) != own {
 				t.Errorf("%s over %v loading a %v state: LoadGlobal = %v, LoadLocal = %v", name, types, narrow, errG, errL)
@@ -437,34 +444,36 @@ func TestRowBufferSinksRefuseOtherLayout(t *testing.T) {
 	}
 }
 
-// markStateSink is the mark sink of a right-semi join built on
-// markStateBuildRows rows of joinStateChunk's layout, keyed on its first
-// column, and probed by one BIGINT column: its bitmaps are two words, the
-// second holding 36 rows.
-func markStateSink(tb testing.TB) *HashJoinMarkSink {
+// markStateSink is the mark sink of a right-semi join built, by pipeline
+// 0, on markStateBuildRows rows of joinStateChunk's layout, keyed on its
+// first column, and probed by one BIGINT column: its bitmaps are two
+// words, the second holding 36 rows. It returns a fresh global state of
+// the sink beside it.
+func markStateSink(tb testing.TB) (*HashJoinMarkSink, GlobalState) {
 	tb.Helper()
 	k := []expr.Expr{expr.NamedCol(0, vector.TypeInt64, "")}
 	build, err := NewHashJoinBuildSink(plan.RightSemiJoin, k, nil, 1, joinStateTypes, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ls := build.MakeLocal()
+	bg := build.MakeGlobal(nil)
+	ls := build.MakeLocal(bg)
 	for range markStateBuildRows / 40 {
 		if err := build.Consume(ls, joinStateChunk()); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := build.Combine(ls); err != nil {
+	if err := build.Combine(bg, ls); err != nil {
 		tb.Fatal(err)
 	}
-	if err := build.Finalize(); err != nil {
+	if err := build.Finalize(bg); err != nil {
 		tb.Fatal(err)
 	}
-	s, err := NewHashJoinMarkSink(build, k, []vector.Type{vector.TypeInt64})
+	s, err := NewHashJoinMarkSink(build, 0, k, []vector.Type{vector.TypeInt64})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s
+	return s, s.MakeGlobal([]GlobalState{bg})
 }
 
 // markStateBuildRows is three joinStateChunks.
@@ -484,8 +493,8 @@ func markProbeChunk() *vector.Chunk {
 // markProbeChunk.
 func validMarkState(tb testing.TB) []byte {
 	tb.Helper()
-	s := markStateSink(tb)
-	ls := s.MakeLocal()
+	s, gs := markStateSink(tb)
+	ls := s.MakeLocal(gs)
 	if err := s.Consume(ls, markProbeChunk()); err != nil {
 		tb.Fatal(err)
 	}
@@ -523,24 +532,25 @@ func hostileMarkStates(tb testing.TB) map[string]hostileState {
 // last, and a truncated one; the valid one loads and keeps its marks.
 func TestMarkLoadRefusesHostileStates(t *testing.T) {
 	for name, h := range hostileMarkStates(t) {
-		if _, err := markStateSink(t).LoadLocal(vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
+		s, gs := markStateSink(t)
+		if _, err := s.LoadLocal(gs, vector.NewDecoder(bytes.NewReader(h.data))); err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: LoadLocal = %v, want %q", name, err, h.want)
 		}
 	}
-	s := markStateSink(t)
-	ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(validMarkState(t))))
+	s, gs := markStateSink(t)
+	ls, err := s.LoadLocal(gs, vector.NewDecoder(bytes.NewReader(validMarkState(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Combine(ls); err != nil {
+	if err := s.Combine(gs, ls); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Finalize(); err != nil {
+	if err := s.Finalize(gs); err != nil {
 		t.Fatal(err)
 	}
 	// Of each 40-row chunk, the 20 rows of keys 0-4 less the four whose key
 	// is NULL (rows 3, 10, 24 and 31): 16 rows a chunk.
-	if got, want := s.Buffer().Rows(), int64(markStateBuildRows/40*16); got != want {
+	if got, want := s.Buffer(gs).Rows(), int64(markStateBuildRows/40*16); got != want {
 		t.Errorf("restored marks keep %d build rows, want %d", got, want)
 	}
 }
@@ -558,21 +568,21 @@ func TestMarkCombineUnitesWorkers(t *testing.T) {
 		return in
 	}
 	kept := func(anti bool, chunks ...*vector.Chunk) int64 {
-		s := markStateSink(t)
+		s, gs := markStateSink(t)
 		s.anti = anti
 		for _, c := range chunks {
-			ls := s.MakeLocal()
+			ls := s.MakeLocal(gs)
 			if err := s.Consume(ls, c); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Combine(ls); err != nil {
+			if err := s.Combine(gs, ls); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Finalize(); err != nil {
+		if err := s.Finalize(gs); err != nil {
 			t.Fatal(err)
 		}
-		return s.Buffer().Rows()
+		return s.Buffer(gs).Rows()
 	}
 	one := kept(false, probe(0, 1, 2, 3))
 	if two := kept(false, probe(0, 1), probe(2, 3)); two != one || one == 0 {
@@ -619,24 +629,24 @@ func TestLoadMarkStateCorpusCommitted(t *testing.T) {
 func FuzzLoadMarkState(f *testing.F) {
 	f.Add(validMarkState(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := markStateSink(t)
-		if ls, err := s.LoadLocal(vector.NewDecoder(bytes.NewReader(data))); err == nil {
+		s, gs := markStateSink(t)
+		if ls, err := s.LoadLocal(gs, vector.NewDecoder(bytes.NewReader(data))); err == nil {
 			if err := s.Consume(ls, markProbeChunk()); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Combine(ls); err != nil {
+			if err := s.Combine(gs, ls); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Finalize(); err != nil {
+			if err := s.Finalize(gs); err != nil {
 				t.Fatal(err)
 			}
-			if rows := s.Buffer().Rows(); rows > markStateBuildRows {
+			if rows := s.Buffer(gs).Rows(); rows > markStateBuildRows {
 				t.Fatalf("finalized %d rows of a %d-row build", rows, markStateBuildRows)
 			}
 		}
-		s = markStateSink(t)
-		if err := s.LoadGlobal(vector.NewDecoder(bytes.NewReader(data))); err == nil {
-			src := NewSinkSource(s, s.OutTypes())
+		s, gs = markStateSink(t)
+		if err := s.LoadGlobal(gs, vector.NewDecoder(bytes.NewReader(data))); err == nil {
+			src := NewSinkSource(s, 0, s.OutTypes()).bind([]GlobalState{gs})
 			chunk := vector.NewViewChunk(s.OutTypes())
 			for m := int64(0); m < src.MorselCount(); m++ {
 				if _, err := src.ReadMorsel(m, chunk); err != nil {

@@ -7,24 +7,28 @@ import (
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
-// StreamOp is a non-blocking operator inside a pipeline. Process may emit
-// zero or more output chunks per input chunk via the emit callback.
-// Implementations must be stateless across chunks (probe operators read the
-// immutable global state of their build pipeline), which is what makes
-// morsel-boundary suspension state-free above the sinks.
+// StreamOp is a non-blocking operator inside a pipeline. Its push function
+// may emit zero or more output chunks per input chunk. Implementations must
+// be stateless across chunks (probe operators read the immutable global
+// state of their build pipeline), which is what makes morsel-boundary
+// suspension state-free above the sinks.
 //
-// Operator instances are shared by every worker of a pipeline, so per-call
-// scratch (program instances, output chunks) lives in a sync.Pool on the
-// operator. Reusing an emitted chunk on the next Process call is sound
-// because emitted chunks are never retained downstream: sinks copy rows out
-// on Consume (the source chunk in runWorker is itself reused every morsel,
-// which forces that discipline on the whole chain).
+// Operator instances are part of the plan, shared by every worker of every
+// execution, so per-call scratch (program instances, output chunks) lives
+// in a sync.Pool on the operator. Reusing an emitted chunk on the next call
+// is sound because emitted chunks are never retained downstream: sinks copy
+// rows out on Consume (the source chunk in runWorker is itself reused every
+// morsel, which forces that discipline on the whole chain).
 //
-// Process treats in as read-only: a source's chunk aliases the base table
-// or a finalized sink buffer (Source), and an emitted chunk may alias it in
-// turn. An operator writes only into chunks and registers it owns.
+// The push function treats its input as read-only: a source's chunk
+// aliases the base table or a finalized sink buffer (Source), and an
+// emitted chunk may alias it in turn. An operator writes only into chunks
+// and registers it owns.
 type StreamOp interface {
-	Process(in *vector.Chunk, emit func(*vector.Chunk) error) error
+	// Bind returns the operator's push function into emit for one worker
+	// of an execution: an operator reading a finished pipeline's state
+	// takes it from the execution's states here, not per morsel.
+	Bind(states []GlobalState, emit func(*vector.Chunk) error) func(*vector.Chunk) error
 	// OutTypes returns the operator's output column types.
 	OutTypes() []vector.Type
 }

@@ -57,7 +57,7 @@ func TestSortedResultKeepsOrderAcrossWorkers(t *testing.T) {
 	_, err := NewExecutor(probe, Options{Workers: 4, Accountant: acct, OnBreaker: func(ev *BreakerEvent) BreakerAction {
 		if ev.PipelineIdx == last-1 {
 			mark = acct.ProcessedBytes()
-			src := probe.Pipelines[last].Source
+			src := ev.ex.source(probe.Pipelines[last])
 			chunk := vector.NewChunk(src.OutTypes())
 			for idx := int64(0); idx < 3; idx++ {
 				if _, err := src.ReadMorsel(idx, chunk); err != nil {
@@ -77,7 +77,7 @@ func TestSortedResultKeepsOrderAcrossWorkers(t *testing.T) {
 		t.Fatalf("Run = %v, want a suspension inside the result pipeline", err)
 	}
 	info := ex.Suspended()
-	if info.Pipeline != last || info.Cursor <= 2 || info.Cursor >= pp.Pipelines[last].Source.MorselCount() {
+	if info.Pipeline != last || info.Cursor <= 2 || info.Cursor >= ex.source(pp.Pipelines[last]).MorselCount() {
 		t.Fatalf("suspension landed at %+v, want mid-scan of pipeline %d", info, last)
 	}
 	ex2 := NewExecutor(mustCompile(t, node, cat), Options{Workers: 4})

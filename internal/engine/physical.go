@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"github.com/riveterdb/riveter/internal/catalog"
 	"github.com/riveterdb/riveter/internal/expr"
@@ -40,21 +39,14 @@ type Pipeline struct {
 
 // PhysicalPlan is the compiled, executable form of a logical plan: pipelines
 // in a valid execution order (every pipeline appears after its Deps), the
-// last one sinking into the result collector. A plan runs once: its sinks
-// hold the state of the executor that ran it, so only that executor may
-// run it (again, to continue after a suspension).
+// last one sinking into the result collector. A plan is a value: its sinks
+// and operators only describe the work, and each executor keeps its own run
+// state, so any number of executors may run one plan, in turn or at once.
 type PhysicalPlan struct {
 	Pipelines   []*Pipeline
 	OutSchema   *catalog.Schema
 	Fingerprint uint64
 	Root        plan.Node
-
-	runner atomic.Pointer[Executor] // the executor that ran the plan first
-}
-
-// Result returns the final collector sink.
-func (pp *PhysicalPlan) Result() *CollectorSink {
-	return pp.Pipelines[len(pp.Pipelines)-1].Sink.(*CollectorSink)
 }
 
 // ScanSharer rewrites base-table scan sources onto shared morsel streams.
@@ -82,7 +74,8 @@ type compiler struct {
 	pipes []*Pipeline
 	// memo shares materialized breakers across references to the same plan
 	// node: a subplan appearing several times (Q15's revenue view, say)
-	// executes once, and every consumer scans the one finalized sink. Beyond
+	// executes once, and every consumer scans the one global state an
+	// execution keeps for its pipeline. Beyond
 	// the saved work, sharing makes repeated references bit-identical — two
 	// independent executions of a float aggregation may differ in the last
 	// ulp depending on how morsels were partitioned across workers. The key
@@ -93,9 +86,7 @@ type compiler struct {
 
 // memoEntry records one materialized breaker available for reuse.
 type memoEntry struct {
-	id      int
-	sink    BufferedSink
-	types   []vector.Type
+	src     *SinkSource
 	label   string
 	ordered bool // carriesOrder of the node it materializes
 }
@@ -288,7 +279,7 @@ func (c *compiler) join(t *plan.Join, p *Pipeline, out []int) ([]vector.Type, er
 	if err != nil {
 		return nil, err
 	}
-	probe, err := NewHashJoinProbeOp(build, t.LeftKeys, ltypes)
+	probe, err := NewHashJoinProbeOp(build, buildID, t.LeftKeys, ltypes)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +436,7 @@ func (c *compiler) markJoin(t *plan.Join, p *Pipeline, out []int, key plan.Node)
 	if err != nil {
 		return nil, err
 	}
-	sink, err := NewHashJoinMarkSink(build, t.LeftKeys, ltypes)
+	sink, err := NewHashJoinMarkSink(build, buildID, t.LeftKeys, ltypes)
 	if err != nil {
 		return nil, err
 	}
@@ -458,18 +449,18 @@ func (c *compiler) markJoin(t *plan.Join, p *Pipeline, out []int, key plan.Node)
 
 // remember memoizes a freshly registered breaker for reuse.
 func (c *compiler) remember(n plan.Node, id int, sink BufferedSink, types []vector.Type, label string) *memoEntry {
-	e := &memoEntry{id: id, sink: sink, types: types, label: label, ordered: carriesOrder(n)}
+	e := &memoEntry{src: NewSinkSource(sink, id, types), label: label, ordered: carriesOrder(n)}
 	c.memo[n] = e
 	return e
 }
 
 // scanShared points pipeline p at a materialized breaker's finalized buffer.
 func (c *compiler) scanShared(p *Pipeline, e *memoEntry) []vector.Type {
-	p.Source = NewSinkSource(e.sink, e.types)
+	p.Source = e.src
 	p.Ordered = e.ordered
-	p.Deps = append(p.Deps, e.id)
+	p.Deps = append(p.Deps, e.src.from)
 	p.Label = appendLabel(p.Label, e.label)
-	return e.types
+	return e.src.types
 }
 
 // filter appends the operator keeping the rows where cond is true.

@@ -579,16 +579,17 @@ func TestAggregationMatchesMapOracle(t *testing.T) {
 func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node plan.Node, workers, pipe int) *ResultSet {
 	tb.Helper()
 	// A finished run's sources read again the morsels it processed.
-	done := mustCompile(tb, node, cat)
-	if _, err := NewExecutor(done, Options{Workers: workers}).Run(context.Background()); err != nil {
+	done := NewExecutor(mustCompile(tb, node, cat), Options{Workers: workers})
+	if _, err := done.Run(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	var at int64
-	for i, p := range done.Pipelines[:pipe+1] {
-		chunk := vector.NewViewChunk(p.Source.OutTypes())
-		sizes := make([]int64, p.Source.MorselCount())
+	for i, p := range done.pp.Pipelines[:pipe+1] {
+		src := done.source(p)
+		chunk := vector.NewViewChunk(src.OutTypes())
+		sizes := make([]int64, src.MorselCount())
 		for m := range sizes {
-			if _, err := p.Source.ReadMorsel(int64(m), chunk); err != nil {
+			if _, err := src.ReadMorsel(int64(m), chunk); err != nil {
 				tb.Fatal(err)
 			}
 			sizes[m] = chunk.MemBytes()
@@ -608,7 +609,7 @@ func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node p
 		tb.Fatalf("%s: Run = %v, want a suspension", run, err)
 	}
 	if info := ex.Suspended(); info.Kind != KindProcess || info.Pipeline != pipe ||
-		info.Cursor == 0 || info.Cursor >= pp.Pipelines[pipe].Source.MorselCount() {
+		info.Cursor == 0 || info.Cursor >= ex.source(pp.Pipelines[pipe]).MorselCount() {
 		tb.Fatalf("%s: suspension landed at %+v, want mid-scan of pipeline %d", run, info, pipe)
 	}
 	ex2 := NewExecutor(mustCompile(tb, node, cat), Options{Workers: workers})

@@ -87,10 +87,10 @@ func pruneTPCHCatalog(t testing.TB) *catalog.Catalog {
 
 // breakerBytes sums the MemBytes of every breaker of a finished run but
 // the result collector.
-func breakerBytes(pp *PhysicalPlan) int64 {
+func breakerBytes(ex *Executor) int64 {
 	var b int64
-	for _, p := range pp.Pipelines[:len(pp.Pipelines)-1] {
-		b += p.Sink.MemBytes()
+	for i, p := range ex.pp.Pipelines[:len(ex.pp.Pipelines)-1] {
+		b += p.Sink.MemBytes(ex.states[i])
 	}
 	return b
 }
@@ -107,12 +107,12 @@ func TestPruneKeepsTPCHResults(t *testing.T) {
 		if len(pruned.Pipelines) != len(unpruned.Pipelines) {
 			t.Errorf("%s: %d pipelines pruned, %d as written", q.Name, len(pruned.Pipelines), len(unpruned.Pipelines))
 		}
-		got, _ := runOn(t, pruned)
-		want, _ := runOn(t, unpruned)
+		got, prunedEx := runOn(t, pruned)
+		want, unprunedEx := runOn(t, unpruned)
 		if resultDigest(t, got) != resultDigest(t, want) {
 			t.Errorf("%s: pruned result differs from the unpruned one", q.Name)
 		}
-		small, big := breakerBytes(pruned), breakerBytes(unpruned)
+		small, big := breakerBytes(prunedEx), breakerBytes(unprunedEx)
 		t.Logf("%s: breaker state %d bytes pruned, %d as written (%.0f %%)", q.Name, small, big, 100*(1-float64(small)/float64(big)))
 		switch q.ID {
 		case 7, 13, 21:

@@ -26,6 +26,7 @@ import (
 type runningPipe struct {
 	pi      int
 	p       *Pipeline
+	src     Source // p's source, bound to the execution
 	morsels int64
 	cursor  atomic.Int64 // shared morsel cursor, CAS-claimed, never exceeds morsels
 	// locals holds one local sink state per worker ever assigned, in
@@ -48,23 +49,13 @@ func (rp *runningPipe) elapsedNow() time.Duration {
 	return rp.prior + time.Since(rp.started)
 }
 
-// workerExit reports one worker goroutine finishing.
-type workerExit struct {
-	pi      int
-	stopped bool
-	err     error
-}
-
-// finalExit reports one pipeline's combine+finalize finishing.
-type finalExit struct {
-	pi  int
-	err error
-}
-
-// schedEvent is one message from a worker or finalizer to the scheduler.
+// schedEvent is one message to the scheduler: a worker of pipeline pi
+// exited, at a stop signal when stopped, or the pipeline's combine and
+// finalize did (final).
 type schedEvent struct {
-	w *workerExit
-	f *finalExit
+	pi             int
+	stopped, final bool
+	err            error
 }
 
 // schedule is the per-Run DAG scheduler state.
@@ -117,12 +108,10 @@ func (s *schedule) run(restored []*inflightPipe) error {
 		s.assign()
 	}
 	for len(s.running) > 0 {
-		ev := <-s.events
-		switch {
-		case ev.w != nil:
-			s.onWorkerExit(ev.w)
-		case ev.f != nil:
-			s.onFinalized(ev.f)
+		if ev := <-s.events; ev.final {
+			s.onFinalized(ev)
+		} else {
+			s.onWorkerExit(ev)
 		}
 		if !s.draining {
 			s.checkProcessRequest()
@@ -160,7 +149,8 @@ func (s *schedule) fail(err error) {
 func (s *schedule) launch(c *inflightPipe) *runningPipe {
 	ex := s.ex
 	p := ex.pp.Pipelines[c.pi]
-	rp := &runningPipe{pi: c.pi, p: p, morsels: p.Source.MorselCount(), started: time.Now()}
+	src := ex.source(p)
+	rp := &runningPipe{pi: c.pi, p: p, src: src, morsels: src.MorselCount(), started: time.Now()}
 	rp.cursor.Store(c.cursor)
 	rp.prior = c.elapsed
 	s.running[c.pi] = rp
@@ -169,7 +159,7 @@ func (s *schedule) launch(c *inflightPipe) *runningPipe {
 	}
 	if ex.tr != nil {
 		ex.tr.Event(obs.EvPipelineStart,
-			obs.A("pipeline", c.pi), obs.A("workers", maxInt(1, len(c.locals))),
+			obs.A("pipeline", c.pi), obs.A("workers", max(1, len(c.locals))),
 			obs.A("morsels", rp.morsels), obs.A("cursor", c.cursor))
 	}
 	if len(c.locals) == 0 {
@@ -186,14 +176,14 @@ func (s *schedule) launch(c *inflightPipe) *runningPipe {
 // fresh one from the sink.
 func (s *schedule) addWorker(rp *runningPipe, local LocalState) {
 	if local == nil {
-		local = rp.p.Sink.MakeLocal()
+		local = rp.p.Sink.MakeLocal(s.ex.states[rp.pi])
 	}
 	rp.locals = append(rp.locals, local)
 	rp.outstanding++
 	s.free--
 	go func() {
-		stopped, err := s.ex.runWorker(s.ctx, rp.p, &rp.cursor, rp.morsels, local)
-		s.events <- schedEvent{w: &workerExit{pi: rp.pi, stopped: stopped, err: err}}
+		stopped, err := s.ex.runWorker(s.ctx, rp, local)
+		s.events <- schedEvent{pi: rp.pi, stopped: stopped, err: err}
 	}()
 }
 
@@ -283,7 +273,7 @@ func (s *schedule) assign() {
 // onWorkerExit accounts one worker leaving its pipeline; when it was the
 // last, the pipeline either finalizes (morsels exhausted) or quiesces
 // (stopped at a barrier).
-func (s *schedule) onWorkerExit(w *workerExit) {
+func (s *schedule) onWorkerExit(w schedEvent) {
 	rp := s.running[w.pi]
 	rp.outstanding--
 	s.free++
@@ -314,20 +304,22 @@ func (s *schedule) onWorkerExit(w *workerExit) {
 	rp.finalizing = true
 	s.free--
 	go func() {
-		s.events <- schedEvent{f: &finalExit{pi: rp.pi, err: s.finalize(rp)}}
+		s.events <- schedEvent{pi: rp.pi, final: true, err: s.finalize(rp)}
 	}()
 }
 
-// finalize merges the pipeline's worker-local states in assignment order and
-// finalizes its sink. Runs off the scheduler goroutine; the sink is not yet
-// visible as done, so nothing else touches it.
+// finalize merges the pipeline's worker-local states in assignment order
+// into its global state and finalizes that. Runs off the scheduler
+// goroutine; the pipeline is not yet visible as done, so nothing else
+// touches its global state.
 func (s *schedule) finalize(rp *runningPipe) error {
+	gs := s.ex.states[rp.pi]
 	for _, ls := range rp.locals {
-		if err := rp.p.Sink.Combine(ls); err != nil {
+		if err := rp.p.Sink.Combine(gs, ls); err != nil {
 			return err
 		}
 	}
-	return rp.p.Sink.Finalize()
+	return rp.p.Sink.Finalize(gs)
 }
 
 // onPipelineQuiesced handles a pipeline whose workers all stopped at a
@@ -366,8 +358,8 @@ func (s *schedule) onPipelineQuiesced(rp *runningPipe) {
 
 // onFinalized marks a pipeline done and runs its breaker. The done bit flips
 // under ex.mu after Finalize returned, so measureState and external readers
-// only ever observe fully finalized sinks.
-func (s *schedule) onFinalized(f *finalExit) {
+// only ever observe fully finalized global states.
+func (s *schedule) onFinalized(f schedEvent) {
 	ex := s.ex
 	rp := s.running[f.pi]
 	delete(s.running, f.pi)
@@ -468,11 +460,4 @@ func (s *schedule) finish() error {
 		return ErrSuspended
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,17 +13,23 @@ import (
 //
 // SortSink is the pipeline breaker for ORDER BY: workers buffer rows
 // locally, Combine concatenates, and Finalize sorts the global buffer and
-// materializes it in order. TopNSink fuses ORDER BY + LIMIT: local states
-// keep at most a bounded number of candidate rows.
+// materializes it in order. A top-N sink (NewTopNSink) fuses ORDER BY +
+// LIMIT: local states keep at most a bounded number of candidate rows,
+// and Finalize cuts the sorted rows to the limit after the offset.
 type SortSink struct {
 	keys     []plan.SortKey
 	keyProgs []*expr.Program
 	payTypes []vector.Type
 	rowTypes []vector.Type
 
-	buf   *RowBuffer // keys ++ payload, unsorted until Finalize
-	out   *RowBuffer // payload only, sorted
-	final bool
+	Limit  int64 // -1 = a full sort
+	Offset int64
+}
+
+// sortState is a sort's global state.
+type sortState struct {
+	buf RowBuffer  // keys ++ payload, unsorted until Finalize
+	out *RowBuffer // payload only, sorted
 }
 
 // NewSortSink builds a sort sink for the given keys over input types.
@@ -38,7 +44,17 @@ func NewSortSink(keys []plan.SortKey, inTypes []vector.Type) (*SortSink, error) 
 		return nil, err
 	}
 	rt := append(append([]vector.Type{}, kt...), inTypes...)
-	return &SortSink{keys: keys, keyProgs: progs, payTypes: inTypes, rowTypes: rt, buf: NewRowBuffer(rt)}, nil
+	return &SortSink{keys: keys, keyProgs: progs, payTypes: inTypes, rowTypes: rt, Limit: -1}, nil
+}
+
+// NewTopNSink builds a top-N sink: a sort keeping limit rows after offset.
+func NewTopNSink(keys []plan.SortKey, inTypes []vector.Type, limit, offset int64) (*SortSink, error) {
+	s, err := NewSortSink(keys, inTypes)
+	if err != nil {
+		return nil, err
+	}
+	s.Limit, s.Offset = limit, offset
+	return s, nil
 }
 
 type sortLocal struct {
@@ -51,8 +67,13 @@ func (s *SortSink) newLocal(buf *RowBuffer) *sortLocal {
 	return &sortLocal{buf: buf, keyInsts: newInstances(s.keyProgs), keyVecs: make([]*vector.Vector, len(s.keyProgs))}
 }
 
+// MakeGlobal implements Sink.
+func (s *SortSink) MakeGlobal([]GlobalState) GlobalState {
+	return &sortState{buf: RowBuffer{types: s.rowTypes}}
+}
+
 // MakeLocal implements Sink.
-func (s *SortSink) MakeLocal() LocalState { return s.newLocal(NewRowBuffer(s.rowTypes)) }
+func (s *SortSink) MakeLocal(GlobalState) LocalState { return s.newLocal(NewRowBuffer(s.rowTypes)) }
 
 // appendKeyed appends chunk rows with evaluated key prefix into l's buffer.
 func (l *sortLocal) appendKeyed(c *vector.Chunk) error {
@@ -74,14 +95,23 @@ func (l *sortLocal) appendKeyed(c *vector.Chunk) error {
 	return nil
 }
 
-// Consume implements Sink.
+// Consume implements Sink; a top-N trims the local buffer when it grows
+// past 4x the rows it keeps to bound memory.
 func (s *SortSink) Consume(ls LocalState, c *vector.Chunk) error {
-	return ls.(*sortLocal).appendKeyed(c)
+	l := ls.(*sortLocal)
+	if err := l.appendKeyed(c); err != nil {
+		return err
+	}
+	keep := s.Offset + s.Limit
+	if keep > 0 && l.buf.Rows() > 4*keep+int64(vector.ChunkCapacity) {
+		l.buf = trimTopN(l.buf, s.keys, s.rowTypes, keep)
+	}
+	return nil
 }
 
 // Combine implements Sink.
-func (s *SortSink) Combine(ls LocalState) error {
-	s.buf.Concat(ls.(*sortLocal).buf)
+func (s *SortSink) Combine(gs GlobalState, ls LocalState) error {
+	gs.(*sortState).buf.Concat(ls.(*sortLocal).buf)
 	return nil
 }
 
@@ -233,32 +263,37 @@ func materializeSorted(buf *RowBuffer, nKeys int, payTypes []vector.Type, perm [
 	return out
 }
 
-// Finalize implements Sink.
-func (s *SortSink) Finalize() error {
-	perm := sortPerm(s.buf, s.keys)
-	s.out = materializeSorted(s.buf, len(s.keys), s.payTypes, perm)
-	s.buf = NewRowBuffer(s.rowTypes) // release pre-sort copy
-	s.final = true
+// Finalize implements Sink: it sorts, cuts a top-N to its rows and
+// materializes them.
+func (s *SortSink) Finalize(gs GlobalState) error {
+	g := gs.(*sortState)
+	perm := sortPerm(&g.buf, s.keys)
+	lo := min(s.Offset, int64(len(perm)))
+	hi := lo + s.Limit
+	if s.Limit < 0 || hi > int64(len(perm)) {
+		hi = int64(len(perm))
+	}
+	g.out = materializeSorted(&g.buf, len(s.keys), s.payTypes, perm[lo:hi])
+	g.buf = RowBuffer{types: s.rowTypes} // release pre-sort copy
 	return nil
 }
 
 // Buffer implements BufferedSink.
-func (s *SortSink) Buffer() *RowBuffer { return s.out }
+func (s *SortSink) Buffer(gs GlobalState) *RowBuffer { return gs.(*sortState).out }
 
 // SaveGlobal implements Sink.
-func (s *SortSink) SaveGlobal(enc *vector.Encoder) error {
-	s.out.Save(enc)
+func (s *SortSink) SaveGlobal(gs GlobalState, enc *vector.Encoder) error {
+	gs.(*sortState).out.Save(enc)
 	return enc.Err()
 }
 
 // LoadGlobal implements Sink.
-func (s *SortSink) LoadGlobal(dec *vector.Decoder) error {
+func (s *SortSink) LoadGlobal(gs GlobalState, dec *vector.Decoder) error {
 	out, err := loadRowBufferOf(dec, s.payTypes)
 	if err != nil {
 		return err
 	}
-	s.out = out
-	s.final = true
+	gs.(*sortState).out = out
 	return nil
 }
 
@@ -269,7 +304,7 @@ func (s *SortSink) SaveLocal(ls LocalState, enc *vector.Encoder) error {
 }
 
 // LoadLocal implements Sink.
-func (s *SortSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
+func (s *SortSink) LoadLocal(_ GlobalState, dec *vector.Decoder) (LocalState, error) {
 	buf, err := loadRowBufferOf(dec, s.rowTypes)
 	if err != nil {
 		return nil, err
@@ -278,13 +313,11 @@ func (s *SortSink) LoadLocal(dec *vector.Decoder) (LocalState, error) {
 }
 
 // MemBytes implements Sink.
-func (s *SortSink) MemBytes() int64 {
-	var b int64
-	if s.buf != nil {
-		b += s.buf.MemBytes()
-	}
-	if s.out != nil {
-		b += s.out.MemBytes()
+func (s *SortSink) MemBytes(gs GlobalState) int64 {
+	g := gs.(*sortState)
+	b := g.buf.MemBytes()
+	if g.out != nil {
+		b += g.out.MemBytes()
 	}
 	return b
 }
@@ -292,38 +325,6 @@ func (s *SortSink) MemBytes() int64 {
 // LocalMemBytes implements Sink.
 func (s *SortSink) LocalMemBytes(ls LocalState) int64 {
 	return ls.(*sortLocal).buf.MemBytes()
-}
-
-// TopNSink fuses Sort+Limit: each local keeps at most trimThreshold rows
-// (periodically sort-trimmed to limit), and Finalize sorts and cuts the
-// global set to the limit.
-type TopNSink struct {
-	*SortSink
-	Limit  int64
-	Offset int64
-}
-
-// NewTopNSink builds a top-N sink.
-func NewTopNSink(keys []plan.SortKey, inTypes []vector.Type, limit, offset int64) (*TopNSink, error) {
-	ss, err := NewSortSink(keys, inTypes)
-	if err != nil {
-		return nil, err
-	}
-	return &TopNSink{SortSink: ss, Limit: limit, Offset: offset}, nil
-}
-
-// Consume implements Sink; it trims the local buffer when it grows past 4x
-// the limit to bound memory.
-func (s *TopNSink) Consume(ls LocalState, c *vector.Chunk) error {
-	l := ls.(*sortLocal)
-	if err := l.appendKeyed(c); err != nil {
-		return err
-	}
-	keep := s.Offset + s.Limit
-	if keep > 0 && l.buf.Rows() > 4*keep+int64(vector.ChunkCapacity) {
-		l.buf = trimTopN(l.buf, s.keys, s.rowTypes, keep)
-	}
-	return nil
 }
 
 // trimTopN sorts the keyed buffer and keeps the first `keep` keyed rows.
@@ -338,22 +339,4 @@ func trimTopN(buf *RowBuffer, keys []plan.SortKey, rowTypes []vector.Type, keep 
 		out.AppendRowFrom(buf.Chunk(ci), ri)
 	}
 	return out
-}
-
-// Finalize implements Sink.
-func (s *TopNSink) Finalize() error {
-	perm := sortPerm(s.buf, s.keys)
-	lo := s.Offset
-	if lo > int64(len(perm)) {
-		lo = int64(len(perm))
-	}
-	hi := lo + s.Limit
-	if s.Limit < 0 || hi > int64(len(perm)) {
-		hi = int64(len(perm))
-	}
-	perm = perm[lo:hi]
-	s.out = materializeSorted(s.buf, len(s.keys), s.payTypes, perm)
-	s.buf = NewRowBuffer(s.rowTypes)
-	s.final = true
-	return nil
 }

@@ -24,6 +24,9 @@ type Source interface {
 	ReadMorsel(idx int64, dst *vector.Chunk) (int, error)
 	// OutTypes returns the column types the source produces.
 	OutTypes() []vector.Type
+	// MorselBytes returns the MemBytes of the rows ReadMorsel(idx) gives,
+	// which the morsel counts as processed. Only for a morsel of rows.
+	MorselBytes(idx int64) int64
 }
 
 // TableSource scans a base table with column projection.
@@ -56,8 +59,7 @@ func (s *TableSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 // OutTypes implements Source.
 func (s *TableSource) OutTypes() []vector.Type { return s.types }
 
-// MorselBytes returns the MemBytes of the chunk ReadMorsel(idx) gives,
-// without reading it.
+// MorselBytes implements Source from the table's cached column sizes.
 func (s *TableSource) MorselBytes(idx int64) int64 {
 	var b int64
 	for _, j := range s.proj {
@@ -73,33 +75,47 @@ func (s *TableSource) MorselBytes(idx int64) int64 {
 // directly.
 type BufferedSink interface {
 	Sink
-	// Buffer returns the finalized output rows. Only valid after Finalize.
-	Buffer() *RowBuffer
+	// Buffer returns the finalized output rows of global state gs. Only
+	// valid after Finalize.
+	Buffer(gs GlobalState) *RowBuffer
 }
 
-// SinkSource scans the finalized buffer of an upstream pipeline's sink.
+// SinkSource scans the finalized buffer of an upstream pipeline's sink. An
+// execution reads a copy bound to its own global state of it (bind).
 type SinkSource struct {
 	sink  BufferedSink
+	from  int // the breaker's pipeline
 	types []vector.Type
+	buf   *RowBuffer // set in a bound copy only
 }
 
-// NewSinkSource builds a source over a buffered sink.
-func NewSinkSource(sink BufferedSink, types []vector.Type) *SinkSource {
-	return &SinkSource{sink: sink, types: types}
+// NewSinkSource builds a source over the buffered sink of pipeline from.
+func NewSinkSource(sink BufferedSink, from int, types []vector.Type) *SinkSource {
+	return &SinkSource{sink: sink, from: from, types: types}
+}
+
+// bind returns the source reading the breaker's rows among an execution's
+// global states. Its pipeline depends on the breaker, so they are final.
+func (s *SinkSource) bind(states []GlobalState) *SinkSource {
+	b := *s
+	b.buf = s.sink.Buffer(states[s.from])
+	return &b
 }
 
 // MorselCount implements Source.
-func (s *SinkSource) MorselCount() int64 { return int64(s.sink.Buffer().NumChunks()) }
+func (s *SinkSource) MorselCount() int64 { return int64(s.buf.NumChunks()) }
 
 // ReadMorsel implements Source.
 func (s *SinkSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
-	buf := s.sink.Buffer()
-	if idx >= int64(buf.NumChunks()) {
+	if idx >= int64(s.buf.NumChunks()) {
 		return 0, nil
 	}
-	dst.View(buf.Chunk(int(idx)))
+	dst.View(s.buf.Chunk(int(idx)))
 	return dst.Len(), nil
 }
 
 // OutTypes implements Source.
 func (s *SinkSource) OutTypes() []vector.Type { return s.types }
+
+// MorselBytes implements Source from the buffer's chunk.
+func (s *SinkSource) MorselBytes(idx int64) int64 { return s.buf.Chunk(int(idx)).ViewBytes() }

@@ -46,16 +46,16 @@ func (ex *Executor) SaveState(enc *vector.Encoder) error {
 	if ex.suspended != nil {
 		kind = ex.suspended.Kind
 	}
-	return ex.saveStateLocked(enc, kind)
+	return ex.saveStateLocked(enc, kind, ex.elapsed)
 }
 
-func (ex *Executor) saveStateLocked(enc *vector.Encoder, kind SuspendKind) error {
+func (ex *Executor) saveStateLocked(enc *vector.Encoder, kind SuspendKind, elapsed time.Duration) error {
 	enc.String(stateMagic)
 	enc.Uvarint(stateVersion)
 	enc.Uvarint(uint64(kind))
 	enc.Uvarint(ex.pp.Fingerprint)
 	enc.Uvarint(uint64(ex.opts.Workers))
-	enc.Varint(int64(ex.elapsed))
+	enc.Varint(int64(elapsed))
 	enc.Varint(ex.acct.ProcessedBytes())
 	enc.Uvarint(uint64(len(ex.pp.Pipelines)))
 	for i := range ex.pp.Pipelines {
@@ -69,7 +69,7 @@ func (ex *Executor) saveStateLocked(enc *vector.Encoder, kind SuspendKind) error
 	enc.Uvarint(uint64(len(live)))
 	for _, pi := range live {
 		enc.Uvarint(uint64(pi))
-		if err := ex.pp.Pipelines[pi].Sink.SaveGlobal(enc); err != nil {
+		if err := ex.pp.Pipelines[pi].Sink.SaveGlobal(ex.states[pi], enc); err != nil {
 			return err
 		}
 	}
@@ -99,13 +99,10 @@ func (ex *Executor) saveStateLocked(enc *vector.Encoder, kind SuspendKind) error
 func (ex *Executor) savePipelineStateAt(enc *vector.Encoder, elapsed time.Duration) error {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	old := ex.elapsed
-	if elapsed > 0 {
-		ex.elapsed = elapsed
+	if elapsed <= 0 {
+		elapsed = ex.elapsed
 	}
-	err := ex.saveStateLocked(enc, KindPipeline)
-	ex.elapsed = old
-	return err
+	return ex.saveStateLocked(enc, KindPipeline, elapsed)
 }
 
 // livePipes returns done pipelines whose sink state is still consumed by a
@@ -145,37 +142,29 @@ func (ex *Executor) LoadState(dec *vector.Decoder) error {
 	if v := dec.Uvarint(); v != stateVersion {
 		return fmt.Errorf("engine: unsupported state version %d", v)
 	}
-	return ex.loadBodyLocked(dec)
-}
-
-// loadHeaderLocked reads and validates the fields after the version: kind,
-// fingerprint, workers. It returns the kind.
-func (ex *Executor) loadHeaderLocked(dec *vector.Decoder) (SuspendKind, error) {
 	kind := SuspendKind(dec.Uvarint())
 	fp := dec.Uvarint()
 	if err := dec.Err(); err != nil {
-		return 0, err
-	}
-	if fp != ex.pp.Fingerprint {
-		return 0, fmt.Errorf("engine: checkpoint plan fingerprint %016x does not match plan %016x", fp, ex.pp.Fingerprint)
-	}
-	workers := int(dec.Uvarint())
-	if kind == KindProcess && workers != ex.opts.Workers {
-		// The paper's process-level strategy "requires identical resource
-		// configurations ... as were in use at the time of suspension".
-		return 0, fmt.Errorf("engine: process-level resume requires %d workers, executor has %d", workers, ex.opts.Workers)
-	}
-	return kind, nil
-}
-
-// loadDoneLocked reads the pipeline-count header and done bitmap with times.
-func (ex *Executor) loadDoneLocked(dec *vector.Decoder) error {
-	np := int(dec.Uvarint())
-	if err := dec.Err(); err != nil {
 		return err
 	}
-	if np != len(ex.pp.Pipelines) {
-		return fmt.Errorf("engine: checkpoint has %d pipelines, plan has %d", np, len(ex.pp.Pipelines))
+	if fp != ex.pp.Fingerprint {
+		return fmt.Errorf("engine: checkpoint plan fingerprint %016x does not match plan %016x", fp, ex.pp.Fingerprint)
+	}
+	if workers := int(dec.Uvarint()); kind == KindProcess && workers != ex.opts.Workers {
+		// The paper's process-level strategy "requires identical resource
+		// configurations ... as were in use at the time of suspension".
+		return fmt.Errorf("engine: process-level resume requires %d workers, executor has %d", workers, ex.opts.Workers)
+	}
+	ex.elapsed = time.Duration(dec.Varint())
+	ex.acct.SetProcessed(dec.Varint())
+
+	// The done bitmap with the times, then the live global states.
+	np := len(ex.pp.Pipelines)
+	if n := int(dec.Uvarint()); n != np {
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("engine: checkpoint has %d pipelines, plan has %d", n, np)
 	}
 	for i := 0; i < np; i++ {
 		ex.done[i] = dec.Bool()
@@ -183,47 +172,23 @@ func (ex *Executor) loadDoneLocked(dec *vector.Decoder) error {
 			ex.pipeTimes[i] = time.Duration(dec.Varint())
 		}
 	}
-	return dec.Err()
-}
-
-// loadGlobalsLocked reads the live global sink states.
-func (ex *Executor) loadGlobalsLocked(dec *vector.Decoder) error {
 	nLive := int(dec.Uvarint())
 	for i := 0; i < nLive; i++ {
 		pi := int(dec.Uvarint())
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if pi < 0 || pi >= len(ex.pp.Pipelines) {
+		if pi < 0 || pi >= np {
 			return fmt.Errorf("engine: checkpoint live pipeline %d out of range", pi)
 		}
-		if err := ex.pp.Pipelines[pi].Sink.LoadGlobal(dec); err != nil {
+		if err := ex.pp.Pipelines[pi].Sink.LoadGlobal(ex.states[pi], dec); err != nil {
 			return fmt.Errorf("engine: load global state of pipeline %d: %w", pi, err)
 		}
-	}
-	return dec.Err()
-}
-
-// loadBodyLocked restores what follows the version: header, done bitmap,
-// live globals and the in-flight set.
-func (ex *Executor) loadBodyLocked(dec *vector.Decoder) error {
-	kind, err := ex.loadHeaderLocked(dec)
-	if err != nil {
-		return err
-	}
-	ex.elapsed = time.Duration(dec.Varint())
-	ex.acct.SetProcessed(dec.Varint())
-	if err := ex.loadDoneLocked(dec); err != nil {
-		return err
-	}
-	if err := ex.loadGlobalsLocked(dec); err != nil {
-		return err
 	}
 	ex.inflight = nil
 	if kind != KindProcess {
 		return dec.Err()
 	}
-	np := len(ex.pp.Pipelines)
 	nIn := int(dec.Uvarint())
 	if err := dec.Err(); err != nil {
 		return err
@@ -257,16 +222,16 @@ func (ex *Executor) loadBodyLocked(dec *vector.Decoder) error {
 		if totalLocals > ex.opts.Workers {
 			return fmt.Errorf("engine: checkpoint worker locals exceed %d workers", ex.opts.Workers)
 		}
-		sink := ex.pp.Pipelines[pi].Sink
+		p := ex.pp.Pipelines[pi]
 		locals := make([]LocalState, nl)
 		for w := 0; w < nl; w++ {
-			ls, err := sink.LoadLocal(dec)
+			ls, err := p.Sink.LoadLocal(ex.states[pi], dec)
 			if err != nil {
 				return fmt.Errorf("engine: load local state %d of pipeline %d: %w", w, pi, err)
 			}
 			locals[w] = ls
 		}
-		if c := ex.pp.Pipelines[pi].Source.MorselCount(); cursor > c {
+		if c := ex.source(p).MorselCount(); cursor > c {
 			return fmt.Errorf("engine: checkpoint cursor %d exceeds %d morsels of pipeline %d", cursor, c, pi)
 		}
 		ex.inflight = append(ex.inflight, &inflightPipe{pi: pi, cursor: cursor, locals: locals, elapsed: elapsed})
@@ -297,7 +262,7 @@ func (ex *Executor) measureState(kind SuspendKind) int64 {
 	defer ex.mu.Unlock()
 	var cw countingWriter
 	enc := vector.NewEncoder(&cw)
-	_ = ex.saveStateLocked(enc, kind)
+	_ = ex.saveStateLocked(enc, kind, ex.elapsed)
 	return cw.n
 }
 

@@ -146,6 +146,10 @@ func (r *rider) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 // OutTypes implements engine.Source.
 func (r *rider) OutTypes() []vector.Type { return r.hub.types }
 
+// MorselBytes implements engine.Source from the hub's base source: a
+// morsel counts the same bytes whoever reads it.
+func (r *rider) MorselBytes(idx int64) int64 { return r.hub.base.MorselBytes(idx) }
+
 // Manager owns the hubs of one database: one per (table, column-set) seen.
 // It implements engine.ScanSharer, so plugging a Manager into
 // CompileOptions.ScanShare folds every base-table scan the compiler emits.

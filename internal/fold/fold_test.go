@@ -21,8 +21,9 @@ type fakeSource struct {
 	reads   atomic.Int64
 }
 
-func (f *fakeSource) MorselCount() int64      { return f.morsels }
-func (f *fakeSource) OutTypes() []vector.Type { return []vector.Type{vector.TypeInt64} }
+func (f *fakeSource) MorselCount() int64          { return f.morsels }
+func (f *fakeSource) OutTypes() []vector.Type     { return []vector.Type{vector.TypeInt64} }
+func (f *fakeSource) MorselBytes(idx int64) int64 { return idx + 1 }
 
 func (f *fakeSource) ReadMorsel(idx int64, dst *vector.Chunk) (int, error) {
 	f.reads.Add(1)
@@ -62,6 +63,9 @@ func TestHubFillThenHit(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkMorsel(t, dst, idx, 4)
+		if got, want := r1.MorselBytes(idx), base.MorselBytes(idx); got != want {
+			t.Fatalf("morsel %d: rider counts %d bytes, base %d", idx, got, want)
+		}
 	}
 	if got := base.reads.Load(); got != 8 {
 		t.Fatalf("after first pass: %d base reads, want 8", got)

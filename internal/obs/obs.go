@@ -223,7 +223,9 @@ const (
 	MetricCPBreakerOpen     = "controlplane.breaker.open"
 
 	// Shared-execution (fold) metrics. Hubs gauges live scan hubs; Attached
-	// counts riders attached to hubs (engine-level scan sharing); Hits
+	// counts riders attached to hubs (engine-level scan sharing), one per
+	// base-table scan of each compiled plan: a Query compiles once, at
+	// Prepare, however often it runs; Hits
 	// counts morsels served from a hub's shared window; Fills counts
 	// morsels a rider materialized into the window for everyone behind it;
 	// DirectReads counts below-window (catch-up / privatized) reads that

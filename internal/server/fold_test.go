@@ -188,3 +188,43 @@ func TestHTTPRawSQLBody(t *testing.T) {
 		t.Errorf("%d sessions after the oversize body, want only the first", n)
 	}
 }
+
+// TestPlanCacheSharesPlanAcrossSessions: the plan cache holds compiled
+// plans, and two sessions of one cached statement run that plan at the
+// same time, each returning the rows the statement gives in process.
+func TestPlanCacheSharesPlanAcrossSessions(t *testing.T) {
+	db := openTPCH(t, 0.005)
+	s := newServer(t, db, Config{Slots: 2, Policy: FIFO{}})
+	const stmt = `SELECT n_name, count(*) AS suppliers, sum(s_acctbal) AS balance
+		FROM supplier JOIN nation ON s_nationkey = n_nationkey
+		GROUP BY n_name ORDER BY n_name`
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	want, err := db.Query(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sessions queue behind the held slots and dispatch together.
+	release := holdSlots(s)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		sess, err := s.Submit(Request{SQL: stmt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sess.ID())
+	}
+	release()
+	for _, id := range ids {
+		got, err := s.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SortedKey() != want.SortedKey() {
+			t.Errorf("session %s: rows differ from the in-process result", id)
+		}
+	}
+	if got := db.Metrics().Snapshot().Counters["server.plancache.hit"]; got != 1 {
+		t.Errorf("plancache.hit = %d, want 1: the second session did not reuse the cached plan", got)
+	}
+}

@@ -13,11 +13,12 @@ import (
 const DefaultPlanCacheSize = 64
 
 // planCache is a small LRU of prepared plans keyed by normalized statement
-// text. riveter.Query is immutable after Prepare, so one cached plan can
-// back any number of concurrent sessions; a hit skips the parse→bind→plan
-// pipeline entirely and — because the cached plan is pointer-identical —
-// gives repeated statements identical fingerprints for fold grouping
-// without recomputing anything.
+// text. riveter.Query is immutable after Prepare and holds its compiled
+// physical plan, which every execution runs on an executor of its own, so
+// one cached plan can back any number of concurrent sessions; a hit skips
+// the parse→bind→plan→lower pipeline entirely and — because the cached
+// plan is pointer-identical — gives repeated statements identical
+// fingerprints for fold grouping without recomputing anything.
 type planCache struct {
 	mu      sync.Mutex
 	max     int

@@ -43,7 +43,7 @@ func lineageFixture(t *testing.T) (*catalog.Catalog, plan.Node, string) {
 // RestoreLineage compiles the plan and replays the log — the form the
 // lineage tests drive restoreLineagePlan through.
 func RestoreLineage(fsys faultfs.FS, cat *catalog.Catalog, node plan.Node, path string, opts engine.Options) (*engine.Executor, *LineageScan, error) {
-	pp, err := engine.CompileWith(node, cat, opts.Compile)
+	pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

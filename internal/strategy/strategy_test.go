@@ -155,9 +155,9 @@ type countingSink struct {
 	saves *atomic.Int64
 }
 
-func (c countingSink) SaveGlobal(enc *vector.Encoder) error {
+func (c countingSink) SaveGlobal(gs engine.GlobalState, enc *vector.Encoder) error {
 	c.saves.Add(1)
-	return c.Sink.SaveGlobal(enc)
+	return c.Sink.SaveGlobal(gs, enc)
 }
 
 // TestPersistSerializesOnce pins the one-encode rule: a process-level

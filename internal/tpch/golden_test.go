@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/engine"
@@ -93,11 +94,12 @@ func TestQueriesMatchRecordedResults(t *testing.T) {
 	}
 }
 
-// TestCompiledPlanRunsOnce: a compiled plan's sinks hold the state of the
-// executor that ran it, so each of the 22 plans returns its recorded
-// result once, and a second executor on the same plan is refused instead
-// of returning the first run's rows again with its own appended.
-func TestCompiledPlanRunsOnce(t *testing.T) {
+// TestCompiledPlanRunsOnManyExecutors: a compiled plan is a value and the
+// run state is each executor's own. Each of the 22 plans, compiled once,
+// runs on two executors at once at one worker and then on a third, and
+// every run returns the recorded result bytes; two executors at once at
+// three workers return the same rows.
+func TestCompiledPlanRunsOnManyExecutors(t *testing.T) {
 	cat := queryCatalog(t)
 	want := recordedDigests(t)
 	for _, q := range All() {
@@ -105,16 +107,92 @@ func TestCompiledPlanRunsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", q.Name, err)
 		}
-		res, err := engine.NewExecutor(pp, engine.Options{Workers: 1}).Run(context.Background())
+		results := append(runTogether(t, q, pp, 1, 2), runTogether(t, q, pp, 1, 1)...)
+		for i, res := range results {
+			if got := digestOf(t, q, res); got != want[q.Name] {
+				t.Errorf("%s: run %d: result digest %s, recorded %s", q.Name, i, got, want[q.Name])
+			}
+		}
+		for i, res := range runTogether(t, q, pp, 3, 2) {
+			if res.SortedKey() != results[0].SortedKey() {
+				t.Errorf("%s: run %d at three workers: rows differ from one worker's", q.Name, i)
+			}
+		}
+	}
+}
+
+// runTogether runs pp on n executors of the given workers at once.
+func runTogether(t *testing.T, q Query, pp *engine.PhysicalPlan, workers, n int) []*engine.ResultSet {
+	t.Helper()
+	res := make([]*engine.ResultSet, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = engine.NewExecutor(pp, engine.Options{Workers: workers}).Run(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("%s: run: %v", q.Name, err)
+			t.Fatalf("%s: executor %d of %d: %v", q.Name, i, n, err)
+		}
+	}
+	return res
+}
+
+// TestRunStateStaysApart: on one plan, executor A suspends at process
+// level mid-scan while executor B runs to the end, and B returns the
+// recorded result bytes; A's image then resumes on a third executor of the
+// same plan and returns them too.
+func TestRunStateStaysApart(t *testing.T) {
+	cat := queryCatalog(t)
+	want := recordedDigests(t)
+	for _, id := range []int{3, 13, 18, 21} {
+		q := mustGet(t, id)
+		pp, err := engine.CompileWith(q.Build(plan.NewBuilder(cat), testSF), cat, engine.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := engine.NewAccountant()
+		if _, err := engine.NewExecutor(pp, engine.Options{Workers: 1, Accountant: clean}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		a := engine.NewExecutor(pp, engine.Options{Workers: 1,
+			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: clean.ProcessedBytes() / 2}})
+		b := engine.NewExecutor(pp, engine.Options{Workers: 1})
+		ranA := make(chan error, 1)
+		go func() {
+			_, err := a.Run(context.Background())
+			ranA <- err
+		}()
+		res, err := b.Run(context.Background())
+		errA := <-ranA
+		if err != nil {
+			t.Fatalf("%s: B: %v", q.Name, err)
 		}
 		if got := digestOf(t, q, res); got != want[q.Name] {
-			t.Errorf("%s: result digest %s, recorded %s", q.Name, got, want[q.Name])
+			t.Errorf("%s: B's result digest %s, recorded %s", q.Name, got, want[q.Name])
 		}
-		_, err = engine.NewExecutor(pp, engine.Options{Workers: 1}).Run(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "already run by another executor") {
-			t.Errorf("%s: second executor on one plan: err = %v, want the reuse refused", q.Name, err)
+		if !errors.Is(errA, engine.ErrSuspended) || len(a.Suspended().InFlight) == 0 {
+			t.Fatalf("%s: A: Run = %v, want a process-level suspension mid-scan", q.Name, errA)
+		}
+		var image bytes.Buffer
+		if err := a.SaveState(vector.NewEncoder(&image)); err != nil {
+			t.Fatal(err)
+		}
+		c := engine.NewExecutor(pp, engine.Options{Workers: 1})
+		if err := c.LoadState(vector.NewDecoder(&image)); err != nil {
+			t.Fatalf("%s: load A's image: %v", q.Name, err)
+		}
+		res, err = c.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: resume A's image: %v", q.Name, err)
+		}
+		if got := digestOf(t, q, res); got != want[q.Name] {
+			t.Errorf("%s: resumed result digest %s, recorded %s", q.Name, got, want[q.Name])
 		}
 	}
 }

@@ -117,3 +117,13 @@ func (c *Chunk) MemBytes() int64 {
 	}
 	return b
 }
+
+// ViewBytes returns the MemBytes of a chunk viewing all of c's rows (View),
+// without making the view.
+func (c *Chunk) ViewBytes() int64 {
+	var b int64
+	for _, col := range c.cols {
+		b += col.viewBytes(c.length)
+	}
+	return b
+}

@@ -460,3 +460,20 @@ func (v *Vector) MemBytes() int64 {
 	}
 	return b
 }
+
+// viewBytes returns the MemBytes of a view of v's rows [0, n).
+func (v *Vector) viewBytes(n int) int64 {
+	b := int64(min((n+63)>>6, len(v.nulls))) * 8
+	switch v.typ {
+	case TypeInt64, TypeDate, TypeFloat64:
+		b += int64(n) * 8
+	case TypeBool:
+		b += int64(n)
+	case TypeString:
+		b += int64(n) * 16
+		for _, s := range v.strs[:n] {
+			b += int64(len(s))
+		}
+	}
+	return b
+}

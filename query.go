@@ -18,21 +18,34 @@ import (
 // Result is a fully materialized query result.
 type Result = engine.ResultSet
 
-// Query is a compiled query ready for (repeated) execution.
+// Query is a compiled query ready for (repeated) execution, immutable: its
+// plan is lowered once, at Prepare, and every Run, Start and StartFrom runs
+// that plan on an executor of its own, any number at once.
 type Query struct {
 	db   *DB
 	name string
-	node plan.Node
+	pp   *engine.PhysicalPlan
 }
 
 // Prepare compiles a SQL statement (the supported subset covers
-// select-project-join-aggregate-sort-limit; see internal/sql).
+// select-project-join-aggregate-sort-limit; see internal/sql) into the
+// plan its runs share: a statement that binds but cannot be lowered to
+// pipelines fails here, not when it runs.
 func (db *DB) Prepare(query string) (*Query, error) {
 	node, err := sql.Compile(query, db.cat)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{db: db, name: "sql", node: node}, nil
+	return db.newQuery("sql", node)
+}
+
+// newQuery lowers node into the plan every run of the query executes.
+func (db *DB) newQuery(name string, node plan.Node) (*Query, error) {
+	pp, err := engine.CompileWith(node, db.cat, db.compile)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{db: db, name: name, pp: pp}, nil
 }
 
 // PrepareTPCH compiles TPC-H query 1..22 against the generated dataset.
@@ -51,8 +64,7 @@ func (db *DB) PrepareTPCH(id int) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := q.Build(plan.NewBuilder(db.cat), db.tpchSF)
-	return &Query{db: db, name: q.Name, node: node}, nil
+	return db.newQuery(q.Name, q.Build(plan.NewBuilder(db.cat), db.tpchSF))
 }
 
 // Name returns the query's display name.
@@ -62,10 +74,10 @@ func (q *Query) Name() string { return q.name }
 // plan tree (tables, projections, predicates, literals). Equal
 // fingerprints mean identical plans — the server's whole-plan fold groups
 // key on it.
-func (q *Query) Fingerprint() uint64 { return plan.Fingerprint(q.node) }
+func (q *Query) Fingerprint() uint64 { return q.pp.Fingerprint }
 
 // Plan renders the logical plan tree.
-func (q *Query) Plan() string { return plan.Tree(q.node) }
+func (q *Query) Plan() string { return plan.Tree(q.pp.Root) }
 
 // Estimate is the cost model's pre-execution view of a query: the inputs an
 // admission controller reasons about before any morsel has run. Rows and
@@ -94,11 +106,11 @@ const estProcBytesPerSec = 256 << 20
 
 // Estimate derives the query's pre-execution cost estimate.
 func (q *Query) Estimate() Estimate {
-	info := costmodel.BuildQueryInfo(q.name, q.node, q.db.cat)
+	info := costmodel.BuildQueryInfo(q.name, q.pp.Root, q.db.cat)
 	est := Estimate{
 		InputBytes: info.InputBytes,
 		InputRows:  info.InputRows,
-		Rows:       plan.EstimateRows(q.node, q.db.cat),
+		Rows:       plan.EstimateRows(q.pp.Root, q.db.cat),
 		StateBytes: costmodel.OptimizerEstimator{}.EstimateProcessImage(info, 1.0),
 	}
 	rate := float64(estProcBytesPerSec) * float64(q.db.workers)
@@ -115,15 +127,11 @@ func (db *DB) Query(ctx context.Context, query string) (*Result, error) {
 	return q.Run(ctx)
 }
 
-// Run executes the query to completion on the calling goroutine. It
-// compiles exactly as Start does — with folding on, its scans ride the
-// shared hubs — but cannot be suspended.
+// Run executes the query to completion on the calling goroutine. It runs
+// the plan Start runs — with folding on, its scans ride the shared hubs —
+// but cannot be suspended.
 func (q *Query) Run(ctx context.Context) (*Result, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewExecutor(pp, q.db.execOpts(q.db.obsFor(nil))).Run(ctx)
+	return engine.NewExecutor(q.pp, q.db.execOpts(q.db.obsFor(nil))).Run(ctx)
 }
 
 // Execution is an in-flight query that can be suspended.
@@ -143,7 +151,7 @@ type Execution struct {
 // execOpts assembles the executor options every start and resume path of
 // this DB shares.
 func (db *DB) execOpts(o obs.Context) engine.Options {
-	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o, Compile: db.compile}
+	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o}
 }
 
 // launch runs an executor (with its lineage log, if any) asynchronously.
@@ -163,34 +171,31 @@ func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
 	return e
 }
 
-// Start launches the query asynchronously. With folding enabled the
-// compile attaches every base-table scan to its shared hub (scan sharing
-// is shape-neutral, so the execution stays fully checkpointable).
+// Start launches the query asynchronously. With folding enabled every
+// base-table scan of the plan rides its shared hub (scan sharing is
+// shape-neutral, so the execution stays fully checkpointable).
 func (q *Query) Start(ctx context.Context) (*Execution, error) {
 	return q.start(ctx, engine.AutoSuspend{}, nil)
 }
 
-// start compiles and launches the query. auto arms a progress-triggered
-// suspension (the zero value arms none); a non-nil lineage attaches a
-// write-ahead lineage log configured by it.
+// start launches the query. auto arms a progress-triggered suspension
+// (the zero value arms none); a non-nil lineage attaches a write-ahead
+// lineage log configured by it.
 func (q *Query) start(ctx context.Context, auto engine.AutoSuspend, lineage *LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
-	if err != nil {
-		return nil, err
-	}
 	o := q.db.obsFor(q.db.newTrace(q.name))
 	if q.db.foldM != nil && o.Trace != nil {
-		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", pp.Fingerprint))
+		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", q.pp.Fingerprint))
 	}
 	opts := q.db.execOpts(o)
 	opts.AutoSuspend = auto
 	var run strategy.Run
 	if lineage != nil {
-		if run.Log, err = q.db.seam.OpenLineage(pp, q.name, *lineage, &opts); err != nil {
+		var err error
+		if run.Log, err = q.db.seam.OpenLineage(q.pp, q.name, *lineage, &opts); err != nil {
 			return nil, err
 		}
 	}
-	run.Ex = engine.NewExecutor(pp, opts)
+	run.Ex = engine.NewExecutor(q.pp, opts)
 	return q.launch(ctx, run), nil
 }
 

@@ -11,9 +11,7 @@ import (
 	"context"
 
 	"github.com/riveterdb/riveter/internal/checkpoint"
-	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
-	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/strategy"
 )
 
@@ -74,23 +72,19 @@ func (q *Query) StartFrom(ctx context.Context, rp ResumePoint, after *Execution)
 }
 
 func (q *Query) startFrom(ctx context.Context, rp ResumePoint, after *Execution, cfg LineageConfig) (*Execution, error) {
-	pp, err := engine.CompileWith(q.node, q.db.cat, q.db.compile)
-	if err != nil {
-		return nil, err
-	}
 	var o obs.Context
 	if after != nil {
 		o = after.ex.Obs()
 	} else {
 		o = q.db.obsFor(q.db.newTrace(q.name))
 	}
-	run, _, err := q.db.seam.Restore(pp, q.name, rp, cfg, q.db.execOpts(o))
+	run, _, err := q.db.seam.Restore(q.pp, q.name, rp, cfg, q.db.execOpts(o))
 	if err != nil {
 		return nil, err
 	}
 	if q.db.foldM != nil && o.Trace != nil {
 		// A restored rider re-attaches to its scan hubs.
-		o.Trace.Event(obs.EvFoldRejoin, obs.A("fingerprint", plan.Fingerprint(q.node)))
+		o.Trace.Event(obs.EvFoldRejoin, obs.A("fingerprint", q.pp.Fingerprint))
 	}
 	return q.launch(ctx, run), nil
 }

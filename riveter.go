@@ -102,9 +102,9 @@ type DB struct {
 
 	// Shared-execution state (WithFold): fold asks for it, and foldM
 	// registers one scan hub per (table, column-set) and rides every
-	// base-table scan on it. compile carries foldM as ScanShare into every
-	// compile — run, start and restore alike — which is shape-neutral, so
-	// all lower a plan to the same pipelines.
+	// base-table scan on it. compile carries foldM as ScanShare into the
+	// one compile of every Query, which is shape-neutral: the plan lowers
+	// to the same pipelines with folding on or off.
 	fold    bool
 	foldM   *fold.Manager
 	compile engine.CompileOptions
