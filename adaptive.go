@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"github.com/riveterdb/riveter/internal/cloud"
 	"github.com/riveterdb/riveter/internal/costmodel"
-	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/obs"
 	"github.com/riveterdb/riveter/internal/strategy"
 )
@@ -117,7 +115,7 @@ func (q *Query) Calibrate() (*Adaptive, error) {
 			runtime.GC()
 		}
 		start := time.Now()
-		e, err := q.start(context.Background(), engine.AutoSuspend{}, nil)
+		e, err := q.Start(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +123,7 @@ func (q *Query) Calibrate() (*Adaptive, error) {
 			return nil, err
 		}
 		if elapsed := time.Since(start); i > 0 && (a.normal == 0 || elapsed < a.normal) {
-			a.normal, a.processed = elapsed, e.ex.Accountant().ProcessedBytes()
+			a.normal, a.processed = elapsed, e.ProcessedBytes()
 		}
 	}
 	return a, nil
@@ -171,14 +169,14 @@ func (a *Adaptive) Run(sc Scenario) (*AdaptiveReport, error) {
 // resumes and finishes it — the measurement behind the paper's Figs. 6-9.
 // A lineage suspension runs the query with a write-ahead log attached.
 func (a *Adaptive) SuspendAt(k Strategy, frac float64) (*AdaptiveReport, error) {
-	auto := engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: int64(frac * float64(a.processed))}
-	switch k {
-	case Redo:
-		auto = engine.AutoSuspend{}
-	case PipelineLevel:
-		auto.Kind = engine.KindPipeline
+	r, cancel := a.begin(Event{}, k)
+	defer cancel()
+	e, err := r.execution(k)
+	if err != nil {
+		return nil, err
 	}
-	return a.runForced(Event{}, k, time.Duration(frac*float64(a.normal)), auto)
+	_ = e.SuspendWhen(k, int64(frac*float64(a.processed))) // refuses Redo, which runs on
+	return r.await(e.launch(r.ctx), e.ex.MarkFiredAt)
 }
 
 // RunForced runs the scenario with a predetermined strategy (Fig. 10: "we
@@ -186,37 +184,17 @@ func (a *Adaptive) SuspendAt(k Strategy, frac float64) (*AdaptiveReport, error) 
 // predetermined strategy"): the suspension is requested when execution
 // enters the termination window, and ev terminates the run.
 func (a *Adaptive) RunForced(sc Scenario, ev Event, k Strategy) (*AdaptiveReport, error) {
-	return a.runForced(ev, k, sc.model(a.normal).Start, engine.AutoSuspend{})
-}
-
-// runForced requests a k suspension when auto fires or, unarmed, at the
-// instant at.
-func (a *Adaptive) runForced(ev Event, k Strategy, at time.Duration, auto engine.AutoSuspend) (*AdaptiveReport, error) {
 	r, cancel := a.begin(ev, k)
 	defer cancel()
-	var lineage *LineageConfig
-	if k == LineageLevel {
-		lineage = &LineageConfig{}
-	}
-	e, err := a.q.start(r.ctx, auto, lineage)
+	e, err := r.execution(k)
 	if err != nil {
 		return nil, err
 	}
-	r.rep.Trace = e.Trace()
-	var req *suspendRequest
-	if k != Redo && auto.AtProcessedBytes == 0 {
-		req = requestAfter(e, k, time.Until(r.start.Add(at)))
-		defer req.stop()
-	}
-	err = e.Wait()
-	if errors.Is(err, ErrSuspended) {
-		reqAt := e.ex.AutoSuspendFiredAt()
-		if req != nil {
-			reqAt = req.requested()
-		}
-		r.rep.SuspendLag = time.Since(reqAt)
-	}
-	return r.settle(e, err)
+	e.launch(r.ctx)
+	alerted := r.start.Add(sc.model(a.normal).Start)
+	alert := time.AfterFunc(time.Until(alerted), func() { _ = e.Suspend(k) }) // refuses Redo
+	defer alert.Stop()
+	return r.await(e, func() time.Time { return alerted })
 }
 
 // RunAdaptive runs the scenario with Riveter's adaptive selection; ev is
@@ -228,11 +206,11 @@ func (a *Adaptive) RunAdaptive(sc Scenario, ev Event) (*AdaptiveReport, error) {
 	model := sc.model(a.normal)
 	r, cancel := a.begin(ev, Redo)
 	defer cancel()
-	e, err := a.q.start(r.ctx, engine.AutoSuspend{}, nil)
+	e, err := r.execution(Redo)
 	if err != nil {
 		return nil, err
 	}
-	r.rep.Trace = e.Trace()
+	e.launch(r.ctx)
 	alert := time.AfterFunc(time.Until(r.start.Add(model.Start)), func() { e.Suspend(ProcessLevel) })
 	defer alert.Stop()
 	if err := e.Wait(); !errors.Is(err, ErrSuspended) {
@@ -246,75 +224,37 @@ func (a *Adaptive) RunAdaptive(sc Scenario, ev Event) (*AdaptiveReport, error) {
 // decision. A process-level suspension priced at the decision instant
 // persists right here: e is already at a morsel boundary. Every other
 // decision continues e in place; redo then just runs on (a termination
-// forces re-execution), and the other strategies request their suspension
-// after a delay: pipeline-level at once, landing at the next breaker (a
-// termination before it is the Fig. 12 failure), process-level at the
-// instant the probe priced.
+// forces re-execution), and the other strategies arm their suspension at a
+// processed-bytes mark: pipeline-level at the bytes already processed, so
+// it lands at the next breaker (a termination before it is the Fig. 12
+// failure), process-level at the mark the probed instant converts to.
 func (r *scenarioRun) act(e *Execution, model cloud.TerminationModel) (*AdaptiveReport, error) {
-	ct := e.ex.Elapsed()
-	d := r.a.decide(e, model)
+	d, mark := r.a.decide(e, model)
 	r.rep.Strategy, r.rep.SelectionTime = d.Strategy, d.ModelTime
-	var after time.Duration
-	if d.Strategy == ProcessLevel {
-		if after = d.ProcessSuspendAt - ct; after <= 0 {
-			r.rep.SuspendLag = max(time.Since(r.start.Add(model.Start)), 0)
-			return r.settle(e, ErrSuspended)
-		}
+	switch {
+	case d.Strategy == ProcessLevel && d.ProcessSuspendAt <= e.ex.Elapsed():
+		r.rep.SuspendLag = max(time.Since(r.start.Add(model.Start)), 0)
+		return r.settle(e, ErrSuspended)
+	case d.Strategy == ProcessLevel:
+		_ = e.SuspendWhen(ProcessLevel, mark) // never refused
+	case d.Strategy != Redo:
+		// The model prices lineage only on e's healthy log.
+		_ = e.SuspendWhen(d.Strategy, e.ProcessedBytes())
 	}
 	cont, err := e.ResumeInPlace(r.ctx)
 	if err != nil {
 		return nil, err
 	}
-	if d.Strategy == Redo {
-		return r.settle(cont, cont.Wait())
-	}
-	req := requestAfter(cont, d.Strategy, after)
-	defer req.stop()
-	err = cont.Wait()
-	if errors.Is(err, ErrSuspended) {
-		r.rep.SuspendLag = time.Since(req.requested())
-	}
-	return r.settle(cont, err)
+	return r.await(cont, cont.ex.MarkFiredAt)
 }
-
-// suspendRequest is a suspension asked of an execution after a delay.
-type suspendRequest struct {
-	timer *time.Timer
-	at    atomic.Int64 // UnixNano of the request, once made
-}
-
-// requestAfter asks e for a k suspension once d has passed (at once when
-// it has).
-func requestAfter(e *Execution, k Strategy, d time.Duration) *suspendRequest {
-	s := &suspendRequest{}
-	fire := func() {
-		s.at.Store(time.Now().UnixNano())
-		e.Suspend(k)
-	}
-	if d <= 0 {
-		fire()
-	} else {
-		s.timer = time.AfterFunc(d, fire)
-	}
-	return s
-}
-
-// stop cancels a request not yet made.
-func (s *suspendRequest) stop() {
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-}
-
-// requested returns when the request was made.
-func (s *suspendRequest) requested() time.Time { return time.Unix(0, s.at.Load()) }
 
 // decide runs Algorithm 1 on the quiesced execution e. It is the one place
 // that writes the model's inputs, and it reads them from e and its DB: the
 // lineage terms come from e's log when a healthy one is attached. EstTotal
 // and the query's plan characteristics are the calibrated ones. Its
-// running time includes measuring the state, as deployed.
-func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) costmodel.Decision {
+// running time includes measuring the state, as deployed. It also returns
+// ProcessSuspendAt as a processed-bytes mark, at the run's observed rate.
+func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) (costmodel.Decision, int64) {
 	start := time.Now()
 	ex, db := e.ex, a.q.db
 	prog := ex.CurrentProgress()
@@ -349,6 +289,10 @@ func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) costmodel.
 		in.LineageReplay = e.lin.UnsealedFor()
 	}
 	d := costmodel.Select(in, p, a.Estimator)
+	mark := e.ProcessedBytes()
+	if ahead := d.ProcessSuspendAt - in.Ct; ahead > 0 && in.Ct > 0 {
+		mark += int64(float64(mark) * float64(ahead) / float64(in.Ct))
+	}
 	d.ModelTime = time.Since(start)
 	db.metrics.Counter(obs.Kinded(obs.MetricDecisions, d.Strategy.String())).Inc()
 	db.metrics.DurationHistogram(obs.MetricDecisionTime).ObserveDuration(d.ModelTime)
@@ -360,6 +304,7 @@ func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) costmodel.
 			obs.A("cost_process", d.CostProcess),
 			obs.A("cost_lineage", d.CostLineage),
 			obs.A("process_suspend_at", d.ProcessSuspendAt),
+			obs.A("process_suspend_bytes", mark),
 			obs.A("ct", in.Ct),
 			obs.A("avg_pipeline_time", in.AvgPipelineTime),
 			obs.A("pipeline_state_bytes", in.PipelineStateBytes),
@@ -378,7 +323,7 @@ func (a *Adaptive) decide(e *Execution, model cloud.TerminationModel) costmodel.
 			obs.A("lineage", p.Lineage),
 			obs.A("model_time", d.ModelTime))
 	}
-	return d
+	return d, mark
 }
 
 // scenarioRun is one run in flight: its report, its termination, and the
@@ -401,6 +346,31 @@ func (a *Adaptive) begin(ev Event, k Strategy) (*scenarioRun, context.CancelFunc
 		r.ctx, cancel = context.WithCancel(context.Background())
 	}
 	return r, cancel
+}
+
+// execution builds the query's execution for a k run, not yet launched: a
+// lineage run attaches a write-ahead log.
+func (r *scenarioRun) execution(k Strategy) (*Execution, error) {
+	var lineage *LineageConfig
+	if k == LineageLevel {
+		lineage = &LineageConfig{}
+	}
+	e, err := r.a.q.start(lineage)
+	if err != nil {
+		return nil, err
+	}
+	r.rep.Trace = e.Trace()
+	return e, nil
+}
+
+// await waits for the launched execution e and settles the run; requested
+// reports when e's suspension was requested, where SuspendLag starts.
+func (r *scenarioRun) await(e *Execution, requested func() time.Time) (*AdaptiveReport, error) {
+	err := e.Wait()
+	if errors.Is(err, ErrSuspended) {
+		r.rep.SuspendLag = time.Since(requested())
+	}
+	return r.settle(e, err)
 }
 
 // settle finishes a run whose execution e stopped with err: a completion,

@@ -32,7 +32,7 @@ func main() {
 		sqlText  = flag.String("sql", "", "ad-hoc SQL instead of a TPC-H query")
 		workers  = flag.Int("workers", 4, "workers per pipeline")
 		suspend  = flag.String("suspend", "", "suspend strategy: pipeline or process")
-		at       = flag.Float64("at", 0.5, "suspension point as a fraction of execution")
+		at       = flag.Float64("at", 0.5, "suspension point as a fraction of a clean run's processed bytes")
 		adaptive = flag.Bool("adaptive", false, "run under the adaptive controller")
 		prob     = flag.Float64("p", 1.0, "termination probability (adaptive mode)")
 		window   = flag.String("window", "0.5,0.75", "termination window fractions (adaptive mode)")
@@ -119,23 +119,29 @@ func runWithSuspension(ctx context.Context, db *riveter.DB, q *riveter.Query, ki
 		fatal("-suspend must be pipeline or process")
 	}
 
-	// Measure a clean run to time the suspension request.
-	start := time.Now()
-	if _, err := q.Run(ctx); err != nil {
+	// A clean run measures the bytes the query processes; the suspension
+	// is armed at the -at fraction of them.
+	clean, err := q.Start(ctx)
+	if err != nil {
 		fatal("%v", err)
 	}
-	normal := time.Since(start)
-	fmt.Printf("normal execution: %v\n", normal.Round(time.Millisecond))
+	if err := clean.Wait(); err != nil {
+		fatal("%v", err)
+	}
+	mark := int64(at * float64(clean.ProcessedBytes()))
+	fmt.Printf("clean run: %d bytes processed; suspending at %d\n", clean.ProcessedBytes(), mark)
 
 	exec, err := q.Start(ctx)
 	if err != nil {
 		fatal("%v", err)
 	}
-	time.AfterFunc(time.Duration(at*float64(normal)), func() { _ = exec.Suspend(k) })
+	if err := exec.SuspendWhen(k, mark); err != nil {
+		fatal("%v", err)
+	}
 	err = exec.Wait()
 	switch {
 	case err == nil:
-		fmt.Println("query completed before the suspension request landed")
+		fmt.Println("query completed before reaching the suspension mark")
 		return
 	case errors.Is(err, riveter.ErrSuspended):
 	default:

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/riveterdb/riveter/internal/checkpoint"
-	"github.com/riveterdb/riveter/internal/engine"
 	"github.com/riveterdb/riveter/internal/faultfs"
 )
 
@@ -30,27 +29,27 @@ func openTPCHFS(t testing.TB, sf float64) (*DB, *faultfs.Injector) {
 func suspendArmed(t *testing.T, q *Query, level Strategy) *Execution {
 	t.Helper()
 	ctx := context.Background()
-	clean, err := q.start(ctx, engine.AutoSuspend{}, nil)
+	clean, err := q.Start(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := clean.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	auto := engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: clean.ex.Accountant().ProcessedBytes() / 2}
-	if level == PipelineLevel {
-		auto.Kind = engine.KindPipeline
-	}
 	var lineage *LineageConfig
 	if level == LineageLevel {
 		lineage = &LineageConfig{}
 	}
-	exec, err := q.start(ctx, auto, lineage)
+	exec, err := q.start(lineage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
-		t.Fatalf("%v suspension armed at %d bytes: Wait = %v", level, auto.AtProcessedBytes, err)
+	at := clean.ProcessedBytes() / 2
+	if err := exec.SuspendWhen(level, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.launch(ctx).Wait(); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("%v suspension armed at %d bytes: Wait = %v", level, at, err)
 	}
 	return exec
 }

@@ -261,11 +261,12 @@ func TestQueryRunsOnePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := q.start(ctx, engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 20}, nil)
+	e, err := q.start(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Wait(); !errors.Is(err, ErrSuspended) {
+	e.SuspendWhen(ProcessLevel, 1<<20)
+	if err := e.launch(ctx).Wait(); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("Start: Wait = %v, want a suspension", err)
 	}
 	path := db.NewCheckpointPath("oneplan")

@@ -68,7 +68,7 @@ func TestResumeInPlaceMatchesRecordedResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			// An unarmed run sizes the query's input.
-			clean, err := q.start(ctx, engine.AutoSuspend{}, nil)
+			clean, err := q.Start(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,16 +79,17 @@ func TestResumeInPlaceMatchesRecordedResults(t *testing.T) {
 			if got := resultDigest(t, ref); workers == 1 && got != want[q.Name()] {
 				t.Fatalf("%s: clean digest %s, recorded %s", q.Name(), got, want[q.Name()])
 			}
-			total := clean.ex.Accountant().ProcessedBytes()
+			total := clean.ProcessedBytes()
 			for _, kind := range []engine.SuspendKind{engine.KindPipeline, engine.KindProcess} {
 				for _, at := range []int64{total / 3, 2 * total / 3} {
 					// Armed at a processed-bytes mark, the suspension lands
 					// where it does regardless of timing.
-					exec, err := q.start(ctx, engine.AutoSuspend{Kind: kind, AtProcessedBytes: at}, nil)
+					exec, err := q.start(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					err = exec.Wait()
+					exec.ex.SuspendWhen(kind, at)
+					err = exec.launch(ctx).Wait()
 					if errors.Is(err, ErrSuspended) {
 						landed[kind]++
 						if exec, err = exec.ResumeInPlace(ctx); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/engine"
@@ -29,16 +30,18 @@ func retentionQ1(t testing.TB) func(retention float64) int64 {
 		t.Fatal(err)
 	}
 	node := q.Build(plan.NewBuilder(cat), sf)
-	run := func(opts engine.Options) (*engine.Executor, error) {
+	// run suspends at the processed-bytes mark.
+	run := func(opts engine.Options, mark int64) (*engine.Executor, error) {
 		pp, err := engine.CompileWith(node, cat, engine.CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ex := engine.NewExecutor(pp, opts)
+		ex.SuspendWhen(engine.KindProcess, mark)
 		_, err = ex.Run(context.Background())
 		return ex, err
 	}
-	clean, err := run(engine.Options{Workers: 2})
+	clean, err := run(engine.Options{Workers: 2}, math.MaxInt64) // a mark no run reaches
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +49,7 @@ func retentionQ1(t testing.TB) func(retention float64) int64 {
 	return func(retention float64) int64 {
 		acct := engine.NewAccountant()
 		acct.Retention = retention
-		ex, err := run(engine.Options{Workers: 2, Accountant: acct,
-			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: mark}})
+		ex, err := run(engine.Options{Workers: 2, Accountant: acct}, mark)
 		if !errors.Is(err, engine.ErrSuspended) {
 			t.Fatalf("retention %.2f: run ended with %v, want a suspension", retention, err)
 		}

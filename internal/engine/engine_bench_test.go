@@ -127,10 +127,8 @@ var engineCases = []engineCase{
 		node := t.Agg([]string{"g"}, plan.Sum(t.Col("v"), "s")).Node()
 		return func() {
 			pp, _ := CompileWith(node, cat, CompileOptions{})
-			ex := NewExecutor(pp, Options{
-				Workers:     4,
-				AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 1 << 21},
-			})
+			ex := NewExecutor(pp, Options{Workers: 4})
+			ex.SuspendWhen(KindProcess, 1<<21)
 			_, err := ex.Run(context.Background())
 			if err == nil {
 				return // finished before the trigger; still a measurement

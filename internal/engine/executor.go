@@ -70,14 +70,10 @@ func (e *BreakerEvent) SavePipelineState(enc *vector.Encoder) error {
 	return e.ex.savePipelineStateAt(enc, e.Elapsed)
 }
 
-// AutoSuspend configures a progress-triggered suspension: once the
-// accountant's processed-bytes counter crosses the threshold, workers raise
-// the suspension request themselves at the next morsel boundary. This gives
-// deterministic "suspend at ~X% of execution" semantics independent of
-// wall-clock timer granularity.
-type AutoSuspend struct {
-	Kind             SuspendKind
-	AtProcessedBytes int64
+// suspendMark is a suspension armed at a processed-bytes count.
+type suspendMark struct {
+	kind SuspendKind
+	at   int64
 }
 
 // Options configure an Executor.
@@ -96,9 +92,6 @@ type Options struct {
 	// finalize. Returning ActionSuspend triggers a pipeline-level
 	// suspension at this breaker.
 	OnBreaker func(*BreakerEvent) BreakerAction
-	// AutoSuspend, when its threshold is positive, arms a one-shot
-	// progress-triggered suspension.
-	AutoSuspend AutoSuspend
 	// Obs attaches metrics and tracing. The zero value disables both; the
 	// hot morsel loop then pays only two thread-local integer adds.
 	Obs obs.Context
@@ -171,9 +164,11 @@ type Executor struct {
 	// Combine and Finalize and read by dependents once it finalized.
 	states []GlobalState
 
-	suspendReq  atomic.Int32
-	autoFired   atomic.Bool
-	autoFiredAt atomic.Int64 // UnixNano of the auto-suspend trigger
+	suspendReq atomic.Int32
+	// mark is the armed one-shot progress trigger, nil once it fired at
+	// markFiredAt (UnixNano).
+	mark        atomic.Pointer[suspendMark]
+	markFiredAt atomic.Int64
 	// stopAll barriers every worker at its next morsel boundary regardless of
 	// pipeline: set on worker error (abort) and when a breaker commits a
 	// pipeline-level suspension (sibling progress is discarded, see schedule).
@@ -293,10 +288,18 @@ func (ex *Executor) Suspended() *SuspendInfo {
 	return ex.suspended
 }
 
-// AutoSuspendFiredAt returns when the progress-triggered suspension request
-// fired, or the zero time if it has not.
-func (ex *Executor) AutoSuspendFiredAt() time.Time {
-	n := ex.autoFiredAt.Load()
+// SuspendWhen arms a one-shot kind suspension for when the processed bytes
+// reach at: the first worker at a morsel boundary at or past the mark
+// requests it, independent of timer granularity. Safe from any goroutine,
+// before or during Run; a mark already passed fires at the next boundary,
+// and re-arming replaces the mark or, once it fired, arms it again.
+func (ex *Executor) SuspendWhen(kind SuspendKind, at int64) {
+	ex.mark.Store(&suspendMark{kind: kind, at: at})
+}
+
+// MarkFiredAt returns when a mark last fired, or the zero time if none has.
+func (ex *Executor) MarkFiredAt() time.Time {
+	n := ex.markFiredAt.Load()
 	if n == 0 {
 		return time.Time{}
 	}
@@ -602,7 +605,6 @@ func (ex *Executor) runWorker(ctx context.Context, rp *runningPipe, local LocalS
 	chain := makeChain(p.Ops, ex.states, func(c *vector.Chunk) error {
 		return p.Sink.Consume(local, c)
 	})
-	auto := ex.opts.AutoSuspend
 	// Metrics are accumulated worker-locally and flushed once on exit so the
 	// morsel loop pays two plain integer adds, not shared atomics.
 	var doneMorsels, doneBytes int64
@@ -614,15 +616,13 @@ func (ex *Executor) runWorker(ctx context.Context, rp *runningPipe, local LocalS
 		if ctx.Err() != nil {
 			return true, nil // cancellation surfaces via ctx.Err in Run
 		}
-		if auto.AtProcessedBytes > 0 && !ex.autoFired.Load() &&
-			ex.acct.ProcessedBytes() >= auto.AtProcessedBytes {
-			// Armed before the one-shot flag: a worker finding the flag set
-			// finds the request too, and none claims on past the mark while
-			// the one that fired is descheduled.
-			ex.suspendReq.Store(int32(auto.Kind))
-			if ex.autoFired.CompareAndSwap(false, true) {
-				ex.autoFiredAt.Store(time.Now().UnixNano())
-				ex.tr.Event(obs.EvSuspendRequested, obs.A("kind", kindName(auto.Kind)))
+		if m := ex.mark.Load(); m != nil && ex.acct.ProcessedBytes() >= m.at {
+			// Request first: a worker finding the mark spent finds the request
+			// too, so none claims past it while the firing one is descheduled.
+			ex.suspendReq.Store(int32(m.kind))
+			if ex.mark.CompareAndSwap(m, nil) {
+				ex.markFiredAt.Store(time.Now().UnixNano())
+				ex.tr.Event(obs.EvSuspendRequested, obs.A("kind", kindName(m.kind)))
 			}
 		}
 		if ex.stopAll.Load() || SuspendKind(ex.suspendReq.Load()) == KindProcess {

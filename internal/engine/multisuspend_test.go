@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/expr"
@@ -71,10 +72,8 @@ func TestMultipleSuspensionsProcessLevel(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		pp := mustCompile(t, node, cat)
 		// Suspend after a modest amount of additional progress.
-		ex := NewExecutor(pp, Options{
-			Workers:     2,
-			AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: int64(round+1) * 200_000},
-		})
+		ex := NewExecutor(pp, Options{Workers: 2})
+		ex.SuspendWhen(KindProcess, int64(round+1)*200_000)
 		if state != nil {
 			loadState(t, ex, state)
 		}
@@ -189,24 +188,104 @@ func TestWorkerErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestAutoSuspendFiresOnce verifies the one-shot semantics across resumes.
+// TestAutoSuspendFiresOnce verifies the mark's one-shot semantics across
+// in-place resumes: a mark fires once, and re-arming after ClearSuspension
+// fires it once more.
 func TestAutoSuspendFiresOnce(t *testing.T) {
 	cat := testDB(t)
 	node := complexQuery(cat)
-	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers:     2,
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 1},
-	})
-	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+	ref := runPlan(t, cat, node, 2).SortedKey()
+	ex := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+	ex.SuspendWhen(KindProcess, 1)
+	for round := 0; round < 2; round++ {
+		if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+			t.Fatalf("round %d: Run = %v, want a suspension", round, err)
+		}
+		if ex.MarkFiredAt().IsZero() {
+			t.Fatalf("round %d: mark fire time missing", round)
+		}
+		ex.ClearSuspension()
+		if round == 0 {
+			ex.SuspendWhen(KindProcess, 1)
+		}
+	}
+	// The re-armed mark is spent: the query continues to completion.
+	res, err := ex.Run(context.Background())
+	if err != nil {
+		t.Fatalf("continue: %v", err)
+	}
+	if res.SortedKey() != ref {
+		t.Error("result after two mark suspensions differs from a clean run")
+	}
+}
+
+// TestSuspendWhenPassedMarkFiresAtNextBoundary: a mark armed below the
+// bytes already processed fires at the next morsel boundary, before any
+// worker claims another morsel.
+func TestSuspendWhenPassedMarkFiresAtNextBoundary(t *testing.T) {
+	cat := testDB(t)
+	node := complexQuery(cat)
+	clean := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+	if _, err := clean.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if ex.AutoSuspendFiredAt().IsZero() {
-		t.Fatal("auto-suspend fire time missing")
+	total := clean.Accountant().ProcessedBytes()
+	ex := NewExecutor(mustCompile(t, node, cat), Options{Workers: 2})
+	ex.SuspendWhen(KindProcess, total/2)
+	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("Run = %v, want a suspension at half the bytes", err)
 	}
-	// Continue in place: the auto trigger must not re-fire.
+	at := ex.Accountant().ProcessedBytes()
 	ex.ClearSuspension()
-	if _, err := ex.Run(context.Background()); err != nil {
+	ex.SuspendWhen(KindProcess, total/4)
+	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("Run = %v, want the passed mark to suspend at once", err)
+	}
+	if got := ex.Accountant().ProcessedBytes(); got != at {
+		t.Errorf("processed %d bytes past a mark already passed (%d → %d)", got-at, at, got)
+	}
+	if info := ex.Suspended(); info.Kind != KindProcess {
+		t.Errorf("suspension %+v, want process-level", info)
+	}
+}
+
+// TestSuspendWhenArmedDuringRun arms a mark from another goroutine while
+// the executor runs: the first breaker holds the scheduler until the mark,
+// already passed, is armed, and the workers of the pipelines still to run
+// pick it up at their next morsel boundary.
+func TestSuspendWhenArmedDuringRun(t *testing.T) {
+	cat := testDB(t)
+	node := complexQuery(cat)
+	ref := runPlan(t, cat, node, 2).SortedKey()
+	reached, armed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ex := NewExecutor(mustCompile(t, node, cat), Options{
+		Workers: 2,
+		OnBreaker: func(*BreakerEvent) BreakerAction {
+			once.Do(func() {
+				close(reached)
+				<-armed
+			})
+			return ActionContinue
+		},
+	})
+	go func() {
+		<-reached
+		ex.SuspendWhen(KindProcess, ex.Accountant().ProcessedBytes())
+		close(armed)
+	}()
+	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("Run = %v, want the mark armed mid-run to suspend", err)
+	}
+	if ex.MarkFiredAt().IsZero() || ex.Suspended().Kind != KindProcess {
+		t.Fatalf("suspension %+v, fired at %v: want a process-level mark", ex.Suspended(), ex.MarkFiredAt())
+	}
+	ex.ClearSuspension()
+	res, err := ex.Run(context.Background())
+	if err != nil {
 		t.Fatalf("continue: %v", err)
+	}
+	if res.SortedKey() != ref {
+		t.Error("result after a mid-run mark differs from a clean run")
 	}
 }

@@ -71,9 +71,9 @@ func TestExecutorSuspendTraceEvents(t *testing.T) {
 	ex := NewExecutor(pp, Options{
 		Workers: 2,
 		Obs:     obs.Context{Metrics: reg, Trace: tr},
-		// Fire deterministically at the first processed byte.
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 1},
 	})
+	// Fire deterministically at the first processed byte.
+	ex.SuspendWhen(KindProcess, 1)
 	_, err := ex.Run(context.Background())
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("Run = %v, want ErrSuspended", err)

@@ -72,7 +72,8 @@ func TestSortedResultKeepsOrderAcrossWorkers(t *testing.T) {
 		t.Fatalf("probe run: err %v, mark %d", err, mark)
 	}
 	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{Workers: 4, AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: mark}})
+	ex := NewExecutor(pp, Options{Workers: 4})
+	ex.SuspendWhen(KindProcess, mark)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("Run = %v, want a suspension inside the result pipeline", err)
 	}

@@ -603,8 +603,8 @@ func runSuspendedMidScan(tb testing.TB, run string, cat *catalog.Catalog, node p
 		}
 	}
 	pp := mustCompile(tb, node, cat)
-	ex := NewExecutor(pp, Options{Workers: workers,
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: at}})
+	ex := NewExecutor(pp, Options{Workers: workers})
+	ex.SuspendWhen(KindProcess, at)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
 		tb.Fatalf("%s: Run = %v, want a suspension", run, err)
 	}

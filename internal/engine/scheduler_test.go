@@ -95,10 +95,8 @@ func TestProcessSuspendCapturesMultipleInFlight(t *testing.T) {
 	// five morsels under at most two workers, keeps at least three
 	// unclaimed when the barrier lands.
 	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers:     4,
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: 1},
-	})
+	ex := NewExecutor(pp, Options{Workers: 4})
+	ex.SuspendWhen(KindProcess, 1)
 	_, err := ex.Run(context.Background())
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("err = %v", err)
@@ -165,10 +163,8 @@ func TestRepeatedMidDAGSuspensions(t *testing.T) {
 	var state []byte
 	for round := 0; round < 5; round++ {
 		pp := mustCompile(t, node, cat)
-		ex := NewExecutor(pp, Options{
-			Workers:     4,
-			AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: int64(round+1) * 300_000},
-		})
+		ex := NewExecutor(pp, Options{Workers: 4})
+		ex.SuspendWhen(KindProcess, int64(round+1)*300_000)
 		if state != nil {
 			loadState(t, ex, state)
 		}

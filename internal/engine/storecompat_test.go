@@ -70,10 +70,8 @@ func TestStoreRestoresV2Checkpoint(t *testing.T) {
 	ref := res.SortedKey()
 
 	pp := mustCompile(t, node, cat)
-	ex := NewExecutor(pp, Options{
-		Workers:     2,
-		AutoSuspend: AutoSuspend{Kind: KindProcess, AtProcessedBytes: clean.Accountant().ProcessedBytes() / 2},
-	})
+	ex := NewExecutor(pp, Options{Workers: 2})
+	ex.SuspendWhen(KindProcess, clean.Accountant().ProcessedBytes()/2)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, ErrSuspended) {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestPreemptionAbandonedOnTotalFailure(t *testing.T) {
 	})
 	long := stalledVictim(t, s, stall, riveter.ProcessLevel)
 	waitCond(t, 30*time.Second, "the idle park", func() bool {
-		return peek(s, func() bool { return long.idlePark && long.suspendRequested })
+		return peek(s, func() bool { return long.idlePark && long.suspendIssued })
 	})
 	stall.release()
 	waitCond(t, 30*time.Second, "the failed park", func() bool {

@@ -94,7 +94,7 @@ func TestIdleParkAndWake(t *testing.T) {
 	// No Wait, no Info: the session is unwatched and must park. Health
 	// polling deliberately does not count as a touch.
 	waitCond(t, 30*time.Second, "the idle park request", func() bool {
-		return peek(s, func() bool { return sess.idlePark && sess.suspendRequested })
+		return peek(s, func() bool { return sess.idlePark && sess.suspendIssued })
 	})
 	stall.release()
 	waitCond(t, 30*time.Second, "session to park", func() bool {

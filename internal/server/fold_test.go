@@ -140,6 +140,34 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestPlanCacheServesTPCH: TPC-H submissions go through the plan cache
+// too: two submits of one query run the pointer-identical plan, and the
+// second is a hit.
+func TestPlanCacheServesTPCH(t *testing.T) {
+	db := openTPCH(t, 0.005)
+	s := newServer(t, db, Config{Slots: 2, Policy: FIFO{}})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var plans []*riveter.Query
+	for i := 0; i < 2; i++ {
+		sess, err := s.Submit(Request{TPCH: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, sess.ID()); err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, sess.q)
+	}
+	if plans[0] != plans[1] {
+		t.Error("two submits of TPC-H Q6 prepared two plans")
+	}
+	snap := db.Metrics().Snapshot()
+	if miss, hit := snap.Counters["server.plancache.miss"], snap.Counters["server.plancache.hit"]; miss != 1 || hit != 1 {
+		t.Errorf("plancache miss %d, hit %d; want 1 and 1", miss, hit)
+	}
+}
+
 // TestHTTPRawSQLBody: POST /query accepts a bare SQL statement as the
 // request body, not just the JSON envelope — and refuses a body over the
 // cap whole, rather than running whatever statement its first MiB spells.

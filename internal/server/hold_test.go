@@ -142,7 +142,7 @@ func preemptVictim(t *testing.T, s *Server, victim *Session) *Session {
 		t.Fatal(err)
 	}
 	waitCond(t, 30*time.Second, "the preemption request", func() bool {
-		return peek(s, func() bool { return victim.suspendRequested })
+		return peek(s, func() bool { return victim.suspendIssued })
 	})
 	return short
 }
@@ -303,7 +303,7 @@ func TestFailedParkIsHeld(t *testing.T) {
 			// plan refuses: every park fails.
 			victim := stalledVictim(t, s, stall, riveter.ProcessLevel)
 			waitCond(t, 30*time.Second, "the idle park", func() bool {
-				return peek(s, func() bool { return victim.idlePark && victim.suspendRequested })
+				return peek(s, func() bool { return victim.idlePark && victim.suspendIssued })
 			})
 			// Withhold the slot the park frees, so the held victim stays
 			// queued until Health has been read.
@@ -338,7 +338,7 @@ func TestFailedParkIsHeld(t *testing.T) {
 			switch tc.name {
 			case "reaper":
 				for time.Since(started) < idle*3/4 {
-					if peek(s, func() bool { return victim.suspendRequested }) {
+					if peek(s, func() bool { return victim.suspendIssued }) {
 						t.Fatalf("the reaper asked again %v after the re-dispatch, inside IdleSuspend", time.Since(started))
 					}
 					time.Sleep(time.Millisecond)
@@ -346,7 +346,7 @@ func TestFailedParkIsHeld(t *testing.T) {
 			case "preempt_holds":
 				// Preempt it as the scheduler would.
 				s.mu.Lock()
-				victim.suspendRequested = true
+				victim.suspendIssued = true
 				_ = victim.exec.Suspend(riveter.ProcessLevel)
 				s.mu.Unlock()
 				// Let it land before anything touches the session: a touch

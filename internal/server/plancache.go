@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -13,7 +14,7 @@ import (
 const DefaultPlanCacheSize = 64
 
 // planCache is a small LRU of prepared plans keyed by normalized statement
-// text. riveter.Query is immutable after Prepare and holds its compiled
+// text, or by tpchPlanKey for a TPC-H query. riveter.Query is immutable after Prepare and holds its compiled
 // physical plan, which every execution runs on an executor of its own, so
 // one cached plan can back any number of concurrent sessions; a hit skips
 // the parse→bind→plan→lower pipeline entirely and — because the cached
@@ -57,6 +58,10 @@ func newPlanCache(max int, r *obs.Registry) *planCache {
 func normalizeSQL(sql string) string {
 	return strings.Join(strings.Fields(strings.TrimRight(strings.TrimSpace(sql), ";")), " ")
 }
+
+// tpchPlanKey is the cache key of TPC-H query id. Its leading space keeps
+// it apart from every statement key: normalizeSQL trims leading space.
+func tpchPlanKey(id int) string { return " tpch " + strconv.Itoa(id) }
 
 // get returns the cached plan for a statement, or nil.
 func (c *planCache) get(key string) *riveter.Query {

@@ -37,7 +37,7 @@ func (s *Server) schedule() {
 			// short query never needs two slots cleared for it.
 			if head := s.queue.Peek(); head != nil && s.pendingSuspendsLocked() < s.queue.Len() {
 				if victim := s.preemptCandidateLocked(head); victim != nil {
-					victim.suspendRequested = true
+					victim.suspendIssued = true
 					// A preemption is held in memory, so a quiesce is all it
 					// needs: the next morsel boundary, whatever PreemptLevel
 					// says. Suspend is a single atomic store on the executor;
@@ -81,7 +81,7 @@ func (s *Server) idleReaper() {
 		}
 		now := time.Now()
 		for _, r := range s.running {
-			if r.exec == nil || r.suspendRequested || r.watchedLocked() {
+			if r.exec == nil || r.suspendIssued || r.watchedLocked() {
 				continue
 			}
 			// The idle clock starts at the later of dispatch and last touch:
@@ -97,7 +97,7 @@ func (s *Server) idleReaper() {
 				continue
 			}
 			r.idlePark = true
-			r.suspendRequested = true
+			r.suspendIssued = true
 			s.requestSuspend(r.exec)
 		}
 		s.mu.Unlock()
@@ -120,7 +120,7 @@ func (s *Server) requestSuspend(exec *riveter.Execution) {
 func (s *Server) pendingSuspendsLocked() int {
 	n := 0
 	for _, r := range s.running {
-		if r.suspendRequested {
+		if r.suspendIssued {
 			n++
 		}
 	}
@@ -132,7 +132,7 @@ func (s *Server) pendingSuspendsLocked() int {
 func (s *Server) preemptCandidateLocked(head *Session) *Session {
 	cands := make([]*Session, 0, len(s.running))
 	for _, r := range s.running {
-		if r.exec == nil || r.suspendRequested {
+		if r.exec == nil || r.suspendIssued {
 			continue
 		}
 		cands = append(cands, r)
@@ -153,7 +153,7 @@ func (s *Server) dispatchLocked(sess *Session) {
 	s.met.queueDepth.Set(int64(s.queue.Len()))
 	sess.state = StateRunning
 	sess.started = now
-	sess.suspendRequested = false
+	sess.suspendIssued = false
 	// The runner sets exec again once the execution is live, so nothing
 	// asks a held execution to suspend before it has continued.
 	held := sess.exec
@@ -227,9 +227,9 @@ func (s *Server) run(sess *Session, from riveter.ResumePoint, held *riveter.Exec
 	}
 	s.mu.Lock()
 	sess.exec = exec
-	if s.stopping && !sess.suspendRequested {
+	if s.stopping && !sess.suspendIssued {
 		// Dispatched just before Shutdown asked the running set to suspend.
-		sess.suspendRequested = true
+		sess.suspendIssued = true
 		s.requestSuspend(exec)
 	}
 	// A preemption decision may already be waiting on this execution.

@@ -184,7 +184,8 @@ type Server struct {
 	// spot termination notice) from a plain Shutdown in Health reports.
 	draining atomic.Bool
 
-	// plans caches prepared plans for SQL submissions (nil = disabled).
+	// plans caches prepared plans for SQL and TPC-H submissions (nil =
+	// disabled).
 	plans *planCache
 
 	// released closes (once, via ReleaseHolds) when the server starts
@@ -333,10 +334,10 @@ func (s *Server) prepare(req Request) (*riveter.Query, string, error) {
 	case req.SQL != "" && req.TPCH != 0:
 		return nil, "", fmt.Errorf("server: set exactly one of SQL or TPCH")
 	case req.SQL != "":
-		q, err := s.prepareSQL(req.SQL)
+		q, err := s.cachedPlan(normalizeSQL(req.SQL), func() (*riveter.Query, error) { return s.db.Prepare(req.SQL) })
 		return q, req.SQL, err
 	case req.TPCH != 0:
-		q, err := s.db.PrepareTPCH(req.TPCH)
+		q, err := s.cachedPlan(tpchPlanKey(req.TPCH), func() (*riveter.Query, error) { return s.db.PrepareTPCH(req.TPCH) })
 		return q, fmt.Sprintf("tpch:%d", req.TPCH), err
 	default:
 		return nil, "", fmt.Errorf("server: empty request")
@@ -375,19 +376,18 @@ func (s *Server) addSessionLocked(id string, req Request, q *riveter.Query, disp
 	return sess
 }
 
-// prepareSQL compiles a statement through the prepared-plan cache.
-// riveter.Query is immutable, so a cached plan backs any number of
-// sessions; repeated statements also come out pointer-identical, which
+// cachedPlan returns the plan cached under key, compiling it with prepare
+// on a miss. riveter.Query is immutable, so a cached plan backs any number
+// of sessions; repeated statements also come out pointer-identical, which
 // keeps their fingerprints trivially equal for fold grouping.
-func (s *Server) prepareSQL(sql string) (*riveter.Query, error) {
+func (s *Server) cachedPlan(key string, prepare func() (*riveter.Query, error)) (*riveter.Query, error) {
 	if s.plans == nil {
-		return s.db.Prepare(sql)
+		return prepare()
 	}
-	key := normalizeSQL(sql)
 	if q := s.plans.get(key); q != nil {
 		return q, nil
 	}
-	q, err := s.db.Prepare(sql)
+	q, err := prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -632,8 +632,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.stopping = true
 	for _, r := range s.running {
-		if r.exec != nil && !r.suspendRequested {
-			r.suspendRequested = true
+		if r.exec != nil && !r.suspendIssued {
+			r.suspendIssued = true
 			s.requestSuspend(r.exec)
 		}
 	}

@@ -142,9 +142,9 @@ type Session struct {
 	err         error
 	trace       *obs.Trace
 
-	// suspendRequested marks an issued, not-yet-acknowledged preemption so
+	// suspendIssued marks an issued, not-yet-acknowledged preemption so
 	// the scheduler never double-suspends one execution.
-	suspendRequested bool
+	suspendIssued bool
 
 	// Whole-plan folding linkage (DB.FoldEnabled). foldedInto points a rider
 	// at the leader whose result it receives; riders lists a leader's

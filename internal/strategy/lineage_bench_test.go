@@ -42,11 +42,8 @@ func BenchmarkLineageSuspend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ex := engine.NewExecutor(pp, engine.Options{
-			Workers:     2,
-			OnBreaker:   lin.OnBreaker,
-			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
-		})
+		ex := engine.NewExecutor(pp, engine.Options{Workers: 2, OnBreaker: lin.OnBreaker})
+		ex.SuspendWhen(engine.KindProcess, 1<<19)
 		if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 			b.Fatalf("run err = %v, want ErrSuspended", err)
 		}
@@ -84,11 +81,8 @@ func BenchmarkLineageReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex := engine.NewExecutor(pp, engine.Options{
-		Workers:     2,
-		OnBreaker:   lin.OnBreaker,
-		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
-	})
+	ex := engine.NewExecutor(pp, engine.Options{Workers: 2, OnBreaker: lin.OnBreaker})
+	ex.SuspendWhen(engine.KindProcess, 1<<19)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 		b.Fatalf("run err = %v, want ErrSuspended", err)
 	}

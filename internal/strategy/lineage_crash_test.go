@@ -169,11 +169,8 @@ func TestLineageCrashDuringLogging(t *testing.T) {
 			os.Remove(path)
 			continue
 		}
-		ex := engine.NewExecutor(pp, engine.Options{
-			Workers:     2,
-			OnBreaker:   lin.OnBreaker,
-			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
-		})
+		ex := engine.NewExecutor(pp, engine.Options{Workers: 2, OnBreaker: lin.OnBreaker})
+		ex.SuspendWhen(engine.KindProcess, 1<<19)
 		if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 			t.Fatalf("crash@%d: query failed with %v; log faults must not kill the query", crashAt, err)
 		}

@@ -71,8 +71,8 @@ func suspendWithLineage(t *testing.T, cat *catalog.Catalog, node plan.Node, path
 			breakers++
 			return lin.OnBreaker(ev)
 		},
-		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 19},
 	})
+	ex.SuspendWhen(engine.KindProcess, 1<<19)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 		t.Fatalf("run err = %v, want ErrSuspended", err)
 	}

@@ -174,11 +174,8 @@ func TestPersistSerializesOnce(t *testing.T) {
 		pp.Pipelines[i].Sink = countingSink{pp.Pipelines[i].Sink, &counts[i]}
 	}
 	reg := obs.NewRegistry()
-	ex := engine.NewExecutor(pp, engine.Options{
-		Workers:     2,
-		Obs:         obs.Context{Metrics: reg},
-		AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: 1 << 20},
-	})
+	ex := engine.NewExecutor(pp, engine.Options{Workers: 2, Obs: obs.Context{Metrics: reg}})
+	ex.SuspendWhen(engine.KindProcess, 1<<20)
 	if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 		t.Fatalf("Run = %v, want a process-level suspension", err)
 	}

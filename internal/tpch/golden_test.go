@@ -160,8 +160,8 @@ func TestRunStateStaysApart(t *testing.T) {
 		if _, err := engine.NewExecutor(pp, engine.Options{Workers: 1, Accountant: clean}).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		a := engine.NewExecutor(pp, engine.Options{Workers: 1,
-			AutoSuspend: engine.AutoSuspend{Kind: engine.KindProcess, AtProcessedBytes: clean.ProcessedBytes() / 2}})
+		a := engine.NewExecutor(pp, engine.Options{Workers: 1})
+		a.SuspendWhen(engine.KindProcess, clean.ProcessedBytes()/2)
 		b := engine.NewExecutor(pp, engine.Options{Workers: 1})
 		ranA := make(chan error, 1)
 		go func() {
@@ -223,8 +223,8 @@ func TestQ21ResumesToRecordedDigest(t *testing.T) {
 		for _, pct := range []int64{25, 50, 75} {
 			run := fmt.Sprintf("%v suspension at %d%%", kind, pct)
 			pp := compile()
-			ex := engine.NewExecutor(pp, engine.Options{Workers: 1,
-				AutoSuspend: engine.AutoSuspend{Kind: kind, AtProcessedBytes: acct.ProcessedBytes() * pct / 100}})
+			ex := engine.NewExecutor(pp, engine.Options{Workers: 1})
+			ex.SuspendWhen(kind, acct.ProcessedBytes()*pct/100)
 			if _, err := ex.Run(context.Background()); !errors.Is(err, engine.ErrSuspended) {
 				t.Fatalf("%s: Run = %v, want a suspension", run, err)
 			}

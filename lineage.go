@@ -6,11 +6,7 @@ package riveter
 // the unsealed tail is flushed — and StartFrom replays from the last
 // sealed record. See internal/strategy/lineage.go for the log format.
 
-import (
-	"context"
-
-	"github.com/riveterdb/riveter/internal/engine"
-)
+import "context"
 
 // StartWithLineage launches the query asynchronously with a write-ahead
 // lineage log attached: every pipeline breaker appends and seals the
@@ -22,7 +18,11 @@ import (
 // the caller degrades to a file or store point (the executor is still
 // quiesced with its state in memory).
 func (q *Query) StartWithLineage(ctx context.Context, cfg LineageConfig) (*Execution, error) {
-	return q.start(ctx, engine.AutoSuspend{}, &cfg)
+	e, err := q.start(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.launch(ctx), nil
 }
 
 // LineagePath returns the execution's lineage-log path ("" when the

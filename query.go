@@ -52,19 +52,20 @@ func (db *DB) newQuery(name string, node plan.Node) (*Query, error) {
 // Works after GenerateTPCH or after LoadDir of a tpchgen-produced snapshot
 // (the scale factor is then derived from the orders row count).
 func (db *DB) PrepareTPCH(id int) (*Query, error) {
-	if db.tpchSF == 0 {
+	sf := db.tpchSF
+	if sf == 0 {
 		// Data may have been loaded from disk; derive the scale factor.
 		orders, err := db.cat.Table("orders")
 		if err != nil {
 			return nil, fmt.Errorf("riveter: no TPC-H data loaded (GenerateTPCH or LoadDir first)")
 		}
-		db.tpchSF = float64(orders.NumRows()) / 1500000.0
+		sf = float64(orders.NumRows()) / 1500000.0
 	}
 	q, err := tpch.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	return db.newQuery(q.Name, q.Build(plan.NewBuilder(db.cat), db.tpchSF))
+	return db.newQuery(q.Name, q.Build(plan.NewBuilder(db.cat), sf))
 }
 
 // Name returns the query's display name.
@@ -154,9 +155,9 @@ func (db *DB) execOpts(o obs.Context) engine.Options {
 	return engine.Options{Workers: db.workers, Live: &db.live, Obs: o}
 }
 
-// launch runs an executor (with its lineage log, if any) asynchronously.
-func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
-	e := &Execution{q: q, ex: run.Ex, lin: run.Log, done: make(chan struct{})}
+// launch runs e's executor (with its lineage log, if any) asynchronously.
+func (e *Execution) launch(ctx context.Context) *Execution {
+	e.done = make(chan struct{})
 	go func() {
 		defer close(e.done)
 		e.res, e.err = e.ex.Run(ctx)
@@ -175,57 +176,85 @@ func (q *Query) launch(ctx context.Context, run strategy.Run) *Execution {
 // base-table scan of the plan rides its shared hub (scan sharing is
 // shape-neutral, so the execution stays fully checkpointable).
 func (q *Query) Start(ctx context.Context) (*Execution, error) {
-	return q.start(ctx, engine.AutoSuspend{}, nil)
+	e, err := q.start(nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.launch(ctx), nil
 }
 
-// start launches the query. auto arms a progress-triggered suspension
-// (the zero value arms none); a non-nil lineage attaches a write-ahead
-// lineage log configured by it.
-func (q *Query) start(ctx context.Context, auto engine.AutoSuspend, lineage *LineageConfig) (*Execution, error) {
+// start builds an execution of the query for launch to run; the caller
+// may arm it first. A non-nil lineage attaches a write-ahead lineage log
+// configured by it.
+func (q *Query) start(lineage *LineageConfig) (*Execution, error) {
 	o := q.db.obsFor(q.db.newTrace(q.name))
 	if q.db.foldM != nil && o.Trace != nil {
 		o.Trace.Event(obs.EvFoldAttach, obs.A("fingerprint", q.pp.Fingerprint))
 	}
 	opts := q.db.execOpts(o)
-	opts.AutoSuspend = auto
-	var run strategy.Run
+	e := &Execution{q: q}
 	if lineage != nil {
 		var err error
-		if run.Log, err = q.db.seam.OpenLineage(q.pp, q.name, *lineage, &opts); err != nil {
+		if e.lin, err = q.db.seam.OpenLineage(q.pp, q.name, *lineage, &opts); err != nil {
 			return nil, err
 		}
 	}
-	run.Ex = engine.NewExecutor(q.pp, opts)
-	return q.launch(ctx, run), nil
+	e.ex = engine.NewExecutor(q.pp, opts)
+	return e, nil
 }
 
 // Suspend requests a suspension: PipelineLevel takes effect at the next
 // pipeline breaker, ProcessLevel at the next morsel boundary. Redo is not a
 // suspension — cancel the Start context instead.
 func (e *Execution) Suspend(k Strategy) error {
-	switch k {
-	case PipelineLevel:
-		e.ex.RequestSuspend(engine.KindPipeline)
-	case ProcessLevel:
-		e.ex.RequestSuspend(engine.KindProcess)
-	case LineageLevel:
-		// A lineage suspension quiesces at the next morsel boundary (the
-		// log already holds the state); the caller then seals the log by
-		// persisting to its lineage ResumePoint instead of writing a
-		// checkpoint.
-		if e.lin == nil {
-			return fmt.Errorf("riveter: execution has no lineage log (use Query.StartWithLineage)")
-		}
-		e.ex.RequestSuspend(engine.KindProcess)
-	default:
-		return fmt.Errorf("riveter: Suspend supports PipelineLevel, ProcessLevel, and LineageLevel; cancel the context for Redo")
+	kind, err := e.kind(k)
+	if err != nil {
+		return err
 	}
+	e.ex.RequestSuspend(kind)
 	if e.q.db.foldM != nil {
 		if tr := e.ex.Obs().Trace; tr != nil {
 			tr.Event(obs.EvFoldDetach, obs.A("kind", strategy.KindName(k)))
 		}
 	}
 	return nil
+}
+
+// SuspendWhen requests a k suspension, as Suspend does and with its
+// errors, at the first morsel boundary where ProcessedBytes has reached
+// processedBytes. Safe during the run: a mark already passed fires at the
+// next boundary, and a new mark replaces one not yet fired.
+func (e *Execution) SuspendWhen(k Strategy, processedBytes int64) error {
+	kind, err := e.kind(k)
+	if err != nil {
+		return err
+	}
+	e.ex.SuspendWhen(kind, processedBytes)
+	return nil
+}
+
+// ProcessedBytes returns the bytes the whole query has processed so far,
+// every pipeline's input across resumes: the unit SuspendWhen's mark takes.
+func (e *Execution) ProcessedBytes() int64 { return e.ex.Accountant().ProcessedBytes() }
+
+// kind maps a suspension strategy to the engine's suspension kind.
+func (e *Execution) kind(k Strategy) (engine.SuspendKind, error) {
+	switch k {
+	case PipelineLevel:
+		return engine.KindPipeline, nil
+	case ProcessLevel:
+		return engine.KindProcess, nil
+	case LineageLevel:
+		// A lineage suspension quiesces at the next morsel boundary (the
+		// log already holds the state); the caller then seals the log by
+		// persisting to its lineage ResumePoint instead of writing a
+		// checkpoint.
+		if e.lin == nil {
+			return engine.KindNone, fmt.Errorf("riveter: execution has no lineage log (use Query.StartWithLineage)")
+		}
+		return engine.KindProcess, nil
+	}
+	return engine.KindNone, fmt.Errorf("riveter: a suspension is PipelineLevel, ProcessLevel, or LineageLevel; cancel the context for Redo")
 }
 
 // Wait blocks until the query completes, suspends, or is cancelled. It
@@ -284,5 +313,5 @@ func (e *Execution) ResumeInPlace(ctx context.Context) (*Execution, error) {
 	if tr := e.ex.Obs().Trace; tr != nil {
 		tr.Event(obs.EvResumeInPlace, obs.A("kind", kind))
 	}
-	return e.q.launch(ctx, strategy.Run{Ex: e.ex, Log: e.lin}), nil
+	return (&Execution{q: e.q, ex: e.ex, lin: e.lin}).launch(ctx), nil
 }

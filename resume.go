@@ -86,7 +86,7 @@ func (q *Query) startFrom(ctx context.Context, rp ResumePoint, after *Execution,
 		// A restored rider re-attaches to its scan hubs.
 		o.Trace.Event(obs.EvFoldRejoin, obs.A("fingerprint", q.pp.Fingerprint))
 	}
-	return q.launch(ctx, run), nil
+	return (&Execution{q: q, ex: run.Ex, lin: run.Log}).launch(ctx), nil
 }
 
 // Verify walks rp end to end — framing, checksums, every store chunk —

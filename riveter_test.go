@@ -3,6 +3,7 @@ package riveter
 import (
 	"context"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -122,6 +123,43 @@ func TestSaveLoadDir(t *testing.T) {
 	if err := db2.LoadDir(t.TempDir()); err == nil {
 		t.Error("empty dir must error")
 	}
+}
+
+// TestPrepareTPCHConcurrentAfterLoadDir: a DB loaded from disk derives
+// the TPC-H scale factor at each PrepareTPCH, and concurrent calls (a
+// server's submits) share nothing they write; run it under -race. Each
+// plan matches the one the generating DB prepares.
+func TestPrepareTPCHConcurrentAfterLoadDir(t *testing.T) {
+	db := openTPCH(t, 0.002)
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := Open(WithCheckpointDir(t.TempDir()))
+	if err := loaded.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for id := 1; id <= 4; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want, err := db.PrepareTPCH(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := loaded.PrepareTPCH(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Errorf("Q%d: the loaded DB's plan differs from the generating DB's", id)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAdaptiveAPI(t *testing.T) {
