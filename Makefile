@@ -93,7 +93,9 @@ profile:
 # (FuzzReadCheckpoint, whose worker goroutines make coverage vary between
 # runs — without -fuzzminimizetime 1x the engine sits in minimization) — and
 # the expression evaluator against its scalar oracle on random trees
-# (FuzzProgramMatchesScalar), both LIKE matchers against a regexp
+# (FuzzProgramMatchesScalar), the selection a filter or join residual
+# runs against the same oracle on random conjunctions of kernel-shaped and
+# other conjuncts (FuzzSelectionMatchesScalar), both LIKE matchers against a regexp
 # translation of the pattern (FuzzLikeMatchesRegexp), the hash join
 # against its nested-loop oracle on small tables with repeated and NULL
 # keys (FuzzHashJoinMatchesNestedLoop), the aggregate's local-state
@@ -117,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s
 	$(GO) test ./internal/blobstore -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzProgramMatchesScalar$$' -fuzztime 10s
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzSelectionMatchesScalar$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzLikeMatchesRegexp$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzHashJoinMatchesNestedLoop$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzLoadAggState$$' -fuzztime 10s -fuzzminimizetime 1x

@@ -626,7 +626,9 @@ func (s *FlatAggSink) Consume(ls LocalState, c *vector.Chunk) error {
 	// group's key values are appended raw, so a first-seen -0.0 stays -0.0
 	// while the probe takes it as +0.0.
 	if cap(l.rowGroups) < n {
-		l.rowGroups = make([]int32, n)
+		// Sized for a full chunk at once: a probe's or a filter's chunks
+		// grow one after another, and each growth would allocate.
+		l.rowGroups = make([]int32, max(n, vector.ChunkCapacity))
 	}
 	rowGroups := l.rowGroups[:n]
 	t := l.table

@@ -11,21 +11,21 @@ import (
 // FusedOp is the streaming filter, projection, or filter followed by
 // projection (the lowering merges a projection into the filter before it):
 // rows where the predicate is true pass (NULL counts as false), and each
-// projection computes one output column. The predicate and projection
-// expressions are compiled columnar programs (internal/expr.Program), so
-// one morsel flows through the whole stage as typed slices: the predicate
-// evaluates into a reusable register, kernel.SelectTrue builds a selection
-// vector, surviving rows are gathered once — of only the columns the
-// projections read, when they read fewer than all — and each projection
-// evaluates into its own register that the output chunk aliases without
-// copying.
+// projection computes one output column. The predicate is a compiled
+// selection (internal/expr.Selection) and the projections are compiled
+// columnar programs (internal/expr.Program), so one morsel flows through
+// the whole stage as typed slices: the predicate narrows a selection
+// vector conjunct by conjunct, surviving rows are gathered once — of only
+// the columns the projections read, when they read fewer than all — and
+// each projection evaluates into its own register that the output chunk
+// aliases without copying.
 //
 // Emitted chunks alias program registers and, for passthrough columns, input
 // columns. That is safe under the engine-wide contract that emitted chunks
 // are never retained downstream (sinks copy rows out on Consume) — the
 // registers are not reused until the next Process call on the same scratch.
 type FusedOp struct {
-	pred     *expr.Program   // nil = no filter stage
+	pred     *expr.Selection // nil = no filter stage
 	projs    []*expr.Program // nil = passthrough (filter only)
 	gather   []int           // the input columns projs read, over which they run; nil = all
 	inTypes  []vector.Type
@@ -33,11 +33,11 @@ type FusedOp struct {
 	scratch  sync.Pool // *fusedScratch; ops are shared across workers
 }
 
-// fusedScratch is the per-worker mutable state of a FusedOp: program
-// instances (whose registers carry intermediate vectors), the selection
-// vector, and the reusable gather/output chunks.
+// fusedScratch is the per-worker mutable state of a FusedOp: selection and
+// program instances (whose registers carry intermediate vectors), the
+// selection vector, and the reusable gather/output chunks.
 type fusedScratch struct {
-	pred     *expr.Instance
+	pred     *expr.SelectionInstance
 	projs    []*expr.Instance
 	sel      []int32
 	gathered *vector.Chunk // survivors of a partial selection, of the gathered columns
@@ -49,7 +49,7 @@ type fusedScratch struct {
 // projection), projs may be nil (pure filter); at least one must be set.
 // gather, set only with both, lists the input columns the projections read;
 // they are compiled over those columns, in that order.
-func NewFusedOp(pred *expr.Program, projs []*expr.Program, gather []int, inTypes []vector.Type) *FusedOp {
+func NewFusedOp(pred *expr.Selection, projs []*expr.Program, gather []int, inTypes []vector.Type) *FusedOp {
 	outTypes := inTypes
 	if projs != nil {
 		outTypes = make([]vector.Type, len(projs))
@@ -102,12 +102,12 @@ func (o *FusedOp) Process(in *vector.Chunk, emit func(*vector.Chunk) error) erro
 	defer o.scratch.Put(s)
 	src := in
 	if o.pred != nil {
-		pv, err := s.pred.Eval(in)
+		sel, err := s.pred.Select(in, s.sel)
 		if err != nil {
 			return err
 		}
-		s.sel = kernel.SelectTrue(pv.Bools(), pv.NullWords(), n, s.sel)
-		m := len(s.sel)
+		s.sel = sel
+		m := len(sel)
 		if m == 0 {
 			return nil
 		}

@@ -509,7 +509,7 @@ type joinProber struct {
 	build    *HashJoinBuildSink
 	buildID  int
 	keyProgs []*expr.Program // over the probe input schema
-	extra    *expr.Program   // the build's residual; may be nil
+	extra    *expr.Selection // the build's residual; may be nil
 
 	probeTypes []vector.Type
 	pairTypes  []vector.Type // the types of the build's probeCols, then of its pairCols
@@ -526,9 +526,9 @@ func newJoinProber(build *HashJoinBuildSink, buildID int, keys []expr.Expr, prob
 	if err != nil {
 		return joinProber{}, err
 	}
-	var extraProg *expr.Program
+	var extra *expr.Selection
 	if build.residual != nil {
-		if extraProg, err = compilePredicate(build.residual); err != nil {
+		if extra, err = expr.CompileSelection(build.residual); err != nil {
 			return joinProber{}, err
 		}
 	}
@@ -539,13 +539,13 @@ func newJoinProber(build *HashJoinBuildSink, buildID int, keys []expr.Expr, prob
 	for _, c := range build.pairCols {
 		pair = append(pair, build.rowTypes[c])
 	}
-	return joinProber{build: build, buildID: buildID, keyProgs: keyProgs, extra: extraProg, probeTypes: probeTypes, pairTypes: pair}, nil
+	return joinProber{build: build, buildID: buildID, keyProgs: keyProgs, extra: extra, probeTypes: probeTypes, pairTypes: pair}, nil
 }
 
 // probeScratch is the reusable per-morsel working set of a probe.
 type probeScratch struct {
 	keyInsts []*expr.Instance
-	extra    *expr.Instance // nil without a residual predicate
+	extra    *expr.SelectionInstance // nil without a residual predicate
 	keyVecs  []*vector.Vector
 	hashes   []uint64 // per probe row: its key hash, then its first candidate
 	matched  []bool   // per probe row; only when the probe tracks matches
@@ -715,11 +715,9 @@ func (jp *joinProber) pairUp(s *probeScratch, b *joinBuildState, in *vector.Chun
 	}
 	pair.SetLen(m)
 	if s.extra != nil {
-		pv, err := s.extra.Eval(pair)
-		if err != nil {
+		if s.sel, err = s.extra.Select(pair, s.sel); err != nil {
 			return nil, nil, err
 		}
-		s.sel = kernel.SelectTrue(pv.Bools(), pv.NullWords(), m, s.sel)
 	}
 	return probeRows, buildRows, nil
 }

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -101,7 +103,7 @@ func TestSelectTrueShortBitmap(t *testing.T) {
 	}
 	nulls := make([]uint64, 1)
 	nulls[0] = 1 << 4 // row 4 null
-	sel := SelectTrue(vals, nulls, n, nil)
+	sel := SelectTrue(make([]int32, n), vals, nulls, n)
 	want := 0
 	for i := 0; i < n; i += 2 {
 		if i != 4 {
@@ -117,7 +119,7 @@ func TestSelectTrueShortBitmap(t *testing.T) {
 		}
 	}
 	// Empty bitmap fast path.
-	if got := len(SelectTrue(vals, nil, n, sel)); got != n/2 {
+	if got := len(SelectTrue(sel[:cap(sel)], vals, nil, n)); got != n/2 {
 		t.Errorf("no-null select = %d, want %d", got, n/2)
 	}
 }
@@ -317,5 +319,93 @@ func TestGatherChunkedMatchesFlat(t *testing.T) {
 		if NullAt(bits, j) != (r == 5) {
 			t.Errorf("row %d: null bit %v", r, NullAt(bits, j))
 		}
+	}
+}
+
+// randomBools returns n bools, each true with probability one half.
+func randomBools(r *rand.Rand, n int) []bool {
+	b := make([]bool, n)
+	for i := range b {
+		b[i] = r.IntN(2) == 1
+	}
+	return b
+}
+
+// TestConnectivesMatchTruthTable holds AndBool and OrBool to Go's && and
+// || on every pair of operands, with dst a fresh slice and dst aliasing
+// the first operand, as the program's fold runs them.
+func TestConnectivesMatchTruthTable(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	a, b := randomBools(r, 1000), randomBools(r, 1000)
+	for _, k := range []struct {
+		name   string
+		kernel func(dst, a, b []bool)
+		want   func(x, y bool) bool
+	}{
+		{"and", AndBool, func(x, y bool) bool { return x && y }},
+		{"or", OrBool, func(x, y bool) bool { return x || y }},
+	} {
+		dst := make([]bool, len(a))
+		k.kernel(dst, a, b)
+		inPlace := slices.Clone(a)
+		k.kernel(inPlace, inPlace, b)
+		for i := range a {
+			if want := k.want(a[i], b[i]); dst[i] != want || inPlace[i] != want {
+				t.Fatalf("%s(%v, %v) = %v (in place %v), want %v", k.name, a[i], b[i], dst[i], inPlace[i], want)
+			}
+		}
+	}
+}
+
+// TestSelectionsShortBitmap: rows past a short null bitmap are not NULL,
+// in the dense and the refining forms of the NULL and TRUE selections.
+func TestSelectionsShortBitmap(t *testing.T) {
+	const n = 130
+	nulls := []uint64{1<<3 | 1<<40} // covers rows 0..63
+	vals := make([]bool, n)
+	for i := range vals {
+		vals[i] = i%2 == 1 || i == 40
+	}
+	every := SelectAll(make([]int32, n), n)
+	odd := func(i int32) bool { return i%2 == 1 }
+	for _, tc := range []struct {
+		name string
+		got  []int32
+		keep func(i int32) bool
+	}{
+		{"select-null", SelectNulls(make([]int32, n), nulls, n, false), func(i int32) bool { return i == 3 || i == 40 }},
+		{"select-not-null", SelectNulls(make([]int32, n), nulls, n, true), func(i int32) bool { return i != 3 && i != 40 }},
+		{"refine-null", RefineNulls(slices.Clone(every), nulls, false), func(i int32) bool { return i == 3 || i == 40 }},
+		{"refine-not-null", RefineNulls(slices.Clone(every), nulls, true), func(i int32) bool { return i != 3 && i != 40 }},
+		{"select-true", SelectTrue(make([]int32, n), vals, nulls, n), func(i int32) bool { return odd(i) && i != 3 }},
+		{"refine-true", RefineTrue(slices.Clone(every), vals, nulls), func(i int32) bool { return odd(i) && i != 3 }},
+	} {
+		var want []int32
+		for _, i := range every {
+			if tc.keep(i) {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(tc.got, want) {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, want)
+		}
+	}
+}
+
+// BenchmarkConnectives times AndBool and OrBool over one morsel of
+// operands that are true half the time, at random.
+func BenchmarkConnectives(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 2))
+	x, y := randomBools(r, 1024), randomBools(r, 1024)
+	dst := make([]bool, 1024)
+	for _, k := range []struct {
+		name   string
+		kernel func(dst, a, b []bool)
+	}{{"AndBool", AndBool}, {"OrBool", OrBool}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.kernel(dst, x, y)
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/vector"
 )
@@ -49,14 +47,6 @@ func compilePrograms(exprs []expr.Expr) ([]*expr.Program, error) {
 		progs[i] = p
 	}
 	return progs, nil
-}
-
-// compilePredicate compiles a condition rows are kept by: it must be BOOLEAN.
-func compilePredicate(cond expr.Expr) (*expr.Program, error) {
-	if t := cond.Type(); t != vector.TypeBool {
-		return nil, fmt.Errorf("filter condition of type %v", t)
-	}
-	return expr.CompileProgram(cond)
 }
 
 // newInstances builds one worker's register sets for progs.

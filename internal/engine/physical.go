@@ -330,7 +330,7 @@ func (c *compiler) projectJoin(t *plan.Project, j *plan.Join, p *Pipeline) ([]ve
 // of types. A filter right before it becomes one operator with it, which
 // gathers the rows that pass of only the columns exprs read.
 func (c *compiler) project(p *Pipeline, exprs []expr.Expr, types []vector.Type) ([]vector.Type, error) {
-	var pred *expr.Program
+	var pred *expr.Selection
 	var gather []int
 	if n := len(p.Ops); n > 0 {
 		if f, ok := p.Ops[n-1].(*FusedOp); ok && f.projs == nil {
@@ -465,11 +465,11 @@ func (c *compiler) scanShared(p *Pipeline, e *memoEntry) []vector.Type {
 
 // filter appends the operator keeping the rows where cond is true.
 func (c *compiler) filter(p *Pipeline, cond expr.Expr, types []vector.Type) error {
-	prog, err := compilePredicate(cond)
+	pred, err := expr.CompileSelection(cond)
 	if err != nil {
 		return err
 	}
-	p.Ops = append(p.Ops, NewFusedOp(prog, nil, nil, types))
+	p.Ops = append(p.Ops, NewFusedOp(pred, nil, nil, types))
 	return nil
 }
 

@@ -210,3 +210,54 @@ func FuzzProgramMatchesScalar(f *testing.F) {
 		checkProgramAgainstOracle(t, g.expr(pick(g, fuzzTypes), 4), c)
 	})
 }
+
+// kernelTypes are the types the selection's comparison kernels cover.
+var kernelTypes = []vector.Type{vector.TypeInt64, vector.TypeFloat64, vector.TypeString, vector.TypeDate}
+
+// conjunct yields one conjunct for a selection over programChunk: mostly
+// of a kernel shape — a column against a constant (from either side, or
+// a BIGINT one a DOUBLE column promotes) or against a column, IN, IS
+// [NOT] NULL, LIKE — and otherwise any BOOLEAN tree, which the selection
+// runs as a program.
+func (g *treeGen) conjunct() Expr {
+	column := func(t vector.Type) Expr { return col(pick(g, fuzzColumns[t]), t) }
+	op := func() CmpOp { return CmpOp(g.next() % 6) }
+	switch g.next() % 7 {
+	case 0:
+		t := pick(g, kernelTypes)
+		x, k := column(t), Expr(Lit(pick(g, fuzzConsts[t])))
+		if g.next()%2 == 0 {
+			x, k = k, x
+		}
+		return newCompare(op(), x, k)
+	case 1:
+		t := pick(g, kernelTypes)
+		return newCompare(op(), column(t), column(t))
+	case 2:
+		return g.in(column)
+	case 3:
+		return &IsNullExpr{In: column(pick(g, fuzzTypes)), Negate: g.next()%2 == 0}
+	case 4:
+		return &LikeExpr{In: column(vector.TypeString), Pattern: pick(g, fuzzPatterns), Negate: g.next()%2 == 0}
+	case 5:
+		return newCompare(op(), column(vector.TypeFloat64), Lit(pick(g, fuzzConsts[vector.TypeInt64])))
+	default:
+		return g.expr(vector.TypeBool, 3)
+	}
+}
+
+// FuzzSelectionMatchesScalar builds a conjunction of one to five conjuncts
+// from the input and holds its compiled selection to the scalar oracle over
+// the adversarial chunk: the rows on which the oracle yields TRUE, an error
+// exactly when the oracle errors, never a panic.
+func FuzzSelectionMatchesScalar(f *testing.F) {
+	c := programChunk()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &treeGen{data: data}
+		conjs := make([]Expr, 1+g.next()%5)
+		for i := range conjs {
+			conjs[i] = g.conjunct()
+		}
+		checkSelectionAgainstOracle(t, And(conjs...), c)
+	})
+}

@@ -251,16 +251,19 @@ func foldConst(e Expr) (vector.Value, bool) {
 }
 
 func buildColumn(x *Column) evalFn {
-	return func(c *vector.Chunk) (*vector.Vector, error) {
-		if x.Index < 0 || x.Index >= c.NumCols() {
-			return nil, fmt.Errorf("column index %d out of range (%d cols)", x.Index, c.NumCols())
-		}
-		v := c.Col(x.Index)
-		if v.Type() != x.Typ {
-			return nil, fmt.Errorf("column %d: bound type %v but chunk has %v", x.Index, x.Typ, v.Type())
-		}
-		return v, nil
+	return func(c *vector.Chunk) (*vector.Vector, error) { return bindColumn(x, c) }
+}
+
+// bindColumn returns x's column of c, which must be there with x's type.
+func bindColumn(x *Column, c *vector.Chunk) (*vector.Vector, error) {
+	if x.Index < 0 || x.Index >= c.NumCols() {
+		return nil, fmt.Errorf("column index %d out of range (%d cols)", x.Index, c.NumCols())
 	}
+	v := c.Col(x.Index)
+	if v.Type() != x.Typ {
+		return nil, fmt.Errorf("column %d: bound type %v but chunk has %v", x.Index, x.Typ, v.Type())
+	}
+	return v, nil
 }
 
 func buildConst(x *Const) evalFn {
