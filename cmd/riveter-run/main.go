@@ -45,7 +45,15 @@ func main() {
 	)
 	flag.Parse()
 
-	dbOpts := []riveter.Option{riveter.WithWorkers(*workers)}
+	// Checkpoints go to a directory of the run's own, removed on every
+	// exit: here when main returns, in fatal when it does not.
+	dir, err := os.MkdirTemp("", "riveter-*")
+	if err != nil {
+		fatal("%v", err)
+	}
+	ckptDir = dir
+	defer os.RemoveAll(dir)
+	dbOpts := []riveter.Option{riveter.WithWorkers(*workers), riveter.WithCheckpointDir(dir)}
 	if *metrics {
 		dbOpts = append(dbOpts, riveter.WithTracing())
 	}
@@ -78,7 +86,6 @@ func main() {
 	}
 
 	var q *riveter.Query
-	var err error
 	switch {
 	case *sqlText != "":
 		q, err = db.Prepare(*sqlText)
@@ -161,6 +168,9 @@ func runWithSuspension(ctx context.Context, db *riveter.DB, q *riveter.Query, ki
 	fmt.Printf("suspended (%s): persisted %d bytes (state %d) to %s\n",
 		info.Kind, info.TotalBytes, info.StateBytes, info.Path)
 	finishFrom(ctx, q, exec, ckpt, "", maxRows)
+	if err := db.Discard(ckpt); err != nil {
+		fatal("discard: %v", err)
+	}
 }
 
 // finishFrom resumes the suspended exec from at and runs it to completion.
@@ -249,7 +259,15 @@ func dumpMetrics(db *riveter.DB) {
 	_ = snap.WriteJSON(os.Stdout)
 }
 
+// ckptDir is the run's checkpoint directory, once made.
+var ckptDir string
+
+// fatal reports the error, removes the checkpoint directory (os.Exit runs
+// no deferred call) and exits.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "riveter-run: "+format+"\n", args...)
+	if ckptDir != "" {
+		os.RemoveAll(ckptDir)
+	}
 	os.Exit(1)
 }

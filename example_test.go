@@ -13,7 +13,12 @@ import (
 
 // ExampleDB_Query runs ad-hoc SQL over a generated TPC-H dataset.
 func ExampleDB_Query() {
-	db := riveter.Open(riveter.WithWorkers(2))
+	dir, err := os.MkdirTemp("", "riveter-example-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(dir))
 	if err := db.GenerateTPCH(0.002); err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +39,12 @@ func ExampleDB_Query() {
 // ExampleQuery_StartFrom suspends a running query, persists it, and resumes
 // it — the core Riveter workflow.
 func ExampleQuery_StartFrom() {
-	db := riveter.Open(riveter.WithWorkers(2))
+	dir, err := os.MkdirTemp("", "riveter-example-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(dir))
 	if err := db.GenerateTPCH(0.002); err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func ExampleQuery_StartFrom() {
 	case err == nil:
 		fmt.Println("completed")
 	case errors.Is(err, riveter.ErrSuspended):
-		at := riveter.ResumePoint{Target: "file", Ref: filepath.Join(os.TempDir(), "example-q1.rvck")}
+		at := riveter.ResumePoint{Target: "file", Ref: filepath.Join(dir, "example-q1.rvck")}
 		defer db.Discard(at)
 		if _, err := exec.Persist(context.Background(), at, riveter.PersistOptions{}); err != nil {
 			log.Fatal(err)
@@ -76,7 +86,12 @@ func ExampleQuery_StartFrom() {
 
 // ExampleDB_PrepareTPCH shows the benchmark query registry.
 func ExampleDB_PrepareTPCH() {
-	db := riveter.Open(riveter.WithWorkers(2))
+	dir, err := os.MkdirTemp("", "riveter-example-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(dir))
 	if err := db.GenerateTPCH(0.002); err != nil {
 		log.Fatal(err)
 	}

@@ -53,11 +53,11 @@ func burst(b *testing.B, db *riveter.DB) time.Duration {
 // aggregate-throughput ratio as fold-speedup.
 func BenchmarkFoldBurst32(b *testing.B) {
 	const sf = 0.01
-	plain := riveter.Open(riveter.WithWorkers(2))
+	plain := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(b.TempDir()))
 	if err := plain.GenerateTPCH(sf); err != nil {
 		b.Fatal(err)
 	}
-	folded := riveter.Open(riveter.WithWorkers(2), riveter.WithFold())
+	folded := riveter.Open(riveter.WithWorkers(2), riveter.WithFold(), riveter.WithCheckpointDir(b.TempDir()))
 	if err := folded.GenerateTPCH(sf); err != nil {
 		b.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func BenchmarkFoldBurst32(b *testing.B) {
 // nothing.
 func BenchmarkFoldSingleOverhead(b *testing.B) {
 	const sf = 0.01
-	plain := riveter.Open(riveter.WithWorkers(2))
+	plain := riveter.Open(riveter.WithWorkers(2), riveter.WithCheckpointDir(b.TempDir()))
 	if err := plain.GenerateTPCH(sf); err != nil {
 		b.Fatal(err)
 	}
-	folded := riveter.Open(riveter.WithWorkers(2), riveter.WithFold())
+	folded := riveter.Open(riveter.WithWorkers(2), riveter.WithFold(), riveter.WithCheckpointDir(b.TempDir()))
 	if err := folded.GenerateTPCH(sf); err != nil {
 		b.Fatal(err)
 	}
