@@ -112,7 +112,9 @@ profile:
 # (FuzzCompileSQL: parse, bind, lower and run, never a panic), and the
 # same statements lowered with and without the dead-column pass
 # (FuzzPruneKeepsSQLResults, seeded from FuzzCompileSQL's corpus: the same
-# result bytes at one worker). The committed corpora run as plain tests in
+# result bytes at one worker), and the shapes predicate transfer takes or
+# refuses lowered with and without it (FuzzTransferKeepsResults: the same
+# bytes at one worker, the same rows at three). The committed corpora run as plain tests in
 # `make test`; this catches what only mutation finds. A
 # crasher is written under the package's testdata/fuzz and fails the target.
 fuzz-smoke:
@@ -129,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/colfile -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 10s -fuzzminimizetime 1x
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzCompileSQL$$' -fuzztime 10s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzPruneKeepsSQLResults$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzTransferKeepsResults$$' -fuzztime 10s
 
 # Every benchmark in the module, once: keeps benchmark code compiling and
 # running. Timings are measured end to end by benchmark/ (BENCHMARK.json);

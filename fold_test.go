@@ -210,8 +210,8 @@ func TestFoldSuspendOneRider(t *testing.T) {
 // for a table scan and from the morsel's chunk for any other source.
 func TestFoldKeepsProcessedBytes(t *testing.T) {
 	recorded := [22]int64{4440414, 615762, 2453000, 2057327, 2306873, 1919848, 2667442, 2876099,
-		3432586, 3302437, 455946, 3622350, 1596575, 2009144, 1934443, 333689, 2542970, 2702988,
-		4944178, 2453546, 5221297, 251512}
+		3432586, 3302437, 455946, 3622350, 1596575, 2009144, 1934443, 333689, 2511018, 2702988,
+		4944178, 2238050, 5221297, 251512}
 	for _, fold := range []bool{false, true} {
 		opts := []Option{WithWorkers(1), WithCheckpointDir(t.TempDir())}
 		if fold {

@@ -16,21 +16,26 @@ import (
 // scheduler had in flight, its morsel cursor and each of its workers' local
 // sink states — the full execution context, as a CRIU dump would.
 //
-// The format is at version 5: an in-flight set of pipelines (since version
+// The format is at version 6: an in-flight set of pipelines (since version
 // 2), whose aggregate locals hold only the arrays each function reads
 // (FlatAggSink.saveTable, since version 3), whose join builds store each
 // column once, only the columns the probe reads, behind their row count
-// (HashJoinBuildSink, since version 4), and whose breakers hold only the
+// (HashJoinBuildSink, since version 4), whose breakers hold only the
 // columns something above them reads (plan.Prune, since version 5: the
-// state of a plan has fewer columns than version 4 wrote for it). There is
-// one reader; the bytes of versions 1 (the pre-DAG single-in-flight
-// layout), 2 (every aggregate's sums and count plus boxed MIN/MAX and
-// DISTINCT values), 3 (join builds of keys followed by every build column)
-// and 4 (breakers of every column the plan as written carries) are refused.
+// state of a plan has fewer columns than version 4 wrote for it), and
+// whose aggregates fed by a join hold only the groups a finished build
+// lets through, in pipelines ordered for that (predicate transfer, since
+// version 6: the bytes are those of version 5, but a version 5 image of
+// such a plan holds other groups, and pipeline numbers that name others).
+// There is one reader; the bytes of versions 1 (the pre-DAG
+// single-in-flight layout), 2 (every aggregate's sums and count plus boxed
+// MIN/MAX and DISTINCT values), 3 (join builds of keys followed by every
+// build column), 4 (breakers of every column the plan as written carries)
+// and 5 (aggregates of every group) are refused.
 
 const (
 	stateMagic   = "RVST"
-	stateVersion = 5
+	stateVersion = 6
 )
 
 // StateFormatVersion is the executor state format version written by
