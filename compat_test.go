@@ -10,7 +10,7 @@ import (
 )
 
 // The parent-written resume points under testdata/parent, all at SF 0.01
-// with two workers, written by the commit that introduced state format v5:
+// with two workers, written by the commit that introduced state format v6:
 // TPC-H Q3, suspended and persisted as a pipeline-level checkpoint file, a
 // process-level image in a blob store (key "q3") and a sealed lineage log,
 // whose join builds store each column once behind their row count, and
