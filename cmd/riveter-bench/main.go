@@ -29,10 +29,9 @@ func main() {
 		ckdir   = flag.String("checkpoint-dir", "", "checkpoint directory (default: temp dir)")
 		quiet   = flag.Bool("quiet", false, "suppress progress logging")
 		metrics = flag.Bool("metrics", false, "trace every run, log adaptive decisions, and dump each scale factor's metrics snapshot (human-readable + JSON) at exit")
-		foldExp = flag.Bool("fold", false, "run the shared-execution folding experiment (same as -exp fold): 32-session mixed burst, folded vs isolated")
 	)
 	flag.Parse()
-	if *foldExp || *exp == "fold" {
+	if *exp == "fold" {
 		sfv, err := parseFloats(*sfs)
 		if err != nil {
 			fatal("bad -sfs: %v", err)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // The parent-written resume points under testdata/parent, all at SF 0.01
@@ -46,10 +45,11 @@ func openCompatDB(t *testing.T, storeDir string) *DB {
 	return db
 }
 
-// writeCompatFixtures persists one suspension per target under dir. The
-// process-level and lineage suspensions are retried with a growing head
-// start until they land mid-scan, so the store image carries worker-local
-// state and a cursor and the log a breaker state to replay from.
+// writeCompatFixtures persists one suspension per target under dir. Each
+// is placed at a growing fraction of a clean run's processed bytes until
+// it lands mid-scan, so the store image carries worker-local state and a
+// cursor and the log a breaker state to replay from. Every attempt that
+// does not is discarded, so a failed run leaves no point behind.
 func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 	db := openCompatDB(t, filepath.Join(dir, "store"))
 	q3, err := db.PrepareTPCH(compatQuery)
@@ -72,30 +72,44 @@ func writeCompatFixtures(t *testing.T, dir string, aggOnly bool) {
 	}()
 	ctx := context.Background()
 	persist := func(q *Query, level Strategy, point func(*Execution) ResumePoint, midScan func(*PointInfo) bool) {
-		for try := 0; try < 200; try++ {
-			var exec *Execution
+		clean, err := q.Start(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clean.Result(); err != nil {
+			t.Fatal(err)
+		}
+		total := clean.ProcessedBytes()
+		const steps = 20
+		for step := int64(1); step < steps; step++ {
+			var lineage *LineageConfig
 			if level == LineageLevel {
-				exec, err = q.StartWithLineage(ctx, LineageConfig{Path: filepath.Join(dir, "q3.rvlg")})
-			} else {
-				exec, err = q.Start(ctx)
+				lineage = &LineageConfig{Path: filepath.Join(dir, "q3.rvlg")}
 			}
+			exec, err := q.start(lineage)
 			if err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(time.Duration(try) * 50 * time.Microsecond)
-			if err := exec.Suspend(level); err != nil {
+			if err := exec.SuspendWhen(level, total*step/steps); err != nil {
 				t.Fatal(err)
 			}
-			if err := exec.Wait(); !errors.Is(err, ErrSuspended) {
+			if err := exec.launch(ctx).Wait(); !errors.Is(err, ErrSuspended) {
+				if level == LineageLevel {
+					_ = db.RemoveLineage(exec.LineagePath())
+				}
 				continue
 			}
-			info, err := exec.Persist(ctx, point(exec), PersistOptions{})
+			at := point(exec)
+			info, err := exec.Persist(ctx, at, PersistOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if midScan(info) {
-				t.Logf("%v: %+v", level, *info)
+				t.Logf("%v at %d/%d of %d bytes: %+v", level, step, steps, total, *info)
 				return
+			}
+			if err := db.Discard(at); err != nil {
+				t.Fatal(err)
 			}
 		}
 		t.Fatalf("no mid-scan %v suspension landed", level)

@@ -291,7 +291,7 @@ func TestRowBufferConcatTakesChunks(t *testing.T) {
 			}
 			row.Reset()
 			row.AppendRowValues(vector.NewInt64(int64(i)), s, vector.NewFloat64(float64(i)/3))
-			b.AppendRowFrom(row, 0)
+			b.AppendChunk(row)
 		}
 		return b
 	}
@@ -337,12 +337,13 @@ func TestRowBufferConcatTakesChunks(t *testing.T) {
 		}
 		seen := make([]bool, base)
 		for r := int64(0); r < got.Rows(); r++ {
-			id := got.Value(r, 0).I
+			vals := got.Row(r)
+			id := vals[0].I
 			if id < 0 || id >= int64(base) || seen[id] {
 				t.Fatalf("after %d rows: row %d holds id %d twice or out of range", base, r, id)
 			}
 			seen[id] = true
-			s, f := got.Value(r, 1), got.Value(r, 2)
+			s, f := vals[1], vals[2]
 			if f.F != float64(id)/3 || s.Null != (id%13 == 0) || !s.Null && s.S != fmt.Sprintf("s%d", id) {
 				t.Fatalf("after %d rows: row %d mixes id %d with %v and %v", base, r, id, s, f)
 			}

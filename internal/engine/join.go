@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/riveterdb/riveter/internal/engine/kernel"
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
 	"github.com/riveterdb/riveter/internal/vector"
@@ -85,90 +84,6 @@ type joinIndex struct {
 type joinEntry struct {
 	tag  uint32 // the high half of the row's key hash
 	next uint32 // next row id + 1 in the chain, 0 at its end
-}
-
-// chunkedCol is one column of a densely packed RowBuffer as the backing
-// slices of its chunks, so row r is element r&(ChunkCapacity-1) of chunk
-// r>>ChunkShift. Only the slice of the column's type is set.
-type chunkedCol struct {
-	typ    vector.Type
-	ints   [][]int64
-	floats [][]float64
-	strs   [][]string
-	bools  [][]bool
-	nulls  [][]uint64 // nil when no chunk holds a NULL
-}
-
-// chunkedCols views every column of buf chunk by chunk. The tables of all
-// columns of one physical type share one backing array.
-func chunkedCols(buf *RowBuffer) []chunkedCol {
-	nc := buf.NumChunks()
-	types := buf.Types()
-	var perType [vector.TypeDate + 1]int
-	for _, t := range types {
-		perType[t] += nc
-	}
-	ints := make([][]int64, perType[vector.TypeInt64]+perType[vector.TypeDate])
-	floats := make([][]float64, perType[vector.TypeFloat64])
-	strs := make([][]string, perType[vector.TypeString])
-	bools := make([][]bool, perType[vector.TypeBool])
-	var nulls [][]uint64 // made at the first chunk holding a NULL
-	cols := make([]chunkedCol, len(types))
-	for j, t := range types {
-		c := &cols[j]
-		c.typ = t
-		switch t {
-		case vector.TypeInt64, vector.TypeDate:
-			c.ints, ints = ints[:nc:nc], ints[nc:]
-		case vector.TypeFloat64:
-			c.floats, floats = floats[:nc:nc], floats[nc:]
-		case vector.TypeString:
-			c.strs, strs = strs[:nc:nc], strs[nc:]
-		case vector.TypeBool:
-			c.bools, bools = bools[:nc:nc], bools[nc:]
-		}
-		for ci := 0; ci < nc; ci++ {
-			v := buf.Chunk(ci).Col(j)
-			switch t {
-			case vector.TypeInt64, vector.TypeDate:
-				c.ints[ci] = v.Int64s()
-			case vector.TypeFloat64:
-				c.floats[ci] = v.Float64s()
-			case vector.TypeString:
-				c.strs[ci] = v.Strings()
-			case vector.TypeBool:
-				c.bools[ci] = v.Bools()
-			}
-			if v.HasNulls() {
-				if nulls == nil {
-					nulls = make([][]uint64, len(types)*nc)
-				}
-				if c.nulls == nil {
-					c.nulls = nulls[j*nc : (j+1)*nc : (j+1)*nc]
-				}
-				c.nulls[ci] = v.NullWords()
-			}
-		}
-	}
-	return cols
-}
-
-// gather writes rows of the column into dv, one typed gather per call.
-func (c *chunkedCol) gather(dv *vector.Vector, rows []int64) {
-	m := len(rows)
-	switch c.typ {
-	case vector.TypeInt64, vector.TypeDate:
-		kernel.GatherChunkedInt64(dv.ResizeInt64(m), c.ints, rows, vector.ChunkShift)
-	case vector.TypeFloat64:
-		kernel.GatherChunkedFloat64(dv.ResizeFloat64(m), c.floats, rows, vector.ChunkShift)
-	case vector.TypeString:
-		kernel.GatherChunkedString(dv.ResizeString(m), c.strs, rows, vector.ChunkShift)
-	case vector.TypeBool:
-		kernel.GatherChunkedBool(dv.ResizeBool(m), c.bools, rows, vector.ChunkShift)
-	}
-	if c.nulls != nil {
-		kernel.GatherChunkedNullBits(dv.EnsureNullWords(m), c.nulls, rows, vector.ChunkShift)
-	}
 }
 
 // NewHashJoinBuildSink builds the build sink of join jt for the key
@@ -346,7 +261,7 @@ func (s *HashJoinBuildSink) Consume(ls LocalState, c *vector.Chunk) error {
 	for _, b := range s.stored {
 		l.rowCols = append(l.rowCols, c.Col(b))
 	}
-	l.buf.appendVectors(l.rowCols, c.Len())
+	l.buf.appendVectors(l.rowCols, 0, c.Len())
 	return nil
 }
 
@@ -557,19 +472,22 @@ type probeScratch struct {
 	sel       []int32       // residual survivors, or the tail's rows
 	pair      *vector.Chunk // the pending matches as probe++build rows
 	filtered  *vector.Chunk // the output columns of pair rows surviving the extra predicate
-	tail      *vector.Chunk // left-outer padding / semi-anti or key filter output
+	tail      *vector.Chunk // left-outer padding / semi-anti output
 	view      *vector.Chunk // the output columns of pair or probe rows, when they are not all
 }
 
-// newScratch returns the working set every probe needs: key evaluation,
-// pending matches and their pair rows, and the residual's instance.
-func (jp *joinProber) newScratch() *probeScratch {
+// newScratch returns the working set every probe needs: key evaluation
+// and the residual's instance, and for a walk that collects pairs
+// (walkPairs), the pending matches and their pair rows.
+func (jp *joinProber) newScratch(pairs bool) *probeScratch {
 	s := &probeScratch{
-		keyInsts:  newInstances(jp.keyProgs),
-		keyVecs:   make([]*vector.Vector, len(jp.keyProgs)),
-		probeRows: make([]int32, 0, vector.ChunkCapacity),
-		buildRows: make([]int64, 0, vector.ChunkCapacity),
-		pair:      vector.NewChunk(jp.pairTypes),
+		keyInsts: newInstances(jp.keyProgs),
+		keyVecs:  make([]*vector.Vector, len(jp.keyProgs)),
+	}
+	if pairs {
+		s.probeRows = make([]int32, 0, vector.ChunkCapacity)
+		s.buildRows = make([]int64, 0, vector.ChunkCapacity)
+		s.pair = vector.NewChunk(jp.pairTypes)
 	}
 	if jp.extra != nil {
 		s.extra = jp.extra.NewInstance()
@@ -724,14 +642,18 @@ func (jp *joinProber) pairUp(s *probeScratch, b *joinBuildState, in *vector.Chun
 
 // HashJoinProbeOp is the streaming probe operator. It reads the immutable
 // finalized state of its build pipeline, bound once per worker (Bind), and
-// therefore carries no per-worker state of its own.
+// therefore carries no per-worker state of its own. Predicate transfer's
+// key filter (compiler.keyFilter) is one too: a semi probe of another
+// join's build that passes its input rows whole.
 type HashJoinProbeOp struct {
 	joinProber
-	Type     plan.JoinType
+	Type plan.JoinType
+	// outCols are the output columns' positions in the pair rows (an
+	// inner, left-outer or cross join) or the probe rows (a semi or anti
+	// join), and whole is set when they are all of them, in order.
+	outCols  []int
 	outTypes []vector.Type
-	// whole is set when the output is the pair rows as they are (an inner,
-	// left-outer or cross join) or the probe rows (a semi or anti join).
-	whole bool
+	whole    bool
 
 	// scratch pools per-worker probe state (the operator instance is shared
 	// by all workers of the pipeline). See StreamOp for why reusing emitted
@@ -743,7 +665,7 @@ type HashJoinProbeOp struct {
 func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 	s, _ := p.scratch.Get().(*probeScratch)
 	if s == nil {
-		s = p.newScratch()
+		s = p.newScratch(p.mode() == walkPairs)
 		if s.sel == nil && p.tracksMatches() {
 			s.sel = make([]int32, 0, vector.ChunkCapacity)
 		}
@@ -765,6 +687,15 @@ func (p *HashJoinProbeOp) getScratch(n int) *probeScratch {
 		clear(s.matched)
 	}
 	return s
+}
+
+// mode is the probe's chain walk: without a residual predicate, the first
+// match decides a semi or anti join's row.
+func (p *HashJoinProbeOp) mode() walkMode {
+	if p.extra == nil && (p.Type == plan.SemiJoin || p.Type == plan.AntiJoin) {
+		return walkFirst
+	}
+	return walkPairs
 }
 
 // tracksMatches reports whether the join's output depends on which probe
@@ -794,7 +725,7 @@ func NewHashJoinProbeOp(build *HashJoinBuildSink, buildID int, keys []expr.Expr,
 		out[i] = from[c]
 		whole = whole && c == i
 	}
-	return &HashJoinProbeOp{joinProber: jp, Type: build.jt, outTypes: out, whole: whole}, nil
+	return &HashJoinProbeOp{joinProber: jp, Type: build.jt, outCols: build.outCols, outTypes: out, whole: whole}, nil
 }
 
 // columns points s.view at the output columns of c, rows of the pair or
@@ -803,7 +734,7 @@ func (p *HashJoinProbeOp) columns(s *probeScratch, c *vector.Chunk) *vector.Chun
 	if p.whole {
 		return c
 	}
-	for j, k := range p.build.outCols {
+	for j, k := range p.outCols {
 		*s.view.Col(j) = *c.Col(k)
 	}
 	s.view.SetLen(c.Len())
@@ -813,7 +744,7 @@ func (p *HashJoinProbeOp) columns(s *probeScratch, c *vector.Chunk) *vector.Chun
 // gatherOut gathers the sel rows of the output columns of c, rows of the
 // pair or probe layout, into dst.
 func (p *HashJoinProbeOp) gatherOut(dst, c *vector.Chunk, sel []int32) *vector.Chunk {
-	for j, k := range p.build.outCols {
+	for j, k := range p.outCols {
 		gatherCol(dst.Col(j), c.Col(k), sel)
 	}
 	dst.SetLen(len(sel))
@@ -839,13 +770,7 @@ func (p *HashJoinProbeOp) process(b *joinBuildState, in *vector.Chunk, emit func
 	}
 	s := p.getScratch(n)
 	defer p.scratch.Put(s)
-	// Without a residual predicate, the first match decides a semi or anti
-	// join's row.
-	mode := walkPairs
-	if s.extra == nil && (p.Type == plan.SemiJoin || p.Type == plan.AntiJoin) {
-		mode = walkFirst
-	}
-	if err := p.walk(s, b, in, mode, nil, func() error { return p.flush(s, b, in, emit) }); err != nil {
+	if err := p.walk(s, b, in, p.mode(), nil, func() error { return p.flush(s, b, in, emit) }); err != nil {
 		return err
 	}
 
@@ -909,89 +834,6 @@ func (p *HashJoinProbeOp) flush(s *probeScratch, b *joinBuildState, in *vector.C
 		return nil
 	}
 	return emit(p.columns(s, s.pair))
-}
-
-// keyFilterOp keeps the rows whose keys a finalized join build holds: the
-// semi probe of that build's index, on keys of its own, that reads no
-// residual and gathers no build column. Predicate transfer (physical.go)
-// puts one in front of a grouped aggregate whose groups can reach a join
-// only with a key the build holds; its keys are bare group-by columns, so
-// it keeps or drops whole groups.
-type keyFilterOp struct {
-	// joinProber's keyProgs are nil, one per key: the keys are the input's
-	// columns cols, which process hands the walk as they are.
-	joinProber
-	cols    []int
-	scratch sync.Pool
-}
-
-// newKeyFilterOp builds the filter of the rows of types whose keys, bare
-// columns of them, build (built by pipeline buildID) holds.
-func newKeyFilterOp(build *HashJoinBuildSink, buildID int, keys []expr.Expr, types []vector.Type) (*keyFilterOp, error) {
-	if len(keys) != len(build.keyTypes) {
-		return nil, fmt.Errorf("key filter of %d keys for a build of %d", len(keys), len(build.keyTypes))
-	}
-	cols := make([]int, len(keys))
-	for k, key := range keys {
-		c, ok := key.(*expr.Column)
-		if !ok || c.Index < 0 || c.Index >= len(types) || c.Typ != types[c.Index] || c.Typ != build.keyTypes[k] {
-			return nil, fmt.Errorf("key filter key %s over %v for a build key of %v", key, types, build.keyTypes[k])
-		}
-		cols[k] = c.Index
-	}
-	jp := joinProber{build: build, buildID: buildID, keyProgs: make([]*expr.Program, len(keys)), probeTypes: types}
-	return &keyFilterOp{joinProber: jp, cols: cols}, nil
-}
-
-// OutTypes implements StreamOp.
-func (f *keyFilterOp) OutTypes() []vector.Type { return f.probeTypes }
-
-// Bind implements StreamOp: the worker probes its execution's build.
-func (f *keyFilterOp) Bind(states []GlobalState, emit func(*vector.Chunk) error) func(*vector.Chunk) error {
-	b := states[f.buildID].(*joinBuildState)
-	return func(in *vector.Chunk) error { return f.process(b, in, emit) }
-}
-
-// process emits the rows of in whose keys have a match in b.
-func (f *keyFilterOp) process(b *joinBuildState, in *vector.Chunk, emit func(*vector.Chunk) error) error {
-	n := in.Len()
-	if n == 0 {
-		return nil
-	}
-	s, _ := f.scratch.Get().(*probeScratch)
-	if s == nil {
-		// The chain walk's working set, without key instances to evaluate
-		// or the pending pairs a walkFirst walk never collects.
-		s = &probeScratch{
-			keyVecs: make([]*vector.Vector, len(f.cols)),
-			sel:     make([]int32, 0, vector.ChunkCapacity),
-			tail:    vector.NewChunk(f.probeTypes),
-		}
-	}
-	defer f.scratch.Put(s)
-	if cap(s.matched) < n {
-		s.matched = make([]bool, n)
-	}
-	s.matched = s.matched[:n]
-	clear(s.matched)
-	for k, c := range f.cols {
-		s.keyVecs[k] = in.Col(c)
-	}
-	if err := f.walk(s, b, in, walkFirst, nil, nil); err != nil {
-		return err
-	}
-	s.sel = selectMatched(s.matched, true, s.sel)
-	switch len(s.sel) {
-	case 0:
-		return nil
-	case n:
-		return emit(in)
-	}
-	for j := range f.probeTypes {
-		gatherCol(s.tail.Col(j), in.Col(j), s.sel)
-	}
-	s.tail.SetLen(len(s.sel))
-	return emit(s.tail)
 }
 
 // marksBuild reports whether jt outputs build rows by their matches: a
@@ -1078,7 +920,7 @@ func (s *HashJoinMarkSink) MakeGlobal(states []GlobalState) GlobalState {
 }
 
 func (s *HashJoinMarkSink) newLocal(build *joinBuildState, marked []uint64) *markLocal {
-	return &markLocal{build: build, marked: marked, s: s.newScratch()}
+	return &markLocal{build: build, marked: marked, s: s.newScratch(s.extra != nil)}
 }
 
 // MakeLocal implements Sink. The build is final by then: the pipeline

@@ -528,9 +528,9 @@ func appendLabel(cur, add string) string {
 // (B) a build its probe side's rows have passed on the equated columns,
 // when the aggregate is its build side. The aggregate's pipeline then
 // waits for that build (a Deps edge) and probes its index before the sink
-// (keyFilterOp). The filter reads bare group-by columns only, so it keeps
-// or drops whole groups, and each kept group is fed the rows it was fed
-// without it, in the same order.
+// with a semi HashJoinProbeOp, the key filter. The filter reads bare
+// group-by columns only, so it keeps or drops whole groups, and each kept
+// group is fed the rows it was fed without it, in the same order.
 
 // transferPlan is the predicate transfer planned for one plan; its maps
 // are nil until a transfer is planned.
@@ -762,17 +762,37 @@ func probesPassed(n plan.Node, cols []int, visit func(j *plan.Join, cols []int) 
 }
 
 // keyFilter appends to aggregate pipeline p, over the chain's columns of
-// types, the filter tr plans, and its wait for the source build.
+// types, the filter tr plans, and its wait for the source build. The
+// filter is a semi probe of the source build on bare columns of types: it
+// reads no residual, and outputs the rows as they are.
 func (c *compiler) keyFilter(p *Pipeline, tr transfer, types []vector.Type) error {
 	b, ok := c.builds[tr.source]
 	if !ok {
 		return fmt.Errorf("engine: the build of %s filters an aggregate lowered before it", tr.source)
 	}
-	op, err := newKeyFilterOp(b.sink, b.id, tr.keys, types)
+	if len(tr.keys) != len(b.sink.keyTypes) {
+		return fmt.Errorf("key filter of %d keys for a build of %d", len(tr.keys), len(b.sink.keyTypes))
+	}
+	for k, key := range tr.keys {
+		if col, ok := key.(*expr.Column); !ok || col.Index < 0 || col.Index >= len(types) || col.Typ != types[col.Index] || col.Typ != b.sink.keyTypes[k] {
+			return fmt.Errorf("key filter key %s over %v for a build key of %v", key, types, b.sink.keyTypes[k])
+		}
+	}
+	progs, err := compilePrograms(tr.keys)
 	if err != nil {
 		return err
 	}
-	p.Ops = append(p.Ops, op)
+	out := make([]int, len(types))
+	for i := range out {
+		out[i] = i
+	}
+	p.Ops = append(p.Ops, &HashJoinProbeOp{
+		joinProber: joinProber{build: b.sink, buildID: b.id, keyProgs: progs, probeTypes: types},
+		Type:       plan.SemiJoin,
+		outCols:    out,
+		outTypes:   types,
+		whole:      true,
+	})
 	p.Deps = append(p.Deps, b.id)
 	p.Label = appendLabel(p.Label, "keyfilter")
 	return nil

@@ -707,7 +707,7 @@ func TestRowBufferRoundTripRandom(t *testing.T) {
 				vector.NewString(fmt.Sprintf("s%d", rng.Intn(100))),
 				vector.NewFloat64(rng.NormFloat64()),
 			)
-			buf.AppendRowFrom(row, 0)
+			buf.AppendChunk(row)
 		}
 		var raw bytes.Buffer
 		enc := vector.NewEncoder(&raw)
@@ -724,8 +724,9 @@ func TestRowBufferRoundTripRandom(t *testing.T) {
 		}
 		step := buf.Rows()/37 + 1
 		for r := int64(0); r < buf.Rows(); r += step {
-			for c := 0; c < len(types); c++ {
-				if !buf.Value(r, c).Equal(got.Value(r, c)) {
+			want, have := buf.Row(r), got.Row(r)
+			for c := range types {
+				if !want[c].Equal(have[c]) {
 					t.Fatalf("trial %d: cell (%d,%d) differs", trial, r, c)
 				}
 			}
@@ -733,7 +734,11 @@ func TestRowBufferRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestSortStability verifies the sort is stable with random duplicate keys.
+// TestSortStability checks that a sort and a top-N keep the input order of
+// rows with equal keys. At one worker the input is the table in order, so
+// each must equal, row for row, a stable sort of the table's rows by the
+// key, ten values and NULL. The top-N keeps LIMIT + OFFSET = 200 of 8000
+// rows, so its buffer is trimmed at every other chunk before Finalize.
 func TestSortStability(t *testing.T) {
 	cat := catalog.New()
 	tbl, _ := cat.Create("t", catalog.NewSchema(
@@ -741,27 +746,38 @@ func TestSortStability(t *testing.T) {
 		catalog.Col("seq", vector.TypeInt64),
 	))
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		_ = tbl.AppendRow(vector.NewInt64(int64(rng.Intn(10))), vector.NewInt64(int64(i)))
-	}
-	b := plan.NewBuilder(cat)
-	tb := b.Scan("t")
-	// Single worker: input order is the table order, so stability requires
-	// equal keys to keep ascending seq.
-	res := runPlan(t, cat, tb.Sort(plan.Asc("k")).Node(), 1)
-	for i := int64(1); i < res.NumRows(); i++ {
-		a, bb := res.Row(i-1), res.Row(i)
-		if a[0].I == bb[0].I && a[1].I > bb[1].I {
-			t.Fatalf("stability violated at %d: %v then %v", i, a, bb)
+	var rows [][]vector.Value
+	for i := 0; i < 8000; i++ {
+		row := []vector.Value{vector.NewInt64(int64(rng.Intn(10))), vector.NewInt64(int64(i))}
+		if rng.Intn(50) == 0 {
+			row[0] = vector.NewNull(vector.TypeInt64)
 		}
+		rows = append(rows, row)
+		_ = tbl.AppendRow(row...)
 	}
-	// Validate the overall order too.
-	keys := make([]int64, res.NumRows())
-	for i := int64(0); i < res.NumRows(); i++ {
-		keys[i] = res.Row(i)[0].I
-	}
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("keys not sorted")
+	want := slices.Clone(rows)
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := want[i][0], want[j][0]
+		return a.Null && !b.Null || !a.Null && !b.Null && a.I < b.I // NULLs first
+	})
+	sorted := plan.NewBuilder(cat).Scan("t").Sort(plan.Asc("k")).Node()
+	for _, c := range []struct {
+		name   string
+		node   plan.Node
+		lo, hi int
+	}{
+		{"sort", sorted, 0, len(want)},
+		{"topn", &plan.Limit{Child: sorted, N: 150, Offset: 50}, 50, 200},
+	} {
+		res := runPlan(t, cat, c.node, 1)
+		if res.NumRows() != int64(c.hi-c.lo) {
+			t.Fatalf("%s: %d rows, want %d", c.name, res.NumRows(), c.hi-c.lo)
+		}
+		for i, w := range want[c.lo:c.hi] {
+			if got := res.Row(int64(i)); !got[0].Equal(w[0]) || !got[1].Equal(w[1]) {
+				t.Fatalf("%s: row %d is %v, the stable sort's is %v", c.name, i, got, w)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/riveterdb/riveter/internal/engine/kernel"
 	"github.com/riveterdb/riveter/internal/vector"
 )
 
@@ -53,27 +54,23 @@ func (b *RowBuffer) tail() *vector.Chunk {
 
 // AppendChunk appends all rows of c.
 func (b *RowBuffer) AppendChunk(c *vector.Chunk) {
-	b.appendVectors(c.Cols(), c.Len())
+	b.appendVectors(c.Cols(), 0, c.Len())
 }
 
-// appendVectors bulk-appends rows [0,n) of the given column vectors,
+// appendVectors bulk-appends rows [lo,hi) of the given column vectors,
 // packing chunks densely to ChunkCapacity so Locate/Row keep their
 // fixed-stride addressing (and checkpoint chunk boundaries stay put).
-func (b *RowBuffer) appendVectors(cols []*vector.Vector, n int) {
-	start := 0
-	for start < n {
+func (b *RowBuffer) appendVectors(cols []*vector.Vector, lo, hi int) {
+	b.rows += int64(hi - lo)
+	for lo < hi {
 		t := b.tail()
-		m := n - start
-		if room := vector.ChunkCapacity - t.Len(); m > room {
-			m = room
-		}
+		m := min(hi-lo, vector.ChunkCapacity-t.Len())
 		for j, v := range cols {
-			t.Col(j).AppendRange(v, start, start+m)
+			t.Col(j).AppendRange(v, lo, lo+m)
 		}
 		t.SetLen(t.Len() + m)
-		start += m
+		lo += m
 	}
-	b.rows += int64(n)
 }
 
 // adoptChunk appends c itself, which the buffer owns from then on. Only
@@ -81,12 +78,6 @@ func (b *RowBuffer) appendVectors(cols []*vector.Vector, n int) {
 func (b *RowBuffer) adoptChunk(c *vector.Chunk) {
 	b.chunks = append(b.chunks, c)
 	b.rows += int64(c.Len())
-}
-
-// AppendRowFrom appends row i of c.
-func (b *RowBuffer) AppendRowFrom(c *vector.Chunk, i int) {
-	b.tail().AppendRowFrom(c, i)
-	b.rows++
 }
 
 // Row returns the boxed values of global row index r.
@@ -100,10 +91,105 @@ func (b *RowBuffer) Locate(r int64) (ci, ri int) {
 	return int(r / vector.ChunkCapacity), int(r % vector.ChunkCapacity)
 }
 
-// Value returns the boxed value at (row, col).
-func (b *RowBuffer) Value(r int64, col int) vector.Value {
-	ci, ri := b.Locate(r)
-	return b.chunks[ci].Col(col).Value(ri)
+// chunkedCol is one column of a densely packed RowBuffer as the backing
+// slices of its chunks, so row r is element r&(ChunkCapacity-1) of chunk
+// r>>ChunkShift. Only the slice of the column's type is set.
+type chunkedCol struct {
+	typ    vector.Type
+	ints   [][]int64
+	floats [][]float64
+	strs   [][]string
+	bools  [][]bool
+	nulls  [][]uint64 // nil when no chunk holds a NULL
+}
+
+// chunkedCols views every column of buf chunk by chunk. The tables of all
+// columns of one physical type share one backing array.
+func chunkedCols(buf *RowBuffer) []chunkedCol {
+	nc := buf.NumChunks()
+	types := buf.Types()
+	var perType [vector.TypeDate + 1]int
+	for _, t := range types {
+		perType[t] += nc
+	}
+	ints := make([][]int64, perType[vector.TypeInt64]+perType[vector.TypeDate])
+	floats := make([][]float64, perType[vector.TypeFloat64])
+	strs := make([][]string, perType[vector.TypeString])
+	bools := make([][]bool, perType[vector.TypeBool])
+	var nulls [][]uint64 // made at the first chunk holding a NULL
+	cols := make([]chunkedCol, len(types))
+	for j, t := range types {
+		c := &cols[j]
+		c.typ = t
+		switch t {
+		case vector.TypeInt64, vector.TypeDate:
+			c.ints, ints = ints[:nc:nc], ints[nc:]
+		case vector.TypeFloat64:
+			c.floats, floats = floats[:nc:nc], floats[nc:]
+		case vector.TypeString:
+			c.strs, strs = strs[:nc:nc], strs[nc:]
+		case vector.TypeBool:
+			c.bools, bools = bools[:nc:nc], bools[nc:]
+		}
+		for ci := 0; ci < nc; ci++ {
+			v := buf.Chunk(ci).Col(j)
+			switch t {
+			case vector.TypeInt64, vector.TypeDate:
+				c.ints[ci] = v.Int64s()
+			case vector.TypeFloat64:
+				c.floats[ci] = v.Float64s()
+			case vector.TypeString:
+				c.strs[ci] = v.Strings()
+			case vector.TypeBool:
+				c.bools[ci] = v.Bools()
+			}
+			if v.HasNulls() {
+				if nulls == nil {
+					nulls = make([][]uint64, len(types)*nc)
+				}
+				if c.nulls == nil {
+					c.nulls = nulls[j*nc : (j+1)*nc : (j+1)*nc]
+				}
+				c.nulls[ci] = v.NullWords()
+			}
+		}
+	}
+	return cols
+}
+
+// gather writes rows of the column into dv, one typed gather per call.
+func (c *chunkedCol) gather(dv *vector.Vector, rows []int64) {
+	m := len(rows)
+	switch c.typ {
+	case vector.TypeInt64, vector.TypeDate:
+		kernel.GatherChunkedInt64(dv.ResizeInt64(m), c.ints, rows, vector.ChunkShift)
+	case vector.TypeFloat64:
+		kernel.GatherChunkedFloat64(dv.ResizeFloat64(m), c.floats, rows, vector.ChunkShift)
+	case vector.TypeString:
+		kernel.GatherChunkedString(dv.ResizeString(m), c.strs, rows, vector.ChunkShift)
+	case vector.TypeBool:
+		kernel.GatherChunkedBool(dv.ResizeBool(m), c.bools, rows, vector.ChunkShift)
+	}
+	if c.nulls != nil {
+		kernel.GatherChunkedNullBits(dv.EnsureNullWords(m), c.nulls, rows, vector.ChunkShift)
+	}
+}
+
+// gatherRows returns a buffer of types holding the rows of cols, a
+// chunkedCols view of a buffer of those column types, in the order rows
+// lists them: each output chunk is one typed gather per column.
+func gatherRows(types []vector.Type, cols []chunkedCol, rows []int64) *RowBuffer {
+	out := NewRowBuffer(types)
+	for lo := 0; lo < len(rows); lo += vector.ChunkCapacity {
+		part := rows[lo:min(lo+vector.ChunkCapacity, len(rows))]
+		c := vector.NewChunk(types)
+		for j := range cols {
+			cols[j].gather(c.Col(j), part)
+		}
+		c.SetLen(len(part))
+		out.adoptChunk(c)
+	}
+	return out
 }
 
 // Concat appends all rows of other (which must share types) and leaves
@@ -135,7 +221,7 @@ func (b *RowBuffer) Concat(other *RowBuffer) {
 	b.chunks = append(b.chunks, mine)
 	if theirs != nil {
 		b.rows -= int64(theirs.Len()) // appendVectors counts them again
-		b.appendVectors(theirs.Cols(), theirs.Len())
+		b.appendVectors(theirs.Cols(), 0, theirs.Len())
 	}
 }
 

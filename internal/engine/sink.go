@@ -105,10 +105,14 @@ func (s *CollectorSink) Finalize(gs GlobalState) error {
 	if lo == 0 && hi == g.Rows() {
 		return nil
 	}
+	// Copy the kept rows chunk by chunk: g is densely packed.
 	trimmed := NewRowBuffer(s.types)
-	for r := lo; r < hi; r++ {
+	for r := lo; r < hi; {
 		ci, ri := g.Locate(r)
-		trimmed.AppendRowFrom(g.Chunk(ci), ri)
+		c := g.Chunk(ci)
+		n := min(int64(c.Len()-ri), hi-r)
+		trimmed.appendVectors(c.Cols(), ri, ri+int(n))
+		r += n
 	}
 	*g = *trimmed
 	return nil

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/riveterdb/riveter/internal/expr"
 	"github.com/riveterdb/riveter/internal/plan"
@@ -60,7 +61,11 @@ func NewTopNSink(keys []plan.SortKey, inTypes []vector.Type, limit, offset int64
 type sortLocal struct {
 	buf      *RowBuffer
 	keyInsts []*expr.Instance
-	keyVecs  []*vector.Vector // per-chunk evaluated keys
+	// keyVecs and rowCols are per-chunk scratch for the evaluated keys and
+	// the buffer's column layout; worker-local, so plain reuse is
+	// race-free.
+	keyVecs []*vector.Vector
+	rowCols []*vector.Vector
 }
 
 func (s *SortSink) newLocal(buf *RowBuffer) *sortLocal {
@@ -75,36 +80,20 @@ func (s *SortSink) MakeGlobal([]GlobalState) GlobalState {
 // MakeLocal implements Sink.
 func (s *SortSink) MakeLocal(GlobalState) LocalState { return s.newLocal(NewRowBuffer(s.rowTypes)) }
 
-// appendKeyed appends chunk rows with evaluated key prefix into l's buffer.
-func (l *sortLocal) appendKeyed(c *vector.Chunk) error {
+// Consume implements Sink: it lays out the evaluated keys then the input
+// columns and appends the whole chunk, as the join build does. A top-N
+// trims the local buffer when it grows past 4x the rows it keeps to bound
+// memory.
+func (s *SortSink) Consume(ls LocalState, c *vector.Chunk) error {
+	l := ls.(*sortLocal)
 	if err := evalInstances(l.keyInsts, c, l.keyVecs); err != nil {
 		return err
 	}
-	dst, keyVecs := l.buf, l.keyVecs
-	for i := 0; i < c.Len(); i++ {
-		t := dst.tail()
-		for k, kv := range keyVecs {
-			t.Col(k).AppendFrom(kv, i)
-		}
-		for j := 0; j < c.NumCols(); j++ {
-			t.Col(len(keyVecs)+j).AppendFrom(c.Col(j), i)
-		}
-		t.SetLen(t.Len() + 1)
-		dst.rows++
-	}
-	return nil
-}
-
-// Consume implements Sink; a top-N trims the local buffer when it grows
-// past 4x the rows it keeps to bound memory.
-func (s *SortSink) Consume(ls LocalState, c *vector.Chunk) error {
-	l := ls.(*sortLocal)
-	if err := l.appendKeyed(c); err != nil {
-		return err
-	}
+	l.rowCols = append(append(l.rowCols[:0], l.keyVecs...), c.Cols()...)
+	l.buf.appendVectors(l.rowCols, 0, c.Len())
 	keep := s.Offset + s.Limit
 	if keep > 0 && l.buf.Rows() > 4*keep+int64(vector.ChunkCapacity) {
-		l.buf = trimTopN(l.buf, s.keys, s.rowTypes, keep)
+		l.buf = s.sorted(l.buf, 0, keep, 0)
 	}
 	return nil
 }
@@ -115,75 +104,83 @@ func (s *SortSink) Combine(gs GlobalState, ls LocalState) error {
 	return nil
 }
 
-// sortData holds the key columns of a keyed buffer flattened into
-// contiguous arrays, so the sort's comparator never touches boxed values.
-type sortData struct {
-	keys  []plan.SortKey
-	ints  [][]int64
-	flts  [][]float64
-	strs  [][]string
-	bools [][]bool
-	nulls [][]bool
-	types []vector.Type
+// Finalize implements Sink: it sorts, cuts a top-N to its rows and
+// gathers their payload.
+func (s *SortSink) Finalize(gs GlobalState) error {
+	g := gs.(*sortState)
+	g.out = s.sorted(&g.buf, s.Offset, s.Limit, len(s.keys))
+	g.buf = RowBuffer{types: s.rowTypes} // release pre-sort copy
+	return nil
 }
 
-// flattenKeys extracts the first nKeys columns of buf into flat arrays.
-func flattenKeys(buf *RowBuffer, keys []plan.SortKey) *sortData {
-	n := int(buf.Rows())
-	sd := &sortData{
-		keys:  keys,
-		ints:  make([][]int64, len(keys)),
-		flts:  make([][]float64, len(keys)),
-		strs:  make([][]string, len(keys)),
-		bools: make([][]bool, len(keys)),
-		nulls: make([][]bool, len(keys)),
-		types: make([]vector.Type, len(keys)),
+// sorted orders the keyed buffer buf, skips its first skip rows and
+// returns the next keep (all of them for a negative keep) as a buffer of
+// buf's columns from column from on: the payload for Finalize, keys and
+// payload for a top-N's trim.
+func (s *SortSink) sorted(buf *RowBuffer, skip, keep int64, from int) *RowBuffer {
+	cols := chunkedCols(buf)
+	perm := sortPerm(cols[:len(s.keys)], s.keys, buf.Rows())
+	perm = perm[min(skip, int64(len(perm))):]
+	if keep >= 0 && keep < int64(len(perm)) {
+		perm = perm[:keep]
 	}
-	for k, key := range keys {
-		t := key.Expr.Type()
-		sd.types[k] = t
-		nulls := make([]bool, n)
-		switch t {
+	return gatherRows(buf.Types()[from:], cols[from:], perm)
+}
+
+// sortKeyCol is one sort key's column flattened into one contiguous array
+// of its type, so the comparator never touches boxed values or chunk
+// boundaries.
+type sortKeyCol struct {
+	desc  bool
+	typ   vector.Type
+	ints  []int64
+	flts  []float64
+	strs  []string
+	bools []bool
+	nulls []bool // nil when no row is NULL
+}
+
+// flattenKeys flattens the n rows of the key columns cols.
+func flattenKeys(cols []chunkedCol, keys []plan.SortKey, n int64) []sortKeyCol {
+	out := make([]sortKeyCol, len(keys))
+	for k := range keys {
+		c, f := &cols[k], &out[k]
+		f.desc, f.typ = keys[k].Desc, c.typ
+		switch c.typ {
 		case vector.TypeInt64, vector.TypeDate:
-			sd.ints[k] = make([]int64, n)
+			f.ints = flatten(c.ints, n)
 		case vector.TypeFloat64:
-			sd.flts[k] = make([]float64, n)
+			f.flts = flatten(c.floats, n)
 		case vector.TypeString:
-			sd.strs[k] = make([]string, n)
+			f.strs = flatten(c.strs, n)
 		case vector.TypeBool:
-			sd.bools[k] = make([]bool, n)
+			f.bools = flatten(c.bools, n)
 		}
-		r := 0
-		for ci := 0; ci < buf.NumChunks(); ci++ {
-			col := buf.Chunk(ci).Col(k)
-			m := col.Len()
-			for i := 0; i < m; i++ {
-				if col.IsNull(i) {
-					nulls[r] = true
-				} else {
-					switch t {
-					case vector.TypeInt64, vector.TypeDate:
-						sd.ints[k][r] = col.Int64s()[i]
-					case vector.TypeFloat64:
-						sd.flts[k][r] = col.Float64s()[i]
-					case vector.TypeString:
-						sd.strs[k][r] = col.Strings()[i]
-					case vector.TypeBool:
-						sd.bools[k][r] = col.Bools()[i]
-					}
-				}
-				r++
+		if c.nulls != nil {
+			f.nulls = make([]bool, n)
+			for r := range f.nulls {
+				w, i := c.nulls[r>>vector.ChunkShift], r&(vector.ChunkCapacity-1)
+				f.nulls[r] = i>>6 < len(w) && w[i>>6]&(1<<(i&63)) != 0
 			}
 		}
-		sd.nulls[k] = nulls
 	}
-	return sd
+	return out
 }
 
-// compare orders rows a and b; NULLs sort first ascending.
-func (sd *sortData) compare(a, b int64) int {
-	for k := range sd.keys {
-		an, bn := sd.nulls[k][a], sd.nulls[k][b]
+// flatten concatenates the n values of a chunked column.
+func flatten[T any](parts [][]T, n int64) []T {
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// compareKeys orders rows a and b by the keys; NULLs sort first ascending.
+func compareKeys(keys []sortKeyCol, a, b int64) int {
+	for k := range keys {
+		f := &keys[k]
+		an, bn := f.nulls != nil && f.nulls[a], f.nulls != nil && f.nulls[b]
 		var c int
 		switch {
 		case an && bn:
@@ -193,19 +190,19 @@ func (sd *sortData) compare(a, b int64) int {
 		case bn:
 			c = 1
 		default:
-			switch sd.types[k] {
+			switch f.typ {
 			case vector.TypeInt64, vector.TypeDate:
-				c = cmpOrdered(sd.ints[k][a], sd.ints[k][b])
+				c = cmpOrdered(f.ints[a], f.ints[b])
 			case vector.TypeFloat64:
-				c = cmpOrdered(sd.flts[k][a], sd.flts[k][b])
+				c = cmpOrdered(f.flts[a], f.flts[b])
 			case vector.TypeString:
-				c = cmpOrdered(sd.strs[k][a], sd.strs[k][b])
+				c = cmpOrdered(f.strs[a], f.strs[b])
 			case vector.TypeBool:
 				var ai, bi int8
-				if sd.bools[k][a] {
+				if f.bools[a] {
 					ai = 1
 				}
-				if sd.bools[k][b] {
+				if f.bools[b] {
 					bi = 1
 				}
 				c = cmpOrdered(ai, bi)
@@ -214,7 +211,7 @@ func (sd *sortData) compare(a, b int64) int {
 		if c == 0 {
 			continue
 		}
-		if sd.keys[k].Desc {
+		if f.desc {
 			return -c
 		}
 		return c
@@ -233,49 +230,22 @@ func cmpOrdered[T int64 | float64 | string | int8](a, b T) int {
 	}
 }
 
-// sortPerm returns the stable sort permutation of the keyed buffer.
-func sortPerm(buf *RowBuffer, keys []plan.SortKey) []int64 {
-	n := buf.Rows()
+// sortPerm returns the permutation that orders the n rows of the key
+// columns cols by the keys, then by row id: a total order, so the
+// permutation is the one a stable sort gives.
+func sortPerm(cols []chunkedCol, keys []plan.SortKey, n int64) []int64 {
+	flat := flattenKeys(cols, keys, n)
 	perm := make([]int64, n)
 	for i := range perm {
 		perm[i] = int64(i)
 	}
-	sd := flattenKeys(buf, keys)
-	sort.SliceStable(perm, func(i, j int) bool {
-		return sd.compare(perm[i], perm[j]) < 0
+	slices.SortFunc(perm, func(a, b int64) int {
+		if c := compareKeys(flat, a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	return perm
-}
-
-// materializeSorted builds a payload-only buffer following perm.
-func materializeSorted(buf *RowBuffer, nKeys int, payTypes []vector.Type, perm []int64) *RowBuffer {
-	out := NewRowBuffer(payTypes)
-	for _, r := range perm {
-		ci, ri := buf.Locate(r)
-		src := buf.Chunk(ci)
-		t := out.tail()
-		for j := range payTypes {
-			t.Col(j).AppendFrom(src.Col(nKeys+j), ri)
-		}
-		t.SetLen(t.Len() + 1)
-		out.rows++
-	}
-	return out
-}
-
-// Finalize implements Sink: it sorts, cuts a top-N to its rows and
-// materializes them.
-func (s *SortSink) Finalize(gs GlobalState) error {
-	g := gs.(*sortState)
-	perm := sortPerm(&g.buf, s.keys)
-	lo := min(s.Offset, int64(len(perm)))
-	hi := lo + s.Limit
-	if s.Limit < 0 || hi > int64(len(perm)) {
-		hi = int64(len(perm))
-	}
-	g.out = materializeSorted(&g.buf, len(s.keys), s.payTypes, perm[lo:hi])
-	g.buf = RowBuffer{types: s.rowTypes} // release pre-sort copy
-	return nil
 }
 
 // Buffer implements BufferedSink.
@@ -325,18 +295,4 @@ func (s *SortSink) MemBytes(gs GlobalState) int64 {
 // LocalMemBytes implements Sink.
 func (s *SortSink) LocalMemBytes(ls LocalState) int64 {
 	return ls.(*sortLocal).buf.MemBytes()
-}
-
-// trimTopN sorts the keyed buffer and keeps the first `keep` keyed rows.
-func trimTopN(buf *RowBuffer, keys []plan.SortKey, rowTypes []vector.Type, keep int64) *RowBuffer {
-	perm := sortPerm(buf, keys)
-	if int64(len(perm)) > keep {
-		perm = perm[:keep]
-	}
-	out := NewRowBuffer(rowTypes)
-	for _, r := range perm {
-		ci, ri := buf.Locate(r)
-		out.AppendRowFrom(buf.Chunk(ci), ri)
-	}
-	return out
 }

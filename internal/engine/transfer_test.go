@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/riveterdb/riveter/internal/catalog"
@@ -51,18 +52,22 @@ func TestTransferShapes(t *testing.T) {
 		}
 		filtered := 0
 		for _, p := range with.Pipelines {
-			for _, op := range p.Ops {
-				kf, ok := op.(*keyFilterOp)
-				if !ok {
-					continue
-				}
-				filtered++
-				if _, isAgg := p.Sink.(*FlatAggSink); !isAgg || !slices.Contains(p.Deps, kf.buildID) || kf.buildID >= p.ID {
-					t.Errorf("%s: pipeline %d %q filters by pipeline %d, deps %v", name, p.ID, p.Label, kf.buildID, p.Deps)
-				}
-				if _, isBuild := with.Pipelines[kf.buildID].Sink.(*HashJoinBuildSink); !isBuild {
-					t.Errorf("%s: pipeline %d filters by pipeline %d %q, no join build", name, p.ID, kf.buildID, with.Pipelines[kf.buildID].Label)
-				}
+			if !strings.HasSuffix(p.Label, "keyfilter->aggregate") {
+				continue
+			}
+			// The key filter is the sink's last operator: a semi probe of
+			// the source build without a residual, passing its rows whole.
+			filtered++
+			kf, ok := p.Ops[len(p.Ops)-1].(*HashJoinProbeOp)
+			if !ok || kf.Type != plan.SemiJoin || kf.extra != nil || !kf.whole {
+				t.Errorf("%s: pipeline %d %q ends in %T, not a semi probe without residual", name, p.ID, p.Label, p.Ops[len(p.Ops)-1])
+				continue
+			}
+			if _, isAgg := p.Sink.(*FlatAggSink); !isAgg || !slices.Contains(p.Deps, kf.buildID) || kf.buildID >= p.ID {
+				t.Errorf("%s: pipeline %d %q filters by pipeline %d, deps %v", name, p.ID, p.Label, kf.buildID, p.Deps)
+			}
+			if _, isBuild := with.Pipelines[kf.buildID].Sink.(*HashJoinBuildSink); !isBuild {
+				t.Errorf("%s: pipeline %d filters by pipeline %d %q, no join build", name, p.ID, kf.buildID, with.Pipelines[kf.buildID].Label)
 			}
 		}
 		if filtered != 1 {

@@ -25,17 +25,3 @@ const (
 	Process  = costmodel.StrategyProcess
 	Lineage  = costmodel.StrategyLineage
 )
-
-// KindName renders a checkpoint manifest kind for a strategy.
-func KindName(k Kind) string {
-	switch k {
-	case Pipeline:
-		return "pipeline"
-	case Process:
-		return "process"
-	case Lineage:
-		return "lineage"
-	default:
-		return "redo"
-	}
-}

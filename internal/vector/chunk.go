@@ -81,14 +81,6 @@ func (c *Chunk) Reset() {
 // Full reports whether the chunk has reached its standard capacity.
 func (c *Chunk) Full() bool { return c.length >= ChunkCapacity }
 
-// AppendRowFrom appends row i of src into the chunk; column sets must match.
-func (c *Chunk) AppendRowFrom(src *Chunk, i int) {
-	for j, col := range c.cols {
-		col.AppendFrom(src.cols[j], i)
-	}
-	c.length++
-}
-
 // AppendRowValues appends one row of boxed values.
 func (c *Chunk) AppendRowValues(vals ...Value) {
 	if len(vals) != len(c.cols) {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"github.com/riveterdb/riveter/internal/strategy"
 )
 
 // The strategy-equivalence property: for every TPC-H query, a run
@@ -74,7 +72,7 @@ func checkpointEquivalence(t *testing.T, db *DB, q *Query, level Strategy, want 
 	}
 	defer db.FS().Remove(path)
 	if res := finishFrom(t, q, filePoint(path)); res.SortedKey() != want {
-		t.Errorf("%s checkpoint resume differs from clean run", strategy.KindName(level))
+		t.Errorf("%s checkpoint resume differs from clean run", level)
 	}
 }
 

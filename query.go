@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/riveterdb/riveter/internal/costmodel"
 	"github.com/riveterdb/riveter/internal/engine"
@@ -81,42 +80,26 @@ func (q *Query) Fingerprint() uint64 { return q.pp.Fingerprint }
 func (q *Query) Plan() string { return plan.Tree(q.pp.Root) }
 
 // Estimate is the cost model's pre-execution view of a query: the inputs an
-// admission controller reasons about before any morsel has run. Rows and
-// state sizes come from the deliberately naive optimizer model (see
+// admission controller reasons about before any morsel has run. State
+// sizes come from the deliberately naive optimizer model (see
 // internal/plan and DESIGN.md §5) — they are ranking signals, not
 // measurements.
 type Estimate struct {
-	// InputBytes and InputRows total the scanned base tables.
+	// InputBytes totals the scanned base tables.
 	InputBytes int64
-	InputRows  int64
-	// Rows is the estimated output cardinality of the plan root.
-	Rows float64
 	// StateBytes prices the peak intermediate state via the optimizer-based
 	// process-image estimator at full progress (an upper-bound flavour:
 	// join-heavy plans overestimate, by design).
 	StateBytes int64
-	// Latency extrapolates a runtime from the input size at a flat
-	// in-memory processing bandwidth; good enough to split "short" from
-	// "long", not to predict wall time.
-	Latency time.Duration
 }
-
-// estProcBytesPerSec is the flat per-worker processing bandwidth behind
-// Estimate.Latency.
-const estProcBytesPerSec = 256 << 20
 
 // Estimate derives the query's pre-execution cost estimate.
 func (q *Query) Estimate() Estimate {
 	info := costmodel.BuildQueryInfo(q.name, q.pp.Root, q.db.cat)
-	est := Estimate{
+	return Estimate{
 		InputBytes: info.InputBytes,
-		InputRows:  info.InputRows,
-		Rows:       plan.EstimateRows(q.pp.Root, q.db.cat),
 		StateBytes: costmodel.OptimizerEstimator{}.EstimateProcessImage(info, 1.0),
 	}
-	rate := float64(estProcBytesPerSec) * float64(q.db.workers)
-	est.Latency = time.Duration(float64(est.InputBytes) / rate * float64(time.Second))
-	return est
 }
 
 // Query parses and runs a SQL statement to completion.
@@ -214,7 +197,7 @@ func (e *Execution) Suspend(k Strategy) error {
 	e.ex.RequestSuspend(kind)
 	if e.q.db.foldM != nil {
 		if tr := e.ex.Obs().Trace; tr != nil {
-			tr.Event(obs.EvFoldDetach, obs.A("kind", strategy.KindName(k)))
+			tr.Event(obs.EvFoldDetach, obs.A("kind", k.String()))
 		}
 	}
 	return nil

@@ -157,9 +157,6 @@ type StoreConfig struct {
 	// operation pays the profile's round-trip latency, and transfers pay
 	// its bandwidth. The cost model is calibrated against this link.
 	Net cloud.NetProfile
-	// Chunking overrides the content-defined chunker's bounds (zero =
-	// 4 KiB / 16 KiB / 64 KiB defaults).
-	Chunking blobstore.ChunkParams
 }
 
 // WithBlobStore attaches a checkpoint blob store. Open initializes the
@@ -242,11 +239,7 @@ func (db *DB) initStore() {
 	if !db.storeCfg.Net.Zero() {
 		backend = blobstore.NewRemote(local, db.storeCfg.Net)
 	}
-	st, err := blobstore.New(blobstore.Config{
-		Backend:  backend,
-		Chunking: db.storeCfg.Chunking,
-		Metrics:  db.metrics,
-	})
+	st, err := blobstore.New(blobstore.Config{Backend: backend, Metrics: db.metrics})
 	if err != nil {
 		db.storeErr = err
 		return
